@@ -600,18 +600,19 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 	}
 	scratch.reserve(n)
 	damage, alive := scratch.damage, scratch.alive
-	for i := range damage {
-		damage[i] = 0
-	}
 	if idxs == nil {
+		for i := range damage {
+			damage[i] = 0
+		}
 		for i := range alive {
 			alive[i] = true
 		}
 	} else {
-		for i := range alive {
-			alive[i] = false
-		}
+		// A worker's scratch serves one run, hence one mask: entries outside
+		// it keep the zero damage and false liveness of the allocation, so
+		// only the candidates need resetting.
 		for _, i := range idxs {
+			damage[i] = 0
 			alive[i] = true
 		}
 	}

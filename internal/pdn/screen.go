@@ -214,9 +214,9 @@ func (s *GridSystem) SteadyScreen(sc ScreenConfig) (*GridScreen, error) {
 	return screenGrid(s.cfg.Grid, s.circuit, s.op0, sc)
 }
 
-// ScreenGrid compiles and solves a grid and runs the steady-state screen —
-// the standalone -engine=steady path, which never builds TTF models or
-// touches the Monte Carlo.
+// ScreenGrid solves a private copy of the grid's compiled circuit and runs
+// the steady-state screen — the standalone -engine=steady path, which never
+// builds TTF models or touches the Monte Carlo.
 func ScreenGrid(g *Grid, sc ScreenConfig) (*GridScreen, error) {
 	return ScreenGridCtx(context.Background(), g, sc)
 }
@@ -230,7 +230,7 @@ func ScreenGridCtx(ctx context.Context, g *Grid, sc ScreenConfig) (*GridScreen, 
 	}
 	tl := trace.TimelineFrom(ctx)
 	endCompile := tl.Stage("compile")
-	circuit, err := spice.Compile(g.Netlist)
+	circuit, err := g.pristineCircuit()
 	endCompile()
 	if err != nil {
 		return nil, fmt.Errorf("pdn: compiling grid: %w", err)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"emvia/internal/cudd"
 	"emvia/internal/phys"
@@ -95,9 +96,10 @@ type Grid struct {
 	Netlist *spice.Netlist
 	Vias    []ViaInfo
 
-	// Pristine-solve cache (see solveCircuit): the compiled circuit of the
-	// current netlist topology, reused across MaxViaCurrent calls with value
-	// pushes instead of recompilation.
+	// The grid's own compiled circuit (see solveCircuit), reused by every
+	// pristine solve with value pushes instead of recompilation. mu guards
+	// it, so concurrent read-only analyses of one grid are safe.
+	mu            sync.Mutex
 	cachedCircuit *spice.Circuit
 	cachedVolts   int
 }
@@ -221,18 +223,11 @@ func Generate(spec GridSpec) (*Grid, error) {
 	return g, nil
 }
 
-// NominalIRDropFrac compiles the pristine grid and returns its worst IR drop
+// NominalIRDropFrac solves the pristine grid and returns its worst IR drop
 // as a fraction of Vdd.
 func (g *Grid) NominalIRDropFrac() (float64, error) {
-	c, err := spice.Compile(g.Netlist)
-	if err != nil {
-		return 0, err
-	}
-	op, err := c.SolveDC(nil)
-	if err != nil {
-		return 0, err
-	}
-	return op.WorstIRDropFrac(g.Spec.Vdd), nil
+	_, frac, err := g.MaxViaCurrent()
+	return frac, err
 }
 
 // CalibrateLoad rescales the load currents so the pristine grid's worst IR

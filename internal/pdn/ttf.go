@@ -133,13 +133,16 @@ type GridSystem struct {
 	yFree    []float64 // pristine free-node solution (gathered from op0 once)
 	xScratch []float64
 
-	// candidates is the steady screen's mortal mask (mc.CandidateMasker);
-	// nil runs the legacy sequential sampling stream. With a mask set,
-	// BeginTrial draws one base seed per trial and samples each candidate
-	// from its own derived substream, so the sampled TTF of a via array
-	// depends only on (trial, array) — never on which other arrays are in
-	// the mask. sub is the reusable substream generator.
-	candidates []bool
+	// candidates is the ascending index list of the steady screen's mortal
+	// mask (mc.CandidateMasker); nil runs the legacy sequential sampling
+	// stream. With a mask set, BeginTrial draws one base seed per trial and
+	// samples each candidate from its own derived substream, so the sampled
+	// TTF of a via array depends only on (trial, array) — never on which
+	// other arrays are in the mask. Arrays outside the mask never fail: their
+	// +Inf TTF, liveness and nominal current are written once (initTrialState)
+	// and every per-trial pass walks the candidates only. sub is the reusable
+	// substream generator.
+	candidates []int
 	sub        *rand.Rand
 
 	// circuitDirty records that a trial edited the compiled circuit (opened
@@ -159,8 +162,9 @@ type prepTrial struct {
 	valid bool
 }
 
-// NewSystem compiles the grid and solves the pristine operating point. It
-// rejects grids whose nominal IR drop already violates the criterion.
+// NewSystem takes a private copy of the grid's compiled circuit (see
+// solveCircuit) and solves the pristine operating point. It rejects grids
+// whose nominal IR drop already violates the criterion.
 func NewSystem(cfg TTFConfig) (*GridSystem, error) {
 	return NewSystemCtx(context.Background(), cfg)
 }
@@ -175,7 +179,7 @@ func NewSystemCtx(ctx context.Context, cfg TTFConfig) (*GridSystem, error) {
 		return nil, err
 	}
 	endCompile := tl.Stage("compile")
-	circuit, err := spice.Compile(cfg.Grid.Netlist)
+	circuit, err := cfg.Grid.pristineCircuit()
 	endCompile()
 	if err != nil {
 		return nil, fmt.Errorf("pdn: compiling grid: %w", err)
@@ -277,18 +281,50 @@ func (s *GridSystem) SetCandidates(mask []bool) error {
 	if len(mask) != s.NumComponents() {
 		return fmt.Errorf("pdn: candidate mask has %d entries, want %d", len(mask), s.NumComponents())
 	}
-	any := false
-	for _, m := range mask {
+	var idx []int
+	for k, m := range mask {
 		if m {
-			any = true
-			break
+			idx = append(idx, k)
 		}
 	}
-	if !any {
+	if idx == nil {
 		return fmt.Errorf("pdn: candidate mask excludes every via array")
 	}
-	s.candidates = append([]bool(nil), mask...)
+	s.candidates = idx
+	s.initTrialState()
 	return nil
+}
+
+// initTrialState allocates the per-trial state with every array alive at its
+// nominal current and, under a candidate mask, every TTF +Inf — the
+// permanent state of the arrays outside the mask.
+func (s *GridSystem) initTrialState() {
+	n := s.NumComponents()
+	if s.alive == nil {
+		s.alive = make([]bool, n)
+		s.baseTTF = make([]float64, n)
+		s.iNow = make([]float64, n)
+	}
+	for k := range s.alive {
+		s.alive[k] = true
+		s.baseTTF[k] = math.Inf(1)
+	}
+	copy(s.iNow, s.i0)
+}
+
+// sampleTTF draws array k's TTF at its nominal current from src.
+func (s *GridSystem) sampleTTF(k int, src *rand.Rand) float64 {
+	var model viaarray.TTFModel
+	if s.cfg.PerViaModels != nil {
+		model = s.cfg.PerViaModels[k]
+	} else {
+		model = s.cfg.Models[s.cfg.Grid.Vias[k].Pattern]
+	}
+	ttf := model.Sample(src, s.i0[k])
+	if s.cfg.TTFScale != nil {
+		ttf *= s.cfg.TTFScale[k]
+	}
+	return ttf
 }
 
 // ensureSub returns the reusable substream generator.
@@ -302,11 +338,8 @@ func (s *GridSystem) ensureSub() *rand.Rand {
 // BeginTrial restores the pristine grid and samples array TTFs at their
 // nominal currents.
 func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
-	n := s.NumComponents()
 	if s.alive == nil {
-		s.alive = make([]bool, n)
-		s.baseTTF = make([]float64, n)
-		s.iNow = make([]float64, n)
+		s.initTrialState()
 	}
 	// Restore the vias opened by the previous trial and put the solver into
 	// its canonical pristine state (matrix values, factor, preconditioner),
@@ -318,24 +351,15 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 		s.circuit.ResetResistors()
 		s.circuitDirty = false
 	}
-	for k := range s.alive {
-		s.alive[k] = true
-	}
 	s.failedCount = 0
-	copy(s.iNow, s.i0)
 	s.opNow = s.op0
 	if s.candidates == nil {
-		for k, v := range s.cfg.Grid.Vias {
-			var model viaarray.TTFModel
-			if s.cfg.PerViaModels != nil {
-				model = s.cfg.PerViaModels[k]
-			} else {
-				model = s.cfg.Models[v.Pattern]
-			}
-			s.baseTTF[k] = model.Sample(rng, s.i0[k])
-			if s.cfg.TTFScale != nil {
-				s.baseTTF[k] *= s.cfg.TTFScale[k]
-			}
+		for k := range s.alive {
+			s.alive[k] = true
+		}
+		copy(s.iNow, s.i0)
+		for k := range s.baseTTF {
+			s.baseTTF[k] = s.sampleTTF(k, rng)
 		}
 	} else {
 		// Masked sampling: one base draw from the trial stream, then an
@@ -344,22 +368,11 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 		// (base, k), which is what makes screened runs mask-monotone.
 		base := rng.Int63()
 		sub := s.ensureSub()
-		for k, v := range s.cfg.Grid.Vias {
-			if !s.candidates[k] {
-				s.baseTTF[k] = math.Inf(1)
-				continue
-			}
-			var model viaarray.TTFModel
-			if s.cfg.PerViaModels != nil {
-				model = s.cfg.PerViaModels[k]
-			} else {
-				model = s.cfg.Models[v.Pattern]
-			}
+		for _, k := range s.candidates {
+			s.alive[k] = true
+			s.iNow[k] = s.i0[k]
 			sub.Seed(subSeed(base, k))
-			s.baseTTF[k] = model.Sample(sub, s.i0[k])
-			if s.cfg.TTFScale != nil {
-				s.baseTTF[k] *= s.cfg.TTFScale[k]
-			}
+			s.baseTTF[k] = s.sampleTTF(k, sub)
 		}
 	}
 	// Consume this trial's prepared entry, if a group was prepared. Entries
@@ -423,29 +436,20 @@ func (s *GridSystem) PrepareTrials(seeds []int64) error {
 		}
 		minTTF := math.Inf(1)
 		k := -1
-		for i, v := range s.cfg.Grid.Vias {
-			if s.candidates != nil && !s.candidates[i] {
-				continue
-			}
-			var model viaarray.TTFModel
-			if s.cfg.PerViaModels != nil {
-				model = s.cfg.PerViaModels[i]
-			} else {
-				model = s.cfg.Models[v.Pattern]
-			}
-			src := rng
-			if s.candidates != nil {
-				sub.Seed(subSeed(base, i))
-				src = sub
-			}
-			ttf := model.Sample(src, s.i0[i])
-			if s.cfg.TTFScale != nil {
-				ttf *= s.cfg.TTFScale[i]
-			}
-			if s.i0[i] > 0 && ttf < minTTF {
+		consider := func(i int, src *rand.Rand) {
+			if ttf := s.sampleTTF(i, src); s.i0[i] > 0 && ttf < minTTF {
 				minTTF = ttf
 				k = i
 			}
+		}
+		if s.candidates == nil {
+			for i := range s.cfg.Grid.Vias {
+				consider(i, rng)
+			}
+		}
+		for _, i := range s.candidates {
+			sub.Seed(subSeed(base, i))
+			consider(i, sub)
 		}
 		e := prepTrial{k: -1, zoff: -1}
 		if k >= 0 && !math.IsInf(minTTF, 1) {
@@ -597,18 +601,26 @@ func (s *GridSystem) Fail(k int) error {
 		}
 	}
 	s.opNow = dst
-	op := dst
-	for i, v := range s.cfg.Grid.Vias {
-		if s.candidates != nil && !s.candidates[i] {
-			continue // never scheduled: its aging rate is never read
-		}
-		if s.alive[i] {
-			s.iNow[i] = math.Abs(op.ResistorCurrent(v.ResistorIndex))
-		} else {
-			s.iNow[i] = 0
+	if s.candidates == nil {
+		for i := range s.cfg.Grid.Vias {
+			s.updateCurrent(i, dst)
 		}
 	}
+	// Arrays outside the mask are never scheduled: their aging rate is
+	// never read.
+	for _, i := range s.candidates {
+		s.updateCurrent(i, dst)
+	}
 	return nil
+}
+
+// updateCurrent refreshes array i's present current from op.
+func (s *GridSystem) updateCurrent(i int, op *spice.OP) {
+	if s.alive[i] {
+		s.iNow[i] = math.Abs(op.ResistorCurrent(s.cfg.Grid.Vias[i].ResistorIndex))
+	} else {
+		s.iNow[i] = 0
+	}
 }
 
 // Failed evaluates the system criterion.

@@ -10,6 +10,8 @@ import (
 // MaxViaCurrent solves the pristine grid and returns the largest via-array
 // current magnitude (A) together with the worst IR-drop fraction.
 func (g *Grid) MaxViaCurrent() (maxAmps, irFrac float64, err error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	c, err := g.solveCircuit()
 	if err != nil {
 		return 0, 0, err
@@ -26,15 +28,21 @@ func (g *Grid) MaxViaCurrent() (maxAmps, irFrac float64, err error) {
 	return maxAmps, op.WorstIRDropFrac(g.Spec.Vdd), nil
 }
 
-// solveCircuit returns a compiled circuit holding the current netlist
-// values. The compilation is cached on the grid: while the topology is
-// unchanged (same element counts and terminals — the invariant of Tune,
-// which only rescales Ohms and Amps), repeated calls push values into the
-// compiled system in place, so the pristine solve reuses the fixed pattern
-// and the cached direct factor instead of recompiling the netlist. Any
+// solveCircuit returns the grid's own compiled circuit holding the current
+// netlist values; the caller holds g.mu. The grid compiles its netlist once
+// and keeps the circuit: later calls push resistor values in place and
+// restamp the loads, so the pristine solves of calibration, reference
+// current, system build and screen share one ordering and one numeric
+// factorization, and a load change costs only triangular solves. Loads are
+// restamped, not accumulated, so while no resistor value has changed since
+// compile (Generation() == 0) the circuit is bit-identical to a fresh
+// Compile of the netlist, and pristineCircuit hands out clones of it. Tune
+// pushes wire changes, which advance the generation and leave the pristine
+// snapshots (res0, mat0) at the values before tuning; the circuit then only
+// serves MaxViaCurrent and pristineCircuit compiles afresh. Any
 // element-count change recompiles from scratch; callers that rewire
-// terminals at constant counts must drop the cache by clearing
-// Grid.cachedCircuit (no in-tree caller does).
+// terminals or change pad voltages at constant counts must drop the cache
+// by clearing Grid.cachedCircuit (no in-tree caller does).
 func (g *Grid) solveCircuit() (*spice.Circuit, error) {
 	nl := g.Netlist
 	c := g.cachedCircuit
@@ -53,12 +61,33 @@ func (g *Grid) solveCircuit() (*spice.Circuit, error) {
 			return nil, err
 		}
 	}
-	for i := range nl.Currents {
-		if err := c.SetCurrent(i, nl.Currents[i].Amps); err != nil {
-			return nil, err
-		}
+	amps := make([]float64, len(nl.Currents))
+	for i, s := range nl.Currents {
+		amps[i] = s.Amps
 	}
-	return c, nil
+	return c, c.SetCurrents(amps)
+}
+
+// pristineCircuit returns a private circuit of the current netlist for a
+// caller that will edit or keep it: a Clone of the grid's solved circuit,
+// which shares its ordering and symbolic factor and carries its numeric
+// factor, or a fresh compile once Tune has edited the grid's circuit.
+func (g *Grid) pristineCircuit() (*spice.Circuit, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	c, err := g.solveCircuit()
+	if err != nil {
+		return nil, err
+	}
+	if c.Generation() != 0 {
+		return spice.Compile(g.Netlist)
+	}
+	// Solve once so the clone inherits the factor instead of building its
+	// own; on a circuit solved before this is a pair of triangular sweeps.
+	if _, err := c.SolveDC(nil); err != nil {
+		return nil, err
+	}
+	return c.Clone(), nil
 }
 
 // Tune adjusts the grid the way the paper tunes the benchmark decks: load

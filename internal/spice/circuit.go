@@ -316,29 +316,9 @@ func (c *Circuit) compile() {
 					tr.Add(fb, fa, g)
 				}
 			}
-			continue
-		}
-		// A pad terminal pins its side; its conductance moves to the RHS.
-		if fa >= 0 && fb < 0 && r.b >= 0 {
-			rhs[fa] += g * c.fixed[r.b]
-		}
-		if fb >= 0 && fa < 0 && r.a >= 0 {
-			rhs[fb] += g * c.fixed[r.a]
 		}
 	}
-	for _, s := range c.cur {
-		// Current flows a→b through the source: out of node a, into node b.
-		if s.a >= 0 {
-			if fi := c.freeIdx[s.a]; fi >= 0 {
-				rhs[fi] -= s.amps
-			}
-		}
-		if s.b >= 0 {
-			if fi := c.freeIdx[s.b]; fi >= 0 {
-				rhs[fi] += s.amps
-			}
-		}
-	}
+	c.stampRHS(rhs, c.res)
 	a := &assembly{mat: tr.ToCSR(), rhs: rhs}
 	c.asm = a
 
@@ -402,6 +382,38 @@ func (c *Circuit) SolverBackend() string {
 		}
 	}
 	return mode.String()
+}
+
+// stampRHS writes the right-hand side of resistor table res and the current
+// sources into rhs: pad terms in resistor order, then sources. compile and
+// SetCurrents both stamp through it, so a restamped RHS is bit-identical to
+// the one a fresh compile of the same values would build.
+func (c *Circuit) stampRHS(rhs []float64, res []cResistor) {
+	for i := range rhs {
+		rhs[i] = 0
+	}
+	for _, r := range res {
+		if r.disabled {
+			continue
+		}
+		// A pad terminal pins its side; its conductance moves to the RHS.
+		fa, fb := c.freeTerm(r.a), c.freeTerm(r.b)
+		if fa >= 0 && fb < 0 && r.b >= 0 {
+			rhs[fa] += r.cond * c.fixed[r.b]
+		}
+		if fb >= 0 && fa < 0 && r.a >= 0 {
+			rhs[fb] += r.cond * c.fixed[r.a]
+		}
+	}
+	for _, s := range c.cur {
+		// Current flows a→b through the source: out of node a, into node b.
+		if fi := c.freeTerm(s.a); fi >= 0 {
+			rhs[fi] -= s.amps
+		}
+		if fi := c.freeTerm(s.b); fi >= 0 {
+			rhs[fi] += s.amps
+		}
+	}
 }
 
 // ensureSlots lazily compiles the incremental-edit machinery: the
@@ -607,6 +619,9 @@ func (c *Circuit) ResetResistors() {
 	c.ensureSlots() // a reset signals re-solve activity; compile the machinery
 	c.met.resets.Inc()
 	a := c.asm
+	// Generation zero means no resistor changed since compile, so a factor
+	// the first solve built is already the pristine one.
+	pristine := a.gen == 0 && a.schol != nil
 	copy(c.res, a.res0)
 	a.mat.SetValues(a.mat0)
 	copy(a.rhs, a.rhs0)
@@ -617,14 +632,15 @@ func (c *Circuit) ResetResistors() {
 			// Pristine factor restored by memcpy — no refactorization.
 			a.schol.Restore(a.schol0) //nolint:errcheck // clone shares the structure
 			a.needRefactor = false
-		} else if err := c.ensureSparseFactor(); err != nil {
+		} else if pristine || c.ensureSparseFactor() == nil {
+			// First trial reset: the factor matches the pristine values —
+			// untouched since the first solve, or just rebuilt from them — so
+			// snapshot it for later resets instead of refactoring again.
+			a.schol0 = a.schol.CloneFactor()
+		} else {
 			// Matrix values are pristine, so a factorization failure here
 			// means the sparse path cannot work at all; fall back to CG.
 			a.sparseDirect = false
-		} else {
-			// First trial reset: mat holds pristine values, so the factor
-			// just built is the pristine one — snapshot it for later resets.
-			a.schol0 = a.schol.CloneFactor()
 		}
 		return
 	}
@@ -659,40 +675,25 @@ func (c *Circuit) ResetResistors() {
 	}
 }
 
-// SetCurrent replaces the drive of current source i (netlist order). A load
-// change only moves the right-hand side — the conductance matrix and any
-// cached factor are untouched — so re-tuning loads on a compiled circuit
-// costs O(1) per source instead of a recompilation. The change re-baselines
-// the circuit: ResetResistors keeps the new load (current sources are not
-// part of the resistor-failure snapshot).
-func (c *Circuit) SetCurrent(i int, amps float64) error {
-	if i < 0 || i >= len(c.cur) {
-		return fmt.Errorf("spice: current source index %d out of range", i)
+// SetCurrents replaces the drive of every current source (amps in netlist
+// order). A load change only moves the right-hand side — the conductance
+// matrix and any cached factor are untouched — so re-tuning loads on a
+// compiled circuit costs one O(n) restamp instead of a recompilation. The
+// RHS is restamped rather than corrected by deltas, so it stays
+// bit-identical to a fresh compile of the same values. The change
+// re-baselines the circuit: ResetResistors keeps the new loads (current
+// sources are not part of the resistor-failure snapshot).
+func (c *Circuit) SetCurrents(amps []float64) error {
+	if len(amps) != len(c.cur) {
+		return fmt.Errorf("spice: %d load currents for %d current sources", len(amps), len(c.cur))
 	}
-	s := &c.cur[i]
-	d := amps - s.amps
-	if d == 0 {
-		return nil
+	for i := range c.cur {
+		c.cur[i].amps = amps[i]
 	}
-	s.amps = amps
-	if c.asm == nil {
-		return nil // compile stamps the new value
-	}
-	a := c.asm
-	if s.a >= 0 {
-		if fi := c.freeIdx[s.a]; fi >= 0 {
-			a.rhs[fi] -= d
-			if a.rhs0 != nil {
-				a.rhs0[fi] -= d
-			}
-		}
-	}
-	if s.b >= 0 {
-		if fi := c.freeIdx[s.b]; fi >= 0 {
-			a.rhs[fi] += d
-			if a.rhs0 != nil {
-				a.rhs0[fi] += d
-			}
+	if a := c.asm; a != nil {
+		c.stampRHS(a.rhs, c.res)
+		if a.rhs0 != nil {
+			c.stampRHS(a.rhs0, a.res0)
 		}
 	}
 	return nil
@@ -745,7 +746,7 @@ func (c *Circuit) Clone() *Circuit {
 	}
 	if a.rhs0 != nil {
 		// rhs0 is the one snapshot that can move after it is taken
-		// (SetCurrent re-baselines loads), so the clone owns a copy.
+		// (SetCurrents re-baselines loads), so the clone owns a copy.
 		b.rhs0 = append([]float64(nil), a.rhs0...)
 	}
 	if a.chol != nil {

@@ -238,12 +238,20 @@ func TestCloneBitIdenticalSparse(t *testing.T) {
 	}
 }
 
-// TestSetCurrentMatchesRecompile checks the load-push path used by the tuner:
-// editing a current source in place must match a fresh compile of the edited
-// netlist, and the edit must survive ResetResistors (it is a load change, not
-// a resistor trial edit).
+// TestSetCurrentMatchesRecompile checks the load-push path used by the grid's
+// shared circuit: restamping the current sources in place must match a fresh
+// compile of the edited netlist bit for bit, and the edit must survive
+// ResetResistors (it is a load change, not a resistor trial edit).
 func TestSetCurrentMatchesRecompile(t *testing.T) {
 	nl := meshNetlist(t, 8)
+	// Diagonal pads at uneven voltages put pad terms into the RHS of many
+	// loaded nodes, where a delta-corrected load push would round
+	// differently from a fresh stamp.
+	for j := 1; j < 8; j++ {
+		nl.Voltages = append(nl.Voltages, VoltageSource{
+			Name: fmt.Sprintf("VD%d", j), Node: fmt.Sprintf("n_%d_%d", j, j), Volts: 1 - 0.013*float64(j),
+		})
+	}
 	c, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
@@ -253,18 +261,18 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 	if got, want := c.NumCurrents(), len(nl.Currents); got != want {
 		t.Fatalf("NumCurrents() = %d, want %d", got, want)
 	}
+	amps := make([]float64, len(nl.Currents))
 	for i := range nl.Currents {
-		if err := c.SetCurrent(i, nl.Currents[i].Amps*1.7); err != nil {
-			t.Fatal(err)
-		}
+		amps[i] = nl.Currents[i].Amps * (1 + math.Sqrt(float64(i)+0.5))
 	}
-	c.ResetResistors() // must keep the new loads
-	_, vGot := solveAll(t, c, nil)
+	if err := c.SetCurrents(amps); err != nil {
+		t.Fatal(err)
+	}
 
 	edited := *nl
 	edited.Currents = append([]CurrentSource(nil), nl.Currents...)
 	for i := range edited.Currents {
-		edited.Currents[i].Amps *= 1.7
+		edited.Currents[i].Amps = amps[i]
 	}
 	ref, err := Compile(&edited)
 	if err != nil {
@@ -272,13 +280,20 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 	}
 	ref.Solver = SolverSparse
 	_, vWant := solveAll(t, ref, nil)
-	for i := range vGot {
-		if d := math.Abs(vGot[i]-vWant[i]) / (1 + math.Abs(vWant[i])); d > 1e-10 {
-			t.Fatalf("node %d: pushed %g vs recompiled %g (rel %g)", i, vGot[i], vWant[i], d)
+	for i, want := range ref.asm.rhs {
+		if got := c.asm.rhs[i]; got != want {
+			t.Fatalf("RHS %d: restamped %v vs recompiled %v (not bit-identical)", i, got, want)
 		}
 	}
-	if err := c.SetCurrent(-1, 0); err == nil {
-		t.Error("SetCurrent(-1) did not fail")
+	c.ResetResistors() // must keep the new loads
+	_, vGot := solveAll(t, c, nil)
+	for i := range vGot {
+		if vGot[i] != vWant[i] {
+			t.Fatalf("node %d: pushed %g vs recompiled %g (not bit-identical)", i, vGot[i], vWant[i])
+		}
+	}
+	if err := c.SetCurrents(amps[1:]); err == nil {
+		t.Error("SetCurrents with a short slice did not fail")
 	}
 }
 
