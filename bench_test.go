@@ -416,8 +416,8 @@ func BenchmarkAblationAging(b *testing.B) {
 // BenchmarkGridSolve measures the raw nodal-analysis solve across grid
 // sizes, the inner loop of the grid Monte Carlo.
 func BenchmarkGridSolve(b *testing.B) {
-	// nx200 and nx400 (80k and 320k unknowns) cross the supernodal
-	// threshold, so the auto backend exercises the blocked factorization;
+	// Every size runs the supernodal solver; nx200 and nx400 (80k and 320k
+	// unknowns) are nested-dissection-ordered and slow, so
 	// bench_snapshot.sh runs them at a reduced -benchtime.
 	for _, nx := range []int{10, 20, 40, 80, 200, 400} {
 		b.Run(sizeName(nx), func(b *testing.B) {
@@ -466,58 +466,13 @@ func benchLaplacian(nx int) *sparse.CSR {
 	return tr.ToCSR()
 }
 
-// BenchmarkSparseCholeskyFactor measures the sparse direct kernel on a
-// 64×64 mesh Laplacian (4096 unknowns, the nx40 power-grid scale): numeric
-// refactorization over the fixed AMD-ordered pattern, the triangular solve,
-// and one edge downdate + update round trip (the Monte-Carlo edit path).
-func BenchmarkSparseCholeskyFactor(b *testing.B) {
-	a := benchLaplacian(64)
-	sp, err := solver.NewSparseCholeskyFromCSR(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n, _ := a.Dims()
-	rhs := make([]float64, n)
-	x := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = 1e-3 * float64(i%17)
-	}
-	b.Run("Refactor", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := sp.RefactorFromCSR(a); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Solve", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := sp.SolveInto(x, rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Update", func(b *testing.B) {
-		// One failure (downdate) and one repair (update) of an interior
-		// mesh edge per iteration, leaving the factor unchanged net.
-		fa, fb := 32*64+31, 32*64+32
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := sp.DowndateEdge(fa, fb, 1); err != nil {
-				b.Fatal(err)
-			}
-			sp.UpdateEdge(fa, fb, 1)
-		}
-	})
-}
-
-// BenchmarkSparseCholeskyFactorSupernodal measures the supernodal kernel on
-// the same 4096-unknown mesh Laplacian as BenchmarkSparseCholeskyFactor:
+// BenchmarkSparseCholeskyFactorSupernodal measures the power-grid solver on
+// a 64×64 mesh Laplacian (4096 unknowns, the nx40 power-grid scale):
 // numeric refactorization at several worker counts (results are
-// bit-identical at any width; extra workers only help on multi-core hosts)
-// and the batched 16-RHS triangular solve against the equivalent loop of
-// single solves it replaces in grouped Monte-Carlo trials.
+// bit-identical at any width; extra workers only help on multi-core hosts),
+// one edge downdate + update round trip (the Monte-Carlo edit path), and
+// the batched 16-RHS triangular solve against the equivalent loop of single
+// solves it replaces in grouped Monte-Carlo trials.
 func BenchmarkSparseCholeskyFactorSupernodal(b *testing.B) {
 	a := benchLaplacian(64)
 	n, _ := a.Dims()
@@ -540,6 +495,18 @@ func BenchmarkSparseCholeskyFactorSupernodal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("Update", func(b *testing.B) {
+		// One failure (downdate) and one repair (update) of an interior
+		// mesh edge per iteration, leaving the factor unchanged net.
+		fa, fb := 32*64+31, 32*64+32
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := sp.DowndateEdge(fa, fb, 1); err != nil {
+				b.Fatal(err)
+			}
+			sp.UpdateEdge(fa, fb, 1)
+		}
+	})
 	const nrhs = 16
 	rhs := make([]float64, nrhs*n)
 	x := make([]float64, nrhs*n)

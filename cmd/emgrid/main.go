@@ -238,7 +238,7 @@ func cmdIRDrop(args []string) error {
 	if err != nil {
 		return err
 	}
-	op, err := c.SolveDC(nil)
+	op, err := c.SolveDC()
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,6 @@ import (
 	"emvia/internal/mc"
 	"emvia/internal/pdn"
 	"emvia/internal/phys"
-	"emvia/internal/spice"
 	"emvia/internal/stat"
 	"emvia/internal/viaarray"
 )
@@ -141,18 +140,15 @@ func TestDeterminismMatrixGridMC(t *testing.T) {
 	}
 }
 
-// TestDeterminismMatrixGridMCSparse repeats the grid matrix on the sparse
-// Cholesky backend with the production worker topology: one master system is
-// compiled and factored, every parallel worker runs on a Clone of it (the
-// AnalyzeTTF fast path), and the result must still match the serial engine
-// bit for bit at every worker count.
+// TestDeterminismMatrixGridMCSparse repeats the grid matrix with the
+// production worker topology: one master system is compiled and factored
+// with the supernodal sparse Cholesky, every parallel worker runs on a Clone
+// of it (the AnalyzeTTF fast path), and the result must still match the
+// serial engine bit for bit at every worker count.
 func TestDeterminismMatrixGridMCSparse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid Monte Carlo is slow under -short")
 	}
-	spice.SetDefaultSolver(spice.SolverSparse)
-	defer spice.SetDefaultSolver(spice.SolverDefault)
-
 	spec := pdn.PG1Spec()
 	spec.NX, spec.NY = 6, 6
 	spec.PadPeriod = 3
@@ -181,7 +177,7 @@ func TestDeterminismMatrixGridMCSparse(t *testing.T) {
 		Criterion:  pdn.IRDrop,
 		IRDropFrac: 0.10,
 	}
-	opt := mc.Options{Trials: 12, Seed: 7, Solver: "sparse"}
+	opt := mc.Options{Trials: 12, Seed: 7}
 
 	sys, err := pdn.NewSystem(cfg)
 	if err != nil {

@@ -122,7 +122,7 @@ func ScreenCurrentDensity(g *pdn.Grid, viaArea, limit float64) (*ScreenResult, e
 	if err != nil {
 		return nil, err
 	}
-	op, err := c.SolveDC(nil)
+	op, err := c.SolveDC()
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func WeakestLinkGridTTF(g *pdn.Grid, b Black, viaArea, tempK, quantile float64) 
 	if err != nil {
 		return 0, err
 	}
-	op, err := c.SolveDC(nil)
+	op, err := c.SolveDC()
 	if err != nil {
 		return 0, err
 	}

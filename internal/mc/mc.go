@@ -138,16 +138,9 @@ type Options struct {
 	// boundaries depend only on the trial index, never on Workers, so
 	// results stay bit-identical for any worker count.
 	BatchTrials int
-	// Solver records the linear-solver backend the run's systems use
-	// ("auto", "dense", "sparse" or "cg"; empty = unspecified). The engine
-	// itself never interprets it — the backend is a property of the System
-	// factory — but it is validated here and carried into the run-provenance
-	// manifest, so results stay attributable to a backend when the default
-	// changes.
-	Solver string
 	// Engine records the analysis backend that configured the run ("mc",
-	// "both"; empty = unspecified). Like Solver it is provenance, not
-	// behavior: the pruning itself rides on Candidates.
+	// "both"; empty = unspecified). It is provenance, not behavior: the
+	// pruning itself rides on Candidates.
 	Engine string
 	// Candidates restricts each trial to a subset of failure candidates
 	// (len == NumComponents, true = candidate): non-candidates are never
@@ -171,11 +164,6 @@ func (o Options) Validate() error {
 	}
 	if o.FirstTrial < 0 {
 		return fmt.Errorf("mc: FirstTrial must be ≥ 0, got %d", o.FirstTrial)
-	}
-	switch o.Solver {
-	case "", "default", "auto", "dense", "sparse", "cg":
-	default:
-		return fmt.Errorf("mc: unknown solver backend %q (want auto, dense, sparse or cg)", o.Solver)
 	}
 	switch o.Engine {
 	case "", EngineMC, EngineBoth:

@@ -51,7 +51,7 @@ func (g *Grid) WireBlechScreen(em emdist.Params, sigmaCrit float64) (*WireBlechR
 	if err != nil {
 		return nil, err
 	}
-	op, err := c.SolveDC(nil)
+	op, err := c.SolveDC()
 	if err != nil {
 		return nil, err
 	}

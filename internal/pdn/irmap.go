@@ -21,7 +21,7 @@ func (g *Grid) WriteIRDropSVG(w io.Writer, widthPx int) error {
 	if err != nil {
 		return err
 	}
-	op, err := c.SolveDC(nil)
+	op, err := c.SolveDC()
 	if err != nil {
 		return err
 	}

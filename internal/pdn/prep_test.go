@@ -5,17 +5,7 @@ import (
 	"testing"
 
 	"emvia/internal/mc"
-	"emvia/internal/spice"
 )
-
-// forceSparse pins the process solver default to the sparse direct backend
-// for one test, so even the small test grids exercise the prepared path.
-func forceSparse(t *testing.T) {
-	t.Helper()
-	prev := spice.DefaultSolver()
-	spice.SetDefaultSolver(spice.SolverSparse)
-	t.Cleanup(func() { spice.SetDefaultSolver(prev) })
-}
 
 // TestPreparedTrialsMatchLegacy cross-checks the batched Sherman–Morrison
 // trial preparation against the legacy per-trial solve path: same grid, same
@@ -24,7 +14,6 @@ func forceSparse(t *testing.T) {
 // against the downdated one), so the failure sequences must agree and the
 // TTFs must match to solver precision.
 func TestPreparedTrialsMatchLegacy(t *testing.T) {
-	forceSparse(t)
 	g := mustGrid(t, smallSpec(), 0.05)
 	ref := refCurrentOf(t, g)
 	cfg := TTFConfig{Grid: g, Models: testModels(ref), Criterion: IRDrop, IRDropFrac: 0.10}
@@ -34,9 +23,6 @@ func TestPreparedTrialsMatchLegacy(t *testing.T) {
 		master, err := NewSystem(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got := master.circuit.SolverBackend(); got != "sparse" {
-			t.Fatalf("backend = %s, want sparse", got)
 		}
 		res, err := mc.Run(master, mc.Options{Trials: 40, Seed: 11, BatchTrials: batch, RunToCompletion: true})
 		if err != nil {
@@ -68,10 +54,9 @@ func TestPreparedTrialsMatchLegacy(t *testing.T) {
 }
 
 // TestPreparedTrialsEngage verifies the preparation actually predicts and
-// serves first failures on the sparse path — guarding against the hook
+// serves first failures — guarding against the hook
 // silently degrading to the legacy solve everywhere.
 func TestPreparedTrialsEngage(t *testing.T) {
-	forceSparse(t)
 	g := mustGrid(t, smallSpec(), 0.05)
 	ref := refCurrentOf(t, g)
 	cfg := TTFConfig{Grid: g, Models: testModels(ref), Criterion: IRDrop, IRDropFrac: 0.10}
@@ -118,7 +103,6 @@ func TestPreparedTrialsEngage(t *testing.T) {
 // TestPreparedParallelMatchesSerial pins worker invariance of the batched
 // path end to end on a real grid system.
 func TestPreparedParallelMatchesSerial(t *testing.T) {
-	forceSparse(t)
 	g := mustGrid(t, smallSpec(), 0.05)
 	ref := refCurrentOf(t, g)
 	cfg := TTFConfig{Grid: g, Models: testModels(ref), Criterion: IRDrop, IRDropFrac: 0.10}
@@ -150,7 +134,6 @@ func TestPreparedParallelMatchesSerial(t *testing.T) {
 // come out exactly as correct as an unprepared one — stale preparation may
 // cost the speedup, never the answer.
 func TestPreparedMismatchFallsBack(t *testing.T) {
-	forceSparse(t)
 	g := mustGrid(t, smallSpec(), 0.05)
 	ref := refCurrentOf(t, g)
 	cfg := TTFConfig{Grid: g, Models: testModels(ref), Criterion: IRDrop, IRDropFrac: 0.10}

@@ -236,7 +236,7 @@ func ScreenGridCtx(ctx context.Context, g *Grid, sc ScreenConfig) (*GridScreen, 
 		return nil, fmt.Errorf("pdn: compiling grid: %w", err)
 	}
 	endFactorize := tl.Stage("factorize")
-	op, err := circuit.SolveDC(nil)
+	op, err := circuit.SolveDC()
 	endFactorize()
 	if err != nil {
 		return nil, fmt.Errorf("pdn: pristine solve: %w", err)

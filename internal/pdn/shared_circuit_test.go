@@ -25,7 +25,7 @@ func freshCircuit(t *testing.T, nl *spice.Netlist) (*spice.Circuit, *spice.OP) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := c.SolveDC(nil)
+	op, err := c.SolveDC()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func sameSystem(t *testing.T, got, want *GridSystem, mask []bool) {
 // trials that restored the pre-tuning resistances would drift.
 func TestTunedGridSystemMatchesFreshCompile(t *testing.T) {
 	spec := smallSpec()
-	spec.NX, spec.NY = 16, 16 // above the dense ceiling: sparse factor snapshots
+	spec.NX, spec.NY = 16, 16
 	g := mustGrid(t, spec, 0)
 	if err := g.Tune(0.065, 0.01); err != nil {
 		t.Fatal(err)
@@ -140,17 +140,14 @@ func TestEditedCacheRefusesReuse(t *testing.T) {
 
 // TestSharedCircuitBitIdentical runs the served job pipeline — Generate,
 // CalibrateLoad, MaxViaCurrent, NewSystem, SteadyScreen, screened Monte
-// Carlo — on a dense, a scalar sparse and a supernodal grid, and checks
-// every result against a reference assembled from fresh compiles bit for
-// bit. On the sparse grids the whole job must factor the matrix once.
+// Carlo — on two AMD-ordered grids and one nested-dissection-ordered grid,
+// and checks every result against a reference assembled from fresh compiles
+// bit for bit. The whole job must factor the matrix once.
 func TestSharedCircuitBitIdentical(t *testing.T) {
-	for _, tc := range []struct {
-		nx     int
-		sparse bool
-	}{{10, false}, {24, true}, {64, true}} {
-		t.Run(fmt.Sprintf("nx%d", tc.nx), func(t *testing.T) {
+	for _, nx := range []int{10, 24, 64} {
+		t.Run(fmt.Sprintf("nx%d", nx), func(t *testing.T) {
 			spec := PG1Spec()
-			spec.NX, spec.NY = tc.nx, tc.nx
+			spec.NX, spec.NY = nx, nx
 			const target = 0.065
 
 			// Reference: every pristine solve on its own fresh compile.
@@ -208,7 +205,7 @@ func TestSharedCircuitBitIdentical(t *testing.T) {
 			if busiest != refBusiest || ir != refIR {
 				t.Fatalf("MaxViaCurrent = (%v, %v), fresh compile (%v, %v)", busiest, ir, refBusiest, refIR)
 			}
-			if tc.sparse && factorizations != 1 {
+			if factorizations != 1 {
 				t.Errorf("job factored the matrix %d times, want 1", factorizations)
 			}
 			refCfg := TTFConfig{Grid: ref, Models: testModels(refBusiest), Criterion: WeakestLink}

@@ -38,7 +38,7 @@ func (g *Grid) PowerMap() ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	op, err := c.SolveDC(nil)
+	op, err := c.SolveDC()
 	if err != nil {
 		return nil, err
 	}

@@ -185,7 +185,7 @@ func NewSystemCtx(ctx context.Context, cfg TTFConfig) (*GridSystem, error) {
 		return nil, fmt.Errorf("pdn: compiling grid: %w", err)
 	}
 	endFactorize := tl.Stage("factorize")
-	op, err := circuit.SolveDC(nil)
+	op, err := circuit.SolveDC()
 	endFactorize()
 	if err != nil {
 		return nil, fmt.Errorf("pdn: pristine solve: %w", err)
@@ -342,7 +342,7 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 		s.initTrialState()
 	}
 	// Restore the vias opened by the previous trial and put the solver into
-	// its canonical pristine state (matrix values, factor, preconditioner),
+	// its canonical pristine state (matrix values and factor),
 	// so trial outcomes do not depend on which trials ran before on this
 	// system instance. A clean circuit (weakest-link trials, or a fresh
 	// system) skips the restore — on large sparse grids it is the single
@@ -398,13 +398,12 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 // batched multi-RHS sweep over the pristine factor. Fail then reconstructs
 // the post-first-failure operating point as x = y − coef·z instead of
 // paying a per-trial triangular solve. Preparation is skipped (leaving the
-// exact legacy path) under the weakest-link criterion, off the sparse
-// direct backend, and for predicted failures touching a non-ground pad.
+// exact legacy path) under the weakest-link criterion.
 func (s *GridSystem) PrepareTrials(seeds []int64) error {
 	s.prep = s.prep[:0]
 	s.prepNext = 0
 	s.prepK = -1
-	if s.cfg.Criterion == WeakestLink || s.circuit.SolverBackend() != spice.SolverSparse.String() {
+	if s.cfg.Criterion == WeakestLink {
 		return nil
 	}
 	// The corrections expand about the pristine system; make it current.
@@ -500,12 +499,7 @@ func (s *GridSystem) PrepareTrials(seeds []int64) error {
 	}
 	// One batched sweep amortizes the factor traffic over the whole group.
 	if err := s.circuit.SolveFreeBatch(s.prepZ, s.prepB, m); err != nil {
-		// The sparse path degraded (e.g. factorization failure downgraded the
-		// backend); run the group on the legacy per-trial solves instead.
-		for i := range s.prep {
-			s.prep[i].valid = false
-		}
-		return nil
+		return fmt.Errorf("pdn: preparing trial group: %w", err)
 	}
 	uDot := func(x []float64, fa, fb int) float64 {
 		v := 0.0
@@ -596,7 +590,7 @@ func (s *GridSystem) Fail(k int) error {
 	// The first failure of a prepared trial is served from the batched
 	// Sherman–Morrison state; everything else pays the legacy solve.
 	if !(s.failedCount == 1 && k == s.prepK && s.prepServe(dst)) {
-		if err := s.circuit.SolveDCInto(dst, s.opNow); err != nil {
+		if err := s.circuit.SolveDCInto(dst); err != nil {
 			return fmt.Errorf("pdn: re-solve after failing array %d: %w", k, err)
 		}
 	}
@@ -668,8 +662,8 @@ func AnalyzeTTF(cfg TTFConfig, trials int, seed int64) (*mc.Result, error) {
 // base: Workers (the per-job worker budget of the analysis service),
 // BatchTrials, TraceLabel and FirstTrial (the trial-range offset of a
 // distributed shard — trial t always derives its generator from
-// trialSeed(seed, t) whichever shard runs it) are honored; Trials, Seed,
-// Solver and the criterion trace label are filled in here. Results are
+// trialSeed(seed, t) whichever shard runs it) are honored; Trials, Seed
+// and the criterion trace label are filled in here. Results are
 // bit-identical for any worker budget and any shard partition thanks to
 // mc's per-trial seed splitting.
 func AnalyzeTTFCtx(ctx context.Context, cfg TTFConfig, trials int, seed int64, base mc.Options) (*mc.Result, error) {
@@ -686,7 +680,6 @@ func AnalyzeTTFCtx(ctx context.Context, cfg TTFConfig, trials int, seed int64, b
 	if opt.TraceLabel == "" {
 		opt.TraceLabel = "grid:" + cfg.Criterion.String()
 	}
-	opt.Solver = master.circuit.SolverBackend()
 	endMC := trace.TimelineFrom(ctx).Stage("mc")
 	defer endMC()
 	return mc.RunParallelCtx(ctx, func() (mc.System, error) {
@@ -735,7 +728,6 @@ func AnalyzeTTFScreenedCtx(ctx context.Context, cfg TTFConfig, trials int, seed 
 	if opt.TraceLabel == "" {
 		opt.TraceLabel = "grid:" + cfg.Criterion.String()
 	}
-	opt.Solver = master.circuit.SolverBackend()
 	endMC := tl.Stage("mc")
 	res, err := mc.RunParallelCtx(ctx, func() (mc.System, error) {
 		return master.Clone(), nil

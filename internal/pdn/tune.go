@@ -16,7 +16,7 @@ func (g *Grid) MaxViaCurrent() (maxAmps, irFrac float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	op, err := c.SolveDC(nil)
+	op, err := c.SolveDC()
 	if err != nil {
 		return 0, 0, err
 	}
@@ -84,7 +84,7 @@ func (g *Grid) pristineCircuit() (*spice.Circuit, error) {
 	}
 	// Solve once so the clone inherits the factor instead of building its
 	// own; on a circuit solved before this is a pair of triangular sweeps.
-	if _, err := c.SolveDC(nil); err != nil {
+	if _, err := c.SolveDC(); err != nil {
 		return nil, err
 	}
 	return c.Clone(), nil

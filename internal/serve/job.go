@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -243,8 +244,10 @@ func (st *store) resultPath(hash string) string {
 
 // lookupResult consults the in-memory result cache, falling back to the
 // persistent directory (so identical queries stay one solve across server
-// restarts). Corrupt or unreadable files are treated as misses, mirroring
-// the stress cache's corruption-is-a-miss policy.
+// restarts). Unreadable, corrupt and stale files — another schema version,
+// or a manifest answering a different hash — are treated as misses,
+// mirroring the stress cache's corruption-is-a-miss policy; the recomputed
+// result then overwrites them.
 func (st *store) lookupResult(hash string) ([]byte, bool) {
 	st.mu.Lock()
 	if buf, ok := st.results[hash]; ok {
@@ -257,13 +260,23 @@ func (st *store) lookupResult(hash string) ([]byte, bool) {
 		return nil, false
 	}
 	buf, err := os.ReadFile(st.resultPath(hash))
-	if err != nil || len(buf) == 0 {
+	if err != nil || !currentManifest(buf, hash) {
 		return nil, false
 	}
 	st.mu.Lock()
 	st.results[hash] = buf
 	st.mu.Unlock()
 	return buf, true
+}
+
+// currentManifest reports whether buf decodes as a result manifest of the
+// current schema answering hash.
+func currentManifest(buf []byte, hash string) bool {
+	var m struct {
+		SchemaVersion int    `json:"schema_version"`
+		ContentHash   string `json:"content_hash"`
+	}
+	return json.Unmarshal(buf, &m) == nil && m.SchemaVersion == manifestSchemaVersion && m.ContentHash == hash
 }
 
 // saveResult records a completed manifest in memory and, when configured,

@@ -15,7 +15,7 @@ import (
 // manifestSchemaVersion is bumped when the result-manifest layout changes
 // meaning. It is part of the manifest, not of the content hash: the hash
 // addresses the *question*, the manifest records the *answer*.
-const manifestSchemaVersion = 1
+const manifestSchemaVersion = 2
 
 // ResultManifest is the content-addressed record of one completed job. It
 // is canonical by construction — no wall-clock timestamps, no hostnames, no
@@ -31,8 +31,6 @@ type ResultManifest struct {
 	MaterialHash string `json:"material_hash"`
 	// Engine is the resolved analysis backend (mc, steady, both).
 	Engine string `json:"engine"`
-	// Solver is the linear-solver backend the run used.
-	Solver string `json:"solver,omitempty"`
 	// Spec is the resolved job spec (defaults applied).
 	Spec *JobSpec `json:"spec"`
 	// Screen summarizes the steady-state classification (engines steady and
@@ -88,7 +86,6 @@ func buildManifest(hash string, resolved *JobSpec, out *runOutput) (*ResultManif
 		ContentHash:   hash,
 		MaterialHash:  out.materialHash,
 		Engine:        resolved.Engine,
-		Solver:        out.solver,
 		Spec:          resolved,
 		Screen:        out.screen,
 	}
@@ -133,6 +130,5 @@ func (m *ResultManifest) Encode() ([]byte, error) {
 type runOutput struct {
 	screen       *trace.ScreenInfo
 	mcResult     *mc.Result
-	solver       string
 	materialHash string
 }

@@ -52,7 +52,6 @@ func partialFor(hash string, spec *JobSpec, start, count int) *PartialManifest {
 		ContentHash:   hash,
 		MaterialHash:  "mat",
 		Engine:        spec.Engine,
-		Solver:        "direct",
 		TrialStart:    start,
 		TrialCount:    count,
 		TTFSeconds:    ttf,
@@ -95,8 +94,8 @@ func TestMergePartialsRoundTrip(t *testing.T) {
 				t.Errorf("bounds %v: trial %d = %g, want %g", bounds, i, v, float64(i+1)*1e7)
 			}
 		}
-		if out.materialHash != "mat" || out.solver != "direct" {
-			t.Errorf("bounds %v: provenance %q/%q not carried through", bounds, out.materialHash, out.solver)
+		if out.materialHash != "mat" {
+			t.Errorf("bounds %v: material hash %q not carried through", bounds, out.materialHash)
 		}
 	}
 }
@@ -150,10 +149,6 @@ func TestMergePartialsRejects(t *testing.T) {
 			p[1].MaterialHash = "other"
 			return p
 		}, "material hash"},
-		{"solver skew", func(p []*PartialManifest) []*PartialManifest {
-			p[1].Solver = "cg"
-			return p
-		}, "solver"},
 		{"negative start", func(p []*PartialManifest) []*PartialManifest {
 			p[1].TrialStart = -1
 			return p
@@ -273,7 +268,7 @@ func FuzzMergePartials(f *testing.F) {
 	f.Add(whole[0], []byte("{}"))
 	f.Add(split[0], split[1])
 	f.Add(split[0], split[0])                        // duplicate range
-	f.Add(split[0], []byte(`{"schema_version":1}`))  // empty shard
+	f.Add(split[0], []byte(`{"schema_version":2}`))  // empty shard
 	f.Add([]byte(`not json at all`), split[1])       // corrupt
 	f.Add(bytes.Replace(split[0], []byte(hash), []byte("deadbeef"), 1), split[1]) // wrong hash
 	f.Fuzz(func(t *testing.T, a, b []byte) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -230,7 +232,7 @@ func gatedRunner(started chan<- string, release <-chan struct{}) Runner {
 		started <- opts.Label
 		select {
 		case <-release:
-			return &runOutput{materialHash: "test", solver: "stub"}, nil
+			return &runOutput{materialHash: "test"}, nil
 		case <-ctx.Done():
 			return nil, fmt.Errorf("stub: %w", ctx.Err())
 		}
@@ -355,7 +357,7 @@ func TestRetryTransient(t *testing.T) {
 		if calls <= 2 {
 			return nil, &Transient{Err: errors.New("flaky backend")}
 		}
-		return &runOutput{materialHash: "test", solver: "stub"}, nil
+		return &runOutput{materialHash: "test"}, nil
 	}
 	_, ts := newTestServer(t, Config{Runner: runner, MaxAttempts: 3, RetryBackoff: time.Millisecond})
 
@@ -778,5 +780,57 @@ func TestResultCachePersists(t *testing.T) {
 	}
 	if got := counter(telemetry.ServeSolves); got != 0 {
 		t.Errorf("second server ran %d solves, want 0", got)
+	}
+}
+
+// TestResultCacheStaleFileIsMiss: a result file that is garbage, or a
+// manifest of an older schema, is never served from disk. The job is
+// recomputed and the fresh manifest overwrites the file.
+func TestResultCacheStaleFileIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{ResultDir: dir})
+	_, sub, _ := submit(t, ts, tinySpec)
+	if st := waitTerminal(t, ts, sub.ID); st.State != StateDone {
+		t.Fatalf("seed run: state %q", st.State)
+	}
+	_, good := getResult(t, ts, sub.ID)
+	var m map[string]any
+	if err := json.Unmarshal(good, &m); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, m["content_hash"].(string)+".json")
+	m["schema_version"] = 1
+	m["solver"] = "auto"
+	schema1, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{{"garbage", []byte("{not a manifest")}, {"schema 1", schema1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, ts := newTestServer(t, Config{ResultDir: dir})
+			code, sub, _ := submit(t, ts, tinySpec)
+			if code != http.StatusAccepted || sub.Dedup != "" {
+				t.Fatalf("submit over a %s file: code %d resp %+v, want a fresh run", tc.name, code, sub)
+			}
+			if st := waitTerminal(t, ts, sub.ID); st.State != StateDone {
+				t.Fatalf("state %q", st.State)
+			}
+			if _, got := getResult(t, ts, sub.ID); !bytes.Equal(got, good) {
+				t.Errorf("recomputed manifest differs from the original")
+			}
+			if got := counter(telemetry.ServeSolves); got != 1 {
+				t.Errorf("ran %d solves, want 1", got)
+			}
+			if disk, err := os.ReadFile(path); err != nil || !bytes.Equal(disk, good) {
+				t.Errorf("result file not rewritten with the fresh manifest (err %v)", err)
+			}
+		})
 	}
 }

@@ -85,7 +85,7 @@ func (c *DenseCholesky) RefactorFromCSR(a *sparse.CSR) error {
 			}
 		}
 	}
-	recordDense(telemetry.DenseFactorizations)
+	record(telemetry.DenseFactorizations)
 	return factorLowerInPlace(c.l, n)
 }
 
@@ -113,7 +113,7 @@ func (c *DenseCholesky) Clone() *DenseCholesky {
 // Update applies the rank-one update L·Lᵀ → L·Lᵀ + w·wᵀ in place (LINPACK
 // dchud). w is consumed. Updates always succeed on a valid factor.
 func (c *DenseCholesky) Update(w []float64) {
-	recordDense(telemetry.DenseUpdates)
+	record(telemetry.DenseUpdates)
 	n, l := c.n, c.l
 	k0 := 0
 	for k0 < n && w[k0] == 0 {
@@ -138,7 +138,7 @@ func (c *DenseCholesky) Update(w []float64) {
 // partially modified, so the caller must refactor — when the downdated
 // matrix is not positive definite.
 func (c *DenseCholesky) Downdate(w []float64) error {
-	recordDense(telemetry.DenseDowndates)
+	record(telemetry.DenseDowndates)
 	n, l := c.n, c.l
 	k0 := 0
 	for k0 < n && w[k0] == 0 {
@@ -178,7 +178,7 @@ func (c *DenseCholesky) SolveInto(x, b []float64) error {
 	if len(b) != c.n || len(x) != c.n {
 		return fmt.Errorf("solver: SolveInto lengths %d/%d do not match dimension %d", len(x), len(b), c.n)
 	}
-	recordDense(telemetry.DenseSolves)
+	record(telemetry.DenseSolves)
 	n, l := c.n, c.l
 	// Forward solve L·y = b into x, then backward solve Lᵀ·x = y in place:
 	// the backward sweep at row i only reads entries x[k] with k > i, which

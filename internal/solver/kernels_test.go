@@ -45,87 +45,6 @@ func TestCGPoolBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCGPoolWithWorkspaceAndWarmStart covers the pooled kernels on the
-// buffer-reusing warm-started path the Monte-Carlo loop exercises.
-func TestCGPoolWithWorkspaceAndWarmStart(t *testing.T) {
-	n := 2*dotBlock + 51
-	a := laplacian1D(n)
-	b := make([]float64, n)
-	x0 := make([]float64, n)
-	rng := rand.New(rand.NewSource(3))
-	for i := range b {
-		b[i] = rng.NormFloat64()
-		x0[i] = 0.1 * rng.NormFloat64()
-	}
-	xRef, stRef, err := CG(a, b, Options{Tol: 1e-10, X0: x0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ws Workspace
-	pool := par.New(4)
-	for rep := 0; rep < 3; rep++ {
-		x, st, err := CG(a, b, Options{Tol: 1e-10, X0: x0, Work: &ws, Pool: pool})
-		if err != nil {
-			t.Fatalf("rep %d: %v", rep, err)
-		}
-		if st != stRef {
-			t.Errorf("rep %d stats %+v, serial %+v", rep, st, stRef)
-		}
-		for i := range x {
-			if x[i] != xRef[i] {
-				t.Fatalf("rep %d x[%d] differs from serial", rep, i)
-			}
-		}
-	}
-}
-
-// TestCGSerialPoolZeroAlloc pins down that a nil or one-wide pool takes the
-// inline kernel branches: with a reserved workspace (including the partials
-// scratch) the whole solve is allocation-free.
-func TestCGSerialPoolZeroAlloc(t *testing.T) {
-	n := dotBlock + 200
-	a := laplacian1D(n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	jac, err := NewJacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ws Workspace
-	ws.Reserve(n)
-	for name, pool := range map[string]*par.Pool{"nil": nil, "one-wide": par.New(1)} {
-		allocs := testing.AllocsPerRun(10, func() {
-			if _, _, err := CG(a, b, Options{Tol: 1e-10, M: jac, Work: &ws, Pool: pool}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s pool: CG allocates %.1f objects per solve, want 0", name, allocs)
-		}
-	}
-}
-
-// TestWorkspaceReservePartials checks the partials scratch is sized with the
-// rest of the workspace so pooled solves reuse it.
-func TestWorkspaceReservePartials(t *testing.T) {
-	var ws Workspace
-	ws.Reserve(3*dotBlock + 1)
-	if got, want := len(ws.partials), partialsLen(3*dotBlock+1); got != want {
-		t.Errorf("partials len = %d, want %d", got, want)
-	}
-	if len(ws.partials) != 4 {
-		t.Errorf("partials len = %d, want 4 for n = 3·dotBlock+1", len(ws.partials))
-	}
-	// Shrinking re-slices without reallocating.
-	p0 := &ws.partials[0]
-	ws.Reserve(dotBlock)
-	if len(ws.partials) != 1 || &ws.partials[0] != p0 {
-		t.Error("Reserve to a smaller n reallocated the partials scratch")
-	}
-}
-
 // TestDotDetBlockOrderIndependent cross-checks dotDet against a plain serial
 // accumulation only in the blocked order — the two agree exactly because the
 // serial branch runs the identical block loop.

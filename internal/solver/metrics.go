@@ -16,15 +16,9 @@ func recordCG(st Stats) {
 	r.Histogram(telemetry.CGItersPerSolve).Observe(float64(st.Iterations))
 }
 
-// recordDense counts one dense-Cholesky operation under name.
-func recordDense(name string) {
-	if r := telemetry.Default(); r != nil {
-		r.Counter(name).Inc()
-	}
-}
-
-// recordSparse counts one sparse-Cholesky operation under name.
-func recordSparse(name string) {
+// record counts one direct-factor operation (a dense or supernodal Cholesky
+// factorization, update, downdate or solve) under name.
+func record(name string) {
 	if r := telemetry.Default(); r != nil {
 		r.Counter(name).Inc()
 	}

@@ -30,19 +30,21 @@ func TestNDOrderDeterministic(t *testing.T) {
 // TestNDOrderFillVsAMD cross-checks nested dissection against AMD on a grid
 // large enough for the asymptotic fill advantage to show: the ND factor must
 // not fill more than AMD's, and both orderings must solve the same system to
-// the same answer.
+// the same answer. The fill compared is the supernodal factor's stored
+// entries, amalgamation zeros included; on that measure ND pulls ahead of
+// AMD only from about 250×250 (at 150×150 the two are within 0.1 %).
 func TestNDOrderFillVsAMD(t *testing.T) {
-	a := gridLaplacian(150, 150)
+	a := gridLaplacian(250, 250)
 	n, _ := a.Dims()
-	nd, err := NewSparseCholeskyOrdered(a, NDOrder(a))
+	nd, err := NewSupernodalCholeskyOrdered(a, NDOrder(a), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	amd, err := NewSparseCholeskyOrdered(a, AMDOrder(a))
+	amd, err := NewSupernodalCholeskyOrdered(a, AMDOrder(a), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("fill on 150x150 grid: ND %d, AMD %d", nd.NNZ(), amd.NNZ())
+	t.Logf("fill on 250x250 grid: ND %d, AMD %d", nd.NNZ(), amd.NNZ())
 	if nd.NNZ() > amd.NNZ() {
 		t.Fatalf("ND fill %d above AMD fill %d", nd.NNZ(), amd.NNZ())
 	}
@@ -79,7 +81,7 @@ func TestNDOrderDisconnected(t *testing.T) {
 			t.Fatalf("perm is not a permutation at %d", i)
 		}
 	}
-	if _, err := NewSparseCholeskyOrdered(two, perm); err != nil {
+	if _, err := NewSupernodalCholeskyOrdered(two, perm, nil); err != nil {
 		t.Fatalf("factor under ND ordering: %v", err)
 	}
 	_ = n

@@ -2,11 +2,14 @@
 // positive-definite (SPD) linear systems produced by finite-element stiffness
 // assembly and power-grid nodal analysis.
 //
-// The workhorse is the preconditioned conjugate-gradient method with a
+// Power grids are solved directly: SupernodalCholesky factors the nodal
+// system once (AMD- or nested-dissection-ordered) and absorbs every
+// via-array failure as a rank-one edge downdate. The finite-element and
+// thermal systems use the preconditioned conjugate-gradient method with a
 // choice of identity, Jacobi (diagonal) or zero-fill incomplete-Cholesky
-// preconditioners. A dense Cholesky factorization is included for small
-// systems (via-array networks) and for cross-checking the iterative path in
-// tests.
+// preconditioners. A dense Cholesky factorization serves the small
+// via-array networks and is the reference the sparse factor is tested
+// against.
 package solver
 
 import (
@@ -32,31 +35,6 @@ type Preconditioner interface {
 	// Apply overwrites z with M⁻¹·r. z and r have the system dimension and
 	// must not alias.
 	Apply(z, r []float64)
-}
-
-// Updatable is implemented by preconditioners that can absorb a single
-// diagonal change of the system matrix in O(1), keeping the preconditioner
-// exactly current across the low-rank edits the EM failure simulation makes.
-type Updatable interface {
-	Preconditioner
-	// UpdateDiag records that diagonal entry i of the system matrix is now
-	// d. It reports false when d is unusable (non-positive), in which case
-	// the caller must rebuild the preconditioner instead.
-	UpdateDiag(i int, d float64) bool
-}
-
-// Refreshable is implemented by preconditioners that can refactor in place
-// from a matrix with the same sparsity pattern they were built from, without
-// allocating. Callers use it to refresh a stale factor on a schedule (every K
-// topology edits, or when CG iteration counts drift) instead of on every
-// solve.
-type Refreshable interface {
-	Preconditioner
-	// Refresh recomputes the preconditioner from a, which must have the
-	// sparsity pattern of the matrix the preconditioner was built from. On
-	// error the preconditioner is left in an undefined state and must be
-	// rebuilt from scratch.
-	Refresh(a *sparse.CSR) error
 }
 
 // Identity is the trivial preconditioner M = I.
@@ -91,40 +69,6 @@ func (j *Jacobi) Apply(z, r []float64) {
 	}
 }
 
-// UpdateDiag replaces the cached inverse of diagonal entry i in O(1). It
-// reports false (leaving the old value) when d is not positive.
-func (j *Jacobi) UpdateDiag(i int, d float64) bool {
-	if d <= 0 || math.IsNaN(d) {
-		return false
-	}
-	j.invDiag[i] = 1 / d
-	return true
-}
-
-// Refresh recomputes every inverse diagonal from a without allocating. The
-// matrix must have the dimension the preconditioner was built with.
-func (j *Jacobi) Refresh(a *sparse.CSR) error {
-	n, _ := a.Dims()
-	if n != len(j.invDiag) {
-		return fmt.Errorf("solver: Jacobi Refresh dimension %d, want %d", n, len(j.invDiag))
-	}
-	for i := 0; i < n; i++ {
-		d := 0.0
-		cols, vals := a.Row(i)
-		for k, c := range cols {
-			if c == i {
-				d = vals[k]
-				break
-			}
-		}
-		if d <= 0 {
-			return fmt.Errorf("%w: diagonal entry %d is %g", ErrNotSPD, i, d)
-		}
-		j.invDiag[i] = 1 / d
-	}
-	return nil
-}
-
 // Options configures the conjugate-gradient iteration.
 type Options struct {
 	// Tol is the relative residual tolerance ‖b−Ax‖₂ ≤ Tol·‖b‖₂.
@@ -134,13 +78,6 @@ type Options struct {
 	MaxIter int
 	// M is the preconditioner; nil selects Identity.
 	M Preconditioner
-	// X0 optionally provides a warm-start initial guess (copied, not
-	// mutated). Nil starts from zero.
-	X0 []float64
-	// Work optionally supplies reusable solve buffers. When set, CG
-	// performs no heap allocation and the returned solution aliases
-	// Work.X — callers must copy it out before the next solve.
-	Work *Workspace
 	// Pool parallelizes the SpMV and vector kernels across its workers.
 	// Reductions use fixed-size blocks with partial sums combined in block
 	// order, so the iterates, iteration count and residuals are
@@ -148,41 +85,6 @@ type Options struct {
 	// same blocked kernels inline. Preconditioner application is serial
 	// either way.
 	Pool *par.Pool
-}
-
-// Workspace holds the scratch vectors of a CG solve so repeated solves of
-// same-dimension systems (the Monte-Carlo re-solve loop) are allocation-free.
-// The zero value is ready to use; buffers grow on first use.
-type Workspace struct {
-	X          []float64 // solution vector of the most recent solve
-	r, z, p, a []float64
-	// partials holds the per-block partial sums of the deterministic
-	// blocked dot products (one slot per dotBlock-sized chunk).
-	partials []float64
-	// kern holds the pooled kernel dispatch closures, created once on the
-	// first parallel solve so multi-worker iterations allocate nothing.
-	kern kernCtx
-}
-
-// Reserve grows the workspace to dimension n.
-func (w *Workspace) Reserve(n int) {
-	if cap(w.X) < n {
-		w.X = make([]float64, n)
-		w.r = make([]float64, n)
-		w.z = make([]float64, n)
-		w.p = make([]float64, n)
-		w.a = make([]float64, n)
-	}
-	w.X = w.X[:n]
-	w.r = w.r[:n]
-	w.z = w.z[:n]
-	w.p = w.p[:n]
-	w.a = w.a[:n]
-	nb := partialsLen(n)
-	if cap(w.partials) < nb {
-		w.partials = make([]float64, nb)
-	}
-	w.partials = w.partials[:nb]
 }
 
 // Stats reports how a CG solve went.
@@ -218,46 +120,19 @@ func CG(a *sparse.CSR, b []float64, opt Options) ([]float64, Stats, error) {
 		m = opt.M
 	}
 
-	pool := opt.Pool
-	var x, r, z, p, ap, partials []float64
-	var kc *kernCtx
-	if opt.Work != nil {
-		opt.Work.Reserve(n)
-		x, r, z, p, ap = opt.Work.X, opt.Work.r, opt.Work.z, opt.Work.p, opt.Work.a
-		partials = opt.Work.partials
-		kc = &opt.Work.kern
-		for i := range x {
-			x[i] = 0
-		}
-	} else {
-		x = make([]float64, n)
-		r = make([]float64, n)
-		z = make([]float64, n)
-		p = make([]float64, n)
-		ap = make([]float64, n)
-		partials = make([]float64, partialsLen(n))
-		kc = &kernCtx{}
-	}
-	kc.bind(pool)
-	if opt.X0 != nil {
-		if len(opt.X0) != n {
-			return nil, Stats{}, fmt.Errorf("solver: CG warm start length %d does not match dimension %d", len(opt.X0), n)
-		}
-		copy(x, opt.X0)
-		kc.mul(a, r, x)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-	} else {
-		copy(r, b)
-	}
+	x := make([]float64, n)
+	r := make([]float64, n)
+	z := make([]float64, n)
+	p := make([]float64, n)
+	ap := make([]float64, n)
+	partials := make([]float64, partialsLen(n))
+	kc := &kernCtx{}
+	kc.bind(opt.Pool)
+	copy(r, b)
 
 	bnorm := math.Sqrt(kc.dot(b, b, partials))
 	if bnorm == 0 {
 		// b = 0 ⇒ x = 0 exactly.
-		for i := range x {
-			x[i] = 0
-		}
 		recordCG(Stats{})
 		return x, Stats{Iterations: 0, Residual: 0}, nil
 	}

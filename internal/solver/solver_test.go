@@ -111,9 +111,6 @@ func TestCGDimensionErrors(t *testing.T) {
 	if _, _, err := CG(rect, make([]float64, 3), Options{}); err == nil {
 		t.Error("CG accepted non-square matrix")
 	}
-	if _, _, err := CG(a, make([]float64, 4), Options{X0: make([]float64, 5)}); err == nil {
-		t.Error("CG accepted bad warm start length")
-	}
 }
 
 func TestCGNotConverged(t *testing.T) {
@@ -253,29 +250,6 @@ func TestDenseCholeskyRejectsIndefinite(t *testing.T) {
 	}
 	if _, err := NewDenseCholesky([]float64{1, 2, 3}, 2); err == nil {
 		t.Error("accepted wrong-size matrix")
-	}
-}
-
-func TestCGWarmStart(t *testing.T) {
-	n := 100
-	a := laplacian1D(n)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	x, cold, err := CG(a, b, Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatalf("cold CG: %v", err)
-	}
-	_, warm, err := CG(a, b, Options{Tol: 1e-10, X0: x})
-	if err != nil {
-		t.Fatalf("warm CG: %v", err)
-	}
-	if warm.Iterations > 1 {
-		t.Errorf("warm-start iterations = %d, want ≤ 1", warm.Iterations)
-	}
-	if cold.Iterations <= 1 {
-		t.Errorf("cold iterations = %d, suspiciously few", cold.Iterations)
 	}
 }
 

@@ -11,12 +11,12 @@ import (
 	"emvia/internal/telemetry"
 )
 
-// SupernodalCholesky is a blocked sparse LLᵀ factorization P·A·Pᵀ = L·Lᵀ for
-// large SPD systems. It shares the scalar SparseCholesky's contract — fixed
-// sparsity pattern, allocation-free refactorization and triangular solves,
-// Davis–Hager edge up/downdates — but stores L in supernodal panels and runs
-// the numeric factorization as parallel supernode tasks over the elimination
-// tree.
+// SupernodalCholesky is a blocked sparse LLᵀ factorization P·A·Pᵀ = L·Lᵀ of
+// an SPD system — the power-grid solver at every size. Its pattern is fixed
+// after construction; refactorization and triangular solves allocate
+// nothing, and Davis–Hager edge up/downdates absorb rank-one conductance
+// edits. L lives in supernodal panels, and the numeric factorization runs as
+// parallel supernode tasks over the elimination tree.
 //
 // A supernode is a maximal run of consecutive columns with identical
 // below-diagonal structure (detected from the etree: parent[j] == j+1 and
@@ -179,7 +179,7 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 	n := c.n
 
 	// Upper triangle of the permuted pattern plus raw A-scatter tuples
-	// (permuted row, permuted col, CSR slot), exactly as the scalar path.
+	// (permuted row, permuted col, CSR slot).
 	upPtr := make([]int, n+1)
 	var upCols []int32
 	type atup struct{ k, j, slot int32 }
@@ -738,7 +738,7 @@ func (c *SupernodalCholesky) RefactorFromCSR(a *sparse.CSR) error {
 	if n != c.n || m != c.n {
 		return fmt.Errorf("solver: Refactor dimensions %d×%d, want %d×%d", n, m, c.n, c.n)
 	}
-	recordSparse(telemetry.SparseFactorizations)
+	record(telemetry.SparseFactorizations)
 	c.amat = a
 	atomic.StoreInt32(&c.failed, 0)
 	defer func() {
@@ -802,7 +802,7 @@ func (c *SupernodalCholesky) SolveInto(x, b []float64) error {
 	if len(b) != c.n || len(x) != c.n {
 		return fmt.Errorf("solver: SolveInto lengths %d/%d do not match dimension %d", len(x), len(b), c.n)
 	}
-	recordSparse(telemetry.SparseSolves)
+	record(telemetry.SparseSolves)
 	n, px, z := c.n, c.px, c.z
 	for k := 0; k < n; k++ {
 		z[k] = b[c.perm[k]]
@@ -858,7 +858,7 @@ func (c *SupernodalCholesky) SolveBatchInto(x, b []float64, nrhs int) error {
 	if len(b) != c.n*nrhs || len(x) != c.n*nrhs {
 		return fmt.Errorf("solver: SolveBatchInto lengths %d/%d, want %d", len(x), len(b), c.n*nrhs)
 	}
-	recordSparse(telemetry.SparseSolves)
+	record(telemetry.SparseSolves)
 	for g0 := 0; g0 < nrhs; {
 		m := nrhs - g0
 		switch {
@@ -1067,11 +1067,11 @@ func (c *SupernodalCholesky) colBase(j int) (base, jj, lr int, rows []int32) {
 }
 
 // UpdateEdge applies the rank-one update A → A + s²·u·uᵀ with u = e_fa − e_fb
-// in original indices, under the same contract and dchud arithmetic as
-// SparseCholesky.UpdateEdge: the touched columns are the etree path from the
-// first nonzero of P·u, each rotated in ascending row order.
+// in original indices (a negative terminal is pinned and drops out of u)
+// with LINPACK dchud arithmetic: the touched columns are the etree path from
+// the first nonzero of P·u, each rotated in ascending row order.
 func (c *SupernodalCholesky) UpdateEdge(fa, fb int, s float64) {
-	recordSparse(telemetry.SparseUpdates)
+	record(telemetry.SparseUpdates)
 	wb, px := c.wbuf, c.px
 	j := c.scatterEdge(fa, fb, s)
 	for ; j != -1; j = c.parent[j] {
@@ -1099,7 +1099,7 @@ func (c *SupernodalCholesky) UpdateEdge(fa, fb int, s float64) {
 // ErrNotSPD — leaving the factor partially modified, so the caller must
 // refactor — when the downdated matrix is not positive definite.
 func (c *SupernodalCholesky) DowndateEdge(fa, fb int, s float64) error {
-	recordSparse(telemetry.SparseDowndates)
+	record(telemetry.SparseDowndates)
 	wb, px := c.wbuf, c.px
 	j := c.scatterEdge(fa, fb, s)
 	for ; j != -1; j = c.parent[j] {

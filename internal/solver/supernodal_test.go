@@ -31,11 +31,36 @@ func blockDiag(a, b *sparse.CSR) *sparse.CSR {
 	return tr.ToCSR()
 }
 
-// TestSupernodalMatchesScalarAndDense cross-checks the three direct backends:
-// supernodal and scalar-sparse factor the same ordered system, dense factors
-// it without reordering; all three are exact, so the solutions must agree to
-// rounding.
-func TestSupernodalMatchesScalarAndDense(t *testing.T) {
+// solveDense solves a·x = b with the dense Cholesky reference on the same
+// CSR — exact, unordered, and independent of the supernodal code.
+func solveDense(t *testing.T, a *sparse.CSR, b []float64) []float64 {
+	t.Helper()
+	dc, err := NewDenseCholeskyFromCSR(a)
+	if err != nil {
+		t.Fatalf("dense reference: %v", err)
+	}
+	x, err := dc.Solve(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// maxScaledDiff is the largest entrywise difference of x and ref relative to
+// ref's largest magnitude.
+func maxScaledDiff(x, ref []float64) float64 {
+	scale := 0.0
+	for _, v := range ref {
+		scale = math.Max(scale, math.Abs(v))
+	}
+	return maxAbsDiff(x, ref) / scale
+}
+
+// TestSupernodalMatchesDense cross-checks the supernodal factor under AMD
+// and nested-dissection orderings against the dense Cholesky reference,
+// which factors the same CSR without reordering; all are exact, so the
+// solutions must agree to rounding.
+func TestSupernodalMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	systems := []*sparse.CSR{
 		gridLaplacian(15, 17),
@@ -45,70 +70,33 @@ func TestSupernodalMatchesScalarAndDense(t *testing.T) {
 	systems = append(systems, spd)
 	for ci, a := range systems {
 		n, _ := a.Dims()
-		perm := AMDOrder(a)
-		sup, err := NewSupernodalCholeskyOrdered(a, perm, nil)
-		if err != nil {
-			t.Fatalf("case %d: supernodal: %v", ci, err)
-		}
-		scal, err := NewSparseCholeskyOrdered(a, perm)
-		if err != nil {
-			t.Fatalf("case %d: scalar: %v", ci, err)
-		}
-		dense := make([]float64, n*n)
-		for i := 0; i < n; i++ {
-			cols, vals := a.Row(i)
-			for t2, c := range cols {
-				dense[i*n+c] = vals[t2]
-			}
-		}
-		dc, err := NewDenseCholesky(dense, n)
-		if err != nil {
-			t.Fatalf("case %d: dense: %v", ci, err)
-		}
-		// Amalgamation stores some explicit zeros, so the supernodal panels
-		// hold at least the scalar fill but only boundedly more.
-		if sup.NNZ() < scal.NNZ() {
-			t.Fatalf("case %d: supernodal fill %d below scalar fill %d under the same ordering", ci, sup.NNZ(), scal.NNZ())
-		}
-		// The absolute amalgamation slack dominates on near-band systems, so
-		// the bound carries a constant term alongside the ratio.
-		if sup.NNZ() > 2*scal.NNZ()+64 {
-			t.Fatalf("case %d: supernodal fill %d more than 2x scalar fill %d", ci, sup.NNZ(), scal.NNZ())
-		}
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		xs, xc, xd := make([]float64, n), make([]float64, n), make([]float64, n)
-		if err := sup.SolveInto(xs, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := scal.SolveInto(xc, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := dc.SolveInto(xd, b); err != nil {
-			t.Fatal(err)
-		}
-		scale := 0.0
-		for i := range xd {
-			if v := math.Abs(xd[i]); v > scale {
-				scale = v
+		xd := solveDense(t, a, b)
+		for _, ord := range []struct {
+			name string
+			perm []int
+		}{{"amd", AMDOrder(a)}, {"nd", NDOrder(a)}} {
+			sup, err := NewSupernodalCholeskyOrdered(a, ord.perm, nil)
+			if err != nil {
+				t.Fatalf("case %d %s: %v", ci, ord.name, err)
 			}
-		}
-		for i := range xs {
-			if d := math.Abs(xs[i]-xc[i]) / scale; d > 1e-10 {
-				t.Fatalf("case %d: supernodal vs scalar differ at %d: %g vs %g", ci, i, xs[i], xc[i])
+			xs := make([]float64, n)
+			if err := sup.SolveInto(xs, b); err != nil {
+				t.Fatal(err)
 			}
-			if d := math.Abs(xs[i]-xd[i]) / scale; d > 1e-10 {
-				t.Fatalf("case %d: supernodal vs dense differ at %d: %g vs %g", ci, i, xs[i], xd[i])
+			if d := maxScaledDiff(xs, xd); d > 1e-10 {
+				t.Fatalf("case %d %s: supernodal vs dense differ by %g", ci, ord.name, d)
 			}
 		}
 	}
 }
 
-// TestSupernodalBatchSolveBitIdentical pins the batch-solve contract on every
-// backend: SolveBatchInto must reproduce nrhs looped SolveInto calls bit for
-// bit, not just to rounding.
+// TestSupernodalBatchSolveBitIdentical pins the batch-solve contract:
+// SolveBatchInto must reproduce nrhs looped SolveInto calls bit for bit, not
+// just to rounding.
 func TestSupernodalBatchSolveBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := gridLaplacian(40, 41)
@@ -122,29 +110,19 @@ func TestSupernodalBatchSolveBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scal, err := NewSparseCholeskyFromCSR(a)
-	if err != nil {
+	batch := make([]float64, n*nrhs)
+	if err := sup.SolveBatchInto(batch, b, nrhs); err != nil {
 		t.Fatal(err)
 	}
-	backends := []struct {
-		name string
-		f    SparseFactor
-	}{{"supernodal", sup}, {"scalar", scal}}
-	for _, bk := range backends {
-		batch := make([]float64, n*nrhs)
-		if err := bk.f.SolveBatchInto(batch, b, nrhs); err != nil {
-			t.Fatalf("%s: %v", bk.name, err)
+	loop := make([]float64, n)
+	for v := 0; v < nrhs; v++ {
+		if err := sup.SolveInto(loop, b[v*n:(v+1)*n]); err != nil {
+			t.Fatal(err)
 		}
-		loop := make([]float64, n)
-		for v := 0; v < nrhs; v++ {
-			if err := bk.f.SolveInto(loop, b[v*n:(v+1)*n]); err != nil {
-				t.Fatalf("%s: %v", bk.name, err)
-			}
-			for i := range loop {
-				if math.Float64bits(batch[v*n+i]) != math.Float64bits(loop[i]) {
-					t.Fatalf("%s: batch and looped solve differ at rhs %d entry %d: %x vs %x",
-						bk.name, v, i, math.Float64bits(batch[v*n+i]), math.Float64bits(loop[i]))
-				}
+		for i := range loop {
+			if math.Float64bits(batch[v*n+i]) != math.Float64bits(loop[i]) {
+				t.Fatalf("batch and looped solve differ at rhs %d entry %d: %x vs %x",
+					v, i, math.Float64bits(batch[v*n+i]), math.Float64bits(loop[i]))
 			}
 		}
 	}
@@ -195,18 +173,13 @@ func TestSupernodalWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSupernodalUpdateDowndateMatchesScalar drives identical edge up/downdate
-// sequences through both sparse backends and checks they keep agreeing with a
-// from-scratch refactorization.
-func TestSupernodalUpdateDowndateMatchesScalar(t *testing.T) {
+// TestSupernodalUpdateDowndateMatchesDense drives an edge up/downdate
+// sequence through the factor and checks it keeps agreeing with a dense
+// factorization of the edited matrix.
+func TestSupernodalUpdateDowndateMatchesDense(t *testing.T) {
 	a := gridLaplacian(12, 14)
 	n, _ := a.Dims()
-	perm := AMDOrder(a)
-	sup, err := NewSupernodalCholeskyOrdered(a, perm, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scal, err := NewSparseCholeskyOrdered(a, perm)
+	sup, err := NewSupernodalCholeskyFromCSR(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,37 +200,16 @@ func TestSupernodalUpdateDowndateMatchesScalar(t *testing.T) {
 		s := math.Sqrt(math.Abs(e.dg))
 		if e.dg >= 0 {
 			sup.UpdateEdge(e.i, e.j, s)
-			scal.UpdateEdge(e.i, e.j, s)
-		} else {
-			if err := sup.DowndateEdge(e.i, e.j, s); err != nil {
-				t.Fatalf("edit %d: supernodal downdate: %v", ei, err)
-			}
-			if err := scal.DowndateEdge(e.i, e.j, s); err != nil {
-				t.Fatalf("edit %d: scalar downdate: %v", ei, err)
-			}
+		} else if err := sup.DowndateEdge(e.i, e.j, s); err != nil {
+			t.Fatalf("edit %d: downdate: %v", ei, err)
 		}
 		applyEdgeDelta(a, e.i, e.j, e.dg)
-		ref, err := NewSparseCholeskyOrdered(a, perm)
-		if err != nil {
-			t.Fatalf("edit %d: refactor: %v", ei, err)
-		}
-		xs, xc, xr := make([]float64, n), make([]float64, n), make([]float64, n)
+		xs := make([]float64, n)
 		if err := sup.SolveInto(xs, b); err != nil {
 			t.Fatal(err)
 		}
-		if err := scal.SolveInto(xc, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.SolveInto(xr, b); err != nil {
-			t.Fatal(err)
-		}
-		for i := range xs {
-			if d := math.Abs(xs[i] - xc[i]); d > 1e-10 {
-				t.Fatalf("edit %d: supernodal vs scalar differ at %d: %g vs %g", ei, i, xs[i], xc[i])
-			}
-			if d := math.Abs(xs[i] - xr[i]); d > 1e-8 {
-				t.Fatalf("edit %d: supernodal vs refactored differ at %d: %g vs %g", ei, i, xs[i], xr[i])
-			}
+		if d := maxScaledDiff(xs, solveDense(t, a, b)); d > 1e-10 {
+			t.Fatalf("edit %d: updated factor vs dense refactor differ by %g", ei, d)
 		}
 	}
 }
@@ -330,14 +282,12 @@ func TestSupernodalSetCloneRestore(t *testing.T) {
 	if err := c.SolveInto(x1, b); err != nil {
 		t.Fatal(err)
 	}
-	// Restore through the SparseFactor interface and verify the pristine
-	// solution returns bit-exactly.
+	// Restore by memcpy and verify the pristine solution returns bit-exactly.
 	x0 := make([]float64, n)
 	if err := pristine.SolveInto(x0, b); err != nil {
 		t.Fatal(err)
 	}
-	var f SparseFactor = c
-	if err := f.Restore(pristine); err != nil {
+	if err := c.Set(pristine); err != nil {
 		t.Fatal(err)
 	}
 	x2 := make([]float64, n)
@@ -349,13 +299,13 @@ func TestSupernodalSetCloneRestore(t *testing.T) {
 			t.Fatalf("restored factor solution differs at %d", i)
 		}
 	}
-	// Backend mismatch must be rejected, not silently ignored.
-	scal, err := NewSparseCholeskyFromCSR(a)
+	// A factor of another structure must be rejected, not silently copied.
+	other, err := NewSupernodalCholeskyFromCSR(gridLaplacian(9, 9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Restore(scal); err == nil {
-		t.Fatal("Restore accepted a mismatched backend")
+	if err := c.Set(other); err == nil {
+		t.Fatal("Set accepted a factor of another structure")
 	}
 }
 
@@ -427,5 +377,280 @@ func TestSupernodalPartitionInvariants(t *testing.T) {
 	}
 	if c.nsup >= n {
 		t.Fatalf("mesh factor found no supernodes wider than one column (%d supernodes for %d columns)", c.nsup, n)
+	}
+}
+
+// TestSparseCholeskyMatchesDenseAndCG cross-checks the sparse factor against
+// the dense Cholesky and CG on random SPD systems: the two factorizations
+// are exact, so they must agree to rounding; CG is checked at its own
+// tolerance.
+func TestSparseCholeskyMatchesDenseAndCG(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 5; trial++ {
+		n := 20 + trial*13
+		a, _ := randomSPD(rng, n)
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		sp, err := NewSupernodalCholeskyFromCSR(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := make([]float64, n)
+		if err := sp.SolveInto(xs, b); err != nil {
+			t.Fatal(err)
+		}
+		xc, _, err := CG(a, b, Options{Tol: 1e-12})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := maxAbsDiff(xs, solveDense(t, a, b)); d > 1e-10 {
+			t.Fatalf("n=%d: sparse vs dense max diff %g", n, d)
+		}
+		if d := maxAbsDiff(xs, xc); d > 1e-8 {
+			t.Fatalf("n=%d: sparse vs CG max diff %g", n, d)
+		}
+		if r := residual(a, xs, b); r > 1e-12 {
+			t.Fatalf("n=%d: sparse residual %g", n, r)
+		}
+	}
+}
+
+// TestSparseCholeskySolvesGrid solves a mesh above NDMinNodes, where the
+// default ordering is nested dissection, to a tight residual.
+func TestSparseCholeskySolvesGrid(t *testing.T) {
+	a := gridLaplacian(70, 61)
+	n, _ := a.Dims()
+	if n < NDMinNodes {
+		t.Fatalf("grid has %d nodes, want at least NDMinNodes = %d", n, NDMinNodes)
+	}
+	rng := rand.New(rand.NewSource(3))
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	sp, err := NewSupernodalCholeskyFromCSR(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, n)
+	if err := sp.SolveInto(x, b); err != nil {
+		t.Fatal(err)
+	}
+	if r := residual(a, x, b); r > 1e-10 {
+		t.Fatalf("grid residual %g", r)
+	}
+}
+
+// TestSparseCholeskyUpdateDowndateMatchesRefactor drives the factor through
+// 1, 5 and 20 sequential edge downdates (EM failures) plus the matching
+// restores, comparing against a cold factorization of the edited matrix with
+// the same ordering after every edit — the acceptance bar of the incremental
+// engine (≤1e-10).
+func TestSparseCholeskyUpdateDowndateMatchesRefactor(t *testing.T) {
+	a := gridLaplacian(14, 14)
+	n, _ := a.Dims()
+	rng := rand.New(rand.NewSource(5))
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	id := func(ix, iy int) int { return ix*14 + iy }
+	solveCold := func(m *sparse.CSR, perm []int) []float64 {
+		t.Helper()
+		cold, err := NewSupernodalCholeskyOrdered(m, perm, nil)
+		if err != nil {
+			t.Fatalf("cold refactor: %v", err)
+		}
+		x := make([]float64, n)
+		if err := cold.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+
+	for _, edits := range []int{1, 5, 20} {
+		sp, err := NewSupernodalCholeskyFromCSR(a, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := a.Clone()
+		xi := make([]float64, n)
+		for e := 0; e < edits; e++ {
+			// Interior horizontal edges, each failed once (dg = −1).
+			i, j := id(1+e%12, 2+e/12), id(2+e%12, 2+e/12)
+			applyEdgeDelta(edited, i, j, -1)
+			if err := sp.DowndateEdge(i, j, 1); err != nil {
+				t.Fatalf("edits=%d: downdate %d: %v", edits, e, err)
+			}
+			if err := sp.SolveInto(xi, b); err != nil {
+				t.Fatal(err)
+			}
+			if d := maxAbsDiff(xi, solveCold(edited, sp.Perm())); d > 1e-10 {
+				t.Fatalf("edits=%d: after edit %d incremental vs cold max diff %g", edits, e, d)
+			}
+		}
+		// Repair every failure (dg = +1) and compare against the pristine
+		// matrix: the round trip must come home.
+		for e := 0; e < edits; e++ {
+			i, j := id(1+e%12, 2+e/12), id(2+e%12, 2+e/12)
+			sp.UpdateEdge(i, j, 1)
+		}
+		if err := sp.SolveInto(xi, b); err != nil {
+			t.Fatal(err)
+		}
+		if d := maxAbsDiff(xi, solveCold(a, sp.Perm())); d > 1e-10 {
+			t.Fatalf("edits=%d: restore round trip max diff %g", edits, d)
+		}
+	}
+}
+
+// TestSparseCholeskyGroundedEdge exercises the single-terminal form of the
+// edge update (the other terminal is a pad or ground and drops out of u).
+func TestSparseCholeskyGroundedEdge(t *testing.T) {
+	a := gridLaplacian(9, 9)
+	n, _ := a.Dims()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = 1
+	}
+	sp, err := NewSupernodalCholeskyFromCSR(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := 40
+	sp.UpdateEdge(node, -1, math.Sqrt(0.5)) // extra 0.5 S to ground at one node
+	edited := a.Clone()
+	edited.AddAt(edited.SlotIndex(node, node), 0.5)
+	xi := make([]float64, n)
+	if err := sp.SolveInto(xi, b); err != nil {
+		t.Fatal(err)
+	}
+	if d := maxAbsDiff(xi, solveDense(t, edited, b)); d > 1e-10 {
+		t.Fatalf("grounded-edge update vs cold max diff %g", d)
+	}
+	sp.UpdateEdge(-1, -1, 1) // both terminals pinned: must be a no-op
+	if err := sp.DowndateEdge(-1, -1, 1); err != nil {
+		t.Fatalf("pinned-edge downdate: %v", err)
+	}
+}
+
+// TestSparseCholeskyDowndateRejectsIndefinite checks that a failed downdate
+// leaves the factor recoverable: a refactor from the intact matrix must
+// solve it again.
+func TestSparseCholeskyDowndateRejectsIndefinite(t *testing.T) {
+	a := gridLaplacian(6, 6)
+	sp, err := NewSupernodalCholeskyFromCSR(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Removing 3 S from a unit edge makes the matrix indefinite.
+	if err := sp.DowndateEdge(7, 13, math.Sqrt(3)); !errors.Is(err, ErrNotSPD) {
+		t.Fatalf("indefinite downdate returned %v, want ErrNotSPD", err)
+	}
+	// The factor is garbage now, but the workspace invariant must survive a
+	// failed downdate: a refactor from the intact matrix has to recover.
+	if err := sp.RefactorFromCSR(a); err != nil {
+		t.Fatal(err)
+	}
+	n, _ := a.Dims()
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	x := make([]float64, n)
+	if err := sp.SolveInto(x, b); err != nil {
+		t.Fatal(err)
+	}
+	if r := residual(a, x, b); r > 1e-10 {
+		t.Fatalf("post-recovery residual %g", r)
+	}
+}
+
+// TestSparseCholeskyRejectsIndefiniteMatrix covers a negative pivot on the
+// diagonal itself (TestSupernodalRejectsIndefiniteMatrix covers an
+// off-diagonal-dominated one).
+func TestSparseCholeskyRejectsIndefiniteMatrix(t *testing.T) {
+	tr := sparse.NewTriplet(2, 2, 4)
+	tr.Add(0, 0, 1)
+	tr.Add(1, 1, -1)
+	tr.Add(0, 1, 0.5)
+	tr.Add(1, 0, 0.5)
+	if _, err := NewSupernodalCholeskyFromCSR(tr.ToCSR(), nil); !errors.Is(err, ErrNotSPD) {
+		t.Fatalf("indefinite matrix returned %v, want ErrNotSPD", err)
+	}
+}
+
+// TestSparseCholeskySetAndClone checks that a clone does not drift with its
+// source: edits to the source leave the clone factoring the pristine matrix.
+func TestSparseCholeskySetAndClone(t *testing.T) {
+	a := gridLaplacian(8, 8)
+	n, _ := a.Dims()
+	sp, err := NewSupernodalCholeskyFromCSR(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := sp.Clone()
+	sp.DowndateEdge(3, 11, 1) //nolint:errcheck // edge removal on a leaky mesh stays SPD
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = 1
+	}
+	xp := make([]float64, n)
+	if err := pristine.SolveInto(xp, b); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewSupernodalCholeskyOrdered(a, sp.Perm(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xc := make([]float64, n)
+	if err := fresh.SolveInto(xc, b); err != nil {
+		t.Fatal(err)
+	}
+	if d := maxAbsDiff(xp, xc); d > 1e-12 {
+		t.Fatalf("clone drifted with its source: max diff %g", d)
+	}
+	// Set restores the pristine factor by memcpy.
+	if err := sp.Set(pristine); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.SolveInto(xp, b); err != nil {
+		t.Fatal(err)
+	}
+	if d := maxAbsDiff(xp, xc); d > 1e-12 {
+		t.Fatalf("Set did not restore the factor: max diff %g", d)
+	}
+}
+
+// TestSparseCholeskyZeroAlloc pins the allocation-free contract of the
+// failure-edit operations alongside refactor and solve: edge up/downdates
+// included.
+func TestSparseCholeskyZeroAlloc(t *testing.T) {
+	a := gridLaplacian(12, 12)
+	n, _ := a.Dims()
+	sp, err := NewSupernodalCholeskyFromCSR(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = 1
+	}
+	x := make([]float64, n)
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := sp.RefactorFromCSR(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.DowndateEdge(17, 29, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		sp.UpdateEdge(17, 29, 0.5)
+	}); allocs != 0 {
+		t.Fatalf("steady-state sparse ops allocated %v times per run", allocs)
 	}
 }

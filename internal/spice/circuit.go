@@ -10,59 +10,23 @@ import (
 	"emvia/internal/trace"
 )
 
-// Tunables of the incremental re-solve engine.
-const (
-	// defaultTol is the CG relative-residual tolerance.
-	defaultTol = 1e-7
-	// defaultDirectMaxNodes is the free-node count at and below which solves
-	// use a cached dense Cholesky factor maintained by rank-one updates
-	// instead of preconditioned CG. At a few hundred unknowns the O(n²)
-	// triangular solves beat CG iteration, and failure edits become O(n²)
-	// factor updates instead of fresh Krylov solves.
-	defaultDirectMaxNodes = 256
-	// supernodalMinNodes is the free-node count at and above which the sparse
-	// direct path uses the blocked supernodal factorization instead of the
-	// scalar up-looking one. Below it the scalar factor's lower constant wins;
-	// above it the supernodal panels amortize indexing across dense columns
-	// and the elimination-tree level schedule can use the solver worker pool.
-	supernodalMinNodes = 2048
-	// sparseUpdateBudget caps how many rank-one factor updates may accumulate
-	// between solves on the sparse direct path. A failure cascade edits one
-	// resistor per solve and never comes near it; a bulk value push (load
-	// re-tuning rescales every wire) would cost thousands of etree-path
-	// updates, where a single refactorization over the static structure is
-	// far cheaper — so past the budget the factor is just marked stale and
-	// the next solve refactors once.
-	sparseUpdateBudget = 32
-	// precondRefreshEdits is the staleness budget K: a Refreshable
-	// preconditioner is refactored in place once this many resistor edits
-	// have accumulated since it last matched the matrix. Below the budget
-	// the stale factor is knowingly reused — after few failures it remains
-	// an excellent (and still SPD, hence valid) preconditioner.
-	precondRefreshEdits = 16
-)
+// sparseUpdateBudget caps how many rank-one factor updates may accumulate
+// between solves. A failure cascade edits one resistor per solve and never
+// comes near it; a bulk value push (load re-tuning rescales every wire) would
+// cost thousands of etree-path updates, where a single refactorization over
+// the static structure is far cheaper — so past the budget the factor is just
+// marked stale and the next solve refactors once.
+const sparseUpdateBudget = 32
 
 // Circuit is a compiled netlist ready for repeated DC solves with mutable
 // resistor values — the operation the EM failure simulation performs after
 // every via-array failure. The first solve compiles a fixed-pattern linear
 // system (the gmin leak puts every free node on the diagonal and disabled
-// resistors stay in the pattern), after which every resistor edit is an
-// in-place O(4) value update and re-solves reuse all buffers and factors.
+// resistors stay in the pattern) and factors it once with the supernodal
+// sparse Cholesky; after that every resistor edit is an in-place O(4) value
+// update plus a rank-one factor update, and every re-solve is two triangular
+// sweeps that reuse all buffers.
 type Circuit struct {
-	// Tol is the relative residual tolerance of the iterative solve path.
-	// Zero selects the default 1e-7.
-	Tol float64
-	// DirectMaxNodes bounds the free-node count for the direct dense-factor
-	// path. Zero selects the default 256; negative disables the direct path.
-	// It is consulted when the solve pattern is first compiled, so set it
-	// before the first solve.
-	DirectMaxNodes int
-	// Solver selects the backend. The zero value defers to the process-wide
-	// default (normally SolverAuto: dense up to DirectMaxNodes, sparse
-	// Cholesky above). Like DirectMaxNodes it is consulted when the solve
-	// pattern is first compiled.
-	Solver SolverMode
-
 	names []string
 	index map[string]int
 
@@ -76,17 +40,6 @@ type Circuit struct {
 	gmin float64
 
 	asm *assembly // compiled fixed-pattern system; nil until the first solve
-
-	// Preconditioner cache for the iterative path. precondGen records the
-	// assembly generation the preconditioner last matched, so SolveDC can
-	// tell exactly how stale it is: Updatable preconditioners are kept
-	// current eagerly, Refreshable ones refresh on the staleness policy
-	// (edit budget or CG iteration drift), and any reuse in between is a
-	// deliberate policy decision rather than a forgotten invalidation.
-	precond           solver.Preconditioner
-	precondIters      int // iteration count right after the cache was (re)built
-	precondGen        uint64
-	editsSinceRefresh int
 
 	// met holds telemetry handles fetched once at compile; all nil (no-op)
 	// when telemetry is disabled.
@@ -132,33 +85,18 @@ type assembly struct {
 	rhs0 []float64
 	res0 []cResistor
 
-	// Direct path (small grids): cached dense Cholesky factor maintained by
-	// rank-one updates/downdates; chol0 is the pristine factor restored at
-	// trial reset by memcpy. The factor is built lazily — a one-shot cold
-	// solve never pays the O(n³) factorization; only re-solve activity
-	// (an edit or a trial reset after the first solve) triggers it.
-	direct       bool
-	chol         *solver.DenseCholesky
-	chol0        *solver.DenseCholesky
-	w            []float64 // rank-one update scratch
-	needRefactor bool      // a downdate broke down; refactor from mat lazily
-
-	// Sparse direct path (large grids): fill-reducing-ordered sparse Cholesky
-	// factor maintained by Davis–Hager edge up/downdates; schol0 is the
-	// pristine factor restored at trial reset by memcpy. Unlike the dense
-	// path the factor engages eagerly on the first solve — above the dense
-	// ceiling the symbolic-plus-numeric factorization already beats a cold
-	// preconditioned CG solve, and every re-solve after it is two triangular
-	// sweeps over nnz(L). needRefactor is shared with the dense path (only
-	// one direct backend is ever active).
-	sparseDirect bool
-	schol        solver.SparseFactor
-	schol0       solver.SparseFactor
-	pendingEdits int // factor updates since the last solve (sparseUpdateBudget)
-
-	// Iterative-path scratch: CG workspace and the warm-start vector.
-	work solver.Workspace
-	x0   []float64
+	// The sparse direct factor: a fill-reducing-ordered supernodal Cholesky
+	// factor maintained by Davis–Hager edge up/downdates; factor0 is the
+	// pristine factor restored at trial reset by memcpy. The first solve
+	// builds it, and its cost is amortized across every re-solve that
+	// follows. needRefactor marks it stale (a downdate broke down, the edit
+	// budget ran out, or a factorization failed), so the next solve refactors
+	// from the always-correct matrix values first.
+	factor       *solver.SupernodalCholesky
+	factor0      *solver.SupernodalCholesky
+	needRefactor bool
+	pendingEdits int       // factor updates since the last solve (sparseUpdateBudget)
+	x            []float64 // free-node solve scratch
 }
 
 // Compile flattens a netlist into solver-ready form. Every voltage source
@@ -203,6 +141,9 @@ func Compile(nl *Netlist) (*Circuit, error) {
 	}
 	maxCond := 0.0
 	for _, r := range nl.Resistors {
+		if !validOhms(r.Ohms) {
+			return nil, fmt.Errorf("spice: %w", ohmsError(r.Name, r.Ohms))
+		}
 		g := 1 / r.Ohms
 		if g > maxCond {
 			maxCond = g
@@ -220,6 +161,15 @@ func Compile(nl *Netlist) (*Circuit, error) {
 	// correctly registers as a catastrophic IR-drop violation.
 	c.gmin = 1e-12 * maxCond
 	return c, nil
+}
+
+// validOhms reports whether the conductance stamp can represent a
+// resistance: it must be finite and positive (NaN fails both comparisons).
+func validOhms(ohms float64) bool { return ohms > 0 && ohms <= math.MaxFloat64 }
+
+// ohmsError names a resistor whose value validOhms rejects.
+func ohmsError(name string, ohms float64) error {
+	return fmt.Errorf("resistor %s has resistance %g Ω, want finite and positive", name, ohms)
 }
 
 // NumNodes returns the number of non-ground nodes.
@@ -242,22 +192,14 @@ func (c *Circuit) IsPad(i int) bool { return c.freeIdx[i] < 0 }
 
 // Generation returns the topology-edit counter of the compiled system: it
 // advances on every resistor value change, disable, enable, and reset, and is
-// zero before the first solve. Tests and callers use it to reason about
-// preconditioner staleness.
+// zero before the first solve. Callers use it to tell whether a circuit still
+// holds its compiled values.
 func (c *Circuit) Generation() uint64 {
 	if c.asm == nil {
 		return 0
 	}
 	return c.asm.gen
 }
-
-// DirectPath reports whether solves use the cached dense factor (small
-// systems) rather than preconditioned CG. Decided at first solve.
-func (c *Circuit) DirectPath() bool { return c.asm != nil && c.asm.direct }
-
-// PrecondStaleEdits returns how many resistor edits the iterative-path
-// preconditioner is currently behind the matrix. Zero means exactly current.
-func (c *Circuit) PrecondStaleEdits() int { return c.editsSinceRefresh }
 
 // freeTerm maps a node index (-1 = ground) to its free equation index.
 func (c *Circuit) freeTerm(node int) int {
@@ -319,69 +261,7 @@ func (c *Circuit) compile() {
 		}
 	}
 	c.stampRHS(rhs, c.res)
-	a := &assembly{mat: tr.ToCSR(), rhs: rhs}
-	c.asm = a
-
-	limit := c.DirectMaxNodes
-	if limit == 0 {
-		limit = defaultDirectMaxNodes
-	}
-	mode := c.Solver
-	if mode == SolverDefault {
-		mode = DefaultSolver()
-	}
-	switch mode {
-	case SolverDense:
-		a.direct = n > 0
-	case SolverSparse:
-		a.sparseDirect = n > 0
-	case SolverCG:
-		// Neither direct path; preconditioned CG handles everything.
-	default: // SolverAuto
-		if n > 0 && limit > 0 && n <= limit {
-			a.direct = true
-		} else if n > 0 {
-			a.sparseDirect = true
-		}
-	}
-	if a.direct {
-		a.w = make([]float64, n)
-	}
-	a.work.Reserve(n)
-	a.x0 = make([]float64, n)
-}
-
-// SolverBackend reports the backend the compiled circuit actually uses
-// ("dense", "sparse" or "cg"); before the first solve it reports how the
-// current configuration would resolve. Factorization failures downgrade a
-// direct backend to CG, and this reflects that.
-func (c *Circuit) SolverBackend() string {
-	if c.asm != nil {
-		switch {
-		case c.asm.direct:
-			return SolverDense.String()
-		case c.asm.sparseDirect:
-			return SolverSparse.String()
-		default:
-			return SolverCG.String()
-		}
-	}
-	mode := c.Solver
-	if mode == SolverDefault {
-		mode = DefaultSolver()
-	}
-	if mode == SolverAuto {
-		limit := c.DirectMaxNodes
-		if limit == 0 {
-			limit = defaultDirectMaxNodes
-		}
-		if limit > 0 && c.nFree <= limit {
-			mode = SolverDense
-		} else {
-			mode = SolverSparse
-		}
-	}
-	return mode.String()
+	c.asm = &assembly{mat: tr.ToCSR(), rhs: rhs, x: make([]float64, n)}
 }
 
 // stampRHS writes the right-hand side of resistor table res and the current
@@ -489,9 +369,8 @@ func (c *Circuit) applyDelta(sl resSlots, dg float64) {
 }
 
 // editResistor propagates an effective-conductance change of resistor i into
-// the compiled system and its cached factor or preconditioner. Before the
-// first solve there is nothing compiled and the change is simply recorded in
-// the resistor table.
+// the compiled system and its cached factor. Before the first solve there is
+// nothing compiled and the change is simply recorded in the resistor table.
 func (c *Circuit) editResistor(i int, dg float64) {
 	if dg == 0 || c.asm == nil {
 		return
@@ -500,69 +379,28 @@ func (c *Circuit) editResistor(i int, dg float64) {
 	a.gen++
 	sl := a.slots[i]
 	c.applyDelta(sl, dg)
-	c.editsSinceRefresh++
 	c.met.slotEdits.Inc()
-	if a.sparseDirect {
-		if a.schol != nil && !a.needRefactor {
-			a.pendingEdits++
-			if a.pendingEdits > sparseUpdateBudget {
-				// A bulk edit burst: one refactorization at the next solve
-				// beats continuing to chase it with rank-one updates.
-				a.needRefactor = true
-				return
-			}
-			// The edit is rank-one along a structural edge of A, so the
-			// sparse factor absorbs it along the elimination-tree path —
-			// O(path × column nnz) instead of a refactorization or a fresh
-			// Krylov solve.
-			s := math.Sqrt(math.Abs(dg))
-			if dg > 0 {
-				a.schol.UpdateEdge(sl.fa, sl.fb, s)
-			} else if err := a.schol.DowndateEdge(sl.fa, sl.fb, s); err != nil {
-				// Cancellation broke the downdate; the CSR values are always
-				// correct, so refactor from them at the next solve.
-				a.needRefactor = true
-			}
-		}
+	if a.factor == nil || a.needRefactor {
 		return
 	}
-	if a.direct {
-		if a.chol != nil && !a.needRefactor {
-			// The edit is rank-one: ΔA = dg·u·uᵀ with u = e_fa − e_fb
-			// (dropping pad/ground terminals), so the cached factor absorbs
-			// it as a Cholesky update (dg > 0) or downdate (dg < 0).
-			s := math.Sqrt(math.Abs(dg))
-			w := a.w
-			for j := range w {
-				w[j] = 0
-			}
-			if sl.fa >= 0 {
-				w[sl.fa] = s
-			}
-			if sl.fb >= 0 {
-				w[sl.fb] = -s
-			}
-			if dg > 0 {
-				a.chol.Update(w)
-			} else if err := a.chol.Downdate(w); err != nil {
-				// Cancellation broke the downdate; the CSR values are always
-				// correct, so refactor from them at the next solve.
-				a.needRefactor = true
-			}
-		}
+	a.pendingEdits++
+	if a.pendingEdits > sparseUpdateBudget {
+		// A bulk edit burst: one refactorization at the next solve beats
+		// continuing to chase it with rank-one updates.
+		a.needRefactor = true
 		return
 	}
-	if upd, ok := c.precond.(solver.Updatable); ok {
-		// Updatable preconditioners absorb the touched diagonals in O(1)
-		// and stay exactly current.
-		okA := sl.fa < 0 || upd.UpdateDiag(sl.fa, a.mat.ValueAt(sl.aa))
-		okB := sl.fb < 0 || upd.UpdateDiag(sl.fb, a.mat.ValueAt(sl.bb))
-		if okA && okB {
-			c.precondGen = a.gen
-			c.editsSinceRefresh = 0
-		} else {
-			c.precond = nil
-		}
+	// The edit is rank-one along a structural edge of A — ΔA = dg·u·uᵀ with
+	// u = e_fa − e_fb, pad and ground terminals dropped — so the factor
+	// absorbs it along the elimination-tree path: O(path × column nnz)
+	// instead of a refactorization.
+	s := math.Sqrt(math.Abs(dg))
+	if dg > 0 {
+		a.factor.UpdateEdge(sl.fa, sl.fb, s)
+	} else if err := a.factor.DowndateEdge(sl.fa, sl.fb, s); err != nil {
+		// Cancellation broke the downdate; the CSR values are always
+		// correct, so refactor from them at the next solve.
+		a.needRefactor = true
 	}
 }
 
@@ -572,8 +410,8 @@ func (c *Circuit) SetResistor(i int, ohms float64) error {
 	if i < 0 || i >= len(c.res) {
 		return fmt.Errorf("spice: resistor index %d out of range", i)
 	}
-	if ohms <= 0 {
-		return fmt.Errorf("spice: resistor %s set to non-positive %g Ω", c.res[i].name, ohms)
+	if !validOhms(ohms) {
+		return fmt.Errorf("spice: %w", ohmsError(c.res[i].name, ohms))
 	}
 	g := 1 / ohms
 	old := 0.0
@@ -607,11 +445,11 @@ func (c *Circuit) ResistorDisabled(i int) bool { return c.res[i].disabled }
 // ResetResistors restores every resistor — value and enabled state — to the
 // snapshot taken when the solve pattern was compiled (for a circuit solved
 // straight after Compile, the netlist values), together with the matching
-// matrix values, RHS, cached factor, and preconditioner. It is the O(nnz)
-// bulk alternative to replaying SetResistor calls and leaves the circuit in
-// a canonical bit-reproducible state, which is what keeps parallel
-// Monte-Carlo trials identical to serial ones. Before the first solve it is
-// a no-op, since the current state is the snapshot state.
+// matrix values, RHS and cached factor. It is the O(nnz) bulk alternative to
+// replaying SetResistor calls and leaves the circuit in a canonical
+// bit-reproducible state, which is what keeps parallel Monte-Carlo trials
+// identical to serial ones. Before the first solve it is a no-op, since the
+// current state is the snapshot state.
 func (c *Circuit) ResetResistors() {
 	if c.asm == nil {
 		return
@@ -621,58 +459,25 @@ func (c *Circuit) ResetResistors() {
 	a := c.asm
 	// Generation zero means no resistor changed since compile, so a factor
 	// the first solve built is already the pristine one.
-	pristine := a.gen == 0 && a.schol != nil
+	pristine := a.gen == 0 && a.factor != nil && !a.needRefactor
 	copy(c.res, a.res0)
 	a.mat.SetValues(a.mat0)
 	copy(a.rhs, a.rhs0)
 	a.gen++
-	if a.sparseDirect {
-		a.pendingEdits = 0
-		if a.schol0 != nil {
-			// Pristine factor restored by memcpy — no refactorization.
-			a.schol.Restore(a.schol0) //nolint:errcheck // clone shares the structure
-			a.needRefactor = false
-		} else if pristine || c.ensureSparseFactor() == nil {
-			// First trial reset: the factor matches the pristine values —
-			// untouched since the first solve, or just rebuilt from them — so
-			// snapshot it for later resets instead of refactoring again.
-			a.schol0 = a.schol.CloneFactor()
-		} else {
-			// Matrix values are pristine, so a factorization failure here
-			// means the sparse path cannot work at all; fall back to CG.
-			a.sparseDirect = false
-		}
-		return
+	a.pendingEdits = 0
+	switch {
+	case a.factor0 != nil:
+		// Pristine factor restored by memcpy — no refactorization.
+		a.factor.Set(a.factor0) //nolint:errcheck // clone shares the structure
+		a.needRefactor = false
+	case pristine || c.ensureFactor() == nil:
+		// First trial reset: the factor matches the pristine values —
+		// untouched since the first solve, or just rebuilt from them — so
+		// snapshot it for later resets instead of refactoring again.
+		a.factor0 = a.factor.Clone()
 	}
-	if a.direct {
-		if a.chol0 != nil {
-			// Pristine factor restored by memcpy — no refactorization.
-			a.chol.Set(a.chol0)
-			a.needRefactor = false
-		} else if err := c.ensureFactor(); err != nil {
-			// Matrix values are pristine, so a factorization failure here
-			// means the direct path cannot work at all; fall back to CG.
-			a.direct = false
-		} else {
-			// First trial reset: mat holds pristine values, so the factor
-			// just built is the pristine one — snapshot it for later resets.
-			a.chol0 = a.chol.Clone()
-		}
-		return
-	}
-	if c.precond != nil {
-		// Put the preconditioner into its canonical pristine-matrix state so
-		// trial results do not depend on the refresh history of earlier
-		// trials on this circuit.
-		if rf, ok := c.precond.(solver.Refreshable); ok {
-			if err := rf.Refresh(a.mat); err != nil {
-				c.precond = solver.NewAutoPreconditioner(a.mat)
-			}
-		}
-		c.precondGen = a.gen
-		c.editsSinceRefresh = 0
-		c.precondIters = -1
-	}
+	// Otherwise the pristine matrix did not factor: ensureFactor left the
+	// factor marked stale, so the next solve retries and reports the error.
 }
 
 // SetCurrents replaces the drive of every current source (amps in netlist
@@ -705,28 +510,26 @@ func (c *Circuit) NumCurrents() int { return len(c.cur) }
 
 // Clone returns an independent circuit that shares every immutable
 // compile-time artifact with the receiver — node tables, sparsity pattern,
-// per-resistor slot map, pristine snapshots, and the symbolic structure of
-// the sparse factor — while copying all mutable numeric state (matrix
-// values, RHS, resistor table, factor values). A clone solves and edits
-// independently of its source and produces bit-identical results from the
-// same state, which is what lets mc.RunParallel hand each worker a clone
-// instead of recompiling and refactoring per worker. Cloning only reads the
-// receiver, so concurrent clones of one master are safe; cloning and
-// mutating the same circuit concurrently is not.
+// per-resistor slot map, pristine snapshots (the pristine factor included)
+// and the symbolic structure of the sparse factor — while copying all
+// mutable numeric state (matrix values, RHS, resistor table, factor values).
+// A clone solves and edits independently of its source and produces
+// bit-identical results from the same state, which is what lets
+// mc.RunParallel hand each worker a clone instead of recompiling and
+// refactoring per worker. Cloning only reads the receiver, so concurrent
+// clones of one master are safe; cloning and mutating the same circuit
+// concurrently is not.
 func (c *Circuit) Clone() *Circuit {
 	d := &Circuit{
-		Tol:            c.Tol,
-		DirectMaxNodes: c.DirectMaxNodes,
-		Solver:         c.Solver,
-		names:          c.names,
-		index:          c.index,
-		fixed:          c.fixed,
-		freeIdx:        c.freeIdx,
-		nFree:          c.nFree,
-		res:            append([]cResistor(nil), c.res...),
-		cur:            append([]cCurrent(nil), c.cur...),
-		gmin:           c.gmin,
-		met:            c.met,
+		names:   c.names,
+		index:   c.index,
+		fixed:   c.fixed,
+		freeIdx: c.freeIdx,
+		nFree:   c.nFree,
+		res:     append([]cResistor(nil), c.res...),
+		cur:     append([]cCurrent(nil), c.cur...),
+		gmin:    c.gmin,
+		met:     c.met,
 	}
 	a := c.asm
 	if a == nil {
@@ -739,33 +542,19 @@ func (c *Circuit) Clone() *Circuit {
 		gen:          a.gen,
 		mat0:         a.mat0, // pristine snapshots are write-once
 		res0:         a.res0,
-		direct:       a.direct,
-		sparseDirect: a.sparseDirect,
+		factor0:      a.factor0,
 		needRefactor: a.needRefactor,
 		pendingEdits: a.pendingEdits,
+		x:            make([]float64, c.nFree),
 	}
 	if a.rhs0 != nil {
 		// rhs0 is the one snapshot that can move after it is taken
 		// (SetCurrents re-baselines loads), so the clone owns a copy.
 		b.rhs0 = append([]float64(nil), a.rhs0...)
 	}
-	if a.chol != nil {
-		b.chol = a.chol.Clone()
+	if a.factor != nil {
+		b.factor = a.factor.Clone()
 	}
-	if a.chol0 != nil {
-		b.chol0 = a.chol0.Clone()
-	}
-	if a.schol != nil {
-		b.schol = a.schol.CloneFactor()
-	}
-	if a.schol0 != nil {
-		b.schol0 = a.schol0.CloneFactor()
-	}
-	if a.direct {
-		b.w = make([]float64, c.nFree)
-	}
-	b.work.Reserve(c.nFree)
-	b.x0 = make([]float64, c.nFree)
 	d.asm = b
 	return d
 }
@@ -774,7 +563,6 @@ func (c *Circuit) Clone() *Circuit {
 type OP struct {
 	c     *Circuit
 	volts []float64 // per node (pads hold their pinned values)
-	stats solver.Stats
 }
 
 // NewOP returns an empty operating point sized for this circuit, for use as
@@ -783,13 +571,10 @@ func (c *Circuit) NewOP() *OP {
 	return &OP{c: c, volts: make([]float64, len(c.names))}
 }
 
-// SolveDC computes the operating point into a fresh OP. prev, when non-nil,
-// warm-starts the iterative solve from an earlier operating point of the
-// same circuit — after a single failure the solution moves little, so this
-// typically cuts iterations substantially.
-func (c *Circuit) SolveDC(prev *OP) (*OP, error) {
+// SolveDC computes the operating point into a fresh OP.
+func (c *Circuit) SolveDC() (*OP, error) {
 	op := &OP{}
-	if err := c.SolveDCInto(op, prev); err != nil {
+	if err := c.SolveDCInto(op); err != nil {
 		return nil, err
 	}
 	return op, nil
@@ -797,188 +582,73 @@ func (c *Circuit) SolveDC(prev *OP) (*OP, error) {
 
 // SolveDCInto computes the operating point into dst, reusing its buffers.
 // Together with the compiled fixed-pattern assembly this makes repeated
-// re-solves after resistor edits allocation-free. prev, when non-nil,
-// warm-starts the iterative path and must not be dst itself.
-func (c *Circuit) SolveDCInto(dst, prev *OP) error {
+// re-solves after resistor edits allocation-free. A factorization failure
+// is returned as an error wrapping solver.ErrNotSPD.
+func (c *Circuit) SolveDCInto(dst *OP) error {
 	if dst == nil {
 		return fmt.Errorf("spice: SolveDCInto needs a destination OP")
-	}
-	if dst == prev {
-		return fmt.Errorf("spice: SolveDCInto destination must differ from the warm-start OP")
 	}
 	dst.c = c
 	if len(dst.volts) != len(c.names) {
 		dst.volts = make([]float64, len(c.names))
 	}
-	dst.stats = solver.Stats{}
 	if c.nFree == 0 {
 		// Everything pinned: trivial.
 		copy(dst.volts, c.fixed)
 		return nil
 	}
+	if err := c.ready(); err != nil {
+		return fmt.Errorf("spice: DC solve: %w", err)
+	}
+	a := c.asm
+	if err := a.factor.SolveInto(a.x, a.rhs); err != nil {
+		return fmt.Errorf("spice: DC solve: %w", err)
+	}
+	a.pendingEdits = 0
+	c.met.solves.Inc()
+	c.scatter(dst, a.x)
+	return nil
+}
+
+// ready compiles the system on first use and brings the factor up to date
+// with the matrix values: the first call pays the ordering, symbolic
+// analysis and numeric factorization, later ones refactor only after a
+// downdate breakdown, an edit burst past the update budget, or a failed
+// factorization.
+func (c *Circuit) ready() error {
 	if c.asm == nil {
 		c.compile()
 	}
-	a := c.asm
-	n := c.nFree
-
-	// The sparse direct path engages eagerly: above the dense ceiling the
-	// AMD-ordered factorization beats even a single cold CG solve, and its
-	// cost is amortized across every re-solve that follows.
-	if a.sparseDirect {
-		if a.schol == nil || a.needRefactor {
-			if err := c.ensureSparseFactor(); err != nil {
-				// The sparse factorization failed; fall back to CG permanently.
-				a.sparseDirect = false
-			}
-		}
-		if a.sparseDirect {
-			a.work.Reserve(n)
-			if err := a.schol.SolveInto(a.work.X, a.rhs); err != nil {
-				return fmt.Errorf("spice: DC solve: %w", err)
-			}
-			a.pendingEdits = 0
-			c.met.sparseSolves.Inc()
-			c.scatter(dst, a.work.X)
-			return nil
-		}
+	if c.asm.factor == nil || c.asm.needRefactor {
+		return c.ensureFactor()
 	}
-
-	// The dense direct path engages only once there is re-solve activity (an
-	// edit or a reset): a one-shot cold solve stays on CG and never pays the
-	// O(n³) factorization.
-	useDirect := a.direct && (a.chol != nil || a.gen > 0)
-	if useDirect && (a.chol == nil || a.needRefactor) {
-		if err := c.ensureFactor(); err != nil {
-			// The dense factorization failed; fall back to CG permanently.
-			a.direct = false
-			useDirect = false
-		}
-	}
-	if useDirect {
-		a.work.Reserve(n)
-		if err := a.chol.SolveInto(a.work.X, a.rhs); err != nil {
-			return fmt.Errorf("spice: DC solve: %w", err)
-		}
-		c.met.directSolves.Inc()
-		c.scatter(dst, a.work.X)
-		return nil
-	}
-
-	var x0 []float64
-	if prev != nil && prev.c == c {
-		x0 = a.x0
-		for i := range c.names {
-			if fi := c.freeIdx[i]; fi >= 0 {
-				x0[fi] = prev.volts[i]
-			}
-		}
-	}
-	tol := c.Tol
-	if tol == 0 {
-		tol = defaultTol
-	}
-	if c.precond == nil {
-		c.precond = solver.NewAutoPreconditioner(a.mat)
-		c.precondIters = -1
-		c.precondGen = a.gen
-		c.editsSinceRefresh = 0
-	}
-	// Staleness policy: the generation counter tells how far the
-	// preconditioner lags the matrix. Within the edit budget the stale
-	// factor is reused deliberately; past it, refresh in place.
-	if c.precondGen != a.gen && c.editsSinceRefresh >= precondRefreshEdits {
-		c.refreshPrecond()
-	}
-	x, st, err := solver.CG(a.mat, a.rhs, solver.Options{Tol: tol, M: c.precond, X0: x0, Work: &a.work})
-	if err != nil {
-		// The preconditioner may be broken (e.g. a failed in-place refresh);
-		// rebuild from scratch once and retry before giving up.
-		c.precond = solver.NewAutoPreconditioner(a.mat)
-		c.precondIters = -1
-		c.precondGen = a.gen
-		c.editsSinceRefresh = 0
-		x, st, err = solver.CG(a.mat, a.rhs, solver.Options{Tol: tol, M: c.precond, X0: x0, Work: &a.work})
-		if err != nil {
-			return fmt.Errorf("spice: DC solve: %w", err)
-		}
-	}
-	if c.precondIters < 0 {
-		c.precondIters = st.Iterations
-	} else if st.Iterations > 8*(c.precondIters+4) {
-		// Convergence drifted well past the fresh-factor baseline even
-		// inside the edit budget: refresh now so the next solve recovers.
-		c.refreshPrecond()
-	}
-	c.met.cgSolves.Inc()
-	dst.stats = st
-	c.scatter(dst, x)
 	return nil
 }
 
-// ensureFactor builds (or rebuilds, after a downdate breakdown) the cached
-// dense factor from the current matrix values.
+// ensureFactor builds (or refactors) the cached factor from the current
+// matrix values. The first build orders the system — AMD below
+// solver.NDMinNodes free nodes, nested dissection above — and factors it on
+// the process solver pool; refactorizations reuse the static structure and
+// allocate nothing. On failure the factor stays marked stale.
 func (c *Circuit) ensureFactor() error {
-	a := c.asm
-	if a.chol == nil {
-		chol, err := solver.NewDenseCholeskyFromCSR(a.mat)
-		if err != nil {
-			return err
-		}
-		a.chol = chol
-	} else if err := a.chol.RefactorFromCSR(a.mat); err != nil {
-		return err
-	}
-	a.needRefactor = false
-	return nil
-}
-
-// ensureSparseFactor builds (or refactors, after a downdate breakdown) the
-// cached sparse factor from the current matrix values. The first build picks
-// the backend by size — scalar up-looking below supernodalMinNodes free
-// nodes, blocked supernodal above with nested-dissection ordering and the
-// process solver pool — and pays the ordering plus symbolic analysis;
-// refactorizations reuse the static structure and allocate nothing.
-func (c *Circuit) ensureSparseFactor() error {
 	a := c.asm
 	done := trace.Default().Span("spice.sparse.factor")
 	defer done()
 	t0 := c.met.factorSeconds.Start()
-	if a.schol == nil {
-		var schol solver.SparseFactor
-		var err error
-		if c.nFree >= supernodalMinNodes {
-			schol, err = solver.NewSupernodalCholeskyFromCSR(a.mat, par.Shared(SolverWorkers()))
-		} else {
-			schol, err = solver.NewSparseCholeskyFromCSR(a.mat)
-		}
+	a.needRefactor = true
+	if a.factor == nil {
+		f, err := solver.NewSupernodalCholeskyFromCSR(a.mat, par.Shared(SolverWorkers()))
 		if err != nil {
 			return err
 		}
-		a.schol = schol
-	} else if err := a.schol.RefactorFromCSR(a.mat); err != nil {
+		a.factor = f
+	} else if err := a.factor.RefactorFromCSR(a.mat); err != nil {
 		return err
 	}
 	c.met.factorSeconds.ObserveSince(t0)
 	a.needRefactor = false
 	a.pendingEdits = 0
 	return nil
-}
-
-// refreshPrecond brings the cached preconditioner up to date with the
-// current matrix, in place when it supports that, and resets the staleness
-// accounting and the iteration baseline.
-func (c *Circuit) refreshPrecond() {
-	c.met.refreshes.Inc()
-	a := c.asm
-	if rf, ok := c.precond.(solver.Refreshable); ok {
-		if err := rf.Refresh(a.mat); err != nil {
-			c.precond = solver.NewAutoPreconditioner(a.mat)
-		}
-	}
-	c.precondGen = a.gen
-	c.editsSinceRefresh = 0
-	c.precondIters = -1
 }
 
 // scatter expands the free-node solution x into per-node voltages.
@@ -1033,31 +703,22 @@ func (c *Circuit) ResistorNodes(i int) (a, b int) {
 
 // SolveFreeBatch solves the compiled free-node system for nrhs stacked
 // right-hand sides (vector v occupies b[v·n:(v+1)·n], likewise x) against the
-// current cached sparse factor, bit-identical to nrhs separate solves. It is
-// only available on the sparse direct path — the batched triangular sweeps
-// are how Monte-Carlo trial groups amortize factor traffic — and builds the
-// factor on first use like SolveDCInto would.
+// current cached factor, bit-identical to nrhs separate solves — the batched
+// triangular sweeps are how Monte-Carlo trial groups amortize factor
+// traffic. It builds the factor on first use like SolveDCInto would.
 func (c *Circuit) SolveFreeBatch(x, b []float64, nrhs int) error {
-	if c.asm == nil {
-		c.compile()
+	if c.nFree == 0 {
+		return nil
 	}
-	a := c.asm
-	if !a.sparseDirect {
-		return fmt.Errorf("spice: SolveFreeBatch needs the sparse direct path (backend is %s)", c.SolverBackend())
+	if err := c.ready(); err != nil {
+		return fmt.Errorf("spice: SolveFreeBatch: %w", err)
 	}
-	if a.schol == nil || a.needRefactor {
-		if err := c.ensureSparseFactor(); err != nil {
-			a.sparseDirect = false
-			return fmt.Errorf("spice: SolveFreeBatch factorization: %w", err)
-		}
-	}
-	return a.schol.SolveBatchInto(x, b, nrhs)
+	return c.asm.factor.SolveBatchInto(x, b, nrhs)
 }
 
 // ScatterFree expands a free-node solution x (length NumFree) into the
-// per-node voltages of op, exactly as an internal solve would. op is bound to
-// this circuit and its iterative-solver stats are cleared: the caller is
-// asserting x is an exact solve of the current system.
+// per-node voltages of op, exactly as an internal solve would, and binds op
+// to this circuit.
 func (c *Circuit) ScatterFree(op *OP, x []float64) error {
 	if op == nil {
 		return fmt.Errorf("spice: ScatterFree needs a destination OP")
@@ -1069,7 +730,6 @@ func (c *Circuit) ScatterFree(op *OP, x []float64) error {
 	if len(op.volts) != len(c.names) {
 		op.volts = make([]float64, len(c.names))
 	}
-	op.stats = solver.Stats{}
 	c.scatter(op, x)
 	return nil
 }
@@ -1093,11 +753,11 @@ func (c *Circuit) GatherFree(x []float64, op *OP) error {
 }
 
 // CloneFor returns a copy of the operating point bound to clone, which must
-// be a Clone of the circuit that produced it (same node table). Rebinding
-// matters for warm starts: SolveDCInto only uses prev when it belongs to the
-// same circuit, so a cloned system must carry cloned operating points.
+// be a Clone of the circuit that produced it (same node table). GatherFree
+// only accepts operating points of its own circuit, so a cloned system must
+// carry cloned operating points.
 func (op *OP) CloneFor(clone *Circuit) *OP {
-	return &OP{c: clone, volts: append([]float64(nil), op.volts...), stats: op.stats}
+	return &OP{c: clone, volts: append([]float64(nil), op.volts...)}
 }
 
 // Voltage returns the voltage of a named node.
@@ -1111,10 +771,6 @@ func (op *OP) Voltage(name string) (float64, error) {
 
 // VoltageAt returns the voltage of node i.
 func (op *OP) VoltageAt(i int) float64 { return op.volts[i] }
-
-// Stats reports the iterative-solver statistics of the solve (zero for the
-// direct dense path, which is exact).
-func (op *OP) Stats() solver.Stats { return op.stats }
 
 // ResistorCurrent returns the current (A) through resistor i, positive from
 // terminal A to terminal B; zero when disabled.

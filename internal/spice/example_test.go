@@ -27,7 +27,7 @@ I1 n1_1_0 0 100m
 	if err != nil {
 		panic(err)
 	}
-	op, err := c.SolveDC(nil)
+	op, err := c.SolveDC()
 	if err != nil {
 		panic(err)
 	}

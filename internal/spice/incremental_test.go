@@ -1,10 +1,14 @@
 package spice
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"emvia/internal/solver"
+	"emvia/internal/sparse"
 )
 
 // meshNetlist builds an n×n unit-resistance mesh with a 1 V pad at the
@@ -64,61 +68,117 @@ func meshFailures(t *testing.T, n int) []int {
 }
 
 // solveAll returns every node voltage of a fresh solve.
-func solveAll(t *testing.T, c *Circuit, prev *OP) (*OP, []float64) {
+func solveAll(t *testing.T, c *Circuit) (*OP, []float64) {
 	t.Helper()
-	op, err := c.SolveDC(prev)
+	op, err := c.SolveDC()
 	if err != nil {
 		t.Fatalf("SolveDC: %v", err)
 	}
+	return op, voltsOf(c, op)
+}
+
+// voltsOf copies every node voltage of op.
+func voltsOf(c *Circuit, op *OP) []float64 {
 	v := make([]float64, c.NumNodes())
 	for i := range v {
 		v[i] = op.VoltageAt(i)
 	}
-	return op, v
+	return v
 }
 
-// crossCheckIncremental drives one circuit through a 20-failure sequence
-// with incremental re-solves and, at 1, 5 and 20 failures, compares every
-// node voltage against a freshly compiled circuit that receives the same
-// failures cold. The two must agree to 1e-10 (relative).
-func crossCheckIncremental(t *testing.T, configure func(c *Circuit)) {
+// coldSolver solves a circuit that has not been solved yet. The
+// cross-checks below give it a freshly compiled circuit carrying the edits
+// under test, so its answer owes nothing to the incremental machinery.
+type coldSolver func(t *testing.T, c *Circuit) []float64
+
+// coldCircuit solves through the circuit's own first solve: a cold
+// supernodal factorization of the edited matrix.
+func coldCircuit(t *testing.T, c *Circuit) []float64 {
 	t.Helper()
-	nl := meshNetlist(t, 10)
-	failures := meshFailures(t, 10)
+	_, v := solveAll(t, c)
+	return v
+}
+
+// coldReference compiles c and solves its free-node system with an
+// independent solver, bypassing the circuit's factor entirely.
+func coldReference(solve func(mat *sparse.CSR, rhs []float64) ([]float64, error)) coldSolver {
+	return func(t *testing.T, c *Circuit) []float64 {
+		t.Helper()
+		c.compile()
+		x, err := solve(c.asm.mat, c.asm.rhs)
+		if err != nil {
+			t.Fatalf("reference solve: %v", err)
+		}
+		op := c.NewOP()
+		if err := c.ScatterFree(op, x); err != nil {
+			t.Fatal(err)
+		}
+		return voltsOf(c, op)
+	}
+}
+
+// coldDense is the exact dense Cholesky reference on the same CSR.
+var coldDense = coldReference(func(mat *sparse.CSR, rhs []float64) ([]float64, error) {
+	f, err := solver.NewDenseCholeskyFromCSR(mat)
+	if err != nil {
+		return nil, err
+	}
+	return f.Solve(rhs)
+})
+
+// coldCG is an iterative reference on the same CSR, converged far below the
+// comparison budget.
+var coldCG = coldReference(func(mat *sparse.CSR, rhs []float64) ([]float64, error) {
+	x, _, err := solver.CG(mat, rhs, solver.Options{Tol: 1e-13, M: solver.NewAutoPreconditioner(mat)})
+	return x, err
+})
+
+// maxRelDiff is the worst node deviation of got from want, relative to
+// 1 + |want|.
+func maxRelDiff(got, want []float64) float64 {
+	worst := 0.0
+	for i := range got {
+		if d := math.Abs(got[i]-want[i]) / (1 + math.Abs(want[i])); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
+// crossCheckIncremental drives one circuit on an n×n mesh through a
+// 20-failure sequence with incremental re-solves — rank-one downdates of
+// the factor built by the pristine solve — and, at 1, 5 and 20 failures,
+// compares every node voltage against cold applied to a freshly compiled
+// circuit that receives the same failures before its first solve. The two
+// must agree to 1e-10 (relative).
+func crossCheckIncremental(t *testing.T, n int, cold coldSolver) {
+	t.Helper()
+	nl := meshNetlist(t, n)
+	failures := meshFailures(t, n)
 	inc, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	configure(inc)
-	op, _ := solveAll(t, inc, nil) // pristine warm-up solve
+	solveAll(t, inc) // pristine solve builds the factor
 	milestones := map[int]bool{1: true, 5: true, 20: true}
 	for k, ri := range failures {
 		if err := inc.DisableResistor(ri); err != nil {
 			t.Fatalf("failure %d (R index %d): %v", k+1, ri, err)
 		}
-		var vInc []float64
-		op, vInc = solveAll(t, inc, op)
+		_, vInc := solveAll(t, inc)
 		if !milestones[k+1] {
 			continue
 		}
-		cold, err := Compile(nl)
+		ref, err := Compile(nl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		configure(cold)
 		for _, rj := range failures[:k+1] {
-			if err := cold.DisableResistor(rj); err != nil {
+			if err := ref.DisableResistor(rj); err != nil {
 				t.Fatal(err)
 			}
 		}
-		_, vCold := solveAll(t, cold, nil)
-		worst := 0.0
-		for i := range vInc {
-			d := math.Abs(vInc[i]-vCold[i]) / (1 + math.Abs(vCold[i]))
-			if d > worst {
-				worst = d
-			}
-		}
+		worst := maxRelDiff(vInc, cold(t, ref))
 		t.Logf("after %2d failures: worst relative deviation %.2e", k+1, worst)
 		if worst > 1e-10 {
 			t.Errorf("after %d failures: incremental deviates from cold by %g, want ≤ 1e-10", k+1, worst)
@@ -126,64 +186,55 @@ func crossCheckIncremental(t *testing.T, configure func(c *Circuit)) {
 	}
 }
 
+// TestIncrementalMatchesColdDirect checks the incremental engine on a
+// 99-free-node mesh (AMD-ordered) against a dense Cholesky factorization of
+// the cold-compiled matrix.
 func TestIncrementalMatchesColdDirect(t *testing.T) {
-	// The cold reference circuit applies its edits before the first solve,
-	// so it stays on the CG path (the direct factor only activates after a
-	// post-compile edit); the tight tolerance keeps the reference within the
-	// comparison budget of the exact rank-one-updated factor.
-	crossCheckIncremental(t, func(c *Circuit) {
-		c.DirectMaxNodes = 1024 // force the dense rank-one update path
-		c.Tol = 1e-13
-	})
+	crossCheckIncremental(t, 10, coldDense)
 }
 
+// TestIncrementalMatchesColdCG checks the incremental engine against
+// preconditioned CG on the cold-compiled matrix: a reference that shares no
+// factorization code with the engine at all.
 func TestIncrementalMatchesColdCG(t *testing.T) {
-	crossCheckIncremental(t, func(c *Circuit) {
-		c.DirectMaxNodes = -1 // force the preconditioned CG path
-		c.Tol = 1e-13
-	})
+	crossCheckIncremental(t, 10, coldCG)
 }
 
 // TestIncrementalMatchesColdSparse pins the sparse up/downdate path against
-// cold refactorization: the incremental circuit chases 20 failures with
-// rank-one downdates of its AMD-ordered factor while the reference refactors
-// from scratch at each milestone.
+// cold refactorization on a mesh above solver.NDMinNodes, where the factor is
+// nested-dissection-ordered: the incremental circuit chases 20 failures with
+// rank-one downdates while the reference factors from scratch at each
+// milestone.
 func TestIncrementalMatchesColdSparse(t *testing.T) {
-	crossCheckIncremental(t, func(c *Circuit) {
-		c.Solver = SolverSparse
-	})
+	crossCheckIncremental(t, ndMesh, coldCircuit)
 }
 
-// TestSolverBackendsAgree solves the same pristine mesh on every backend and
-// compares all node voltages pairwise. The direct backends are exact; CG at
-// Tol 1e-13 must land within 1e-8 of them.
+// ndMesh is the smallest mesh side whose free-node count (n² − 1 with one
+// pad) reaches solver.NDMinNodes, so its factor is ND-ordered.
+const ndMesh = 65
+
+// TestSolverBackendsAgree solves the same pristine mesh with the circuit's
+// supernodal factor and, on the same compiled CSR, with the dense Cholesky
+// and CG references. The direct solves are exact and must agree to
+// rounding; CG at Tol 1e-13 must land within 1e-8 of them.
 func TestSolverBackendsAgree(t *testing.T) {
 	nl := meshNetlist(t, 10)
 	volts := map[string][]float64{}
-	for _, mode := range []SolverMode{SolverDense, SolverSparse, SolverCG} {
+	for name, solve := range map[string]coldSolver{"supernodal": coldCircuit, "dense": coldDense, "cg": coldCG} {
 		c, err := Compile(nl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Solver = mode
-		c.Tol = 1e-13
-		_, v := solveAll(t, c, nil)
-		if got := c.SolverBackend(); got != mode.String() {
-			t.Errorf("SolverBackend() = %q after solving with %v", got, mode)
-		}
-		volts[mode.String()] = v
+		volts[name] = solve(t, c)
 	}
-	for _, pair := range [][2]string{{"dense", "sparse"}, {"dense", "cg"}, {"sparse", "cg"}} {
-		va, vb := volts[pair[0]], volts[pair[1]]
-		worst := 0.0
-		for i := range va {
-			if d := math.Abs(va[i]-vb[i]) / (1 + math.Abs(vb[i])); d > worst {
-				worst = d
-			}
-		}
-		t.Logf("%s vs %s: worst relative deviation %.2e", pair[0], pair[1], worst)
-		if worst > 1e-8 {
-			t.Errorf("%s and %s disagree by %g, want ≤ 1e-8", pair[0], pair[1], worst)
+	for _, tc := range []struct {
+		a, b string
+		tol  float64
+	}{{"supernodal", "dense", 1e-12}, {"supernodal", "cg", 1e-8}, {"dense", "cg", 1e-8}} {
+		worst := maxRelDiff(volts[tc.a], volts[tc.b])
+		t.Logf("%s vs %s: worst relative deviation %.2e", tc.a, tc.b, worst)
+		if worst > tc.tol {
+			t.Errorf("%s and %s disagree by %g, want ≤ %g", tc.a, tc.b, worst, tc.tol)
 		}
 	}
 }
@@ -198,14 +249,10 @@ func TestCloneBitIdenticalSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	master.Solver = SolverSparse
-	opM, _ := solveAll(t, master, nil) // builds the shared factor
+	solveAll(t, master) // builds the shared factor
 	clone := master.Clone()
-	if got, want := clone.SolverBackend(), master.SolverBackend(); got != want {
-		t.Fatalf("clone backend %q, master %q", got, want)
-	}
-	opC, vC := solveAll(t, clone, nil)
-	_, vM := solveAll(t, master, opM)
+	_, vC := solveAll(t, clone)
+	_, vM := solveAll(t, master)
 	for i := range vM {
 		if vM[i] != vC[i] {
 			t.Fatalf("pristine node %d: master %v clone %v (not bit-identical)", i, vM[i], vC[i])
@@ -218,8 +265,8 @@ func TestCloneBitIdenticalSparse(t *testing.T) {
 		if err := clone.DisableResistor(ri); err != nil {
 			t.Fatal(err)
 		}
-		opM, vM = solveAll(t, master, opM)
-		opC, vC = solveAll(t, clone, opC)
+		_, vM = solveAll(t, master)
+		_, vC = solveAll(t, clone)
 		for i := range vM {
 			if vM[i] != vC[i] {
 				t.Fatalf("step %d node %d: master %v clone %v (not bit-identical)", step, i, vM[i], vC[i])
@@ -229,8 +276,8 @@ func TestCloneBitIdenticalSparse(t *testing.T) {
 	// Per-trial reset must restore both to the same pristine state.
 	master.ResetResistors()
 	clone.ResetResistors()
-	_, vM = solveAll(t, master, nil)
-	_, vC = solveAll(t, clone, nil)
+	_, vM = solveAll(t, master)
+	_, vC = solveAll(t, clone)
 	for i := range vM {
 		if vM[i] != vC[i] {
 			t.Fatalf("post-reset node %d: master %v clone %v", i, vM[i], vC[i])
@@ -256,8 +303,7 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Solver = SolverSparse
-	solveAll(t, c, nil)
+	solveAll(t, c)
 	if got, want := c.NumCurrents(), len(nl.Currents); got != want {
 		t.Fatalf("NumCurrents() = %d, want %d", got, want)
 	}
@@ -278,15 +324,14 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Solver = SolverSparse
-	_, vWant := solveAll(t, ref, nil)
+	_, vWant := solveAll(t, ref)
 	for i, want := range ref.asm.rhs {
 		if got := c.asm.rhs[i]; got != want {
 			t.Fatalf("RHS %d: restamped %v vs recompiled %v (not bit-identical)", i, got, want)
 		}
 	}
 	c.ResetResistors() // must keep the new loads
-	_, vGot := solveAll(t, c, nil)
+	_, vGot := solveAll(t, c)
 	for i := range vGot {
 		if vGot[i] != vWant[i] {
 			t.Fatalf("node %d: pushed %g vs recompiled %g (not bit-identical)", i, vGot[i], vWant[i])
@@ -306,15 +351,14 @@ func TestSparseUpdateBudgetRefactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Solver = SolverSparse
-	solveAll(t, c, nil)
+	solveAll(t, c)
 	// Rescale every resistor: far more edits than sparseUpdateBudget.
 	for i := range nl.Resistors {
 		if err := c.SetResistor(i, nl.Resistors[i].Ohms*1.31); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_, vGot := solveAll(t, c, nil)
+	_, vGot := solveAll(t, c)
 
 	edited := *nl
 	edited.Resistors = append([]Resistor(nil), nl.Resistors...)
@@ -325,8 +369,7 @@ func TestSparseUpdateBudgetRefactors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Solver = SolverSparse
-	_, vWant := solveAll(t, ref, nil)
+	_, vWant := solveAll(t, ref)
 	for i := range vGot {
 		if d := math.Abs(vGot[i]-vWant[i]) / (1 + math.Abs(vWant[i])); d > 1e-10 {
 			t.Fatalf("node %d: bulk-edited %g vs recompiled %g (rel %g)", i, vGot[i], vWant[i], d)
@@ -340,7 +383,7 @@ func TestResistorCurrentZeroWhenDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := c.SolveDC(nil)
+	op, err := c.SolveDC()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +393,7 @@ func TestResistorCurrentZeroWhenDisabled(t *testing.T) {
 	if err := c.DisableResistor(3); err != nil {
 		t.Fatal(err)
 	}
-	op, err = c.SolveDC(op)
+	op, err = c.SolveDC()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,29 +411,27 @@ func TestSetResistorReenablesDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Tol = 1e-13
-	op, _ := solveAll(t, c, nil)
+	solveAll(t, c)
 	if err := c.DisableResistor(5); err != nil {
 		t.Fatal(err)
 	}
-	op, _ = solveAll(t, c, op)
+	solveAll(t, c)
 	if err := c.SetResistor(5, 2.5); err != nil {
 		t.Fatal(err)
 	}
 	if c.ResistorDisabled(5) {
 		t.Fatal("resistor still disabled after SetResistor")
 	}
-	_, vGot := solveAll(t, c, op)
+	_, vGot := solveAll(t, c)
 
 	ref, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.Tol = 1e-13
 	if err := ref.SetResistor(5, 2.5); err != nil {
 		t.Fatal(err)
 	}
-	_, vWant := solveAll(t, ref, nil)
+	_, vWant := solveAll(t, ref)
 	for i := range vGot {
 		if d := math.Abs(vGot[i]-vWant[i]) / (1 + math.Abs(vWant[i])); d > 1e-9 {
 			t.Fatalf("node %d: re-enabled %g vs fresh %g (rel %g)", i, vGot[i], vWant[i], d)
@@ -407,11 +448,10 @@ func TestResetResistorsRestoresPristine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op0, _ := solveAll(t, c, nil) // cold compile + solve
-	// A reset right after the pristine solve builds and snapshots the exact
-	// pristine factor, so both compared solves below use the direct path.
+	solveAll(t, c) // cold compile + solve
+	// A reset right after the pristine solve snapshots the pristine factor.
 	c.ResetResistors()
-	_, v0 := solveAll(t, c, op0)
+	_, v0 := solveAll(t, c)
 	for _, ri := range []int{1, 7, 12} {
 		if err := c.DisableResistor(ri); err != nil {
 			t.Fatal(err)
@@ -420,14 +460,14 @@ func TestResetResistorsRestoresPristine(t *testing.T) {
 	if err := c.SetResistor(20, 9); err != nil {
 		t.Fatal(err)
 	}
-	op, _ := solveAll(t, c, nil)
+	solveAll(t, c)
 	c.ResetResistors()
 	for _, ri := range []int{1, 7, 12} {
 		if c.ResistorDisabled(ri) {
 			t.Fatalf("resistor %d still disabled after reset", ri)
 		}
 	}
-	_, v1 := solveAll(t, c, op)
+	_, v1 := solveAll(t, c)
 	for i := range v0 {
 		if d := math.Abs(v1[i]-v0[i]) / (1 + math.Abs(v0[i])); d > 1e-10 {
 			t.Fatalf("node %d: post-reset %g vs pristine %g", i, v1[i], v0[i])
@@ -443,7 +483,7 @@ func TestGenerationCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SolveDC(nil); err != nil {
+	if _, err := c.SolveDC(); err != nil {
 		t.Fatal(err)
 	}
 	g0 := c.Generation()
@@ -475,41 +515,39 @@ func TestGenerationCounter(t *testing.T) {
 
 // TestSolveDCIncrementalAllocs is the allocation budget of the Monte-Carlo
 // hot path: once the solver is warm, a disable → re-solve → re-enable cycle
-// must not touch the heap, on either solve path.
+// must not touch the heap, on a small AMD-ordered mesh ("direct", the size
+// class of the paper's test grids) and on an ND-ordered one ("sparse").
 func TestSolveDCIncrementalAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		configure func(c *Circuit)
+		name string
+		mesh int
 	}{
-		{"direct", func(c *Circuit) { c.DirectMaxNodes = 1024 }},
-		{"sparse", func(c *Circuit) { c.Solver = SolverSparse }},
-		{"cg", func(c *Circuit) { c.DirectMaxNodes = -1 }},
+		{"direct", 10},
+		{"sparse", ndMesh},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			nl := meshNetlist(t, 10)
+			nl := meshNetlist(t, tc.mesh)
 			c, err := Compile(nl)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.configure(c)
-			prev, err := c.SolveDC(nil)
-			if err != nil {
+			if _, err := c.SolveDC(); err != nil {
 				t.Fatal(err)
 			}
 			dst := c.NewOP()
-			// Warm-up: trigger lazy factor construction / preconditioner
-			// refresh so steady state is reached before counting.
+			// Warm-up: compile the slot map and reach steady state before
+			// counting.
 			for i := 0; i < 3; i++ {
 				if err := c.DisableResistor(4); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.SolveDCInto(dst, prev); err != nil {
+				if err := c.SolveDCInto(dst); err != nil {
 					t.Fatal(err)
 				}
 				if err := c.SetResistor(4, 1); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.SolveDCInto(dst, prev); err != nil {
+				if err := c.SolveDCInto(dst); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -517,13 +555,13 @@ func TestSolveDCIncrementalAllocs(t *testing.T) {
 				if err := c.DisableResistor(4); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.SolveDCInto(dst, prev); err != nil {
+				if err := c.SolveDCInto(dst); err != nil {
 					t.Fatal(err)
 				}
 				if err := c.SetResistor(4, 1); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.SolveDCInto(dst, prev); err != nil {
+				if err := c.SolveDCInto(dst); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -531,5 +569,76 @@ func TestSolveDCIncrementalAllocs(t *testing.T) {
 				t.Errorf("%s hot loop allocates %.1f objects per cycle, want 0", tc.name, allocs)
 			}
 		})
+	}
+}
+
+// TestDowndateBreakdownRefactors forces a failure downdate to break down and
+// checks the circuit recovers by refactoring from its matrix values: the
+// factor is first downdated behind the circuit's back by most of a
+// resistor's conductance, so removing the whole resistor drives it
+// indefinite.
+func TestDowndateBreakdownRefactors(t *testing.T) {
+	nl := meshNetlist(t, 10)
+	c, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solveAll(t, c)
+	ri := meshFailures(t, 10)[3]
+	fa, fb, _, _ := c.ResistorTerms(ri)
+	s := math.Sqrt(0.999 * c.ResistorConductance(ri))
+	if err := c.asm.factor.DowndateEdge(fa, fb, s); err != nil {
+		t.Fatalf("setup downdate: %v", err)
+	}
+	if err := c.DisableResistor(ri); err != nil {
+		t.Fatal(err)
+	}
+	if !c.asm.needRefactor {
+		t.Fatal("an indefinite downdate did not mark the factor for refactoring")
+	}
+	_, vGot := solveAll(t, c)
+	ref, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.DisableResistor(ri); err != nil {
+		t.Fatal(err)
+	}
+	if d := maxRelDiff(vGot, coldDense(t, ref)); d > 1e-10 {
+		t.Errorf("recovered solve deviates from cold by %g, want ≤ 1e-10", d)
+	}
+}
+
+// TestFactorizationFailureSurfaces corrupts the pristine snapshot so that a
+// trial reset cannot factor it, and checks the failure reaches the caller:
+// both the next SolveDC and the next SolveFreeBatch return an error wrapping
+// solver.ErrNotSPD, and a later reset from repaired values recovers.
+func TestFactorizationFailureSurfaces(t *testing.T) {
+	nl := meshNetlist(t, 10)
+	c, err := Compile(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, v0 := solveAll(t, c)
+	if err := c.DisableResistor(4); err != nil { // compiles the snapshots
+		t.Fatal(err)
+	}
+	a := c.asm
+	slot := a.mat.SlotIndex(5, 5)
+	good := a.mat0[slot]
+	a.mat0[slot] = -1
+	c.ResetResistors()
+	if _, err := c.SolveDC(); !errors.Is(err, solver.ErrNotSPD) {
+		t.Fatalf("SolveDC after a failed reset returned %v, want ErrNotSPD", err)
+	}
+	n := c.NumFree()
+	if err := c.SolveFreeBatch(make([]float64, n), make([]float64, n), 1); !errors.Is(err, solver.ErrNotSPD) {
+		t.Fatalf("SolveFreeBatch after a failed reset returned %v, want ErrNotSPD", err)
+	}
+	a.mat0[slot] = good
+	c.ResetResistors()
+	_, v1 := solveAll(t, c)
+	if d := maxRelDiff(v1, v0); d > 1e-12 {
+		t.Errorf("solve after repair deviates from pristine by %g", d)
 	}
 }

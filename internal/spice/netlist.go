@@ -2,7 +2,8 @@
 // analysis: netlists of resistors, independent current sources (loads) and
 // ground-referenced voltage sources (pads), in the dialect of the IBM power
 // grid benchmarks [Nassif, ASP-DAC'08], plus a DC operating-point solver
-// based on nodal analysis over the shared sparse/CG stack.
+// based on nodal analysis with an incrementally updated supernodal sparse
+// Cholesky factor.
 package spice
 
 import (
@@ -92,8 +93,8 @@ func Parse(r io.Reader) (*Netlist, error) {
 		}
 		switch strings.ToLower(line[:1]) {
 		case "r":
-			if val <= 0 {
-				return nil, fmt.Errorf("spice: line %d: resistor %s has non-positive value %g", lineNo, f[0], val)
+			if !validOhms(val) {
+				return nil, fmt.Errorf("spice: line %d: %w", lineNo, ohmsError(f[0], val))
 			}
 			nl.Resistors = append(nl.Resistors, Resistor{Name: f[0], A: f[1], B: f[2], Ohms: val})
 		case "i":

@@ -10,27 +10,24 @@ const (
 	CGIterations    = "solver.cg.iterations"
 	CGItersPerSolve = "solver.cg.iterations_per_solve"
 
-	// internal/solver — dense Cholesky (the direct re-solve path).
+	// internal/solver — dense Cholesky (the via-array networks).
 	DenseFactorizations = "solver.dense.factorizations"
 	DenseUpdates        = "solver.dense.updates"
 	DenseDowndates      = "solver.dense.downdates"
 	DenseSolves         = "solver.dense.solves"
 
-	// internal/solver — sparse Cholesky (the large-grid direct path).
+	// internal/solver — supernodal sparse Cholesky (the power-grid solver).
 	SparseFactorizations = "solver.sparse.factorizations"
 	SparseUpdates        = "solver.sparse.updates"
 	SparseDowndates      = "solver.sparse.downdates"
 	SparseSolves         = "solver.sparse.solves"
 
 	// internal/spice — the incremental re-solve engine.
-	SpiceCompiles         = "spice.compiles"
-	SpiceSlotEdits        = "spice.slot_edits"
-	SpiceResets           = "spice.resets"
-	SpiceDirectSolves     = "spice.solves.direct"
-	SpiceSparseSolves     = "spice.solves.sparse"
-	SpiceCGSolves         = "spice.solves.cg"
-	SpicePrecondRefreshes = "spice.precond.refreshes"
-	SpiceFactorSeconds    = "spice.sparse.factor_seconds"
+	SpiceCompiles      = "spice.compiles"
+	SpiceSlotEdits     = "spice.slot_edits"
+	SpiceResets        = "spice.resets"
+	SpiceSparseSolves  = "spice.solves.sparse"
+	SpiceFactorSeconds = "spice.sparse.factor_seconds"
 
 	// internal/mc — the sequential-failure Monte-Carlo engine.
 	MCTrials           = "mc.trials"

@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-grid_benches='BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactor'
+grid_benches='BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactorSupernodal'
 grid_small='BenchmarkGridSolve/^nx(10|20|40|80)$'
 grid_large='BenchmarkGridSolve/^nx(200|400)$|BenchmarkGridMCScreened|BenchmarkGridMCSharded'
 fea_benches='BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEAWorkers|BenchmarkStressCacheWarm'

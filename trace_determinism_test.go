@@ -1,9 +1,11 @@
 // Trace determinism matrix: the structured-event layer must produce a JSONL
-// stream that is byte-identical between the serial Monte-Carlo engine and
-// every parallel worker count. Cascade events carry only simulated time and
-// component identity, workers write into per-trial buffer slots, and the
-// merge walks trials in index order — so any wall-clock or scheduling leak
-// into the event stream fails this test loudly.
+// cascade stream that is byte-identical between the serial Monte-Carlo
+// engine and every parallel worker count. Cascade events carry only
+// simulated time and component identity, workers write into per-trial
+// buffer slots, and the merge walks trials in index order — so any
+// wall-clock or scheduling leak into the event stream fails this test
+// loudly. Span events are the trace's separate wall-clock stream and are
+// compared apart from it.
 package emvia_test
 
 import (
@@ -22,9 +24,11 @@ import (
 )
 
 // captureTraceJSONL installs a fresh tracer around fn and returns the JSONL
-// bytes it emitted. The default tracer is always uninstalled before return so
+// lines it emitted, split into the deterministic cascade stream and the
+// wall-clock span lines (`"type":"span"`), whose timing fields differ run to
+// run by design. The default tracer is always uninstalled before return so
 // a failing fn cannot leak tracing into other tests.
-func captureTraceJSONL(t *testing.T, fn func() error) []byte {
+func captureTraceJSONL(t *testing.T, fn func() error) (cascade, spans []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := trace.New(trace.Options{Sinks: []trace.Sink{trace.NewJSONLSink(&buf)}})
@@ -38,7 +42,14 @@ func captureTraceJSONL(t *testing.T, fn func() error) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	for _, line := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
+		if bytes.Contains(line, []byte(`"type":"span"`)) {
+			spans = append(spans, line...)
+		} else {
+			cascade = append(cascade, line...)
+		}
+	}
+	return cascade, spans
 }
 
 // TestTraceDeterminismViaArrayMC asserts the merged event stream of
@@ -48,7 +59,7 @@ func TestTraceDeterminismViaArrayMC(t *testing.T) {
 	cfg := ablationConfig(4, 16)
 	opt := mc.Options{Trials: 40, Seed: 42, RunToCompletion: true}
 
-	ref := captureTraceJSONL(t, func() error {
+	ref, _ := captureTraceJSONL(t, func() error {
 		sys, err := viaarray.New(cfg)
 		if err != nil {
 			return err
@@ -66,7 +77,7 @@ func TestTraceDeterminismViaArrayMC(t *testing.T) {
 	for _, w := range mcWorkerCounts {
 		popt := opt
 		popt.Workers = w
-		got := captureTraceJSONL(t, func() error {
+		got, _ := captureTraceJSONL(t, func() error {
 			_, err := mc.RunParallel(func() (mc.System, error) { return viaarray.New(cfg) }, popt)
 			return err
 		})
@@ -78,7 +89,10 @@ func TestTraceDeterminismViaArrayMC(t *testing.T) {
 }
 
 // TestTraceDeterminismGridMC is the same matrix over the power-grid system,
-// whose trials trigger SPICE re-solves and spec-violation events.
+// whose trials trigger SPICE re-solves and spec-violation events. Every
+// system factors its grid, so each run must also emit spice.sparse.factor
+// spans — proof the wall-clock stream was captured and set aside rather
+// than absent.
 func TestTraceDeterminismGridMC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid Monte Carlo is slow under -short")
@@ -86,7 +100,7 @@ func TestTraceDeterminismGridMC(t *testing.T) {
 	cfg := traceGridConfig(t)
 	opt := mc.Options{Trials: 12, Seed: 7}
 
-	ref := captureTraceJSONL(t, func() error {
+	ref, refSpans := captureTraceJSONL(t, func() error {
 		sys, err := pdn.NewSystem(cfg)
 		if err != nil {
 			return err
@@ -97,14 +111,21 @@ func TestTraceDeterminismGridMC(t *testing.T) {
 	if !bytes.Contains(ref, []byte(`"spec_violation"`)) {
 		t.Fatalf("grid trace has no spec_violation events:\n%.400s", ref)
 	}
+	factorSpan := []byte(`"label":"spice.sparse.factor"`)
+	if !bytes.Contains(refSpans, factorSpan) {
+		t.Fatalf("serial grid run emitted no spice.sparse.factor spans:\n%.400s", refSpans)
+	}
 
 	for _, w := range mcWorkerCounts {
 		popt := opt
 		popt.Workers = w
-		got := captureTraceJSONL(t, func() error {
+		got, spans := captureTraceJSONL(t, func() error {
 			_, err := mc.RunParallel(func() (mc.System, error) { return pdn.NewSystem(cfg) }, popt)
 			return err
 		})
+		if !bytes.Contains(spans, factorSpan) {
+			t.Fatalf("Workers=%d: grid run emitted no spice.sparse.factor spans", w)
+		}
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("Workers=%d: grid trace differs from serial run (%d vs %d bytes)\nfirst divergence: %s",
 				w, len(got), len(ref), firstDivergence(got, ref))
