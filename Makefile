@@ -18,9 +18,10 @@ check:
 	    ./internal/telemetry ./internal/trace ./internal/monitor ./internal/cliobs \
 	    ./internal/steady ./internal/serve
 
-# lint runs staticcheck if it is on PATH (CI installs a pinned version;
-# locally it is optional) on top of go vet.
+# lint checks gofmt and runs staticcheck if it is on PATH (CI installs a
+# pinned version; locally it is optional) on top of go vet.
 lint:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; fi

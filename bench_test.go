@@ -6,6 +6,7 @@
 package emvia_test
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -630,7 +631,7 @@ func BenchmarkGridMCScreened(b *testing.B) {
 	if err := g.Tune(0.010, refViaAmps); err != nil {
 		b.Fatal(err)
 	}
-	screen, err := pdn.ScreenGrid(g, pdn.ScreenConfig{})
+	_, screen, err := pdn.Analyze(context.Background(), pdn.TTFConfig{Grid: g}, pdn.ScreenConfig{}, mc.Options{Engine: mc.EngineSteady})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,9 +12,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -149,6 +151,25 @@ func femFlags(fs *flag.FlagSet) func(a *core.Analyzer) error {
 	}
 }
 
+// writeOutput hands write the file at path, or stdout when path is empty.
+// The file's Close error is returned, so a failed final write-back is not
+// reported as success.
+func writeOutput(path string, write func(io.Writer) error) (err error) {
+	if path == "" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return write(f)
+}
+
 func cmdGen(args []string) error {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
 	name := fs.String("name", "PG1", "grid name: PG1, PG2, PG5, or custom")
@@ -163,27 +184,7 @@ func cmdGen(args []string) error {
 		return err
 	}
 	cliobs.RecordFlags(fs)
-	var spec pdn.GridSpec
-	switch strings.ToUpper(*name) {
-	case "PG1":
-		spec = pdn.PG1Spec()
-	case "PG2":
-		spec = pdn.PG2Spec()
-	case "PG5":
-		spec = pdn.PG5Spec()
-	default:
-		spec = pdn.PG1Spec()
-		spec.Name = *name
-	}
-	if *nx > 0 {
-		spec.NX = *nx
-	}
-	if *ny > 0 {
-		spec.NY = *ny
-	}
-	if *padPeriod > 0 {
-		spec.PadPeriod = *padPeriod
-	}
+	spec := pdn.PresetSpec(*name, *nx, *ny, *padPeriod)
 	spec.Seed = *seed
 	g, err := pdn.Generate(spec)
 	if err != nil {
@@ -192,16 +193,7 @@ func cmdGen(args []string) error {
 	if err := g.Tune(*ir, *viaCur); err != nil {
 		return err
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := g.Netlist.Write(w); err != nil {
+	if err := writeOutput(*out, g.Netlist.Write); err != nil {
 		return err
 	}
 	imax, irGot, err := g.MaxViaCurrent()
@@ -321,16 +313,7 @@ func cmdCharacterize(args []string) error {
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return table.Save(w)
+	return writeOutput(*out, table.Save)
 }
 
 // parseArrayCriterion maps the CLI spelling to a criterion.
@@ -385,16 +368,7 @@ func cmdCharModels(args []string) error {
 		FailK:  viaarray.FailKForResistanceFactor(*arrayN, resistanceFactorOf(ac)),
 		Models: models,
 	}
-	dst := os.Stdout
-	if *out != "" {
-		fo, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer fo.Close()
-		dst = fo
-	}
-	return set.Save(dst)
+	return writeOutput(*out, set.Save)
 }
 
 func resistanceFactorOf(c core.ArrayCriterion) float64 {
@@ -445,13 +419,8 @@ func cmdAnalyze(args []string, engineFlag string) error {
 	if err != nil {
 		return fmt.Errorf("analyze: %w", err)
 	}
-	var sc pdn.Criterion
-	switch *sysCrit {
-	case "wl":
-		sc = pdn.WeakestLink
-	case "ir":
-		sc = pdn.IRDrop
-	default:
+	sc, err := pdn.ParseCriterion(*sysCrit)
+	if err != nil {
 		return fmt.Errorf("analyze: unknown -syscrit %q", *sysCrit)
 	}
 
@@ -466,7 +435,7 @@ func cmdAnalyze(args []string, engineFlag string) error {
 	if engine == mc.EngineSteady {
 		// Screening-only backend: one pristine solve plus one linear walk,
 		// no characterization, no Monte Carlo.
-		screen, err := a.ScreenGrid(g)
+		_, screen, err := pdn.Analyze(context.Background(), pdn.TTFConfig{Grid: g}, pdn.ScreenConfig{EM: a.EM}, mc.Options{Engine: engine})
 		if err != nil {
 			return err
 		}
@@ -512,7 +481,7 @@ func cmdAnalyze(args []string, engineFlag string) error {
 		}
 	}
 	fmt.Printf("grid: %d via arrays; via config %dx%d; array criterion %v; system criterion %v\n",
-		len(g.Vias), *arrayN, *arrayN, ac, sc)
+		len(g.Vias), analysis.ArrayN, analysis.ArrayN, ac, sc)
 	if rep.Screen != nil {
 		recordScreen(rep.Screen)
 		if err := writeScreenJSON(*screenOut, g, rep.Screen); err != nil {
@@ -635,16 +604,11 @@ func cmdXSection(args []string) error {
 	cliobs.RecordFlags(fs)
 	p := cudd.DefaultParams()
 	p.ArrayN = *arrayN
-	switch *pattern {
-	case "plus":
-		p.Pattern = cudd.Plus
-	case "t":
-		p.Pattern = cudd.TShape
-	case "l":
-		p.Pattern = cudd.LShape
-	default:
+	pat, err := cudd.ParsePattern(*pattern)
+	if err != nil {
 		return fmt.Errorf("xsection: unknown pattern %q", *pattern)
 	}
+	p.Pattern = pat
 	w, err := spice.ParseValue(*width)
 	if err != nil {
 		return fmt.Errorf("xsection: -width: %w", err)
@@ -659,16 +623,9 @@ func cmdXSection(args []string) error {
 	if v, err := p.Validate(); err == nil {
 		p.StepArray = v.ViaSide() / 2
 	}
-	dst := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
-	}
-	return cudd.WriteStructureSVG(dst, p, *px)
+	return writeOutput(*out, func(w io.Writer) error {
+		return cudd.WriteStructureSVG(w, p, *px)
+	})
 }
 
 func cmdHotspots(args []string) error {
@@ -733,9 +690,9 @@ func cmdHotspots(args []string) error {
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *irmap)
 	}
-	res, err := pdn.AnalyzeTTF(pdn.TTFConfig{
+	res, _, err := pdn.Analyze(context.Background(), pdn.TTFConfig{
 		Grid: g, Models: set.Models, Criterion: pdn.IRDrop, IRDropFrac: *irFrac,
-	}, *trials, *seed)
+	}, pdn.ScreenConfig{}, mc.Options{Trials: *trials, Seed: *seed})
 	if err != nil {
 		return err
 	}
@@ -764,15 +721,8 @@ func cmdOptimize(args []string) error {
 		return err
 	}
 	cliobs.RecordFlags(fs)
-	var pat cudd.Pattern
-	switch *pattern {
-	case "plus":
-		pat = cudd.Plus
-	case "t":
-		pat = cudd.TShape
-	case "l":
-		pat = cudd.LShape
-	default:
+	pat, err := cudd.ParsePattern(*pattern)
+	if err != nil {
 		return fmt.Errorf("optimize: unknown pattern %q", *pattern)
 	}
 	w, err := spice.ParseValue(*width)

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"emvia/internal/core"
 	"emvia/internal/cudd"
+	"emvia/internal/mc"
 	"emvia/internal/pdn"
 	"emvia/internal/phys"
 	"emvia/internal/thermal"
@@ -51,9 +53,9 @@ func figS2(a *core.Analyzer, opt options) error {
 	if err != nil {
 		return err
 	}
-	res, err := pdn.AnalyzeTTF(pdn.TTFConfig{
+	res, _, err := pdn.Analyze(context.Background(), pdn.TTFConfig{
 		Grid: g, Models: models, Criterion: pdn.IRDrop, IRDropFrac: irCriterion,
-	}, opt.gridTrials, opt.seed+5)
+	}, pdn.ScreenConfig{}, mc.Options{Trials: opt.gridTrials, Seed: opt.seed + 5})
 	if err != nil {
 		return err
 	}

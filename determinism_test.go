@@ -8,6 +8,7 @@
 package emvia_test
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"testing"
@@ -143,7 +144,7 @@ func TestDeterminismMatrixGridMC(t *testing.T) {
 // TestDeterminismMatrixGridMCSparse repeats the grid matrix with the
 // production worker topology: one master system is compiled and factored
 // with the supernodal sparse Cholesky, every parallel worker runs on a Clone
-// of it (the AnalyzeTTF fast path), and the result must still match the
+// of it (the pdn.Analyze fast path), and the result must still match the
 // serial engine bit for bit at every worker count.
 func TestDeterminismMatrixGridMCSparse(t *testing.T) {
 	if testing.Short() {
@@ -271,7 +272,7 @@ func TestDeterminismMatrixGridMCScreened(t *testing.T) {
 		Criterion:  pdn.IRDrop,
 		IRDropFrac: 0.10,
 	}
-	screen, err := pdn.ScreenGrid(g, pdn.ScreenConfig{})
+	_, screen, err := pdn.Analyze(context.Background(), cfg, pdn.ScreenConfig{}, mc.Options{Engine: mc.EngineSteady})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -335,9 +336,10 @@ type GridAnalysis struct {
 	// order), e.g. from AnalyzeGridThermal's local-temperature factors.
 	TTFScale []float64
 	// Engine selects the analysis engine (mc.EngineMC/EngineBoth; empty =
-	// mc). EngineBoth runs the linear-time steady-state screen first and
-	// prunes the Monte Carlo to its mortal subset; the legacy mc engine is
-	// byte-identical to runs that predate the screen.
+	// mc; the grid analyses reject EngineSteady). EngineBoth runs the
+	// linear-time steady-state screen first and prunes the Monte Carlo to its
+	// mortal subset; the legacy mc engine is byte-identical to runs that
+	// predate the screen.
 	Engine string
 }
 
@@ -384,10 +386,28 @@ func (r *GridReport) PercentileCIYears(p, conf float64, seed int64) (lo, hi floa
 	return phys.SecondsToYears(lo), phys.SecondsToYears(hi), nil
 }
 
+// validate rejects an analysis the grid level cannot run, before any
+// characterization is spent on it: a missing grid, or an engine other than
+// mc and both. The steady engine classifies a grid without sampling a
+// lifetime, so it has no TTF distribution to report; pdn.Analyze runs it.
+func (g GridAnalysis) validate() error {
+	if g.Grid == nil {
+		return fmt.Errorf("core: GridAnalysis needs a grid")
+	}
+	engine, err := mc.ParseEngine(g.Engine)
+	if err != nil {
+		return err
+	}
+	if engine == mc.EngineSteady {
+		return fmt.Errorf("core: the steady engine produces no TTF distribution; a grid analysis needs engine mc or both")
+	}
+	return nil
+}
+
 // AnalyzeGrid runs the full two-level pipeline for one experiment.
 func (a *Analyzer) AnalyzeGrid(g GridAnalysis) (*GridReport, error) {
-	if g.Grid == nil {
-		return nil, fmt.Errorf("core: GridAnalysis needs a grid")
+	if err := g.validate(); err != nil {
+		return nil, err
 	}
 	if g.CharTrials == 0 {
 		g.CharTrials = 500
@@ -409,30 +429,19 @@ func (a *Analyzer) AnalyzeGrid(g GridAnalysis) (*GridReport, error) {
 // a mixed set where each pattern uses a different array configuration — the
 // paper notes "a combination of the via array configuration can be used").
 func (a *Analyzer) AnalyzeGridWithModels(g GridAnalysis, models map[cudd.Pattern]viaarray.TTFModel) (*GridReport, error) {
-	if g.Grid == nil {
-		return nil, fmt.Errorf("core: GridAnalysis needs a grid")
+	if err := g.validate(); err != nil {
+		return nil, err
 	}
 	if g.GridTrials == 0 {
 		g.GridTrials = 500
 	}
-	engine, err := mc.ParseEngine(g.Engine)
-	if err != nil {
-		return nil, err
-	}
-	cfg := pdn.TTFConfig{
+	res, screen, err := pdn.Analyze(context.TODO(), pdn.TTFConfig{
 		Grid:       g.Grid,
 		Models:     models,
 		Criterion:  g.SystemCriterion,
 		IRDropFrac: g.IRDropFrac,
 		TTFScale:   g.TTFScale,
-	}
-	var res *mc.Result
-	var screen *pdn.GridScreen
-	if engine == mc.EngineBoth {
-		res, screen, err = pdn.AnalyzeTTFScreened(cfg, g.GridTrials, g.Seed+1000, pdn.ScreenConfig{EM: a.EM})
-	} else {
-		res, err = pdn.AnalyzeTTF(cfg, g.GridTrials, g.Seed+1000)
-	}
+	}, pdn.ScreenConfig{EM: a.EM}, mc.Options{Trials: g.GridTrials, Seed: g.Seed + 1000, Engine: g.Engine})
 	if err != nil {
 		return nil, err
 	}
@@ -445,13 +454,6 @@ func (a *Analyzer) AnalyzeGridWithModels(g GridAnalysis, models map[cudd.Pattern
 		return nil, err
 	}
 	return &GridReport{Analysis: g, Models: models, MC: res, TTF: ecdf, Screen: screen}, nil
-}
-
-// ScreenGrid runs the standalone -engine=steady backend: the linear-time
-// steady-state classification of a grid, with no characterization and no
-// Monte Carlo.
-func (a *Analyzer) ScreenGrid(g *pdn.Grid) (*pdn.GridScreen, error) {
-	return pdn.ScreenGrid(g, pdn.ScreenConfig{EM: a.EM})
 }
 
 // ArraySteadyScreen is the -engine=steady analog of CharacterizeViaArray:

@@ -2,13 +2,16 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"emvia/internal/chartable"
 	"emvia/internal/cudd"
 	"emvia/internal/pdn"
 	"emvia/internal/phys"
+	"emvia/internal/stat"
 	"emvia/internal/thermal"
+	"emvia/internal/viaarray"
 )
 
 // fastAnalyzer returns an analyzer with coarse FEA resolution for tests.
@@ -184,6 +187,48 @@ func TestAnalyzeGridValidation(t *testing.T) {
 	a := fastAnalyzer()
 	if _, err := a.AnalyzeGrid(GridAnalysis{}); err == nil {
 		t.Error("accepted nil grid")
+	}
+}
+
+// TestAnalyzeGridRejectsSteadyEngine: the grid analyses report a TTF
+// distribution, which the steady engine does not produce, so every entry
+// point must refuse it — and an unknown engine — before spending the FEA
+// characterization.
+func TestAnalyzeGridRejectsSteadyEngine(t *testing.T) {
+	a := fastAnalyzer()
+	spec := pdn.PG1Spec()
+	spec.NX, spec.NY = 6, 6
+	spec.PadPeriod = 3
+	g, err := pdn.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.CalibrateLoad(0.05); err != nil {
+		t.Fatal(err)
+	}
+	models := map[cudd.Pattern]viaarray.TTFModel{}
+	for _, p := range cudd.Patterns() {
+		models[p] = viaarray.TTFModel{Dist: stat.LogNormal{Mu: 19, Sigma: 0.3}, RefCurrent: 0.01, FailK: 1}
+	}
+	for _, engine := range []string{"steady", "bogus"} {
+		ga := GridAnalysis{
+			Grid: g, ArrayN: 2, ArrayCriterion: ArrayOpenCircuit(),
+			SystemCriterion: pdn.WeakestLink, CharTrials: 20, GridTrials: 20, Seed: 3,
+			Engine: engine,
+		}
+		_, errGrid := a.AnalyzeGrid(ga)
+		_, errModels := a.AnalyzeGridWithModels(ga, models)
+		_, errThermal := a.AnalyzeGridThermal(ga, thermal.Config{})
+		for name, err := range map[string]error{"AnalyzeGrid": errGrid, "AnalyzeGridWithModels": errModels, "AnalyzeGridThermal": errThermal} {
+			if err == nil {
+				t.Errorf("%s accepted engine %q", name, engine)
+			} else if engine == "steady" && !strings.Contains(err.Error(), "no TTF distribution") {
+				t.Errorf("%s steady error %q does not say why", name, err)
+			}
+		}
+	}
+	if n := len(a.cache); n != 0 {
+		t.Errorf("rejected analyses ran %d FEA characterizations", n)
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"emvia/internal/cudd"
+	"emvia/internal/mc"
 	"emvia/internal/pdn"
 	"emvia/internal/stat"
 	"emvia/internal/viaarray"
@@ -66,12 +68,12 @@ func (a *Analyzer) AnalyzeMultiLayerGrid(m MultiLayerAnalysis) (*GridReport, err
 		perVia[i] = fams[famKey{v.Pattern, v.LayerPair}]
 	}
 
-	res, err := pdn.AnalyzeTTF(pdn.TTFConfig{
+	res, _, err := pdn.Analyze(context.TODO(), pdn.TTFConfig{
 		Grid:         m.Grid.Grid,
 		PerViaModels: perVia,
 		Criterion:    m.SystemCriterion,
 		IRDropFrac:   m.IRDropFrac,
-	}, m.GridTrials, m.Seed+1000)
+	}, pdn.ScreenConfig{}, mc.Options{Trials: m.GridTrials, Seed: m.Seed + 1000})
 	if err != nil {
 		return nil, err
 	}

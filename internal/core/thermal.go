@@ -28,8 +28,8 @@ type ThermalReport struct {
 // local deratings. Pass a zero thermal.Config to use defaults matched to
 // the grid lattice.
 func (a *Analyzer) AnalyzeGridThermal(g GridAnalysis, tcfg thermal.Config) (*ThermalReport, error) {
-	if g.Grid == nil {
-		return nil, fmt.Errorf("core: GridAnalysis needs a grid")
+	if err := g.validate(); err != nil {
+		return nil, err
 	}
 	tm, temps, err := g.Grid.ThermalProfile(tcfg)
 	if err != nil {

@@ -44,6 +44,20 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("cudd.Pattern(%d)", int(p))
 }
 
+// ParsePattern maps the short spelling of the command line and the job spec
+// ("plus", "t" or "l") to a pattern.
+func ParsePattern(s string) (Pattern, error) {
+	switch s {
+	case "plus":
+		return Plus, nil
+	case "t":
+		return TShape, nil
+	case "l":
+		return LShape, nil
+	}
+	return 0, fmt.Errorf("cudd: unknown pattern %q (want plus, t or l)", s)
+}
+
 // Patterns lists all intersection patterns in paper order.
 func Patterns() []Pattern { return []Pattern{Plus, TShape, LShape} }
 

@@ -68,7 +68,8 @@ const defaultBatchTrials = 16
 
 // Engine names an analysis backend selected by the -engine flag. The
 // Monte-Carlo engine only ever runs EngineMC and EngineBoth configurations;
-// EngineSteady is the screening-only backend handled by the callers.
+// EngineSteady is the screening-only backend, which pdn.Analyze runs without
+// a Monte Carlo.
 const (
 	EngineMC     = "mc"
 	EngineSteady = "steady"
@@ -138,9 +139,11 @@ type Options struct {
 	// boundaries depend only on the trial index, never on Workers, so
 	// results stay bit-identical for any worker count.
 	BatchTrials int
-	// Engine records the analysis backend that configured the run ("mc",
-	// "both"; empty = unspecified). It is provenance, not behavior: the
-	// pruning itself rides on Candidates.
+	// Engine names the analysis backend (ParseEngine: "mc", "steady" or
+	// "both"; empty = mc). pdn.Analyze reads it to choose between the full
+	// Monte Carlo, the steady screen alone and the screened Monte Carlo. To
+	// Run and RunParallel it is provenance, not behavior: they accept only
+	// mc and both, and the pruning itself rides on Candidates.
 	Engine string
 	// Candidates restricts each trial to a subset of failure candidates
 	// (len == NumComponents, true = candidate): non-candidates are never
@@ -348,16 +351,6 @@ func trialSeed(seed int64, trial int) int64 {
 
 // Run executes the Monte-Carlo loop serially on one system instance.
 func Run(sys System, opt Options) (*Result, error) {
-	return RunCtx(context.Background(), sys, opt)
-}
-
-// RunCtx is Run with cancellation: the context is checked between trials, so
-// a deadline or cancel stops the loop within one trial's wall time. On
-// cancellation the error wraps ctx.Err() (errors.Is-matchable against
-// context.Canceled / context.DeadlineExceeded) and the partial results are
-// discarded — callers needing progress accounting observe it through the
-// trace ring or telemetry, which tick per completed trial either way.
-func RunCtx(ctx context.Context, sys System, opt Options) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
@@ -399,9 +392,6 @@ func RunCtx(ctx context.Context, sys System, opt Options) (*Result, error) {
 			}
 		}
 		for t := g0; t < g1; t++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("mc: canceled after %d of %d trials: %w", t, opt.Trials, err)
-			}
 			rng.Seed(trialSeed(opt.Seed, opt.FirstTrial+t))
 			ttf, events, comps, err := runTrial(sys, rng, opt.RunToCompletion, idxs, &scratch, &met, run.Trial(t), labeler)
 			if err != nil {

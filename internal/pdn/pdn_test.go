@@ -2,6 +2,7 @@ package pdn
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -10,11 +11,24 @@ import (
 
 	"emvia/internal/cudd"
 	"emvia/internal/emdist"
+	"emvia/internal/mc"
 	"emvia/internal/phys"
 	"emvia/internal/stat"
 	"emvia/internal/thermal"
 	"emvia/internal/viaarray"
 )
+
+// analyzeMC runs Analyze's mc engine with the given trial count and seed.
+func analyzeMC(cfg TTFConfig, trials int, seed int64) (*mc.Result, error) {
+	res, _, err := Analyze(context.Background(), cfg, ScreenConfig{}, mc.Options{Trials: trials, Seed: seed})
+	return res, err
+}
+
+// screenSteady runs Analyze's steady engine on g with the default screen.
+func screenSteady(g *Grid) (*GridScreen, error) {
+	_, screen, err := Analyze(context.Background(), TTFConfig{Grid: g}, ScreenConfig{}, mc.Options{Engine: mc.EngineSteady})
+	return screen, err
+}
 
 func smallSpec() GridSpec {
 	s := PG1Spec()
@@ -199,7 +213,7 @@ func TestConfigValidation(t *testing.T) {
 func TestWeakestLinkSingleEvent(t *testing.T) {
 	g := mustGrid(t, smallSpec(), 0.05)
 	cfg := TTFConfig{Grid: g, Models: testModels(refCurrentOf(t, g)), Criterion: WeakestLink}
-	res, err := AnalyzeTTF(cfg, 20, 3)
+	res, err := analyzeMC(cfg, 20, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +233,11 @@ func TestIRDropOutlivesWeakestLink(t *testing.T) {
 	// many failures.
 	g := mustGrid(t, smallSpec(), 0.05)
 	ref := refCurrentOf(t, g)
-	wl, err := AnalyzeTTF(TTFConfig{Grid: g, Models: testModels(ref), Criterion: WeakestLink}, 60, 5)
+	wl, err := analyzeMC(TTFConfig{Grid: g, Models: testModels(ref), Criterion: WeakestLink}, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, err := AnalyzeTTF(TTFConfig{Grid: g, Models: testModels(ref), Criterion: IRDrop, IRDropFrac: 0.10}, 60, 5)
+	ir, err := analyzeMC(TTFConfig{Grid: g, Models: testModels(ref), Criterion: IRDrop, IRDropFrac: 0.10}, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +278,11 @@ func TestLongerLivedModelsExtendGridTTF(t *testing.T) {
 		m.Dist.Mu += math.Log(2)
 		double[k] = m
 	}
-	r1, err := AnalyzeTTF(TTFConfig{Grid: g, Models: base, Criterion: IRDrop, IRDropFrac: 0.10}, 40, 7)
+	r1, err := analyzeMC(TTFConfig{Grid: g, Models: base, Criterion: IRDrop, IRDropFrac: 0.10}, 40, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := AnalyzeTTF(TTFConfig{Grid: g, Models: double, Criterion: IRDrop, IRDropFrac: 0.10}, 40, 7)
+	r2, err := analyzeMC(TTFConfig{Grid: g, Models: double, Criterion: IRDrop, IRDropFrac: 0.10}, 40, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,11 +296,11 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	g := mustGrid(t, smallSpec(), 0.05)
 	ref := refCurrentOf(t, g)
 	cfg := TTFConfig{Grid: g, Models: testModels(ref), Criterion: IRDrop, IRDropFrac: 0.10}
-	a, err := AnalyzeTTF(cfg, 16, 99)
+	a, err := analyzeMC(cfg, 16, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AnalyzeTTF(cfg, 16, 99)
+	b, err := analyzeMC(cfg, 16, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,8 +479,13 @@ func TestSystemStateAccessors(t *testing.T) {
 }
 
 func TestAnalyzeTTFValidation(t *testing.T) {
-	if _, err := AnalyzeTTF(TTFConfig{}, 10, 1); err == nil {
+	if _, err := analyzeMC(TTFConfig{}, 10, 1); err == nil {
 		t.Error("accepted empty config")
+	}
+	g := mustGrid(t, smallSpec(), 0.05)
+	cfg := TTFConfig{Grid: g, Models: testModels(refCurrentOf(t, g)), Criterion: WeakestLink}
+	if _, _, err := Analyze(context.Background(), cfg, ScreenConfig{}, mc.Options{Trials: 4, Engine: "bogus"}); err == nil {
+		t.Error("accepted unknown engine")
 	}
 }
 
@@ -577,7 +596,7 @@ func TestTTFScaleDeratesGrid(t *testing.T) {
 	g := mustGrid(t, smallSpec(), 0.05)
 	ref := refCurrentOf(t, g)
 	base := TTFConfig{Grid: g, Models: testModels(ref), Criterion: IRDrop, IRDropFrac: 0.10}
-	r1, err := AnalyzeTTF(base, 40, 7)
+	r1, err := analyzeMC(base, 40, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +605,7 @@ func TestTTFScaleDeratesGrid(t *testing.T) {
 	for i := range scaled.TTFScale {
 		scaled.TTFScale[i] = 0.5
 	}
-	r2, err := AnalyzeTTF(scaled, 40, 7)
+	r2, err := analyzeMC(scaled, 40, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -664,11 +683,11 @@ func TestPerViaModelsOverride(t *testing.T) {
 	}
 	cfgMap := TTFConfig{Grid: g, Models: base, Criterion: IRDrop, IRDropFrac: 0.10}
 	cfgVia := TTFConfig{Grid: g, PerViaModels: perVia, Criterion: IRDrop, IRDropFrac: 0.10}
-	r1, err := AnalyzeTTF(cfgMap, 30, 9)
+	r1, err := analyzeMC(cfgMap, 30, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := AnalyzeTTF(cfgVia, 30, 9)
+	r2, err := analyzeMC(cfgVia, 30, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +711,7 @@ func TestPerViaModelsOverride(t *testing.T) {
 func TestCriticalityReport(t *testing.T) {
 	g := mustGrid(t, smallSpec(), 0.05)
 	ref := refCurrentOf(t, g)
-	res, err := AnalyzeTTF(TTFConfig{Grid: g, Models: testModels(ref), Criterion: IRDrop, IRDropFrac: 0.10}, 60, 5)
+	res, err := analyzeMC(TTFConfig{Grid: g, Models: testModels(ref), Criterion: IRDrop, IRDropFrac: 0.10}, 60, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package pdn
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -9,7 +8,6 @@ import (
 	"emvia/internal/spice"
 	"emvia/internal/steady"
 	"emvia/internal/telemetry"
-	"emvia/internal/trace"
 )
 
 // ScreenConfig tunes the grid-level steady-state EM screen (arXiv
@@ -212,36 +210,4 @@ func screenGrid(g *Grid, circuit *spice.Circuit, op *spice.OP, sc ScreenConfig) 
 // so the screen costs one O(branches) sweep, no extra linear solves.
 func (s *GridSystem) SteadyScreen(sc ScreenConfig) (*GridScreen, error) {
 	return screenGrid(s.cfg.Grid, s.circuit, s.op0, sc)
-}
-
-// ScreenGrid solves a private copy of the grid's compiled circuit and runs
-// the steady-state screen — the standalone -engine=steady path, which never
-// builds TTF models or touches the Monte Carlo.
-func ScreenGrid(g *Grid, sc ScreenConfig) (*GridScreen, error) {
-	return ScreenGridCtx(context.Background(), g, sc)
-}
-
-// ScreenGridCtx is ScreenGrid with a context whose timeline (if any) gets
-// the "compile", "factorize" and "screen" stage spans. The context is
-// observational only — the screen is a single bounded pass.
-func ScreenGridCtx(ctx context.Context, g *Grid, sc ScreenConfig) (*GridScreen, error) {
-	if g == nil {
-		return nil, fmt.Errorf("pdn: ScreenGrid needs a grid")
-	}
-	tl := trace.TimelineFrom(ctx)
-	endCompile := tl.Stage("compile")
-	circuit, err := g.pristineCircuit()
-	endCompile()
-	if err != nil {
-		return nil, fmt.Errorf("pdn: compiling grid: %w", err)
-	}
-	endFactorize := tl.Stage("factorize")
-	op, err := circuit.SolveDC()
-	endFactorize()
-	if err != nil {
-		return nil, fmt.Errorf("pdn: pristine solve: %w", err)
-	}
-	endScreen := tl.Stage("screen")
-	defer endScreen()
-	return screenGrid(g, circuit, op, sc)
 }

@@ -1,6 +1,7 @@
 package pdn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -64,9 +65,12 @@ func TestScreenGridStandalone(t *testing.T) {
 	g := mustGrid(t, smallSpec(), 0.05)
 	sys, viaSys := mustScreenedSystem(t, g)
 	_ = sys
-	solo, err := ScreenGrid(g, ScreenConfig{})
+	res, solo, err := Analyze(context.Background(), TTFConfig{Grid: g}, ScreenConfig{}, mc.Options{Engine: mc.EngineSteady})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res != nil {
+		t.Error("steady engine returned a Monte-Carlo result")
 	}
 	if solo.MortalVias != viaSys.MortalVias {
 		t.Errorf("standalone screen found %d mortal vias, system screen %d", solo.MortalVias, viaSys.MortalVias)
@@ -76,7 +80,7 @@ func TestScreenGridStandalone(t *testing.T) {
 			t.Fatalf("via %d stress differs: %g vs %g", k, solo.ViaStress[k], viaSys.ViaStress[k])
 		}
 	}
-	if _, err := ScreenGrid(nil, ScreenConfig{}); err == nil {
+	if _, err := screenSteady(nil); err == nil {
 		t.Error("accepted nil grid")
 	}
 }
@@ -96,7 +100,7 @@ func TestLegacyFailuresWithinMortalSet(t *testing.T) {
 		targetIR := 0.04 + 0.03*rng.Float64()
 		g := mustGrid(t, spec, targetIR)
 		sys, screen := mustScreenedSystem(t, g)
-		res, err := AnalyzeTTF(sys.cfg, 40, 1000+int64(trial))
+		res, err := analyzeMC(sys.cfg, 40, 1000+int64(trial))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +164,7 @@ func TestScreenedBitIdenticalToMaskedFull(t *testing.T) {
 	}
 }
 
-// TestAnalyzeTTFScreened exercises the -engine=both pipeline end to end:
+// TestAnalyzeTTFScreened exercises Analyze's both engine end to end:
 // screen, prune, run, assert zero misses, and keep the surviving TTF
 // distribution in the same ballpark as the unpruned engine.
 func TestAnalyzeTTFScreened(t *testing.T) {
@@ -171,14 +175,14 @@ func TestAnalyzeTTFScreened(t *testing.T) {
 		Criterion:  IRDrop,
 		IRDropFrac: 0.10,
 	}
-	res, screen, err := AnalyzeTTFScreened(cfg, 40, 7, ScreenConfig{})
+	res, screen, err := Analyze(context.Background(), cfg, ScreenConfig{}, mc.Options{Trials: 40, Seed: 7, Engine: mc.EngineBoth})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if screen.MortalVias == 0 || screen.MortalVias > screen.Vias {
 		t.Fatalf("mortal count %d of %d", screen.MortalVias, screen.Vias)
 	}
-	legacy, err := AnalyzeTTF(cfg, 40, 7)
+	legacy, err := analyzeMC(cfg, 40, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

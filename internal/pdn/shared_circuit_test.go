@@ -231,7 +231,7 @@ func TestGridCacheConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantScreen, err := ScreenGrid(g, ScreenConfig{})
+	wantScreen, err := screenSteady(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestGridCacheConcurrentUse(t *testing.T) {
 				}
 				var screen *GridScreen
 				if err == nil {
-					screen, err = ScreenGrid(g, ScreenConfig{})
+					screen, err = screenSteady(g)
 				}
 				for k := 0; err == nil && k < len(wantScreen.ViaStress); k++ {
 					if screen.ViaStress[k] != wantScreen.ViaStress[k] {
-						err = fmt.Errorf("ScreenGrid via %d stress %v, want %v", k, screen.ViaStress[k], wantScreen.ViaStress[k])
+						err = fmt.Errorf("steady screen via %d stress %v, want %v", k, screen.ViaStress[k], wantScreen.ViaStress[k])
 					}
 				}
 				if err != nil {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 
 	"emvia/internal/cudd"
@@ -274,6 +275,35 @@ func PG2Spec() GridSpec { return pgSpec("PG2", 30, 30, 6, 2) }
 
 // PG5Spec is the large benchmark analogue.
 func PG5Spec() GridSpec { return pgSpec("PG5", 44, 44, 7, 5) }
+
+// PresetSpec resolves a grid name the way the command line and the job spec
+// spell it: PG1, PG2 or PG5 in any case select that preset, and any other
+// name is a custom grid on the PG1 technology under that name. Positive nx,
+// ny and padPeriod override the preset's lattice.
+func PresetSpec(name string, nx, ny, padPeriod int) GridSpec {
+	var spec GridSpec
+	switch strings.ToUpper(name) {
+	case "PG1":
+		spec = PG1Spec()
+	case "PG2":
+		spec = PG2Spec()
+	case "PG5":
+		spec = PG5Spec()
+	default:
+		spec = PG1Spec()
+		spec.Name = name
+	}
+	if nx > 0 {
+		spec.NX = nx
+	}
+	if ny > 0 {
+		spec.NY = ny
+	}
+	if padPeriod > 0 {
+		spec.PadPeriod = padPeriod
+	}
+	return spec
+}
 
 func pgSpec(name string, nx, ny, padPeriod int, seed int64) GridSpec {
 	return GridSpec{

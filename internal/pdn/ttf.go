@@ -37,6 +37,18 @@ func (c Criterion) String() string {
 	return fmt.Sprintf("pdn.Criterion(%d)", int(c))
 }
 
+// ParseCriterion maps the short spelling of the command line and the job
+// spec ("wl" or "ir") to a criterion.
+func ParseCriterion(s string) (Criterion, error) {
+	switch s {
+	case "wl":
+		return WeakestLink, nil
+	case "ir":
+		return IRDrop, nil
+	}
+	return 0, fmt.Errorf("pdn: unknown criterion %q (want wl or ir)", s)
+}
+
 // TTFConfig describes a grid TTF analysis.
 type TTFConfig struct {
 	// Grid is the power grid under analysis.
@@ -174,21 +186,12 @@ func NewSystem(cfg TTFConfig) (*GridSystem, error) {
 // system construction is a bounded amount of work and does not check for
 // cancellation.
 func NewSystemCtx(ctx context.Context, cfg TTFConfig) (*GridSystem, error) {
-	tl := trace.TimelineFrom(ctx)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	endCompile := tl.Stage("compile")
-	circuit, err := cfg.Grid.pristineCircuit()
-	endCompile()
+	circuit, op, err := cfg.Grid.solvePristine(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("pdn: compiling grid: %w", err)
-	}
-	endFactorize := tl.Stage("factorize")
-	op, err := circuit.SolveDC()
-	endFactorize()
-	if err != nil {
-		return nil, fmt.Errorf("pdn: pristine solve: %w", err)
+		return nil, err
 	}
 	if cfg.Criterion == IRDrop {
 		if frac := op.WorstIRDropFrac(cfg.Grid.Spec.Vdd); frac >= cfg.IRDropFrac {
@@ -649,84 +652,63 @@ func (s *GridSystem) WorstIRDropFrac() float64 {
 	return s.opNow.WorstIRDropFrac(s.cfg.Grid.Spec.Vdd)
 }
 
-// AnalyzeTTF runs the grid-level Monte Carlo (Algorithm 1, step 2) with
-// trials independent across workers. One master system is compiled, ordered
-// and factored up front; every worker gets a clone of it, which shares the
-// immutable symbolic work and stays bit-identical to a serial run over the
-// master.
-func AnalyzeTTF(cfg TTFConfig, trials int, seed int64) (*mc.Result, error) {
-	return AnalyzeTTFCtx(context.Background(), cfg, trials, seed, mc.Options{})
-}
-
-// AnalyzeTTFCtx is AnalyzeTTF with cancellation and a caller-supplied option
-// base: Workers (the per-job worker budget of the analysis service),
-// BatchTrials, TraceLabel and FirstTrial (the trial-range offset of a
-// distributed shard — trial t always derives its generator from
-// trialSeed(seed, t) whichever shard runs it) are honored; Trials, Seed
-// and the criterion trace label are filled in here. Results are
-// bit-identical for any worker budget and any shard partition thanks to
-// mc's per-trial seed splitting.
-func AnalyzeTTFCtx(ctx context.Context, cfg TTFConfig, trials int, seed int64, base mc.Options) (*mc.Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	master, err := NewSystemCtx(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	opt := base
-	opt.Trials = trials
-	opt.Seed = seed
-	if opt.TraceLabel == "" {
-		opt.TraceLabel = "grid:" + cfg.Criterion.String()
-	}
-	endMC := trace.TimelineFrom(ctx).Stage("mc")
-	defer endMC()
-	return mc.RunParallelCtx(ctx, func() (mc.System, error) {
-		return master.Clone(), nil
-	}, opt)
-}
-
-// AnalyzeTTFScreened is the -engine=both pipeline: it runs the linear-time
-// steady-state screen against the pristine operating point, feeds the mortal
-// set into the grid Monte Carlo as the candidate mask, and asserts at run
-// end that every observed failure was classified mortal — a violated
-// assertion means the screen's conservatism contract broke and the pruned
-// statistics cannot be trusted, so it surfaces as an error alongside the
-// results rather than silently.
-func AnalyzeTTFScreened(cfg TTFConfig, trials int, seed int64, sc ScreenConfig) (*mc.Result, *GridScreen, error) {
-	return AnalyzeTTFScreenedCtx(context.Background(), cfg, trials, seed, sc, mc.Options{})
-}
-
-// AnalyzeTTFScreenedCtx is AnalyzeTTFScreened with cancellation and a
-// caller-supplied option base (see AnalyzeTTFCtx). The screen itself is a
-// single linear pass and runs to completion; the context bounds the Monte
-// Carlo that follows it.
-func AnalyzeTTFScreenedCtx(ctx context.Context, cfg TTFConfig, trials int, seed int64, sc ScreenConfig, base mc.Options) (*mc.Result, *GridScreen, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	master, err := NewSystemCtx(ctx, cfg)
+// Analyze runs the grid level of the flow (Algorithm 1, step 2) with the
+// engine opt.Engine names (mc.ParseEngine; "" is mc). The context's timeline
+// gets one span per stage, and the context bounds the Monte Carlo.
+//
+//   - mc compiles and factors one master system and runs the Monte Carlo over
+//     clones of it. Stages: compile, factorize, mc.
+//   - steady solves the pristine grid and runs the linear-time steady-state
+//     screen (arXiv 2112.13451). It reads only cfg.Grid and returns a nil
+//     result. Stages: compile, factorize, screen.
+//   - both screens the master's pristine solve and runs the Monte Carlo over
+//     the mortal via arrays only. A failure outside the mortal set means the
+//     screen's conservatism broke, so it returns the result and the screen
+//     together with an error. Stages: compile, factorize, screen, mc.
+//
+// The Monte Carlo runs opt as given (both replaces Candidates with the
+// screen's mask), with an empty TraceLabel set to "grid:"+Criterion. Workers
+// sets the worker budget and FirstTrial the trial-range offset of a
+// distributed shard; results are bit-identical for any budget and any shard
+// partition thanks to mc's per-trial seed splitting.
+func Analyze(ctx context.Context, cfg TTFConfig, sc ScreenConfig, opt mc.Options) (*mc.Result, *GridScreen, error) {
+	engine, err := mc.ParseEngine(opt.Engine)
 	if err != nil {
 		return nil, nil, err
 	}
 	tl := trace.TimelineFrom(ctx)
-	endScreen := tl.Stage("screen")
-	screen, err := master.SteadyScreen(sc)
-	endScreen()
+	if engine == mc.EngineSteady {
+		if cfg.Grid == nil {
+			return nil, nil, fmt.Errorf("pdn: the steady engine needs a grid")
+		}
+		circuit, op, err := cfg.Grid.solvePristine(ctx)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer tl.Stage("screen")()
+		screen, err := screenGrid(cfg.Grid, circuit, op, sc)
+		return nil, screen, err
+	}
+	master, err := NewSystemCtx(ctx, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	if screen.MortalVias == 0 {
-		return nil, screen, fmt.Errorf("pdn: steady screen classified every via array immortal; nothing for the Monte Carlo to simulate (criterion %s)", cfg.Criterion)
-	}
-	opt := base
-	opt.Trials = trials
-	opt.Seed = seed
-	opt.Engine = mc.EngineBoth
-	opt.Candidates = screen.CandidateMask()
+	opt.Engine = engine
 	if opt.TraceLabel == "" {
 		opt.TraceLabel = "grid:" + cfg.Criterion.String()
+	}
+	var screen *GridScreen
+	if engine == mc.EngineBoth {
+		endScreen := tl.Stage("screen")
+		screen, err = master.SteadyScreen(sc)
+		endScreen()
+		if err != nil {
+			return nil, nil, err
+		}
+		if screen.MortalVias == 0 {
+			return nil, screen, fmt.Errorf("pdn: steady screen classified every via array immortal; nothing for the Monte Carlo to simulate (criterion %s)", cfg.Criterion)
+		}
+		opt.Candidates = screen.CandidateMask()
 	}
 	endMC := tl.Stage("mc")
 	res, err := mc.RunParallelCtx(ctx, func() (mc.System, error) {
@@ -736,8 +718,10 @@ func AnalyzeTTFScreenedCtx(ctx context.Context, cfg TTFConfig, trials int, seed 
 	if err != nil {
 		return nil, screen, err
 	}
-	if miss := res.MaskMisses(screen.ViaMortal); len(miss) > 0 {
-		return res, screen, fmt.Errorf("pdn: screened run observed %d failure(s) outside the steady mortal set (first: via array %d)", len(miss), miss[0])
+	if screen != nil {
+		if miss := res.MaskMisses(screen.ViaMortal); len(miss) > 0 {
+			return res, screen, fmt.Errorf("pdn: screened run observed %d failure(s) outside the steady mortal set (first: via array %d)", len(miss), miss[0])
+		}
 	}
 	return res, screen, nil
 }

@@ -1,10 +1,12 @@
 package pdn
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"emvia/internal/spice"
+	"emvia/internal/trace"
 )
 
 // MaxViaCurrent solves the pristine grid and returns the largest via-array
@@ -88,6 +90,27 @@ func (g *Grid) pristineCircuit() (*spice.Circuit, error) {
 		return nil, err
 	}
 	return c.Clone(), nil
+}
+
+// solvePristine takes a private circuit (pristineCircuit) and solves its
+// pristine operating point, recording the "compile" and "factorize" stage
+// spans on the context's timeline. It is the shared front of the system
+// build and the standalone steady screen; the context is observational only.
+func (g *Grid) solvePristine(ctx context.Context) (*spice.Circuit, *spice.OP, error) {
+	tl := trace.TimelineFrom(ctx)
+	endCompile := tl.Stage("compile")
+	circuit, err := g.pristineCircuit()
+	endCompile()
+	if err != nil {
+		return nil, nil, fmt.Errorf("pdn: compiling grid: %w", err)
+	}
+	endFactorize := tl.Stage("factorize")
+	op, err := circuit.SolveDC()
+	endFactorize()
+	if err != nil {
+		return nil, nil, fmt.Errorf("pdn: pristine solve: %w", err)
+	}
+	return circuit, op, nil
 }
 
 // Tune adjusts the grid the way the paper tunes the benchmark decks: load

@@ -267,9 +267,9 @@ func FuzzMergePartials(f *testing.F) {
 	split := seed(partialFor(hash, spec, 0, 3), partialFor(hash, spec, 3, 3))
 	f.Add(whole[0], []byte("{}"))
 	f.Add(split[0], split[1])
-	f.Add(split[0], split[0])                        // duplicate range
-	f.Add(split[0], []byte(`{"schema_version":2}`))  // empty shard
-	f.Add([]byte(`not json at all`), split[1])       // corrupt
+	f.Add(split[0], split[0])                                                     // duplicate range
+	f.Add(split[0], []byte(`{"schema_version":2}`))                               // empty shard
+	f.Add([]byte(`not json at all`), split[1])                                    // corrupt
 	f.Add(bytes.Replace(split[0], []byte(hash), []byte("deadbeef"), 1), split[1]) // wrong hash
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		var parts []*PartialManifest

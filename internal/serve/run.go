@@ -36,27 +36,7 @@ func (t *Transient) Unwrap() error { return t.Err }
 func buildGrid(spec *JobSpec) (*pdn.Grid, error) {
 	if spec.Grid != nil {
 		src := spec.Grid
-		var gs pdn.GridSpec
-		switch strings.ToUpper(src.Name) {
-		case "PG2":
-			gs = pdn.PG2Spec()
-		case "PG5":
-			gs = pdn.PG5Spec()
-		case "PG1":
-			gs = pdn.PG1Spec()
-		default:
-			gs = pdn.PG1Spec()
-			gs.Name = src.Name
-		}
-		if src.NX > 0 {
-			gs.NX = src.NX
-		}
-		if src.NY > 0 {
-			gs.NY = src.NY
-		}
-		if src.PadPeriod > 0 {
-			gs.PadPeriod = src.PadPeriod
-		}
+		gs := pdn.PresetSpec(src.Name, src.NX, src.NY, src.PadPeriod)
 		gs.Seed = src.Seed
 		gs.Vdd = spec.Vdd
 		g, err := pdn.Generate(gs)
@@ -97,14 +77,17 @@ func buildModels(spec *JobSpec, g *pdn.Grid) (map[cudd.Pattern]viaarray.TTFModel
 		}
 		busiest = imax
 	}
-	patterns := map[string]cudd.Pattern{"plus": cudd.Plus, "t": cudd.TShape, "l": cudd.LShape}
 	out := make(map[cudd.Pattern]viaarray.TTFModel, len(spec.Models))
 	for key, m := range spec.Models {
+		pat, err := cudd.ParsePattern(key)
+		if err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
 		ref := m.RefCurrentAmps
 		if ref == 0 {
 			ref = busiest
 		}
-		out[patterns[key]] = viaarray.TTFModel{
+		out[pat] = viaarray.TTFModel{
 			Dist: stat.LogNormal{
 				Mu:    math.Log(phys.YearsToSeconds(m.MedianYears)),
 				Sigma: m.Sigma,
@@ -130,61 +113,37 @@ type RunOptions struct {
 }
 
 // runSpec executes one resolved job spec: the default Runner. The context
-// bounds the Monte Carlo (grid build and screening are single solves).
+// bounds the Monte Carlo (grid build and screening are single solves), and
+// pdn.Analyze runs whichever engine the spec names.
 func runSpec(ctx context.Context, spec *JobSpec, ro RunOptions) (*runOutput, error) {
-	tl := trace.TimelineFrom(ctx)
-	endResolve := tl.Stage("resolve")
+	endResolve := trace.TimelineFrom(ctx).Stage("resolve")
 	g, err := buildGrid(spec)
 	if err != nil {
 		endResolve()
 		return nil, err
-	}
-	out := &runOutput{materialHash: core.MaterialHash()}
-	if spec.Engine == mc.EngineSteady {
-		endResolve()
-		screen, err := pdn.ScreenGridCtx(ctx, g, pdn.ScreenConfig{})
-		if err != nil {
-			return nil, err
-		}
-		out.screen = screenInfo(screen)
-		return out, nil
 	}
 	models, err := buildModels(spec, g)
 	endResolve()
 	if err != nil {
 		return nil, err
 	}
-	cfg := pdn.TTFConfig{Grid: g, Models: models}
-	switch spec.Criterion {
-	case "wl":
-		cfg.Criterion = pdn.WeakestLink
-	default:
-		cfg.Criterion = pdn.IRDrop
-		cfg.IRDropFrac = spec.IRFrac
+	crit, err := pdn.ParseCriterion(spec.Criterion)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	trials := spec.Trials
-	base := mc.Options{Workers: ro.Workers, TraceLabel: ro.Label, Engine: spec.Engine}
+	opt := mc.Options{Trials: spec.Trials, Seed: spec.Seed, Workers: ro.Workers, TraceLabel: ro.Label, Engine: spec.Engine}
 	if ro.TrialCount > 0 {
 		if ro.TrialStart < 0 || ro.TrialStart+ro.TrialCount > spec.Trials {
 			return nil, fmt.Errorf("serve: trial range [%d,%d) outside the spec's [0,%d)",
 				ro.TrialStart, ro.TrialStart+ro.TrialCount, spec.Trials)
 		}
-		base.FirstTrial = ro.TrialStart
-		trials = ro.TrialCount
+		opt.FirstTrial = ro.TrialStart
+		opt.Trials = ro.TrialCount
 	}
-	if spec.Engine == mc.EngineBoth {
-		res, screen, err := pdn.AnalyzeTTFScreenedCtx(ctx, cfg, trials, spec.Seed, pdn.ScreenConfig{}, base)
-		if err != nil {
-			return nil, err
-		}
-		out.mcResult, out.screen = res, screenInfo(screen)
-	} else {
-		base.Engine = mc.EngineMC
-		res, err := pdn.AnalyzeTTFCtx(ctx, cfg, trials, spec.Seed, base)
-		if err != nil {
-			return nil, err
-		}
-		out.mcResult = res
+	cfg := pdn.TTFConfig{Grid: g, Models: models, Criterion: crit, IRDropFrac: spec.IRFrac}
+	res, screen, err := pdn.Analyze(ctx, cfg, pdn.ScreenConfig{}, opt)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &runOutput{materialHash: core.MaterialHash(), mcResult: res, screen: screenInfo(screen)}, nil
 }

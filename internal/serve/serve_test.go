@@ -509,45 +509,62 @@ func getTimeline(t *testing.T, ts *httptest.Server, id string) timelineResponse 
 	return tl
 }
 
-// TestTimelineEndpoint runs a real mc job end to end and checks its stage
-// timeline covers the whole pipeline in order, that every span is sane, and
-// that the stage spans landed in the per-stage latency histograms and the
-// serve gauges returned to idle.
+// TestTimelineEndpoint runs a real job of each engine end to end and checks
+// its stage timeline covers that engine's pipeline in order, that every span
+// is sane, and that the stage spans landed in the per-stage latency
+// histograms and the serve gauges returned to idle.
 func TestTimelineEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		engine string
+		want   []string
+	}{
+		{"mc", []string{"admit", "queue-wait", "resolve", "compile", "factorize", "mc", "manifest"}},
+		{"steady", []string{"admit", "queue-wait", "resolve", "compile", "factorize", "screen", "manifest"}},
+		{"both", []string{"admit", "queue-wait", "resolve", "compile", "factorize", "screen", "mc", "manifest"}},
+	} {
+		t.Run(tc.engine, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{})
 
-	_, sub, _ := submit(t, ts, tinySpec)
-	if st := waitTerminal(t, ts, sub.ID); st.State != StateDone {
-		t.Fatalf("state %q, want done", st.State)
-	}
+			spec := strings.Replace(tinySpec, `"engine":"mc"`, `"engine":"`+tc.engine+`"`, 1)
+			_, sub, _ := submit(t, ts, spec)
+			if st := waitTerminal(t, ts, sub.ID); st.State != StateDone {
+				t.Fatalf("state %q, want done", st.State)
+			}
 
-	tl := getTimeline(t, ts, sub.ID)
-	if tl.ID != sub.ID || tl.Hash != sub.Hash || tl.State != StateDone {
-		t.Fatalf("timeline envelope %+v", tl)
-	}
-	want := []string{"admit", "queue-wait", "resolve", "compile", "factorize", "mc", "manifest"}
-	if len(tl.Stages) != len(want) {
-		t.Fatalf("stages = %+v, want %v", tl.Stages, want)
-	}
-	prevStart := -1.0
-	for i, sp := range tl.Stages {
-		if sp.Stage != want[i] {
-			t.Errorf("stage[%d] = %q, want %q", i, sp.Stage, want[i])
-		}
-		if sp.DurationSeconds < 0 || sp.StartSeconds < prevStart {
-			t.Errorf("stage[%d] %+v out of order or negative", i, sp)
-		}
-		prevStart = sp.StartSeconds
-		h := telemetry.Default().Histogram(telemetry.ServeStageSeconds(sp.Stage)).Snapshot()
-		if h.Count != 1 {
-			t.Errorf("stage histogram %q count = %d, want 1", sp.Stage, h.Count)
-		}
-	}
-	if d := telemetry.Default().Gauge(telemetry.ServeQueueDepth).Value(); d != 0 {
-		t.Errorf("queue depth gauge = %v after completion, want 0", d)
-	}
-	if a := telemetry.Default().Gauge(telemetry.ServeJobsActive).Value(); a != 0 {
-		t.Errorf("active jobs gauge = %v after completion, want 0", a)
+			tl := getTimeline(t, ts, sub.ID)
+			if tl.ID != sub.ID || tl.Hash != sub.Hash || tl.State != StateDone {
+				t.Fatalf("timeline envelope %+v", tl)
+			}
+			if len(tl.Stages) != len(tc.want) {
+				t.Fatalf("stages = %+v, want %v", tl.Stages, tc.want)
+			}
+			prevStart := -1.0
+			for i, sp := range tl.Stages {
+				if sp.Stage != tc.want[i] {
+					t.Errorf("stage[%d] = %q, want %q", i, sp.Stage, tc.want[i])
+				}
+				if sp.DurationSeconds < 0 || sp.StartSeconds < prevStart {
+					t.Errorf("stage[%d] %+v out of order or negative", i, sp)
+				}
+				prevStart = sp.StartSeconds
+				h := telemetry.Default().Histogram(telemetry.ServeStageSeconds(sp.Stage)).Snapshot()
+				if h.Count != 1 {
+					t.Errorf("stage histogram %q count = %d, want 1", sp.Stage, h.Count)
+				}
+			}
+			// The executor lowers the active-jobs gauge in a deferred call
+			// after it marks the job done, so wait for the gauges to settle.
+			for _, name := range []string{telemetry.ServeQueueDepth, telemetry.ServeJobsActive} {
+				g := telemetry.Default().Gauge(name)
+				deadline := time.Now().Add(5 * time.Second)
+				for g.Value() != 0 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+				if v := g.Value(); v != 0 {
+					t.Errorf("%s gauge = %v after completion, want 0", name, v)
+				}
+			}
+		})
 	}
 }
 

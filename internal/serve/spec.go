@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"emvia/internal/core"
+	"emvia/internal/cudd"
 	"emvia/internal/mc"
 )
 
@@ -202,9 +203,7 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("serve: trials must be in [0,%d], got %d", MaxTrials, s.Trials)
 	}
 	for key, m := range s.Models {
-		switch key {
-		case "plus", "t", "l":
-		default:
+		if _, err := cudd.ParsePattern(key); err != nil {
 			return fmt.Errorf("serve: unknown model pattern %q (want plus, t or l)", key)
 		}
 		for _, c := range []struct {

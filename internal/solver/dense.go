@@ -52,115 +52,27 @@ func factorLowerInPlace(l []float64, n int) error {
 	return nil
 }
 
-// NewDenseCholeskyFromCSR densifies a small sparse SPD matrix and factors it.
-// Intended for the direct power-grid solve path, where node counts are small
-// enough that O(n²) storage and O(n³) factorization beat iterative solves.
+// NewDenseCholeskyFromCSR densifies a small sparse SPD matrix and factors
+// it: the exact reference the sparse factorizations are tested against.
 func NewDenseCholeskyFromCSR(a *sparse.CSR) (*DenseCholesky, error) {
 	n, cdim := a.Dims()
 	if n != cdim {
 		return nil, fmt.Errorf("solver: dense factor needs a square matrix, got %d×%d", n, cdim)
 	}
-	c := &DenseCholesky{n: n, l: make([]float64, n*n)}
-	if err := c.RefactorFromCSR(a); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// RefactorFromCSR refactors in place from a, which must have the dimension
-// the factor was built with. It performs no allocation.
-func (c *DenseCholesky) RefactorFromCSR(a *sparse.CSR) error {
-	n, cdim := a.Dims()
-	if n != c.n || cdim != c.n {
-		return fmt.Errorf("solver: Refactor dimensions %d×%d, want %d×%d", n, cdim, c.n, c.n)
-	}
-	for i := range c.l {
-		c.l[i] = 0
-	}
+	l := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		cols, vals := a.Row(i)
 		for k, col := range cols {
 			if col <= i {
-				c.l[i*n+col] = vals[k]
+				l[i*n+col] = vals[k]
 			}
 		}
 	}
 	record(telemetry.DenseFactorizations)
-	return factorLowerInPlace(c.l, n)
-}
-
-// N returns the system dimension.
-func (c *DenseCholesky) N() int { return c.n }
-
-// Set overwrites the factor with a copy of src's, which must have the same
-// dimension. It lets a Monte-Carlo trial restore a pristine factor by memcpy
-// instead of refactoring.
-func (c *DenseCholesky) Set(src *DenseCholesky) error {
-	if src.n != c.n {
-		return fmt.Errorf("solver: Set dimension %d, want %d", src.n, c.n)
+	if err := factorLowerInPlace(l, n); err != nil {
+		return nil, err
 	}
-	copy(c.l, src.l)
-	return nil
-}
-
-// Clone returns an independent copy of the factor.
-func (c *DenseCholesky) Clone() *DenseCholesky {
-	l := make([]float64, len(c.l))
-	copy(l, c.l)
-	return &DenseCholesky{n: c.n, l: l}
-}
-
-// Update applies the rank-one update L·Lᵀ → L·Lᵀ + w·wᵀ in place (LINPACK
-// dchud). w is consumed. Updates always succeed on a valid factor.
-func (c *DenseCholesky) Update(w []float64) {
-	record(telemetry.DenseUpdates)
-	n, l := c.n, c.l
-	k0 := 0
-	for k0 < n && w[k0] == 0 {
-		k0++
-	}
-	for k := k0; k < n; k++ {
-		lkk := l[k*n+k]
-		r := math.Hypot(lkk, w[k])
-		cc := r / lkk
-		s := w[k] / lkk
-		l[k*n+k] = r
-		for i := k + 1; i < n; i++ {
-			lik := (l[i*n+k] + s*w[i]) / cc
-			l[i*n+k] = lik
-			w[i] = cc*w[i] - s*lik
-		}
-	}
-}
-
-// Downdate applies the rank-one downdate L·Lᵀ → L·Lᵀ − w·wᵀ in place
-// (LINPACK dchdd). w is consumed. It returns ErrNotSPD — leaving the factor
-// partially modified, so the caller must refactor — when the downdated
-// matrix is not positive definite.
-func (c *DenseCholesky) Downdate(w []float64) error {
-	record(telemetry.DenseDowndates)
-	n, l := c.n, c.l
-	k0 := 0
-	for k0 < n && w[k0] == 0 {
-		k0++
-	}
-	for k := k0; k < n; k++ {
-		lkk := l[k*n+k]
-		d := (lkk - w[k]) * (lkk + w[k])
-		if d <= 0 || math.IsNaN(d) {
-			return fmt.Errorf("%w: downdate pivot %g at row %d", ErrNotSPD, d, k)
-		}
-		r := math.Sqrt(d)
-		cc := r / lkk
-		s := w[k] / lkk
-		l[k*n+k] = r
-		for i := k + 1; i < n; i++ {
-			lik := (l[i*n+k] - s*w[i]) / cc
-			l[i*n+k] = lik
-			w[i] = cc*w[i] - s*lik
-		}
-	}
-	return nil
+	return &DenseCholesky{n: n, l: l}, nil
 }
 
 // Solve returns x with A·x = b.
@@ -196,26 +108,6 @@ func (c *DenseCholesky) SolveInto(x, b []float64) error {
 			sum -= l[k*n+i] * x[k]
 		}
 		x[i] = sum / l[i*n+i]
-	}
-	return nil
-}
-
-// SolveBatchInto solves nrhs systems at once: b and x hold nrhs stacked
-// vectors (vector v occupies [v·n, (v+1)·n)). The dense backend serves
-// systems small enough that there is no index traversal to amortize, so it
-// loops SolveInto per vector — batched and looped solves are trivially
-// bit-identical.
-func (c *DenseCholesky) SolveBatchInto(x, b []float64, nrhs int) error {
-	if nrhs <= 0 {
-		return fmt.Errorf("solver: SolveBatchInto nrhs %d", nrhs)
-	}
-	if len(b) != c.n*nrhs || len(x) != c.n*nrhs {
-		return fmt.Errorf("solver: SolveBatchInto lengths %d/%d, want %d", len(x), len(b), c.n*nrhs)
-	}
-	for v := 0; v < nrhs; v++ {
-		if err := c.SolveInto(x[v*c.n:(v+1)*c.n], b[v*c.n:(v+1)*c.n]); err != nil {
-			return err
-		}
 	}
 	return nil
 }
