@@ -1,0 +1,433 @@
+package pdn
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
+
+	"emvia/internal/spice"
+	"emvia/internal/telemetry"
+)
+
+// An IR-drop trial opens via arrays one after another (paper §5.2,
+// Algorithm 1 step 2), and each opening redistributes the grid current. The
+// trial serves every opening from the shared pristine factor instead of
+// downdating and re-solving it.
+//
+// Opening the array of resistance R between free terminals fa and fb edits
+// the free-node matrix by A → A − R⁻¹·u·uᵀ with u = e_fa − e_fb (a pinned
+// terminal drops out of u). After r openings with update columns
+// U = [u_1 … u_r], pristine responses Z = A₀⁻¹U and R_r = diag(R_j), the
+// Woodbury identity gives A_r⁻¹ = A₀⁻¹ + Z·S⁻¹·Zᵀ with the capacitance
+// matrix S = R_r − UᵀZ. S is symmetric positive definite — it is the Schur
+// complement of an SPD block matrix — and grows by one row and column per
+// opening, so the trial keeps its Cholesky factor L and extends it. Opening
+// array v with response z = A₀⁻¹u_v then takes
+//
+//	t = Uᵀz                          O(r): entries z[fa_j] − z[fb_j]
+//	L·l = −t, pivot = R_v − uᵀz − l·l O(r²)
+//	y = S⁻¹t = −L⁻ᵀl                  O(r²)
+//	x ← x + (Δ/pivot)·(z + Z·y)       O(n·r), shared cached vectors only
+//
+// where z + Z·y = A_r⁻¹u_v, Δ is the array's full-space voltage drop in the
+// current solution x (a pinned terminal contributes its pad voltage, which
+// folds the pad's right-hand-side term in exactly), and the new row of L is
+// [l, √pivot].
+// Per instance that is O(n + r²) memory; the responses z live in a cache
+// shared by every worker of a master.
+
+// viaTerms is the edit vector of one via array over the free nodes.
+type viaTerms struct {
+	fa, fb int     // free terminals; −1 when pinned or grounded
+	va, vb float64 // pinned voltages of non-free terminals (0 for ground)
+	g, r   float64 // conductance as stamped, and resistance
+}
+
+// pinned reports whether neither terminal is free: opening the array leaves
+// the free system unchanged.
+func (t viaTerms) pinned() bool { return t.fa < 0 && t.fb < 0 }
+
+// dot returns uᵀx.
+func (t viaTerms) dot(x []float64) float64 {
+	v := 0.0
+	if t.fa >= 0 {
+		v += x[t.fa]
+	}
+	if t.fb >= 0 {
+		v -= x[t.fb]
+	}
+	return v
+}
+
+// drop returns the full-space voltage across the array in free solution x.
+func (t viaTerms) drop(x []float64) float64 {
+	a, b := t.va, t.vb
+	if t.fa >= 0 {
+		a = x[t.fa]
+	}
+	if t.fb >= 0 {
+		b = x[t.fb]
+	}
+	return a - b
+}
+
+// cascadeCrossover is the update rank, in units of nnz(L)/n, at which one
+// cascade step — dominated by its O(n·r) update — costs as much as the
+// factor path's downdate plus solve. BenchmarkCascadeCrossover read 8.0–9.5
+// (median 8.9) over eight runs on the nx64 grid of the ir-cascade benchmark
+// (n = 8 023, nnz(L)/n ≈ 24.6: a rank-32 step 108–151 µs against a downdate
+// and solve of 0.70–0.92 ms) on a 2-CPU Intel Xeon host. That grid's cap is
+// then 222, above its longest cascade (69 failures).
+const cascadeCrossover = 9
+
+// cascadeRankCap is the update rank at which a trial moves to the factor
+// path: past the measured crossover a downdate and solve beat another step.
+func cascadeRankCap(n, nnzL int) int {
+	if n == 0 {
+		return 0
+	}
+	return int(math.Ceil(cascadeCrossover * float64(nnzL) / float64(n)))
+}
+
+// hangGmins is the pivot guard of a cascade step, in units of the circuit's
+// gmin leak. Opening an array of resistance R whose terminals stay joined by
+// resistance R′ elsewhere has pivot R²/(R+R′); it falls below
+// hangGmins·gmin·R² only when that remaining connection conducts less than
+// hangGmins·gmin — a terminal hanging on the leak, where the update cancels
+// catastrophically. The trial then continues on the factor path.
+const hangGmins = 1e3
+
+// Fallback reasons (telemetry.CascadeFallbacks labels).
+const (
+	fallbackRank  = "rank"
+	fallbackPivot = "pivot"
+)
+
+// responseBudget caps a response cache at this many times nnz(L) floats, the
+// footprint of eight factors; the ir-cascade benchmark's jobs use about 6.7.
+const responseBudget = 8
+
+// responseCache holds the pristine responses A₀⁻¹u of opened via arrays,
+// one cache per master system, shared by its clones. An entry is published
+// once and never changes, so readers load it lock-free; only publishing takes
+// the lock. Every path that solves for a response — a batched prefill or a
+// single miss — produces the same bits, so which worker published an entry
+// never shows in a result.
+type responseCache struct {
+	entries []atomic.Pointer[[]float64]
+	mu      sync.Mutex
+	room    int // entries the budget still admits; guarded by mu
+}
+
+func newResponseCache(arrays, n, nnzL int) *responseCache {
+	c := &responseCache{entries: make([]atomic.Pointer[[]float64], arrays)}
+	if n > 0 {
+		c.room = responseBudget * nnzL / n
+	}
+	return c
+}
+
+// get returns array k's response, or nil when it is not cached.
+func (c *responseCache) get(k int) []float64 {
+	if p := c.entries[k].Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// free returns how many more entries the budget admits.
+func (c *responseCache) free() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.room
+}
+
+// publish offers z as array k's response. It returns z with taken set when
+// the cache keeps it (the caller must never write z again), the entry
+// another worker published first, or nil when the budget is spent.
+func (c *responseCache) publish(k int, z []float64) (entry []float64, taken bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := c.entries[k].Load(); p != nil {
+		return *p, false
+	}
+	if c.room == 0 {
+		return nil, false
+	}
+	c.room--
+	c.entries[k].Store(&z)
+	return z, true
+}
+
+// cascade is one trial's low-rank state (see the top of this file).
+type cascade struct {
+	x    []float64   // free-node solution after the openings; y0 while none
+	cols []int       // arrays of the update columns, in opening order
+	zs   [][]float64 // their pristine responses
+	l    []float64   // L packed by rows: row j holds j+1 entries from j(j+1)/2
+	y    []float64   // rank-sized scratch
+	// local holds responses solved here that the full cache did not take;
+	// the first nlocal serve the running trial.
+	local  [][]float64
+	nlocal int
+}
+
+// reset empties the cascade for a new trial, keeping every buffer.
+func (c *cascade) reset() {
+	c.cols = c.cols[:0]
+	c.zs = c.zs[:0]
+	c.l = c.l[:0]
+	c.nlocal = 0
+}
+
+// cascadeMetrics holds the cascade's telemetry handles, fetched once per
+// master and shared by its clones; all nil when telemetry is disabled.
+type cascadeMetrics struct {
+	steps, hits, prefills, misses *telemetry.Counter
+	rankFallbacks, pivotFallbacks *telemetry.Counter
+}
+
+func newCascadeMetrics() cascadeMetrics {
+	r := telemetry.Default()
+	return cascadeMetrics{
+		steps:          r.Counter(telemetry.CascadeSteps),
+		hits:           r.Counter(telemetry.CascadeResponseHits),
+		prefills:       r.Counter(telemetry.CascadeResponseFills("prefill")),
+		misses:         r.Counter(telemetry.CascadeResponseFills("miss")),
+		rankFallbacks:  r.Counter(telemetry.CascadeFallbacks(fallbackRank)),
+		pivotFallbacks: r.Counter(telemetry.CascadeFallbacks(fallbackPivot)),
+	}
+}
+
+// open applies array k's opening to the running trial, writes the new
+// operating point into dst and returns its free-node solution: a cascade
+// step while the trial stays low-rank, a downdate and solve on the private
+// circuit once it has moved off.
+func (s *GridSystem) open(k int, dst *spice.OP) ([]float64, error) {
+	if s.onFactor {
+		if err := s.fb.DisableResistor(s.cfg.Grid.Vias[k].ResistorIndex); err != nil {
+			return nil, err
+		}
+		return s.solveFactor(dst)
+	}
+	reason, err := s.step(k)
+	if err != nil {
+		return nil, err
+	}
+	switch reason {
+	case "":
+		s.met.steps.Inc()
+		x := s.y0
+		if len(s.casc.cols) > 0 {
+			x = s.casc.x
+		}
+		return x, s.circuit.ScatterFree(dst, x)
+	case fallbackRank:
+		s.met.rankFallbacks.Inc()
+	case fallbackPivot:
+		s.met.pivotFallbacks.Inc()
+	}
+	return s.moveToFactor(dst)
+}
+
+// moveToFactor continues the running trial on this instance's private copy
+// of the circuit: it opens every array the trial has failed so far and
+// solves. The copy is cloned once per instance and snapshotted pristine
+// straight away, so each BeginTrial restores the same bits.
+func (s *GridSystem) moveToFactor(dst *spice.OP) ([]float64, error) {
+	if s.fb == nil {
+		s.fb = s.circuit.Clone()
+		s.fb.ResetResistors()
+	}
+	s.onFactor, s.fbDirty = true, true
+	for _, j := range s.failed {
+		if err := s.fb.DisableResistor(s.cfg.Grid.Vias[j].ResistorIndex); err != nil {
+			return nil, err
+		}
+	}
+	return s.solveFactor(dst)
+}
+
+// solveFactor solves the private circuit into dst and gathers the free-node
+// solution into the cascade's (now idle) solution buffer.
+func (s *GridSystem) solveFactor(dst *spice.OP) ([]float64, error) {
+	if err := s.fb.SolveDCInto(dst); err != nil {
+		return nil, err
+	}
+	if s.casc.x == nil {
+		s.casc.x = make([]float64, len(s.y0))
+	}
+	return s.casc.x, s.fb.GatherFree(s.casc.x, dst)
+}
+
+// step opens array k on the low-rank path. Instead it returns a fallback
+// reason, leaving the cascade as it was, when the rank has reached its cap
+// or the pivot guard trips.
+func (s *GridSystem) step(k int) (string, error) {
+	tk := s.terms[k]
+	if tk.pinned() {
+		return "", nil
+	}
+	c := &s.casc
+	r := len(c.cols)
+	if r >= s.rankCap {
+		return fallbackRank, nil
+	}
+	z, err := s.response(k)
+	if err != nil {
+		return "", err
+	}
+	if c.x == nil {
+		c.x = make([]float64, len(s.y0))
+	}
+	c.y = slices.Grow(c.y[:0], r)[:r]
+	// The new row of L solves L·l = −t in place (t_j = u_jᵀz); the pivot is
+	// what the Cholesky extension leaves on its diagonal.
+	off := r * (r + 1) / 2
+	c.l = slices.Grow(c.l, r+1)[:off+r+1]
+	row := c.l[off:]
+	for j, kj := range c.cols {
+		row[j] = -s.terms[kj].dot(z)
+	}
+	pivot := tk.r - tk.dot(z)
+	for i := 0; i < r; i++ {
+		li := c.l[i*(i+1)/2:]
+		v := row[i]
+		for j := 0; j < i; j++ {
+			v -= li[j] * row[j]
+		}
+		v /= li[i]
+		row[i] = v
+		pivot -= v * v
+	}
+	if !(pivot >= hangGmins*s.circuit.Gmin()*tk.r*tk.r) {
+		c.l = c.l[:off]
+		return fallbackPivot, nil
+	}
+	row[r] = math.Sqrt(pivot)
+	for i := r - 1; i >= 0; i-- { // y = −L⁻ᵀ·l
+		v := -row[i]
+		for j := i + 1; j < r; j++ {
+			v -= c.l[j*(j+1)/2+i] * c.y[j]
+		}
+		c.y[i] = v / c.l[i*(i+1)/2+i]
+	}
+	x := s.y0
+	if r > 0 {
+		x = c.x
+	}
+	coef := tk.drop(x) / pivot
+	for j := range c.y {
+		c.y[j] *= coef
+	}
+	advance(c.x, x, coef, z, c.y, c.zs)
+	c.cols = append(c.cols, k)
+	c.zs = append(c.zs, z)
+	return "", nil
+}
+
+// advance sets x = base + a·z + Σ_j y_j·zs[j] (x may alias base), four
+// columns per pass over x. Each entry accumulates in column order, exactly
+// as one axpy per column would.
+func advance(x, base []float64, a float64, z, y []float64, zs [][]float64) {
+	n := len(x)
+	base, z = base[:n], z[:n]
+	for i := range x {
+		x[i] = base[i] + a*z[i]
+	}
+	j := 0
+	for ; j+4 <= len(y); j += 4 {
+		p, q, r, t := zs[j][:n], zs[j+1][:n], zs[j+2][:n], zs[j+3][:n]
+		yp, yq, yr, yt := y[j], y[j+1], y[j+2], y[j+3]
+		for i := range x {
+			x[i] = x[i] + yp*p[i] + yq*q[i] + yr*r[i] + yt*t[i]
+		}
+	}
+	for ; j < len(y); j++ {
+		p, yp := zs[j][:n], y[j]
+		for i := range x {
+			x[i] += yp * p[i]
+		}
+	}
+}
+
+// response returns array k's pristine response A₀⁻¹u_k: from the shared
+// cache, or solved here and offered to it. A response the full cache does
+// not take stays in this instance's local storage for the rest of the trial.
+func (s *GridSystem) response(k int) ([]float64, error) {
+	if z := s.cache.get(k); z != nil {
+		s.met.hits.Inc()
+		return z, nil
+	}
+	c := &s.casc
+	if c.nlocal == len(c.local) {
+		c.local = append(c.local, nil)
+	}
+	z := c.local[c.nlocal]
+	if z == nil {
+		z = make([]float64, len(s.y0))
+	}
+	if err := s.solveResponses(z, []int{k}); err != nil {
+		return nil, err
+	}
+	s.met.misses.Inc()
+	entry, taken := s.cache.publish(k, z)
+	if taken {
+		c.local[c.nlocal] = nil
+		return z, nil
+	}
+	c.local[c.nlocal] = z
+	if entry == nil {
+		c.nlocal++
+		return z, nil
+	}
+	return entry, nil
+}
+
+// fillResponses solves the responses of arrays ks in one batched sweep and
+// publishes them, as many as the cache budget admits.
+func (s *GridSystem) fillResponses(ks []int) error {
+	m := min(len(ks), s.cache.free())
+	if m == 0 {
+		return nil
+	}
+	n := len(s.y0)
+	slab := make([]float64, m*n)
+	if err := s.solveResponses(slab, ks[:m]); err != nil {
+		return fmt.Errorf("pdn: preparing trial group: %w", err)
+	}
+	s.met.prefills.Add(int64(m))
+	for i, k := range ks[:m] {
+		s.cache.publish(k, slab[i*n:(i+1)*n:(i+1)*n])
+	}
+	return nil
+}
+
+// solveResponses solves A₀·z = u_k for each array of ks into the stacked
+// vectors of dst, reading the shared factor with this instance's scratch.
+func (s *GridSystem) solveResponses(dst []float64, ks []int) error {
+	n := len(s.y0)
+	s.rhs = slices.Grow(s.rhs[:0], len(ks)*n)[:len(ks)*n]
+	for i, k := range ks {
+		t := s.terms[k]
+		if t.fa >= 0 {
+			s.rhs[i*n+t.fa] = 1
+		}
+		if t.fb >= 0 {
+			s.rhs[i*n+t.fb] = -1
+		}
+	}
+	err := s.circuit.SolveFreeBatch(&s.ws, dst, s.rhs, len(ks))
+	for i, k := range ks {
+		t := s.terms[k]
+		if t.fa >= 0 {
+			s.rhs[i*n+t.fa] = 0
+		}
+		if t.fb >= 0 {
+			s.rhs[i*n+t.fb] = 0
+		}
+	}
+	return err
+}

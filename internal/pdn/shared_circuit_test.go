@@ -45,12 +45,10 @@ func freshSystem(t *testing.T, cfg TTFConfig) *GridSystem {
 	if err := c.SetResistor(0, cfg.Grid.Netlist.Resistors[0].Ohms); err != nil {
 		t.Fatal(err)
 	}
-	s := &GridSystem{cfg: cfg, circuit: c, op0: op}
 	c.ResetResistors()
-	s.opA, s.opB = c.NewOP(), c.NewOP()
-	s.i0 = make([]float64, len(cfg.Grid.Vias))
-	for k, v := range cfg.Grid.Vias {
-		s.i0[k] = math.Abs(op.ResistorCurrent(v.ResistorIndex))
+	s, err := newSystem(cfg, c, op)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return s
 }

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"emvia/internal/cudd"
 	"emvia/internal/mc"
+	"emvia/internal/solver"
 	"emvia/internal/spice"
 	"emvia/internal/trace"
 	"emvia/internal/viaarray"
@@ -111,39 +113,51 @@ func (c TTFConfig) Validate() error {
 
 // GridSystem is the mc.System of the second hierarchy level: components are
 // via arrays, failure opens them, and the criterion is grid IR integrity.
+//
+// A master (NewSystem) and its Clones share the pristine compiled circuit,
+// its factor and operating point, and one response cache, all read-only
+// while trials run; each instance owns only its trial state. An IR-drop
+// trial's failures never edit or re-solve the factor: opening an array is a
+// low-rank update of the pristine solution (cascade.go), and only a trial
+// that outgrows the update moves to a private copy of the circuit.
 type GridSystem struct {
-	cfg     TTFConfig
-	circuit *spice.Circuit
+	cfg TTFConfig
 
-	i0  []float64 // pristine per-array current magnitudes
-	op0 *spice.OP // pristine operating point
+	// Shared by a master and its clones; never written once NewSystem
+	// returns (the cache publishes write-once entries).
+	circuit *spice.Circuit
+	op0     *spice.OP  // pristine operating point
+	i0      []float64  // pristine per-array current magnitudes
+	y0      []float64  // pristine free-node solution (IR-drop only)
+	terms   []viaTerms // per-array edit vector (IR-drop only)
+	cache   *responseCache
+	// rankCap is the update rank at which a trial moves to the factor path
+	// (cascadeRankCap); tests lower it to force the fallback.
+	rankCap int
+	met     cascadeMetrics
 
 	alive       []bool
 	baseTTF     []float64
 	iNow        []float64
 	opNow       *spice.OP
 	failedCount int
+	failed      []int // arrays opened so far in this trial, in order
 
-	// Two spare operating points double-buffer the re-solves inside a trial:
-	// Fail always solves into the spare opNow does not occupy, so op0 is
-	// never overwritten and the inner loop allocates nothing.
+	// Two spare operating points double-buffer the post-failure states
+	// inside a trial: Fail always writes the spare opNow does not occupy,
+	// so op0 is never overwritten and the inner loop allocates nothing.
 	opA, opB *spice.OP
 
-	// Batched trial preparation (mc.TrialPreparer). PrepareTrials predicts
-	// each upcoming trial's first failure from its seed, batch-solves the
-	// Sherman–Morrison correction vectors for the distinct first failures of
-	// the group in one multi-RHS sweep, and stores one entry per trial;
-	// BeginTrial consumes the entries in order and Fail serves the first
-	// post-failure solution from them instead of a triangular solve.
-	prep     []prepTrial
-	prepNext int
-	prepK    int // predicted first failure of the running trial; -1 = none
-	prepCoef float64
-	prepZOff int
-	prepZ    []float64 // correction vectors A⁻¹·u, one per distinct first failure
-	prepB    []float64 // batched right-hand sides (the u vectors)
-	yFree    []float64 // pristine free-node solution (gathered from op0 once)
-	xScratch []float64
+	casc cascade
+	ws   solver.Workspace // this instance's solve scratch
+	rhs  []float64        // response right-hand sides, all zero between uses
+
+	// The factor path: fb is this instance's private copy of the circuit,
+	// cloned at its first fallback; onFactor marks a trial that continues
+	// on it, and fbDirty that fb has vias open for BeginTrial to restore.
+	fb       *spice.Circuit
+	onFactor bool
+	fbDirty  bool
 
 	// candidates is the ascending index list of the steady screen's mortal
 	// mask (mc.CandidateMasker); nil runs the legacy sequential sampling
@@ -156,22 +170,6 @@ type GridSystem struct {
 	// substream generator.
 	candidates []int
 	sub        *rand.Rand
-
-	// circuitDirty records that a trial edited the compiled circuit (opened
-	// a via), so the next BeginTrial must restore the pristine matrix and
-	// factor. Weakest-link trials never edit the circuit — the trial is
-	// over at the first failure, before anything reads the matrix again —
-	// which keeps the expensive sparse-factor restore off that path.
-	circuitDirty bool
-}
-
-// prepTrial is one prepared trial: the predicted first-failing array and the
-// Sherman–Morrison coefficient against correction vector zoff.
-type prepTrial struct {
-	k     int // first-failing via array; -1 when the trial never fails
-	zoff  int // index into prepZ; -1 when the failure leaves the free system unchanged
-	coef  float64
-	valid bool
 }
 
 // NewSystem takes a private copy of the grid's compiled circuit (see
@@ -199,43 +197,55 @@ func NewSystemCtx(ctx context.Context, cfg TTFConfig) (*GridSystem, error) {
 				frac*100, cfg.IRDropFrac*100)
 		}
 	}
-	s := &GridSystem{cfg: cfg, circuit: circuit, op0: op}
-	// Put the solver into its canonical post-reset state (slots compiled,
-	// pristine factor snapshot taken) once up front, so trials on a fresh
-	// system and on a Clone start from bit-identical solver state whether
-	// or not BeginTrial's dirty gate runs another restore in between.
-	circuit.ResetResistors()
-	s.opA = circuit.NewOP()
-	s.opB = circuit.NewOP()
+	return newSystem(cfg, circuit, op)
+}
+
+// newSystem builds a master over a solved pristine circuit and its
+// operating point. Only IR-drop trials re-solve, so only they get the
+// cascade's shared state.
+func newSystem(cfg TTFConfig, circuit *spice.Circuit, op *spice.OP) (*GridSystem, error) {
+	s := &GridSystem{cfg: cfg, circuit: circuit, op0: op, met: newCascadeMetrics()}
 	s.i0 = make([]float64, len(cfg.Grid.Vias))
 	for k, v := range cfg.Grid.Vias {
 		s.i0[k] = math.Abs(op.ResistorCurrent(v.ResistorIndex))
 	}
+	if cfg.Criterion != IRDrop {
+		return s, nil
+	}
+	n := circuit.NumFree()
+	s.y0 = make([]float64, n)
+	if err := circuit.GatherFree(s.y0, op); err != nil {
+		return nil, err
+	}
+	s.terms = make([]viaTerms, len(cfg.Grid.Vias))
+	for k, v := range cfg.Grid.Vias {
+		fa, fb, va, vb := circuit.ResistorTerms(v.ResistorIndex)
+		g := circuit.ResistorConductance(v.ResistorIndex)
+		s.terms[k] = viaTerms{fa: fa, fb: fb, va: va, vb: vb, g: g, r: 1 / g}
+	}
+	s.cache = newResponseCache(len(cfg.Grid.Vias), n, circuit.FactorNNZ())
+	s.rankCap = cascadeRankCap(n, circuit.FactorNNZ())
 	return s, nil
 }
 
-// Clone returns an independent system for another Monte-Carlo worker. The
-// cloned circuit shares every immutable compile-time artifact (node tables,
-// sparsity pattern, slot map, symbolic factor structure) with the receiver
-// and copies the mutable numeric state, so per-worker systems skip the
-// compile + order + factor cost entirely while producing bit-identical
-// trials. Cloning only reads the receiver: concurrent clones of one master
-// are safe.
+// Clone returns a system for another Monte-Carlo worker. It shares the
+// receiver's pristine circuit, factor, operating point and response cache —
+// all read-only during trials — and owns only fresh trial state, so a clone
+// costs no circuit copy and produces bit-identical trials. Cloning only
+// reads the receiver: concurrent clones of one master are safe.
 func (s *GridSystem) Clone() *GridSystem {
-	circuit := s.circuit.Clone()
-	d := &GridSystem{
+	return &GridSystem{
 		cfg:        s.cfg,
-		circuit:    circuit,
-		i0:         s.i0, // pristine currents are write-once
-		op0:        s.op0.CloneFor(circuit),
+		circuit:    s.circuit,
+		op0:        s.op0,
+		i0:         s.i0,
+		y0:         s.y0,
+		terms:      s.terms,
+		cache:      s.cache,
+		rankCap:    s.rankCap,
+		met:        s.met,
 		candidates: s.candidates, // write-once after SetCandidates
-		// The source may have been cloned mid-run with vias open; make the
-		// clone's first BeginTrial restore the pristine state.
-		circuitDirty: true,
 	}
-	d.opA = circuit.NewOP()
-	d.opB = circuit.NewOP()
-	return d
 }
 
 // NumComponents returns the via-array count.
@@ -344,16 +354,16 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 	if s.alive == nil {
 		s.initTrialState()
 	}
-	// Restore the vias opened by the previous trial and put the solver into
-	// its canonical pristine state (matrix values and factor),
-	// so trial outcomes do not depend on which trials ran before on this
-	// system instance. A clean circuit (weakest-link trials, or a fresh
-	// system) skips the restore — on large sparse grids it is the single
-	// most expensive step of a sampling-bound trial.
-	if s.circuitDirty {
-		s.circuit.ResetResistors()
-		s.circuitDirty = false
+	// A trial that ended on the factor path left vias open on the private
+	// circuit: restore its pristine matrix and factor (a memcpy of the
+	// snapshot), so trial outcomes do not depend on earlier trials.
+	if s.fbDirty {
+		s.fb.ResetResistors()
+		s.fbDirty = false
 	}
+	s.onFactor = false
+	s.casc.reset()
+	s.failed = s.failed[:0]
 	s.failedCount = 0
 	s.opNow = s.op0
 	if s.candidates == nil {
@@ -378,51 +388,22 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 			s.baseTTF[k] = s.sampleTTF(k, sub)
 		}
 	}
-	// Consume this trial's prepared entry, if a group was prepared. Entries
-	// are queued in trial order, matching the engine's in-order group run.
-	s.prepK = -1
-	if s.prepNext < len(s.prep) {
-		e := s.prep[s.prepNext]
-		s.prepNext++
-		if e.valid {
-			s.prepK = e.k
-			s.prepZOff = e.zoff
-			s.prepCoef = e.coef
-		}
-	}
 	return nil
 }
 
 // PrepareTrials implements mc.TrialPreparer: ahead of a trial group it
 // replays each trial's TTF sampling from its seed, predicts the trial's
 // first failure — the strict argmin of sampled TTF over arrays carrying
-// current, exactly the engine's first scheduling decision — and solves for
-// the distinct Sherman–Morrison correction vectors of the group in one
-// batched multi-RHS sweep over the pristine factor. Fail then reconstructs
-// the post-first-failure operating point as x = y − coef·z instead of
-// paying a per-trial triangular solve. Preparation is skipped (leaving the
-// exact legacy path) under the weakest-link criterion.
+// current, exactly the engine's first scheduling decision — and solves the
+// pristine responses of the group's uncached predictions into the shared
+// cache in one batched multi-RHS sweep. A wrong prediction costs only a
+// cache miss at the first failure. Weakest-link trials never re-solve, so
+// there is nothing to prepare.
 func (s *GridSystem) PrepareTrials(seeds []int64) error {
-	s.prep = s.prep[:0]
-	s.prepNext = 0
-	s.prepK = -1
 	if s.cfg.Criterion == WeakestLink {
 		return nil
 	}
-	// The corrections expand about the pristine system; make it current.
-	s.circuit.ResetResistors()
-	s.circuitDirty = false
-	n := s.circuit.NumFree()
-	if s.yFree == nil {
-		s.yFree = make([]float64, n)
-		if err := s.circuit.GatherFree(s.yFree, s.op0); err != nil {
-			return err
-		}
-		s.xScratch = make([]float64, n)
-	}
-	// Predict each trial's first failure; deduplicate the correction solves.
-	zof := make(map[int]int, len(seeds)) // resistor index -> slot in prepZ
-	var zri []int                        // slot -> resistor index
+	var ks []int
 	rng := rand.New(rand.NewSource(0))
 	for _, seed := range seeds {
 		rng.Seed(seed)
@@ -453,107 +434,13 @@ func (s *GridSystem) PrepareTrials(seeds []int64) error {
 			sub.Seed(subSeed(base, i))
 			consider(i, sub)
 		}
-		e := prepTrial{k: -1, zoff: -1}
-		if k >= 0 && !math.IsInf(minTTF, 1) {
-			ri := s.cfg.Grid.Vias[k].ResistorIndex
-			fa, fb, _, _ := s.circuit.ResistorTerms(ri)
-			// Opening the resistor is the rank-one edit A → A + dg·u·uᵀ over
-			// the free nodes, u = e_fa − e_fb with pinned terminals dropped;
-			// a pinned terminal additionally shifts the right-hand side, which
-			// folds into the correction coefficient below. A resistor with no
-			// free terminal leaves the free system untouched (zoff −1: the
-			// post-failure solution is the pristine one).
-			if s.circuit.ResistorConductance(ri) > 0 {
-				zo := -1
-				if fa >= 0 || fb >= 0 {
-					var seen bool
-					if zo, seen = zof[ri]; !seen {
-						zo = len(zri)
-						zof[ri] = zo
-						zri = append(zri, ri)
-					}
-				}
-				e = prepTrial{k: k, zoff: zo, valid: true}
-			}
-		}
-		s.prep = append(s.prep, e)
-	}
-	m := len(zri)
-	if m == 0 {
-		return nil
-	}
-	if cap(s.prepZ) < m*n {
-		s.prepZ = make([]float64, m*n)
-		s.prepB = make([]float64, m*n)
-	}
-	s.prepZ = s.prepZ[:m*n]
-	s.prepB = s.prepB[:m*n]
-	for i := range s.prepB {
-		s.prepB[i] = 0
-	}
-	for zo, ri := range zri {
-		fa, fb, _, _ := s.circuit.ResistorTerms(ri)
-		if fa >= 0 {
-			s.prepB[zo*n+fa] = 1
-		}
-		if fb >= 0 {
-			s.prepB[zo*n+fb] = -1
+		if k >= 0 && !math.IsInf(minTTF, 1) && !s.terms[k].pinned() && s.cache.get(k) == nil {
+			ks = append(ks, k)
 		}
 	}
-	// One batched sweep amortizes the factor traffic over the whole group.
-	if err := s.circuit.SolveFreeBatch(s.prepZ, s.prepB, m); err != nil {
-		return fmt.Errorf("pdn: preparing trial group: %w", err)
-	}
-	uDot := func(x []float64, fa, fb int) float64 {
-		v := 0.0
-		if fa >= 0 {
-			v += x[fa]
-		}
-		if fb >= 0 {
-			v -= x[fb]
-		}
-		return v
-	}
-	for i := range s.prep {
-		e := &s.prep[i]
-		if !e.valid || e.zoff < 0 {
-			continue
-		}
-		ri := s.cfg.Grid.Vias[e.k].ResistorIndex
-		fa, fb, va, vb := s.circuit.ResistorTerms(ri)
-		dg := -s.circuit.ResistorConductance(ri)
-		z := s.prepZ[e.zoff*n : (e.zoff+1)*n]
-		denom := 1 + dg*uDot(z, fa, fb)
-		if math.Abs(denom) < 1e-12 {
-			// Opening this array (nearly) disconnects the grid; the formula
-			// is ill-conditioned, so leave the trial on the legacy solve.
-			e.valid = false
-			continue
-		}
-		// The numerator is the full-space voltage drop across the resistor:
-		// a pinned terminal contributes its pad voltage where a free one
-		// contributes its pristine solve value (the pad's right-hand-side
-		// shift folds in exactly this way).
-		e.coef = dg * (uDot(s.yFree, fa, fb) + va - vb) / denom
-	}
-	return nil
-}
-
-// prepServe reconstructs the post-first-failure operating point from the
-// prepared Sherman–Morrison state into dst. A false return means the caller
-// must fall back to a legacy solve.
-func (s *GridSystem) prepServe(dst *spice.OP) bool {
-	x := s.xScratch
-	if s.prepZOff >= 0 {
-		n := len(x)
-		z := s.prepZ[s.prepZOff*n : (s.prepZOff+1)*n]
-		for i := range x {
-			x[i] = s.yFree[i] - s.prepCoef*z[i]
-		}
-	} else {
-		copy(x, s.yFree)
-	}
-	return s.circuit.ScatterFree(dst, x) == nil
+	slices.Sort(ks)
+	ks = slices.Compact(ks)
+	return s.fillResponses(ks)
 }
 
 // BaseTTF returns array k's sampled TTF.
@@ -577,44 +464,49 @@ func (s *GridSystem) Fail(k int) error {
 	s.alive[k] = false
 	s.failedCount++
 	if s.cfg.Criterion == WeakestLink {
-		// The trial is already over; nothing reads the matrix before the
-		// next BeginTrial, so leave the circuit pristine instead of paying
-		// the open-and-restore round trip on the factored system.
+		// The trial is already over; nothing reads the electrical state
+		// before the next BeginTrial.
 		return nil
 	}
-	if err := s.circuit.DisableResistor(s.cfg.Grid.Vias[k].ResistorIndex); err != nil {
-		return err
-	}
-	s.circuitDirty = true
-	dst := s.opA
-	if s.opNow == s.opA {
-		dst = s.opB
-	}
-	// The first failure of a prepared trial is served from the batched
-	// Sherman–Morrison state; everything else pays the legacy solve.
-	if !(s.failedCount == 1 && k == s.prepK && s.prepServe(dst)) {
-		if err := s.circuit.SolveDCInto(dst); err != nil {
-			return fmt.Errorf("pdn: re-solve after failing array %d: %w", k, err)
-		}
+	s.failed = append(s.failed, k)
+	dst := s.spareOP()
+	x, err := s.open(k, dst)
+	if err != nil {
+		return fmt.Errorf("pdn: re-solve after failing array %d: %w", k, err)
 	}
 	s.opNow = dst
 	if s.candidates == nil {
 		for i := range s.cfg.Grid.Vias {
-			s.updateCurrent(i, dst)
+			s.updateCurrent(i, x)
 		}
 	}
 	// Arrays outside the mask are never scheduled: their aging rate is
 	// never read.
 	for _, i := range s.candidates {
-		s.updateCurrent(i, dst)
+		s.updateCurrent(i, x)
 	}
 	return nil
 }
 
-// updateCurrent refreshes array i's present current from op.
-func (s *GridSystem) updateCurrent(i int, op *spice.OP) {
+// spareOP returns the operating point opNow does not occupy, allocating the
+// pair on first use.
+func (s *GridSystem) spareOP() *spice.OP {
+	if s.opA == nil {
+		s.opA, s.opB = s.circuit.NewOP(), s.circuit.NewOP()
+	}
+	if s.opNow == s.opA {
+		return s.opB
+	}
+	return s.opA
+}
+
+// updateCurrent refreshes array i's present current from the free-node
+// solution x, with the arithmetic of spice.OP.ResistorCurrent: voltage drop
+// times stamped conductance. Failed arrays carry none.
+func (s *GridSystem) updateCurrent(i int, x []float64) {
 	if s.alive[i] {
-		s.iNow[i] = math.Abs(op.ResistorCurrent(s.cfg.Grid.Vias[i].ResistorIndex))
+		t := s.terms[i]
+		s.iNow[i] = math.Abs(t.drop(x) * t.g)
 	} else {
 		s.iNow[i] = 0
 	}

@@ -13,9 +13,13 @@ import (
 )
 
 // manifestSchemaVersion is bumped when the result-manifest layout changes
-// meaning. It is part of the manifest, not of the content hash: the hash
-// addresses the *question*, the manifest records the *answer*.
-const manifestSchemaVersion = 2
+// meaning, or when the engine's answer to the same question moves. It is
+// part of the manifest, not of the content hash: the hash addresses the
+// *question*, the manifest records the *answer*. Version 3: IR-drop trials
+// open via arrays by low-rank updates of the pristine factor, which moves
+// their TTFs at solver-rounding level, so a stored version-2 answer is
+// recomputed rather than served.
+const manifestSchemaVersion = 3
 
 // ResultManifest is the content-addressed record of one completed job. It
 // is canonical by construction — no wall-clock timestamps, no hostnames, no

@@ -141,6 +141,12 @@ func TestMergePartialsRejects(t *testing.T) {
 			p[1].SchemaVersion = 99
 			return p
 		}, "schema"},
+		{"schema 2 shard", func(p []*PartialManifest) []*PartialManifest {
+			// Computed before the low-rank cascade: its TTFs may differ
+			// from a fresh shard's at rounding level.
+			p[1].SchemaVersion = 2
+			return p
+		}, "schema"},
 		{"engine mismatch", func(p []*PartialManifest) []*PartialManifest {
 			p[1].Engine = "both"
 			return p
@@ -268,7 +274,7 @@ func FuzzMergePartials(f *testing.F) {
 	f.Add(whole[0], []byte("{}"))
 	f.Add(split[0], split[1])
 	f.Add(split[0], split[0])                                                     // duplicate range
-	f.Add(split[0], []byte(`{"schema_version":2}`))                               // empty shard
+	f.Add(split[0], []byte(`{"schema_version":3}`))                               // empty shard
 	f.Add([]byte(`not json at all`), split[1])                                    // corrupt
 	f.Add(bytes.Replace(split[0], []byte(hash), []byte("deadbeef"), 1), split[1]) // wrong hash
 	f.Fuzz(func(t *testing.T, a, b []byte) {

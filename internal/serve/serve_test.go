@@ -816,6 +816,13 @@ func TestResultCacheStaleFileIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, m["content_hash"].(string)+".json")
+	// A schema-2 answer has today's layout but came from the downdate path,
+	// whose TTFs differ from a fresh run at rounding level.
+	m["schema_version"] = 2
+	schema2, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m["schema_version"] = 1
 	m["solver"] = "auto"
 	schema1, err := json.Marshal(m)
@@ -826,7 +833,7 @@ func TestResultCacheStaleFileIsMiss(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		file []byte
-	}{{"garbage", []byte("{not a manifest")}, {"schema 1", schema1}} {
+	}{{"garbage", []byte("{not a manifest")}, {"schema 1", schema1}, {"schema 2", schema2}} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := os.WriteFile(path, tc.file, 0o644); err != nil {
 				t.Fatal(err)

@@ -99,8 +99,7 @@ type SupernodalCholesky struct {
 	ybuf   [][]float64
 
 	wbuf []float64 // up/downdate workspace; all-zero between calls
-	z    []float64 // permuted solve vector
-	zb   []float64 // batch solve scratch, grown on demand
+	ws   Workspace // solve scratch of SolveInto and SolveBatchInto
 	errs []error   // per-supernode factorization error, nil between calls
 
 	// Pre-created dispatch closures (allocation-free refactors) and their
@@ -493,7 +492,7 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 
 	// Workspaces and dispatch closures.
 	c.wbuf = make([]float64, n)
-	c.z = make([]float64, n)
+	c.ws.grow(n)
 	c.errs = make([]error, c.nsup)
 	c.initScratch()
 }
@@ -796,14 +795,87 @@ func (c *SupernodalCholesky) taskWork(s int32) int {
 	return w * lr * lr
 }
 
+// Workspace is the scratch of a caller's triangular solves, grown on demand
+// and reused across calls. A factor keeps one for SolveInto and
+// SolveBatchInto; SolveWith takes the caller's, which leaves the factor
+// strictly read-only, so goroutines that each own a Workspace may solve
+// against one factor concurrently.
+type Workspace struct{ z []float64 }
+
+// grow returns the first m scratch entries, reallocating when short.
+func (w *Workspace) grow(m int) []float64 {
+	if cap(w.z) < m {
+		w.z = make([]float64, m)
+	}
+	return w.z[:m]
+}
+
 // SolveInto overwrites x with A⁻¹·b without allocating. Both slices must
 // have the system dimension; they may alias.
 func (c *SupernodalCholesky) SolveInto(x, b []float64) error {
 	if len(b) != c.n || len(x) != c.n {
 		return fmt.Errorf("solver: SolveInto lengths %d/%d do not match dimension %d", len(x), len(b), c.n)
 	}
+	return c.SolveWith(&c.ws, x, b, 1)
+}
+
+// SolveBatchInto solves nrhs stacked systems with the factor's own scratch
+// (see SolveWith).
+func (c *SupernodalCholesky) SolveBatchInto(x, b []float64, nrhs int) error {
+	return c.SolveWith(&c.ws, x, b, nrhs)
+}
+
+// batchVarMinRHS is the smallest group the variable-width batched kernel
+// serves; smaller groups loop the single-vector kernel. Measured by
+// BenchmarkSupernodalSolveRouting (median µs per vector, looped vs
+// variable-width) on a 2-CPU Intel Xeon host, on the nx64 power-grid factor
+// (8 023 unknowns, nnz(L) = 197 634) and on a 90×90 Laplacian: one vector
+// 488–565 vs 1 164–1 246, two 524–583 vs 665–689, three 498–545 vs 500–603,
+// four 486–538 vs 486–578, then the batched kernel pulls ahead — five
+// 410–623 vs 388–422, seven 413–536 vs 370–389.
+const batchVarMinRHS = 5
+
+// SolveWith solves nrhs systems into x using the caller's workspace: b and x
+// hold nrhs stacked vectors (vector k occupies [k·n, (k+1)·n)). It reads the
+// factor and writes only x and ws, so concurrent calls with distinct
+// workspaces are safe. The batched kernels transpose the panel sweep to
+// row-major so each column operation streams over the lanes of one row:
+// groups of eight or more vectors go through a fixed 16-lane kernel
+// (solveBatch16) whose unrolled inner loops dodge per-element bounds checks,
+// groups of five to seven through the variable-width pass, and smaller
+// groups loop the single-vector kernel, which is faster there. The
+// per-vector arithmetic is the same in every kernel, so batched and looped
+// solves agree bit for bit.
+func (c *SupernodalCholesky) SolveWith(ws *Workspace, x, b []float64, nrhs int) error {
+	if nrhs <= 0 {
+		return fmt.Errorf("solver: SolveWith nrhs %d", nrhs)
+	}
+	n := c.n
+	if len(b) != n*nrhs || len(x) != n*nrhs {
+		return fmt.Errorf("solver: SolveWith lengths %d/%d, want %d", len(x), len(b), n*nrhs)
+	}
 	record(telemetry.SparseSolves)
-	n, px, z := c.n, c.px, c.z
+	for g0 := 0; g0 < nrhs; {
+		m := min(nrhs-g0, 16)
+		switch {
+		case m >= 8:
+			c.solveBatch16(ws.grow(n*16), x, b, g0, m)
+		case m >= batchVarMinRHS:
+			c.solveBatchVar(ws.grow(n*m), x, b, g0, m)
+		default:
+			z := ws.grow(n)
+			for v := g0; v < g0+m; v++ {
+				c.solveVec(z, x[v*n:(v+1)*n], b[v*n:(v+1)*n])
+			}
+		}
+		g0 += m
+	}
+	return nil
+}
+
+// solveVec is the single-vector forward and backward sweep through scratch z.
+func (c *SupernodalCholesky) solveVec(z, x, b []float64) {
+	n, px := c.n, c.px
 	for k := 0; k < n; k++ {
 		z[k] = b[c.perm[k]]
 	}
@@ -817,6 +889,13 @@ func (c *SupernodalCholesky) SolveInto(x, b []float64) error {
 			base := po + jj*lr
 			zj := z[c0+jj] / px[base+jj]
 			z[c0+jj] = zj
+			if zj == 0 {
+				// Nothing to propagate: x − l·0 = x bit for bit. A sparse
+				// right-hand side (a response to one edge edit) reaches
+				// only its elimination-tree paths, so the forward sweep
+				// skips most columns.
+				continue
+			}
 			for u := jj + 1; u < lr; u++ {
 				z[rows[u]] -= px[base+u] * zj
 			}
@@ -840,53 +919,16 @@ func (c *SupernodalCholesky) SolveInto(x, b []float64) error {
 	for k := 0; k < n; k++ {
 		x[c.perm[k]] = z[k]
 	}
-	return nil
-}
-
-// SolveBatchInto solves nrhs systems in one blocked pass: b and x hold nrhs
-// stacked vectors (vector k occupies [k·n, (k+1)·n)). Internally the panel
-// is transposed to row-major so each column operation streams over the nrhs
-// values of one row contiguously; the per-vector arithmetic is identical to
-// nrhs separate SolveInto calls, so batched and looped solves agree bit for
-// bit. Groups of eight or more vectors go through a fixed 16-lane kernel
-// (solveBatch16) whose unrolled inner loops dodge per-element bounds checks;
-// smaller groups and the tail use the variable-width pass.
-func (c *SupernodalCholesky) SolveBatchInto(x, b []float64, nrhs int) error {
-	if nrhs <= 0 {
-		return fmt.Errorf("solver: SolveBatchInto nrhs %d", nrhs)
-	}
-	if len(b) != c.n*nrhs || len(x) != c.n*nrhs {
-		return fmt.Errorf("solver: SolveBatchInto lengths %d/%d, want %d", len(x), len(b), c.n*nrhs)
-	}
-	record(telemetry.SparseSolves)
-	for g0 := 0; g0 < nrhs; {
-		m := nrhs - g0
-		switch {
-		case m >= 8:
-			if m > 16 {
-				m = 16
-			}
-			c.solveBatch16(x, b, g0, m)
-		default:
-			c.solveBatchVar(x, b, g0, m)
-		}
-		g0 += m
-	}
-	return nil
 }
 
 // solveBatch16 runs the row-major triangular passes over lanes
-// [g0, g0+m) of the stacked right-hand sides, m ≤ 16, padding the scratch to
-// a constant 16 lanes. Lanes never mix, so the pad lanes (zero-filled at
+// [g0, g0+m) of the stacked right-hand sides, m ≤ 16, through scratch zb of
+// n·16 entries, padding it to a constant 16 lanes. Lanes never mix, so the pad lanes (zero-filled at
 // gather) change nothing, and the array-pointer views let the 16-wide inner
 // loops run without bounds checks.
-func (c *SupernodalCholesky) solveBatch16(x, b []float64, g0, m int) {
+func (c *SupernodalCholesky) solveBatch16(zb, x, b []float64, g0, m int) {
 	const W = 16
 	n, px := c.n, c.px
-	if cap(c.zb) < n*W {
-		c.zb = make([]float64, n*W)
-	}
-	zb := c.zb[:n*W]
 	for k := 0; k < n; k++ {
 		p := c.perm[k]
 		row := (*[W]float64)(zb[k*W:])
@@ -988,13 +1030,9 @@ func (c *SupernodalCholesky) solveBatch16(x, b []float64, g0, m int) {
 }
 
 // solveBatchVar is the variable-width row-major pass for lanes [g0, g0+nrhs)
-// of the stacked right-hand sides.
-func (c *SupernodalCholesky) solveBatchVar(x, b []float64, g0, nrhs int) {
+// of the stacked right-hand sides, through scratch zb of n·nrhs entries.
+func (c *SupernodalCholesky) solveBatchVar(zb, x, b []float64, g0, nrhs int) {
 	n, px := c.n, c.px
-	if cap(c.zb) < n*nrhs {
-		c.zb = make([]float64, n*nrhs)
-	}
-	zb := c.zb[:n*nrhs]
 	for k := 0; k < n; k++ {
 		p := c.perm[k]
 		row := zb[k*nrhs : (k+1)*nrhs]
@@ -1170,8 +1208,8 @@ func (c *SupernodalCholesky) Clone() *SupernodalCholesky {
 	d := *c
 	d.px = append([]float64(nil), c.px...)
 	d.wbuf = make([]float64, c.n)
-	d.z = make([]float64, c.n)
-	d.zb = nil
+	d.ws = Workspace{}
+	d.ws.grow(c.n)
 	d.errs = make([]error, c.nsup)
 	d.initScratch()
 	return &d

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -95,36 +96,79 @@ func TestSupernodalMatchesDense(t *testing.T) {
 }
 
 // TestSupernodalBatchSolveBitIdentical pins the batch-solve contract:
-// SolveBatchInto must reproduce nrhs looped SolveInto calls bit for bit, not
-// just to rounding.
+// SolveBatchInto and SolveWith must reproduce looped SolveInto calls bit for
+// bit, not just to rounding, whichever kernel the group width routes to
+// (looped single vectors, the variable-width pass, the 16-lane pass, and a
+// 16-lane group followed by a tail).
 func TestSupernodalBatchSolveBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := gridLaplacian(40, 41)
 	n, _ := a.Dims()
-	const nrhs = 7
-	b := make([]float64, n*nrhs)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
 	sup, err := NewSupernodalCholeskyFromCSR(a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]float64, n*nrhs)
-	if err := sup.SolveBatchInto(batch, b, nrhs); err != nil {
-		t.Fatal(err)
-	}
-	loop := make([]float64, n)
-	for v := 0; v < nrhs; v++ {
-		if err := sup.SolveInto(loop, b[v*n:(v+1)*n]); err != nil {
+	var ws Workspace
+	for _, nrhs := range []int{1, 2, 4, 5, 7, 8, 16, 21} {
+		b := make([]float64, n*nrhs)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		batch := make([]float64, n*nrhs)
+		if err := sup.SolveBatchInto(batch, b, nrhs); err != nil {
 			t.Fatal(err)
 		}
-		for i := range loop {
-			if math.Float64bits(batch[v*n+i]) != math.Float64bits(loop[i]) {
-				t.Fatalf("batch and looped solve differ at rhs %d entry %d: %x vs %x",
-					v, i, math.Float64bits(batch[v*n+i]), math.Float64bits(loop[i]))
+		with := make([]float64, n*nrhs)
+		if err := sup.SolveWith(&ws, with, b, nrhs); err != nil {
+			t.Fatal(err)
+		}
+		loop := make([]float64, n)
+		for v := 0; v < nrhs; v++ {
+			if err := sup.SolveInto(loop, b[v*n:(v+1)*n]); err != nil {
+				t.Fatal(err)
+			}
+			for i := range loop {
+				if math.Float64bits(batch[v*n+i]) != math.Float64bits(loop[i]) ||
+					math.Float64bits(with[v*n+i]) != math.Float64bits(loop[i]) {
+					t.Fatalf("nrhs %d: batch, caller-scratch and looped solve differ at rhs %d entry %d: %x, %x vs %x",
+						nrhs, v, i, math.Float64bits(batch[v*n+i]), math.Float64bits(with[v*n+i]), math.Float64bits(loop[i]))
+				}
 			}
 		}
+	}
+}
+
+// BenchmarkSupernodalSolveRouting times the two kernels that can serve a
+// group of one to seven right-hand sides — looped single-vector sweeps and
+// the variable-width batched pass — on a 90×90 Laplacian factor (nnz(L)/n
+// about 22, close to the power grids'); batchVarMinRHS routes each width to
+// the faster one.
+func BenchmarkSupernodalSolveRouting(b *testing.B) {
+	a := gridLaplacian(90, 90)
+	n, _ := a.Dims()
+	sup, err := NewSupernodalCholeskyFromCSR(a, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for nrhs := 1; nrhs <= 7; nrhs++ {
+		rhs := make([]float64, n*nrhs)
+		for i := range rhs {
+			rhs[i] = 1e-3 * float64(i%17)
+		}
+		x := make([]float64, n*nrhs)
+		zb := make([]float64, n*nrhs)
+		b.Run(fmt.Sprintf("loop%d", nrhs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for v := 0; v < nrhs; v++ {
+					sup.solveVec(zb[:n], x[v*n:(v+1)*n], rhs[v*n:(v+1)*n])
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("var%d", nrhs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				sup.solveBatchVar(zb, x, rhs, 0, nrhs)
+			}
+		})
 	}
 }
 

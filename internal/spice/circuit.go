@@ -668,9 +668,9 @@ func (c *Circuit) NumFree() int { return c.nFree }
 
 // ResistorTerms returns the free equation indices of resistor i's terminals
 // (-1 when a terminal is a pad or ground) and the pinned voltage of each
-// non-free terminal (0 for ground or for a free terminal). Batch trial
-// preparation uses it to build the rank-one edit vector of a failure without
-// reaching into the compiled slot map.
+// non-free terminal (0 for ground or for a free terminal). Failure cascades
+// use it to build the rank-one edit vector of a failure without reaching
+// into the compiled slot map.
 func (c *Circuit) ResistorTerms(i int) (fa, fb int, va, vb float64) {
 	r := c.res[i]
 	fa, fb = c.freeTerm(r.a), c.freeTerm(r.b)
@@ -703,18 +703,32 @@ func (c *Circuit) ResistorNodes(i int) (a, b int) {
 
 // SolveFreeBatch solves the compiled free-node system for nrhs stacked
 // right-hand sides (vector v occupies b[v·n:(v+1)·n], likewise x) against the
-// current cached factor, bit-identical to nrhs separate solves — the batched
-// triangular sweeps are how Monte-Carlo trial groups amortize factor
-// traffic. It builds the factor on first use like SolveDCInto would.
-func (c *Circuit) SolveFreeBatch(x, b []float64, nrhs int) error {
+// current cached factor, bit-identical to nrhs separate solves, with the
+// caller's solve scratch ws. It builds the factor on first use like
+// SolveDCInto would; once the factor is current it only reads the circuit,
+// so goroutines that each own a workspace may solve against one solved
+// circuit concurrently — how Monte-Carlo workers share one pristine grid.
+func (c *Circuit) SolveFreeBatch(ws *solver.Workspace, x, b []float64, nrhs int) error {
 	if c.nFree == 0 {
 		return nil
 	}
 	if err := c.ready(); err != nil {
 		return fmt.Errorf("spice: SolveFreeBatch: %w", err)
 	}
-	return c.asm.factor.SolveBatchInto(x, b, nrhs)
+	return c.asm.factor.SolveWith(ws, x, b, nrhs)
 }
+
+// FactorNNZ returns the entry count of the cached factor's L, 0 before the
+// first solve.
+func (c *Circuit) FactorNNZ() int {
+	if c.asm == nil || c.asm.factor == nil {
+		return 0
+	}
+	return c.asm.factor.NNZ()
+}
+
+// Gmin returns the leak conductance that ties every free node to ground.
+func (c *Circuit) Gmin() float64 { return c.gmin }
 
 // ScatterFree expands a free-node solution x (length NumFree) into the
 // per-node voltages of op, exactly as an internal solve would, and binds op
@@ -735,7 +749,7 @@ func (c *Circuit) ScatterFree(op *OP, x []float64) error {
 }
 
 // GatherFree collects the free-node voltages of op into x (length NumFree) —
-// the inverse of ScatterFree, used to seed batch preparation with the cached
+// the inverse of ScatterFree, used to seed failure cascades with the cached
 // pristine solution instead of re-solving for it.
 func (c *Circuit) GatherFree(x []float64, op *OP) error {
 	if op == nil || op.c != c {
@@ -750,14 +764,6 @@ func (c *Circuit) GatherFree(x []float64, op *OP) error {
 		}
 	}
 	return nil
-}
-
-// CloneFor returns a copy of the operating point bound to clone, which must
-// be a Clone of the circuit that produced it (same node table). GatherFree
-// only accepts operating points of its own circuit, so a cloned system must
-// carry cloned operating points.
-func (op *OP) CloneFor(clone *Circuit) *OP {
-	return &OP{c: clone, volts: append([]float64(nil), op.volts...)}
 }
 
 // Voltage returns the voltage of a named node.

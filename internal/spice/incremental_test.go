@@ -632,7 +632,7 @@ func TestFactorizationFailureSurfaces(t *testing.T) {
 		t.Fatalf("SolveDC after a failed reset returned %v, want ErrNotSPD", err)
 	}
 	n := c.NumFree()
-	if err := c.SolveFreeBatch(make([]float64, n), make([]float64, n), 1); !errors.Is(err, solver.ErrNotSPD) {
+	if err := c.SolveFreeBatch(new(solver.Workspace), make([]float64, n), make([]float64, n), 1); !errors.Is(err, solver.ErrNotSPD) {
 		t.Fatalf("SolveFreeBatch after a failed reset returned %v, want ErrNotSPD", err)
 	}
 	a.mat0[slot] = good

@@ -41,6 +41,14 @@ const (
 	MCCandidateComponents = "mc.screen.candidate_components"
 	MCPrunedComponents    = "mc.screen.pruned_components"
 
+	// internal/pdn — the low-rank failure cascade of IR-drop trials.
+	// CascadeSteps counts failures served by a capacitance-matrix update
+	// against the shared pristine factor; CascadeResponseHits counts the
+	// pristine responses A₀⁻¹u those steps read from the shared cache. See
+	// CascadeFallbacks and CascadeResponseFills for the labeled series.
+	CascadeSteps        = "pdn.cascade.steps"
+	CascadeResponseHits = "pdn.cascade.response_hits"
+
 	// internal/pdn + internal/steady — the steady-state screening engine.
 	SteadyScreens       = "steady.screens"
 	SteadyScreenSeconds = "steady.screen_seconds"
@@ -127,6 +135,20 @@ const (
 // emvia_serve_stage_seconds family.
 func ServeStageSeconds(stage string) string {
 	return "serve.stage_seconds{stage=" + stage + "}"
+}
+
+// CascadeFallbacks names the counter of trials that left the low-rank
+// cascade for the factor path, by reason: "rank" (the update rank reached
+// its cap) or "pivot" (an opening left a terminal hanging on the gmin leak).
+func CascadeFallbacks(reason string) string {
+	return "pdn.cascade.fallbacks{reason=" + reason + "}"
+}
+
+// CascadeResponseFills names the counter of pristine responses solved for,
+// by path: "prefill" (PrepareTrials' batched first-failure predictions) or
+// "miss" (a cascade step's own solve).
+func CascadeResponseFills(path string) string {
+	return "pdn.cascade.response_fills{path=" + path + "}"
 }
 
 // Derived-metric names (computed at snapshot time, never stored).

@@ -83,6 +83,8 @@ curl -sS "http://$ADDR/metrics" >"$OUT/metrics.prom"
 grep -q '^emvia_serve_jobs_submitted_total 1$' "$OUT/metrics.prom"
 grep -q '^emvia_serve_stage_seconds_bucket{stage="mc",le="+Inf"} 1$' "$OUT/metrics.prom"
 grep -q '^emvia_trace_ring_capacity ' "$OUT/metrics.prom"
+grep -q '^emvia_pdn_cascade_steps_total ' "$OUT/metrics.prom"
+grep -q '^emvia_pdn_cascade_fallbacks_total{reason="rank"} ' "$OUT/metrics.prom"
 grep -q '^# TYPE emvia_serve_stage_seconds histogram$' "$OUT/metrics.prom"
 if grep -vE '^(#.*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?[0-9][0-9eE.+-]*)$' "$OUT/metrics.prom"; then
     echo "serve_smoke: malformed exposition line(s) above" >&2
