@@ -471,9 +471,9 @@ func benchLaplacian(nx int) *sparse.CSR {
 // a 64×64 mesh Laplacian (4096 unknowns, the nx40 power-grid scale):
 // numeric refactorization at several worker counts (results are
 // bit-identical at any width; extra workers only help on multi-core hosts),
-// one edge downdate + update round trip (the Monte-Carlo edit path), and
-// the batched 16-RHS triangular solve against the equivalent loop of single
-// solves it replaces in grouped Monte-Carlo trials.
+// a clone plus refactor (the private numeric copy a failure-cascade rebase
+// factors), and the batched 16-RHS triangular solve against the equivalent
+// loop of single solves it replaces in grouped Monte-Carlo trials.
 func BenchmarkSparseCholeskyFactorSupernodal(b *testing.B) {
 	a := benchLaplacian(64)
 	n, _ := a.Dims()
@@ -496,16 +496,12 @@ func BenchmarkSparseCholeskyFactorSupernodal(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("Update", func(b *testing.B) {
-		// One failure (downdate) and one repair (update) of an interior
-		// mesh edge per iteration, leaving the factor unchanged net.
-		fa, fb := 32*64+31, 32*64+32
+	b.Run("CloneRefactor", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := sp.DowndateEdge(fa, fb, 1); err != nil {
+			if err := sp.Clone().RefactorFromCSR(a); err != nil {
 				b.Fatal(err)
 			}
-			sp.UpdateEdge(fa, fb, 1)
 		}
 	})
 	const nrhs = 16

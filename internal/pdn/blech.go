@@ -6,7 +6,6 @@ import (
 
 	"emvia/internal/emdist"
 	"emvia/internal/korhonen"
-	"emvia/internal/spice"
 )
 
 // WireBlechReport summarizes the Blech short-length screening of a grid's
@@ -47,11 +46,7 @@ func (g *Grid) WireBlechScreen(em emdist.Params, sigmaCrit float64) (*WireBlechR
 	if area <= 0 || g.Spec.Pitch <= 0 {
 		return nil, fmt.Errorf("pdn: grid spec lacks wire geometry")
 	}
-	c, err := spice.Compile(g.Netlist)
-	if err != nil {
-		return nil, err
-	}
-	op, err := c.SolveDC()
+	_, op, err := g.pristine(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -37,6 +37,13 @@ import (
 // [l, √pivot].
 // Per instance that is O(n + r²) memory; the responses z live in a cache
 // shared by every worker of a master.
+//
+// A step whose rank has reached the cap, or whose pivot says the opening
+// leaves a node hanging on the gmin leak, is not taken. The trial rebases
+// instead: it refactors a private numeric copy of the shared factor with
+// every array it has failed so far open, solves that system, and restarts
+// the cascade at rank 0 on it. The shared circuit and factor are never
+// written.
 
 // viaTerms is the edit vector of one via array over the free nodes.
 type viaTerms struct {
@@ -73,17 +80,25 @@ func (t viaTerms) drop(x []float64) float64 {
 	return a - b
 }
 
-// cascadeCrossover is the update rank, in units of nnz(L)/n, at which one
-// cascade step — dominated by its O(n·r) update — costs as much as the
-// factor path's downdate plus solve. BenchmarkCascadeCrossover read 8.0–9.5
-// (median 8.9) over eight runs on the nx64 grid of the ir-cascade benchmark
-// (n = 8 023, nnz(L)/n ≈ 24.6: a rank-32 step 108–151 µs against a downdate
-// and solve of 0.70–0.92 ms) on a 2-CPU Intel Xeon host. That grid's cap is
-// then 222, above its longest cascade (69 failures).
+// cascadeCrossover is the update rank, in units of nnz(L)/n, at which a
+// trial rebases (cascadeRankCap). A step on the pristine base costs O(n·r);
+// a rebase costs a numeric refactor, and afterwards every opening of the
+// trial pays a triangular solve for its response, because a rebase's
+// responses are trial-local. BenchmarkCascadeCrossover measured, over 16
+// runs on the nx64 grid of the ir-cascade benchmark (n = 8 023,
+// nnz(L)/n ≈ 24.6) on a 2-CPU Intel Xeon host: a rank-32 step 0.18–0.26 ms
+// (≈ 6 µs per rank), a rebase with 32 arrays open 14–21 ms, one response
+// solve against it 0.50–1.02 ms (median 0.67). A single step costs a whole
+// rebase only near rank 2 700 (67–137·nnz(L)/n, median ≈ 110), but a step
+// past rank ≈ 110 already costs more than a post-rebase step's solve. At the
+// cap, 9·nnz(L)/n = 222 on that grid, a step costs about two post-rebase
+// steps, so a rebase there pays for itself within about 25 more failures;
+// below rank ≈ 110 it never would. 222 is also above that workload's longest
+// cascade (69 failures), so its trials never rebase.
 const cascadeCrossover = 9
 
-// cascadeRankCap is the update rank at which a trial moves to the factor
-// path: past the measured crossover a downdate and solve beat another step.
+// cascadeRankCap is the update rank at which a trial rebases (see
+// cascadeCrossover).
 func cascadeRankCap(n, nnzL int) int {
 	if n == 0 {
 		return 0
@@ -96,13 +111,14 @@ func cascadeRankCap(n, nnzL int) int {
 // resistance R′ elsewhere has pivot R²/(R+R′); it falls below
 // hangGmins·gmin·R² only when that remaining connection conducts less than
 // hangGmins·gmin — a terminal hanging on the leak, where the update cancels
-// catastrophically. The trial then continues on the factor path.
+// catastrophically. The trial then rebases, and the hanging node drifts on
+// the leak in the refactored system.
 const hangGmins = 1e3
 
-// Fallback reasons (telemetry.CascadeFallbacks labels).
+// Rebase reasons (telemetry.CascadeFallbacks labels).
 const (
-	fallbackRank  = "rank"
-	fallbackPivot = "pivot"
+	rebaseRank  = "rank"
+	rebasePivot = "pivot"
 )
 
 // responseBudget caps a response cache at this many times nnz(L) floats, the
@@ -163,55 +179,66 @@ func (c *responseCache) publish(k int, z []float64) (entry []float64, taken bool
 
 // cascade is one trial's low-rank state (see the top of this file).
 type cascade struct {
-	x    []float64   // free-node solution after the openings; y0 while none
+	// base is the rank-0 solution the updates start from: the shared
+	// pristine solution, or that of the trial's latest rebase. rb is the
+	// rebase's opened circuit (nil on the pristine base) and yb the storage
+	// of its solution.
+	base []float64
+	rb   *spice.Circuit
+	yb   []float64
+
+	x    []float64   // free-node solution after the openings since base
 	cols []int       // arrays of the update columns, in opening order
-	zs   [][]float64 // their pristine responses
+	zs   [][]float64 // their responses against the base
 	l    []float64   // L packed by rows: row j holds j+1 entries from j(j+1)/2
 	y    []float64   // rank-sized scratch
-	// local holds responses solved here that the full cache did not take;
-	// the first nlocal serve the running trial.
+	// local holds responses solved here that the shared cache did not take
+	// or, after a rebase, every response; the first nlocal serve the running
+	// trial.
 	local  [][]float64
 	nlocal int
 }
 
-// reset empties the cascade for a new trial, keeping every buffer.
-func (c *cascade) reset() {
+// restart empties the cascade onto a new base, keeping every buffer.
+func (c *cascade) restart(base []float64, rb *spice.Circuit) {
+	c.base, c.rb = base, rb
 	c.cols = c.cols[:0]
 	c.zs = c.zs[:0]
 	c.l = c.l[:0]
 	c.nlocal = 0
 }
 
+// solution returns the free-node solution after the trial's openings.
+func (c *cascade) solution() []float64 {
+	if len(c.cols) > 0 {
+		return c.x
+	}
+	return c.base
+}
+
 // cascadeMetrics holds the cascade's telemetry handles, fetched once per
 // master and shared by its clones; all nil when telemetry is disabled.
 type cascadeMetrics struct {
 	steps, hits, prefills, misses *telemetry.Counter
-	rankFallbacks, pivotFallbacks *telemetry.Counter
+	rankRebases, pivotRebases     *telemetry.Counter
 }
 
 func newCascadeMetrics() cascadeMetrics {
 	r := telemetry.Default()
 	return cascadeMetrics{
-		steps:          r.Counter(telemetry.CascadeSteps),
-		hits:           r.Counter(telemetry.CascadeResponseHits),
-		prefills:       r.Counter(telemetry.CascadeResponseFills("prefill")),
-		misses:         r.Counter(telemetry.CascadeResponseFills("miss")),
-		rankFallbacks:  r.Counter(telemetry.CascadeFallbacks(fallbackRank)),
-		pivotFallbacks: r.Counter(telemetry.CascadeFallbacks(fallbackPivot)),
+		steps:        r.Counter(telemetry.CascadeSteps),
+		hits:         r.Counter(telemetry.CascadeResponseHits),
+		prefills:     r.Counter(telemetry.CascadeResponseFills("prefill")),
+		misses:       r.Counter(telemetry.CascadeResponseFills("miss")),
+		rankRebases:  r.Counter(telemetry.CascadeFallbacks(rebaseRank)),
+		pivotRebases: r.Counter(telemetry.CascadeFallbacks(rebasePivot)),
 	}
 }
 
 // open applies array k's opening to the running trial, writes the new
 // operating point into dst and returns its free-node solution: a cascade
-// step while the trial stays low-rank, a downdate and solve on the private
-// circuit once it has moved off.
+// step while the step's rank and pivot allow it, a rebase otherwise.
 func (s *GridSystem) open(k int, dst *spice.OP) ([]float64, error) {
-	if s.onFactor {
-		if err := s.fb.DisableResistor(s.cfg.Grid.Vias[k].ResistorIndex); err != nil {
-			return nil, err
-		}
-		return s.solveFactor(dst)
-	}
 	reason, err := s.step(k)
 	if err != nil {
 		return nil, err
@@ -219,51 +246,45 @@ func (s *GridSystem) open(k int, dst *spice.OP) ([]float64, error) {
 	switch reason {
 	case "":
 		s.met.steps.Inc()
-		x := s.y0
-		if len(s.casc.cols) > 0 {
-			x = s.casc.x
-		}
+		x := s.casc.solution()
 		return x, s.circuit.ScatterFree(dst, x)
-	case fallbackRank:
-		s.met.rankFallbacks.Inc()
-	case fallbackPivot:
-		s.met.pivotFallbacks.Inc()
+	case rebaseRank:
+		s.met.rankRebases.Inc()
+	case rebasePivot:
+		s.met.pivotRebases.Inc()
 	}
-	return s.moveToFactor(dst)
+	return s.rebase(dst)
 }
 
-// moveToFactor continues the running trial on this instance's private copy
-// of the circuit: it opens every array the trial has failed so far and
-// solves. The copy is cloned once per instance and snapshotted pristine
-// straight away, so each BeginTrial restores the same bits.
-func (s *GridSystem) moveToFactor(dst *spice.OP) ([]float64, error) {
-	if s.fb == nil {
-		s.fb = s.circuit.Clone()
-		s.fb.ResetResistors()
+// rebase restarts the running trial's cascade at rank 0 on a private base:
+// the grid with every array the trial has failed so far open. The shared
+// circuit's Open stamps those values through compile's code and refactors a
+// private numeric copy of the shared factor on its symbolic structure. The
+// base's solution is the trial's operating point, written into dst; later
+// openings update it with responses solved against the base and kept
+// trial-local, since the shared cache holds pristine responses only.
+func (s *GridSystem) rebase(dst *spice.OP) ([]float64, error) {
+	ris := make([]int, len(s.failed))
+	for i, k := range s.failed {
+		ris[i] = s.cfg.Grid.Vias[k].ResistorIndex
 	}
-	s.onFactor, s.fbDirty = true, true
-	for _, j := range s.failed {
-		if err := s.fb.DisableResistor(s.cfg.Grid.Vias[j].ResistorIndex); err != nil {
-			return nil, err
-		}
-	}
-	return s.solveFactor(dst)
-}
-
-// solveFactor solves the private circuit into dst and gathers the free-node
-// solution into the cascade's (now idle) solution buffer.
-func (s *GridSystem) solveFactor(dst *spice.OP) ([]float64, error) {
-	if err := s.fb.SolveDCInto(dst); err != nil {
+	rb, err := s.circuit.Open(ris)
+	if err != nil {
 		return nil, err
 	}
-	if s.casc.x == nil {
-		s.casc.x = make([]float64, len(s.y0))
+	if err := rb.SolveDCInto(dst); err != nil {
+		return nil, err
 	}
-	return s.casc.x, s.fb.GatherFree(s.casc.x, dst)
+	c := &s.casc
+	if c.yb == nil {
+		c.yb = make([]float64, len(s.y0))
+	}
+	c.restart(c.yb, rb)
+	return c.base, rb.GatherFree(c.base, dst)
 }
 
-// step opens array k on the low-rank path. Instead it returns a fallback
-// reason, leaving the cascade as it was, when the rank has reached its cap
+// step opens array k on the low-rank path. Instead it returns the reason to
+// rebase, leaving the cascade as it was, when the rank has reached its cap
 // or the pivot guard trips.
 func (s *GridSystem) step(k int) (string, error) {
 	tk := s.terms[k]
@@ -273,7 +294,7 @@ func (s *GridSystem) step(k int) (string, error) {
 	c := &s.casc
 	r := len(c.cols)
 	if r >= s.rankCap {
-		return fallbackRank, nil
+		return rebaseRank, nil
 	}
 	z, err := s.response(k)
 	if err != nil {
@@ -304,7 +325,7 @@ func (s *GridSystem) step(k int) (string, error) {
 	}
 	if !(pivot >= hangGmins*s.circuit.Gmin()*tk.r*tk.r) {
 		c.l = c.l[:off]
-		return fallbackPivot, nil
+		return rebasePivot, nil
 	}
 	row[r] = math.Sqrt(pivot)
 	for i := r - 1; i >= 0; i-- { // y = −L⁻ᵀ·l
@@ -314,10 +335,7 @@ func (s *GridSystem) step(k int) (string, error) {
 		}
 		c.y[i] = v / c.l[i*(i+1)/2+i]
 	}
-	x := s.y0
-	if r > 0 {
-		x = c.x
-	}
+	x := c.solution()
 	coef := tk.drop(x) / pivot
 	for j := range c.y {
 		c.y[j] *= coef
@@ -353,15 +371,20 @@ func advance(x, base []float64, a float64, z, y []float64, zs [][]float64) {
 	}
 }
 
-// response returns array k's pristine response A₀⁻¹u_k: from the shared
-// cache, or solved here and offered to it. A response the full cache does
-// not take stays in this instance's local storage for the rest of the trial.
+// response returns array k's response against the cascade's base. On the
+// pristine base it comes from the shared cache, or is solved here and
+// offered to it; a response the full cache does not take, and every response
+// against a rebase, stays in this instance's local storage for the rest of
+// the trial.
 func (s *GridSystem) response(k int) ([]float64, error) {
-	if z := s.cache.get(k); z != nil {
+	c := &s.casc
+	base := s.circuit
+	if c.rb != nil {
+		base = c.rb
+	} else if z := s.cache.get(k); z != nil {
 		s.met.hits.Inc()
 		return z, nil
 	}
-	c := &s.casc
 	if c.nlocal == len(c.local) {
 		c.local = append(c.local, nil)
 	}
@@ -369,10 +392,14 @@ func (s *GridSystem) response(k int) ([]float64, error) {
 	if z == nil {
 		z = make([]float64, len(s.y0))
 	}
-	if err := s.solveResponses(z, []int{k}); err != nil {
+	if err := s.solveResponses(base, z, []int{k}); err != nil {
 		return nil, err
 	}
 	s.met.misses.Inc()
+	if c.rb != nil {
+		c.nlocal++
+		return z, nil
+	}
 	entry, taken := s.cache.publish(k, z)
 	if taken {
 		c.local[c.nlocal] = nil
@@ -395,7 +422,7 @@ func (s *GridSystem) fillResponses(ks []int) error {
 	}
 	n := len(s.y0)
 	slab := make([]float64, m*n)
-	if err := s.solveResponses(slab, ks[:m]); err != nil {
+	if err := s.solveResponses(s.circuit, slab, ks[:m]); err != nil {
 		return fmt.Errorf("pdn: preparing trial group: %w", err)
 	}
 	s.met.prefills.Add(int64(m))
@@ -405,9 +432,10 @@ func (s *GridSystem) fillResponses(ks []int) error {
 	return nil
 }
 
-// solveResponses solves A₀·z = u_k for each array of ks into the stacked
-// vectors of dst, reading the shared factor with this instance's scratch.
-func (s *GridSystem) solveResponses(dst []float64, ks []int) error {
+// solveResponses solves A·z = u_k against base — the shared pristine circuit
+// or a rebase — for each array of ks into the stacked vectors of dst,
+// reading base's factor with this instance's scratch.
+func (s *GridSystem) solveResponses(base *spice.Circuit, dst []float64, ks []int) error {
 	n := len(s.y0)
 	s.rhs = slices.Grow(s.rhs[:0], len(ks)*n)[:len(ks)*n]
 	for i, k := range ks {
@@ -419,7 +447,7 @@ func (s *GridSystem) solveResponses(dst []float64, ks []int) error {
 			s.rhs[i*n+t.fb] = -1
 		}
 	}
-	err := s.circuit.SolveFreeBatch(&s.ws, dst, s.rhs, len(ks))
+	err := base.SolveFreeBatch(&s.ws, dst, s.rhs, len(ks))
 	for i, k := range ks {
 		t := s.terms[k]
 		if t.fa >= 0 {

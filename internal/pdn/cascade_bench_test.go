@@ -5,12 +5,13 @@ import (
 	"time"
 )
 
-// BenchmarkCascadeCrossover measures the two per-failure costs the cascade
-// rank cap trades on the ir-cascade benchmark's grid (PG1 at nx64,
-// calibrated to 6.5 % IR drop): a cascade step's O(n·r) update at rank 32,
-// and the factor path's downdate plus solve. It reports the rank at which
-// the two cost the same, in units of nnz(L)/n — the quantity
-// cascadeCrossover records.
+// BenchmarkCascadeCrossover measures the costs the cascade rank cap trades
+// on the ir-cascade benchmark's grid (PG1 at nx64, calibrated to 6.5 % IR
+// drop): a cascade step's O(n·r) update at rank 32; a rebase with 32 arrays
+// open — refactoring a private copy of the factor and solving it; and the
+// response solve against the rebase that every later opening of the trial
+// pays, since a rebase's responses are not shared. It reports the rank at
+// which one step costs as much as a rebase, in units of nnz(L)/n.
 func BenchmarkCascadeCrossover(b *testing.B) {
 	spec := PG1Spec()
 	spec.NX, spec.NY = 64, 64
@@ -39,34 +40,31 @@ func BenchmarkCascadeCrossover(b *testing.B) {
 			zs[j][i] = float64((i*7+j)%13) * 1e-3
 		}
 		y[j] = 1 / float64(j+1)
+		s.failed = append(s.failed, (2*j+1)*len(g.Vias)/(2*rank)) // spread over the grid
 	}
-	x := make([]float64, n)
-	fb := s.circuit.Clone()
-	op := fb.NewOP()
-	ri := g.Vias[len(g.Vias)/2+spec.NX/2].ResistorIndex
-	ohms := g.Netlist.Resistors[ri].Ohms
+	x, z := make([]float64, n), make([]float64, n)
+	op := s.circuit.NewOP()
 	// Each iteration times one of each, interleaved, so that the ratio
 	// holds up on a host whose speed drifts.
-	var step, factor time.Duration
+	var step, rebase, solve time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t0 := time.Now()
 		advance(x, x, 1, zs[0], y, zs)
 		t1 := time.Now()
-		if err := fb.DisableResistor(ri); err != nil {
-			b.Fatal(err)
-		}
-		if err := fb.SolveDCInto(op); err != nil {
+		if _, err := s.rebase(op); err != nil {
 			b.Fatal(err)
 		}
 		t2 := time.Now()
-		if err := fb.SetResistor(ri, ohms); err != nil {
+		if err := s.solveResponses(s.casc.rb, z, []int{len(g.Vias) / 3}); err != nil {
 			b.Fatal(err)
 		}
 		step += t1.Sub(t0)
-		factor += t2.Sub(t1)
+		rebase += t2.Sub(t1)
+		solve += time.Since(t2)
 	}
 	b.ReportMetric(float64(step.Nanoseconds())/float64(b.N), "step_ns")
-	b.ReportMetric(float64(factor.Nanoseconds())/float64(b.N), "factor_ns")
-	b.ReportMetric(float64(factor)/(float64(step)/rank)/(float64(nnz)/float64(n)), "crossover_nnzL/n")
+	b.ReportMetric(float64(rebase.Nanoseconds())/float64(b.N), "rebase_ns")
+	b.ReportMetric(float64(solve.Nanoseconds())/float64(b.N), "solve_ns")
+	b.ReportMetric(float64(rebase)/(float64(step)/rank)/(float64(nnz)/float64(n)), "crossover_nnzL/n")
 }

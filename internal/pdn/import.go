@@ -16,8 +16,8 @@ import (
 // as via arrays and classified into Plus/T/L patterns from the coordinate
 // extremes of the via population. The paper performs exactly this step on
 // the benchmark decks (after giving the short-circuited vias their real
-// array resistance, which the caller does by editing the deck or via
-// spice.Circuit.SetResistor).
+// array resistance, which the caller does by editing the deck or the
+// netlist's resistor values before calling FromNetlist).
 func FromNetlist(nl *spice.Netlist, spec GridSpec) (*Grid, error) {
 	type coord struct{ x, y int }
 	parse := func(name string) (layer int, c coord, ok bool) {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"emvia/internal/spice"
 )
 
 // WriteIRDropSVG renders the lower-layer IR-drop map of the grid as an SVG
@@ -17,11 +15,7 @@ func (g *Grid) WriteIRDropSVG(w io.Writer, widthPx int) error {
 	if widthPx <= 0 {
 		widthPx = 640
 	}
-	c, err := spice.Compile(g.Netlist)
-	if err != nil {
-		return err
-	}
-	op, err := c.SolveDC()
+	_, op, err := g.pristine(nil)
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -145,23 +146,27 @@ func (r *refSystem) Fail(k int) error {
 func (r *refSystem) Failed() (bool, error) { return r.ir >= r.cfg.IRDropFrac, nil }
 
 // checkedSystem runs a GridSystem and compares each well-posed post-failure
-// operating point with freshOpened at every node joined to a pad.
+// operating point with freshOpened at every node joined to a pad. rebases
+// counts, per trial, the compared failures that rebased the cascade.
 type checkedSystem struct {
 	*GridSystem
-	t     *testing.T
-	open  map[int]bool
-	worst float64
+	t       *testing.T
+	open    map[int]bool
+	worst   float64
+	rebases []int
 	posedTracker
 }
 
 func (c *checkedSystem) BeginTrial(rng *rand.Rand) error {
 	c.open = map[int]bool{}
+	c.rebases = append(c.rebases, 0)
 	c.begin()
 	return c.GridSystem.BeginTrial(rng)
 }
 
 func (c *checkedSystem) Fail(k int) error {
 	s := c.GridSystem
+	base := s.casc.rb
 	if err := s.Fail(k); err != nil {
 		return err
 	}
@@ -172,6 +177,9 @@ func (c *checkedSystem) Fail(k int) error {
 	ref, floating := freshOpened(c.t, s.cfg.Grid.Netlist, c.open)
 	if c.record(s.cfg.Grid, s.alive, floating); !c.ok {
 		return nil
+	}
+	if s.casc.rb != base {
+		c.rebases[len(c.rebases)-1]++
 	}
 	vdd := s.cfg.Grid.Spec.Vdd
 	for i := 0; i < s.circuit.NumNodes(); i++ {
@@ -217,8 +225,8 @@ func withRegistry(t *testing.T) *telemetry.Registry {
 // fresh compile of the netlist with the trial's failed arrays removed, and
 // the TTFs and failure sequences must match a run that takes every state
 // from such compiles. Trials run to completion, so every cascade outgrows
-// the rank cap and the factor-path fallback is checked too; the checks stop
-// where a surviving array is cut off from every pad (posedTracker).
+// the rank cap and the rebase is checked too; the checks stop where a
+// surviving array is cut off from every pad (posedTracker).
 func TestPreparedTrialsMatchLegacy(t *testing.T) {
 	reg := withRegistry(t)
 	spec := smallSpec()
@@ -241,8 +249,13 @@ func TestPreparedTrialsMatchLegacy(t *testing.T) {
 	if checked.worst > 1e-9 {
 		t.Errorf("post-failure node voltages deviate from a fresh compile by %g·Vdd, want ≤ 1e-9", checked.worst)
 	}
-	if n := reg.Counter(telemetry.CascadeFallbacks(fallbackRank)).Value(); n != int64(opt.Trials) {
-		t.Errorf("%d rank-cap fallbacks, want one per trial (%d)", n, opt.Trials)
+	for i, n := range checked.rebases {
+		if n == 0 {
+			t.Errorf("trial %d never rebased before its first island", i)
+		}
+	}
+	if n := reg.Counter(telemetry.CascadeFallbacks(rebaseRank)).Value(); n < int64(opt.Trials) {
+		t.Errorf("%d rank-cap rebases, want at least one per trial (%d)", n, opt.Trials)
 	}
 
 	refSys, err := NewSystem(cfg)
@@ -333,9 +346,9 @@ func TestPreparedParallelMatchesSerial(t *testing.T) {
 }
 
 // TestCascadePivotFallback opens a via array whose lower node has lost its
-// wires, leaving the node hanging on the gmin leak: the pivot guard must move
-// every trial to the factor path at that first failure, and the rest of the
-// cascade must still match fresh compiles.
+// wires, leaving the node hanging on the gmin leak: the pivot guard must
+// rebase every trial at that first failure, and the rest of the cascade must
+// still match fresh compiles.
 func TestCascadePivotFallback(t *testing.T) {
 	reg := withRegistry(t)
 	g := mustGrid(t, smallSpec(), 0.05)
@@ -367,9 +380,52 @@ func TestCascadePivotFallback(t *testing.T) {
 		if len(c) == 0 || c[0] != k {
 			t.Fatalf("trial %d: first failure %v, want array %d", i, c, k)
 		}
+		if checked.rebases[i] == 0 {
+			t.Fatalf("trial %d: hanging array %d did not rebase", i, k)
+		}
 	}
-	if n := reg.Counter(telemetry.CascadeFallbacks(fallbackPivot)).Value(); n != int64(opt.Trials) {
-		t.Errorf("%d pivot fallbacks, want one per trial (%d)", n, opt.Trials)
+	if n := reg.Counter(telemetry.CascadeFallbacks(rebasePivot)).Value(); n < int64(opt.Trials) {
+		t.Errorf("%d pivot rebases, want at least one per trial (%d)", n, opt.Trials)
+	}
+	if checked.worst > 1e-9 {
+		t.Errorf("post-failure node voltages deviate from a fresh compile by %g·Vdd, want ≤ 1e-9", checked.worst)
+	}
+	refSys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.BatchTrials = -1
+	ref := &refSystem{GridSystem: refSys, t: t}
+	want, err := mc.Run(ref, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTrials(t, got, want, ref.posed)
+}
+
+// TestCascadeRebasesTwice lowers the rank cap so that a single trial rebases
+// at least twice while its grid is still well posed, and requires every
+// compared state to match a fresh compile at 1e-9·Vdd on every node joined
+// to a pad, and the TTFs and failure sequences to match the fresh-compile
+// reference run: a rebase restarts the cascade on a base that already has
+// openings in it, so the second rebase is the one that checks the restart.
+func TestCascadeRebasesTwice(t *testing.T) {
+	g := mustGrid(t, smallSpec(), 0.05)
+	cfg := TTFConfig{Grid: g, Models: testModels(refCurrentOf(t, g)), Criterion: IRDrop, IRDropFrac: 0.10}
+	opt := mc.Options{Trials: 4, Seed: 13, RunToCompletion: true}
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.rankCap = 3
+	checked := &checkedSystem{GridSystem: sys, t: t}
+	got, err := mc.Run(checked, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("rebases per trial while well posed %v, worst deviation %.2e·Vdd", checked.rebases, checked.worst)
+	if most := slices.Max(checked.rebases); most < 2 {
+		t.Fatalf("no trial rebased twice before its first island (rebases per trial %v)", checked.rebases)
 	}
 	if checked.worst > 1e-9 {
 		t.Errorf("post-failure node voltages deviate from a fresh compile by %g·Vdd, want ≤ 1e-9", checked.worst)
@@ -392,7 +448,7 @@ func TestCascadePivotFallback(t *testing.T) {
 // so with the IR-drop threshold doubled too (5 % → 10 %) every trial must
 // fail the same arrays in the same order, and since TTF ∝ 1/j² every
 // failure time must scale by 1/4. It runs on the cascade and, with the rank
-// cap forced to 0, on the factor path.
+// cap forced to 0, on a rebase at every failure ("factor").
 //
 // The scaling holds to the accuracy of the array currents, which are
 // differences of node voltages: the pristine solve's absolute error of
@@ -445,8 +501,8 @@ func TestCascadeMetamorphicLoadScaling(t *testing.T) {
 // TestCascadeSharedMasterWorkers runs four workers against one shared master
 // — circuit, factor and response cache — and requires the serial results bit
 // for bit (the CI race step runs it under -race). The tight case caps the
-// rank and the cache so that workers also clone fallback circuits
-// concurrently and keep responses in trial-local storage.
+// rank and the cache so that workers also rebase concurrently and keep
+// responses in trial-local storage.
 func TestCascadeSharedMasterWorkers(t *testing.T) {
 	g := mustGrid(t, smallSpec(), 0.05)
 	cfg := TTFConfig{Grid: g, Models: testModels(refCurrentOf(t, g)), Criterion: IRDrop, IRDropFrac: 0.10}

@@ -1,6 +1,7 @@
 package pdn
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"sync"
@@ -33,19 +34,10 @@ func freshCircuit(t *testing.T, nl *spice.Netlist) (*spice.Circuit, *spice.OP) {
 }
 
 // freshSystem builds the reference system from a fresh compile of a copy of
-// the grid's netlist. One resistor is opened and restored before the first
-// reset, so the pristine snapshot comes from refactoring the pristine values
-// rather than from the first solve's factor.
+// the grid's netlist.
 func freshSystem(t *testing.T, cfg TTFConfig) *GridSystem {
 	t.Helper()
 	c, op := freshCircuit(t, cfg.Grid.Netlist)
-	if err := c.DisableResistor(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetResistor(0, cfg.Grid.Netlist.Resistors[0].Ohms); err != nil {
-		t.Fatal(err)
-	}
-	c.ResetResistors()
 	s, err := newSystem(cfg, c, op)
 	if err != nil {
 		t.Fatal(err)
@@ -78,11 +70,11 @@ func sameSystem(t *testing.T, got, want *GridSystem, mask []bool) {
 	}
 }
 
-// TestTunedGridSystemMatchesFreshCompile is the stale-snapshot regression:
-// Tune edits the grid's shared circuit in place, whose pristine snapshots
-// then still hold the values before tuning. A system built afterwards must
-// match one built from a fresh compile bit for bit, under both criteria —
-// trials that restored the pre-tuning resistances would drift.
+// TestTunedGridSystemMatchesFreshCompile checks the resistor-change path:
+// Tune rescales the wires, so the grid's circuit is re-derived by numeric
+// refactors on the symbolic structure of its first compile. A system built
+// afterwards must match one built from a fresh compile bit for bit, under
+// both criteria.
 func TestTunedGridSystemMatchesFreshCompile(t *testing.T) {
 	spec := smallSpec()
 	spec.NX, spec.NY = 16, 16
@@ -100,33 +92,34 @@ func TestTunedGridSystemMatchesFreshCompile(t *testing.T) {
 	}
 }
 
-// TestEditedCacheRefusesReuse edits a resistor through the grid's circuit
-// and checks the reuse gate: the next private circuit must be a fresh
-// compile, and the system built on it must match the reference.
+// TestEditedCacheRefusesReuse edits a via resistor in the grid's netlist
+// after the grid has solved and checks the reuse gate: the next pristine
+// solve must derive a new circuit and leave the old one as it was, an
+// unchanged netlist must reuse the new one, and the system built on it must
+// match one from a fresh compile bit for bit.
 func TestEditedCacheRefusesReuse(t *testing.T) {
 	spec := smallSpec()
 	spec.NX, spec.NY = 16, 16
 	g := mustGrid(t, spec, 0.05)
-	c, err := g.pristineCircuit()
+	c, op, err := g.pristine(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Generation() != 0 {
-		t.Fatal("clone of an unedited grid circuit has a nonzero generation")
-	}
 	k := g.Vias[len(g.Vias)/2].ResistorIndex
+	g0 := c.ResistorConductance(k)
 	g.Netlist.Resistors[k].Ohms *= 3
-	if _, _, err := g.MaxViaCurrent(); err != nil { // pushes the edit in place
+	edited, editedOP, err := g.pristine(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if g.cachedCircuit.Generation() == 0 {
-		t.Fatal("pushing a resistor edit left the grid circuit at generation 0")
+	if edited == c || editedOP == op {
+		t.Fatal("reused the grid circuit after a resistor edit")
 	}
-	if c, err = g.pristineCircuit(); err != nil {
-		t.Fatal(err)
+	if c.ResistorConductance(k) != g0 {
+		t.Fatal("the edit changed the circuit an earlier caller holds")
 	}
-	if c.Generation() != 0 {
-		t.Fatalf("reused the edited grid circuit (generation %d) instead of compiling afresh", c.Generation())
+	if again, _, err := g.pristine(nil); err != nil || again != edited {
+		t.Fatalf("an unchanged netlist re-derived the circuit (err %v)", err)
 	}
 	cfg := TTFConfig{Grid: g, Models: testModels(refCurrentOf(t, g)), Criterion: IRDrop, IRDropFrac: 0.10}
 	sys, err := NewSystem(cfg)
@@ -274,5 +267,58 @@ func TestGridCacheConcurrentUse(t *testing.T) {
 		if err != nil {
 			t.Errorf("goroutine %d: %v", w, err)
 		}
+	}
+}
+
+// TestGridMapsMatchFreshCompile checks the grid's read-only analyses that
+// take the shared pristine solve — the power map, the wire Blech screen and
+// the IR-drop SVG — on a grid whose circuit Tune has re-derived: each must
+// give exactly what a grid compiling a copy of the same netlist afresh
+// gives.
+func TestGridMapsMatchFreshCompile(t *testing.T) {
+	spec := smallSpec()
+	spec.NX, spec.NY = 16, 16
+	g := mustGrid(t, spec, 0)
+	if err := g.Tune(0.065, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	nl := *g.Netlist
+	nl.Resistors = append([]spice.Resistor(nil), g.Netlist.Resistors...)
+	nl.Currents = append([]spice.CurrentSource(nil), g.Netlist.Currents...)
+	fresh := &Grid{Spec: g.Spec, Netlist: &nl, Vias: g.Vias}
+
+	pg, err := g.PowerMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := fresh.PowerMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range pf {
+		if math.Float64bits(pg[i]) != math.Float64bits(pf[i]) {
+			t.Fatalf("power map cell %d: %v, fresh compile %v", i, pg[i], pf[i])
+		}
+	}
+	bg, err := g.WireBlechScreen(emdistDefault(), 1e8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bf, err := fresh.WireBlechScreen(emdistDefault(), 1e8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *bg != *bf {
+		t.Fatalf("Blech screen %+v, fresh compile %+v", *bg, *bf)
+	}
+	var sg, sf bytes.Buffer
+	if err := g.WriteIRDropSVG(&sg, 320); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.WriteIRDropSVG(&sf, 320); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sg.Bytes(), sf.Bytes()) {
+		t.Fatal("IR-drop SVG differs from a fresh compile's")
 	}
 }

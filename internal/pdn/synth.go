@@ -97,12 +97,14 @@ type Grid struct {
 	Netlist *spice.Netlist
 	Vias    []ViaInfo
 
-	// The grid's own compiled circuit (see solveCircuit), reused by every
-	// pristine solve with value pushes instead of recompilation. mu guards
-	// it, so concurrent read-only analyses of one grid are safe.
-	mu            sync.Mutex
-	cachedCircuit *spice.Circuit
-	cachedVolts   int
+	// The grid's compiled circuit and its solved operating point (see
+	// pristine), with the netlist values and pad count they were built from.
+	// mu guards them, so concurrent read-only analyses of one grid are safe.
+	mu         sync.Mutex
+	circuit    *spice.Circuit
+	op         *spice.OP
+	ohms, amps []float64
+	volts      int
 }
 
 // PatternFor classifies an intersection by mesh position.

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"emvia/internal/spice"
 	"emvia/internal/thermal"
 )
 
@@ -34,11 +33,7 @@ func parseNodeName(name string) (layer, x, y int, ok bool) {
 // dissipates I·V at its node (the switching power the load current models).
 // The returned vector is indexed j·NX+i in watts.
 func (g *Grid) PowerMap() ([]float64, error) {
-	c, err := spice.Compile(g.Netlist)
-	if err != nil {
-		return nil, err
-	}
-	op, err := c.SolveDC()
+	_, op, err := g.pristine(nil)
 	if err != nil {
 		return nil, err
 	}

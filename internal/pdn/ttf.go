@@ -117,9 +117,9 @@ func (c TTFConfig) Validate() error {
 // A master (NewSystem) and its Clones share the pristine compiled circuit,
 // its factor and operating point, and one response cache, all read-only
 // while trials run; each instance owns only its trial state. An IR-drop
-// trial's failures never edit or re-solve the factor: opening an array is a
-// low-rank update of the pristine solution (cascade.go), and only a trial
-// that outgrows the update moves to a private copy of the circuit.
+// trial's failures never edit or re-solve the shared factor: opening an
+// array is a low-rank update of the pristine solution (cascade.go), and only
+// a trial that outgrows the update rebases on a private refactored copy.
 type GridSystem struct {
 	cfg TTFConfig
 
@@ -131,8 +131,8 @@ type GridSystem struct {
 	y0      []float64  // pristine free-node solution (IR-drop only)
 	terms   []viaTerms // per-array edit vector (IR-drop only)
 	cache   *responseCache
-	// rankCap is the update rank at which a trial moves to the factor path
-	// (cascadeRankCap); tests lower it to force the fallback.
+	// rankCap is the update rank at which a trial rebases (cascadeRankCap);
+	// tests lower it to force rebases.
 	rankCap int
 	met     cascadeMetrics
 
@@ -152,13 +152,6 @@ type GridSystem struct {
 	ws   solver.Workspace // this instance's solve scratch
 	rhs  []float64        // response right-hand sides, all zero between uses
 
-	// The factor path: fb is this instance's private copy of the circuit,
-	// cloned at its first fallback; onFactor marks a trial that continues
-	// on it, and fbDirty that fb has vias open for BeginTrial to restore.
-	fb       *spice.Circuit
-	onFactor bool
-	fbDirty  bool
-
 	// candidates is the ascending index list of the steady screen's mortal
 	// mask (mc.CandidateMasker); nil runs the legacy sequential sampling
 	// stream. With a mask set, BeginTrial draws one base seed per trial and
@@ -172,9 +165,9 @@ type GridSystem struct {
 	sub        *rand.Rand
 }
 
-// NewSystem takes a private copy of the grid's compiled circuit (see
-// solveCircuit) and solves the pristine operating point. It rejects grids
-// whose nominal IR drop already violates the criterion.
+// NewSystem builds a master system over the grid's shared compiled circuit
+// and its pristine operating point (see Grid.pristine), both read-only. It
+// rejects grids whose nominal IR drop already violates the criterion.
 func NewSystem(cfg TTFConfig) (*GridSystem, error) {
 	return NewSystemCtx(context.Background(), cfg)
 }
@@ -187,7 +180,7 @@ func NewSystemCtx(ctx context.Context, cfg TTFConfig) (*GridSystem, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	circuit, op, err := cfg.Grid.solvePristine(ctx)
+	circuit, op, err := cfg.Grid.pristine(trace.TimelineFrom(ctx))
 	if err != nil {
 		return nil, err
 	}
@@ -354,15 +347,7 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 	if s.alive == nil {
 		s.initTrialState()
 	}
-	// A trial that ended on the factor path left vias open on the private
-	// circuit: restore its pristine matrix and factor (a memcpy of the
-	// snapshot), so trial outcomes do not depend on earlier trials.
-	if s.fbDirty {
-		s.fb.ResetResistors()
-		s.fbDirty = false
-	}
-	s.onFactor = false
-	s.casc.reset()
+	s.casc.restart(s.y0, nil)
 	s.failed = s.failed[:0]
 	s.failedCount = 0
 	s.opNow = s.op0
@@ -573,7 +558,7 @@ func Analyze(ctx context.Context, cfg TTFConfig, sc ScreenConfig, opt mc.Options
 		if cfg.Grid == nil {
 			return nil, nil, fmt.Errorf("pdn: the steady engine needs a grid")
 		}
-		circuit, op, err := cfg.Grid.solvePristine(ctx)
+		circuit, op, err := cfg.Grid.pristine(trace.TimelineFrom(ctx))
 		if err != nil {
 			return nil, nil, err
 		}

@@ -1,9 +1,9 @@
 package pdn
 
 import (
-	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"emvia/internal/spice"
 	"emvia/internal/trace"
@@ -12,13 +12,7 @@ import (
 // MaxViaCurrent solves the pristine grid and returns the largest via-array
 // current magnitude (A) together with the worst IR-drop fraction.
 func (g *Grid) MaxViaCurrent() (maxAmps, irFrac float64, err error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c, err := g.solveCircuit()
-	if err != nil {
-		return 0, 0, err
-	}
-	op, err := c.SolveDC()
+	_, op, err := g.pristine(nil)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -30,87 +24,59 @@ func (g *Grid) MaxViaCurrent() (maxAmps, irFrac float64, err error) {
 	return maxAmps, op.WorstIRDropFrac(g.Spec.Vdd), nil
 }
 
-// solveCircuit returns the grid's own compiled circuit holding the current
-// netlist values; the caller holds g.mu. The grid compiles its netlist once
-// and keeps the circuit: later calls push resistor values in place and
-// restamp the loads, so the pristine solves of calibration, reference
-// current, system build and screen share one ordering and one numeric
-// factorization, and a load change costs only triangular solves. Loads are
-// restamped, not accumulated, so while no resistor value has changed since
-// compile (Generation() == 0) the circuit is bit-identical to a fresh
-// Compile of the netlist, and pristineCircuit hands out clones of it. Tune
-// pushes wire changes, which advance the generation and leave the pristine
-// snapshots (res0, mat0) at the values before tuning; the circuit then only
-// serves MaxViaCurrent and pristineCircuit compiles afresh. Any
-// element-count change recompiles from scratch; callers that rewire
-// terminals or change pad voltages at constant counts must drop the cache
-// by clearing Grid.cachedCircuit (no in-tree caller does).
-func (g *Grid) solveCircuit() (*spice.Circuit, error) {
+// pristine returns the grid's compiled circuit for the current netlist
+// values and its solved operating point, recording the "compile" and
+// "factorize" stage spans on tl (nil records nothing). The grid compiles its
+// netlist once and keeps the circuit; a later call derives a new circuit only
+// when the netlist values have changed since: a load change restamps the
+// right-hand side into a circuit that shares the matrix and factor
+// (spice.Circuit.WithCurrents), and a resistor change refactors numerically
+// on the same symbolic structure (WithResistances). Either way the circuit is
+// bit-identical to a fresh Compile of the netlist. It is solved once, under
+// g.mu, and every caller — calibration, reference current, system build,
+// screens, power and IR maps — gets the same circuit and operating point,
+// both read-only. Any element-count change recompiles from scratch; callers
+// that rewire terminals or change pad voltages at constant counts must drop
+// the cache by clearing Grid.circuit (no in-tree caller does).
+func (g *Grid) pristine(tl *trace.Timeline) (*spice.Circuit, *spice.OP, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	endCompile := tl.Stage("compile")
 	nl := g.Netlist
-	c := g.cachedCircuit
-	if c == nil || c.NumResistors() != len(nl.Resistors) ||
-		c.NumCurrents() != len(nl.Currents) || g.cachedVolts != len(nl.Voltages) {
-		c, err := spice.Compile(nl)
-		if err != nil {
-			return nil, err
-		}
-		g.cachedCircuit = c
-		g.cachedVolts = len(nl.Voltages)
-		return c, nil
-	}
-	for i := range nl.Resistors {
-		if err := c.SetResistor(i, nl.Resistors[i].Ohms); err != nil {
-			return nil, err
-		}
+	ohms := make([]float64, len(nl.Resistors))
+	for i, r := range nl.Resistors {
+		ohms[i] = r.Ohms
 	}
 	amps := make([]float64, len(nl.Currents))
 	for i, s := range nl.Currents {
 		amps[i] = s.Amps
 	}
-	return c, c.SetCurrents(amps)
-}
-
-// pristineCircuit returns a private circuit of the current netlist for a
-// caller that will edit or keep it: a Clone of the grid's solved circuit,
-// which shares its ordering and symbolic factor and carries its numeric
-// factor, or a fresh compile once Tune has edited the grid's circuit.
-func (g *Grid) pristineCircuit() (*spice.Circuit, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	c, err := g.solveCircuit()
-	if err != nil {
-		return nil, err
+	c, err := g.circuit, error(nil)
+	switch {
+	case c == nil || len(ohms) != len(g.ohms) || len(amps) != len(g.amps) || len(nl.Voltages) != g.volts:
+		c, err = spice.Compile(nl)
+	case !slices.Equal(ohms, g.ohms):
+		if c, err = c.WithResistances(ohms); err == nil {
+			c, err = c.WithCurrents(amps)
+		}
+	case !slices.Equal(amps, g.amps):
+		c, err = c.WithCurrents(amps)
 	}
-	if c.Generation() != 0 {
-		return spice.Compile(g.Netlist)
-	}
-	// Solve once so the clone inherits the factor instead of building its
-	// own; on a circuit solved before this is a pair of triangular sweeps.
-	if _, err := c.SolveDC(); err != nil {
-		return nil, err
-	}
-	return c.Clone(), nil
-}
-
-// solvePristine takes a private circuit (pristineCircuit) and solves its
-// pristine operating point, recording the "compile" and "factorize" stage
-// spans on the context's timeline. It is the shared front of the system
-// build and the standalone steady screen; the context is observational only.
-func (g *Grid) solvePristine(ctx context.Context) (*spice.Circuit, *spice.OP, error) {
-	tl := trace.TimelineFrom(ctx)
-	endCompile := tl.Stage("compile")
-	circuit, err := g.pristineCircuit()
 	endCompile()
 	if err != nil {
 		return nil, nil, fmt.Errorf("pdn: compiling grid: %w", err)
 	}
 	endFactorize := tl.Stage("factorize")
-	op, err := circuit.SolveDC()
-	endFactorize()
+	defer endFactorize()
+	if c == g.circuit {
+		return c, g.op, nil
+	}
+	op, err := c.SolveDC()
 	if err != nil {
 		return nil, nil, fmt.Errorf("pdn: pristine solve: %w", err)
 	}
-	return circuit, op, nil
+	g.circuit, g.op, g.ohms, g.amps, g.volts = c, op, ohms, amps, len(nl.Voltages)
+	return c, op, nil
 }
 
 // Tune adjusts the grid the way the paper tunes the benchmark decks: load

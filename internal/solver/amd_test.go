@@ -38,13 +38,24 @@ func gridLaplacian(nx, ny int) *sparse.CSR {
 	return tr.ToCSR()
 }
 
-// applyEdgeDelta stamps a conductance change dg of edge (i, j) into the
-// matrix values, mirroring what the circuit engine's slot edits do.
-func applyEdgeDelta(a *sparse.CSR, i, j int, dg float64) {
-	a.AddAt(a.SlotIndex(i, i), dg)
-	a.AddAt(a.SlotIndex(j, j), dg)
-	a.AddAt(a.SlotIndex(i, j), -dg)
-	a.AddAt(a.SlotIndex(j, i), -dg)
+// withEdgeDelta returns a copy of a with a conductance change dg of edge
+// (i, j) stamped in, the way a circuit restamps a changed resistor. The edge
+// must be in a's pattern and no entry may cancel to zero, so the copy keeps
+// a's pattern.
+func withEdgeDelta(a *sparse.CSR, i, j int, dg float64) *sparse.CSR {
+	n, _ := a.Dims()
+	tr := sparse.NewTriplet(n, n, a.NNZ()+4)
+	for r := 0; r < n; r++ {
+		cols, vals := a.Row(r)
+		for k, c := range cols {
+			tr.Add(r, c, vals[k])
+		}
+	}
+	tr.Add(i, i, dg)
+	tr.Add(j, j, dg)
+	tr.Add(i, j, -dg)
+	tr.Add(j, i, -dg)
+	return tr.ToCSR()
 }
 
 func TestAMDPermutationRoundTrip(t *testing.T) {

@@ -13,10 +13,9 @@ import (
 
 // SupernodalCholesky is a blocked sparse LLᵀ factorization P·A·Pᵀ = L·Lᵀ of
 // an SPD system — the power-grid solver at every size. Its pattern is fixed
-// after construction; refactorization and triangular solves allocate
-// nothing, and Davis–Hager edge up/downdates absorb rank-one conductance
-// edits. L lives in supernodal panels, and the numeric factorization runs as
-// parallel supernode tasks over the elimination tree.
+// after construction, and refactorization and triangular solves allocate
+// nothing. L lives in supernodal panels, and the numeric factorization runs
+// as parallel supernode tasks over the elimination tree.
 //
 // A supernode is a maximal run of consecutive columns with identical
 // below-diagonal structure (detected from the etree: parent[j] == j+1 and
@@ -36,9 +35,8 @@ import (
 // which worker runs a task, never the arithmetic inside one, so the factor
 // is bit-identical at any worker count, including the serial path.
 type SupernodalCholesky struct {
-	n          int
-	perm, invp []int
-	parent     []int // column elimination tree; -1 = root
+	n    int
+	perm []int
 
 	pool *par.Pool // nil = serial
 
@@ -98,7 +96,6 @@ type SupernodalCholesky struct {
 	relFor []int32
 	ybuf   [][]float64
 
-	wbuf []float64 // up/downdate workspace; all-zero between calls
 	ws   Workspace // solve scratch of SolveInto and SolveBatchInto
 	errs []error   // per-supernode factorization error, nil between calls
 
@@ -153,17 +150,17 @@ func NewSupernodalCholeskyOrdered(a *sparse.CSR, perm []int, pool *par.Pool) (*S
 		return nil, fmt.Errorf("solver: permutation length %d, want %d", len(perm), n)
 	}
 	c := &SupernodalCholesky{n: n, perm: append([]int(nil), perm...), pool: pool}
-	c.invp = make([]int, n)
-	for i := range c.invp {
-		c.invp[i] = -1
+	invp := make([]int, n)
+	for i := range invp {
+		invp[i] = -1
 	}
 	for k, p := range perm {
-		if p < 0 || p >= n || c.invp[p] >= 0 {
+		if p < 0 || p >= n || invp[p] >= 0 {
 			return nil, fmt.Errorf("solver: perm is not a permutation of 0..%d", n-1)
 		}
-		c.invp[p] = k
+		invp[p] = k
 	}
-	c.symbolic(a)
+	c.symbolic(a, invp)
 	if err := c.RefactorFromCSR(a); err != nil {
 		return nil, err
 	}
@@ -173,8 +170,8 @@ func NewSupernodalCholeskyOrdered(a *sparse.CSR, perm []int, pool *par.Pool) (*S
 // symbolic runs the scalar symbolic analysis (etree, row patterns, column
 // structure), partitions columns into supernodes, and precomputes the static
 // structures of the numeric phases: panel layouts, A-scatter targets, update
-// lists and the level schedule.
-func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
+// lists and the level schedule. invp is the inverse of c.perm.
+func (c *SupernodalCholesky) symbolic(a *sparse.CSR, invp []int) {
 	n := c.n
 
 	// Upper triangle of the permuted pattern plus raw A-scatter tuples
@@ -189,7 +186,7 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 		if len(cols) > 0 {
 			base := a.SlotIndex(orig, cols[0])
 			for t, col := range cols {
-				j := c.invp[col]
+				j := invp[col]
 				if j > k {
 					continue
 				}
@@ -203,17 +200,17 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 	}
 
 	// Elimination tree (Liu's algorithm with path compression).
-	c.parent = make([]int, n)
+	parent := make([]int, n)
 	anc := make([]int, n)
 	for k := 0; k < n; k++ {
-		c.parent[k] = -1
+		parent[k] = -1
 		anc[k] = -1
 		for t := upPtr[k]; t < upPtr[k+1]; t++ {
 			for i := int(upCols[t]); i != -1 && i < k; {
 				next := anc[i]
 				anc[i] = k
 				if next == -1 {
-					c.parent[i] = k
+					parent[i] = k
 				}
 				i = next
 			}
@@ -233,7 +230,7 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 		stamp[k] = k
 		scratch = scratch[:0]
 		for t := upPtr[k]; t < upPtr[k+1]; t++ {
-			for i := int(upCols[t]); stamp[i] != k; i = c.parent[i] {
+			for i := int(upCols[t]); stamp[i] != k; i = parent[i] {
 				stamp[i] = k
 				scratch = append(scratch, i)
 			}
@@ -253,7 +250,7 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 	fund := []int32{0}
 	for j := 1; j < n; j++ {
 		first := int(fund[len(fund)-1])
-		mergeable := c.parent[j-1] == j && colcount[j-1] == colcount[j]+1 && j-first < snMaxWidth
+		mergeable := parent[j-1] == j && colcount[j-1] == colcount[j]+1 && j-first < snMaxWidth
 		if !mergeable {
 			fund = append(fund, int32(j))
 		}
@@ -282,7 +279,7 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 		jf := int(fund[fi])
 		wf := int(fund[fi+1]) - jf
 		tf := colcount[int(fund[fi+1])-1]
-		chainOK := c.parent[jf-1] == jf
+		chainOK := parent[jf-1] == jf
 		wNew := curW + wf
 		lrNew := wNew + tf
 		stored := wNew*lrNew - wNew*(wNew-1)/2
@@ -432,7 +429,7 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 	maxLevel := 0
 	for s := 0; s < c.nsup; s++ {
 		last := int(c.snCol[s+1]) - 1
-		if p := c.parent[last]; p >= 0 {
+		if p := parent[last]; p >= 0 {
 			sp := int(c.snOf[p])
 			if level[s]+1 > level[sp] {
 				level[sp] = level[s] + 1
@@ -491,7 +488,6 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR) {
 	}
 
 	// Workspaces and dispatch closures.
-	c.wbuf = make([]float64, n)
 	c.ws.grow(n)
 	c.errs = make([]error, c.nsup)
 	c.initScratch()
@@ -1093,121 +1089,11 @@ func (c *SupernodalCholesky) solveBatchVar(zb, x, b []float64, g0, nrhs int) {
 	}
 }
 
-// colBase locates permuted column j in its panel: values px[base+u] for u in
-// [jj, lr) with row ids rows[u].
-func (c *SupernodalCholesky) colBase(j int) (base, jj, lr int, rows []int32) {
-	s := c.snOf[j]
-	jj = j - int(c.snCol[s])
-	rows = c.snRows[c.snRptr[s]:c.snRptr[s+1]]
-	lr = len(rows)
-	base = c.pptr[s] + jj*lr
-	return base, jj, lr, rows
-}
-
-// UpdateEdge applies the rank-one update A → A + s²·u·uᵀ with u = e_fa − e_fb
-// in original indices (a negative terminal is pinned and drops out of u)
-// with LINPACK dchud arithmetic: the touched columns are the etree path from
-// the first nonzero of P·u, each rotated in ascending row order.
-func (c *SupernodalCholesky) UpdateEdge(fa, fb int, s float64) {
-	record(telemetry.SparseUpdates)
-	wb, px := c.wbuf, c.px
-	j := c.scatterEdge(fa, fb, s)
-	for ; j != -1; j = c.parent[j] {
-		alpha := wb[j]
-		if alpha == 0 {
-			continue
-		}
-		wb[j] = 0
-		base, jj, lr, rows := c.colBase(j)
-		ljj := px[base+jj]
-		r := math.Hypot(ljj, alpha)
-		cc := r / ljj
-		ss := alpha / ljj
-		px[base+jj] = r
-		for u := jj + 1; u < lr; u++ {
-			i := rows[u]
-			lij := (px[base+u] + ss*wb[i]) / cc
-			px[base+u] = lij
-			wb[i] = cc*wb[i] - ss*lij
-		}
-	}
-}
-
-// DowndateEdge applies A → A − s²·u·uᵀ (dchdd arithmetic). It returns
-// ErrNotSPD — leaving the factor partially modified, so the caller must
-// refactor — when the downdated matrix is not positive definite.
-func (c *SupernodalCholesky) DowndateEdge(fa, fb int, s float64) error {
-	record(telemetry.SparseDowndates)
-	wb, px := c.wbuf, c.px
-	j := c.scatterEdge(fa, fb, s)
-	for ; j != -1; j = c.parent[j] {
-		alpha := wb[j]
-		if alpha == 0 {
-			continue
-		}
-		wb[j] = 0
-		base, jj, lr, rows := c.colBase(j)
-		ljj := px[base+jj]
-		d := (ljj - alpha) * (ljj + alpha)
-		if d <= 0 || math.IsNaN(d) {
-			for i := j; i != -1; i = c.parent[i] {
-				wb[i] = 0
-			}
-			return fmt.Errorf("%w: supernodal downdate pivot %g at permuted column %d", ErrNotSPD, d, j)
-		}
-		r := math.Sqrt(d)
-		cc := r / ljj
-		ss := alpha / ljj
-		px[base+jj] = r
-		for u := jj + 1; u < lr; u++ {
-			i := rows[u]
-			lij := (px[base+u] - ss*wb[i]) / cc
-			px[base+u] = lij
-			wb[i] = cc*wb[i] - ss*lij
-		}
-	}
-	return nil
-}
-
-// scatterEdge loads ±s at the permuted positions of the edge terminals into
-// the update workspace and returns the first elimination-tree path node, or
-// -1 when both terminals are pinned.
-func (c *SupernodalCholesky) scatterEdge(fa, fb int, s float64) int {
-	j := c.n
-	if fa >= 0 {
-		pa := c.invp[fa]
-		c.wbuf[pa] = s
-		j = pa
-	}
-	if fb >= 0 {
-		pb := c.invp[fb]
-		c.wbuf[pb] = -s
-		if pb < j {
-			j = pb
-		}
-	}
-	if j == c.n {
-		return -1
-	}
-	return j
-}
-
-// Set overwrites the numeric factor with a copy of src's, which must share
-// the symbolic structure (trial-reset restore by memcpy).
-func (c *SupernodalCholesky) Set(src *SupernodalCholesky) error {
-	if src.n != c.n || len(src.px) != len(c.px) {
-		return fmt.Errorf("solver: Set structure mismatch (%d/%d entries)", len(src.px), len(c.px))
-	}
-	copy(c.px, src.px)
-	return nil
-}
-
 // Clone returns a copy with private numeric state (panel values and
 // workspaces) sharing the immutable symbolic structure and the pool.
 func (c *SupernodalCholesky) Clone() *SupernodalCholesky {
 	d := *c
 	d.px = append([]float64(nil), c.px...)
-	d.wbuf = make([]float64, c.n)
 	d.ws = Workspace{}
 	d.ws.grow(c.n)
 	d.errs = make([]error, c.nsup)

@@ -217,50 +217,9 @@ func TestSupernodalWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestSupernodalUpdateDowndateMatchesDense drives an edge up/downdate
-// sequence through the factor and checks it keeps agreeing with a dense
-// factorization of the edited matrix.
-func TestSupernodalUpdateDowndateMatchesDense(t *testing.T) {
-	a := gridLaplacian(12, 14)
-	n, _ := a.Dims()
-	sup, err := NewSupernodalCholeskyFromCSR(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := []struct {
-		i, j int
-		dg   float64
-	}{
-		{3, 4, 0.7},
-		{20, 34, 1.3},
-		{100, 101, 0.25},
-		{3, 4, -0.5}, // partial downdate of the first edit
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64((i*7)%11) - 5
-	}
-	for ei, e := range edges {
-		s := math.Sqrt(math.Abs(e.dg))
-		if e.dg >= 0 {
-			sup.UpdateEdge(e.i, e.j, s)
-		} else if err := sup.DowndateEdge(e.i, e.j, s); err != nil {
-			t.Fatalf("edit %d: downdate: %v", ei, err)
-		}
-		applyEdgeDelta(a, e.i, e.j, e.dg)
-		xs := make([]float64, n)
-		if err := sup.SolveInto(xs, b); err != nil {
-			t.Fatal(err)
-		}
-		if d := maxScaledDiff(xs, solveDense(t, a, b)); d > 1e-10 {
-			t.Fatalf("edit %d: updated factor vs dense refactor differ by %g", ei, d)
-		}
-	}
-}
-
-// TestSupernodalRefactorTracksEdits mirrors the engine's epoch protocol:
-// mutate the matrix in place, RefactorFromCSR, and check against a fresh
-// factorization.
+// TestSupernodalRefactorTracksEdits mirrors a circuit's value change:
+// restamp the matrix on the same pattern, RefactorFromCSR, and check against
+// a fresh factorization.
 func TestSupernodalRefactorTracksEdits(t *testing.T) {
 	a := gridLaplacian(25, 25)
 	n, _ := a.Dims()
@@ -268,8 +227,8 @@ func TestSupernodalRefactorTracksEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyEdgeDelta(a, 5, 30, 2.5)
-	applyEdgeDelta(a, 200, 225, -0.8)
+	a = withEdgeDelta(a, 5, 30, 2.5)
+	a = withEdgeDelta(a, 200, 225, -0.8)
 	if err := c.RefactorFromCSR(a); err != nil {
 		t.Fatal(err)
 	}
@@ -285,19 +244,6 @@ func TestSupernodalRefactorTracksEdits(t *testing.T) {
 	_ = n
 }
 
-func TestSupernodalDowndateRejectsIndefinite(t *testing.T) {
-	a := gridLaplacian(10, 10)
-	c, err := NewSupernodalCholeskyFromCSR(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Removing far more conductance than the edge carries drives the matrix
-	// indefinite; the downdate must report it.
-	if err := c.DowndateEdge(4, 5, 10); !errors.Is(err, ErrNotSPD) {
-		t.Fatalf("downdate of indefinite matrix returned %v, want ErrNotSPD", err)
-	}
-}
-
 func TestSupernodalRejectsIndefiniteMatrix(t *testing.T) {
 	tr := sparse.NewTriplet(2, 2, 4)
 	tr.Add(0, 0, 1)
@@ -309,6 +255,11 @@ func TestSupernodalRejectsIndefiniteMatrix(t *testing.T) {
 	}
 }
 
+// TestSupernodalSetCloneRestore checks the private numeric copy a circuit
+// rebase refactors: a clone refactored from edited values leaves its source
+// solving the pristine matrix bit for bit, matches a fresh factorization of
+// the edited matrix bit for bit, and refactored back from the pristine
+// values restores the source's solution bit for bit.
 func TestSupernodalSetCloneRestore(t *testing.T) {
 	a := gridLaplacian(14, 14)
 	n, _ := a.Dims()
@@ -316,41 +267,42 @@ func TestSupernodalSetCloneRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := c.Clone()
-	c.UpdateEdge(7, 8, 1.5)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
 	}
-	x1 := make([]float64, n)
-	if err := c.SolveInto(x1, b); err != nil {
-		t.Fatal(err)
+	solve := func(f *SupernodalCholesky) []float64 {
+		t.Helper()
+		x := make([]float64, n)
+		if err := f.SolveInto(x, b); err != nil {
+			t.Fatal(err)
+		}
+		return x
 	}
-	// Restore by memcpy and verify the pristine solution returns bit-exactly.
-	x0 := make([]float64, n)
-	if err := pristine.SolveInto(x0, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Set(pristine); err != nil {
-		t.Fatal(err)
-	}
-	x2 := make([]float64, n)
-	if err := c.SolveInto(x2, b); err != nil {
-		t.Fatal(err)
-	}
-	for i := range x0 {
-		if math.Float64bits(x0[i]) != math.Float64bits(x2[i]) {
-			t.Fatalf("restored factor solution differs at %d", i)
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: solution differs at %d", what, i)
+			}
 		}
 	}
-	// A factor of another structure must be rejected, not silently copied.
-	other, err := NewSupernodalCholeskyFromCSR(gridLaplacian(9, 9), nil)
+	x0 := solve(c)
+	edited := withEdgeDelta(a, 7, 8, -0.75)
+	cl := c.Clone()
+	if err := cl.RefactorFromCSR(edited); err != nil {
+		t.Fatal(err)
+	}
+	same("source after its clone refactored", solve(c), x0)
+	fresh, err := NewSupernodalCholeskyOrdered(edited, c.Perm(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set(other); err == nil {
-		t.Fatal("Set accepted a factor of another structure")
+	same("refactored clone vs fresh factorization", solve(cl), solve(fresh))
+	if err := cl.RefactorFromCSR(a); err != nil {
+		t.Fatal(err)
 	}
+	same("clone refactored back", solve(cl), x0)
 }
 
 // TestSupernodalZeroAllocHotPath pins the allocation-free contract of the
@@ -487,131 +439,6 @@ func TestSparseCholeskySolvesGrid(t *testing.T) {
 	}
 }
 
-// TestSparseCholeskyUpdateDowndateMatchesRefactor drives the factor through
-// 1, 5 and 20 sequential edge downdates (EM failures) plus the matching
-// restores, comparing against a cold factorization of the edited matrix with
-// the same ordering after every edit — the acceptance bar of the incremental
-// engine (≤1e-10).
-func TestSparseCholeskyUpdateDowndateMatchesRefactor(t *testing.T) {
-	a := gridLaplacian(14, 14)
-	n, _ := a.Dims()
-	rng := rand.New(rand.NewSource(5))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	id := func(ix, iy int) int { return ix*14 + iy }
-	solveCold := func(m *sparse.CSR, perm []int) []float64 {
-		t.Helper()
-		cold, err := NewSupernodalCholeskyOrdered(m, perm, nil)
-		if err != nil {
-			t.Fatalf("cold refactor: %v", err)
-		}
-		x := make([]float64, n)
-		if err := cold.SolveInto(x, b); err != nil {
-			t.Fatal(err)
-		}
-		return x
-	}
-
-	for _, edits := range []int{1, 5, 20} {
-		sp, err := NewSupernodalCholeskyFromCSR(a, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		edited := a.Clone()
-		xi := make([]float64, n)
-		for e := 0; e < edits; e++ {
-			// Interior horizontal edges, each failed once (dg = −1).
-			i, j := id(1+e%12, 2+e/12), id(2+e%12, 2+e/12)
-			applyEdgeDelta(edited, i, j, -1)
-			if err := sp.DowndateEdge(i, j, 1); err != nil {
-				t.Fatalf("edits=%d: downdate %d: %v", edits, e, err)
-			}
-			if err := sp.SolveInto(xi, b); err != nil {
-				t.Fatal(err)
-			}
-			if d := maxAbsDiff(xi, solveCold(edited, sp.Perm())); d > 1e-10 {
-				t.Fatalf("edits=%d: after edit %d incremental vs cold max diff %g", edits, e, d)
-			}
-		}
-		// Repair every failure (dg = +1) and compare against the pristine
-		// matrix: the round trip must come home.
-		for e := 0; e < edits; e++ {
-			i, j := id(1+e%12, 2+e/12), id(2+e%12, 2+e/12)
-			sp.UpdateEdge(i, j, 1)
-		}
-		if err := sp.SolveInto(xi, b); err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(xi, solveCold(a, sp.Perm())); d > 1e-10 {
-			t.Fatalf("edits=%d: restore round trip max diff %g", edits, d)
-		}
-	}
-}
-
-// TestSparseCholeskyGroundedEdge exercises the single-terminal form of the
-// edge update (the other terminal is a pad or ground and drops out of u).
-func TestSparseCholeskyGroundedEdge(t *testing.T) {
-	a := gridLaplacian(9, 9)
-	n, _ := a.Dims()
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	sp, err := NewSupernodalCholeskyFromCSR(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := 40
-	sp.UpdateEdge(node, -1, math.Sqrt(0.5)) // extra 0.5 S to ground at one node
-	edited := a.Clone()
-	edited.AddAt(edited.SlotIndex(node, node), 0.5)
-	xi := make([]float64, n)
-	if err := sp.SolveInto(xi, b); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(xi, solveDense(t, edited, b)); d > 1e-10 {
-		t.Fatalf("grounded-edge update vs cold max diff %g", d)
-	}
-	sp.UpdateEdge(-1, -1, 1) // both terminals pinned: must be a no-op
-	if err := sp.DowndateEdge(-1, -1, 1); err != nil {
-		t.Fatalf("pinned-edge downdate: %v", err)
-	}
-}
-
-// TestSparseCholeskyDowndateRejectsIndefinite checks that a failed downdate
-// leaves the factor recoverable: a refactor from the intact matrix must
-// solve it again.
-func TestSparseCholeskyDowndateRejectsIndefinite(t *testing.T) {
-	a := gridLaplacian(6, 6)
-	sp, err := NewSupernodalCholeskyFromCSR(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Removing 3 S from a unit edge makes the matrix indefinite.
-	if err := sp.DowndateEdge(7, 13, math.Sqrt(3)); !errors.Is(err, ErrNotSPD) {
-		t.Fatalf("indefinite downdate returned %v, want ErrNotSPD", err)
-	}
-	// The factor is garbage now, but the workspace invariant must survive a
-	// failed downdate: a refactor from the intact matrix has to recover.
-	if err := sp.RefactorFromCSR(a); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := a.Dims()
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = float64(i%5) - 2
-	}
-	x := make([]float64, n)
-	if err := sp.SolveInto(x, b); err != nil {
-		t.Fatal(err)
-	}
-	if r := residual(a, x, b); r > 1e-10 {
-		t.Fatalf("post-recovery residual %g", r)
-	}
-}
-
 // TestSparseCholeskyRejectsIndefiniteMatrix covers a negative pivot on the
 // diagonal itself (TestSupernodalRejectsIndefiniteMatrix covers an
 // off-diagonal-dominated one).
@@ -626,51 +453,9 @@ func TestSparseCholeskyRejectsIndefiniteMatrix(t *testing.T) {
 	}
 }
 
-// TestSparseCholeskySetAndClone checks that a clone does not drift with its
-// source: edits to the source leave the clone factoring the pristine matrix.
-func TestSparseCholeskySetAndClone(t *testing.T) {
-	a := gridLaplacian(8, 8)
-	n, _ := a.Dims()
-	sp, err := NewSupernodalCholeskyFromCSR(a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pristine := sp.Clone()
-	sp.DowndateEdge(3, 11, 1) //nolint:errcheck // edge removal on a leaky mesh stays SPD
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 1
-	}
-	xp := make([]float64, n)
-	if err := pristine.SolveInto(xp, b); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewSupernodalCholeskyOrdered(a, sp.Perm(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xc := make([]float64, n)
-	if err := fresh.SolveInto(xc, b); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(xp, xc); d > 1e-12 {
-		t.Fatalf("clone drifted with its source: max diff %g", d)
-	}
-	// Set restores the pristine factor by memcpy.
-	if err := sp.Set(pristine); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.SolveInto(xp, b); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(xp, xc); d > 1e-12 {
-		t.Fatalf("Set did not restore the factor: max diff %g", d)
-	}
-}
-
 // TestSparseCholeskyZeroAlloc pins the allocation-free contract of the
-// failure-edit operations alongside refactor and solve: edge up/downdates
-// included.
+// operations a rebase runs on its private copy: once cloned, refactoring the
+// copy and solving against it with a caller's workspace must not allocate.
 func TestSparseCholeskyZeroAlloc(t *testing.T) {
 	a := gridLaplacian(12, 12)
 	n, _ := a.Dims()
@@ -678,23 +463,24 @@ func TestSparseCholeskyZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl := sp.Clone()
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
 	}
 	x := make([]float64, n)
+	var ws Workspace
+	if err := cl.SolveWith(&ws, x, b, 1); err != nil { // sizes ws once
+		t.Fatal(err)
+	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		if err := sp.RefactorFromCSR(a); err != nil {
+		if err := cl.RefactorFromCSR(a); err != nil {
 			t.Fatal(err)
 		}
-		if err := sp.SolveInto(x, b); err != nil {
+		if err := cl.SolveWith(&ws, x, b, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := sp.DowndateEdge(17, 29, 0.5); err != nil {
-			t.Fatal(err)
-		}
-		sp.UpdateEdge(17, 29, 0.5)
 	}); allocs != 0 {
-		t.Fatalf("steady-state sparse ops allocated %v times per run", allocs)
+		t.Fatalf("steady-state refactor and solve on a clone allocated %v times per run", allocs)
 	}
 }

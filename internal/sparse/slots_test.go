@@ -53,75 +53,3 @@ func TestSlotIndex(t *testing.T) {
 	}()
 	m.SlotIndex(3, 0)
 }
-
-func TestSlotEditsMatchAt(t *testing.T) {
-	m := slotFixture()
-	s01 := m.SlotIndex(0, 1)
-	m.AddAt(s01, 0.5)
-	if got := m.At(0, 1); got != -0.5 {
-		t.Errorf("after AddAt: At(0,1) = %g, want -0.5", got)
-	}
-	m.SetAt(s01, 7)
-	if got := m.At(0, 1); got != 7 {
-		t.Errorf("after SetAt: At(0,1) = %g, want 7", got)
-	}
-	// Neighbouring entries are untouched.
-	if m.At(0, 0) != 2 || m.At(1, 1) != 2 {
-		t.Error("slot edit leaked into other entries")
-	}
-}
-
-func TestZeroValuesKeepsPattern(t *testing.T) {
-	m := slotFixture()
-	nnz := m.NNZ()
-	m.ZeroValues()
-	if m.NNZ() != nnz {
-		t.Errorf("ZeroValues changed NNZ %d → %d", nnz, m.NNZ())
-	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if m.At(i, j) != 0 {
-				t.Errorf("At(%d,%d) = %g after ZeroValues", i, j, m.At(i, j))
-			}
-		}
-	}
-	// Slots survive zeroing: refill through them.
-	s := m.SlotIndex(1, 1)
-	m.SetAt(s, 4)
-	if m.At(1, 1) != 4 {
-		t.Error("slot stale after ZeroValues")
-	}
-}
-
-func TestCopySetValuesRoundTrip(t *testing.T) {
-	m := slotFixture()
-	snap := make([]float64, m.NNZ())
-	m.CopyValues(snap)
-	m.SetAt(m.SlotIndex(2, 2), 99)
-	m.ZeroValues()
-	m.SetValues(snap)
-	want := slotFixture()
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if m.At(i, j) != want.At(i, j) {
-				t.Errorf("At(%d,%d) = %g after restore, want %g", i, j, m.At(i, j), want.At(i, j))
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("CopyValues accepted wrong-length destination")
-		}
-	}()
-	m.CopyValues(make([]float64, 2))
-}
-
-func TestSetValuesLengthPanics(t *testing.T) {
-	m := slotFixture()
-	defer func() {
-		if recover() == nil {
-			t.Error("SetValues accepted wrong-length source")
-		}
-	}()
-	m.SetValues(make([]float64, m.NNZ()+1))
-}

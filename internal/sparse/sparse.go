@@ -189,9 +189,9 @@ func (m *CSR) At(i, j int) float64 {
 
 // SlotIndex returns the storage slot of entry (i, j), or -1 when the entry is
 // not part of the sparsity pattern. Slots are stable for the lifetime of the
-// matrix, so callers that repeatedly update the same entries (nodal-analysis
-// stamping with a fixed pattern) can look slots up once and then use AddAt /
-// SetAt for O(1) in-place value edits with no reassembly.
+// matrix and shared by every matrix of the same pattern, so a symbolic
+// analysis can record slots once and read the values of any such matrix
+// with ValueAt.
 func (m *CSR) SlotIndex(i, j int) int {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		panic(fmt.Sprintf("sparse: index (%d,%d) out of range %d×%d", i, j, m.nrows, m.ncols))
@@ -204,42 +204,8 @@ func (m *CSR) SlotIndex(i, j int) int {
 	return -1
 }
 
-// AddAt adds delta to the value stored in slot (from SlotIndex) in place.
-func (m *CSR) AddAt(slot int, delta float64) { m.vals[slot] += delta }
-
-// SetAt overwrites the value stored in slot (from SlotIndex) in place.
-func (m *CSR) SetAt(slot int, v float64) { m.vals[slot] = v }
-
 // ValueAt returns the value stored in slot (from SlotIndex).
 func (m *CSR) ValueAt(slot int) float64 { return m.vals[slot] }
-
-// ZeroValues sets every stored value to zero, keeping the sparsity pattern.
-// Combined with SlotIndex/AddAt it supports rebuilding the numeric content of
-// a fixed-pattern matrix without any allocation.
-func (m *CSR) ZeroValues() {
-	for i := range m.vals {
-		m.vals[i] = 0
-	}
-}
-
-// CopyValues copies the stored values into dst, which must have length NNZ.
-// Together with SetValues it lets callers snapshot and restore the numeric
-// content of a fixed-pattern matrix without reassembly.
-func (m *CSR) CopyValues(dst []float64) {
-	if len(dst) != len(m.vals) {
-		panic(fmt.Sprintf("sparse: CopyValues length %d, want %d", len(dst), len(m.vals)))
-	}
-	copy(dst, m.vals)
-}
-
-// SetValues overwrites the stored values from src, which must have length
-// NNZ, keeping the sparsity pattern.
-func (m *CSR) SetValues(src []float64) {
-	if len(src) != len(m.vals) {
-		panic(fmt.Sprintf("sparse: SetValues length %d, want %d", len(src), len(m.vals)))
-	}
-	copy(m.vals, src)
-}
 
 // MulVec computes y = A·x into a fresh slice.
 func (m *CSR) MulVec(x []float64) []float64 {
@@ -378,17 +344,6 @@ func (m *CSR) Clone() *CSR {
 	vals := make([]float64, len(m.vals))
 	copy(vals, m.vals)
 	return &CSR{nrows: m.nrows, ncols: m.ncols, ptr: ptr, cols: cols, vals: vals}
-}
-
-// ShallowCloneValues returns a copy of the matrix that shares the immutable
-// sparsity pattern (row pointers and column indices) with the receiver but
-// owns a private copy of the values. Callers that maintain one fixed pattern
-// across many workers (per-worker circuit clones) use it to avoid duplicating
-// the structural arrays; neither copy may mutate the pattern.
-func (m *CSR) ShallowCloneValues() *CSR {
-	vals := make([]float64, len(m.vals))
-	copy(vals, m.vals)
-	return &CSR{nrows: m.nrows, ncols: m.ncols, ptr: m.ptr, cols: m.cols, vals: vals}
 }
 
 // LowerTriangle returns the lower triangle (including the diagonal) of the

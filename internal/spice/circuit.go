@@ -10,22 +10,18 @@ import (
 	"emvia/internal/trace"
 )
 
-// sparseUpdateBudget caps how many rank-one factor updates may accumulate
-// between solves. A failure cascade edits one resistor per solve and never
-// comes near it; a bulk value push (load re-tuning rescales every wire) would
-// cost thousands of etree-path updates, where a single refactorization over
-// the static structure is far cheaper — so past the budget the factor is just
-// marked stale and the next solve refactors once.
-const sparseUpdateBudget = 32
-
-// Circuit is a compiled netlist ready for repeated DC solves with mutable
-// resistor values — the operation the EM failure simulation performs after
-// every via-array failure. The first solve compiles a fixed-pattern linear
-// system (the gmin leak puts every free node on the diagonal and disabled
-// resistors stay in the pattern) and factors it once with the supernodal
-// sparse Cholesky; after that every resistor edit is an in-place O(4) value
-// update plus a rank-one factor update, and every re-solve is two triangular
-// sweeps that reuse all buffers.
+// Circuit is a compiled netlist ready for DC solves — the operation the EM
+// failure simulation performs after every via-array failure. The first solve
+// compiles a fixed-pattern linear system (the gmin leak puts every free node
+// on the diagonal) and factors it once with the supernodal sparse Cholesky;
+// every later solve is two triangular sweeps that reuse all buffers.
+//
+// A compiled circuit is read-only: no method changes its values; the first
+// solve only builds the system and factor it keeps. A value change makes a
+// new circuit that shares what it can with the old one — WithCurrents
+// restamps only the right-hand side and shares the factor, WithResistances
+// and Open refactor a private numeric copy of the factor on the same
+// symbolic structure.
 type Circuit struct {
 	names []string
 	index map[string]int
@@ -47,10 +43,9 @@ type Circuit struct {
 }
 
 type cResistor struct {
-	name     string
-	a, b     int // node indices, -1 = ground
-	cond     float64
-	disabled bool
+	name string
+	a, b int     // node indices, -1 = ground
+	cond float64 // 0 once Open has opened the resistor
 }
 
 type cCurrent struct {
@@ -58,45 +53,17 @@ type cCurrent struct {
 	amps float64
 }
 
-// resSlots caches the nnz slots and RHS coupling of one resistor so a
-// conductance change applies as at most four in-place matrix edits plus at
-// most two RHS edits.
-type resSlots struct {
-	aa, bb, ab, ba int     // matrix value slots; -1 when the entry does not exist
-	fa, fb         int     // free equation index per terminal; -1 for pad or ground
-	va, vb         float64 // pinned voltage of a pad terminal (0 for ground or free)
-}
-
-// assembly is the compiled fixed-pattern linear system of a circuit. The
-// sparsity pattern covers every resistor — disabled ones too — plus the gmin
-// leak on every free diagonal, so it is invariant across arbitrary failure
-// and repair sequences and every topology edit is a pure value update.
+// assembly is the compiled fixed-pattern linear system of a circuit and its
+// sparse direct factor: a fill-reducing-ordered supernodal Cholesky factor,
+// built by the first solve and only read after that. Circuits derived by
+// WithCurrents share the matrix and the factor; each assembly owns its RHS
+// and solve scratch.
 type assembly struct {
-	mat   *sparse.CSR
-	rhs   []float64
-	slots []resSlots // nil until the first edit compiles them (ensureSlots)
-	gen   uint64     // bumped on every value edit
-
-	// Pristine snapshots taken right after compilation. ResetResistors
-	// restores them verbatim, so every Monte-Carlo trial starts from
-	// bit-identical state no matter what previous trials did — the property
-	// that keeps parallel runs identical to serial ones.
-	mat0 []float64
-	rhs0 []float64
-	res0 []cResistor
-
-	// The sparse direct factor: a fill-reducing-ordered supernodal Cholesky
-	// factor maintained by Davis–Hager edge up/downdates; factor0 is the
-	// pristine factor restored at trial reset by memcpy. The first solve
-	// builds it, and its cost is amortized across every re-solve that
-	// follows. needRefactor marks it stale (a downdate broke down, the edit
-	// budget ran out, or a factorization failed), so the next solve refactors
-	// from the always-correct matrix values first.
-	factor       *solver.SupernodalCholesky
-	factor0      *solver.SupernodalCholesky
-	needRefactor bool
-	pendingEdits int       // factor updates since the last solve (sparseUpdateBudget)
-	x            []float64 // free-node solve scratch
+	mat    *sparse.CSR
+	rhs    []float64
+	factor *solver.SupernodalCholesky // nil until built
+	x      []float64                  // free-node solve scratch
+	ws     solver.Workspace
 }
 
 // Compile flattens a netlist into solver-ready form. Every voltage source
@@ -139,28 +106,32 @@ func Compile(nl *Netlist) (*Circuit, error) {
 		}
 		return c.index[n]
 	}
-	maxCond := 0.0
 	for _, r := range nl.Resistors {
 		if !validOhms(r.Ohms) {
 			return nil, fmt.Errorf("spice: %w", ohmsError(r.Name, r.Ohms))
 		}
-		g := 1 / r.Ohms
-		if g > maxCond {
-			maxCond = g
-		}
-		c.res = append(c.res, cResistor{name: r.Name, a: nodeOf(r.A), b: nodeOf(r.B), cond: g})
+		c.res = append(c.res, cResistor{name: r.Name, a: nodeOf(r.A), b: nodeOf(r.B), cond: 1 / r.Ohms})
 	}
 	for _, s := range nl.Currents {
 		c.cur = append(c.cur, cCurrent{a: nodeOf(s.A), b: nodeOf(s.B), amps: s.Amps})
 	}
+	c.gmin = gminOf(c.res)
+	return c, nil
+}
+
+// gminOf returns the leak conductance of resistor table res. A vanishing
+// leak to ground keeps the system nonsingular when failures island part of
+// the grid; islanded nodes then drift to 0 V, which correctly registers as a
+// catastrophic IR-drop violation.
+func gminOf(res []cResistor) float64 {
+	maxCond := 0.0
+	for _, r := range res {
+		maxCond = max(maxCond, r.cond)
+	}
 	if maxCond == 0 {
 		maxCond = 1
 	}
-	// A vanishing leak to ground keeps the system nonsingular when failures
-	// island part of the grid; islanded nodes then drift to 0 V, which
-	// correctly registers as a catastrophic IR-drop violation.
-	c.gmin = 1e-12 * maxCond
-	return c, nil
+	return 1e-12 * maxCond
 }
 
 // validOhms reports whether the conductance stamp can represent a
@@ -190,17 +161,6 @@ func (c *Circuit) NodeName(i int) string { return c.names[i] }
 // IsPad reports whether node i is pinned by a voltage source.
 func (c *Circuit) IsPad(i int) bool { return c.freeIdx[i] < 0 }
 
-// Generation returns the topology-edit counter of the compiled system: it
-// advances on every resistor value change, disable, enable, and reset, and is
-// zero before the first solve. Callers use it to tell whether a circuit still
-// holds its compiled values.
-func (c *Circuit) Generation() uint64 {
-	if c.asm == nil {
-		return 0
-	}
-	return c.asm.gen
-}
-
 // freeTerm maps a node index (-1 = ground) to its free equation index.
 func (c *Circuit) freeTerm(node int) int {
 	if node < 0 {
@@ -210,72 +170,69 @@ func (c *Circuit) freeTerm(node int) int {
 }
 
 // compile builds the fixed sparsity pattern with its numeric content stamped
-// directly — a one-shot cold solve pays only for a solver-ready system. The
-// per-resistor slot map and the pristine snapshots compile lazily at the
-// first edit or reset (ensureSlots), so they cost nothing when no
-// incremental edits follow. Called lazily by the first solve so that
-// pre-solve SetResistor / DisableResistor calls are folded into the pristine
-// state.
+// directly. Called lazily by the first solve, so a circuit that is never
+// solved costs no assembly.
 func (c *Circuit) compile() {
 	c.met = newCircuitMetrics()
+	c.asm = c.assemble(c.res)
+}
+
+// assemble stamps the circuit's free-node matrix and right-hand side.
+// pattern is the resistor table whose sparsity pattern the matrix keeps: the
+// circuit's own, or that of the circuit it was opened from. A resistor the
+// circuit has opened (conductance 0) is stamped at its pattern value and
+// cancelled before anything else lands in its slots, so its entries sum to
+// exactly zero and keep their slots. compile, WithResistances and Open all
+// stamp through here, so the circuits derived from one compile share its
+// pattern and can refactor on its symbolic structure.
+func (c *Circuit) assemble(pattern []cResistor) *assembly {
 	n := c.nFree
 	tr := sparse.NewTriplet(n, n, len(c.res)*4+n)
-	rhs := make([]float64, n)
+	for i, r := range c.res {
+		if g := pattern[i].cond; r.cond == 0 {
+			c.stampResistor(tr, r, g)
+			c.stampResistor(tr, r, -g)
+		}
+	}
 	for i := range c.names {
 		if fi := c.freeIdx[i]; fi >= 0 {
 			tr.Add(fi, fi, c.gmin) // gmin leak anchors every free diagonal
 		}
 	}
 	for _, r := range c.res {
-		fa, fb := c.freeTerm(r.a), c.freeTerm(r.b)
-		g := r.cond
-		if fa >= 0 {
-			tr.Add(fa, fa, g)
-			if fb >= 0 {
-				tr.Add(fa, fb, -g)
-			}
-		}
-		if fb >= 0 {
-			tr.Add(fb, fb, g)
-			if fa >= 0 {
-				tr.Add(fb, fa, -g)
-			}
-		}
-		if r.disabled {
-			// Cancel the stamp numerically with a duplicate of opposite
-			// sign: ToCSR sums duplicates, leaving the slot in the pattern
-			// with value zero — the invariant that keeps later enables pure
-			// value updates.
-			if fa >= 0 {
-				tr.Add(fa, fa, -g)
-				if fb >= 0 {
-					tr.Add(fa, fb, g)
-				}
-			}
-			if fb >= 0 {
-				tr.Add(fb, fb, -g)
-				if fa >= 0 {
-					tr.Add(fb, fa, g)
-				}
-			}
-		}
+		c.stampResistor(tr, r, r.cond) // adding an opened resistor's 0 is a no-op
 	}
-	c.stampRHS(rhs, c.res)
-	c.asm = &assembly{mat: tr.ToCSR(), rhs: rhs, x: make([]float64, n)}
+	a := &assembly{mat: tr.ToCSR(), rhs: make([]float64, n), x: make([]float64, n)}
+	c.stampRHS(a.rhs)
+	return a
 }
 
-// stampRHS writes the right-hand side of resistor table res and the current
-// sources into rhs: pad terms in resistor order, then sources. compile and
-// SetCurrents both stamp through it, so a restamped RHS is bit-identical to
-// the one a fresh compile of the same values would build.
-func (c *Circuit) stampRHS(rhs []float64, res []cResistor) {
+// stampResistor adds conductance g between the free terminals of r.
+func (c *Circuit) stampResistor(tr *sparse.Triplet, r cResistor, g float64) {
+	fa, fb := c.freeTerm(r.a), c.freeTerm(r.b)
+	if fa >= 0 {
+		tr.Add(fa, fa, g)
+		if fb >= 0 {
+			tr.Add(fa, fb, -g)
+		}
+	}
+	if fb >= 0 {
+		tr.Add(fb, fb, g)
+		if fa >= 0 {
+			tr.Add(fb, fa, -g)
+		}
+	}
+}
+
+// stampRHS writes the right-hand side of the circuit into rhs: pad terms in
+// resistor order, then sources. Every circuit stamps through it, so a
+// restamped RHS is bit-identical to the one a fresh compile of the same
+// values would build.
+func (c *Circuit) stampRHS(rhs []float64) {
 	for i := range rhs {
 		rhs[i] = 0
 	}
-	for _, r := range res {
-		if r.disabled {
-			continue
-		}
+	for _, r := range c.res {
 		// A pad terminal pins its side; its conductance moves to the RHS.
 		fa, fb := c.freeTerm(r.a), c.freeTerm(r.b)
 		if fa >= 0 && fb < 0 && r.b >= 0 {
@@ -296,267 +253,98 @@ func (c *Circuit) stampRHS(rhs []float64, res []cResistor) {
 	}
 }
 
-// ensureSlots lazily compiles the incremental-edit machinery: the
-// per-resistor slot map and the pristine snapshots ResetResistors restores.
-// It must run before the first post-compile mutation of the resistor table so
-// the snapshots capture the compiled state — SetResistor, DisableResistor and
-// ResetResistors call it ahead of any change. A circuit that only ever does
-// one-shot solves never reaches it.
-func (c *Circuit) ensureSlots() {
-	a := c.asm
-	if a == nil || a.slots != nil {
-		return
-	}
-	mat := a.mat
-	a.slots = make([]resSlots, len(c.res))
-	for k, r := range c.res {
-		sl := resSlots{aa: -1, bb: -1, ab: -1, ba: -1, fa: -1, fb: -1}
-		if r.a >= 0 {
-			if fi := c.freeIdx[r.a]; fi >= 0 {
-				sl.fa = fi
-			} else {
-				sl.va = c.fixed[r.a]
-			}
-		}
-		if r.b >= 0 {
-			if fi := c.freeIdx[r.b]; fi >= 0 {
-				sl.fb = fi
-			} else {
-				sl.vb = c.fixed[r.b]
-			}
-		}
-		if sl.fa >= 0 {
-			sl.aa = mat.SlotIndex(sl.fa, sl.fa)
-			if sl.fb >= 0 {
-				sl.ab = mat.SlotIndex(sl.fa, sl.fb)
-			}
-		}
-		if sl.fb >= 0 {
-			sl.bb = mat.SlotIndex(sl.fb, sl.fb)
-			if sl.fa >= 0 {
-				sl.ba = mat.SlotIndex(sl.fb, sl.fa)
-			}
-		}
-		a.slots[k] = sl
-	}
-	a.mat0 = make([]float64, mat.NNZ())
-	mat.CopyValues(a.mat0)
-	a.rhs0 = append([]float64(nil), a.rhs...)
-	a.res0 = append([]cResistor(nil), c.res...)
-}
-
-// applyDelta adds a conductance change dg of one resistor to the matrix
-// values and RHS. Pad terms move to the RHS; a ground terminal carries va/vb
-// of zero, so its RHS edit degenerates to a no-op.
-func (c *Circuit) applyDelta(sl resSlots, dg float64) {
-	a := c.asm
-	if sl.fa >= 0 {
-		a.mat.AddAt(sl.aa, dg)
-		if sl.fb >= 0 {
-			a.mat.AddAt(sl.ab, -dg)
-		} else {
-			a.rhs[sl.fa] += dg * sl.vb
-		}
-	}
-	if sl.fb >= 0 {
-		a.mat.AddAt(sl.bb, dg)
-		if sl.fa >= 0 {
-			a.mat.AddAt(sl.ba, -dg)
-		} else {
-			a.rhs[sl.fb] += dg * sl.va
-		}
-	}
-}
-
-// editResistor propagates an effective-conductance change of resistor i into
-// the compiled system and its cached factor. Before the first solve there is
-// nothing compiled and the change is simply recorded in the resistor table.
-func (c *Circuit) editResistor(i int, dg float64) {
-	if dg == 0 || c.asm == nil {
-		return
-	}
-	a := c.asm
-	a.gen++
-	sl := a.slots[i]
-	c.applyDelta(sl, dg)
-	c.met.slotEdits.Inc()
-	if a.factor == nil || a.needRefactor {
-		return
-	}
-	a.pendingEdits++
-	if a.pendingEdits > sparseUpdateBudget {
-		// A bulk edit burst: one refactorization at the next solve beats
-		// continuing to chase it with rank-one updates.
-		a.needRefactor = true
-		return
-	}
-	// The edit is rank-one along a structural edge of A — ΔA = dg·u·uᵀ with
-	// u = e_fa − e_fb, pad and ground terminals dropped — so the factor
-	// absorbs it along the elimination-tree path: O(path × column nnz)
-	// instead of a refactorization.
-	s := math.Sqrt(math.Abs(dg))
-	if dg > 0 {
-		a.factor.UpdateEdge(sl.fa, sl.fb, s)
-	} else if err := a.factor.DowndateEdge(sl.fa, sl.fb, s); err != nil {
-		// Cancellation broke the downdate; the CSR values are always
-		// correct, so refactor from them at the next solve.
-		a.needRefactor = true
-	}
-}
-
-// SetResistor replaces the value of resistor i (netlist order), re-enabling
-// it if it was disabled.
-func (c *Circuit) SetResistor(i int, ohms float64) error {
-	if i < 0 || i >= len(c.res) {
-		return fmt.Errorf("spice: resistor index %d out of range", i)
-	}
-	if !validOhms(ohms) {
-		return fmt.Errorf("spice: %w", ohmsError(c.res[i].name, ohms))
-	}
-	g := 1 / ohms
-	old := 0.0
-	if !c.res[i].disabled {
-		old = c.res[i].cond
-	}
-	c.ensureSlots() // snapshot the pre-edit state before mutating
-	c.res[i].cond = g
-	c.res[i].disabled = false
-	c.editResistor(i, g-old)
-	return nil
-}
-
-// DisableResistor removes resistor i from the network (an open-circuit EM
-// failure). The resistor keeps its value for a later SetResistor restore.
-func (c *Circuit) DisableResistor(i int) error {
-	if i < 0 || i >= len(c.res) {
-		return fmt.Errorf("spice: resistor index %d out of range", i)
-	}
-	if !c.res[i].disabled {
-		c.ensureSlots() // snapshot the pre-edit state before mutating
-		c.res[i].disabled = true
-		c.editResistor(i, -c.res[i].cond)
-	}
-	return nil
-}
-
-// ResistorDisabled reports whether resistor i is currently open.
-func (c *Circuit) ResistorDisabled(i int) bool { return c.res[i].disabled }
-
-// ResetResistors restores every resistor — value and enabled state — to the
-// snapshot taken when the solve pattern was compiled (for a circuit solved
-// straight after Compile, the netlist values), together with the matching
-// matrix values, RHS and cached factor. It is the O(nnz) bulk alternative to
-// replaying SetResistor calls and leaves the circuit in a canonical
-// bit-reproducible state, which is what keeps parallel Monte-Carlo trials
-// identical to serial ones. Before the first solve it is a no-op, since the
-// current state is the snapshot state.
-func (c *Circuit) ResetResistors() {
-	if c.asm == nil {
-		return
-	}
-	c.ensureSlots() // a reset signals re-solve activity; compile the machinery
-	c.met.resets.Inc()
-	a := c.asm
-	// Generation zero means no resistor changed since compile, so a factor
-	// the first solve built is already the pristine one.
-	pristine := a.gen == 0 && a.factor != nil && !a.needRefactor
-	copy(c.res, a.res0)
-	a.mat.SetValues(a.mat0)
-	copy(a.rhs, a.rhs0)
-	a.gen++
-	a.pendingEdits = 0
-	switch {
-	case a.factor0 != nil:
-		// Pristine factor restored by memcpy — no refactorization.
-		a.factor.Set(a.factor0) //nolint:errcheck // clone shares the structure
-		a.needRefactor = false
-	case pristine || c.ensureFactor() == nil:
-		// First trial reset: the factor matches the pristine values —
-		// untouched since the first solve, or just rebuilt from them — so
-		// snapshot it for later resets instead of refactoring again.
-		a.factor0 = a.factor.Clone()
-	}
-	// Otherwise the pristine matrix did not factor: ensureFactor left the
-	// factor marked stale, so the next solve retries and reports the error.
-}
-
-// SetCurrents replaces the drive of every current source (amps in netlist
-// order). A load change only moves the right-hand side — the conductance
-// matrix and any cached factor are untouched — so re-tuning loads on a
-// compiled circuit costs one O(n) restamp instead of a recompilation. The
-// RHS is restamped rather than corrected by deltas, so it stays
-// bit-identical to a fresh compile of the same values. The change
-// re-baselines the circuit: ResetResistors keeps the new loads (current
-// sources are not part of the resistor-failure snapshot).
-func (c *Circuit) SetCurrents(amps []float64) error {
+// WithCurrents returns the circuit driven by new current-source values (amps
+// in netlist order). A load change only moves the right-hand side, so the
+// result shares the receiver's matrix and factor and stamps its own RHS —
+// bit-identical to a fresh compile of the same values — and its solves cost
+// two triangular sweeps.
+func (c *Circuit) WithCurrents(amps []float64) (*Circuit, error) {
 	if len(amps) != len(c.cur) {
-		return fmt.Errorf("spice: %d load currents for %d current sources", len(amps), len(c.cur))
+		return nil, fmt.Errorf("spice: %d load currents for %d current sources", len(amps), len(c.cur))
 	}
-	for i := range c.cur {
-		c.cur[i].amps = amps[i]
+	d := *c
+	d.cur = make([]cCurrent, len(c.cur))
+	for i, s := range c.cur {
+		s.amps = amps[i]
+		d.cur[i] = s
 	}
 	if a := c.asm; a != nil {
-		c.stampRHS(a.rhs, c.res)
-		if a.rhs0 != nil {
-			c.stampRHS(a.rhs0, a.res0)
-		}
+		d.asm = &assembly{mat: a.mat, factor: a.factor, rhs: make([]float64, c.nFree), x: make([]float64, c.nFree)}
+		d.stampRHS(d.asm.rhs)
 	}
-	return nil
+	return &d, nil
 }
 
-// NumCurrents returns the current-source count (compile order = netlist
-// order).
-func (c *Circuit) NumCurrents() int { return len(c.cur) }
+// WithResistances returns the circuit with new resistor values (ohms in
+// netlist order). It stamps the new values through compile's code and, once
+// the receiver has a factor, refactors a private numeric copy of it on the
+// same ordering and symbolic structure — bit-identical to a fresh compile of
+// the same values, without repeating its ordering and symbolic analysis.
+func (c *Circuit) WithResistances(ohms []float64) (*Circuit, error) {
+	if len(ohms) != len(c.res) {
+		return nil, fmt.Errorf("spice: %d resistances for %d resistors", len(ohms), len(c.res))
+	}
+	d := *c
+	d.res = make([]cResistor, len(c.res))
+	for i, r := range c.res {
+		if !validOhms(ohms[i]) {
+			return nil, fmt.Errorf("spice: %w", ohmsError(r.name, ohms[i]))
+		}
+		r.cond = 1 / ohms[i]
+		d.res[i] = r
+	}
+	d.gmin = gminOf(d.res)
+	d.asm = nil
+	if c.asm == nil || c.asm.factor == nil {
+		return &d, nil // nothing to share: the first solve compiles afresh
+	}
+	d.asm = d.assemble(d.res)
+	if err := d.factorFrom(c); err != nil {
+		return nil, err
+	}
+	return &d, nil
+}
 
-// Clone returns an independent circuit that shares every immutable
-// compile-time artifact with the receiver — node tables, sparsity pattern,
-// per-resistor slot map, pristine snapshots (the pristine factor included)
-// and the symbolic structure of the sparse factor — while copying all
-// mutable numeric state (matrix values, RHS, resistor table, factor values).
-// A clone solves and edits independently of its source and produces
-// bit-identical results from the same state, which is what lets
-// mc.RunParallel hand each worker a clone instead of recompiling and
-// refactoring per worker. Cloning only reads the receiver, so concurrent
-// clones of one master are safe; cloning and mutating the same circuit
-// concurrently is not.
-func (c *Circuit) Clone() *Circuit {
-	d := &Circuit{
-		names:   c.names,
-		index:   c.index,
-		fixed:   c.fixed,
-		freeIdx: c.freeIdx,
-		nFree:   c.nFree,
-		res:     append([]cResistor(nil), c.res...),
-		cur:     append([]cCurrent(nil), c.cur...),
-		gmin:    c.gmin,
-		met:     c.met,
+// Open returns the circuit with resistors ris (netlist indices) open —
+// removed from the network, as an EM failure removes a via array. The result
+// keeps the receiver's sparsity pattern (see assemble), so it refactors a
+// private numeric copy of the receiver's factor on the same symbolic
+// structure; it keeps the receiver's gmin leak, and an opened resistor
+// carries no current. Open factors the receiver first if it has not been
+// solved.
+func (c *Circuit) Open(ris []int) (*Circuit, error) {
+	if c.nFree > 0 {
+		if err := c.ready(); err != nil {
+			return nil, fmt.Errorf("spice: Open: %w", err)
+		}
 	}
-	a := c.asm
-	if a == nil {
-		return d
+	d := *c
+	d.res = append([]cResistor(nil), c.res...)
+	for _, i := range ris {
+		if i < 0 || i >= len(c.res) {
+			return nil, fmt.Errorf("spice: resistor index %d out of range", i)
+		}
+		d.res[i].cond = 0
 	}
-	b := &assembly{
-		mat:          a.mat.ShallowCloneValues(),
-		rhs:          append([]float64(nil), a.rhs...),
-		slots:        a.slots, // read-only once built
-		gen:          a.gen,
-		mat0:         a.mat0, // pristine snapshots are write-once
-		res0:         a.res0,
-		factor0:      a.factor0,
-		needRefactor: a.needRefactor,
-		pendingEdits: a.pendingEdits,
-		x:            make([]float64, c.nFree),
+	if c.nFree == 0 {
+		return &d, nil
 	}
-	if a.rhs0 != nil {
-		// rhs0 is the one snapshot that can move after it is taken
-		// (SetCurrents re-baselines loads), so the clone owns a copy.
-		b.rhs0 = append([]float64(nil), a.rhs0...)
+	d.asm = d.assemble(c.res)
+	if err := d.factorFrom(c); err != nil {
+		return nil, err
 	}
-	if a.factor != nil {
-		b.factor = a.factor.Clone()
+	return &d, nil
+}
+
+// factorFrom builds the factor of c, whose matrix was just stamped from
+// values derived from src: by refactoring a private copy of src's factor
+// when c's pattern is src's, else (src was itself opened where c conducts)
+// by a factorization of its own.
+func (c *Circuit) factorFrom(src *Circuit) error {
+	if c.asm.mat.NNZ() == src.asm.mat.NNZ() {
+		c.asm.factor = src.asm.factor.Clone()
 	}
-	d.asm = b
-	return d
+	return c.ensureFactor()
 }
 
 // OP is a DC operating point.
@@ -580,10 +368,9 @@ func (c *Circuit) SolveDC() (*OP, error) {
 	return op, nil
 }
 
-// SolveDCInto computes the operating point into dst, reusing its buffers.
-// Together with the compiled fixed-pattern assembly this makes repeated
-// re-solves after resistor edits allocation-free. A factorization failure
-// is returned as an error wrapping solver.ErrNotSPD.
+// SolveDCInto computes the operating point into dst, reusing its buffers, so
+// repeated solves are allocation-free. A factorization failure is returned
+// as an error wrapping solver.ErrNotSPD.
 func (c *Circuit) SolveDCInto(dst *OP) error {
 	if dst == nil {
 		return fmt.Errorf("spice: SolveDCInto needs a destination OP")
@@ -601,41 +388,37 @@ func (c *Circuit) SolveDCInto(dst *OP) error {
 		return fmt.Errorf("spice: DC solve: %w", err)
 	}
 	a := c.asm
-	if err := a.factor.SolveInto(a.x, a.rhs); err != nil {
+	if err := a.factor.SolveWith(&a.ws, a.x, a.rhs, 1); err != nil {
 		return fmt.Errorf("spice: DC solve: %w", err)
 	}
-	a.pendingEdits = 0
 	c.met.solves.Inc()
 	c.scatter(dst, a.x)
 	return nil
 }
 
-// ready compiles the system on first use and brings the factor up to date
-// with the matrix values: the first call pays the ordering, symbolic
-// analysis and numeric factorization, later ones refactor only after a
-// downdate breakdown, an edit burst past the update budget, or a failed
-// factorization.
+// ready compiles the system and builds its factor on first use: the
+// ordering, symbolic analysis and numeric factorization. A failed
+// factorization leaves no factor, so the next solve retries and reports it.
 func (c *Circuit) ready() error {
 	if c.asm == nil {
 		c.compile()
 	}
-	if c.asm.factor == nil || c.asm.needRefactor {
+	if c.asm.factor == nil {
 		return c.ensureFactor()
 	}
 	return nil
 }
 
-// ensureFactor builds (or refactors) the cached factor from the current
-// matrix values. The first build orders the system — AMD below
-// solver.NDMinNodes free nodes, nested dissection above — and factors it on
-// the process solver pool; refactorizations reuse the static structure and
-// allocate nothing. On failure the factor stays marked stale.
+// ensureFactor factors the matrix values: from scratch — ordering the system
+// (AMD below solver.NDMinNodes free nodes, nested dissection above) and
+// factoring it on the process solver pool — or, when the assembly already
+// holds a private factor copy of the same structure, by a numeric refactor.
+// On failure the assembly is left without a factor.
 func (c *Circuit) ensureFactor() error {
 	a := c.asm
 	done := trace.Default().Span("spice.sparse.factor")
 	defer done()
 	t0 := c.met.factorSeconds.Start()
-	a.needRefactor = true
 	if a.factor == nil {
 		f, err := solver.NewSupernodalCholeskyFromCSR(a.mat, par.Shared(SolverWorkers()))
 		if err != nil {
@@ -643,11 +426,10 @@ func (c *Circuit) ensureFactor() error {
 		}
 		a.factor = f
 	} else if err := a.factor.RefactorFromCSR(a.mat); err != nil {
+		a.factor = nil
 		return err
 	}
 	c.met.factorSeconds.ObserveSince(t0)
-	a.needRefactor = false
-	a.pendingEdits = 0
 	return nil
 }
 
@@ -669,8 +451,7 @@ func (c *Circuit) NumFree() int { return c.nFree }
 // ResistorTerms returns the free equation indices of resistor i's terminals
 // (-1 when a terminal is a pad or ground) and the pinned voltage of each
 // non-free terminal (0 for ground or for a free terminal). Failure cascades
-// use it to build the rank-one edit vector of a failure without reaching
-// into the compiled slot map.
+// use it to build the rank-one edit vector of a failure.
 func (c *Circuit) ResistorTerms(i int) (fa, fb int, va, vb float64) {
 	r := c.res[i]
 	fa, fb = c.freeTerm(r.a), c.freeTerm(r.b)
@@ -683,14 +464,9 @@ func (c *Circuit) ResistorTerms(i int) (fa, fb int, va, vb float64) {
 	return fa, fb, va, vb
 }
 
-// ResistorConductance returns the effective conductance of resistor i: its
-// stamped value, or 0 while disabled.
-func (c *Circuit) ResistorConductance(i int) float64 {
-	if c.res[i].disabled {
-		return 0
-	}
-	return c.res[i].cond
-}
+// ResistorConductance returns the stamped conductance of resistor i, 0 once
+// opened.
+func (c *Circuit) ResistorConductance(i int) float64 { return c.res[i].cond }
 
 // ResistorNodes returns the node indices of resistor i's terminals, −1 for
 // a ground terminal. Unlike ResistorTerms these are full node indices (pads
@@ -703,11 +479,11 @@ func (c *Circuit) ResistorNodes(i int) (a, b int) {
 
 // SolveFreeBatch solves the compiled free-node system for nrhs stacked
 // right-hand sides (vector v occupies b[v·n:(v+1)·n], likewise x) against the
-// current cached factor, bit-identical to nrhs separate solves, with the
-// caller's solve scratch ws. It builds the factor on first use like
-// SolveDCInto would; once the factor is current it only reads the circuit,
-// so goroutines that each own a workspace may solve against one solved
-// circuit concurrently — how Monte-Carlo workers share one pristine grid.
+// factor, bit-identical to nrhs separate solves, with the caller's solve
+// scratch ws. It builds the factor on first use like SolveDCInto would; once
+// built it only reads the circuit, so goroutines that each own a workspace
+// may solve against one solved circuit concurrently — how Monte-Carlo
+// workers share one pristine grid.
 func (c *Circuit) SolveFreeBatch(ws *solver.Workspace, x, b []float64, nrhs int) error {
 	if c.nFree == 0 {
 		return nil
@@ -779,10 +555,10 @@ func (op *OP) Voltage(name string) (float64, error) {
 func (op *OP) VoltageAt(i int) float64 { return op.volts[i] }
 
 // ResistorCurrent returns the current (A) through resistor i, positive from
-// terminal A to terminal B; zero when disabled.
+// terminal A to terminal B; zero when opened.
 func (op *OP) ResistorCurrent(i int) float64 {
 	r := op.c.res[i]
-	if r.disabled {
+	if r.cond == 0 {
 		return 0
 	}
 	var va, vb float64
@@ -797,8 +573,8 @@ func (op *OP) ResistorCurrent(i int) float64 {
 
 // ResistorCurrentsInto extracts the current through every resistor of the
 // solved operating point in one pass (dst length NumResistors, same sign
-// convention as ResistorCurrent: positive from terminal A to B, zero while
-// disabled). This is the branch-current extraction the steady-state screen
+// convention as ResistorCurrent: positive from terminal A to B, zero once
+// opened). This is the branch-current extraction the steady-state screen
 // runs over the pristine solve — one bulk sweep instead of NumResistors
 // bound-checked calls.
 func (op *OP) ResistorCurrentsInto(dst []float64) error {
@@ -806,7 +582,7 @@ func (op *OP) ResistorCurrentsInto(dst []float64) error {
 		return fmt.Errorf("spice: ResistorCurrentsInto got %d slots for %d resistors", len(dst), len(op.c.res))
 	}
 	for i, r := range op.c.res {
-		if r.disabled {
+		if r.cond == 0 {
 			dst[i] = 0
 			continue
 		}

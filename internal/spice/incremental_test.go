@@ -145,66 +145,99 @@ func maxRelDiff(got, want []float64) float64 {
 	return worst
 }
 
-// crossCheckIncremental drives one circuit on an n×n mesh through a
-// 20-failure sequence with incremental re-solves — rank-one downdates of
-// the factor built by the pristine solve — and, at 1, 5 and 20 failures,
-// compares every node voltage against cold applied to a freshly compiled
-// circuit that receives the same failures before its first solve. The two
-// must agree to 1e-10 (relative).
+// crossCheckIncremental opens a 20-failure sequence on an n×n mesh through
+// the pristine circuit's Open — a private numeric refactor on the pristine
+// symbolic structure — and, at 1, 5 and 20 failures, compares every node
+// voltage against cold applied to a fresh compile of the netlist without the
+// failed resistors. The two must agree to 1e-10 (relative).
 func crossCheckIncremental(t *testing.T, n int, cold coldSolver) {
 	t.Helper()
 	nl := meshNetlist(t, n)
 	failures := meshFailures(t, n)
-	inc, err := Compile(nl)
+	master, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solveAll(t, inc) // pristine solve builds the factor
-	milestones := map[int]bool{1: true, 5: true, 20: true}
-	for k, ri := range failures {
-		if err := inc.DisableResistor(ri); err != nil {
-			t.Fatalf("failure %d (R index %d): %v", k+1, ri, err)
+	solveAll(t, master) // pristine solve builds the factor
+	for _, k := range []int{1, 5, 20} {
+		opened, err := master.Open(failures[:k])
+		if err != nil {
+			t.Fatalf("opening %d failures: %v", k, err)
 		}
-		_, vInc := solveAll(t, inc)
-		if !milestones[k+1] {
-			continue
+		// A factor clone shares the symbolic structure, ordering included.
+		if &opened.asm.factor.Perm()[0] != &master.asm.factor.Perm()[0] {
+			t.Fatalf("opening %d failures did not refactor on the master's symbolic structure", k)
 		}
-		ref, err := Compile(nl)
+		_, vInc := solveAll(t, opened)
+		ref, err := Compile(without(nl, failures[:k]))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, rj := range failures[:k+1] {
-			if err := ref.DisableResistor(rj); err != nil {
-				t.Fatal(err)
-			}
-		}
 		worst := maxRelDiff(vInc, cold(t, ref))
-		t.Logf("after %2d failures: worst relative deviation %.2e", k+1, worst)
+		t.Logf("after %2d failures: worst relative deviation %.2e", k, worst)
 		if worst > 1e-10 {
-			t.Errorf("after %d failures: incremental deviates from cold by %g, want ≤ 1e-10", k+1, worst)
+			t.Errorf("after %d failures: opened circuit deviates from cold by %g, want ≤ 1e-10", k, worst)
 		}
 	}
 }
 
-// TestIncrementalMatchesColdDirect checks the incremental engine on a
-// 99-free-node mesh (AMD-ordered) against a dense Cholesky factorization of
-// the cold-compiled matrix.
+// without returns a copy of nl without the resistors ris. Node numbering is
+// unchanged as long as every node keeps another element.
+func without(nl *Netlist, ris []int) *Netlist {
+	drop := map[int]bool{}
+	for _, i := range ris {
+		drop[i] = true
+	}
+	cp := *nl
+	cp.Resistors = nil
+	for i, r := range nl.Resistors {
+		if !drop[i] {
+			cp.Resistors = append(cp.Resistors, r)
+		}
+	}
+	return &cp
+}
+
+// scaled returns a copy of nl with every resistor value multiplied by f and
+// the values as a slice.
+func scaled(nl *Netlist, f float64) (*Netlist, []float64) {
+	cp := *nl
+	cp.Resistors = append([]Resistor(nil), nl.Resistors...)
+	ohms := make([]float64, len(cp.Resistors))
+	for i := range cp.Resistors {
+		cp.Resistors[i].Ohms *= f
+		ohms[i] = cp.Resistors[i].Ohms
+	}
+	return &cp, ohms
+}
+
+// sameVolts fails unless got and want are bit-identical.
+func sameVolts(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: node %d %v, want %v (not bit-identical)", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestIncrementalMatchesColdDirect checks opened circuits on a 99-free-node
+// mesh (AMD-ordered) against a dense Cholesky factorization of the cold
+// compile.
 func TestIncrementalMatchesColdDirect(t *testing.T) {
 	crossCheckIncremental(t, 10, coldDense)
 }
 
-// TestIncrementalMatchesColdCG checks the incremental engine against
-// preconditioned CG on the cold-compiled matrix: a reference that shares no
-// factorization code with the engine at all.
+// TestIncrementalMatchesColdCG checks opened circuits against preconditioned
+// CG on the cold compile: a reference that shares no factorization code with
+// the circuit at all.
 func TestIncrementalMatchesColdCG(t *testing.T) {
 	crossCheckIncremental(t, 10, coldCG)
 }
 
-// TestIncrementalMatchesColdSparse pins the sparse up/downdate path against
-// cold refactorization on a mesh above solver.NDMinNodes, where the factor is
-// nested-dissection-ordered: the incremental circuit chases 20 failures with
-// rank-one downdates while the reference factors from scratch at each
-// milestone.
+// TestIncrementalMatchesColdSparse pins the opened circuits' refactor on a
+// mesh above solver.NDMinNodes, where the factor is nested-dissection
+// ordered, against a cold compile that orders and factors from scratch.
 func TestIncrementalMatchesColdSparse(t *testing.T) {
 	crossCheckIncremental(t, ndMesh, coldCircuit)
 }
@@ -239,56 +272,54 @@ func TestSolverBackendsAgree(t *testing.T) {
 	}
 }
 
-// TestCloneBitIdenticalSparse drives a sparse master and its clone through
-// the same failure sequence and demands bit-identical voltages at every
-// step: the Monte-Carlo workers rely on Clone preserving the exact floating-
-// point trajectory of the master.
+// TestCloneBitIdenticalSparse derives circuits from one solved master and
+// demands bit-identical voltages wherever the arithmetic is the same: two
+// Opens of the same failures agree with each other, a WithCurrents of the
+// master's own loads agrees with the master, and the master — read-only
+// throughout — still solves to its first answer. Monte-Carlo workers rely on
+// this: every worker that rebases a trial on the shared circuit reproduces
+// the same trajectory.
 func TestCloneBitIdenticalSparse(t *testing.T) {
 	nl := meshNetlist(t, 10)
 	master, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solveAll(t, master) // builds the shared factor
-	clone := master.Clone()
-	_, vC := solveAll(t, clone)
-	_, vM := solveAll(t, master)
-	for i := range vM {
-		if vM[i] != vC[i] {
-			t.Fatalf("pristine node %d: master %v clone %v (not bit-identical)", i, vM[i], vC[i])
-		}
+	_, v0 := solveAll(t, master)
+	amps := make([]float64, len(nl.Currents))
+	for i, s := range nl.Currents {
+		amps[i] = s.Amps
 	}
-	for step, ri := range meshFailures(t, 10)[:8] {
-		if err := master.DisableResistor(ri); err != nil {
-			t.Fatal(err)
-		}
-		if err := clone.DisableResistor(ri); err != nil {
-			t.Fatal(err)
-		}
-		_, vM = solveAll(t, master)
-		_, vC = solveAll(t, clone)
-		for i := range vM {
-			if vM[i] != vC[i] {
-				t.Fatalf("step %d node %d: master %v clone %v (not bit-identical)", step, i, vM[i], vC[i])
-			}
-		}
+	same, err := master.WithCurrents(amps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Per-trial reset must restore both to the same pristine state.
-	master.ResetResistors()
-	clone.ResetResistors()
-	_, vM = solveAll(t, master)
-	_, vC = solveAll(t, clone)
-	for i := range vM {
-		if vM[i] != vC[i] {
-			t.Fatalf("post-reset node %d: master %v clone %v", i, vM[i], vC[i])
-		}
+	_, v := solveAll(t, same)
+	sameVolts(t, "WithCurrents of the same loads", v, v0)
+	fails := meshFailures(t, 10)[:8]
+	a, err := master.Open(fails)
+	if err != nil {
+		t.Fatal(err)
 	}
+	b, err := master.Open(fails)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, va := solveAll(t, a)
+	_, vb := solveAll(t, b)
+	sameVolts(t, "second Open of the same failures", vb, va)
+	if maxRelDiff(va, v0) == 0 {
+		t.Fatal("opening 8 resistors left every voltage unchanged")
+	}
+	_, v = solveAll(t, master)
+	sameVolts(t, "master after deriving", v, v0)
 }
 
-// TestSetCurrentMatchesRecompile checks the load-push path used by the grid's
-// shared circuit: restamping the current sources in place must match a fresh
-// compile of the edited netlist bit for bit, and the edit must survive
-// ResetResistors (it is a load change, not a resistor trial edit).
+// TestSetCurrentMatchesRecompile checks the load-change path used by the
+// grid's shared circuit: WithCurrents restamps the current sources into a
+// circuit that shares the matrix and factor, and must match a fresh compile
+// of the edited netlist bit for bit, RHS and solve alike, while the source
+// circuit keeps its loads.
 func TestSetCurrentMatchesRecompile(t *testing.T) {
 	nl := meshNetlist(t, 8)
 	// Diagonal pads at uneven voltages put pad terms into the RHS of many
@@ -303,16 +334,17 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solveAll(t, c)
-	if got, want := c.NumCurrents(), len(nl.Currents); got != want {
-		t.Fatalf("NumCurrents() = %d, want %d", got, want)
-	}
+	_, v0 := solveAll(t, c)
 	amps := make([]float64, len(nl.Currents))
 	for i := range nl.Currents {
 		amps[i] = nl.Currents[i].Amps * (1 + math.Sqrt(float64(i)+0.5))
 	}
-	if err := c.SetCurrents(amps); err != nil {
+	pushed, err := c.WithCurrents(amps)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if pushed.asm.factor != c.asm.factor {
+		t.Error("WithCurrents did not share the factor")
 	}
 
 	edited := *nl
@@ -326,54 +358,50 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 	}
 	_, vWant := solveAll(t, ref)
 	for i, want := range ref.asm.rhs {
-		if got := c.asm.rhs[i]; got != want {
+		if got := pushed.asm.rhs[i]; got != want {
 			t.Fatalf("RHS %d: restamped %v vs recompiled %v (not bit-identical)", i, got, want)
 		}
 	}
-	c.ResetResistors() // must keep the new loads
-	_, vGot := solveAll(t, c)
-	for i := range vGot {
-		if vGot[i] != vWant[i] {
-			t.Fatalf("node %d: pushed %g vs recompiled %g (not bit-identical)", i, vGot[i], vWant[i])
-		}
-	}
-	if err := c.SetCurrents(amps[1:]); err == nil {
-		t.Error("SetCurrents with a short slice did not fail")
+	_, vGot := solveAll(t, pushed)
+	sameVolts(t, "pushed loads vs recompiled", vGot, vWant)
+	_, v := solveAll(t, c)
+	sameVolts(t, "source circuit after the push", v, v0)
+	if _, err := c.WithCurrents(amps[1:]); err == nil {
+		t.Error("WithCurrents with a short slice did not fail")
 	}
 }
 
-// TestSparseUpdateBudgetRefactors pushes more edits between solves than the
-// up/downdate budget allows and checks the deferred refactorization still
-// lands on the cold-compile answer.
-func TestSparseUpdateBudgetRefactors(t *testing.T) {
-	nl := meshNetlist(t, 10)
-	c, err := Compile(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solveAll(t, c)
-	// Rescale every resistor: far more edits than sparseUpdateBudget.
-	for i := range nl.Resistors {
-		if err := c.SetResistor(i, nl.Resistors[i].Ohms*1.31); err != nil {
+// TestWithResistancesMatchesRecompile rescales every resistor of a solved
+// circuit — the bulk wire push of Grid.Tune — and checks that the numeric
+// refactor on the source's symbolic structure lands bit for bit on a fresh
+// compile of the rescaled netlist, and that the source still solves to its
+// own values.
+func TestWithResistancesMatchesRecompile(t *testing.T) {
+	for _, mesh := range []int{10, ndMesh} {
+		nl := meshNetlist(t, mesh)
+		c, err := Compile(nl)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	_, vGot := solveAll(t, c)
-
-	edited := *nl
-	edited.Resistors = append([]Resistor(nil), nl.Resistors...)
-	for i := range edited.Resistors {
-		edited.Resistors[i].Ohms *= 1.31
-	}
-	ref, err := Compile(&edited)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, vWant := solveAll(t, ref)
-	for i := range vGot {
-		if d := math.Abs(vGot[i]-vWant[i]) / (1 + math.Abs(vWant[i])); d > 1e-10 {
-			t.Fatalf("node %d: bulk-edited %g vs recompiled %g (rel %g)", i, vGot[i], vWant[i], d)
+		_, v0 := solveAll(t, c)
+		edited, ohms := scaled(nl, 1.31)
+		tuned, err := c.WithResistances(ohms)
+		if err != nil {
+			t.Fatal(err)
 		}
+		// A factor clone shares the symbolic structure, ordering included.
+		if &tuned.asm.factor.Perm()[0] != &c.asm.factor.Perm()[0] {
+			t.Errorf("mesh %d: WithResistances did not refactor on the source's symbolic structure", mesh)
+		}
+		ref, err := Compile(edited)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, vWant := solveAll(t, ref)
+		_, vGot := solveAll(t, tuned)
+		sameVolts(t, fmt.Sprintf("mesh %d: rescaled vs recompiled", mesh), vGot, vWant)
+		_, v := solveAll(t, c)
+		sameVolts(t, fmt.Sprintf("mesh %d: source after the rescale", mesh), v, v0)
 	}
 }
 
@@ -390,21 +418,31 @@ func TestResistorCurrentZeroWhenDisabled(t *testing.T) {
 	if i := op.ResistorCurrent(3); i == 0 {
 		t.Error("pristine interior resistor carries no current")
 	}
-	if err := c.DisableResistor(3); err != nil {
+	opened, err := c.Open([]int{3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	op, err = c.SolveDC()
+	op, err = opened.SolveDC()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if i := op.ResistorCurrent(3); i != 0 {
-		t.Errorf("disabled resistor current = %g, want exactly 0", i)
+		t.Errorf("opened resistor current = %g, want exactly 0", i)
+	}
+	all := make([]float64, opened.NumResistors())
+	if err := op.ResistorCurrentsInto(all); err != nil {
+		t.Fatal(err)
+	}
+	if all[3] != 0 || opened.ResistorConductance(3) != 0 {
+		t.Errorf("opened resistor: bulk current %g, conductance %g, want 0 and 0", all[3], opened.ResistorConductance(3))
 	}
 }
 
-// TestSetResistorReenablesDisabled checks that SetResistor on a disabled
-// resistor brings it back with the new conductance, matching a circuit that
-// never saw the disable.
+// TestSetResistorReenablesDisabled gives an opened resistor a new value with
+// WithResistances: it conducts again, matching a circuit that never opened
+// it bit for bit. The opened circuit lacks the resistor's off-diagonal slots,
+// so this also covers a derived circuit whose pattern differs from its
+// source's and therefore factors afresh.
 func TestSetResistorReenablesDisabled(t *testing.T) {
 	nl := meshNetlist(t, 8)
 	c, err := Compile(nl)
@@ -412,111 +450,34 @@ func TestSetResistorReenablesDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	solveAll(t, c)
-	if err := c.DisableResistor(5); err != nil {
-		t.Fatal(err)
-	}
-	solveAll(t, c)
-	if err := c.SetResistor(5, 2.5); err != nil {
-		t.Fatal(err)
-	}
-	if c.ResistorDisabled(5) {
-		t.Fatal("resistor still disabled after SetResistor")
-	}
-	_, vGot := solveAll(t, c)
-
-	ref, err := Compile(nl)
+	opened, err := c.Open([]int{5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.SetResistor(5, 2.5); err != nil {
+	solveAll(t, opened)
+	edited, ohms := scaled(nl, 1)
+	ohms[5], edited.Resistors[5].Ohms = 2.5, 2.5
+	back, err := opened.WithResistances(ohms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.ResistorConductance(5) != 1/2.5 {
+		t.Fatalf("re-enabled conductance %g, want %g", back.ResistorConductance(5), 1/2.5)
+	}
+	_, vGot := solveAll(t, back)
+	ref, err := Compile(edited)
+	if err != nil {
 		t.Fatal(err)
 	}
 	_, vWant := solveAll(t, ref)
-	for i := range vGot {
-		if d := math.Abs(vGot[i]-vWant[i]) / (1 + math.Abs(vWant[i])); d > 1e-9 {
-			t.Fatalf("node %d: re-enabled %g vs fresh %g (rel %g)", i, vGot[i], vWant[i], d)
-		}
-	}
+	sameVolts(t, "re-enabled vs fresh", vGot, vWant)
 }
 
-// TestResetResistorsRestoresPristine checks the canonical per-trial reset:
-// after arbitrary edits, ResetResistors must reproduce the pristine solve
-// exactly.
-func TestResetResistorsRestoresPristine(t *testing.T) {
-	nl := meshNetlist(t, 8)
-	c, err := Compile(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solveAll(t, c) // cold compile + solve
-	// A reset right after the pristine solve snapshots the pristine factor.
-	c.ResetResistors()
-	_, v0 := solveAll(t, c)
-	for _, ri := range []int{1, 7, 12} {
-		if err := c.DisableResistor(ri); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.SetResistor(20, 9); err != nil {
-		t.Fatal(err)
-	}
-	solveAll(t, c)
-	c.ResetResistors()
-	for _, ri := range []int{1, 7, 12} {
-		if c.ResistorDisabled(ri) {
-			t.Fatalf("resistor %d still disabled after reset", ri)
-		}
-	}
-	_, v1 := solveAll(t, c)
-	for i := range v0 {
-		if d := math.Abs(v1[i]-v0[i]) / (1 + math.Abs(v0[i])); d > 1e-10 {
-			t.Fatalf("node %d: post-reset %g vs pristine %g", i, v1[i], v0[i])
-		}
-	}
-}
-
-// TestGenerationCounter checks that every topology edit bumps the
-// generation, which SolveDC uses to invalidate cached state.
-func TestGenerationCounter(t *testing.T) {
-	nl := meshNetlist(t, 8)
-	c, err := Compile(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SolveDC(); err != nil {
-		t.Fatal(err)
-	}
-	g0 := c.Generation()
-	if err := c.DisableResistor(2); err != nil {
-		t.Fatal(err)
-	}
-	if c.Generation() != g0+1 {
-		t.Errorf("generation after disable = %d, want %d", c.Generation(), g0+1)
-	}
-	// Re-disabling is an idempotent no-op and must not advance the
-	// generation.
-	if err := c.DisableResistor(2); err != nil {
-		t.Fatal(err)
-	}
-	if c.Generation() != g0+1 {
-		t.Errorf("generation after repeated disable = %d, want %d", c.Generation(), g0+1)
-	}
-	if err := c.SetResistor(2, 1); err != nil {
-		t.Fatal(err)
-	}
-	if c.Generation() != g0+2 {
-		t.Errorf("generation after re-enable = %d, want %d", c.Generation(), g0+2)
-	}
-	c.ResetResistors()
-	if c.Generation() != g0+3 {
-		t.Errorf("generation after reset = %d, want %d", c.Generation(), g0+3)
-	}
-}
-
-// TestSolveDCIncrementalAllocs is the allocation budget of the Monte-Carlo
-// hot path: once the solver is warm, a disable → re-solve → re-enable cycle
-// must not touch the heap, on a small AMD-ordered mesh ("direct", the size
-// class of the paper's test grids) and on an ND-ordered one ("sparse").
+// TestSolveDCIncrementalAllocs is the allocation budget of repeated solves:
+// once a circuit has solved, SolveDCInto must not touch the heap — on the
+// compiled circuit and on circuits derived by Open and WithCurrents — on a
+// small AMD-ordered mesh ("direct", the size class of the paper's test
+// grids) and on an ND-ordered one ("sparse").
 func TestSolveDCIncrementalAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -534,111 +495,72 @@ func TestSolveDCIncrementalAllocs(t *testing.T) {
 			if _, err := c.SolveDC(); err != nil {
 				t.Fatal(err)
 			}
+			opened, err := c.Open([]int{4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			amps := make([]float64, len(nl.Currents))
+			loaded, err := c.WithCurrents(amps)
+			if err != nil {
+				t.Fatal(err)
+			}
 			dst := c.NewOP()
-			// Warm-up: compile the slot map and reach steady state before
-			// counting.
-			for i := 0; i < 3; i++ {
-				if err := c.DisableResistor(4); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.SolveDCInto(dst); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.SetResistor(4, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.SolveDCInto(dst); err != nil {
+			for _, circuit := range []*Circuit{c, opened, loaded} {
+				if err := circuit.SolveDCInto(dst); err != nil { // warm-up
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(50, func() {
-				if err := c.DisableResistor(4); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.SolveDCInto(dst); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.SetResistor(4, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := c.SolveDCInto(dst); err != nil {
-					t.Fatal(err)
+				for _, circuit := range []*Circuit{c, opened, loaded} {
+					if err := circuit.SolveDCInto(dst); err != nil {
+						t.Fatal(err)
+					}
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("%s hot loop allocates %.1f objects per cycle, want 0", tc.name, allocs)
+				t.Errorf("%s solves allocate %.1f objects per cycle, want 0", tc.name, allocs)
 			}
 		})
 	}
 }
 
-// TestDowndateBreakdownRefactors forces a failure downdate to break down and
-// checks the circuit recovers by refactoring from its matrix values: the
-// factor is first downdated behind the circuit's back by most of a
-// resistor's conductance, so removing the whole resistor drives it
-// indefinite.
-func TestDowndateBreakdownRefactors(t *testing.T) {
+// TestFactorizationFailureSurfaces gives a circuit a matrix that does not
+// factor and checks the failure reaches the caller: SolveDC, SolveFreeBatch
+// and Open all return an error wrapping solver.ErrNotSPD, and once the
+// matrix is repaired the next solve retries and recovers.
+func TestFactorizationFailureSurfaces(t *testing.T) {
 	nl := meshNetlist(t, 10)
-	c, err := Compile(nl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solveAll(t, c)
-	ri := meshFailures(t, 10)[3]
-	fa, fb, _, _ := c.ResistorTerms(ri)
-	s := math.Sqrt(0.999 * c.ResistorConductance(ri))
-	if err := c.asm.factor.DowndateEdge(fa, fb, s); err != nil {
-		t.Fatalf("setup downdate: %v", err)
-	}
-	if err := c.DisableResistor(ri); err != nil {
-		t.Fatal(err)
-	}
-	if !c.asm.needRefactor {
-		t.Fatal("an indefinite downdate did not mark the factor for refactoring")
-	}
-	_, vGot := solveAll(t, c)
 	ref, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.DisableResistor(ri); err != nil {
-		t.Fatal(err)
-	}
-	if d := maxRelDiff(vGot, coldDense(t, ref)); d > 1e-10 {
-		t.Errorf("recovered solve deviates from cold by %g, want ≤ 1e-10", d)
-	}
-}
-
-// TestFactorizationFailureSurfaces corrupts the pristine snapshot so that a
-// trial reset cannot factor it, and checks the failure reaches the caller:
-// both the next SolveDC and the next SolveFreeBatch return an error wrapping
-// solver.ErrNotSPD, and a later reset from repaired values recovers.
-func TestFactorizationFailureSurfaces(t *testing.T) {
-	nl := meshNetlist(t, 10)
+	_, v0 := solveAll(t, ref)
 	c, err := Compile(nl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, v0 := solveAll(t, c)
-	if err := c.DisableResistor(4); err != nil { // compiles the snapshots
-		t.Fatal(err)
-	}
-	a := c.asm
-	slot := a.mat.SlotIndex(5, 5)
-	good := a.mat0[slot]
-	a.mat0[slot] = -1
-	c.ResetResistors()
-	if _, err := c.SolveDC(); !errors.Is(err, solver.ErrNotSPD) {
-		t.Fatalf("SolveDC after a failed reset returned %v, want ErrNotSPD", err)
-	}
+	c.compile()
+	good := c.asm.mat
 	n := c.NumFree()
+	tr := sparse.NewTriplet(n, n, good.NNZ()+1)
+	for i := 0; i < n; i++ {
+		cols, vals := good.Row(i)
+		for k, j := range cols {
+			tr.Add(i, j, vals[k])
+		}
+	}
+	tr.Add(5, 5, -100)
+	c.asm.mat = tr.ToCSR()
+	if _, err := c.SolveDC(); !errors.Is(err, solver.ErrNotSPD) {
+		t.Fatalf("SolveDC of an indefinite matrix returned %v, want ErrNotSPD", err)
+	}
 	if err := c.SolveFreeBatch(new(solver.Workspace), make([]float64, n), make([]float64, n), 1); !errors.Is(err, solver.ErrNotSPD) {
-		t.Fatalf("SolveFreeBatch after a failed reset returned %v, want ErrNotSPD", err)
+		t.Fatalf("SolveFreeBatch of an indefinite matrix returned %v, want ErrNotSPD", err)
 	}
-	a.mat0[slot] = good
-	c.ResetResistors()
+	if _, err := c.Open([]int{4}); !errors.Is(err, solver.ErrNotSPD) {
+		t.Fatalf("Open of an unfactorable circuit returned %v, want ErrNotSPD", err)
+	}
+	c.asm.mat = good
 	_, v1 := solveAll(t, c)
-	if d := maxRelDiff(v1, v0); d > 1e-12 {
-		t.Errorf("solve after repair deviates from pristine by %g", d)
-	}
+	sameVolts(t, "solve after repair", v1, v0)
 }

@@ -3,12 +3,10 @@ package spice
 import "emvia/internal/telemetry"
 
 // circuitMetrics holds the telemetry handles of one compiled circuit. The
-// handles are fetched once at compile time, so the per-edit and per-solve
-// hot paths record through cached pointers — with telemetry disabled every
+// handles are fetched once at compile time, so the per-solve hot path
+// records through cached pointers — with telemetry disabled every
 // handle is nil and each record call is a nil-receiver no-op.
 type circuitMetrics struct {
-	slotEdits     *telemetry.Counter
-	resets        *telemetry.Counter
 	solves        *telemetry.Counter
 	factorSeconds *telemetry.Histogram
 }
@@ -19,8 +17,6 @@ func newCircuitMetrics() circuitMetrics {
 	r := telemetry.Default() // nil when disabled: all handles stay nil
 	r.Counter(telemetry.SpiceCompiles).Inc()
 	return circuitMetrics{
-		slotEdits:     r.Counter(telemetry.SpiceSlotEdits),
-		resets:        r.Counter(telemetry.SpiceResets),
 		solves:        r.Counter(telemetry.SpiceSparseSolves),
 		factorSeconds: r.Histogram(telemetry.SpiceFactorSeconds),
 	}

@@ -175,6 +175,9 @@ I1 n 0 1
 	}
 }
 
+// TestSetAndDisableResistor changes a resistor value with WithResistances
+// and opens one with Open, checking each derived circuit's answer on the
+// divider and that bad indices and values are refused.
 func TestSetAndDisableResistor(t *testing.T) {
 	nl, err := Parse(strings.NewReader(dividerDeck))
 	if err != nil {
@@ -185,25 +188,24 @@ func TestSetAndDisableResistor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Double R2 → mid = 1.8·2/3 = 1.2.
-	if err := c.SetResistor(1, 2); err != nil {
+	doubled, err := c.WithResistances([]float64{1, 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := c.SolveDC()
+	op, err := doubled.SolveDC()
 	if err != nil {
 		t.Fatal(err)
 	}
 	v, _ := op.Voltage("mid")
 	if math.Abs(v-1.2) > 1e-6 {
-		t.Errorf("mid after SetResistor = %g, want 1.2", v)
+		t.Errorf("mid with R2 doubled = %g, want 1.2", v)
 	}
 	// Open R2 → mid floats up to pad voltage (through R1, no load).
-	if err := c.DisableResistor(1); err != nil {
+	opened, err := c.Open([]int{1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.ResistorDisabled(1) {
-		t.Error("ResistorDisabled false after disable")
-	}
-	op, err = c.SolveDC()
+	op, err = opened.SolveDC()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,23 +217,30 @@ func TestSetAndDisableResistor(t *testing.T) {
 		t.Errorf("open resistor current = %g, want 0", i)
 	}
 	// Bad indices and values.
-	if err := c.SetResistor(-1, 1); err == nil {
+	if _, err := c.Open([]int{-1}); err == nil {
 		t.Error("accepted negative index")
 	}
-	if err := c.SetResistor(0, 0); err == nil {
+	if _, err := c.WithResistances([]float64{1, 0}); err == nil {
 		t.Error("accepted zero resistance")
 	}
-	if err := c.DisableResistor(99); err == nil {
-		t.Error("accepted out-of-range disable")
+	if _, err := c.WithResistances([]float64{1}); err == nil {
+		t.Error("accepted a short resistance list")
+	}
+	if _, err := c.Open([]int{99}); err == nil {
+		t.Error("accepted out-of-range open")
 	}
 }
 
+// TestIslandedNodeDrainsToZero solves a deck with an island built in: nodes
+// n and m are joined to each other but to no pad, so only the gmin leak
+// holds them and the load on n pulls them far below the pad — flagging a
+// catastrophic IR drop — while the connected node stays healthy.
 func TestIslandedNodeDrainsToZero(t *testing.T) {
-	// Node connected only through R1; opening R1 islands it → gmin pulls it
-	// to 0 V, flagging catastrophic IR drop.
 	src := `V1 pad 0 1.0
-R1 pad n 1
-I1 n 0 0.1
+R1 pad a 1
+I1 a 0 0.01
+R2 n m 1
+I2 n 0 0.1
 .op
 `
 	nl, err := Parse(strings.NewReader(src))
@@ -242,18 +251,20 @@ I1 n 0 0.1
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DisableResistor(0); err != nil {
-		t.Fatal(err)
-	}
 	op, err := c.SolveDC()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := op.Voltage("n")
-	if v > 0.01 && !math.IsInf(v, 0) {
-		// gmin island: voltage = −I/gmin is hugely negative, or ~0 without
-		// load path. Either way it must not look healthy.
-		t.Errorf("islanded node voltage = %g, want far below pad", v)
+	for _, node := range []string{"n", "m"} {
+		v, _ := op.Voltage(node)
+		if v > 0.01 && !math.IsInf(v, 0) {
+			// gmin island: voltage = −I/gmin is hugely negative, or ~0 without
+			// load path. Either way it must not look healthy.
+			t.Errorf("islanded node %s voltage = %g, want far below pad", node, v)
+		}
+	}
+	if v, _ := op.Voltage("a"); math.Abs(v-0.99) > 1e-9 {
+		t.Errorf("connected node a = %g, want 0.99", v)
 	}
 	if frac := op.WorstIRDropFrac(1.0); frac < 0.99 {
 		t.Errorf("islanded IR drop frac = %g, want ≈ or > 1", frac)
@@ -273,7 +284,7 @@ func TestCompileConflictingPads(t *testing.T) {
 
 // TestRejectsInvalidResistance checks that zero, negative and non-finite
 // resistances are refused — naming the resistor — before they reach the
-// conductance stamp, both from a programmatic netlist and as an edit.
+// conductance stamp, both from a programmatic netlist and as a value change.
 func TestRejectsInvalidResistance(t *testing.T) {
 	for _, ohms := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		nl := &Netlist{
@@ -294,9 +305,14 @@ func TestRejectsInvalidResistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ohms := range []float64{math.NaN(), math.Inf(1)} {
-		err := c.SetResistor(1, ohms)
+		values := make([]float64, len(nl.Resistors))
+		for i, r := range nl.Resistors {
+			values[i] = r.Ohms
+		}
+		values[1] = ohms
+		_, err := c.WithResistances(values)
 		if err == nil || !strings.Contains(err.Error(), "R2") {
-			t.Errorf("SetResistor with %g Ω returned %v, want an error naming R2", ohms, err)
+			t.Errorf("WithResistances with %g Ω returned %v, want an error naming R2", ohms, err)
 		}
 	}
 }

@@ -17,14 +17,17 @@ const (
 	DenseSolves         = "solver.dense.solves"
 
 	// internal/solver — supernodal sparse Cholesky (the power-grid solver).
+	// The factor has no rank-one update path any more, so SparseUpdates and
+	// SparseDowndates now read 0; the benchmark harness still reports them.
 	SparseFactorizations = "solver.sparse.factorizations"
 	SparseUpdates        = "solver.sparse.updates"
 	SparseDowndates      = "solver.sparse.downdates"
 	SparseSolves         = "solver.sparse.solves"
 
-	// internal/spice — the incremental re-solve engine.
+	// internal/spice — compiled circuits. A compiled circuit is read-only,
+	// so nothing resets one and SpiceResets now reads 0; the benchmark
+	// harness still reports it.
 	SpiceCompiles      = "spice.compiles"
-	SpiceSlotEdits     = "spice.slot_edits"
 	SpiceResets        = "spice.resets"
 	SpiceSparseSolves  = "spice.solves.sparse"
 	SpiceFactorSeconds = "spice.sparse.factor_seconds"
@@ -137,8 +140,9 @@ func ServeStageSeconds(stage string) string {
 	return "serve.stage_seconds{stage=" + stage + "}"
 }
 
-// CascadeFallbacks names the counter of trials that left the low-rank
-// cascade for the factor path, by reason: "rank" (the update rank reached
+// CascadeFallbacks names the counter of cascade rebases — a trial that
+// refactors a private copy of the grid with its failed arrays open and
+// restarts the cascade on it — by reason: "rank" (the update rank reached
 // its cap) or "pivot" (an opening left a terminal hanging on the gmin leak).
 func CascadeFallbacks(reason string) string {
 	return "pdn.cascade.fallbacks{reason=" + reason + "}"

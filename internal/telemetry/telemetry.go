@@ -1,6 +1,6 @@
 // Package telemetry is the observability layer of the EM analysis pipeline:
 // atomic counters, bounded histograms and span timers threaded through the
-// hot paths (CG/Cholesky solves, the incremental re-solve engine, the
+// hot paths (CG/Cholesky solves, the grid's failure cascade, the
 // Monte-Carlo loops, the FEA pipeline and the worker pool).
 //
 // The design constraint is that disabled telemetry must cost essentially

@@ -89,19 +89,18 @@ func TestTraceDeterminismViaArrayMC(t *testing.T) {
 }
 
 // TestTraceDeterminismGridMC is the same matrix over the power-grid system,
-// whose trials trigger SPICE re-solves and spec-violation events. Every
-// system factors its grid, so each run must also emit spice.sparse.factor
-// spans — proof the wall-clock stream was captured and set aside rather
-// than absent.
+// whose trials trigger failure cascades and spec-violation events. Each run
+// builds, tunes and factors its own grid, so it must also emit
+// spice.sparse.factor spans — proof the wall-clock stream was captured and
+// set aside rather than absent.
 func TestTraceDeterminismGridMC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid Monte Carlo is slow under -short")
 	}
-	cfg := traceGridConfig(t)
 	opt := mc.Options{Trials: 12, Seed: 7}
 
 	ref, refSpans := captureTraceJSONL(t, func() error {
-		sys, err := pdn.NewSystem(cfg)
+		sys, err := pdn.NewSystem(traceGridConfig(t))
 		if err != nil {
 			return err
 		}
@@ -120,6 +119,7 @@ func TestTraceDeterminismGridMC(t *testing.T) {
 		popt := opt
 		popt.Workers = w
 		got, spans := captureTraceJSONL(t, func() error {
+			cfg := traceGridConfig(t)
 			_, err := mc.RunParallel(func() (mc.System, error) { return pdn.NewSystem(cfg) }, popt)
 			return err
 		})
