@@ -20,7 +20,6 @@ import (
 	"emvia/internal/fem"
 	"emvia/internal/korhonen"
 	"emvia/internal/mc"
-	"emvia/internal/par"
 	"emvia/internal/pdn"
 	"emvia/internal/phys"
 	"emvia/internal/solver"
@@ -468,34 +467,24 @@ func benchLaplacian(nx int) *sparse.CSR {
 }
 
 // BenchmarkSparseCholeskyFactorSupernodal measures the power-grid solver on
-// a 64×64 mesh Laplacian (4096 unknowns, the nx40 power-grid scale):
-// numeric refactorization at several worker counts (results are
-// bit-identical at any width; extra workers only help on multi-core hosts),
-// a clone plus refactor (the private numeric copy a failure-cascade rebase
-// factors), and the batched 16-RHS triangular solve against the equivalent
-// loop of single solves it replaces in grouped Monte-Carlo trials.
+// a 64×64 mesh Laplacian (4096 unknowns, the nx40 power-grid scale): the
+// numeric refactorization, a clone plus refactor (the private numeric copy a
+// failure-cascade rebase factors), and a 16-RHS triangular solve.
 func BenchmarkSparseCholeskyFactorSupernodal(b *testing.B) {
 	a := benchLaplacian(64)
 	n, _ := a.Dims()
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("Refactor_w%d", w), func(b *testing.B) {
-			sp, err := solver.NewSupernodalCholeskyFromCSR(a, par.Shared(w))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := sp.RefactorFromCSR(a); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	sp, err := solver.NewSupernodalCholeskyFromCSR(a, par.Shared(1))
+	sp, err := solver.NewSupernodalCholeskyFromCSR(a)
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("Refactor", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := sp.RefactorFromCSR(a); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("CloneRefactor", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -510,21 +499,12 @@ func BenchmarkSparseCholeskyFactorSupernodal(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = 1e-3 * float64(i%17)
 	}
-	b.Run("SolveBatch16", func(b *testing.B) {
+	var ws solver.Workspace
+	b.Run("Solve16", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := sp.SolveBatchInto(x, rhs, nrhs); err != nil {
+			if err := sp.SolveWith(&ws, x, rhs, nrhs); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("SolveLoop16", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for v := 0; v < nrhs; v++ {
-				if err := sp.SolveInto(x[v*n:(v+1)*n], rhs[v*n:(v+1)*n]); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}
 	})

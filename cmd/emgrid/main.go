@@ -132,23 +132,13 @@ Every trace/metrics artifact gets a <file>.manifest.json provenance record.
 Run 'emgrid <subcommand> -h' for flags.`)
 }
 
-// femFlags registers the FEA tuning flags shared by every subcommand that
-// runs stress characterization, and returns a hook applying them to the
-// analyzer after flag parsing.
-func femFlags(fs *flag.FlagSet) func(a *core.Analyzer) error {
-	j := fs.Int("j", 0, "FEA worker goroutines, 0 = GOMAXPROCS (results are bit-identical for any value)")
+// femFlags registers the FEA flags shared by every subcommand that runs
+// stress characterization (-fast, -stresscache), and returns the analyzer
+// constructor to call after flag parsing.
+func femFlags(fs *flag.FlagSet) func() (*core.Analyzer, error) {
+	fast := fs.Bool("fast", false, "coarse FEA meshes")
 	cache := fs.String("stresscache", "", `persistent stress cache: a directory, or "auto" for the default location (EMVIA_STRESS_CACHE or the user cache dir)`)
-	return func(a *core.Analyzer) error {
-		a.FEA.Workers = *j
-		if *cache == "" {
-			return nil
-		}
-		dir := *cache
-		if dir == "auto" {
-			dir = "" // let core resolve the env/user-cache default
-		}
-		return a.EnableStressCache(dir)
-	}
+	return func() (*core.Analyzer, error) { return core.NewCLIAnalyzer(*fast, *cache) }
 }
 
 // writeOutput hands write the file at path, or stdout when path is empty.
@@ -285,7 +275,6 @@ func cmdCharacterize(args []string) error {
 	arrays := fs.String("arrays", "1,4,8", "via-array configurations n (n×n), comma-separated")
 	widths := fs.String("widths", "2u,2.5u,3u", "wire widths with SPICE suffixes, comma-separated")
 	out := fs.String("out", "", "output JSON path (default stdout)")
-	fast := fs.Bool("fast", false, "coarse FEA meshes")
 	fem := femFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -299,12 +288,8 @@ func cmdCharacterize(args []string) error {
 	if err != nil {
 		return fmt.Errorf("characterize: -widths: %w", err)
 	}
-	a := core.NewAnalyzer()
-	if *fast {
-		a.Base.Margin = 1.0 * phys.Micron
-		a.Base.StepOutside = 0.5 * phys.Micron
-	}
-	if err := fem(a); err != nil {
+	a, err := fem()
+	if err != nil {
 		return fmt.Errorf("characterize: %w", err)
 	}
 	table, err := a.BuildStressTable(ns, ws, func(k chartable.Key, w float64) {
@@ -337,7 +322,6 @@ func cmdCharModels(args []string) error {
 	trials := fs.Int("trials", 500, "Monte-Carlo trials")
 	seed := fs.Int64("seed", 2017, "random seed")
 	out := fs.String("out", "", "output JSON path (default stdout)")
-	fast := fs.Bool("fast", false, "coarse FEA meshes")
 	fem := femFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -351,12 +335,8 @@ func cmdCharModels(args []string) error {
 	if err != nil {
 		return fmt.Errorf("charmodels: -width: %w", err)
 	}
-	a := core.NewAnalyzer()
-	if *fast {
-		a.Base.Margin = 1.0 * phys.Micron
-		a.Base.StepOutside = 0.5 * phys.Micron
-	}
-	if err := fem(a); err != nil {
+	a, err := fem()
+	if err != nil {
 		return fmt.Errorf("charmodels: %w", err)
 	}
 	models, err := a.ViaArrayModels(*arrayN, w, 1e10, ac, *trials, *seed)
@@ -389,7 +369,6 @@ func cmdAnalyze(args []string, engineFlag string) error {
 	vdd := fs.Float64("vdd", 1.8, "supply voltage")
 	trials := fs.Int("trials", 500, "Monte-Carlo trials (both levels)")
 	seed := fs.Int64("seed", 2017, "random seed")
-	fast := fs.Bool("fast", false, "coarse FEA meshes")
 	screenOut := fs.String("screenout", "", "write the steady-state screen classification JSON here (engines steady/both)")
 	fem := femFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -424,12 +403,8 @@ func cmdAnalyze(args []string, engineFlag string) error {
 		return fmt.Errorf("analyze: unknown -syscrit %q", *sysCrit)
 	}
 
-	a := core.NewAnalyzer()
-	if *fast {
-		a.Base.Margin = 1.0 * phys.Micron
-		a.Base.StepOutside = 0.5 * phys.Micron
-	}
-	if err := fem(a); err != nil {
+	a, err := fem()
+	if err != nil {
 		return fmt.Errorf("analyze: %w", err)
 	}
 	if engine == mc.EngineSteady {
@@ -715,7 +690,6 @@ func cmdOptimize(args []string) error {
 	crit := fs.String("arraycrit", "2x", "array failure criterion: wl, 2x, rinf")
 	trials := fs.Int("trials", 500, "Monte-Carlo trials per candidate")
 	seed := fs.Int64("seed", 2017, "random seed")
-	fast := fs.Bool("fast", false, "coarse FEA meshes")
 	fem := femFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -737,12 +711,8 @@ func cmdOptimize(args []string) error {
 	if err != nil {
 		return fmt.Errorf("optimize: %w", err)
 	}
-	a := core.NewAnalyzer()
-	if *fast {
-		a.Base.Margin = 1.0 * phys.Micron
-		a.Base.StepOutside = 0.5 * phys.Micron
-	}
-	if err := fem(a); err != nil {
+	a, err := fem()
+	if err != nil {
 		return fmt.Errorf("optimize: %w", err)
 	}
 	choices, best, err := a.OptimizeArray(core.OptimizeArraySpec{

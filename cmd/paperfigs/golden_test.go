@@ -44,7 +44,10 @@ func goldenOptions() options {
 func computeGoldenMetrics(t *testing.T) map[string]float64 {
 	t.Helper()
 	opt := goldenOptions()
-	a := newAnalyzer(opt)
+	a, err := core.NewCLIAnalyzer(opt.fast, opt.stressCache)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := make(map[string]float64)
 
 	stressMetrics := func(prefix string, n int, pattern cudd.Pattern, row int) *cudd.Result {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	paperfigs [-fig all|t1|1|6|7|8a|8b|9|10|t2] [-trials N] [-gridtrials N] [-fast] [-j N] [-stresscache DIR]
+//	paperfigs [-fig all|t1|1|6|7|8a|8b|9|10|t2] [-trials N] [-gridtrials N] [-fast] [-stresscache DIR]
 //
 // Output is printed as labelled data series (and ASCII plots) whose shape is
 // directly comparable to the paper's plots; EXPERIMENTS.md records a full
@@ -23,7 +23,6 @@ import (
 	"emvia/internal/core"
 	"emvia/internal/cudd"
 	"emvia/internal/mc"
-	"emvia/internal/phys"
 )
 
 type options struct {
@@ -32,7 +31,6 @@ type options struct {
 	gridTrials  int
 	fast        bool
 	seed        int64
-	workers     int
 	stressCache string
 	// engine is the resolved -engine value (mc or both); the grid
 	// experiments pass it through to core.GridAnalysis, so "both" runs the
@@ -48,7 +46,6 @@ func main() {
 	flag.IntVar(&opt.gridTrials, "gridtrials", 500, "Monte-Carlo trials for power-grid analysis")
 	flag.BoolVar(&opt.fast, "fast", false, "coarse FEA meshes and smaller grids (quick smoke run)")
 	flag.Int64Var(&opt.seed, "seed", 2017, "base random seed")
-	flag.IntVar(&opt.workers, "j", 0, "FEA worker goroutines, 0 = GOMAXPROCS (results are bit-identical for any value)")
 	flag.StringVar(&opt.stressCache, "stresscache", "", `persistent stress cache: a directory, or "auto" for the default location (EMVIA_STRESS_CACHE or the user cache dir)`)
 	var obs cliobs.Config
 	obs.RegisterFlags(flag.CommandLine)
@@ -101,7 +98,11 @@ func main() {
 		}
 	}
 
-	analyzer := newAnalyzer(opt)
+	analyzer, err := core.NewCLIAnalyzer(opt.fast, opt.stressCache)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
+		os.Exit(1)
+	}
 	for _, f := range selected {
 		start := time.Now()
 		fmt.Printf("==== experiment %s ====\n", f)
@@ -115,31 +116,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// newAnalyzer builds the shared technology analyzer. The default resolution
-// puts two elements across each via so inter-via stress structure resolves;
-// -fast falls back to one element per via with tighter margins.
-func newAnalyzer(opt options) *core.Analyzer {
-	a := core.NewAnalyzer()
-	if opt.fast {
-		a.Base.Margin = 1.0 * phys.Micron
-		a.Base.SubstrateThickness = 0.8 * phys.Micron
-		a.Base.StepOutside = 0.5 * phys.Micron
-		a.Base.StepZBulk = 1.0 * phys.Micron
-	}
-	a.FEA.Workers = opt.workers
-	if opt.stressCache != "" {
-		dir := opt.stressCache
-		if dir == "auto" {
-			dir = "" // core resolves the env/user-cache default
-		}
-		if err := a.EnableStressCache(dir); err != nil {
-			fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	return a
 }
 
 // fineParams returns structure parameters with two elements across each via

@@ -15,7 +15,6 @@ import (
 	"emvia/internal/core"
 	"emvia/internal/mc"
 	"emvia/internal/monitor"
-	"emvia/internal/spice"
 	"emvia/internal/telemetry"
 	"emvia/internal/trace"
 )
@@ -26,9 +25,6 @@ type Config struct {
 	Trace     trace.CLIConfig
 	// HTTPAddr serves /status, /debug/vars and /debug/pprof when non-empty.
 	HTTPAddr string
-	// SolverWorkers bounds the supernodal factorization worker pool;
-	// 0 = one worker per CPU, 1 = serial. Results are identical either way.
-	SolverWorkers int
 	// Engine selects the analysis engine (mc|steady|both); Setup validates
 	// it and records the resolved value in the run manifest. Commands
 	// resolve their own copy with mc.ParseEngine.
@@ -42,7 +38,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Telemetry.Progress, "progress", false, "print periodic progress lines to stderr during long Monte-Carlo runs")
 	c.Trace.RegisterFlags(fs)
 	fs.StringVar(&c.HTTPAddr, "http", "", "serve the live monitor (/status, /debug/vars, /debug/pprof) on `addr`")
-	fs.IntVar(&c.SolverWorkers, "solver-workers", 0, "worker goroutines of the parallel supernodal factorization (0 = one per CPU, 1 = serial; results are bit-identical)")
 	fs.StringVar(&c.Engine, "engine", "mc", "analysis engine: mc (full Monte Carlo), steady (linear-time steady-state screen only), or both (the screen prunes the Monte Carlo to the mortal subset)")
 }
 
@@ -60,10 +55,6 @@ const monitorRingSize = 256
 // captured into the manifest (nil skips flag capture); command names the
 // binary in the manifest.
 func Setup(c Config, command string, fs *flag.FlagSet) (finish func() error, err error) {
-	if c.SolverWorkers < 0 {
-		return nil, fmt.Errorf("-solver-workers: must be ≥ 0, got %d", c.SolverWorkers)
-	}
-	spice.SetSolverWorkers(c.SolverWorkers)
 	engine, err := mc.ParseEngine(c.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("-engine: %w", err)
@@ -118,7 +109,7 @@ func Setup(c Config, command string, fs *flag.FlagSet) (finish func() error, err
 
 // RecordFlags merges a subcommand's parsed flag set into the active run
 // manifest (emgrid parses per-subcommand flags after Setup), lifting the
-// reproducibility knobs — trials/seed/j — into their dedicated manifest
+// reproducibility knobs — trials/seed — into their dedicated manifest
 // fields. No-op when no run is active.
 func RecordFlags(fs *flag.FlagSet) {
 	m := active.Load()
@@ -136,9 +127,6 @@ func RecordFlags(fs *flag.FlagSet) {
 	}
 	if v, err := strconv.ParseInt(m.Config["seed"], 10, 64); err == nil {
 		m.Seed = v
-	}
-	if v, err := strconv.Atoi(m.Config["j"]); err == nil {
-		m.Workers = v
 	}
 	if v := m.Config["engine"]; v != "" {
 		if engine, err := mc.ParseEngine(v); err == nil {

@@ -95,6 +95,32 @@ func NewAnalyzer() *Analyzer {
 	}
 }
 
+// NewCLIAnalyzer returns the analyzer the command-line tools build from
+// their -fast and -stresscache flags. fast selects the coarse FEA meshes the
+// paper-figure goldens pin: one element per via, with tighter margins and a
+// thinner substrate. A non-empty stressCache attaches the persistent stress
+// cache in that directory; "auto" selects the default location
+// (EMVIA_STRESS_CACHE or the user cache directory).
+func NewCLIAnalyzer(fast bool, stressCache string) (*Analyzer, error) {
+	a := NewAnalyzer()
+	if fast {
+		a.Base.Margin = 1.0 * phys.Micron
+		a.Base.SubstrateThickness = 0.8 * phys.Micron
+		a.Base.StepOutside = 0.5 * phys.Micron
+		a.Base.StepZBulk = 1.0 * phys.Micron
+	}
+	if stressCache != "" {
+		dir := stressCache
+		if dir == "auto" {
+			dir = ""
+		}
+		if err := a.EnableStressCache(dir); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
+}
+
 // StressFor returns the per-via peak thermomechanical stress matrix for a
 // via-array family, running (and memoizing) the FEA characterization. The
 // analyzer's PackageStress is added on top of the layout-dependent FEA

@@ -192,6 +192,48 @@ func TestResolveStressCacheDir(t *testing.T) {
 	}
 }
 
+// TestNewCLIAnalyzer pins the -fast structure the command-line tools share
+// and the -stresscache resolution: empty disables the cache, "auto" takes
+// the default location, anything else is the directory.
+func TestNewCLIAnalyzer(t *testing.T) {
+	a, err := NewCLIAnalyzer(false, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Base != cudd.DefaultParams() || a.Disk != nil {
+		t.Errorf("default analyzer: Base %+v, Disk %v", a.Base, a.Disk)
+	}
+	fast, err := NewCLIAnalyzer(true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cudd.DefaultParams()
+	want.Margin = 1.0 * phys.Micron
+	want.SubstrateThickness = 0.8 * phys.Micron
+	want.StepOutside = 0.5 * phys.Micron
+	want.StepZBulk = 1.0 * phys.Micron
+	if fast.Base != want {
+		t.Errorf("-fast structure %+v, want %+v", fast.Base, want)
+	}
+	env := t.TempDir()
+	t.Setenv("EMVIA_STRESS_CACHE", env)
+	auto, err := NewCLIAnalyzer(false, "auto")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.Disk == nil || auto.Disk.Dir() != env {
+		t.Errorf(`-stresscache auto: cache %v, want one in %s`, auto.Disk, env)
+	}
+	dir := t.TempDir()
+	explicit, err := NewCLIAnalyzer(false, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explicit.Disk == nil || explicit.Disk.Dir() != dir {
+		t.Errorf("-stresscache %s: cache %v", dir, explicit.Disk)
+	}
+}
+
 // TestAnalyzerPersistentCache proves StressFor consults the disk cache: a
 // pre-seeded entry under the exact key the analyzer derives is returned
 // without running any FEA (the seeded values are physically impossible, so a

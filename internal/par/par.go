@@ -1,6 +1,5 @@
 // Package par provides the small worker-pool primitive shared by the
-// parallel FEA assembly, stress recovery, CG kernels and the supernodal
-// sparse-Cholesky factorization.
+// parallel FEA assembly, stress recovery and CG kernels.
 //
 // The design constraint is determinism: callers partition work into blocks
 // whose results are independent of which worker runs them (disjoint writes,
@@ -16,10 +15,10 @@
 // helper goroutines that park on a channel between dispatches, so steady-state
 // dispatch allocates nothing (the per-call goroutine spawn of the previous
 // design cost ~1.5k allocs/op in the multi-worker FEA benchmarks). The caller
-// always participates as slot 0. Dispatches are serialized by an internal
+// always participates in its own dispatch. Dispatches are serialized by an internal
 // mutex, so a pool may be shared between goroutines — concurrent Run calls
-// queue rather than race. Run/RunW must not be called from inside a running
-// block function of the same pool (self-deadlock).
+// queue rather than race. Run must not be called from inside a running block
+// function of the same pool (self-deadlock).
 package par
 
 import (
@@ -46,11 +45,9 @@ type Pool struct {
 	done    chan struct{} // completion signal from the last finishing worker
 	quit    chan struct{} // closed by Close; terminates parked workers
 
-	// Dispatch state, written under mu before tokens are sent. Exactly one
-	// of fn/fnw is non-nil per dispatch.
+	// Dispatch state, written under mu before tokens are sent.
 	nblocks int
 	fn      func(b int)
-	fnw     func(b, slot int)
 	next    atomic.Int64
 	pending atomic.Int64
 }
@@ -66,9 +63,8 @@ func New(workers int) *Pool {
 }
 
 // sharedPools caches one never-closed pool per width for callers whose pool
-// lifetime is "the whole process" (per-solve FEA pools, the spice solver
-// pool). Reusing one pool per width keeps repeated solves from respawning
-// workers on every call.
+// lifetime is "the whole process" (per-solve FEA pools). Reusing one pool
+// per width keeps repeated solves from respawning workers on every call.
 var (
 	sharedMu    sync.Mutex
 	sharedPools map[int]*Pool
@@ -104,7 +100,7 @@ func (p *Pool) Workers() int {
 }
 
 // Close releases the pool's parked worker goroutines. It is idempotent and
-// nil-safe. A closed pool remains usable — subsequent Run/RunW calls execute
+// nil-safe. A closed pool remains usable — subsequent Run calls execute
 // serially on the caller.
 func (p *Pool) Close() {
 	if p == nil {
@@ -142,40 +138,19 @@ func (p *Pool) Run(nblocks int, fn func(b int)) {
 		}
 		return
 	}
-	p.dispatch(nblocks, w, fn, nil)
-}
-
-// RunW is Run with a worker-slot argument: fn(b, slot) receives the identity
-// of the worker running block b, a stable integer in [0, Workers()) with the
-// caller as slot 0. Callers use it to index per-worker scratch (sized
-// Workers()) without synchronization. Block results must not depend on slot —
-// scratch must be fully overwritten or cleared per block — so the output
-// remains bit-identical for any worker count.
-func (p *Pool) RunW(nblocks int, fn func(b, slot int)) {
-	if nblocks <= 0 {
-		return
-	}
-	w := p.Workers()
-	if w > nblocks {
-		w = nblocks
-	}
-	if w <= 1 {
-		for b := 0; b < nblocks; b++ {
-			fn(b, 0)
-		}
-		return
-	}
-	p.dispatch(nblocks, w, nil, fn)
+	p.dispatch(nblocks, w, fn)
 }
 
 // dispatch runs one parallel invocation with w >= 2 participants.
-func (p *Pool) dispatch(nblocks, w int, fn func(int), fnw func(int, int)) {
+func (p *Pool) dispatch(nblocks, w int, fn func(int)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		// Closed pools degrade to serial rather than panic: per-solve pools
 		// may race a deferred Close against a final flush elsewhere.
-		p.runSerial(nblocks, fn, fnw)
+		for b := 0; b < nblocks; b++ {
+			fn(b)
+		}
 		return
 	}
 	if !p.started {
@@ -183,8 +158,8 @@ func (p *Pool) dispatch(nblocks, w int, fn func(int), fnw func(int, int)) {
 		p.wake = make(chan struct{}, p.workers-1)
 		p.done = make(chan struct{}, 1)
 		p.quit = make(chan struct{})
-		for id := 1; id < p.workers; id++ {
-			go p.workerLoop(id)
+		for i := 1; i < p.workers; i++ {
+			go p.workerLoop()
 		}
 	}
 	// Utilization telemetry (parallel dispatches only): busy time is the
@@ -206,7 +181,6 @@ func (p *Pool) dispatch(nblocks, w int, fn func(int), fnw func(int, int)) {
 
 	p.nblocks = nblocks
 	p.fn = fn
-	p.fnw = fnw
 	p.next.Store(0)
 	helpers := w - 1
 	p.pending.Store(int64(helpers) + 1)
@@ -216,7 +190,7 @@ func (p *Pool) dispatch(nblocks, w int, fn func(int), fnw func(int, int)) {
 	if busy != nil {
 		w0 = time.Now()
 	}
-	p.loop(0)
+	p.loop()
 	if busy != nil {
 		busy.Add(int64(time.Since(w0)))
 	}
@@ -224,7 +198,6 @@ func (p *Pool) dispatch(nblocks, w int, fn func(int), fnw func(int, int)) {
 		<-p.done
 	}
 	p.fn = nil
-	p.fnw = nil
 
 	runSpan()
 	if reg != nil {
@@ -232,23 +205,11 @@ func (p *Pool) dispatch(nblocks, w int, fn func(int), fnw func(int, int)) {
 	}
 }
 
-func (p *Pool) runSerial(nblocks int, fn func(int), fnw func(int, int)) {
-	if fnw != nil {
-		for b := 0; b < nblocks; b++ {
-			fnw(b, 0)
-		}
-		return
-	}
-	for b := 0; b < nblocks; b++ {
-		fn(b)
-	}
-}
-
 // workerLoop is the body of one persistent helper goroutine. It parks on the
 // wake channel between dispatches; each token admits it to exactly one
 // dispatch. The channel receive orders the dispatch-state writes of the
 // caller before the reads here.
-func (p *Pool) workerLoop(id int) {
+func (p *Pool) workerLoop() {
 	for {
 		select {
 		case <-p.wake:
@@ -261,7 +222,7 @@ func (p *Pool) workerLoop(id int) {
 			busy = reg.Counter(telemetry.ParBusyNanos)
 			w0 = time.Now()
 		}
-		p.loop(id)
+		p.loop()
 		if busy != nil {
 			busy.Add(int64(time.Since(w0)))
 		}
@@ -271,18 +232,9 @@ func (p *Pool) workerLoop(id int) {
 	}
 }
 
-// loop drains dispatch blocks on behalf of worker slot.
-func (p *Pool) loop(slot int) {
+// loop drains dispatch blocks on behalf of one worker.
+func (p *Pool) loop() {
 	n := p.nblocks
-	if fw := p.fnw; fw != nil {
-		for {
-			b := int(p.next.Add(1)) - 1
-			if b >= n {
-				return
-			}
-			fw(b, slot)
-		}
-	}
 	f := p.fn
 	for {
 		b := int(p.next.Add(1)) - 1

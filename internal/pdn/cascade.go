@@ -84,16 +84,17 @@ func (t viaTerms) drop(x []float64) float64 {
 // trial rebases (cascadeRankCap). A step on the pristine base costs O(n·r);
 // a rebase costs a numeric refactor, and afterwards every opening of the
 // trial pays a triangular solve for its response, because a rebase's
-// responses are trial-local. BenchmarkCascadeCrossover measured, over 16
+// responses are trial-local. BenchmarkCascadeCrossover measured, over 14
 // runs on the nx64 grid of the ir-cascade benchmark (n = 8 023,
-// nnz(L)/n ≈ 24.6) on a 2-CPU Intel Xeon host: a rank-32 step 0.18–0.26 ms
-// (≈ 6 µs per rank), a rebase with 32 arrays open 14–21 ms, one response
-// solve against it 0.50–1.02 ms (median 0.67). A single step costs a whole
-// rebase only near rank 2 700 (67–137·nnz(L)/n, median ≈ 110), but a step
-// past rank ≈ 110 already costs more than a post-rebase step's solve. At the
-// cap, 9·nnz(L)/n = 222 on that grid, a step costs about two post-rebase
-// steps, so a rebase there pays for itself within about 25 more failures;
-// below rank ≈ 110 it never would. 222 is also above that workload's longest
+// nnz(L)/n ≈ 24.6) on a 2-CPU Intel Xeon host with the serial refactor: a
+// rank-32 step 0.21–0.25 ms (median 0.22, ≈ 7 µs per rank), a rebase with
+// 32 arrays open 11.4–15.3 ms (median 13.1), one response solve against it
+// 0.58–0.76 ms (median 0.65). A single step costs a whole rebase only near
+// rank 1 900 (66–85·nnz(L)/n, median ≈ 78), but a step past rank ≈ 95
+// already costs more than a post-rebase step's solve. At the cap,
+// 9·nnz(L)/n = 222 on that grid, a step costs about 2.4 post-rebase steps,
+// so a rebase there pays for itself within about 15 more failures; below
+// rank ≈ 95 it never would. 222 is also above that workload's longest
 // cascade (69 failures), so its trials never rebase.
 const cascadeCrossover = 9
 

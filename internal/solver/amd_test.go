@@ -84,11 +84,11 @@ func TestAMDReducesGridFill(t *testing.T) {
 	for i := range natural {
 		natural[i] = i
 	}
-	nat, err := NewSupernodalCholeskyOrdered(a, natural, nil)
+	nat, err := NewSupernodalCholeskyOrdered(a, natural)
 	if err != nil {
 		t.Fatal(err)
 	}
-	amd, err := NewSupernodalCholeskyOrdered(a, AMDOrder(a), nil)
+	amd, err := NewSupernodalCholeskyOrdered(a, AMDOrder(a))
 	if err != nil {
 		t.Fatal(err)
 	}

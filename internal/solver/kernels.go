@@ -35,109 +35,15 @@ func dotRange(a, b []float64, lo, hi int) float64 {
 	return s
 }
 
-// dotDet computes the blocked dot product of a and b using partials as the
-// per-block scratch (len(partials) == partialsLen(len(a))). The serial branch
-// performs no allocation.
-func dotDet(a, b, partials []float64, p *par.Pool) float64 {
-	n := len(a)
-	nb := len(partials)
-	if p.Workers() == 1 {
-		for bi := 0; bi < nb; bi++ {
-			lo := bi * dotBlock
-			hi := lo + dotBlock
-			if hi > n {
-				hi = n
-			}
-			partials[bi] = dotRange(a, b, lo, hi)
-		}
-	} else {
-		p.Run(nb, func(bi int) {
-			lo := bi * dotBlock
-			hi := lo + dotBlock
-			if hi > n {
-				hi = n
-			}
-			partials[bi] = dotRange(a, b, lo, hi)
-		})
-	}
-	s := 0.0
-	for _, v := range partials {
-		s += v
-	}
-	return s
-}
-
-// mulVec computes y = A·x, row-partitioned across the pool. Row results are
-// independent, so the output matches the serial MulVecTo bit for bit.
-func mulVec(a *sparse.CSR, y, x []float64, p *par.Pool) {
-	if p.Workers() == 1 {
-		a.MulVecTo(y, x)
-		return
-	}
-	rows, _ := a.Dims()
-	p.Run(par.Blocks(rows, rowBlock), func(bi int) {
-		lo := bi * rowBlock
-		hi := lo + rowBlock
-		if hi > rows {
-			hi = rows
-		}
-		a.MulVecRange(y, x, lo, hi)
-	})
-}
-
-// cgUpdate applies the fused iterate/residual update x += α·p, r −= α·ap.
-func cgUpdate(x, r, pvec, ap []float64, alpha float64, p *par.Pool) {
-	n := len(x)
-	if p.Workers() == 1 {
-		for i := 0; i < n; i++ {
-			x[i] += alpha * pvec[i]
-			r[i] -= alpha * ap[i]
-		}
-		return
-	}
-	p.Run(par.Blocks(n, vecBlock), func(bi int) {
-		lo := bi * vecBlock
-		hi := lo + vecBlock
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			x[i] += alpha * pvec[i]
-			r[i] -= alpha * ap[i]
-		}
-	})
-}
-
-// cgDirection updates the search direction p = z + β·p.
-func cgDirection(pvec, z []float64, beta float64, p *par.Pool) {
-	n := len(pvec)
-	if p.Workers() == 1 {
-		for i := 0; i < n; i++ {
-			pvec[i] = z[i] + beta*pvec[i]
-		}
-		return
-	}
-	p.Run(par.Blocks(n, vecBlock), func(bi int) {
-		lo := bi * vecBlock
-		hi := lo + vecBlock
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			pvec[i] = z[i] + beta*pvec[i]
-		}
-	})
-}
-
 // kernCtx holds the pooled CG kernels with their dispatch closures hoisted
-// out of the per-iteration path. The free functions above allocate one
-// closure per call when the pool is parallel; at tens of CG iterations per
-// solve and four kernel calls per iteration that dominated the multi-worker
-// FEA allocation profile (BENCH_3: 1728–2076 allocs/op vs 189 serial). The
-// context creates each closure once — capturing only the context pointer —
-// and passes operands through fields, so steady-state parallel iterations
-// allocate nothing. Numerically the context paths run the exact block loops
-// of the free functions, so results stay bit-identical.
+// out of the per-iteration path. A closure built per call allocated once per
+// dispatch; at tens of CG iterations per solve and four kernel calls per
+// iteration that dominated the multi-worker FEA allocation profile (BENCH_3:
+// 1728–2076 allocs/op vs 189 serial). The context creates each closure once
+// — capturing only the context pointer — and passes operands through fields,
+// so steady-state parallel iterations allocate nothing. The serial branches
+// run the same block loops inline, so results are bit-identical at any
+// worker count.
 type kernCtx struct {
 	pool *par.Pool
 
@@ -201,7 +107,8 @@ func (k *kernCtx) bind(pool *par.Pool) {
 	}
 }
 
-// dot is dotDet through the hoisted closures.
+// dot computes the blocked dot product of a and b using partials as the
+// per-block scratch (len(partials) == partialsLen(len(a))).
 func (k *kernCtx) dot(a, b, partials []float64) float64 {
 	n := len(a)
 	nb := len(partials)
@@ -225,7 +132,8 @@ func (k *kernCtx) dot(a, b, partials []float64) float64 {
 	return s
 }
 
-// mul is mulVec through the hoisted closures.
+// mul computes y = A·x, row-partitioned across the pool. Row results are
+// independent, so the output matches the serial MulVecTo bit for bit.
 func (k *kernCtx) mul(a *sparse.CSR, y, x []float64) {
 	if k.pool.Workers() == 1 {
 		a.MulVecTo(y, x)
@@ -236,7 +144,7 @@ func (k *kernCtx) mul(a *sparse.CSR, y, x []float64) {
 	k.pool.Run(par.Blocks(rows, rowBlock), k.mulFn)
 }
 
-// update is cgUpdate through the hoisted closures.
+// update applies the fused iterate/residual update x += α·p, r −= α·ap.
 func (k *kernCtx) update(x, r, pvec, ap []float64, alpha float64) {
 	n := len(x)
 	if k.pool.Workers() == 1 {
@@ -250,8 +158,8 @@ func (k *kernCtx) update(x, r, pvec, ap []float64, alpha float64) {
 	k.pool.Run(par.Blocks(n, vecBlock), k.updFn)
 }
 
-// direction is cgDirection through the hoisted closures. It reuses the up/ur
-// operand fields: p = z + β·p with ur carrying z.
+// direction updates the search direction p = z + β·p. It reuses the up/ur
+// operand fields, with ur carrying z.
 func (k *kernCtx) direction(pvec, z []float64, beta float64) {
 	n := len(pvec)
 	if k.pool.Workers() == 1 {

@@ -45,9 +45,10 @@ func TestCGPoolBitIdentical(t *testing.T) {
 	}
 }
 
-// TestDotDetBlockOrderIndependent cross-checks dotDet against a plain serial
-// accumulation only in the blocked order — the two agree exactly because the
-// serial branch runs the identical block loop.
+// TestDotDetBlockOrderIndependent cross-checks the CG kernels' blocked dot
+// product at several worker counts against the serial path: the two agree
+// exactly because the serial branch runs the identical block loop and the
+// partials are reduced in block order.
 func TestDotDetBlockOrderIndependent(t *testing.T) {
 	n := 2*dotBlock + 333
 	rng := rand.New(rand.NewSource(11))
@@ -58,10 +59,16 @@ func TestDotDetBlockOrderIndependent(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	partials := make([]float64, partialsLen(n))
-	serial := dotDet(a, b, partials, nil)
+	var serial kernCtx
+	serial.bind(nil)
+	want := serial.dot(a, b, partials)
 	for _, w := range []int{2, 5, 16} {
-		if got := dotDet(a, b, partials, par.New(w)); got != serial {
-			t.Errorf("workers=%d dotDet = %g, serial %g", w, got, serial)
+		pool := par.New(w)
+		var k kernCtx
+		k.bind(pool)
+		if got := k.dot(a, b, partials); got != want {
+			t.Errorf("workers=%d dot = %g, serial %g", w, got, want)
 		}
+		pool.Close()
 	}
 }

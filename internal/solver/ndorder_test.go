@@ -36,11 +36,11 @@ func TestNDOrderDeterministic(t *testing.T) {
 func TestNDOrderFillVsAMD(t *testing.T) {
 	a := gridLaplacian(250, 250)
 	n, _ := a.Dims()
-	nd, err := NewSupernodalCholeskyOrdered(a, NDOrder(a), nil)
+	nd, err := NewSupernodalCholeskyOrdered(a, NDOrder(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	amd, err := NewSupernodalCholeskyOrdered(a, AMDOrder(a), nil)
+	amd, err := NewSupernodalCholeskyOrdered(a, AMDOrder(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestNDOrderDisconnected(t *testing.T) {
 			t.Fatalf("perm is not a permutation at %d", i)
 		}
 	}
-	if _, err := NewSupernodalCholeskyOrdered(two, perm, nil); err != nil {
+	if _, err := NewSupernodalCholeskyOrdered(two, perm); err != nil {
 		t.Fatalf("factor under ND ordering: %v", err)
 	}
 	_ = n

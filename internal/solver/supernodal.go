@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 
-	"emvia/internal/par"
 	"emvia/internal/sparse"
 	"emvia/internal/telemetry"
 )
@@ -14,8 +12,8 @@ import (
 // SupernodalCholesky is a blocked sparse LLᵀ factorization P·A·Pᵀ = L·Lᵀ of
 // an SPD system — the power-grid solver at every size. Its pattern is fixed
 // after construction, and refactorization and triangular solves allocate
-// nothing. L lives in supernodal panels, and the numeric factorization runs
-// as parallel supernode tasks over the elimination tree.
+// nothing. L lives in supernodal panels, and the numeric factorization visits
+// the supernodes in ascending order on the calling goroutine.
 //
 // A supernode is a maximal run of consecutive columns with identical
 // below-diagonal structure (detected from the etree: parent[j] == j+1 and
@@ -24,21 +22,15 @@ import (
 // first column|; entry (row position ri, column jj) lives at jj·lr+ri, and
 // positions ri < jj (the strictly-upper triangle of the diagonal block) are
 // dead. Left-looking supernode-supernode updates then run as dense
-// rank-w_d kernels over contiguous memory instead of scalar scatter chains,
-// which is where both the serial speedup and the parallel scalability come
-// from.
+// rank-w_d kernels over contiguous memory instead of scalar scatter chains.
 //
 // Determinism: each target column accumulates its updates in a fixed order —
 // source supernodes ascending (the static update lists are built sorted),
-// source columns ascending, rows ascending — and every supernode/column is
-// computed by exactly one worker per dispatch. The schedule only changes
-// which worker runs a task, never the arithmetic inside one, so the factor
-// is bit-identical at any worker count, including the serial path.
+// source columns ascending, rows ascending — so the factor of a matrix is a
+// pure function of its values and ordering.
 type SupernodalCholesky struct {
 	n    int
 	perm []int
-
-	pool *par.Pool // nil = serial
 
 	// Supernode partition. Column j belongs to supernode snOf[j]; supernode s
 	// covers columns [snCol[s], snCol[s+1]).
@@ -71,77 +63,37 @@ type SupernodalCholesky struct {
 	updRS  []int32
 	updNC  []int32
 
-	// Level schedule: supernodes of level l are
-	// levelList[levelPtr[l]:levelPtr[l+1]], each level depending only on
-	// completed earlier levels. lvlWork[l] estimates the level's panel work
-	// for the parallel-dispatch threshold.
-	levelPtr  []int
-	levelList []int32
-	lvlWork   []int
+	// Refactor scratch: relmap maps a permuted row id to its row position in
+	// the panel of the supernode being factored (entries of other rows are
+	// stale and never read); ybuf accumulates one update column.
+	relmap []int32
+	ybuf   []float64
 
-	// Column chunks of the parallel prep phase, grouped by level: chunk t
-	// covers columns [chLo[t], chHi[t]) of supernode chSn[t]; level l owns
-	// chunks [lvlChPtr[l], lvlChPtr[l+1]). Chunking the prep by column gives
-	// the update aggregation — the dominant cost — worker-count-independent
-	// load balance even when a level holds a single fat separator supernode.
-	lvlChPtr []int
-	chSn     []int32
-	chLo     []int32
-	chHi     []int32
+	ws Workspace // solve scratch of SolveInto
 
-	// Per-worker scratch (indexed by pool slot): relmap maps permuted row id
-	// to panel row position of the supernode relFor[slot] (-1 entries
-	// elsewhere); ybuf accumulates one update column.
-	relmap [][]int32
-	relFor []int32
-	ybuf   [][]float64
-
-	ws   Workspace // solve scratch of SolveInto and SolveBatchInto
-	errs []error   // per-supernode factorization error, nil between calls
-
-	// Pre-created dispatch closures (allocation-free refactors) and their
-	// per-dispatch arguments.
-	prepFn    func(b, slot int)
-	factorFn  func(b, slot int)
-	curList   []int32
-	curChBase int
-
-	nnzL   int // true entry count of L (dead panel corners excluded)
-	maxLr  int
-	amat   *sparse.CSR // matrix of the dispatch in flight
-	failed int32       // any-task-failed flag of the refactor in flight (atomic)
+	nnzL  int // true entry count of L (dead panel corners excluded)
+	maxLr int
 }
 
 // snMaxWidth caps supernode width: wider panels waste dead diagonal-block
-// corners and coarsen the parallel task grain faster than the dense-kernel
-// efficiency improves.
+// corners faster than the dense-kernel efficiency improves.
 const snMaxWidth = 32
-
-// snPrepChunk is the column granularity of the parallel prep phase.
-const snPrepChunk = 4
 
 // snAmalgSlack is the absolute stored-zero budget below which an
 // amalgamation is always accepted (whatever the ratio); beyond it the waste
 // must stay under a third of the panel.
 const snAmalgSlack = 24
 
-// snLevelParMinWork is the minimum total flop estimate of a level before its
-// dispatch across workers beats running it inline: leaf levels of the
-// elimination tree hold thousands of near-empty supernodes whose combined
-// work is below one dispatch round-trip.
-const snLevelParMinWork = 32768
-
 // NewSupernodalCholeskyFromCSR orders a with AutoOrder (AMD below NDMinNodes,
 // nested dissection above), runs the symbolic analysis and factors the
-// matrix on pool (nil = serial). It returns ErrNotSPD when a pivot is
-// non-positive.
-func NewSupernodalCholeskyFromCSR(a *sparse.CSR, pool *par.Pool) (*SupernodalCholesky, error) {
-	return NewSupernodalCholeskyOrdered(a, AutoOrder(a), pool)
+// matrix. It returns ErrNotSPD when a pivot is non-positive.
+func NewSupernodalCholeskyFromCSR(a *sparse.CSR) (*SupernodalCholesky, error) {
+	return NewSupernodalCholeskyOrdered(a, AutoOrder(a))
 }
 
 // NewSupernodalCholeskyOrdered is NewSupernodalCholeskyFromCSR with a
 // caller-chosen elimination order.
-func NewSupernodalCholeskyOrdered(a *sparse.CSR, perm []int, pool *par.Pool) (*SupernodalCholesky, error) {
+func NewSupernodalCholeskyOrdered(a *sparse.CSR, perm []int) (*SupernodalCholesky, error) {
 	n, m := a.Dims()
 	if n != m {
 		return nil, fmt.Errorf("solver: supernodal factor needs a square matrix, got %d×%d", n, m)
@@ -149,7 +101,7 @@ func NewSupernodalCholeskyOrdered(a *sparse.CSR, perm []int, pool *par.Pool) (*S
 	if len(perm) != n {
 		return nil, fmt.Errorf("solver: permutation length %d, want %d", len(perm), n)
 	}
-	c := &SupernodalCholesky{n: n, perm: append([]int(nil), perm...), pool: pool}
+	c := &SupernodalCholesky{n: n, perm: append([]int(nil), perm...)}
 	invp := make([]int, n)
 	for i := range invp {
 		invp[i] = -1
@@ -169,8 +121,8 @@ func NewSupernodalCholeskyOrdered(a *sparse.CSR, perm []int, pool *par.Pool) (*S
 
 // symbolic runs the scalar symbolic analysis (etree, row patterns, column
 // structure), partitions columns into supernodes, and precomputes the static
-// structures of the numeric phases: panel layouts, A-scatter targets, update
-// lists and the level schedule. invp is the inverse of c.perm.
+// structures of the numeric phase: panel layouts, A-scatter targets and
+// update lists. invp is the inverse of c.perm.
 func (c *SupernodalCholesky) symbolic(a *sparse.CSR, invp []int) {
 	n := c.n
 
@@ -422,104 +374,14 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR, invp []int) {
 		fillpos[t.tgt] = p + 1
 	}
 
-	// Level schedule over the supernodal etree: level(s) = 1 + max level of
-	// its children; children always have smaller indices, so one ascending
-	// pass suffices.
-	level := make([]int, c.nsup)
-	maxLevel := 0
-	for s := 0; s < c.nsup; s++ {
-		last := int(c.snCol[s+1]) - 1
-		if p := parent[last]; p >= 0 {
-			sp := int(c.snOf[p])
-			if level[s]+1 > level[sp] {
-				level[sp] = level[s] + 1
-			}
-		}
-		if level[s] > maxLevel {
-			maxLevel = level[s]
-		}
-	}
-	c.levelPtr = make([]int, maxLevel+2)
-	for s := 0; s < c.nsup; s++ {
-		c.levelPtr[level[s]+1]++
-	}
-	for l := 0; l < maxLevel+1; l++ {
-		c.levelPtr[l+1] += c.levelPtr[l]
-	}
-	c.levelList = make([]int32, c.nsup)
-	lpos := make([]int, maxLevel+1)
-	copy(lpos, c.levelPtr[:maxLevel+1])
-	for s := 0; s < c.nsup; s++ {
-		c.levelList[lpos[level[s]]] = int32(s)
-		lpos[level[s]]++
-	}
-
-	// Per-level work estimates and prep-phase column chunks.
-	c.lvlWork = make([]int, maxLevel+1)
-	c.lvlChPtr = make([]int, maxLevel+2)
-	for l := 0; l <= maxLevel; l++ {
-		nch := 0
-		for _, s := range c.levelList[c.levelPtr[l]:c.levelPtr[l+1]] {
-			c.lvlWork[l] += c.taskWork(s)
-			w := int(c.snCol[s+1] - c.snCol[s])
-			nch += (w + snPrepChunk - 1) / snPrepChunk
-		}
-		c.lvlChPtr[l+1] = c.lvlChPtr[l] + nch
-	}
-	nch := c.lvlChPtr[maxLevel+1]
-	c.chSn = make([]int32, nch)
-	c.chLo = make([]int32, nch)
-	c.chHi = make([]int32, nch)
-	pos := 0
-	for l := 0; l <= maxLevel; l++ {
-		for _, s := range c.levelList[c.levelPtr[l]:c.levelPtr[l+1]] {
-			w := int(c.snCol[s+1] - c.snCol[s])
-			for lo := 0; lo < w; lo += snPrepChunk {
-				hi := lo + snPrepChunk
-				if hi > w {
-					hi = w
-				}
-				c.chSn[pos] = s
-				c.chLo[pos] = int32(lo)
-				c.chHi[pos] = int32(hi)
-				pos++
-			}
-		}
-	}
-
-	// Workspaces and dispatch closures.
 	c.ws.grow(n)
-	c.errs = make([]error, c.nsup)
 	c.initScratch()
 }
 
-// initScratch sizes the per-worker scratch for the current pool and creates
-// the dispatch closures once.
+// initScratch allocates the refactor scratch.
 func (c *SupernodalCholesky) initScratch() {
-	workers := c.pool.Workers()
-	c.relmap = make([][]int32, workers)
-	c.relFor = make([]int32, workers)
-	c.ybuf = make([][]float64, workers)
-	for w := 0; w < workers; w++ {
-		rel := make([]int32, c.n)
-		for i := range rel {
-			rel[i] = -1
-		}
-		c.relmap[w] = rel
-		c.relFor[w] = -1
-		c.ybuf[w] = make([]float64, c.maxLr)
-	}
-	c.prepFn = func(b, slot int) {
-		t := c.curChBase + b
-		c.prepCols(c.chSn[t], int(c.chLo[t]), int(c.chHi[t]), slot)
-	}
-	c.factorFn = func(b, slot int) {
-		s := c.curList[b]
-		if err := c.denseFactor(s); err != nil {
-			c.errs[s] = err
-			atomic.StoreInt32(&c.failed, 1)
-		}
-	}
+	c.relmap = make([]int32, c.n)
+	c.ybuf = make([]float64, c.maxLr)
 }
 
 // N returns the system dimension.
@@ -536,51 +398,18 @@ func (c *SupernodalCholesky) Perm() []int { return c.perm }
 // Supernodes returns the number of supernodes of the partition.
 func (c *SupernodalCholesky) Supernodes() int { return c.nsup }
 
-// bindRel points slot's row-relocation map at supernode s, clearing the
-// previous binding lazily.
-func (c *SupernodalCholesky) bindRel(s int32, slot int) []int32 {
-	rel := c.relmap[slot]
-	if c.relFor[slot] == s {
-		return rel
-	}
-	if old := c.relFor[slot]; old >= 0 {
-		for _, r := range c.snRows[c.snRptr[old]:c.snRptr[old+1]] {
-			rel[r] = -1
-		}
-	}
-	for i, r := range c.snRows[c.snRptr[s]:c.snRptr[s+1]] {
-		rel[r] = int32(i)
-	}
-	c.relFor[slot] = s
-	return rel
-}
-
-// clearRel restores the all-minus-one invariant of every slot's map.
-func (c *SupernodalCholesky) clearRel() {
-	for slot, old := range c.relFor {
-		if old >= 0 {
-			rel := c.relmap[slot]
-			for _, r := range c.snRows[c.snRptr[old]:c.snRptr[old+1]] {
-				rel[r] = -1
-			}
-			c.relFor[slot] = -1
-		}
-	}
-}
-
-// prepCols computes columns [lo, hi) of supernode s up to (not including)
-// the dense diagonal-block factorization: zero, scatter A, apply the static
-// update list. Columns are independent, so any partition of [0, w) across
-// workers yields identical results.
-func (c *SupernodalCholesky) prepCols(s int32, lo, hi, slot int) {
+// prepCols computes the columns of supernode s up to (not including) the
+// dense diagonal-block factorization: zero, scatter A, apply the static
+// update list.
+func (c *SupernodalCholesky) prepCols(a *sparse.CSR, s int32) {
 	po := c.pptr[s]
 	rows := c.snRows[c.snRptr[s]:c.snRptr[s+1]]
 	lr := len(rows)
+	w := int(c.snCol[s+1] - c.snCol[s])
 	px := c.px
 
-	a := c.amat
 	c0 := int(c.snCol[s])
-	for jj := lo; jj < hi; jj++ {
+	for jj := 0; jj < w; jj++ {
 		col := px[po+jj*lr+jj : po+(jj+1)*lr]
 		for u := range col {
 			col[u] = 0
@@ -591,8 +420,11 @@ func (c *SupernodalCholesky) prepCols(s int32, lo, hi, slot int) {
 		}
 	}
 
-	rel := c.bindRel(s, slot)
-	y := c.ybuf[slot]
+	rel := c.relmap
+	for i, r := range rows {
+		rel[r] = int32(i)
+	}
+	y := c.ybuf
 	for t := c.uptr[s]; t < c.uptr[s+1]; t++ {
 		d := c.updSrc[t]
 		rs := int(c.updRS[t])
@@ -603,9 +435,6 @@ func (c *SupernodalCholesky) prepCols(s int32, lo, hi, slot int) {
 		pod := c.pptr[d]
 		for q := 0; q < nc; q++ {
 			jj := int(rowsD[rs+q]) - c0
-			if jj < lo || jj >= hi {
-				continue
-			}
 			// y[u] = Σ_k L_d[rs+q+u,k]·L_d[rs+q,k], k over d's columns
 			// ascending. The hoisted slices start at row rs+q, so src[0] is
 			// the multiplier itself. Four source columns per pass quarters
@@ -725,75 +554,27 @@ func (c *SupernodalCholesky) denseFactor(s int32) error {
 }
 
 // RefactorFromCSR refactors numerically in place from a (same pattern as the
-// symbolic analysis), scheduling supernode tasks level by level across the
-// pool. It returns ErrNotSPD when a pivot is non-positive; the factor is
-// then garbage and must be refactored before further use.
+// symbolic analysis), supernode by supernode in ascending order. It stops at
+// the first non-positive pivot and returns ErrNotSPD naming its column; the
+// factor is then garbage and must be refactored before further use.
 func (c *SupernodalCholesky) RefactorFromCSR(a *sparse.CSR) error {
 	n, m := a.Dims()
 	if n != c.n || m != c.n {
 		return fmt.Errorf("solver: Refactor dimensions %d×%d, want %d×%d", n, m, c.n, c.n)
 	}
 	record(telemetry.SparseFactorizations)
-	c.amat = a
-	atomic.StoreInt32(&c.failed, 0)
-	defer func() {
-		c.amat = nil
-		c.clearRel()
-	}()
-	workers := c.pool.Workers()
-	for l := 0; l+1 < len(c.levelPtr); l++ {
-		tasks := c.levelList[c.levelPtr[l]:c.levelPtr[l+1]]
-		if workers > 1 && c.lvlWork[l] >= snLevelParMinWork {
-			// Phase one: column-chunked prep (zero + A-scatter + update
-			// aggregation), the dominant cost, load-balanced independently of
-			// how columns group into supernodes. Phase two: per-supernode
-			// dense factorization. Updates only flow from strictly earlier
-			// levels, so the phases never race.
-			c.curChBase = c.lvlChPtr[l]
-			c.pool.RunW(c.lvlChPtr[l+1]-c.lvlChPtr[l], c.prepFn)
-			c.curList = tasks
-			c.pool.RunW(len(tasks), c.factorFn)
-		} else {
-			for _, s := range tasks {
-				w := int(c.snCol[s+1] - c.snCol[s])
-				c.prepCols(s, 0, w, 0)
-				if err := c.denseFactor(s); err != nil {
-					c.errs[s] = err
-					atomic.StoreInt32(&c.failed, 1)
-				}
-			}
-		}
-		if atomic.LoadInt32(&c.failed) != 0 {
-			// Deterministic error selection: the lowest-index failing
-			// supernode of the earliest failing level, regardless of which
-			// worker hit it first.
-			var first error
-			for _, s := range tasks {
-				if err := c.errs[s]; err != nil {
-					if first == nil {
-						first = err
-					}
-					c.errs[s] = nil
-				}
-			}
-			return first
+	for s := int32(0); s < int32(c.nsup); s++ {
+		c.prepCols(a, s)
+		if err := c.denseFactor(s); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// taskWork estimates the flops spent on one supernode — the updates
-// aggregated into its panel plus its dense factorization, both of which scale
-// like width × rows² — for the level-dispatch threshold.
-func (c *SupernodalCholesky) taskWork(s int32) int {
-	w := int(c.snCol[s+1] - c.snCol[s])
-	lr := c.snRptr[s+1] - c.snRptr[s]
-	return w * lr * lr
-}
-
 // Workspace is the scratch of a caller's triangular solves, grown on demand
-// and reused across calls. A factor keeps one for SolveInto and
-// SolveBatchInto; SolveWith takes the caller's, which leaves the factor
+// and reused across calls. A factor keeps one for SolveInto; SolveWith
+// takes the caller's, which leaves the factor
 // strictly read-only, so goroutines that each own a Workspace may solve
 // against one factor concurrently.
 type Workspace struct{ z []float64 }
@@ -815,33 +596,19 @@ func (c *SupernodalCholesky) SolveInto(x, b []float64) error {
 	return c.SolveWith(&c.ws, x, b, 1)
 }
 
-// SolveBatchInto solves nrhs stacked systems with the factor's own scratch
-// (see SolveWith).
-func (c *SupernodalCholesky) SolveBatchInto(x, b []float64, nrhs int) error {
-	return c.SolveWith(&c.ws, x, b, nrhs)
-}
-
-// batchVarMinRHS is the smallest group the variable-width batched kernel
-// serves; smaller groups loop the single-vector kernel. Measured by
-// BenchmarkSupernodalSolveRouting (median µs per vector, looped vs
-// variable-width) on a 2-CPU Intel Xeon host, on the nx64 power-grid factor
-// (8 023 unknowns, nnz(L) = 197 634) and on a 90×90 Laplacian: one vector
-// 488–565 vs 1 164–1 246, two 524–583 vs 665–689, three 498–545 vs 500–603,
-// four 486–538 vs 486–578, then the batched kernel pulls ahead — five
-// 410–623 vs 388–422, seven 413–536 vs 370–389.
-const batchVarMinRHS = 5
-
 // SolveWith solves nrhs systems into x using the caller's workspace: b and x
-// hold nrhs stacked vectors (vector k occupies [k·n, (k+1)·n)). It reads the
-// factor and writes only x and ws, so concurrent calls with distinct
-// workspaces are safe. The batched kernels transpose the panel sweep to
-// row-major so each column operation streams over the lanes of one row:
-// groups of eight or more vectors go through a fixed 16-lane kernel
-// (solveBatch16) whose unrolled inner loops dodge per-element bounds checks,
-// groups of five to seven through the variable-width pass, and smaller
-// groups loop the single-vector kernel, which is faster there. The
-// per-vector arithmetic is the same in every kernel, so batched and looped
-// solves agree bit for bit.
+// hold nrhs stacked vectors (vector k occupies [k·n, (k+1)·n)), solved one
+// after another by the single-vector kernel. It reads the factor and writes
+// only x and ws, so concurrent calls with distinct workspaces are safe.
+//
+// There is no row-major batched kernel: one beats the loop only on dense
+// right-hand sides. The failure cascade, the only batched caller, solves
+// two-entry resistor vectors, whose zero columns the single-vector forward
+// sweep skips; on the nx64 power-grid factor (8 023 unknowns) the loop was
+// faster than a variable-width batched pass at every width from 1 to 16
+// (2-CPU Intel Xeon, medians of 8 interleaved runs: 0.54 against 2.02 ms
+// for one vector, 4.61 against 5.84 for eight, 9.68 against 11.24 for
+// sixteen).
 func (c *SupernodalCholesky) SolveWith(ws *Workspace, x, b []float64, nrhs int) error {
 	if nrhs <= 0 {
 		return fmt.Errorf("solver: SolveWith nrhs %d", nrhs)
@@ -851,20 +618,9 @@ func (c *SupernodalCholesky) SolveWith(ws *Workspace, x, b []float64, nrhs int) 
 		return fmt.Errorf("solver: SolveWith lengths %d/%d, want %d", len(x), len(b), n*nrhs)
 	}
 	record(telemetry.SparseSolves)
-	for g0 := 0; g0 < nrhs; {
-		m := min(nrhs-g0, 16)
-		switch {
-		case m >= 8:
-			c.solveBatch16(ws.grow(n*16), x, b, g0, m)
-		case m >= batchVarMinRHS:
-			c.solveBatchVar(ws.grow(n*m), x, b, g0, m)
-		default:
-			z := ws.grow(n)
-			for v := g0; v < g0+m; v++ {
-				c.solveVec(z, x[v*n:(v+1)*n], b[v*n:(v+1)*n])
-			}
-		}
-		g0 += m
+	z := ws.grow(n)
+	for v := 0; v < nrhs; v++ {
+		c.solveVec(z, x[v*n:(v+1)*n], b[v*n:(v+1)*n])
 	}
 	return nil
 }
@@ -917,186 +673,13 @@ func (c *SupernodalCholesky) solveVec(z, x, b []float64) {
 	}
 }
 
-// solveBatch16 runs the row-major triangular passes over lanes
-// [g0, g0+m) of the stacked right-hand sides, m ≤ 16, through scratch zb of
-// n·16 entries, padding it to a constant 16 lanes. Lanes never mix, so the pad lanes (zero-filled at
-// gather) change nothing, and the array-pointer views let the 16-wide inner
-// loops run without bounds checks.
-func (c *SupernodalCholesky) solveBatch16(zb, x, b []float64, g0, m int) {
-	const W = 16
-	n, px := c.n, c.px
-	for k := 0; k < n; k++ {
-		p := c.perm[k]
-		row := (*[W]float64)(zb[k*W:])
-		for v := 0; v < m; v++ {
-			row[v] = b[(g0+v)*n+p]
-		}
-		for v := m; v < W; v++ {
-			row[v] = 0
-		}
-	}
-	for s := 0; s < c.nsup; s++ { // forward
-		po := c.pptr[s]
-		rows := c.snRows[c.snRptr[s]:c.snRptr[s+1]]
-		lr := len(rows)
-		w := int(c.snCol[s+1] - c.snCol[s])
-		c0 := int(c.snCol[s])
-		// Diagonal block: divide each pivot lane and propagate it to the
-		// remaining rows of the supernode, column by column.
-		for jj := 0; jj < w; jj++ {
-			base := po + jj*lr
-			inv := px[base+jj]
-			zr := (*[W]float64)(zb[(c0+jj)*W:])
-			for v := 0; v < W; v++ {
-				zr[v] /= inv
-			}
-			// Copy the pivot lanes into a local block: the target rows tr
-			// alias zb, so reading through zr would force a reload per u.
-			zl := *zr
-			for u := jj + 1; u < w; u++ {
-				l := px[base+u]
-				if l == 0 {
-					continue // amalgamation padding; x − 0·z = x bit for bit
-				}
-				tr := (*[W]float64)(zb[int(rows[u])*W:])
-				for v := 0; v < W; v++ {
-					tr[v] -= l * zl[v]
-				}
-			}
-		}
-		// Rectangular block: apply all w finalized pivot lanes to each row
-		// below the supernode with one load/store per row. Per element the
-		// subtractions still run in jj-ascending order against fully
-		// divided pivot lanes, exactly as in the column-at-a-time schedule,
-		// so the result is bit-identical.
-		for u := w; u < lr; u++ {
-			tr := (*[W]float64)(zb[int(rows[u])*W:])
-			acc := *tr
-			for jj := 0; jj < w; jj++ {
-				l := px[po+jj*lr+u]
-				if l == 0 {
-					continue
-				}
-				zr := (*[W]float64)(zb[(c0+jj)*W:])
-				for v := 0; v < W; v++ {
-					acc[v] -= l * zr[v]
-				}
-			}
-			*tr = acc
-		}
-	}
-	for s := c.nsup - 1; s >= 0; s-- { // backward
-		po := c.pptr[s]
-		rows := c.snRows[c.snRptr[s]:c.snRptr[s+1]]
-		lr := len(rows)
-		w := int(c.snCol[s+1] - c.snCol[s])
-		c0 := int(c.snCol[s])
-		for jj := w - 1; jj >= 0; jj-- {
-			base := po + jj*lr
-			zr := (*[W]float64)(zb[(c0+jj)*W:])
-			// Accumulate into a local block in the same u-ascending order
-			// (bit-identical) so the running value stays out of memory: zr
-			// aliases zb, and updating through it re-loads and re-stores
-			// all W lanes on every source row.
-			acc := *zr
-			for u := jj + 1; u < lr; u++ {
-				l := px[base+u]
-				if l == 0 {
-					continue
-				}
-				sr := (*[W]float64)(zb[int(rows[u])*W:])
-				for v := 0; v < W; v++ {
-					acc[v] -= l * sr[v]
-				}
-			}
-			inv := px[base+jj]
-			for v := 0; v < W; v++ {
-				acc[v] /= inv
-			}
-			*zr = acc
-		}
-	}
-	for k := 0; k < n; k++ {
-		p := c.perm[k]
-		row := (*[W]float64)(zb[k*W:])
-		for v := 0; v < m; v++ {
-			x[(g0+v)*n+p] = row[v]
-		}
-	}
-}
-
-// solveBatchVar is the variable-width row-major pass for lanes [g0, g0+nrhs)
-// of the stacked right-hand sides, through scratch zb of n·nrhs entries.
-func (c *SupernodalCholesky) solveBatchVar(zb, x, b []float64, g0, nrhs int) {
-	n, px := c.n, c.px
-	for k := 0; k < n; k++ {
-		p := c.perm[k]
-		row := zb[k*nrhs : (k+1)*nrhs]
-		for v := 0; v < nrhs; v++ {
-			row[v] = b[(g0+v)*n+p]
-		}
-	}
-	for s := 0; s < c.nsup; s++ { // forward
-		po := c.pptr[s]
-		rows := c.snRows[c.snRptr[s]:c.snRptr[s+1]]
-		lr := len(rows)
-		w := int(c.snCol[s+1] - c.snCol[s])
-		c0 := int(c.snCol[s])
-		for jj := 0; jj < w; jj++ {
-			base := po + jj*lr
-			inv := px[base+jj]
-			zr := zb[(c0+jj)*nrhs : (c0+jj+1)*nrhs]
-			for v := range zr {
-				zr[v] /= inv
-			}
-			for u := jj + 1; u < lr; u++ {
-				l := px[base+u]
-				tr := zb[int(rows[u])*nrhs : (int(rows[u])+1)*nrhs]
-				for v := range tr {
-					tr[v] -= l * zr[v]
-				}
-			}
-		}
-	}
-	for s := c.nsup - 1; s >= 0; s-- { // backward
-		po := c.pptr[s]
-		rows := c.snRows[c.snRptr[s]:c.snRptr[s+1]]
-		lr := len(rows)
-		w := int(c.snCol[s+1] - c.snCol[s])
-		c0 := int(c.snCol[s])
-		for jj := w - 1; jj >= 0; jj-- {
-			base := po + jj*lr
-			zr := zb[(c0+jj)*nrhs : (c0+jj+1)*nrhs]
-			for u := jj + 1; u < lr; u++ {
-				l := px[base+u]
-				sr := zb[int(rows[u])*nrhs : (int(rows[u])+1)*nrhs]
-				for v := range zr {
-					zr[v] -= l * sr[v]
-				}
-			}
-			inv := px[base+jj]
-			for v := range zr {
-				zr[v] /= inv
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		p := c.perm[k]
-		row := zb[k*nrhs : (k+1)*nrhs]
-		for v := 0; v < nrhs; v++ {
-			x[(g0+v)*n+p] = row[v]
-		}
-	}
-}
-
 // Clone returns a copy with private numeric state (panel values and
-// workspaces) sharing the immutable symbolic structure and the pool.
+// scratch) sharing the immutable symbolic structure.
 func (c *SupernodalCholesky) Clone() *SupernodalCholesky {
 	d := *c
 	d.px = append([]float64(nil), c.px...)
 	d.ws = Workspace{}
 	d.ws.grow(c.n)
-	d.errs = make([]error, c.nsup)
 	d.initScratch()
 	return &d
 }

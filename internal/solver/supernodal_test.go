@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
-	"emvia/internal/par"
 	"emvia/internal/sparse"
 )
 
@@ -80,7 +80,7 @@ func TestSupernodalMatchesDense(t *testing.T) {
 			name string
 			perm []int
 		}{{"amd", AMDOrder(a)}, {"nd", NDOrder(a)}} {
-			sup, err := NewSupernodalCholeskyOrdered(a, ord.perm, nil)
+			sup, err := NewSupernodalCholeskyOrdered(a, ord.perm)
 			if err != nil {
 				t.Fatalf("case %d %s: %v", ci, ord.name, err)
 			}
@@ -95,28 +95,23 @@ func TestSupernodalMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSupernodalBatchSolveBitIdentical pins the batch-solve contract:
-// SolveBatchInto and SolveWith must reproduce looped SolveInto calls bit for
-// bit, not just to rounding, whichever kernel the group width routes to
-// (looped single vectors, the variable-width pass, the 16-lane pass, and a
-// 16-lane group followed by a tail).
+// TestSupernodalBatchSolveBitIdentical pins the batch-solve contract: a
+// SolveWith of nrhs stacked vectors with the caller's scratch must reproduce
+// looped SolveInto calls bit for bit, not just to rounding, at every width
+// from 1 to 17.
 func TestSupernodalBatchSolveBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := gridLaplacian(40, 41)
 	n, _ := a.Dims()
-	sup, err := NewSupernodalCholeskyFromCSR(a, nil)
+	sup, err := NewSupernodalCholeskyFromCSR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var ws Workspace
-	for _, nrhs := range []int{1, 2, 4, 5, 7, 8, 16, 21} {
+	for nrhs := 1; nrhs <= 17; nrhs++ {
 		b := make([]float64, n*nrhs)
 		for i := range b {
 			b[i] = rng.NormFloat64()
-		}
-		batch := make([]float64, n*nrhs)
-		if err := sup.SolveBatchInto(batch, b, nrhs); err != nil {
-			t.Fatal(err)
 		}
 		with := make([]float64, n*nrhs)
 		if err := sup.SolveWith(&ws, with, b, nrhs); err != nil {
@@ -128,90 +123,10 @@ func TestSupernodalBatchSolveBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range loop {
-				if math.Float64bits(batch[v*n+i]) != math.Float64bits(loop[i]) ||
-					math.Float64bits(with[v*n+i]) != math.Float64bits(loop[i]) {
-					t.Fatalf("nrhs %d: batch, caller-scratch and looped solve differ at rhs %d entry %d: %x, %x vs %x",
-						nrhs, v, i, math.Float64bits(batch[v*n+i]), math.Float64bits(with[v*n+i]), math.Float64bits(loop[i]))
+				if math.Float64bits(with[v*n+i]) != math.Float64bits(loop[i]) {
+					t.Fatalf("nrhs %d: batched and looped solve differ at rhs %d entry %d: %x vs %x",
+						nrhs, v, i, math.Float64bits(with[v*n+i]), math.Float64bits(loop[i]))
 				}
-			}
-		}
-	}
-}
-
-// BenchmarkSupernodalSolveRouting times the two kernels that can serve a
-// group of one to seven right-hand sides — looped single-vector sweeps and
-// the variable-width batched pass — on a 90×90 Laplacian factor (nnz(L)/n
-// about 22, close to the power grids'); batchVarMinRHS routes each width to
-// the faster one.
-func BenchmarkSupernodalSolveRouting(b *testing.B) {
-	a := gridLaplacian(90, 90)
-	n, _ := a.Dims()
-	sup, err := NewSupernodalCholeskyFromCSR(a, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for nrhs := 1; nrhs <= 7; nrhs++ {
-		rhs := make([]float64, n*nrhs)
-		for i := range rhs {
-			rhs[i] = 1e-3 * float64(i%17)
-		}
-		x := make([]float64, n*nrhs)
-		zb := make([]float64, n*nrhs)
-		b.Run(fmt.Sprintf("loop%d", nrhs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for v := 0; v < nrhs; v++ {
-					sup.solveVec(zb[:n], x[v*n:(v+1)*n], rhs[v*n:(v+1)*n])
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("var%d", nrhs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sup.solveBatchVar(zb, x, rhs, 0, nrhs)
-			}
-		})
-	}
-}
-
-// TestSupernodalWorkerDeterminism is the determinism matrix of ISSUE 6: on an
-// nx200-class grid the factor values and solve results must be bit-identical
-// at 1, 2, 4 and 8 workers.
-func TestSupernodalWorkerDeterminism(t *testing.T) {
-	a := gridLaplacian(200, 200)
-	n, _ := a.Dims()
-	perm := AutoOrder(a)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = math.Sin(float64(i))
-	}
-	var refPx []float64
-	var refX []float64
-	for _, workers := range []int{1, 2, 4, 8} {
-		var pool *par.Pool
-		if workers > 1 {
-			pool = par.New(workers)
-			defer pool.Close()
-		}
-		c, err := NewSupernodalCholeskyOrdered(a, perm, pool)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		x := make([]float64, n)
-		if err := c.SolveInto(x, b); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if refPx == nil {
-			refPx = append([]float64(nil), c.px...)
-			refX = x
-			continue
-		}
-		for i := range refPx {
-			if math.Float64bits(c.px[i]) != math.Float64bits(refPx[i]) {
-				t.Fatalf("workers=%d: factor differs from workers=1 at panel entry %d", workers, i)
-			}
-		}
-		for i := range refX {
-			if math.Float64bits(x[i]) != math.Float64bits(refX[i]) {
-				t.Fatalf("workers=%d: solution differs from workers=1 at %d", workers, i)
 			}
 		}
 	}
@@ -223,7 +138,7 @@ func TestSupernodalWorkerDeterminism(t *testing.T) {
 func TestSupernodalRefactorTracksEdits(t *testing.T) {
 	a := gridLaplacian(25, 25)
 	n, _ := a.Dims()
-	c, err := NewSupernodalCholeskyFromCSR(a, nil)
+	c, err := NewSupernodalCholeskyFromCSR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +147,7 @@ func TestSupernodalRefactorTracksEdits(t *testing.T) {
 	if err := c.RefactorFromCSR(a); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewSupernodalCholeskyOrdered(a, c.Perm(), nil)
+	fresh, err := NewSupernodalCholeskyOrdered(a, c.Perm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +159,87 @@ func TestSupernodalRefactorTracksEdits(t *testing.T) {
 	_ = n
 }
 
+// TestSupernodalRefactorStopsAtFirstFailure gives two disjoint subtrees of
+// the elimination tree a non-positive pivot each: the serial refactor must
+// report the failing column that comes first in supernode order, and the
+// repaired matrix must refactor and solve to rounding of the dense
+// reference.
+func TestSupernodalRefactorStopsAtFirstFailure(t *testing.T) {
+	block := gridLaplacian(6, 7)
+	a := blockDiag(block, block) // two independent subtrees
+	n, _ := a.Dims()
+	c, err := NewSupernodalCholeskyFromCSR(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv := make([]int, n)
+	for k, p := range c.Perm() {
+		inv[p] = k
+	}
+	nb, _ := block.Dims()
+	// Poison the matching node of each block; whichever the ordering
+	// eliminates first names the error.
+	i0, i1 := 10, nb+10
+	first := min(inv[i0], inv[i1])
+	if c.snOf[inv[i0]] == c.snOf[inv[i1]] {
+		t.Fatal("poisoned nodes share a supernode; the blocks are not independent subtrees")
+	}
+	err = c.RefactorFromCSR(withDiagonal(a, map[int]float64{i0: -1, i1: -2}))
+	if !errors.Is(err, ErrNotSPD) {
+		t.Fatalf("refactor of an indefinite matrix returned %v, want ErrNotSPD", err)
+	}
+	if want := fmt.Sprintf("permuted column %d", first); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the first failing column (%s)", err, want)
+	}
+	// The other subtree fails on its own too, at its own column.
+	later, laterNode := max(inv[i0], inv[i1]), i1
+	if inv[i0] == later {
+		laterNode = i0
+	}
+	err = c.RefactorFromCSR(withDiagonal(a, map[int]float64{laterNode: -1}))
+	if want := fmt.Sprintf("permuted column %d", later); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("refactor with only the later pivot poisoned returned %v, want ErrNotSPD at %s", err, want)
+	}
+	if err := c.RefactorFromCSR(a); err != nil {
+		t.Fatalf("refactor of the repaired matrix: %v", err)
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	x := make([]float64, n)
+	if err := c.SolveInto(x, b); err != nil {
+		t.Fatal(err)
+	}
+	if d := maxScaledDiff(x, solveDense(t, a, b)); d > 1e-10 {
+		t.Fatalf("repaired factor vs dense differ by %g", d)
+	}
+}
+
+// withDiagonal returns a copy of a with the listed diagonal entries set.
+func withDiagonal(a *sparse.CSR, diag map[int]float64) *sparse.CSR {
+	n, _ := a.Dims()
+	tr := sparse.NewTriplet(n, n, a.NNZ())
+	for i := 0; i < n; i++ {
+		cols, vals := a.Row(i)
+		for t, c := range cols {
+			v := vals[t]
+			if d, ok := diag[i]; ok && c == i {
+				v = d
+			}
+			tr.Add(i, c, v)
+		}
+	}
+	return tr.ToCSR()
+}
+
 func TestSupernodalRejectsIndefiniteMatrix(t *testing.T) {
 	tr := sparse.NewTriplet(2, 2, 4)
 	tr.Add(0, 0, 1)
 	tr.Add(0, 1, 3)
 	tr.Add(1, 0, 3)
 	tr.Add(1, 1, 1)
-	if _, err := NewSupernodalCholeskyFromCSR(tr.ToCSR(), nil); !errors.Is(err, ErrNotSPD) {
+	if _, err := NewSupernodalCholeskyFromCSR(tr.ToCSR()); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("factorization of indefinite matrix returned %v, want ErrNotSPD", err)
 	}
 }
@@ -263,7 +252,7 @@ func TestSupernodalRejectsIndefiniteMatrix(t *testing.T) {
 func TestSupernodalSetCloneRestore(t *testing.T) {
 	a := gridLaplacian(14, 14)
 	n, _ := a.Dims()
-	c, err := NewSupernodalCholeskyFromCSR(a, nil)
+	c, err := NewSupernodalCholeskyFromCSR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +283,7 @@ func TestSupernodalSetCloneRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("source after its clone refactored", solve(c), x0)
-	fresh, err := NewSupernodalCholeskyOrdered(edited, c.Perm(), nil)
+	fresh, err := NewSupernodalCholeskyOrdered(edited, c.Perm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +295,11 @@ func TestSupernodalSetCloneRestore(t *testing.T) {
 }
 
 // TestSupernodalZeroAllocHotPath pins the allocation-free contract of the
-// refactor/solve/batch cycle on the serial path.
+// refactor/solve/batch cycle.
 func TestSupernodalZeroAllocHotPath(t *testing.T) {
 	a := gridLaplacian(20, 20)
 	n, _ := a.Dims()
-	c, err := NewSupernodalCholeskyFromCSR(a, nil)
+	c, err := NewSupernodalCholeskyFromCSR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +309,8 @@ func TestSupernodalZeroAllocHotPath(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, n*nrhs)
-	if err := c.SolveBatchInto(x, b, nrhs); err != nil { // sizes zb once
+	var ws Workspace
+	if err := c.SolveWith(&ws, x, b, nrhs); err != nil { // sizes ws once
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
@@ -330,7 +320,7 @@ func TestSupernodalZeroAllocHotPath(t *testing.T) {
 		if err := c.SolveInto(x[:n], b[:n]); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SolveBatchInto(x, b, nrhs); err != nil {
+		if err := c.SolveWith(&ws, x, b, nrhs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -344,7 +334,7 @@ func TestSupernodalZeroAllocHotPath(t *testing.T) {
 func TestSupernodalPartitionInvariants(t *testing.T) {
 	a := gridLaplacian(30, 31)
 	n, _ := a.Dims()
-	c, err := NewSupernodalCholeskyFromCSR(a, nil)
+	c, err := NewSupernodalCholeskyFromCSR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +379,7 @@ func TestSparseCholeskyMatchesDenseAndCG(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		sp, err := NewSupernodalCholeskyFromCSR(a, nil)
+		sp, err := NewSupernodalCholeskyFromCSR(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,7 +416,7 @@ func TestSparseCholeskySolvesGrid(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	sp, err := NewSupernodalCholeskyFromCSR(a, nil)
+	sp, err := NewSupernodalCholeskyFromCSR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +438,7 @@ func TestSparseCholeskyRejectsIndefiniteMatrix(t *testing.T) {
 	tr.Add(1, 1, -1)
 	tr.Add(0, 1, 0.5)
 	tr.Add(1, 0, 0.5)
-	if _, err := NewSupernodalCholeskyFromCSR(tr.ToCSR(), nil); !errors.Is(err, ErrNotSPD) {
+	if _, err := NewSupernodalCholeskyFromCSR(tr.ToCSR()); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("indefinite matrix returned %v, want ErrNotSPD", err)
 	}
 }
@@ -459,7 +449,7 @@ func TestSparseCholeskyRejectsIndefiniteMatrix(t *testing.T) {
 func TestSparseCholeskyZeroAlloc(t *testing.T) {
 	a := gridLaplacian(12, 12)
 	n, _ := a.Dims()
-	sp, err := NewSupernodalCholeskyFromCSR(a, nil)
+	sp, err := NewSupernodalCholeskyFromCSR(a)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"emvia/internal/par"
 	"emvia/internal/solver"
 	"emvia/internal/sparse"
 	"emvia/internal/trace"
@@ -411,7 +410,7 @@ func (c *Circuit) ready() error {
 
 // ensureFactor factors the matrix values: from scratch — ordering the system
 // (AMD below solver.NDMinNodes free nodes, nested dissection above) and
-// factoring it on the process solver pool — or, when the assembly already
+// factoring it — or, when the assembly already
 // holds a private factor copy of the same structure, by a numeric refactor.
 // On failure the assembly is left without a factor.
 func (c *Circuit) ensureFactor() error {
@@ -420,7 +419,7 @@ func (c *Circuit) ensureFactor() error {
 	defer done()
 	t0 := c.met.factorSeconds.Start()
 	if a.factor == nil {
-		f, err := solver.NewSupernodalCholeskyFromCSR(a.mat, par.Shared(SolverWorkers()))
+		f, err := solver.NewSupernodalCholeskyFromCSR(a.mat)
 		if err != nil {
 			return err
 		}

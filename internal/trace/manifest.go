@@ -27,11 +27,10 @@ type Manifest struct {
 	// Config is the fully resolved flag set (defaults included), so the
 	// run is reproducible even when flags were left implicit.
 	Config map[string]string `json:"config,omitempty"`
-	// Seed/Trials/Workers duplicate the headline reproducibility knobs out
-	// of Config for toolability; zero values mean "not applicable".
-	Seed    int64 `json:"seed,omitempty"`
-	Trials  int   `json:"trials,omitempty"`
-	Workers int   `json:"workers,omitempty"`
+	// Seed/Trials duplicate the headline reproducibility knobs out of
+	// Config for toolability; zero values mean "not applicable".
+	Seed   int64 `json:"seed,omitempty"`
+	Trials int   `json:"trials,omitempty"`
 	// Engine records the analysis engine (mc, steady, both): a screened run
 	// ("both") prunes the Monte Carlo to the steady mortal subset, so the
 	// engine choice is part of result provenance.

@@ -347,7 +347,6 @@ func TestManifestWrite(t *testing.T) {
 	m := NewManifest("emgrid", []string{"-trials", "100"})
 	m.Seed = 7
 	m.Trials = 100
-	m.Workers = 4
 	m.MaterialHash = "deadbeef"
 	m.StressCacheKeyVersion = 1
 	artifact := dir + "/trace.jsonl"
@@ -364,7 +363,7 @@ func TestManifestWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Command != "emgrid" || back.Seed != 7 || back.Trials != 100 ||
-		back.Workers != 4 || back.MaterialHash != "deadbeef" ||
+		back.MaterialHash != "deadbeef" ||
 		back.StressCacheKeyVersion != 1 || back.SchemaVersion != manifestSchemaVersion {
 		t.Fatalf("manifest round trip = %+v", back)
 	}

@@ -10,7 +10,10 @@
 # the large GridSolve tiers (nx200/nx400, ~20–80 ms/op) at -benchtime=10x,
 # and the FEA benchmarks at -benchtime=10x (their op is ~0.1–1 s), all with
 # -count=1 -benchmem. Parsing keys on the unit tokens, not field positions,
-# because some benchmarks report extra custom metrics.
+# because some benchmarks report extra custom metrics. The supernodal
+# group reports SparseCholeskyFactorSupernodal_{Refactor,CloneRefactor,
+# Solve16}; BENCH_4/BENCH_5 list the since-deleted Refactor_w1..w8 and
+# SolveBatch16/SolveLoop16 instead.
 set -eu
 out="${1:-BENCH_snapshot.json}"
 cd "$(dirname "$0")/.."
