@@ -10,13 +10,14 @@ test:
 
 # check is the CI gate: static analysis plus the race detector over every
 # package with parallel execution — the Monte-Carlo loops sharing solver
-# state and the parallel FEA pipeline (pool, assembly, CG kernels, caches).
+# state, the via-array Monte Carlo's per-worker systems and the parallel FEA
+# pipeline (pool, assembly, CG kernels, caches).
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/mc ./internal/pdn ./internal/par ./internal/fem \
 	    ./internal/solver ./internal/sparse ./internal/core ./internal/spice \
 	    ./internal/telemetry ./internal/trace ./internal/monitor ./internal/cliobs \
-	    ./internal/steady ./internal/serve
+	    ./internal/steady ./internal/serve ./internal/viaarray
 
 # lint checks gofmt and runs staticcheck if it is on PATH (CI installs a
 # pinned version; locally it is optional) on top of go vet.

@@ -416,9 +416,9 @@ func BenchmarkAblationAging(b *testing.B) {
 // BenchmarkGridSolve measures the raw nodal-analysis solve across grid
 // sizes, the inner loop of the grid Monte Carlo.
 func BenchmarkGridSolve(b *testing.B) {
-	// Every size runs the supernodal solver; nx200 and nx400 (80k and 320k
-	// unknowns) are nested-dissection-ordered and slow, so
-	// bench_snapshot.sh runs them at a reduced -benchtime.
+	// Every size runs the AMD-ordered supernodal solver; nx200 and nx400
+	// (80k and 320k unknowns) are slow, so bench_snapshot.sh runs them at a
+	// reduced -benchtime.
 	for _, nx := range []int{10, 20, 40, 80, 200, 400} {
 		b.Run(sizeName(nx), func(b *testing.B) {
 			g := benchGrid(b, nx)

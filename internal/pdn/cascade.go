@@ -85,16 +85,16 @@ func (t viaTerms) drop(x []float64) float64 {
 // a rebase costs a numeric refactor, and afterwards every opening of the
 // trial pays a triangular solve for its response, because a rebase's
 // responses are trial-local. BenchmarkCascadeCrossover measured, over 14
-// runs on the nx64 grid of the ir-cascade benchmark (n = 8 023,
-// nnz(L)/n ≈ 24.6) on a 2-CPU Intel Xeon host with the serial refactor: a
-// rank-32 step 0.21–0.25 ms (median 0.22, ≈ 7 µs per rank), a rebase with
-// 32 arrays open 11.4–15.3 ms (median 13.1), one response solve against it
-// 0.58–0.76 ms (median 0.65). A single step costs a whole rebase only near
-// rank 1 900 (66–85·nnz(L)/n, median ≈ 78), but a step past rank ≈ 95
+// runs on the AMD-ordered nx64 grid of the ir-cascade benchmark
+// (n = 8 023, nnz(L)/n ≈ 17.6) on a 2-CPU Intel Xeon host: a rank-32 step
+// 0.19–0.29 ms (median 0.24, ≈ 7.4 µs per rank), a rebase with 32 arrays
+// open 8.1–11.8 ms (median 9.7), one response solve against it
+// 0.38–0.57 ms (median 0.45). A single step costs a whole rebase only near
+// rank 1 300 (71–82·nnz(L)/n, median ≈ 76), but a step past rank ≈ 61
 // already costs more than a post-rebase step's solve. At the cap,
-// 9·nnz(L)/n = 222 on that grid, a step costs about 2.4 post-rebase steps,
-// so a rebase there pays for itself within about 15 more failures; below
-// rank ≈ 95 it never would. 222 is also above that workload's longest
+// ⌈9·nnz(L)/n⌉ = 159 on that grid, a step costs about 2.6 post-rebase
+// steps, so a rebase there pays for itself within about 13 more failures;
+// below rank ≈ 61 it never would. 159 is also above that workload's longest
 // cascade (69 failures), so its trials never rebase.
 const cascadeCrossover = 9
 
@@ -123,8 +123,10 @@ const (
 )
 
 // responseBudget caps a response cache at this many times nnz(L) floats, the
-// footprint of eight factors; the ir-cascade benchmark's jobs use about 6.7.
-const responseBudget = 8
+// footprint of twelve factors. The ir-cascade benchmark's jobs use 156–166
+// responses of its nx64 grid, 8.9–9.5·nnz(L) floats; at 8·nnz(L) the
+// overflow is solved again trial by trial, and a job's solves rise by half.
+const responseBudget = 12
 
 // responseCache holds the pristine responses A₀⁻¹u of opened via arrays,
 // one cache per master system, shared by its clones. An entry is published

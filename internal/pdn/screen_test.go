@@ -218,3 +218,54 @@ func TestSetCandidatesValidation(t *testing.T) {
 		t.Error("nil mask did not clear candidates")
 	}
 }
+
+// TestSteadyScreenMetamorphicLoadScaling scales every load current of a
+// small PG1 grid by s. The steady stress is linear in the drops below Vdd,
+// so each via array's stress above its pre-stress, x(s), must scale by s,
+// and the mortal set at a larger s must contain the set at a smaller one.
+// The gmin leak's current does not scale with the loads, so x(s) = a + s·b
+// with a small leak term a: the test fits a and b from the first two scales,
+// requires x(s) = a + s·b at every scale to 1e-9 and |a| to stay below 1e-6
+// of x(1). (Pure proportionality holds only to about 2e-8 on this grid.)
+func TestSteadyScreenMetamorphicLoadScaling(t *testing.T) {
+	scales := []float64{1, 1.5, 3}
+	screens := make([]*GridScreen, len(scales))
+	for i, s := range scales {
+		g := mustGrid(t, smallSpec(), 0.02)
+		for j := range g.Netlist.Currents {
+			g.Netlist.Currents[j].Amps *= s
+		}
+		screen, err := screenSteady(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		screens[i] = screen
+	}
+	x := func(i, k int) float64 { return screens[i].ViaStress[k] - screens[i].SigmaTVia }
+	for k := range screens[0].ViaStress {
+		b := (x(1, k) - x(0, k)) / (scales[1] - scales[0])
+		a := x(0, k) - scales[0]*b
+		if math.Abs(a) > 1e-6*math.Abs(x(0, k)) {
+			t.Fatalf("via %d: stress above σ_T %g has a load-free part %g", k, x(0, k), a)
+		}
+		for i, s := range scales {
+			if want := a + s*b; math.Abs(x(i, k)-want) > 1e-9*math.Abs(want) {
+				t.Fatalf("s=%g via %d: stress above σ_T %g, want %g", s, k, x(i, k), want)
+			}
+		}
+	}
+	if screens[0].MortalVias == 0 {
+		t.Fatal("base grid has no mortal vias")
+	}
+	for i := 1; i < len(scales); i++ {
+		prev, cur := screens[i-1], screens[i]
+		for k, mortal := range prev.ViaMortal {
+			if mortal && !cur.ViaMortal[k] {
+				t.Fatalf("via %d mortal at s=%g but immortal at s=%g", k, scales[i-1], scales[i])
+			}
+		}
+		if cur.MortalVias <= prev.MortalVias {
+			t.Errorf("s=%g: %d mortal vias, want more than the %d at s=%g", scales[i], cur.MortalVias, prev.MortalVias, scales[i-1])
+		}
+	}
+}

@@ -131,9 +131,8 @@ func TestEditedCacheRefusesReuse(t *testing.T) {
 
 // TestSharedCircuitBitIdentical runs the served job pipeline — Generate,
 // CalibrateLoad, MaxViaCurrent, NewSystem, SteadyScreen, screened Monte
-// Carlo — on two AMD-ordered grids and one nested-dissection-ordered grid,
-// and checks every result against a reference assembled from fresh compiles
-// bit for bit. The whole job must factor the matrix once.
+// Carlo — on nx10, nx24 and nx64 grids, and checks every result against a
+// reference assembled from fresh compiles bit for bit. The whole job must factor the matrix once.
 func TestSharedCircuitBitIdentical(t *testing.T) {
 	for _, nx := range []int{10, 24, 64} {
 		t.Run(fmt.Sprintf("nx%d", nx), func(t *testing.T) {

@@ -18,8 +18,10 @@ import (
 // *question*, the manifest records the *answer*. Version 3: IR-drop trials
 // open via arrays by low-rank updates of the pristine factor, which moves
 // their TTFs at solver-rounding level, so a stored version-2 answer is
-// recomputed rather than served.
-const manifestSchemaVersion = 3
+// recomputed rather than served. Version 4: grids of 4096 or more free
+// nodes are AMD-ordered instead of nested-dissection-ordered, which moves
+// their TTFs at solver-rounding level again.
+const manifestSchemaVersion = 4
 
 // ResultManifest is the content-addressed record of one completed job. It
 // is canonical by construction — no wall-clock timestamps, no hostnames, no

@@ -13,11 +13,11 @@ import (
 
 // PartialManifestSchemaVersion stamps the partial-manifest wire format.
 // Coordinator and workers must agree exactly: a version skew is a merge
-// error, never a silent reinterpretation. Version 3 moves with
+// error, never a silent reinterpretation. The version moves with
 // manifestSchemaVersion: shards computed before the low-rank failure cascade
-// differ from fresh ones at solver-rounding level and must not merge with
-// them.
-const PartialManifestSchemaVersion = 3
+// (version 2) or before AMD ordered every grid (version 3) differ from fresh
+// ones at solver-rounding level and must not merge with them.
+const PartialManifestSchemaVersion = 4
 
 // MaxPartialBytes bounds a partial manifest on the wire (MaxTrials TTF
 // entries fit with a wide margin).

@@ -38,6 +38,15 @@ func gridLaplacian(nx, ny int) *sparse.CSR {
 	return tr.ToCSR()
 }
 
+// naturalOrder is the identity elimination order of an n-column matrix.
+func naturalOrder(n int) []int {
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	return perm
+}
+
 // withEdgeDelta returns a copy of a with a conductance change dg of edge
 // (i, j) stamped in, the way a circuit restamps a changed resistor. The edge
 // must be in a's pattern and no entry may cancel to zero, so the copy keeps
@@ -80,15 +89,11 @@ func TestAMDPermutationRoundTrip(t *testing.T) {
 func TestAMDReducesGridFill(t *testing.T) {
 	a := gridLaplacian(20, 20)
 	n, _ := a.Dims()
-	natural := make([]int, n)
-	for i := range natural {
-		natural[i] = i
-	}
-	nat, err := NewSupernodalCholeskyOrdered(a, natural)
+	nat, err := newSupernodalCholeskyOrdered(a, naturalOrder(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	amd, err := NewSupernodalCholeskyOrdered(a, AMDOrder(a))
+	amd, err := newSupernodalCholeskyOrdered(a, AMDOrder(a))
 	if err != nil {
 		t.Fatal(err)
 	}

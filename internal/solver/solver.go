@@ -2,9 +2,9 @@
 // positive-definite (SPD) linear systems produced by finite-element stiffness
 // assembly and power-grid nodal analysis.
 //
-// Power grids are solved directly: SupernodalCholesky factors the nodal
-// system once (AMD- or nested-dissection-ordered) and absorbs every
-// via-array failure as a rank-one edge downdate. The finite-element and
+// Power grids are solved directly: SupernodalCholesky factors the
+// AMD-ordered nodal system once, and each via-array failure is a low-rank
+// update of the pristine solution against that factor. The finite-element and
 // thermal systems use the preconditioned conjugate-gradient method with a
 // choice of identity, Jacobi (diagonal) or zero-fill incomplete-Cholesky
 // preconditioners. A dense Cholesky factorization serves the small

@@ -84,16 +84,16 @@ const snMaxWidth = 32
 // must stay under a third of the panel.
 const snAmalgSlack = 24
 
-// NewSupernodalCholeskyFromCSR orders a with AutoOrder (AMD below NDMinNodes,
-// nested dissection above), runs the symbolic analysis and factors the
-// matrix. It returns ErrNotSPD when a pivot is non-positive.
+// NewSupernodalCholeskyFromCSR orders a with AMDOrder, runs the symbolic
+// analysis and factors the matrix. It returns ErrNotSPD when a pivot is
+// non-positive.
 func NewSupernodalCholeskyFromCSR(a *sparse.CSR) (*SupernodalCholesky, error) {
-	return NewSupernodalCholeskyOrdered(a, AutoOrder(a))
+	return newSupernodalCholeskyOrdered(a, AMDOrder(a))
 }
 
-// NewSupernodalCholeskyOrdered is NewSupernodalCholeskyFromCSR with a
+// newSupernodalCholeskyOrdered is NewSupernodalCholeskyFromCSR with a
 // caller-chosen elimination order.
-func NewSupernodalCholeskyOrdered(a *sparse.CSR, perm []int) (*SupernodalCholesky, error) {
+func newSupernodalCholeskyOrdered(a *sparse.CSR, perm []int) (*SupernodalCholesky, error) {
 	n, m := a.Dims()
 	if n != m {
 		return nil, fmt.Errorf("solver: supernodal factor needs a square matrix, got %d×%d", n, m)

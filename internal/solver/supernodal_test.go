@@ -58,9 +58,9 @@ func maxScaledDiff(x, ref []float64) float64 {
 }
 
 // TestSupernodalMatchesDense cross-checks the supernodal factor under AMD
-// and nested-dissection orderings against the dense Cholesky reference,
-// which factors the same CSR without reordering; all are exact, so the
-// solutions must agree to rounding.
+// and natural orderings against the dense Cholesky reference, which factors
+// the same CSR without reordering; all are exact, so the solutions must
+// agree to rounding.
 func TestSupernodalMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	systems := []*sparse.CSR{
@@ -79,8 +79,8 @@ func TestSupernodalMatchesDense(t *testing.T) {
 		for _, ord := range []struct {
 			name string
 			perm []int
-		}{{"amd", AMDOrder(a)}, {"nd", NDOrder(a)}} {
-			sup, err := NewSupernodalCholeskyOrdered(a, ord.perm)
+		}{{"amd", AMDOrder(a)}, {"natural", naturalOrder(n)}} {
+			sup, err := newSupernodalCholeskyOrdered(a, ord.perm)
 			if err != nil {
 				t.Fatalf("case %d %s: %v", ci, ord.name, err)
 			}
@@ -147,7 +147,7 @@ func TestSupernodalRefactorTracksEdits(t *testing.T) {
 	if err := c.RefactorFromCSR(a); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := NewSupernodalCholeskyOrdered(a, c.Perm())
+	fresh, err := newSupernodalCholeskyOrdered(a, c.Perm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestSupernodalSetCloneRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("source after its clone refactored", solve(c), x0)
-	fresh, err := NewSupernodalCholeskyOrdered(edited, c.Perm())
+	fresh, err := newSupernodalCholeskyOrdered(edited, c.Perm())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,14 +403,10 @@ func TestSparseCholeskyMatchesDenseAndCG(t *testing.T) {
 	}
 }
 
-// TestSparseCholeskySolvesGrid solves a mesh above NDMinNodes, where the
-// default ordering is nested dissection, to a tight residual.
+// TestSparseCholeskySolvesGrid solves a 4 270-node mesh to a tight residual.
 func TestSparseCholeskySolvesGrid(t *testing.T) {
 	a := gridLaplacian(70, 61)
 	n, _ := a.Dims()
-	if n < NDMinNodes {
-		t.Fatalf("grid has %d nodes, want at least NDMinNodes = %d", n, NDMinNodes)
-	}
 	rng := rand.New(rand.NewSource(3))
 	b := make([]float64, n)
 	for i := range b {

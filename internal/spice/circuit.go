@@ -408,10 +408,9 @@ func (c *Circuit) ready() error {
 	return nil
 }
 
-// ensureFactor factors the matrix values: from scratch — ordering the system
-// (AMD below solver.NDMinNodes free nodes, nested dissection above) and
-// factoring it — or, when the assembly already
-// holds a private factor copy of the same structure, by a numeric refactor.
+// ensureFactor factors the matrix values: from scratch — AMD-ordering the
+// system and factoring it — or, when the assembly already holds a private
+// factor copy of the same structure, by a numeric refactor.
 // On failure the assembly is left without a factor.
 func (c *Circuit) ensureFactor() error {
 	a := c.asm

@@ -236,15 +236,13 @@ func TestIncrementalMatchesColdCG(t *testing.T) {
 }
 
 // TestIncrementalMatchesColdSparse pins the opened circuits' refactor on a
-// mesh above solver.NDMinNodes, where the factor is nested-dissection
-// ordered, against a cold compile that orders and factors from scratch.
+// large mesh against a cold compile that orders and factors from scratch.
 func TestIncrementalMatchesColdSparse(t *testing.T) {
-	crossCheckIncremental(t, ndMesh, coldCircuit)
+	crossCheckIncremental(t, largeMesh, coldCircuit)
 }
 
-// ndMesh is the smallest mesh side whose free-node count (n² − 1 with one
-// pad) reaches solver.NDMinNodes, so its factor is ND-ordered.
-const ndMesh = 65
+// largeMesh is a mesh side of 4 224 free nodes (n² − 1 with one pad).
+const largeMesh = 65
 
 // TestSolverBackendsAgree solves the same pristine mesh with the circuit's
 // supernodal factor and, on the same compiled CSR, with the dense Cholesky
@@ -377,7 +375,7 @@ func TestSetCurrentMatchesRecompile(t *testing.T) {
 // compile of the rescaled netlist, and that the source still solves to its
 // own values.
 func TestWithResistancesMatchesRecompile(t *testing.T) {
-	for _, mesh := range []int{10, ndMesh} {
+	for _, mesh := range []int{10, largeMesh} {
 		nl := meshNetlist(t, mesh)
 		c, err := Compile(nl)
 		if err != nil {
@@ -476,15 +474,15 @@ func TestSetResistorReenablesDisabled(t *testing.T) {
 // TestSolveDCIncrementalAllocs is the allocation budget of repeated solves:
 // once a circuit has solved, SolveDCInto must not touch the heap — on the
 // compiled circuit and on circuits derived by Open and WithCurrents — on a
-// small AMD-ordered mesh ("direct", the size class of the paper's test
-// grids) and on an ND-ordered one ("sparse").
+// small mesh ("direct", the size class of the paper's test grids) and on a
+// large one ("sparse").
 func TestSolveDCIncrementalAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mesh int
 	}{
 		{"direct", 10},
-		{"sparse", ndMesh},
+		{"sparse", largeMesh},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nl := meshNetlist(t, tc.mesh)

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"time"
 )
@@ -44,19 +43,28 @@ func CLISetup(cfg CLIConfig) (finish func() error) {
 			}
 		}
 		if cfg.MetricsJSON != "" {
-			var w io.Writer = os.Stdout
-			if cfg.MetricsJSON != "-" {
-				f, err := os.Create(cfg.MetricsJSON)
-				if err != nil {
-					return fmt.Errorf("telemetry: json report: %w", err)
-				}
-				defer f.Close()
-				w = f
-			}
-			if err := s.WriteJSON(w); err != nil {
+			if err := writeJSONReport(s, cfg.MetricsJSON); err != nil {
 				return fmt.Errorf("telemetry: json report: %w", err)
 			}
 		}
 		return nil
 	}
+}
+
+// writeJSONReport writes s as JSON to path ("-" selects stdout). The file's
+// Close error is returned too: a failed write-back may surface only there.
+func writeJSONReport(s *Snapshot, path string) (err error) {
+	if path == "-" {
+		return s.WriteJSON(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	return s.WriteJSON(f)
 }
