@@ -29,14 +29,15 @@ lint:
 
 # bench runs the paper-figure benchmarks with the fixed snapshot protocol
 # (see scripts/bench_snapshot.sh and BENCH_1.json / BENCH_2.json). The large
-# GridSolve tiers (nx200/nx400, ~20–80 ms/op) only run via bench-snapshot,
-# which measures them at a reduced -benchtime.
+# GridSolve tiers (nx100/nx200, a cold pristine solve of ~0.1 s and ~0.6 s
+# per op) only run via bench-snapshot, which measures them at a reduced
+# -benchtime.
 bench:
 	$(GO) test -run '^$$' \
 	    -bench 'BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactorSupernodal|BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEAWorkers|BenchmarkStressCacheWarm' \
 	    -benchmem -benchtime=100x -count=1 .
 	$(GO) test -run '^$$' \
-	    -bench 'BenchmarkGridSolve/^nx(10|20|40|80)$$' \
+	    -bench 'BenchmarkGridSolve/^nx(10|20|40|64)$$' \
 	    -benchmem -benchtime=100x -count=1 .
 
 bench-snapshot:

@@ -413,17 +413,31 @@ func BenchmarkAblationAging(b *testing.B) {
 	}
 }
 
-// BenchmarkGridSolve measures the raw nodal-analysis solve across grid
-// sizes, the inner loop of the grid Monte Carlo.
+// BenchmarkGridSolve measures the cold pristine solve a grid job pays before
+// its Monte Carlo, across grid sizes: CalibrateLoad (compile, AMD order,
+// symbolic analysis, numeric factor and solve) and then MaxViaCurrent (the
+// busiest array, which restamps the rescaled loads and solves again). Each
+// iteration generates a fresh PG1 grid outside the timer, as a job does from
+// its spec, since a grid caches its solved circuit.
 func BenchmarkGridSolve(b *testing.B) {
-	// Every size runs the AMD-ordered supernodal solver; nx200 and nx400
-	// (80k and 320k unknowns) are slow, so bench_snapshot.sh runs them at a
-	// reduced -benchtime.
-	for _, nx := range []int{10, 20, 40, 80, 200, 400} {
+	// Every size runs the AMD-ordered supernodal solver; nx200 (80k
+	// unknowns) is slow, so bench_snapshot.sh runs it at a reduced
+	// -benchtime.
+	for _, nx := range []int{10, 20, 40, 64, 100, 200} {
 		b.Run(sizeName(nx), func(b *testing.B) {
-			g := benchGrid(b, nx)
+			spec := pdn.PresetSpec("PG1", nx, nx, 0)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g, err := pdn.Generate(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := g.CalibrateLoad(0.065); err != nil {
+					b.Fatal(err)
+				}
 				if _, _, err := g.MaxViaCurrent(); err != nil {
 					b.Fatal(err)
 				}

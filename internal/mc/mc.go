@@ -34,11 +34,14 @@ type System interface {
 	BeginTrial(rng *rand.Rand) error
 	// BaseTTF returns component i's sampled TTF in seconds under its
 	// trial-start conditions. May be 0 (immediately feasible void) or +Inf
-	// (no EM stress on this component).
+	// (no EM stress on this component). It is fixed for the trial: the
+	// engine reads it once per component right after BeginTrial.
 	BaseTTF(i int) float64
 	// AgingRate returns the current relative damage rate of surviving
 	// component i: 1 at trial start, rising when the component inherits
-	// current from failed neighbours.
+	// current from failed neighbours. It changes only through Fail: the
+	// engine's scan reads each survivor's rate once per failure and reuses
+	// it until the next Fail.
 	AgingRate(i int) float64
 	// Fail marks component i failed and updates the electrical state
 	// (resistance change, current redistribution).
@@ -531,20 +534,25 @@ func RunParallelCtx(ctx context.Context, newSys func() (System, error), opt Opti
 	return res, nil
 }
 
-// trialScratch holds the per-trial damage and liveness buffers a worker
-// reuses across the trials it runs, keeping the scheduling loop
-// allocation-free.
+// trialScratch holds the per-trial buffers a worker reuses across the trials
+// it runs, keeping the scheduling loop allocation-free: damage and liveness,
+// each candidate's base TTF (read once per trial), and the aging rates the
+// latest argmin scan read, which the damage pass that follows reuses.
 type trialScratch struct {
-	damage []float64
-	alive  []bool
+	damage, base, rates []float64
+	alive               []bool
 }
 
 func (s *trialScratch) reserve(n int) {
 	if cap(s.damage) < n {
 		s.damage = make([]float64, n)
+		s.base = make([]float64, n)
+		s.rates = make([]float64, n)
 		s.alive = make([]bool, n)
 	}
 	s.damage = s.damage[:n]
+	s.base = s.base[:n]
+	s.rates = s.rates[:n]
 	s.alive = s.alive[:n]
 }
 
@@ -565,25 +573,14 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 		nc = len(idxs)
 	}
 	tt.Begin(n)
-	if tt.Enabled() {
-		if idxs == nil {
-			for i := 0; i < n; i++ {
-				tt.Sample(i, sys.BaseTTF(i))
-			}
-		} else {
-			for _, i := range idxs {
-				tt.Sample(i, sys.BaseTTF(i))
-			}
-		}
-	}
 	scratch.reserve(n)
-	damage, alive := scratch.damage, scratch.alive
+	damage, base, rates, alive := scratch.damage, scratch.base, scratch.rates, scratch.alive
 	if idxs == nil {
 		for i := range damage {
 			damage[i] = 0
-		}
-		for i := range alive {
+			base[i] = sys.BaseTTF(i)
 			alive[i] = true
+			tt.Sample(i, base[i])
 		}
 	} else {
 		// A worker's scratch serves one run, hence one mask: entries outside
@@ -591,7 +588,9 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 		// only the candidates need resetting.
 		for _, i := range idxs {
 			damage[i] = 0
+			base[i] = sys.BaseTTF(i)
 			alive[i] = true
+			tt.Sample(i, base[i])
 		}
 	}
 	now := 0.0
@@ -613,7 +612,8 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 				if rate < 0 || math.IsNaN(rate) {
 					return 0, nil, nil, fmt.Errorf("component %d: invalid aging rate %g", i, rate)
 				}
-				left := sys.BaseTTF(i) - damage[i]
+				rates[i] = rate
+				left := base[i] - damage[i]
 				if left < 0 {
 					left = 0
 				}
@@ -638,7 +638,8 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 				if rate < 0 || math.IsNaN(rate) {
 					return 0, nil, nil, fmt.Errorf("component %d: invalid aging rate %g", i, rate)
 				}
-				left := sys.BaseTTF(i) - damage[i]
+				rates[i] = rate
+				left := base[i] - damage[i]
 				if left < 0 {
 					left = 0
 				}
@@ -659,18 +660,19 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 			// No candidate can ever fail; the system survives forever.
 			break
 		}
-		// Advance time and accumulate damage on survivors.
+		// Advance time and accumulate damage on survivors, at the rates the
+		// scan just read: nothing has changed the system since.
 		now += minDt
 		if idxs == nil {
 			for i := 0; i < n; i++ {
 				if alive[i] {
-					damage[i] += minDt * sys.AgingRate(i)
+					damage[i] += minDt * rates[i]
 				}
 			}
 		} else {
 			for _, i := range idxs {
 				if alive[i] {
-					damage[i] += minDt * sys.AgingRate(i)
+					damage[i] += minDt * rates[i]
 				}
 			}
 		}

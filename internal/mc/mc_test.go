@@ -308,3 +308,125 @@ func TestEventCompsAndCriticality(t *testing.T) {
 		}
 	}
 }
+
+// countingSystem counts the engine's calls per component. It requires, at
+// every Fail, one AgingRate call since the previous failure for each live
+// candidate and none for any other component, and at each trial's end one
+// BaseTTF call per candidate and none for any other component.
+type countingSystem struct {
+	t         *testing.T
+	mask      []bool // nil: every component is a candidate
+	ttfs      []float64
+	alive     []bool
+	failed    int
+	baseCalls []int // since BeginTrial
+	rateCalls []int // since the previous Fail or BeginTrial
+	trials    int
+	fails     int
+}
+
+func newCountingSystem(t *testing.T, n int, mask []bool) *countingSystem {
+	return &countingSystem{t: t, mask: mask, ttfs: make([]float64, n), alive: make([]bool, n),
+		baseCalls: make([]int, n), rateCalls: make([]int, n)}
+}
+
+func (s *countingSystem) candidate(i int) bool { return s.mask == nil || s.mask[i] }
+
+func (s *countingSystem) NumComponents() int { return len(s.ttfs) }
+
+func (s *countingSystem) BeginTrial(rng *rand.Rand) error {
+	s.endTrial()
+	s.trials++
+	s.failed = 0
+	for i := range s.ttfs {
+		s.ttfs[i] = rng.ExpFloat64() * 1e7
+		s.alive[i] = true
+		s.baseCalls[i], s.rateCalls[i] = 0, 0
+	}
+	return nil
+}
+
+func (s *countingSystem) BaseTTF(i int) float64 {
+	s.baseCalls[i]++
+	return s.ttfs[i]
+}
+
+func (s *countingSystem) AgingRate(i int) float64 {
+	s.rateCalls[i]++
+	return 1 + float64(s.failed)
+}
+
+func (s *countingSystem) Fail(k int) error {
+	s.t.Helper()
+	for i, c := range s.rateCalls {
+		if want := btoi(s.candidate(i) && s.alive[i]); c != want {
+			s.t.Fatalf("failure %d: %d AgingRate(%d) calls since the previous failure, want %d", s.failed+1, c, i, want)
+		}
+		s.rateCalls[i] = 0
+	}
+	s.alive[k] = false
+	s.failed++
+	s.fails++
+	return nil
+}
+
+func (s *countingSystem) Failed() (bool, error) { return s.failed >= 3, nil }
+
+// endTrial checks the BaseTTF calls of the trial that just ran and that no
+// scan ran after its last failure.
+func (s *countingSystem) endTrial() {
+	s.t.Helper()
+	if s.trials == 0 {
+		return
+	}
+	for i := range s.ttfs {
+		if want := btoi(s.candidate(i)); s.baseCalls[i] != want {
+			s.t.Fatalf("%d BaseTTF(%d) calls in a trial, want %d", s.baseCalls[i], i, want)
+		}
+		if s.rateCalls[i] != 0 {
+			s.t.Fatalf("%d AgingRate(%d) calls after a trial's last failure", s.rateCalls[i], i)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestEngineCallBudget pins what a failure costs the engine's scan: one
+// AgingRate call per live candidate, and one BaseTTF call per candidate per
+// trial, with and without a candidate mask, run to completion or stopped at
+// the criterion.
+func TestEngineCallBudget(t *testing.T) {
+	mask := []bool{true, false, true, true, false, true, true, false, true, true}
+	for _, c := range []struct {
+		name         string
+		mask         []bool
+		toCompletion bool
+	}{
+		{"unmasked", nil, false},
+		{"unmasked-to-completion", nil, true},
+		{"masked", mask, false},
+		{"masked-to-completion", mask, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sys := newCountingSystem(t, len(mask), c.mask)
+			const trials = 6
+			res, err := Run(sys, Options{Trials: trials, Seed: 3, RunToCompletion: c.toCompletion, Candidates: c.mask})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.endTrial()
+			events := 0
+			for _, e := range res.EventComps {
+				events += len(e)
+			}
+			if sys.trials != trials || sys.fails != events || events < 3*trials {
+				t.Fatalf("%d trials and %d Fail calls for %d recorded failures, want %d trials", sys.trials, sys.fails, events, trials)
+			}
+		})
+	}
+}

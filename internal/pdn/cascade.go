@@ -238,10 +238,10 @@ func newCascadeMetrics() cascadeMetrics {
 	}
 }
 
-// open applies array k's opening to the running trial, writes the new
-// operating point into dst and returns its free-node solution: a cascade
-// step while the step's rank and pivot allow it, a rebase otherwise.
-func (s *GridSystem) open(k int, dst *spice.OP) ([]float64, error) {
+// open applies array k's opening to the running trial and returns its new
+// free-node solution: a cascade step while the step's rank and pivot allow
+// it, a rebase otherwise.
+func (s *GridSystem) open(k int) ([]float64, error) {
 	reason, err := s.step(k)
 	if err != nil {
 		return nil, err
@@ -249,24 +249,24 @@ func (s *GridSystem) open(k int, dst *spice.OP) ([]float64, error) {
 	switch reason {
 	case "":
 		s.met.steps.Inc()
-		x := s.casc.solution()
-		return x, s.circuit.ScatterFree(dst, x)
+		return s.casc.solution(), nil
 	case rebaseRank:
 		s.met.rankRebases.Inc()
 	case rebasePivot:
 		s.met.pivotRebases.Inc()
 	}
-	return s.rebase(dst)
+	return s.rebase()
 }
 
 // rebase restarts the running trial's cascade at rank 0 on a private base:
 // the grid with every array the trial has failed so far open. The shared
 // circuit's Open stamps those values through compile's code and refactors a
 // private numeric copy of the shared factor on its symbolic structure. The
-// base's solution is the trial's operating point, written into dst; later
-// openings update it with responses solved against the base and kept
-// trial-local, since the shared cache holds pristine responses only.
-func (s *GridSystem) rebase(dst *spice.OP) ([]float64, error) {
+// base's solution, solved through the instance's scratch operating point, is
+// the trial's new state; later openings update it with responses solved
+// against the base and kept trial-local, since the shared cache holds
+// pristine responses only.
+func (s *GridSystem) rebase() ([]float64, error) {
 	ris := make([]int, len(s.failed))
 	for i, k := range s.failed {
 		ris[i] = s.cfg.Grid.Vias[k].ResistorIndex
@@ -275,7 +275,10 @@ func (s *GridSystem) rebase(dst *spice.OP) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := rb.SolveDCInto(dst); err != nil {
+	if s.rbOP == nil {
+		s.rbOP = s.circuit.NewOP()
+	}
+	if err := rb.SolveDCInto(s.rbOP); err != nil {
 		return nil, err
 	}
 	c := &s.casc
@@ -283,7 +286,7 @@ func (s *GridSystem) rebase(dst *spice.OP) ([]float64, error) {
 		c.yb = make([]float64, len(s.y0))
 	}
 	c.restart(c.yb, rb)
-	return c.base, rb.GatherFree(c.base, dst)
+	return c.base, rb.GatherFree(c.base, s.rbOP)
 }
 
 // step opens array k on the low-rank path. Instead it returns the reason to

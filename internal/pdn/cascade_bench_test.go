@@ -43,7 +43,6 @@ func BenchmarkCascadeCrossover(b *testing.B) {
 		s.failed = append(s.failed, (2*j+1)*len(g.Vias)/(2*rank)) // spread over the grid
 	}
 	x, z := make([]float64, n), make([]float64, n)
-	op := s.circuit.NewOP()
 	// Each iteration times one of each, interleaved, so that the ratio
 	// holds up on a host whose speed drifts.
 	var step, rebase, solve time.Duration
@@ -52,7 +51,7 @@ func BenchmarkCascadeCrossover(b *testing.B) {
 		t0 := time.Now()
 		advance(x, x, 1, zs[0], y, zs)
 		t1 := time.Now()
-		if _, err := s.rebase(op); err != nil {
+		if _, err := s.rebase(); err != nil {
 			b.Fatal(err)
 		}
 		t2 := time.Now()

@@ -3,6 +3,8 @@ package pdn
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -831,6 +833,36 @@ func TestMultiLayerThermalProfile(t *testing.T) {
 			}
 		} else {
 			byXY[key] = temps[k]
+		}
+	}
+}
+
+// TestGenerateNetlistBytes pins the generated netlist byte for byte: node,
+// resistor and source names, element order and values all feed the node
+// numbering, and so the factor's arithmetic.
+func TestGenerateNetlistBytes(t *testing.T) {
+	square := PG1Spec()
+	square.NX, square.NY = 12, 12
+	oblong := PG1Spec()
+	oblong.NX, oblong.NY, oblong.PadPeriod = 9, 14, 4
+	for _, c := range []struct {
+		name string
+		spec GridSpec
+		want string
+	}{
+		{"PG1-12x12", square, "a3d2f21a15420af6802c4a71b28c4597e3fd1a51712d04645c0ccea7651c189e"},
+		{"9x14-pad4", oblong, "a738016aa25cc052a6ecb913197a0663c4e1d1204444ab36461881d3ca0c0ac6"},
+	} {
+		g, err := Generate(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := g.Netlist.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.want {
+			t.Errorf("%s: netlist sha256 %s, want %s", c.name, got, c.want)
 		}
 	}
 }

@@ -182,16 +182,28 @@ func (c *checkedSystem) Fail(k int) error {
 		c.rebases[len(c.rebases)-1]++
 	}
 	vdd := s.cfg.Grid.Spec.Vdd
+	now := presentOP(c.t, s)
 	for i := 0; i < s.circuit.NumNodes(); i++ {
 		name := s.circuit.NodeName(i)
 		if floating[name] {
 			continue
 		}
-		if d := math.Abs(s.opNow.VoltageAt(i)-nodeVolts(c.t, ref, name)) / vdd; d > c.worst {
+		if d := math.Abs(now.VoltageAt(i)-nodeVolts(c.t, ref, name)) / vdd; d > c.worst {
 			c.worst = d
 		}
 	}
 	return nil
+}
+
+// presentOP scatters the trial's present free-node solution into a fresh
+// operating point of the shared circuit, for per-node comparisons.
+func presentOP(t *testing.T, s *GridSystem) *spice.OP {
+	t.Helper()
+	op := s.circuit.NewOP()
+	if err := s.circuit.ScatterFree(op, s.casc.solution()); err != nil {
+		t.Fatal(err)
+	}
+	return op
 }
 
 // sameTrials fails unless got matches want's TTFs to 1e-9 and its failure
@@ -571,5 +583,114 @@ func TestCascadeMetricsExposed(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "\nemvia_pdn_cascade_steps_total 0\n") {
 		t.Error("cascade steps not counted")
+	}
+}
+
+// irCheckedSystem runs a GridSystem and, after BeginTrial and after every
+// Fail, requires Failed and WorstIRDropFrac to equal bit for bit what
+// spice.OP.WorstIRDropFrac reports for the present free-node solution
+// scattered into a fresh operating point. It counts the checked states, and
+// among them those past the criterion, those on a rebased cascade and those
+// whose lowest node is a pad.
+type irCheckedSystem struct {
+	*GridSystem
+	t                                *testing.T
+	checks, failed, rebased, padMins int
+}
+
+func (c *irCheckedSystem) BeginTrial(rng *rand.Rand) error {
+	if err := c.GridSystem.BeginTrial(rng); err != nil {
+		return err
+	}
+	c.check()
+	return nil
+}
+
+func (c *irCheckedSystem) Fail(k int) error {
+	if err := c.GridSystem.Fail(k); err != nil {
+		return err
+	}
+	c.check()
+	return nil
+}
+
+func (c *irCheckedSystem) check() {
+	c.t.Helper()
+	s := c.GridSystem
+	op := presentOP(c.t, s)
+	want := op.WorstIRDropFrac(s.cfg.Grid.Spec.Vdd)
+	if got := s.WorstIRDropFrac(); math.Float64bits(got) != math.Float64bits(want) {
+		c.t.Fatalf("after %d failures: WorstIRDropFrac %v, scattered operating point %v", s.FailedCount(), got, want)
+	}
+	failed, err := s.Failed()
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if failed != (want >= s.cfg.IRDropFrac) {
+		c.t.Fatalf("after %d failures: Failed %v at worst IR drop %v (threshold %v)", s.FailedCount(), failed, want, s.cfg.IRDropFrac)
+	}
+	c.checks++
+	if failed {
+		c.failed++
+	}
+	if s.casc.rb != nil {
+		c.rebased++
+	}
+	if _, node := op.MinVoltage(); s.circuit.IsPad(node) {
+		c.padMins++
+	}
+}
+
+// TestCascadeIRCriterionFromFreeSolution checks the IR-drop criterion read
+// from the cascade's free-node solution and the least pad voltage against
+// the operating point it replaces, on cascade steps, on rank-cap rebases,
+// and on a deck whose lowest node is a pad held 5 % below Vdd behind a
+// 1 kΩ resistor, so the pad minimum decides the early states.
+func TestCascadeIRCriterionFromFreeSolution(t *testing.T) {
+	lowPad := mustGrid(t, smallSpec(), 0.02)
+	nl := lowPad.Netlist
+	nl.Voltages = append(nl.Voltages, spice.VoltageSource{Name: "Vlow", Node: "nlow", Volts: 0.95 * lowPad.Spec.Vdd})
+	nl.Resistors = append(nl.Resistors, spice.Resistor{Name: "Rlow", A: "nlow", B: nodeName(2, 0, 0), Ohms: 1e3})
+	for _, c := range []struct {
+		name    string
+		g       *Grid
+		rankCap int // 0 keeps the system's own
+		padMins bool
+	}{
+		{"cascade", mustGrid(t, smallSpec(), 0.05), 0, false},
+		{"rebases", mustGrid(t, smallSpec(), 0.05), 3, false},
+		{"pad-minimum", lowPad, 0, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := TTFConfig{Grid: c.g, Models: testModels(refCurrentOf(t, c.g)), Criterion: IRDrop, IRDropFrac: 0.10}
+			sys, err := NewSystem(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.rankCap > 0 {
+				sys.rankCap = c.rankCap
+			}
+			if got := sys.WorstIRDropFrac(); got != 0 {
+				t.Fatalf("WorstIRDropFrac before any trial = %v, want 0", got)
+			}
+			checked := &irCheckedSystem{GridSystem: sys, t: t}
+			if _, err := mc.Run(checked, mc.Options{Trials: 4, Seed: 5, RunToCompletion: true}); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%d states checked: %d past the criterion, %d rebased, %d with a pad as the lowest node",
+				checked.checks, checked.failed, checked.rebased, checked.padMins)
+			if checked.failed == 0 || checked.failed == checked.checks {
+				t.Fatal("the checked states do not straddle the criterion")
+			}
+			if c.rankCap > 0 && checked.rebased == 0 {
+				t.Fatalf("no checked state on a rebased cascade with rank cap %d", c.rankCap)
+			}
+			if c.padMins && checked.padMins == 0 {
+				t.Fatal("no checked state had a pad as its lowest node")
+			}
+			if c.padMins && checked.padMins == checked.checks {
+				t.Fatal("every checked state had a pad as its lowest node")
+			}
+		})
 	}
 }

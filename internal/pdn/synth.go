@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -123,7 +124,7 @@ func PatternFor(ix, iy, nx, ny int) cudd.Pattern {
 
 // nodeName builds the benchmark-style node name n<layer>_<ix>_<iy>.
 func nodeName(layer, ix, iy int) string {
-	return fmt.Sprintf("n%d_%d_%d", layer, ix, iy)
+	return "n" + strconv.Itoa(layer) + "_" + strconv.Itoa(ix) + "_" + strconv.Itoa(iy)
 }
 
 // Generate synthesizes the grid netlist. Layer 1 is the lower (load) layer
@@ -134,49 +135,69 @@ func Generate(spec GridSpec) (*Grid, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	nl := &spice.Netlist{Title: spec.Name}
+	nx, ny := spec.NX, spec.NY
+	// Each node's name is built once and shared by every element on it;
+	// names[l-1][iy·nx+ix] is node (ix, iy) of layer l.
+	var names [2][]string
+	for l := range names {
+		names[l] = make([]string, nx*ny)
+		for iy := 0; iy < ny; iy++ {
+			for ix := 0; ix < nx; ix++ {
+				names[l][iy*nx+ix] = nodeName(l+1, ix, iy)
+			}
+		}
+	}
+	lower, upper := names[0], names[1]
+	start := spec.PadPeriod / 2 // first pad row and column (see below)
+	pads := (nx - start + spec.PadPeriod - 1) / spec.PadPeriod * ((ny - start + spec.PadPeriod - 1) / spec.PadPeriod)
+	nl := &spice.Netlist{
+		Title:     spec.Name,
+		Resistors: make([]spice.Resistor, 0, ny*(nx-1)+nx*(ny-1)+nx*ny),
+		Voltages:  make([]spice.VoltageSource, 0, pads),
+		Currents:  make([]spice.CurrentSource, 0, nx*ny),
+	}
 	seg := spec.SegmentResistance()
 
 	// Lower layer: horizontal stripes (constant iy), segments along ix.
 	rid := 0
-	for iy := 0; iy < spec.NY; iy++ {
-		for ix := 0; ix < spec.NX-1; ix++ {
+	for iy := 0; iy < ny; iy++ {
+		for ix := 0; ix < nx-1; ix++ {
 			rid++
 			nl.Resistors = append(nl.Resistors, spice.Resistor{
-				Name: fmt.Sprintf("R%d", rid),
-				A:    nodeName(1, ix, iy),
-				B:    nodeName(1, ix+1, iy),
+				Name: "R" + strconv.Itoa(rid),
+				A:    lower[iy*nx+ix],
+				B:    lower[iy*nx+ix+1],
 				Ohms: seg,
 			})
 		}
 	}
 	// Upper layer: vertical stripes (constant ix), segments along iy.
-	for ix := 0; ix < spec.NX; ix++ {
-		for iy := 0; iy < spec.NY-1; iy++ {
+	for ix := 0; ix < nx; ix++ {
+		for iy := 0; iy < ny-1; iy++ {
 			rid++
 			nl.Resistors = append(nl.Resistors, spice.Resistor{
-				Name: fmt.Sprintf("R%d", rid),
-				A:    nodeName(2, ix, iy),
-				B:    nodeName(2, ix, iy+1),
+				Name: "R" + strconv.Itoa(rid),
+				A:    upper[iy*nx+ix],
+				B:    upper[(iy+1)*nx+ix],
 				Ohms: seg,
 			})
 		}
 	}
 	// Via arrays at every intersection; remember their resistor indices.
-	g := &Grid{Spec: spec, Netlist: nl}
-	for iy := 0; iy < spec.NY; iy++ {
-		for ix := 0; ix < spec.NX; ix++ {
+	g := &Grid{Spec: spec, Netlist: nl, Vias: make([]ViaInfo, 0, nx*ny)}
+	for iy := 0; iy < ny; iy++ {
+		for ix := 0; ix < nx; ix++ {
 			rid++
 			nl.Resistors = append(nl.Resistors, spice.Resistor{
-				Name: fmt.Sprintf("Rv%d_%d", ix, iy),
-				A:    nodeName(1, ix, iy),
-				B:    nodeName(2, ix, iy),
+				Name: "Rv" + strconv.Itoa(ix) + "_" + strconv.Itoa(iy),
+				A:    lower[iy*nx+ix],
+				B:    upper[iy*nx+ix],
 				Ohms: spec.ViaArrayR,
 			})
 			g.Vias = append(g.Vias, ViaInfo{
 				IX:            ix,
 				IY:            iy,
-				Pattern:       PatternFor(ix, iy, spec.NX, spec.NY),
+				Pattern:       PatternFor(ix, iy, nx, ny),
 				ResistorIndex: len(nl.Resistors) - 1,
 			})
 		}
@@ -185,43 +206,34 @@ func Generate(spec GridSpec) (*Grid, error) {
 	// half a period in (so the grid perimeter is pad-free, like the
 	// benchmarks' C4 bump arrays).
 	vid := 0
-	start := spec.PadPeriod / 2
-	padCount := 0
-	for iy := start; iy < spec.NY; iy += spec.PadPeriod {
-		for ix := start; ix < spec.NX; ix += spec.PadPeriod {
+	for iy := start; iy < ny; iy += spec.PadPeriod {
+		for ix := start; ix < nx; ix += spec.PadPeriod {
 			vid++
 			nl.Voltages = append(nl.Voltages, spice.VoltageSource{
-				Name:  fmt.Sprintf("V%d", vid),
-				Node:  nodeName(2, ix, iy),
+				Name:  "V" + strconv.Itoa(vid),
+				Node:  upper[iy*nx+ix],
 				Volts: spec.Vdd,
 			})
-			padCount++
 		}
 	}
-	if padCount == 0 {
+	if vid == 0 {
 		return nil, fmt.Errorf("pdn: pad period %d leaves the %d×%d grid padless", spec.PadPeriod, spec.NX, spec.NY)
 	}
 	// Loads on the lower layer: every node draws a randomized share.
-	nLoads := spec.NX * spec.NY
-	weights := make([]float64, nLoads)
+	weights := make([]float64, nx*ny)
 	sum := 0.0
 	for i := range weights {
 		// 0.5–1.5× uniform spread around the mean share.
 		weights[i] = 0.5 + rng.Float64()
 		sum += weights[i]
 	}
-	iid := 0
-	for iy := 0; iy < spec.NY; iy++ {
-		for ix := 0; ix < spec.NX; ix++ {
-			iid++
-			amps := spec.TotalLoad * weights[iid-1] / sum
-			nl.Currents = append(nl.Currents, spice.CurrentSource{
-				Name: fmt.Sprintf("I%d", iid),
-				A:    nodeName(1, ix, iy),
-				B:    "0",
-				Amps: amps,
-			})
-		}
+	for i := range weights {
+		nl.Currents = append(nl.Currents, spice.CurrentSource{
+			Name: "I" + strconv.Itoa(i+1),
+			A:    lower[i],
+			B:    "0",
+			Amps: spec.TotalLoad * weights[i] / sum,
+		})
 	}
 	return g, nil
 }

@@ -119,7 +119,9 @@ func (c TTFConfig) Validate() error {
 // while trials run; each instance owns only its trial state. An IR-drop
 // trial's failures never edit or re-solve the shared factor: opening an
 // array is a low-rank update of the pristine solution (cascade.go), and only
-// a trial that outgrows the update rebases on a private refactored copy.
+// a trial that outgrows the update rebases on a private refactored copy. The
+// IR criterion reads the cascade's free-node solution and the least pad
+// voltage directly, so a cascade step builds no operating point.
 type GridSystem struct {
 	cfg TTFConfig
 
@@ -128,7 +130,8 @@ type GridSystem struct {
 	circuit *spice.Circuit
 	op0     *spice.OP  // pristine operating point
 	i0      []float64  // pristine per-array current magnitudes
-	y0      []float64  // pristine free-node solution (IR-drop only)
+	y0      []float64  // pristine free-node solution
+	padMin  float64    // least pad voltage (+Inf without pads)
 	terms   []viaTerms // per-array edit vector (IR-drop only)
 	cache   *responseCache
 	// rankCap is the update rank at which a trial rebases (cascadeRankCap);
@@ -139,16 +142,14 @@ type GridSystem struct {
 	alive       []bool
 	baseTTF     []float64
 	iNow        []float64
-	opNow       *spice.OP
 	failedCount int
 	failed      []int // arrays opened so far in this trial, in order
 
-	// Two spare operating points double-buffer the post-failure states
-	// inside a trial: Fail always writes the spare opNow does not occupy,
-	// so op0 is never overwritten and the inner loop allocates nothing.
-	opA, opB *spice.OP
-
+	// casc holds the trial's free-node solution (from BeginTrial on; its
+	// base is nil before) and rbOP the scratch operating point a rebase
+	// solves into, allocated on the first rebase.
 	casc cascade
+	rbOP *spice.OP
 	ws   solver.Workspace // this instance's solve scratch
 	rhs  []float64        // response right-hand sides, all zero between uses
 
@@ -197,18 +198,23 @@ func NewSystemCtx(ctx context.Context, cfg TTFConfig) (*GridSystem, error) {
 // operating point. Only IR-drop trials re-solve, so only they get the
 // cascade's shared state.
 func newSystem(cfg TTFConfig, circuit *spice.Circuit, op *spice.OP) (*GridSystem, error) {
-	s := &GridSystem{cfg: cfg, circuit: circuit, op0: op, met: newCascadeMetrics()}
+	s := &GridSystem{cfg: cfg, circuit: circuit, op0: op, met: newCascadeMetrics(), padMin: math.Inf(1)}
 	s.i0 = make([]float64, len(cfg.Grid.Vias))
 	for k, v := range cfg.Grid.Vias {
 		s.i0[k] = math.Abs(op.ResistorCurrent(v.ResistorIndex))
 	}
-	if cfg.Criterion != IRDrop {
-		return s, nil
+	for i := 0; i < circuit.NumNodes(); i++ {
+		if v := op.VoltageAt(i); circuit.IsPad(i) && v < s.padMin {
+			s.padMin = v
+		}
 	}
 	n := circuit.NumFree()
 	s.y0 = make([]float64, n)
 	if err := circuit.GatherFree(s.y0, op); err != nil {
 		return nil, err
+	}
+	if cfg.Criterion != IRDrop {
+		return s, nil
 	}
 	s.terms = make([]viaTerms, len(cfg.Grid.Vias))
 	for k, v := range cfg.Grid.Vias {
@@ -233,6 +239,7 @@ func (s *GridSystem) Clone() *GridSystem {
 		op0:        s.op0,
 		i0:         s.i0,
 		y0:         s.y0,
+		padMin:     s.padMin,
 		terms:      s.terms,
 		cache:      s.cache,
 		rankCap:    s.rankCap,
@@ -350,7 +357,6 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 	s.casc.restart(s.y0, nil)
 	s.failed = s.failed[:0]
 	s.failedCount = 0
-	s.opNow = s.op0
 	if s.candidates == nil {
 		for k := range s.alive {
 			s.alive[k] = true
@@ -454,12 +460,10 @@ func (s *GridSystem) Fail(k int) error {
 		return nil
 	}
 	s.failed = append(s.failed, k)
-	dst := s.spareOP()
-	x, err := s.open(k, dst)
+	x, err := s.open(k)
 	if err != nil {
 		return fmt.Errorf("pdn: re-solve after failing array %d: %w", k, err)
 	}
-	s.opNow = dst
 	if s.candidates == nil {
 		for i := range s.cfg.Grid.Vias {
 			s.updateCurrent(i, x)
@@ -471,18 +475,6 @@ func (s *GridSystem) Fail(k int) error {
 		s.updateCurrent(i, x)
 	}
 	return nil
-}
-
-// spareOP returns the operating point opNow does not occupy, allocating the
-// pair on first use.
-func (s *GridSystem) spareOP() *spice.OP {
-	if s.opA == nil {
-		s.opA, s.opB = s.circuit.NewOP(), s.circuit.NewOP()
-	}
-	if s.opNow == s.opA {
-		return s.opB
-	}
-	return s.opA
 }
 
 // updateCurrent refreshes array i's present current from the free-node
@@ -503,10 +495,7 @@ func (s *GridSystem) Failed() (bool, error) {
 	case WeakestLink:
 		return s.failedCount >= 1, nil
 	case IRDrop:
-		if s.opNow == nil {
-			return false, nil
-		}
-		return s.opNow.WorstIRDropFrac(s.cfg.Grid.Spec.Vdd) >= s.cfg.IRDropFrac, nil
+		return s.WorstIRDropFrac() >= s.cfg.IRDropFrac, nil
 	}
 	return false, fmt.Errorf("pdn: unknown criterion %d", int(s.cfg.Criterion))
 }
@@ -521,12 +510,24 @@ func (s *GridSystem) ComponentLabel(k int) string {
 // FailedCount returns the number of failed arrays in the current trial.
 func (s *GridSystem) FailedCount() int { return s.failedCount }
 
-// WorstIRDropFrac exposes the current worst IR drop (for tests/diagnostics).
+// WorstIRDropFrac returns the worst IR drop of the trial's present state as a
+// fraction of Vdd, 0 before the first BeginTrial. The lowest node voltage is
+// the least of the free-node solution and the least pad voltage: the value
+// spice.OP.MinVoltage would return for the solution scattered into an
+// operating point, without building one.
 func (s *GridSystem) WorstIRDropFrac() float64 {
-	if s.opNow == nil {
+	x := s.casc.solution()
+	if x == nil {
 		return 0
 	}
-	return s.opNow.WorstIRDropFrac(s.cfg.Grid.Spec.Vdd)
+	v := s.padMin
+	for _, xi := range x {
+		if xi < v {
+			v = xi
+		}
+	}
+	vdd := s.cfg.Grid.Spec.Vdd
+	return (vdd - v) / vdd
 }
 
 // Analyze runs the grid level of the flow (Algorithm 1, step 2) with the

@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"emvia/internal/sparse"
 	"emvia/internal/telemetry"
@@ -127,11 +126,14 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR, invp []int) {
 	n := c.n
 
 	// Upper triangle of the permuted pattern plus raw A-scatter tuples
-	// (permuted row, permuted col, CSR slot).
+	// (permuted row, permuted col, CSR slot). A symmetric pattern with a full
+	// diagonal (every MNA matrix: gmin ties each free node to ground) has
+	// exactly (nnz−n)/2 strictly-upper and (nnz+n)/2 upper entries.
+	nnzA := a.NNZ()
 	upPtr := make([]int, n+1)
-	var upCols []int32
+	upCols := make([]int32, 0, max(nnzA-n, 0)/2)
 	type atup struct{ k, j, slot int32 }
-	var atups []atup
+	atups := make([]atup, 0, (nnzA+n)/2)
 	for k := 0; k < n; k++ {
 		orig := c.perm[k]
 		cols, _ := a.Row(orig)
@@ -169,30 +171,23 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR, invp []int) {
 		}
 	}
 
-	// Row patterns via ereach, and per-column counts.
-	rowptr := make([]int, n+1)
-	var srow []int32
+	// Row patterns via ereach, in two passes: the first counts each column's
+	// entries, the second writes row k into the columns it touches. Rows are
+	// visited with k ascending, so every column's row list comes out sorted
+	// without sorting the (unordered) ereach output.
 	colcount := make([]int, n)
 	stamp := make([]int, n)
 	for i := range stamp {
 		stamp[i] = -1
 	}
-	scratch := make([]int, 0, 64)
 	for k := 0; k < n; k++ {
 		stamp[k] = k
-		scratch = scratch[:0]
 		for t := upPtr[k]; t < upPtr[k+1]; t++ {
 			for i := int(upCols[t]); stamp[i] != k; i = parent[i] {
 				stamp[i] = k
-				scratch = append(scratch, i)
+				colcount[i]++
 			}
 		}
-		sort.Ints(scratch)
-		for _, j := range scratch {
-			srow = append(srow, int32(j))
-			colcount[j]++
-		}
-		rowptr[k+1] = len(srow)
 	}
 
 	// Supernode partition: fundamental supernodes from the etree chain rule,
@@ -263,12 +258,16 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR, invp []int) {
 	for j := 0; j < n; j++ {
 		rowind[colptr[j]] = int32(j)
 		cpos[j] = colptr[j] + 1
+		stamp[j] = -1
 	}
 	for k := 0; k < n; k++ {
-		for t := rowptr[k]; t < rowptr[k+1]; t++ {
-			j := srow[t]
-			rowind[cpos[j]] = int32(k)
-			cpos[j]++
+		stamp[k] = k
+		for t := upPtr[k]; t < upPtr[k+1]; t++ {
+			for i := int(upCols[t]); stamp[i] != k; i = parent[i] {
+				stamp[i] = k
+				rowind[cpos[i]] = int32(k)
+				cpos[i]++
+			}
 		}
 	}
 
@@ -338,41 +337,42 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR, invp []int) {
 	}
 
 	// Static update lists: for each source supernode d, group the tail of its
-	// row list (positions ≥ width) into runs per target supernode. Iterating
+	// row list (positions ≥ width) into runs per target supernode. A first
+	// walk counts each target's runs, a second writes them in place. Iterating
 	// d ascending keeps every target's list sorted by source — the fixed
 	// update order the determinism argument relies on.
-	updCount := make([]int, c.nsup+1)
-	type updTup struct{ tgt, src, rs, nc int32 }
-	var utups []updTup
-	for d := 0; d < c.nsup; d++ {
-		w := int(c.snCol[d+1] - c.snCol[d])
-		rows := c.snRows[c.snRptr[d]:c.snRptr[d+1]]
-		for u := w; u < len(rows); {
-			tgt := c.snOf[rows[u]]
-			v := u
-			for v < len(rows) && c.snOf[rows[v]] == tgt {
-				v++
+	c.uptr = make([]int, c.nsup+1)
+	forRuns := func(emit func(tgt, d, u, v int32)) {
+		for d := 0; d < c.nsup; d++ {
+			w := int(c.snCol[d+1] - c.snCol[d])
+			rows := c.snRows[c.snRptr[d]:c.snRptr[d+1]]
+			for u := w; u < len(rows); {
+				tgt := c.snOf[rows[u]]
+				v := u
+				for v < len(rows) && c.snOf[rows[v]] == tgt {
+					v++
+				}
+				emit(tgt, int32(d), int32(u), int32(v))
+				u = v
 			}
-			utups = append(utups, updTup{tgt, int32(d), int32(u), int32(v - u)})
-			updCount[tgt+1]++
-			u = v
 		}
 	}
-	c.uptr = make([]int, c.nsup+1)
+	forRuns(func(tgt, _, _, _ int32) { c.uptr[tgt+1]++ })
 	for s := 0; s < c.nsup; s++ {
-		c.uptr[s+1] = c.uptr[s] + updCount[s+1]
+		c.uptr[s+1] += c.uptr[s]
 	}
-	c.updSrc = make([]int32, len(utups))
-	c.updRS = make([]int32, len(utups))
-	c.updNC = make([]int32, len(utups))
+	nupd := c.uptr[c.nsup]
+	c.updSrc = make([]int32, nupd)
+	c.updRS = make([]int32, nupd)
+	c.updNC = make([]int32, nupd)
 	copy(fillpos, c.uptr[:c.nsup])
-	for _, t := range utups {
-		p := fillpos[t.tgt]
-		c.updSrc[p] = t.src
-		c.updRS[p] = t.rs
-		c.updNC[p] = t.nc
-		fillpos[t.tgt] = p + 1
-	}
+	forRuns(func(tgt, d, u, v int32) {
+		p := fillpos[tgt]
+		c.updSrc[p] = d
+		c.updRS[p] = u
+		c.updNC[p] = v - u
+		fillpos[tgt] = p + 1
+	})
 
 	c.ws.grow(n)
 	c.initScratch()

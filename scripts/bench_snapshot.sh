@@ -6,10 +6,14 @@
 #
 # The snapshot protocol is fixed so numbers recorded across commits — e.g.
 # the baseline/current sections of BENCH_1.json and BENCH_2.json — are
-# comparable: the grid benchmarks run at -benchtime=100x (their op is sub-ms),
-# the large GridSolve tiers (nx200/nx400, ~20–80 ms/op) at -benchtime=10x,
+# comparable: the grid benchmarks and the small GridSolve tiers (nx10–nx64,
+# a cold pristine solve of up to ~35 ms) run at -benchtime=100x, the large
+# GridSolve tiers (nx100/nx200, ~0.1 s and ~0.6 s per op) at -benchtime=10x,
 # and the FEA benchmarks at -benchtime=10x (their op is ~0.1–1 s), all with
-# -count=1 -benchmem. Parsing keys on the unit tokens, not field positions,
+# -count=1 -benchmem. GridSolve now times the cold solve a job pays on a
+# freshly generated grid; the GridSolve entries of BENCH_1–BENCH_5 (tiers up
+# to nx80/nx400) timed MaxViaCurrent on one pre-built grid and are not
+# comparable. Parsing keys on the unit tokens, not field positions,
 # because some benchmarks report extra custom metrics. The supernodal
 # group reports SparseCholeskyFactorSupernodal_{Refactor,CloneRefactor,
 # Solve16}; BENCH_4/BENCH_5 list the since-deleted Refactor_w1..w8 and
@@ -21,8 +25,8 @@ tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
 grid_benches='BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactorSupernodal'
-grid_small='BenchmarkGridSolve/^nx(10|20|40|80)$'
-grid_large='BenchmarkGridSolve/^nx(200|400)$|BenchmarkGridMCScreened|BenchmarkGridMCSharded'
+grid_small='BenchmarkGridSolve/^nx(10|20|40|64)$'
+grid_large='BenchmarkGridSolve/^nx(100|200)$|BenchmarkGridMCScreened|BenchmarkGridMCSharded'
 fea_benches='BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEAWorkers|BenchmarkStressCacheWarm'
 
 go test -run '^$' -bench "$grid_benches" \
