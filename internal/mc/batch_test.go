@@ -25,21 +25,18 @@ func (s *preparerSystem) PrepareTrials(seeds []int64) error {
 
 func TestBatchGroupingAnnouncesEveryTrial(t *testing.T) {
 	sys := &preparerSystem{randomSystem: randomSystem{n: 4, critK: 1}}
-	opt := Options{Trials: 23, Seed: 99, BatchTrials: 5}
+	opt := Options{Trials: 37, Seed: 99}
 	if _, err := Run(sys, opt); err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.groups) != 5 {
-		t.Fatalf("PrepareTrials called %d times, want 5 groups for 23 trials of 5", len(sys.groups))
+	want := []int{16, 16, 5}
+	if len(sys.groups) != len(want) {
+		t.Fatalf("PrepareTrials called %d times, want %d groups for 37 trials of 16", len(sys.groups), len(want))
 	}
 	trial := 0
 	for gi, g := range sys.groups {
-		want := 5
-		if gi == 4 {
-			want = 3
-		}
-		if len(g) != want {
-			t.Fatalf("group %d has %d seeds, want %d", gi, len(g), want)
+		if len(g) != want[gi] {
+			t.Fatalf("group %d has %d seeds, want %d", gi, len(g), want[gi])
 		}
 		for _, sd := range g {
 			if sd != trialSeed(opt.Seed, trial) {
@@ -53,26 +50,17 @@ func TestBatchGroupingAnnouncesEveryTrial(t *testing.T) {
 	}
 }
 
-func TestBatchDisabledSkipsPreparer(t *testing.T) {
-	sys := &preparerSystem{randomSystem: randomSystem{n: 4, critK: 1}}
-	if _, err := Run(sys, Options{Trials: 8, Seed: 7, BatchTrials: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if len(sys.groups) != 0 {
-		t.Fatalf("BatchTrials<0 must never call PrepareTrials, got %d calls", len(sys.groups))
-	}
-}
-
 func TestBatchParallelMatchesSerial(t *testing.T) {
-	// Group dispatch must not perturb results: serial ungrouped,
-	// grouped-serial, and grouped-parallel runs of the same seeded system
-	// agree bitwise for any worker count.
-	base, err := Run(&randomSystem{n: 6, critK: 1}, Options{Trials: 37, Seed: 5, RunToCompletion: true, BatchTrials: -1})
+	// Group dispatch must not perturb results: a system without a preparer,
+	// and grouped serial and parallel runs of a preparer system, agree
+	// bitwise for any worker count.
+	opt := Options{Trials: 37, Seed: 5, RunToCompletion: true}
+	base, err := Run(&randomSystem{n: 6, critK: 1}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 3} {
-		opt := Options{Trials: 37, Seed: 5, RunToCompletion: true, BatchTrials: 4, Workers: workers}
+		opt.Workers = workers
 		var got *Result
 		if workers == 0 {
 			got, err = Run(&preparerSystem{randomSystem: randomSystem{n: 6, critK: 1}}, opt)

@@ -11,6 +11,12 @@
 // where rate_i is the system-reported relative aging rate (1 at trial
 // start, (j_new/j_0)² after redistribution, per the TTF ∝ 1/j² scaling of
 // the nucleation model).
+//
+// Run and RunParallel drive the same worker body: Run calls it once on the
+// calling goroutine with the caller's system, RunParallel starts it in each
+// of its worker goroutines. Either way every trial runs the same scan over
+// the candidate list — every component, or a steady screen's mortal subset —
+// so a result does not depend on the entry point or the worker count.
 package mc
 
 import (
@@ -54,7 +60,7 @@ type System interface {
 // TrialPreparer is optionally implemented by Systems that can precompute
 // state shared by a group of upcoming trials — e.g. batching the linear
 // solves that seed each trial's first failure into one multi-RHS sweep.
-// The engine calls PrepareTrials with the seeds of the next BatchTrials
+// The engine calls PrepareTrials with the seeds of the next trialGroup
 // consecutive trials right before running them (in order, on the same
 // system instance), so an implementation may key its precomputation to the
 // seeds and serve it back during BeginTrial/Fail. Preparation must not
@@ -66,8 +72,11 @@ type TrialPreparer interface {
 	PrepareTrials(seeds []int64) error
 }
 
-// defaultBatchTrials is the trial-group size when BatchTrials is 0.
-const defaultBatchTrials = 16
+// trialGroup is the number of consecutive trials a worker claims at once,
+// and hands to a TrialPreparer ahead of running them. Group boundaries
+// depend only on the trial index, never on the worker count, so results
+// stay bit-identical for any worker budget.
+const trialGroup = 16
 
 // Engine names an analysis backend selected by the -engine flag. The
 // Monte-Carlo engine only ever runs EngineMC and EngineBoth configurations;
@@ -128,20 +137,11 @@ type Options struct {
 	// Workers bounds the number of worker goroutines of RunParallel; zero
 	// selects runtime.GOMAXPROCS(0), negative values are rejected by
 	// Validate. Results are bit-identical for any value thanks to per-trial
-	// seeding. Ignored by Run.
+	// seeding.
 	Workers int
 	// TraceLabel names this run in structured traces (see internal/trace);
 	// empty selects "mc".
 	TraceLabel string
-	// BatchTrials sets the trial-group size: trials are dispatched to
-	// workers in fixed consecutive groups of this size, and a System that
-	// implements TrialPreparer is given each group's seeds ahead of running
-	// it. 0 selects the default (16); negative disables batching entirely
-	// (group size 1 and PrepareTrials never called — the legacy per-trial
-	// path, which batching-aware Systems must reproduce exactly). Group
-	// boundaries depend only on the trial index, never on Workers, so
-	// results stay bit-identical for any worker count.
-	BatchTrials int
 	// Engine names the analysis backend (ParseEngine: "mc", "steady" or
 	// "both"; empty = mc). pdn.Analyze reads it to choose between the full
 	// Monte Carlo, the steady screen alone and the screened Monte Carlo. To
@@ -151,8 +151,8 @@ type Options struct {
 	// Candidates restricts each trial to a subset of failure candidates
 	// (len == NumComponents, true = candidate): non-candidates are never
 	// sampled, scanned or failed, the screening contract of the steady
-	// engine. Nil — the default — is the legacy unscreened path, preserved
-	// byte for byte. The slice is shared across workers read-only.
+	// engine. Nil — the default — makes every component a candidate. The
+	// slice is shared across workers read-only.
 	Candidates []bool
 }
 
@@ -193,24 +193,23 @@ func (o Options) Validate() error {
 
 // candidateIdx resolves the candidate mask against a system: it validates
 // the length, installs the mask on CandidateMasker systems, and returns the
-// ascending candidate index list the trial loop scans (nil for the legacy
-// unmasked path).
+// ascending candidate index list the trial loop scans — every component
+// when there is no mask.
 func candidateIdx(sys System, opt Options) ([]int, error) {
-	if opt.Candidates == nil {
-		return nil, nil
-	}
 	n := sys.NumComponents()
-	if len(opt.Candidates) != n {
-		return nil, fmt.Errorf("mc: Candidates has %d entries for %d components", len(opt.Candidates), n)
-	}
-	if cm, ok := sys.(CandidateMasker); ok {
-		if err := cm.SetCandidates(opt.Candidates); err != nil {
-			return nil, fmt.Errorf("mc: installing candidate mask: %w", err)
+	if opt.Candidates != nil {
+		if len(opt.Candidates) != n {
+			return nil, fmt.Errorf("mc: Candidates has %d entries for %d components", len(opt.Candidates), n)
+		}
+		if cm, ok := sys.(CandidateMasker); ok {
+			if err := cm.SetCandidates(opt.Candidates); err != nil {
+				return nil, fmt.Errorf("mc: installing candidate mask: %w", err)
+			}
 		}
 	}
 	idx := make([]int, 0, n)
-	for i, c := range opt.Candidates {
-		if c {
+	for i := 0; i < n; i++ {
+		if opt.Candidates == nil || opt.Candidates[i] {
 			idx = append(idx, i)
 		}
 	}
@@ -223,31 +222,6 @@ func (o Options) traceLabel() string {
 		return o.TraceLabel
 	}
 	return "mc"
-}
-
-// groupSize resolves BatchTrials to the effective trial-group size.
-func (o Options) groupSize() int {
-	switch {
-	case o.BatchTrials < 0:
-		return 1
-	case o.BatchTrials == 0:
-		return defaultBatchTrials
-	}
-	return o.BatchTrials
-}
-
-// prepareGroup hands the seeds of local trials [g0, g1) to a preparer
-// system (global indices shifted by FirstTrial). seeds is the caller's
-// scratch buffer, returned grown.
-func prepareGroup(p TrialPreparer, opt Options, g0, g1 int, seeds []int64) ([]int64, error) {
-	seeds = seeds[:0]
-	for t := g0; t < g1; t++ {
-		seeds = append(seeds, trialSeed(opt.Seed, opt.FirstTrial+t))
-	}
-	if err := p.PrepareTrials(seeds); err != nil {
-		return seeds, fmt.Errorf("mc: preparing trials %d..%d: %w", g0, g1-1, err)
-	}
-	return seeds, nil
 }
 
 // ComponentLabeler is optionally implemented by Systems that can name their
@@ -352,62 +326,12 @@ func trialSeed(seed int64, trial int) int64 {
 	return int64(x)
 }
 
-// Run executes the Monte-Carlo loop serially on one system instance.
+// Run executes the Monte-Carlo loop on one system instance: RunParallel's
+// worker body, called once on the calling goroutine with sys, so a System
+// may end the run from inside its methods with runtime.Goexit (testing's
+// t.Fatal).
 func Run(sys System, opt Options) (*Result, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		TTF:        make([]float64, opt.Trials),
-		Events:     make([][]float64, opt.Trials),
-		EventComps: make([][]int, opt.Trials),
-	}
-	// One generator and one scratch buffer set serve every trial: reseeding
-	// with the per-trial seed reproduces exactly the stream a fresh
-	// generator would, so results are unchanged while the loop stops
-	// allocating.
-	rng := rand.New(rand.NewSource(trialSeed(opt.Seed, 0)))
-	var scratch trialScratch
-	met := newRunMetrics()
-	run := trace.Default().BeginRun(opt.traceLabel(), opt.Trials)
-	defer run.End()
-	labeler, _ := sys.(ComponentLabeler)
-	idxs, err := candidateIdx(sys, opt)
-	if err != nil {
-		return nil, err
-	}
-	if idxs != nil {
-		met.observeMask(sys.NumComponents(), len(idxs))
-	}
-	var preparer TrialPreparer
-	if opt.BatchTrials >= 0 {
-		preparer, _ = sys.(TrialPreparer)
-	}
-	batch := opt.groupSize()
-	var seeds []int64
-	t0 := met.runSeconds.Start()
-	for g0 := 0; g0 < opt.Trials; g0 += batch {
-		g1 := min(g0+batch, opt.Trials)
-		if preparer != nil {
-			var err error
-			if seeds, err = prepareGroup(preparer, opt, g0, g1, seeds); err != nil {
-				return nil, err
-			}
-		}
-		for t := g0; t < g1; t++ {
-			rng.Seed(trialSeed(opt.Seed, opt.FirstTrial+t))
-			ttf, events, comps, err := runTrial(sys, rng, opt.RunToCompletion, idxs, &scratch, &met, run.Trial(t), labeler)
-			if err != nil {
-				return nil, fmt.Errorf("mc: trial %d: %w", t, err)
-			}
-			res.TTF[t] = ttf
-			res.Events[t] = events
-			res.EventComps[t] = comps
-			met.reg.ProgressTick("mc", int64(t+1), int64(opt.Trials))
-		}
-	}
-	met.runSeconds.ObserveSince(t0)
-	return res, nil
+	return run(context.Background(), opt, 1, func() (System, error) { return sys, nil })
 }
 
 // RunParallel executes trials across workers, each with its own System from
@@ -421,117 +345,138 @@ func RunParallel(newSys func() (System, error), opt Options) (*Result, error) {
 // trial's wall time per worker. The returned error wraps ctx.Err() unless a
 // trial failed first (the first failure of any kind wins).
 func RunParallelCtx(ctx context.Context, newSys func() (System, error), opt Options) (*Result, error) {
+	return run(ctx, opt, opt.Workers, newSys)
+}
+
+// run validates opt, then runs the worker body over up to workers systems
+// from newSys (0 = one per CPU). A single worker runs on the calling
+// goroutine.
+func run(ctx context.Context, opt Options, workers int, newSys func() (System, error)) (*Result, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	batch := opt.groupSize()
-	if groups := (opt.Trials + batch - 1) / batch; workers > groups {
+	if groups := (opt.Trials + trialGroup - 1) / trialGroup; workers > groups {
 		workers = groups
 	}
-	res := &Result{
+	d := &dispatch{ctx: ctx, opt: opt, met: newRunMetrics(), res: &Result{
 		TTF:        make([]float64, opt.Trials),
 		Events:     make([][]float64, opt.Trials),
 		EventComps: make([][]int, opt.Trials),
+	}}
+	d.run = trace.Default().BeginRun(opt.traceLabel(), opt.Trials)
+	defer d.run.End()
+	t0 := d.met.runSeconds.Start()
+	if workers == 1 {
+		d.work(newSys)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				d.work(newSys)
+			}()
+		}
+		wg.Wait()
 	}
-	met := newRunMetrics()
-	run := trace.Default().BeginRun(opt.traceLabel(), opt.Trials)
-	defer run.End()
+	d.met.runSeconds.ObserveSince(t0)
+	// Every worker has returned, which orders every once.Do before this
+	// read; no lock needed.
+	if d.firstErr != nil {
+		return nil, d.firstErr
+	}
+	return d.res, nil
+}
+
+// dispatch is the state the workers of one run share. Trial dispatch is a
+// lock-free atomic fetch-add over whole trial groups — workers never contend
+// on a mutex in the hot loop. Errors are confined to a sync.Once (the first
+// one wins) plus a stop flag that drains the remaining workers.
+type dispatch struct {
+	ctx      context.Context
+	opt      Options
+	met      runMetrics // run-level handles: runSeconds and the mask split
+	res      *Result
+	run      *trace.Run
+	next     atomic.Int64 // groups claimed
+	done     atomic.Int64 // trials finished, for progress ticks
+	stop     atomic.Bool
+	once     sync.Once
+	maskOnce sync.Once
+	firstErr error
+}
+
+func (d *dispatch) fail(err error) {
+	d.once.Do(func() { d.firstErr = err })
+	d.stop.Store(true)
+}
+
+// work is the worker body: it builds a system, resolves the candidate mask
+// against it, then claims trial groups until none are left. The group →
+// trial mapping is a pure function of the options, so a preparer system sees
+// exactly the same groups whichever worker claims each.
+func (d *dispatch) work(newSys func() (System, error)) {
+	opt := d.opt
+	sys, err := newSys()
+	if err != nil {
+		d.fail(err)
+		return
+	}
+	idxs, err := candidateIdx(sys, opt)
+	if err != nil {
+		d.fail(err)
+		return
+	}
 	if opt.Candidates != nil {
-		nc := 0
-		for _, c := range opt.Candidates {
-			if c {
-				nc++
+		d.maskOnce.Do(func() { d.met.observeMask(len(opt.Candidates), len(idxs)) })
+	}
+	// One generator and one scratch buffer set serve every trial the worker
+	// runs: reseeding with the per-trial seed reproduces exactly the stream
+	// a fresh generator would, so the loop stops allocating.
+	rng := rand.New(rand.NewSource(trialSeed(opt.Seed, 0)))
+	var scratch trialScratch
+	met := newRunMetrics()
+	labeler, _ := sys.(ComponentLabeler)
+	preparer, _ := sys.(TrialPreparer)
+	var seeds []int64
+	for !d.stop.Load() {
+		g0 := (int(d.next.Add(1)) - 1) * trialGroup
+		if g0 >= opt.Trials {
+			return
+		}
+		g1 := min(g0+trialGroup, opt.Trials)
+		if preparer != nil {
+			seeds = seeds[:0]
+			for t := g0; t < g1; t++ {
+				seeds = append(seeds, trialSeed(opt.Seed, opt.FirstTrial+t))
+			}
+			if err := preparer.PrepareTrials(seeds); err != nil {
+				d.fail(fmt.Errorf("mc: preparing trials %d..%d: %w", g0, g1-1, err))
+				return
 			}
 		}
-		met.observeMask(len(opt.Candidates), nc)
-	}
-	t0 := met.runSeconds.Start()
-	// Trial dispatch is a lock-free atomic fetch-add — workers never contend
-	// on a mutex in the hot loop. Errors are confined to a sync.Once (the
-	// first one wins) plus a stop flag that drains the remaining workers.
-	var (
-		wg       sync.WaitGroup
-		next     atomic.Int64
-		done     atomic.Int64
-		stop     atomic.Bool
-		once     sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		once.Do(func() { firstErr = err })
-		stop.Store(true)
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sys, err := newSys()
-			if err != nil {
-				fail(err)
+		for t := g0; t < g1; t++ {
+			if err := d.ctx.Err(); err != nil {
+				d.fail(fmt.Errorf("mc: canceled at trial %d of %d: %w", t, opt.Trials, err))
 				return
 			}
-			rng := rand.New(rand.NewSource(trialSeed(opt.Seed, 0)))
-			var scratch trialScratch
-			met := newRunMetrics() // per-worker handles; runSeconds tracked by the dispatcher
-			labeler, _ := sys.(ComponentLabeler)
-			idxs, err := candidateIdx(sys, opt)
+			rng.Seed(trialSeed(opt.Seed, opt.FirstTrial+t))
+			ttf, events, comps, err := runTrial(sys, rng, opt.RunToCompletion, idxs, &scratch, &met, d.run.Trial(t), labeler)
 			if err != nil {
-				fail(err)
+				d.fail(fmt.Errorf("mc: trial %d: %w", t, err))
 				return
 			}
-			var preparer TrialPreparer
-			if opt.BatchTrials >= 0 {
-				preparer, _ = sys.(TrialPreparer)
+			d.res.TTF[t] = ttf
+			d.res.Events[t] = events
+			d.res.EventComps[t] = comps
+			if met.reg != nil {
+				met.reg.ProgressTick("mc", d.done.Add(1), int64(opt.Trials))
 			}
-			var seeds []int64
-			// Workers claim whole trial groups: the group → trial mapping is a
-			// pure function of the options, so a preparer system sees exactly
-			// the groups a serial run would, whichever worker claims each.
-			for !stop.Load() {
-				g0 := (int(next.Add(1)) - 1) * batch
-				if g0 >= opt.Trials {
-					return
-				}
-				g1 := min(g0+batch, opt.Trials)
-				if preparer != nil {
-					var err error
-					if seeds, err = prepareGroup(preparer, opt, g0, g1, seeds); err != nil {
-						fail(err)
-						return
-					}
-				}
-				for t := g0; t < g1; t++ {
-					if err := ctx.Err(); err != nil {
-						fail(fmt.Errorf("mc: canceled at trial %d of %d: %w", t, opt.Trials, err))
-						return
-					}
-					rng.Seed(trialSeed(opt.Seed, opt.FirstTrial+t))
-					ttf, events, comps, err := runTrial(sys, rng, opt.RunToCompletion, idxs, &scratch, &met, run.Trial(t), labeler)
-					if err != nil {
-						fail(fmt.Errorf("mc: trial %d: %w", t, err))
-						return
-					}
-					res.TTF[t] = ttf
-					res.Events[t] = events
-					res.EventComps[t] = comps
-					if met.reg != nil {
-						met.reg.ProgressTick("mc", done.Add(1), int64(opt.Trials))
-					}
-				}
-			}
-		}()
+		}
 	}
-	wg.Wait()
-	met.runSeconds.ObserveSince(t0)
-	// wg.Wait orders every once.Do before this read; no lock needed.
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return res, nil
 }
 
 // trialScratch holds the per-trial buffers a worker reuses across the trials
@@ -556,104 +501,61 @@ func (s *trialScratch) reserve(n int) {
 	s.alive = s.alive[:n]
 }
 
-// runTrial performs one sequential-failure trial. idxs is the ascending
-// candidate index list of a screened run (nil = every component); only
-// listed components are sampled, scanned and failed, which is what turns a
-// mortal-subset mask into wall-clock savings on large systems. tt is the
-// trial's trace recorder (the zero value when tracing is off) and lab the
-// optional component namer; both are strictly observational.
+// runTrial performs one sequential-failure trial over the ascending
+// candidate index list idxs: only listed components are sampled, scanned
+// and failed, which is what turns a mortal-subset mask into wall-clock
+// savings on large systems, and an unmasked run lists every component. tt is
+// the trial's trace recorder (the zero value when tracing is off) and lab
+// the optional component namer; both are strictly observational.
 func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch *trialScratch, met *runMetrics, tt trace.Trial, lab ComponentLabeler) (systemTTF float64, events []float64, comps []int, err error) {
 	trial0 := met.trialSeconds.Start()
 	if err := sys.BeginTrial(rng); err != nil {
 		return 0, nil, nil, fmt.Errorf("BeginTrial: %w", err)
 	}
 	n := sys.NumComponents()
-	nc := n
-	if idxs != nil {
-		nc = len(idxs)
-	}
 	tt.Begin(n)
 	scratch.reserve(n)
 	damage, base, rates, alive := scratch.damage, scratch.base, scratch.rates, scratch.alive
-	if idxs == nil {
-		for i := range damage {
-			damage[i] = 0
-			base[i] = sys.BaseTTF(i)
-			alive[i] = true
-			tt.Sample(i, base[i])
-		}
-	} else {
-		// A worker's scratch serves one run, hence one mask: entries outside
-		// it keep the zero damage and false liveness of the allocation, so
-		// only the candidates need resetting.
-		for _, i := range idxs {
-			damage[i] = 0
-			base[i] = sys.BaseTTF(i)
-			alive[i] = true
-			tt.Sample(i, base[i])
-		}
+	// A worker's scratch serves one run, hence one candidate list: entries
+	// outside it keep the zero damage and false liveness of the allocation,
+	// so only the candidates need resetting.
+	for _, i := range idxs {
+		damage[i] = 0
+		base[i] = sys.BaseTTF(i)
+		alive[i] = true
+		tt.Sample(i, base[i])
 	}
 	now := 0.0
 	systemTTF = math.Inf(1)
 	systemFailed := false
 
-	for remaining := nc; remaining > 0; remaining-- {
-		// Find the component with the least remaining life. The unmasked and
-		// masked scans are spelled out separately to keep the legacy hot loop
-		// exactly as it was and the masked one free of a full-range sweep.
+	for remaining := len(idxs); remaining > 0; remaining-- {
+		// Find the component with the least remaining life.
 		minDt := math.Inf(1)
 		minIdx := -1
-		if idxs == nil {
-			for i := 0; i < n; i++ {
-				if !alive[i] {
-					continue
-				}
-				rate := sys.AgingRate(i)
-				if rate < 0 || math.IsNaN(rate) {
-					return 0, nil, nil, fmt.Errorf("component %d: invalid aging rate %g", i, rate)
-				}
-				rates[i] = rate
-				left := base[i] - damage[i]
-				if left < 0 {
-					left = 0
-				}
-				var dt float64
-				switch {
-				case rate == 0:
-					dt = math.Inf(1)
-				default:
-					dt = left / rate
-				}
-				if dt < minDt {
-					minDt = dt
-					minIdx = i
-				}
+		for _, i := range idxs {
+			if !alive[i] {
+				continue
 			}
-		} else {
-			for _, i := range idxs {
-				if !alive[i] {
-					continue
-				}
-				rate := sys.AgingRate(i)
-				if rate < 0 || math.IsNaN(rate) {
-					return 0, nil, nil, fmt.Errorf("component %d: invalid aging rate %g", i, rate)
-				}
-				rates[i] = rate
-				left := base[i] - damage[i]
-				if left < 0 {
-					left = 0
-				}
-				var dt float64
-				switch {
-				case rate == 0:
-					dt = math.Inf(1)
-				default:
-					dt = left / rate
-				}
-				if dt < minDt {
-					minDt = dt
-					minIdx = i
-				}
+			rate := sys.AgingRate(i)
+			if rate < 0 || math.IsNaN(rate) {
+				return 0, nil, nil, fmt.Errorf("component %d: invalid aging rate %g", i, rate)
+			}
+			rates[i] = rate
+			left := base[i] - damage[i]
+			if left < 0 {
+				left = 0
+			}
+			var dt float64
+			switch {
+			case rate == 0:
+				dt = math.Inf(1)
+			default:
+				dt = left / rate
+			}
+			if dt < minDt {
+				minDt = dt
+				minIdx = i
 			}
 		}
 		if minIdx < 0 || math.IsInf(minDt, 1) {
@@ -663,17 +565,9 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 		// Advance time and accumulate damage on survivors, at the rates the
 		// scan just read: nothing has changed the system since.
 		now += minDt
-		if idxs == nil {
-			for i := 0; i < n; i++ {
-				if alive[i] {
-					damage[i] += minDt * rates[i]
-				}
-			}
-		} else {
-			for _, i := range idxs {
-				if alive[i] {
-					damage[i] += minDt * rates[i]
-				}
+		for _, i := range idxs {
+			if alive[i] {
+				damage[i] += minDt * rates[i]
 			}
 		}
 		alive[minIdx] = false
@@ -697,7 +591,7 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 			// only when tracing is on.
 			maxRate, sum := 0.0, 0.0
 			maxComp, survivors := -1, 0
-			for i := 0; i < n; i++ {
+			for _, i := range idxs {
 				if !alive[i] {
 					continue
 				}

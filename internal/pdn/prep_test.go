@@ -145,6 +145,10 @@ func (r *refSystem) Fail(k int) error {
 
 func (r *refSystem) Failed() (bool, error) { return r.ir >= r.cfg.IRDropFrac, nil }
 
+// unprepared hides every optional interface of sys — the engine then never
+// calls PrepareTrials, the per-trial path a reference run takes.
+func unprepared(sys mc.System) mc.System { return struct{ mc.System }{sys} }
+
 // checkedSystem runs a GridSystem and compares each well-posed post-failure
 // operating point with freshOpened at every node joined to a pad. rebases
 // counts, per trial, the compared failures that rebased the cascade.
@@ -274,9 +278,8 @@ func TestPreparedTrialsMatchLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.BatchTrials = -1
 	ref := &refSystem{GridSystem: refSys, t: t}
-	want, err := mc.Run(ref, opt)
+	want, err := mc.Run(unprepared(ref), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +343,7 @@ func TestPreparedParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := mc.Options{Trials: 24, Seed: 3, BatchTrials: 6}
+	opt := mc.Options{Trials: 48, Seed: 3} // three 16-trial groups, one per worker
 	serial, err := mc.Run(master, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -406,9 +409,8 @@ func TestCascadePivotFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.BatchTrials = -1
 	ref := &refSystem{GridSystem: refSys, t: t}
-	want, err := mc.Run(ref, opt)
+	want, err := mc.Run(unprepared(ref), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,9 +448,8 @@ func TestCascadeRebasesTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.BatchTrials = -1
 	ref := &refSystem{GridSystem: refSys, t: t}
-	want, err := mc.Run(ref, opt)
+	want, err := mc.Run(unprepared(ref), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +532,7 @@ func TestCascadeSharedMasterWorkers(t *testing.T) {
 				}
 				return s
 			}
-			opt := mc.Options{Trials: 32, Seed: 9, BatchTrials: 4, RunToCompletion: true}
+			opt := mc.Options{Trials: 64, Seed: 9, RunToCompletion: true} // a 16-trial group per worker
 			serial, err := mc.Run(master(), opt)
 			if err != nil {
 				t.Fatal(err)

@@ -214,8 +214,8 @@ func TestSetCandidatesValidation(t *testing.T) {
 	if err := sys.SetCandidates(nil); err != nil {
 		t.Fatal(err)
 	}
-	if sys.candidates != nil {
-		t.Error("nil mask did not clear candidates")
+	if sys.masked || len(sys.candidates) != len(g.Vias) {
+		t.Error("nil mask did not restore every array as a candidate")
 	}
 }
 

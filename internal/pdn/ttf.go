@@ -122,6 +122,11 @@ func (c TTFConfig) Validate() error {
 // a trial that outgrows the update rebases on a private refactored copy. The
 // IR criterion reads the cascade's free-node solution and the least pad
 // voltage directly, so a cascade step builds no operating point.
+//
+// Every per-trial pass — reset, sampling, current update — walks one
+// ascending candidate list: every array, or the steady screen's mortal
+// subset once SetCandidates installs a mask. sampleTTFs owns a trial's
+// sampling stream, which BeginTrial draws and PrepareTrials replays.
 type GridSystem struct {
 	cfg TTFConfig
 
@@ -153,16 +158,14 @@ type GridSystem struct {
 	ws   solver.Workspace // this instance's solve scratch
 	rhs  []float64        // response right-hand sides, all zero between uses
 
-	// candidates is the ascending index list of the steady screen's mortal
-	// mask (mc.CandidateMasker); nil runs the legacy sequential sampling
-	// stream. With a mask set, BeginTrial draws one base seed per trial and
-	// samples each candidate from its own derived substream, so the sampled
-	// TTF of a via array depends only on (trial, array) — never on which
-	// other arrays are in the mask. Arrays outside the mask never fail: their
-	// +Inf TTF, liveness and nominal current are written once (initTrialState)
-	// and every per-trial pass walks the candidates only. sub is the reusable
-	// substream generator.
+	// candidates is the ascending index list of the arrays a trial samples,
+	// fails and updates: every array, or with masked set the steady screen's
+	// mortal mask (mc.CandidateMasker). Arrays outside a mask never fail:
+	// their +Inf TTF, liveness and nominal current are written once
+	// (initTrialState). sub is the reusable substream generator of masked
+	// sampling.
 	candidates []int
+	masked     bool
 	sub        *rand.Rand
 }
 
@@ -213,6 +216,9 @@ func newSystem(cfg TTFConfig, circuit *spice.Circuit, op *spice.OP) (*GridSystem
 	if err := circuit.GatherFree(s.y0, op); err != nil {
 		return nil, err
 	}
+	if err := s.SetCandidates(nil); err != nil {
+		return nil, err
+	}
 	if cfg.Criterion != IRDrop {
 		return s, nil
 	}
@@ -245,6 +251,7 @@ func (s *GridSystem) Clone() *GridSystem {
 		rankCap:    s.rankCap,
 		met:        s.met,
 		candidates: s.candidates, // write-once after SetCandidates
+		masked:     s.masked,
 	}
 }
 
@@ -285,25 +292,22 @@ func (p *splitmixSource) Int63() int64 { return int64(p.Uint64() >> 1) }
 // SetCandidates implements mc.CandidateMasker: it restricts the trials to
 // the masked via arrays and switches TTF sampling to per-array substreams,
 // so shrinking the mask never perturbs the sampled lifetimes of the arrays
-// that remain. A nil mask restores the legacy sequential stream.
+// that remain. A nil mask makes every array a candidate again, sampled from
+// the sequential stream.
 func (s *GridSystem) SetCandidates(mask []bool) error {
-	if mask == nil {
-		s.candidates = nil
-		return nil
-	}
-	if len(mask) != s.NumComponents() {
+	if mask != nil && len(mask) != s.NumComponents() {
 		return fmt.Errorf("pdn: candidate mask has %d entries, want %d", len(mask), s.NumComponents())
 	}
 	var idx []int
-	for k, m := range mask {
-		if m {
+	for k := range s.cfg.Grid.Vias {
+		if mask == nil || mask[k] {
 			idx = append(idx, k)
 		}
 	}
-	if idx == nil {
+	if mask != nil && idx == nil {
 		return fmt.Errorf("pdn: candidate mask excludes every via array")
 	}
-	s.candidates = idx
+	s.candidates, s.masked = idx, mask != nil
 	s.initTrialState()
 	return nil
 }
@@ -340,12 +344,27 @@ func (s *GridSystem) sampleTTF(k int, src *rand.Rand) float64 {
 	return ttf
 }
 
-// ensureSub returns the reusable substream generator.
-func (s *GridSystem) ensureSub() *rand.Rand {
-	if s.sub == nil {
-		s.sub = rand.New(new(splitmixSource))
+// sampleTTFs draws a trial's candidate TTFs from the trial generator rng
+// into dst (entries outside the candidates are left alone). Unmasked, the
+// arrays draw from rng in index order. Masked, exactly one base draw is taken
+// from rng whatever the mask, and each candidate samples from its own
+// substream seeded by (base, k), so the sampled TTF of an array depends only
+// on (trial, array) — which is what makes screened runs mask-monotone.
+func (s *GridSystem) sampleTTFs(rng *rand.Rand, dst []float64) {
+	src := rng
+	var base int64
+	if s.masked {
+		if s.sub == nil {
+			s.sub = rand.New(new(splitmixSource))
+		}
+		base, src = rng.Int63(), s.sub
 	}
-	return s.sub
+	for _, k := range s.candidates {
+		if s.masked {
+			src.Seed(subSeed(base, k))
+		}
+		dst[k] = s.sampleTTF(k, src)
+	}
 }
 
 // BeginTrial restores the pristine grid and samples array TTFs at their
@@ -357,37 +376,20 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 	s.casc.restart(s.y0, nil)
 	s.failed = s.failed[:0]
 	s.failedCount = 0
-	if s.candidates == nil {
-		for k := range s.alive {
-			s.alive[k] = true
-		}
-		copy(s.iNow, s.i0)
-		for k := range s.baseTTF {
-			s.baseTTF[k] = s.sampleTTF(k, rng)
-		}
-	} else {
-		// Masked sampling: one base draw from the trial stream, then an
-		// independent substream per candidate. Exactly one draw is taken
-		// from rng whatever the mask, and substream seeds depend only on
-		// (base, k), which is what makes screened runs mask-monotone.
-		base := rng.Int63()
-		sub := s.ensureSub()
-		for _, k := range s.candidates {
-			s.alive[k] = true
-			s.iNow[k] = s.i0[k]
-			sub.Seed(subSeed(base, k))
-			s.baseTTF[k] = s.sampleTTF(k, sub)
-		}
+	for _, k := range s.candidates {
+		s.alive[k] = true
+		s.iNow[k] = s.i0[k]
 	}
+	s.sampleTTFs(rng, s.baseTTF)
 	return nil
 }
 
 // PrepareTrials implements mc.TrialPreparer: ahead of a trial group it
-// replays each trial's TTF sampling from its seed, predicts the trial's
-// first failure — the strict argmin of sampled TTF over arrays carrying
-// current, exactly the engine's first scheduling decision — and solves the
-// pristine responses of the group's uncached predictions into the shared
-// cache in one batched multi-RHS sweep. A wrong prediction costs only a
+// replays each trial's TTF sampling (sampleTTFs) from its seed, predicts
+// the trial's first failure — the strict argmin of sampled TTF over
+// candidates carrying current, exactly the engine's first scheduling
+// decision — and solves the pristine responses of the group's uncached
+// predictions into the shared cache in one batched multi-RHS sweep. A wrong prediction costs only a
 // cache miss at the first failure. Weakest-link trials never re-solve, so
 // there is nothing to prepare.
 func (s *GridSystem) PrepareTrials(seeds []int64) error {
@@ -395,35 +397,18 @@ func (s *GridSystem) PrepareTrials(seeds []int64) error {
 		return nil
 	}
 	var ks []int
+	ttf := make([]float64, s.NumComponents())
 	rng := rand.New(rand.NewSource(0))
 	for _, seed := range seeds {
 		rng.Seed(seed)
-		// Mirror BeginTrial's sampling stream exactly — the legacy sequential
-		// draws, or the masked base-draw-plus-substreams — same draw order,
-		// same scaling, so the predicted argmin is the one the engine will
-		// pick.
-		var base int64
-		var sub *rand.Rand
-		if s.candidates != nil {
-			base = rng.Int63()
-			sub = s.ensureSub()
-		}
+		s.sampleTTFs(rng, ttf)
 		minTTF := math.Inf(1)
 		k := -1
-		consider := func(i int, src *rand.Rand) {
-			if ttf := s.sampleTTF(i, src); s.i0[i] > 0 && ttf < minTTF {
-				minTTF = ttf
+		for _, i := range s.candidates {
+			if s.i0[i] > 0 && ttf[i] < minTTF {
+				minTTF = ttf[i]
 				k = i
 			}
-		}
-		if s.candidates == nil {
-			for i := range s.cfg.Grid.Vias {
-				consider(i, rng)
-			}
-		}
-		for _, i := range s.candidates {
-			sub.Seed(subSeed(base, i))
-			consider(i, sub)
 		}
 		if k >= 0 && !math.IsInf(minTTF, 1) && !s.terms[k].pinned() && s.cache.get(k) == nil {
 			ks = append(ks, k)
@@ -464,13 +449,8 @@ func (s *GridSystem) Fail(k int) error {
 	if err != nil {
 		return fmt.Errorf("pdn: re-solve after failing array %d: %w", k, err)
 	}
-	if s.candidates == nil {
-		for i := range s.cfg.Grid.Vias {
-			s.updateCurrent(i, x)
-		}
-	}
-	// Arrays outside the mask are never scheduled: their aging rate is
-	// never read.
+	// Arrays outside a mask are never scheduled: their aging rate is never
+	// read.
 	for _, i := range s.candidates {
 		s.updateCurrent(i, x)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"emvia/internal/cudd"
 	"emvia/internal/emdist"
+	"emvia/internal/mc"
 	"emvia/internal/phys"
 	"emvia/internal/stat"
 )
@@ -581,5 +582,48 @@ func TestResistanceMonotoneUnderFailures(t *testing.T) {
 			t.Fatalf("resistance not increasing after failure %d: %g ≤ %g", i, r, prev)
 		}
 		prev = r
+	}
+}
+
+// TestNFCriterionCDFsOrdered pins the ordering behind Fig. 8(a): run to
+// completion on a 4×4 array, every trial's failure times are non-decreasing,
+// so at every sample point the CDF of the (k+1)-th failure time sits at or
+// below the CDF of the k-th, for every n_F criterion k.
+func TestNFCriterionCDFsOrdered(t *testing.T) {
+	cfg := testConfig(4, 8)
+	cfg.SigmaT = gradedSigma(4, 260e6, 200e6)
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := mc.Run(a, mc.Options{Trials: 200, Seed: 21, RunToCompletion: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vias = 16
+	var points []float64
+	for i, ev := range res.Events {
+		if len(ev) != vias {
+			t.Fatalf("trial %d failed %d of %d vias", i, len(ev), vias)
+		}
+		for j := 1; j < len(ev); j++ {
+			if ev[j] < ev[j-1] {
+				t.Fatalf("trial %d: failure %d at %g precedes failure %d at %g", i, j+1, ev[j], j, ev[j-1])
+			}
+		}
+		points = append(points, ev...)
+	}
+	cdfs := make([]*stat.ECDF, vias+1)
+	for k := 1; k <= vias; k++ {
+		if cdfs[k], err = stat.NewECDF(res.KthFailureTimes(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 1; k < vias; k++ {
+		for _, x := range points {
+			if lo, hi := cdfs[k+1].At(x), cdfs[k].At(x); lo > hi {
+				t.Fatalf("n_F=%d CDF %g exceeds n_F=%d CDF %g at t=%g", k+1, lo, k, hi, x)
+			}
+		}
 	}
 }
