@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"emvia/internal/pdn"
 	"emvia/internal/phys"
 	"emvia/internal/stat"
+	"emvia/internal/telemetry"
 	"emvia/internal/thermal"
 	"emvia/internal/viaarray"
 )
@@ -481,5 +483,49 @@ func TestOptimizeArray(t *testing.T) {
 		Trials:     50,
 	}); err == nil {
 		t.Error("accepted all-infeasible spec")
+	}
+}
+
+// TestOptimizeArrayUsesDiskCache runs the optimizer twice over one stress
+// cache directory, each time on a fresh analyzer: the second run must read
+// every feasible candidate's stress from disk and run no FEA.
+func TestOptimizeArrayUsesDiskCache(t *testing.T) {
+	reg := telemetry.New()
+	telemetry.SetDefault(reg)
+	t.Cleanup(func() { telemetry.SetDefault(nil) })
+	dir := t.TempDir()
+	spec := OptimizeArraySpec{Pattern: cudd.Plus, Candidates: []int{1, 2}, Trials: 50, Seed: 5}
+	run := func() []ArrayChoice {
+		a := fastAnalyzer()
+		if err := a.EnableStressCache(dir); err != nil {
+			t.Fatal(err)
+		}
+		choices, _, err := a.OptimizeArray(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return choices
+	}
+	first := run()
+	hits := reg.Counter(telemetry.StressDiskHits).Value()
+	solves := reg.Counter(telemetry.FEMSolves).Value()
+	if solves == 0 {
+		t.Fatal("cold run recorded no FEA solves")
+	}
+	second := run()
+	feasible := 0
+	for _, c := range second {
+		if c.Feasible {
+			feasible++
+		}
+	}
+	if got := reg.Counter(telemetry.StressDiskHits).Value() - hits; got != int64(feasible) {
+		t.Errorf("warm run: %d disk hits, want %d (one per feasible candidate)", got, feasible)
+	}
+	if got := reg.Counter(telemetry.FEMSolves).Value() - solves; got != 0 {
+		t.Errorf("warm run: %d FEA solves, want 0", got)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("warm run changed the choices:\n cold %+v\n warm %+v", first, second)
 	}
 }

@@ -4,16 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
-	"unsafe"
 
 	"emvia/internal/cudd"
 	"emvia/internal/fem"
@@ -22,11 +19,16 @@ import (
 )
 
 // StressCache is the persistent on-disk layer under the Analyzer's in-memory
-// stress map: one JSON file per FEA characterization, addressed by a content
-// hash of everything the result depends on — the full structure parameters
-// (geometry, temperatures, mesh steps), the material table and the solver
-// settings that affect the converged solution. Repeated CLI invocations with
-// the same technology therefore skip the FEA entirely.
+// stress map: one binary file per FEA characterization, addressed by a
+// content hash of everything the result depends on — the full structure
+// parameters (geometry, temperatures, mesh steps), the material table and
+// the solver settings that affect the converged solution. Repeated CLI
+// invocations with the same technology therefore skip the FEA entirely.
+//
+// An entry <key>.bin is a fixed little-endian layout: stressEntryMagic, the
+// format version (u64), the key, n (u64), then the n×n per-via peak stress
+// matrix as float64 bits, row-major. It round-trips every finite value bit
+// for bit.
 //
 // Writes go through a temp file in the cache directory followed by an atomic
 // rename, so concurrent writers (or a crash mid-write) can never leave a
@@ -40,24 +42,18 @@ type StressCache struct {
 // stressCacheVersion is bumped whenever the FEA discretization, the key
 // schema or the entry format changes meaning; old entries then miss and are
 // recomputed. Version 2 switched the key payload from JSON to the fixed
-// binary layout below.
-const stressCacheVersion = 2
+// binary layout below; version 3 switched the entry from JSON to binary
+// and renamed it from <key>.json to <key>.bin.
+const stressCacheVersion = 3
+
+// stressEntryMagic opens every entry file.
+const stressEntryMagic = "emvia-sigma-t\n"
 
 // stressKeyParamFields pins the number of cudd.Params fields the binary key
 // encoding covers. appendParams must encode every field, so adding a field
 // to cudd.Params requires extending appendParams, bumping stressCacheVersion
 // and updating this count — a reflection test enforces all three.
 const stressKeyParamFields = 21
-
-// stressCacheEntry is the on-disk format (cf. viaarray/serialize.go). Put
-// writes it with encoding/json; Get decodes it with a strict hand-rolled
-// scanner (see decodeStressEntry) that accepts a subset of what
-// encoding/json would.
-type stressCacheEntry struct {
-	Version    int         `json:"version"`
-	Key        string      `json:"key"`
-	PeakSigmaT [][]float64 `json:"peak_sigma_t_pa"`
-}
 
 // ResolveStressCacheDir picks the cache directory: an explicit dir wins,
 // then the EMVIA_STRESS_CACHE environment variable, then
@@ -167,7 +163,7 @@ func (c *StressCache) Key(p cudd.Params, opt fem.SolveOptions) string {
 }
 
 func (c *StressCache) path(key string) string {
-	return c.dir + string(os.PathSeparator) + key + ".json"
+	return c.dir + string(os.PathSeparator) + key + ".bin"
 }
 
 // Get loads the entry for key. Any read, decode, version or key mismatch is
@@ -226,15 +222,28 @@ func (c *StressCache) get(key string) ([][]float64, cacheOutcome) {
 
 // Put stores sigma under key via write-to-temp + atomic rename, creating the
 // cache directory on first use (deferred out of OpenStressCache so opening a
-// cache stays read-only).
+// cache stays read-only). An empty, non-square or non-finite matrix is an
+// error and writes nothing: Get would count such an entry corrupt forever.
 func (c *StressCache) Put(key string, sigma [][]float64) error {
-	buf, err := json.Marshal(stressCacheEntry{
-		Version:    stressCacheVersion,
-		Key:        key,
-		PeakSigmaT: sigma,
-	})
-	if err != nil {
-		return fmt.Errorf("core: stress cache encode: %w", err)
+	n := len(sigma)
+	if n == 0 {
+		return errors.New("core: stress cache: empty stress matrix")
+	}
+	buf := make([]byte, 0, len(stressEntryMagic)+8+len(key)+8+8*n*n)
+	buf = append(buf, stressEntryMagic...)
+	buf = appendU64(buf, stressCacheVersion)
+	buf = append(buf, key...)
+	buf = appendU64(buf, uint64(n))
+	for i, row := range sigma {
+		if len(row) != n {
+			return fmt.Errorf("core: stress cache: row %d has %d values, want %d", i, len(row), n)
+		}
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: stress cache: sigma[%d][%d] = %g is not finite", i, j, v)
+			}
+			buf = appendF64(buf, v)
+		}
 	}
 	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return fmt.Errorf("core: stress cache dir: %w", err)
@@ -259,261 +268,38 @@ func (c *StressCache) Put(key string, sigma [][]float64) error {
 	return nil
 }
 
-// decodeStressEntry is a strict, allocation-light decoder for the on-disk
-// entry format. It accepts exactly the shape Put writes — the three fields
-// in order, arbitrary JSON whitespace between tokens — and is deliberately
-// no more permissive than encoding/json: numbers must match the JSON
-// grammar (no NaN/Infinity, no hex, no leading '+' or superfluous leading
-// zeros, no out-of-range magnitudes), strings may not contain raw control
-// bytes, and trailing garbage is rejected. Inputs json.Unmarshal would
-// accept but Put never writes (reordered, duplicated or unknown fields,
-// escaped key strings) are rejected too; a stricter reject only turns a
-// hand-edited entry into a recompute. On success the matrix values are
-// bit-identical to what json.Unmarshal would produce, since both feed the
-// same literals to strconv.ParseFloat.
-//
-// The matrix comes back as one backing slice plus a row-header slice, so a
-// warm Get performs two matrix allocations regardless of size.
+// decodeStressEntry accepts exactly the bytes Put writes for key: the magic,
+// the current version, the key, n, then exactly n² finite values. The
+// matrix comes back as one backing slice plus a row-header slice, so a warm
+// Get performs two matrix allocations regardless of size.
 func decodeStressEntry(buf []byte, key string) ([][]float64, bool) {
-	d := stressScanner{b: buf}
-	if !d.expect('{') || !d.field("version") {
+	hdr := len(stressEntryMagic) + 8 + len(key) + 8
+	if len(buf) < hdr || string(buf[:len(stressEntryMagic)]) != stressEntryMagic {
 		return nil, false
 	}
-	if v, ok := d.intLit(); !ok || v != stressCacheVersion {
+	b := buf[len(stressEntryMagic):hdr]
+	if binary.LittleEndian.Uint64(b) != stressCacheVersion || string(b[8:8+len(key)]) != key {
 		return nil, false
 	}
-	if !d.expect(',') || !d.field("key") || !d.stringEquals(key) {
+	n := binary.LittleEndian.Uint64(b[8+len(key):])
+	body := buf[hdr:]
+	// The body must hold exactly n² values; the division form cannot
+	// overflow for any n.
+	m := uint64(len(body)) / 8
+	if n == 0 || uint64(len(body))%8 != 0 || m/n != n || m%n != 0 {
 		return nil, false
 	}
-	if !d.expect(',') || !d.field("peak_sigma_t_pa") {
-		return nil, false
-	}
-	sigma, ok := d.matrix()
-	if !ok || !d.expect('}') {
-		return nil, false
-	}
-	d.ws()
-	if d.i != len(d.b) {
-		return nil, false
-	}
-	return sigma, true
-}
-
-// stressScanner walks the entry bytes. All methods return false on any
-// grammar violation, leaving the caller to classify the entry corrupt.
-type stressScanner struct {
-	b []byte
-	i int
-}
-
-func (d *stressScanner) ws() {
-	for d.i < len(d.b) {
-		switch d.b[d.i] {
-		case ' ', '\t', '\n', '\r':
-			d.i++
-		default:
-			return
-		}
-	}
-}
-
-// expect consumes optional whitespace followed by exactly c.
-func (d *stressScanner) expect(c byte) bool {
-	d.ws()
-	if d.i < len(d.b) && d.b[d.i] == c {
-		d.i++
-		return true
-	}
-	return false
-}
-
-// field consumes `"name":` (with optional surrounding whitespace).
-func (d *stressScanner) field(name string) bool {
-	if !d.expect('"') {
-		return false
-	}
-	if len(d.b)-d.i < len(name)+1 || string(d.b[d.i:d.i+len(name)]) != name || d.b[d.i+len(name)] != '"' {
-		return false
-	}
-	d.i += len(name) + 1
-	return d.expect(':')
-}
-
-// stringEquals consumes a JSON string and reports whether it equals want.
-// Escape sequences are rejected: cache keys are plain hex, and Put never
-// escapes them.
-func (d *stressScanner) stringEquals(want string) bool {
-	if !d.expect('"') {
-		return false
-	}
-	start := d.i
-	for d.i < len(d.b) {
-		c := d.b[d.i]
-		if c == '"' {
-			eq := string(d.b[start:d.i]) == want
-			d.i++
-			return eq
-		}
-		if c == '\\' || c < 0x20 {
-			return false
-		}
-		d.i++
-	}
-	return false
-}
-
-// intLit consumes a JSON integer (no fraction or exponent, matching what
-// json.Unmarshal accepts for an int field).
-func (d *stressScanner) intLit() (int, bool) {
-	d.ws()
-	b, i := d.b, d.i
-	neg := false
-	if i < len(b) && b[i] == '-' {
-		neg = true
-		i++
-	}
-	if i >= len(b) || b[i] < '0' || b[i] > '9' {
-		return 0, false
-	}
-	v := 0
-	if b[i] == '0' {
-		i++
-	} else {
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			if v > (1<<31)/10 {
-				return 0, false
-			}
-			v = v*10 + int(b[i]-'0')
-			i++
-		}
-	}
-	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
-		return 0, false
-	}
-	d.i = i
-	if neg {
-		v = -v
-	}
-	return v, true
-}
-
-// float consumes one JSON number. The grammar is validated byte-by-byte
-// first — strconv.ParseFloat alone would also take Go-isms like "0x1p4",
-// "+1" or "inf" that JSON forbids — and ParseFloat then only converts.
-// A range error (|x| overflowing float64) is rejected like encoding/json
-// rejects it.
-func (d *stressScanner) float() (float64, bool) {
-	d.ws()
-	b, i := d.b, d.i
-	start := i
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	if i >= len(b) || b[i] < '0' || b[i] > '9' {
-		return 0, false
-	}
-	if b[i] == '0' {
-		i++
-	} else {
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			return 0, false
-		}
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
-			return 0, false
-		}
-		for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-			i++
-		}
-	}
-	d.i = i
-	// The literal was just grammar-checked and ParseFloat does not retain
-	// its argument, so an unsafe view of the bytes avoids a per-number
-	// string copy.
-	v, err := strconv.ParseFloat(unsafe.String(&b[start], i-start), 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// row consumes `[x, y, ...]`, appending onto dst.
-func (d *stressScanner) row(dst []float64) ([]float64, bool) {
-	if !d.expect('[') {
-		return nil, false
-	}
-	d.ws()
-	if d.i < len(d.b) && d.b[d.i] == ']' {
-		d.i++
-		return dst, true
-	}
-	for {
-		v, ok := d.float()
-		if !ok {
+	backing := make([]float64, m)
+	for i := range backing {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return nil, false
 		}
-		dst = append(dst, v)
-		d.ws()
-		if d.i >= len(d.b) {
-			return nil, false
-		}
-		switch d.b[d.i] {
-		case ',':
-			d.i++
-		case ']':
-			d.i++
-			return dst, true
-		default:
-			return nil, false
-		}
+		backing[i] = v
 	}
-}
-
-// matrix consumes the stress matrix, enforcing the square-shape invariant
-// while parsing: the first row fixes n, every later row must supply exactly
-// n values into a preallocated n×n backing, and exactly n rows must follow.
-func (d *stressScanner) matrix() ([][]float64, bool) {
-	if !d.expect('[') {
-		return nil, false
-	}
-	var first [32]float64
-	row0, ok := d.row(first[:0])
-	if !ok || len(row0) == 0 {
-		return nil, false
-	}
-	n := len(row0)
-	backing := make([]float64, n*n)
 	rows := make([][]float64, n)
-	copy(backing, row0)
-	rows[0] = backing[:n:n]
-	for r := 1; ; r++ {
-		d.ws()
-		if d.i < len(d.b) && d.b[d.i] == ']' {
-			d.i++
-			return rows, r == n
-		}
-		if !d.expect(',') || r >= n {
-			return nil, false
-		}
-		dst := backing[r*n : r*n : (r+1)*n]
-		got, ok := d.row(dst)
-		if !ok || len(got) != n {
-			return nil, false
-		}
-		rows[r] = got
+	for r := range rows {
+		rows[r] = backing[uint64(r)*n : uint64(r+1)*n : uint64(r+1)*n]
 	}
+	return rows, true
 }

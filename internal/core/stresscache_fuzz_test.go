@@ -1,49 +1,55 @@
 package core
 
 import (
-	"encoding/json"
-	"fmt"
+	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"testing"
 )
 
 // FuzzStressCacheGet throws arbitrary bytes at the on-disk entry decoder:
 // whatever a crashed writer, a manual edit or a skewed build leaves in the
-// cache directory, Get must never panic and must only report a hit for an
-// entry that is well-formed in every respect (version, key echo, square
-// stress matrix). A hit on anything else would silently feed garbage stress
-// values into the TTF model.
+// cache directory, Get must never panic and must only report a hit for
+// exactly the bytes Put writes for that key and the matrix Get returned. A
+// hit on anything else would silently feed garbage stress values into the
+// TTF model.
 func FuzzStressCacheGet(f *testing.F) {
 	const key = "fuzzkey"
 
 	// Seeds: a valid entry plus the corruption classes Get must reject.
-	valid, err := json.Marshal(stressCacheEntry{
-		Version:    stressCacheVersion,
-		Key:        key,
-		PeakSigmaT: [][]float64{{1e8, 2e8}, {3e8, 4e8}},
-	})
+	seedCache, err := OpenStressCache(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
 	}
-	seed := func(body string) []byte {
-		return []byte(fmt.Sprintf(`{"version":%d,%s}`, stressCacheVersion, body))
+	if err := seedCache.Put(key, [][]float64{{1e8, 2e8}, {3e8, 4e8}}); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(seedCache.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	nAt := len(stressEntryMagic) + 8 + len(key)
+	edit := func(at int, v uint64) []byte {
+		b := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint64(b[at:], v)
+		return b
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])                                             // truncated mid-write
-	f.Add([]byte{})                                                         // empty file
-	f.Add([]byte("not json at all"))                                        // garbage
-	f.Add([]byte(`{"version":99,"key":"fuzzkey","peak_sigma_t_pa":[[1]]}`)) // version skew
-	f.Add(seed(`"key":"other","peak_sigma_t_pa":[[1]]`))                    // key mismatch
-	f.Add(seed(`"key":"fuzzkey","peak_sigma_t_pa":[]`))                     // empty matrix
-	f.Add(seed(`"key":"fuzzkey","peak_sigma_t_pa":[[1],[2,3]]`))            // ragged matrix
-	f.Add(seed(`"key":"fuzzkey","peak_sigma_t_pa":[[1,2]]`))                // non-square matrix
-	f.Add(seed(`"key":"fuzzkey","peak_sigma_t_pa":null`))                   // null matrix
-	f.Add(seed(`"key":"fuzzkey","peak_sigma_t_pa":[[NaN]]`))                // non-JSON number
-	f.Add(seed(`"key":"fuzzkey","peak_sigma_t_pa":[[0x1p4]]`))              // hex float
+	f.Add(valid[:len(valid)/2])                                                    // truncated mid-write
+	f.Add([]byte{})                                                                // empty file
+	f.Add([]byte("not an entry at all"))                                           // garbage
+	f.Add(edit(len(stressEntryMagic), stressCacheVersion+1))                       // version skew
+	f.Add(append([]byte(stressEntryMagic), valid[len(stressEntryMagic):nAt-1]...)) // short header
+	f.Add(edit(nAt, 0))                                                            // n = 0
+	f.Add(edit(nAt, 1))                                                            // n too small for the body
+	f.Add(edit(nAt, 3))                                                            // n too large for the body
+	f.Add(append(append([]byte(nil), valid...), 0))                                // one byte over
+	f.Add(edit(nAt+8, math.Float64bits(math.NaN())))                               // NaN value
+	f.Add([]byte(`{"version":2,"key":"fuzzkey","peak_sigma_t_pa":[[1]]}`))         // old JSON entry
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		c, err := OpenStressCache(dir)
+		c, err := OpenStressCache(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,25 +63,22 @@ func FuzzStressCacheGet(f *testing.F) {
 			}
 			return
 		}
-		// A hit must have decoded a structurally valid entry: re-verify the
-		// invariants Get promises its caller independently of its own checks.
-		var e stressCacheEntry
-		if err := json.Unmarshal(data, &e); err != nil {
-			t.Fatalf("hit on undecodable data: %v", err)
+		// A hit must be byte for byte what Put writes for the returned
+		// matrix under this key; Put independently re-checks the shape
+		// and finiteness Get promises its caller.
+		ref, err := OpenStressCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if e.Version != stressCacheVersion {
-			t.Fatalf("hit on version %d, want %d", e.Version, stressCacheVersion)
+		if err := ref.Put(key, sigma); err != nil {
+			t.Fatalf("hit returned a matrix Put refuses: %v", err)
 		}
-		if e.Key != key {
-			t.Fatalf("hit on key %q, want %q", e.Key, key)
+		want, err := os.ReadFile(ref.path(key))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(sigma) == 0 {
-			t.Fatal("hit returned an empty matrix")
-		}
-		for i, row := range sigma {
-			if len(row) != len(sigma) {
-				t.Fatalf("hit returned non-square matrix: row %d has %d entries, want %d", i, len(row), len(sigma))
-			}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("hit on %d bytes that differ from Put's %d", len(data), len(want))
 		}
 	})
 }

@@ -1,14 +1,15 @@
 package core
 
 import (
-	"encoding/json"
-	"fmt"
+	"encoding/binary"
+	"math"
 	"os"
 	"reflect"
 	"testing"
 
 	"emvia/internal/cudd"
 	"emvia/internal/fem"
+	"emvia/internal/telemetry"
 )
 
 // TestStressCacheKeyCoversAllParams walks every leaf field of cudd.Params by
@@ -66,102 +67,106 @@ func TestStressCacheKeyCoversAllParams(t *testing.T) {
 	}
 }
 
-// TestStressCacheStrictDecoder pins the hand-rolled entry decoder against
-// encoding/json on both sides: inputs looser than the JSON grammar (which
-// strconv.ParseFloat alone would happily take) must be rejected, and every
-// input it accepts must decode to the identical matrix under json.Unmarshal.
+// TestStressCacheStrictDecoder feeds Get malformed binary entries, each a
+// small edit of the bytes Put writes: every one must miss and be counted
+// corrupt, never reach the caller as a matrix.
 func TestStressCacheStrictDecoder(t *testing.T) {
-	const key = "k"
-	entry := func(matrix string) []byte {
-		return []byte(fmt.Sprintf(`{"version":%d,"key":%q,"peak_sigma_t_pa":%s}`, stressCacheVersion, key, matrix))
+	c := testCache(t)
+	key := c.Key(cudd.DefaultParams(), fem.SolveOptions{})
+	if err := c.Put(key, [][]float64{{1, 2}, {3, 4}}); err != nil {
+		t.Fatal(err)
 	}
-
-	accept := [][]byte{
-		entry(`[[1]]`),
-		entry(`[[1,2],[3,4]]`),
-		entry(`[[4.1e+08,-2.5e-3],[0.0,410000000]]`),
-		entry(`[[-0,1],[1e2,0.5]]`),
-		[]byte(fmt.Sprintf(" {\n\t\"version\": %d ,\n \"key\": %q ,\n \"peak_sigma_t_pa\": [ [ 1 , 2 ] , [ 3 , 4 ] ]\n} \n", stressCacheVersion, key)),
+	valid, err := os.ReadFile(c.path(key))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, in := range accept {
-		got, ok := decodeStressEntry(in, key)
-		if !ok {
-			t.Errorf("rejected valid entry %s", in)
-			continue
-		}
-		var e stressCacheEntry
-		if err := json.Unmarshal(in, &e); err != nil {
-			t.Fatalf("decoder accepted input encoding/json rejects: %s (%v)", in, err)
-		}
-		if !reflect.DeepEqual(got, e.PeakSigmaT) {
-			t.Errorf("decoder disagrees with encoding/json on %s:\n got %v\nwant %v", in, got, e.PeakSigmaT)
-		}
+	magicEnd := len(stressEntryMagic)
+	keyAt := magicEnd + 8
+	nAt := keyAt + len(key)
+	bodyAt := nAt + 8
+	edit := func(f func(b []byte) []byte) []byte {
+		return f(append([]byte(nil), valid...))
 	}
+	putU64 := func(at int, v uint64) []byte {
+		return edit(func(b []byte) []byte { binary.LittleEndian.PutUint64(b[at:], v); return b })
+	}
+	putF64 := func(v float64) []byte { return putU64(bodyAt+8, math.Float64bits(v)) }
 
 	reject := map[string][]byte{
-		"NaN value":            entry(`[[NaN]]`),
-		"Infinity value":       entry(`[[Infinity]]`),
-		"negative Infinity":    entry(`[[-Infinity]]`),
-		"hex float":            entry(`[[0x1p4]]`),
-		"leading plus":         entry(`[[+1]]`),
-		"leading zeros":        entry(`[[01.5]]`),
-		"bare dot":             entry(`[[.5]]`),
-		"trailing dot":         entry(`[[1.]]`),
-		"dangling exponent":    entry(`[[1e]]`),
-		"signed empty exp":     entry(`[[1e+]]`),
-		"underscore digits":    entry(`[[1_000]]`),
-		"out of range":         entry(`[[1e999]]`),
-		"trailing comma":       entry(`[[1,2],[3,4],]`),
-		"row trailing comma":   entry(`[[1,2,],[3,4]]`),
-		"ragged matrix":        entry(`[[1,2],[3]]`),
-		"non-square matrix":    entry(`[[1,2]]`),
-		"empty matrix":         entry(`[]`),
-		"empty row":            entry(`[[],[]]`),
-		"null matrix":          entry(`null`),
-		"string in matrix":     entry(`[["1"]]`),
-		"trailing garbage":     append(entry(`[[1]]`), 'x'),
-		"second document":      append(entry(`[[1]]`), entry(`[[1]]`)...),
-		"truncated":            entry(`[[1]]`)[:20],
-		"version float":        []byte(fmt.Sprintf(`{"version":%d.0,"key":"k","peak_sigma_t_pa":[[1]]}`, stressCacheVersion)),
-		"version skew":         []byte(`{"version":1,"key":"k","peak_sigma_t_pa":[[1]]}`),
-		"key mismatch":         []byte(fmt.Sprintf(`{"version":%d,"key":"other","peak_sigma_t_pa":[[1]]}`, stressCacheVersion)),
-		"single-quoted string": []byte(fmt.Sprintf(`{'version':%d,'key':'k','peak_sigma_t_pa':[[1]]}`, stressCacheVersion)),
+		"empty file":      {},
+		"short header":    valid[:bodyAt-1],
+		"header only":     valid[:bodyAt],
+		"wrong magic":     edit(func(b []byte) []byte { b[0] ^= 0xff; return b }),
+		"version+1":       putU64(magicEnd, stressCacheVersion+1),
+		"version-1":       putU64(magicEnd, stressCacheVersion-1),
+		"key mismatch":    edit(func(b []byte) []byte { b[keyAt] ^= 1; return b }),
+		"n = 0":           putU64(nAt, 0),
+		"n too large":     putU64(nAt, 3),
+		"n too small":     putU64(nAt, 1),
+		"n overflowing":   putU64(nAt, 1<<32),
+		"one byte short":  valid[:len(valid)-1],
+		"one byte over":   append(append([]byte(nil), valid...), 0),
+		"one value over":  append(append([]byte(nil), valid...), valid[bodyAt:bodyAt+8]...),
+		"NaN value":       putF64(math.NaN()),
+		"+Inf value":      putF64(math.Inf(1)),
+		"-Inf value":      putF64(math.Inf(-1)),
+		"old JSON format": []byte(`{"version":3,"key":"` + key + `","peak_sigma_t_pa":[[1,2],[3,4]]}`),
 	}
+	reg := telemetry.New()
+	telemetry.SetDefault(reg)
+	t.Cleanup(func() { telemetry.SetDefault(nil) })
 	for name, in := range reject {
-		if _, ok := decodeStressEntry(in, key); ok {
-			t.Errorf("%s accepted: %s", name, in)
+		if err := os.WriteFile(c.path(key), in, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		before := reg.Counter(telemetry.StressDiskBad).Value()
+		if sigma, ok := c.Get(key); ok || sigma != nil {
+			t.Errorf("%s: hit %v", name, sigma)
+		}
+		if got := reg.Counter(telemetry.StressDiskBad).Value() - before; got != 1 {
+			t.Errorf("%s: disk_corrupt moved by %d, want 1", name, got)
+		}
+	}
+	// The untouched entry still decodes, so the table above tests the edits.
+	if err := os.WriteFile(c.path(key), valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(key); !ok {
+		t.Fatal("Put's own bytes missed")
 	}
 }
 
-// TestStressCacheRoundTripMatchesJSON stores an entry through Put and checks
-// the strict decoder reproduces json.Unmarshal bit for bit on the canonical
-// on-disk form, including exponent-formatted and negative values.
-func TestStressCacheRoundTripMatchesJSON(t *testing.T) {
+// TestStressCacheRoundTripBitExact stores an entry through Put and requires
+// Get to return every value bit for bit, signed zero, the smallest
+// subnormal and the largest finite value included.
+func TestStressCacheRoundTripBitExact(t *testing.T) {
 	c := testCache(t)
 	key := c.Key(cudd.DefaultParams(), fem.SolveOptions{})
 	want := [][]float64{
-		{4.1e8, -2.75e-19, 0},
-		{1.0 / 3.0, 6.02214076e23, -7},
-		{9.999999999999999e-5, 2, 123456789.25},
+		{4.1e8, -2.75e-19, math.Copysign(0, -1)},
+		{1.0 / 3.0, 5e-324, -math.MaxFloat64},
+		{math.MaxFloat64, 6.02214076e23, 0},
 	}
 	if err := c.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(c.path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var e stressCacheEntry
-	if err := json.Unmarshal(raw, &e); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := decodeStressEntry(raw, key)
+	got, ok := c.Get(key)
 	if !ok {
-		t.Fatalf("strict decoder rejected Put's own output: %s", raw)
+		t.Fatal("Put's own entry missed")
 	}
-	if !reflect.DeepEqual(got, e.PeakSigmaT) || !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip drifted:\n got  %v\n json %v\n want %v", got, e.PeakSigmaT, want)
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("row %d has %d values, want %d", i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				t.Errorf("sigma[%d][%d] = %v (%#x), want %v (%#x)", i, j,
+					got[i][j], math.Float64bits(got[i][j]), want[i][j], math.Float64bits(want[i][j]))
+			}
+		}
 	}
 }
 

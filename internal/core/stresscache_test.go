@@ -1,9 +1,8 @@
 package core
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -84,7 +83,7 @@ func TestStressCacheCorruptEntryIsMiss(t *testing.T) {
 	if err := c.Put(key, testSigma()); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(c.Dir(), key+".json")
+	path := c.path(key)
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -103,14 +102,13 @@ func TestStressCacheCorruptEntryIsMiss(t *testing.T) {
 	if _, ok := c.Get(key); !ok {
 		t.Fatal("rewritten entry missed")
 	}
-	// Non-square sigma is also rejected.
-	e := stressCacheEntry{Version: stressCacheVersion, Key: key, PeakSigmaT: [][]float64{{1, 2}, {3}}}
-	raw, _ := json.Marshal(e)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	// A non-square sigma is refused before anything reaches the disk.
+	other := c.Key(p, fem.SolveOptions{Tol: 1e-4})
+	if err := c.Put(other, [][]float64{{1, 2}, {3}}); err == nil {
+		t.Fatal("Put accepted a ragged sigma")
 	}
-	if _, ok := c.Get(key); ok {
-		t.Fatal("ragged sigma reported a hit")
+	if _, err := os.Stat(c.path(other)); !os.IsNotExist(err) {
+		t.Fatalf("ragged Put left an entry behind (stat err %v)", err)
 	}
 }
 
@@ -121,18 +119,14 @@ func TestStressCacheVersionBumpInvalidates(t *testing.T) {
 	if err := c.Put(key, testSigma()); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(c.Dir(), key+".json")
+	path := c.path(key)
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e stressCacheEntry
-	if err := json.Unmarshal(buf, &e); err != nil {
-		t.Fatal(err)
-	}
-	e.Version = stressCacheVersion + 1 // entry written by a future format
-	raw, _ := json.Marshal(e)
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	// An entry written by a future format.
+	binary.LittleEndian.PutUint64(buf[len(stressEntryMagic):], stressCacheVersion+1)
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := c.Get(key); ok {
