@@ -79,7 +79,6 @@ func runTraces(args []string, stdout, stderr io.Writer) int {
 	}
 	var runs []*runStats
 	byKey := make(map[runKey]*runStats)
-	var spans spanStats
 	for _, path := range fs.Args() {
 		var r io.Reader = os.Stdin
 		if path != "-" {
@@ -91,19 +90,18 @@ func runTraces(args []string, stdout, stderr io.Writer) int {
 			defer f.Close()
 			r = f
 		}
-		if err := readTrace(r, byKey, &runs, &spans); err != nil {
+		if err := readTrace(r, byKey, &runs); err != nil {
 			fmt.Fprintf(stderr, "emtrace: %s: %v\n", path, err)
 			return 1
 		}
 	}
-	if len(runs) == 0 && spans.count == 0 {
+	if len(runs) == 0 {
 		fmt.Fprintln(stderr, "emtrace: no events found")
 		return 1
 	}
 	for _, rs := range runs {
 		rs.report(stdout, *top, !*noplot)
 	}
-	spans.report(stdout)
 	return 0
 }
 
@@ -140,14 +138,6 @@ type runStats struct {
 	curSpec    float64
 }
 
-type spanStats struct {
-	count int
-	byLbl map[string]struct {
-		n     int
-		durNS int64
-	}
-}
-
 // family reduces a component label to its histogram family: the text before
 // the "(coords)" suffix — the mesh pattern for grid arrays ("Plus-shaped"),
 // "via" for in-array vias. Unlabeled components group under "(unlabeled)".
@@ -164,7 +154,7 @@ func family(label string) string {
 // readTrace folds one JSONL stream into the per-run aggregates. Events of a
 // trial are contiguous (the tracer merges per-trial buffers), so per-trial
 // state lives in the runStats scan fields.
-func readTrace(r io.Reader, byKey map[runKey]*runStats, runs *[]*runStats, spans *spanStats) error {
+func readTrace(r io.Reader, byKey map[runKey]*runStats, runs *[]*runStats) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	line := 0
@@ -177,20 +167,6 @@ func readTrace(r io.Reader, byKey map[runKey]*runStats, runs *[]*runStats, spans
 		var e trace.Event
 		if err := json.Unmarshal(raw, &e); err != nil {
 			return fmt.Errorf("line %d: %w", line, err)
-		}
-		if e.Type == trace.EvSpan {
-			if spans.byLbl == nil {
-				spans.byLbl = make(map[string]struct {
-					n     int
-					durNS int64
-				})
-			}
-			spans.count++
-			s := spans.byLbl[e.Label]
-			s.n++
-			s.durNS += e.DurNS
-			spans.byLbl[e.Label] = s
-			continue
 		}
 		k := runKey{e.Run, e.Seq}
 		rs, ok := byKey[k]
@@ -330,23 +306,6 @@ func (rs *runStats) report(w io.Writer, top int, plot bool) {
 		}
 	}
 	fmt.Fprintln(w)
-}
-
-func (ss *spanStats) report(w io.Writer) {
-	if ss.count == 0 {
-		return
-	}
-	fmt.Fprintf(w, "=== %d wall-clock stage spans ===\n", ss.count)
-	labels := make([]string, 0, len(ss.byLbl))
-	for l := range ss.byLbl {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return ss.byLbl[labels[i]].durNS > ss.byLbl[labels[j]].durNS })
-	fmt.Fprintf(w, "  %-32s %8s %14s\n", "stage", "count", "total")
-	for _, l := range labels {
-		s := ss.byLbl[l]
-		fmt.Fprintf(w, "  %-32s %8d %13.3fs\n", l, s.n, float64(s.durNS)/1e9)
-	}
 }
 
 // quantile returns the q-quantile of sorted samples.

@@ -12,14 +12,12 @@ import (
 	"emvia/internal/trace"
 )
 
-// syntheticTrace emits a two-trial run plus a span through the real tracer so
-// the test exercises the exact JSONL shape emtrace consumes in the field.
+// syntheticTrace emits a two-trial run through the real tracer so the test
+// exercises the exact JSONL shape emtrace consumes in the field.
 func syntheticTrace(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := trace.New(trace.Options{Sinks: []trace.Sink{trace.NewJSONLSink(&buf)}})
-	done := tr.Span("fem.cg")
-	done()
 	run := tr.BeginRun("array:Plus-shaped:4x4", 2)
 	t0 := run.Trial(0)
 	t0.Begin(16)
@@ -41,8 +39,7 @@ func syntheticTrace(t *testing.T) []byte {
 func TestReadTraceStats(t *testing.T) {
 	var runs []*runStats
 	byKey := make(map[runKey]*runStats)
-	var spans spanStats
-	if err := readTrace(bytes.NewReader(syntheticTrace(t)), byKey, &runs, &spans); err != nil {
+	if err := readTrace(bytes.NewReader(syntheticTrace(t)), byKey, &runs); err != nil {
 		t.Fatalf("readTrace: %v", err)
 	}
 	if len(runs) != 1 {
@@ -73,23 +70,32 @@ func TestReadTraceStats(t *testing.T) {
 	if len(rs.firstTimes) != 1 || rs.firstTimes[0] != 1e8 || rs.specTimes[0] != 1.5e8 {
 		t.Errorf("spec scatter points = %v vs %v", rs.firstTimes, rs.specTimes)
 	}
-	if spans.count != 1 || spans.byLbl["fem.cg"].n != 1 {
-		t.Errorf("spans = %+v", spans)
+}
+
+// TestReadTraceRejectsSpanLine: traces from before the span stream was
+// removed carry "span" lines; the reader refuses them and names the line,
+// rather than skipping data it no longer understands.
+func TestReadTraceRejectsSpanLine(t *testing.T) {
+	lines := bytes.SplitAfter(syntheticTrace(t), []byte("\n"))
+	span := []byte(`{"type":"span","label":"fem.cg","wall_ns":1000,"dur_ns":500}` + "\n")
+	in := bytes.Join([][]byte{lines[0], lines[1], span, lines[2]}, nil)
+	var runs []*runStats
+	err := readTrace(bytes.NewReader(in), make(map[runKey]*runStats), &runs)
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), `"span"`) {
+		t.Fatalf("readTrace error = %v, want a line-3 error naming \"span\"", err)
 	}
 }
 
 func TestReportRenders(t *testing.T) {
 	var runs []*runStats
 	byKey := make(map[runKey]*runStats)
-	var spans spanStats
-	if err := readTrace(bytes.NewReader(syntheticTrace(t)), byKey, &runs, &spans); err != nil {
+	if err := readTrace(bytes.NewReader(syntheticTrace(t)), byKey, &runs); err != nil {
 		t.Fatalf("readTrace: %v", err)
 	}
 	var out strings.Builder
 	for _, rs := range runs {
 		rs.report(&out, 8, true)
 	}
-	spans.report(&out)
 	got := out.String()
 	for _, want := range []string{
 		"run array:Plus-shaped:4x4",
@@ -97,8 +103,6 @@ func TestReportRenders(t *testing.T) {
 		"cascade length",
 		"failure order by component family",
 		"Plus-shaped",
-		"wall-clock stage spans",
-		"fem.cg",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("report missing %q in:\n%s", want, got)

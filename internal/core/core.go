@@ -30,7 +30,6 @@ import (
 	"emvia/internal/phys"
 	"emvia/internal/stat"
 	"emvia/internal/telemetry"
-	"emvia/internal/trace"
 	"emvia/internal/viaarray"
 )
 
@@ -191,9 +190,7 @@ func (a *Analyzer) characterizeSigma(p cudd.Params) ([][]float64, error) {
 			return s, nil
 		}
 	}
-	span := trace.Default().Span(fmt.Sprintf("core.fea %s %dx%d", p.Pattern, p.ArrayN, p.ArrayN))
 	res, err := cudd.Characterize(p, a.FEA)
-	span()
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"time"
 
 	"emvia/internal/cudd"
 	"emvia/internal/fem"
@@ -220,10 +222,17 @@ func (c *StressCache) get(key string) ([][]float64, cacheOutcome) {
 	return sigma, cacheHit
 }
 
+// staleTempAge is how old a key's temp file must be before Put takes it for
+// the leftover of a writer killed between CreateTemp and Rename. A live
+// writer holds its temp file for the length of one write.
+const staleTempAge = time.Hour
+
 // Put stores sigma under key via write-to-temp + atomic rename, creating the
 // cache directory on first use (deferred out of OpenStressCache so opening a
 // cache stays read-only). An empty, non-square or non-finite matrix is an
 // error and writes nothing: Get would count such an entry corrupt forever.
+// After a successful rename Put removes the key's temp files older than
+// staleTempAge.
 func (c *StressCache) Put(key string, sigma [][]float64) error {
 	n := len(sigma)
 	if n == 0 {
@@ -265,7 +274,27 @@ func (c *StressCache) Put(key string, sigma [][]float64) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("core: stress cache rename: %w", err)
 	}
+	c.removeStaleTemps(key)
 	return nil
+}
+
+// removeStaleTemps deletes key's temp files older than staleTempAge. It is
+// best-effort: an entry is already in place, so a failure here costs only
+// disk space.
+func (c *StressCache) removeStaleTemps(key string) {
+	ents, err := os.ReadDir(c.dir)
+	if err != nil {
+		return
+	}
+	prefix := ".tmp-" + key + "-"
+	for _, de := range ents {
+		if !strings.HasPrefix(de.Name(), prefix) {
+			continue
+		}
+		if fi, err := de.Info(); err == nil && time.Since(fi.ModTime()) > staleTempAge {
+			os.Remove(filepath.Join(c.dir, de.Name()))
+		}
+	}
 }
 
 // decodeStressEntry accepts exactly the bytes Put writes for key: the magic,

@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/binary"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"emvia/internal/cudd"
 	"emvia/internal/fem"
@@ -169,6 +171,40 @@ func TestStressCacheConcurrentWriters(t *testing.T) {
 		if strings.HasPrefix(de.Name(), ".tmp-") {
 			t.Errorf("leftover temp file %s", de.Name())
 		}
+	}
+}
+
+// TestStressCachePutRemovesStaleTemps: a temp file a killed writer left
+// behind more than staleTempAge ago is removed by the next Put of its key;
+// a fresh one, which may belong to a live writer, stays.
+func TestStressCachePutRemovesStaleTemps(t *testing.T) {
+	c := testCache(t)
+	key := c.Key(cudd.DefaultParams(), fem.SolveOptions{})
+	if err := os.MkdirAll(c.Dir(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := filepath.Join(c.Dir(), ".tmp-"+key+"-stale")
+	fresh := filepath.Join(c.Dir(), ".tmp-"+key+"-fresh")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-staleTempAge - time.Minute)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(key, testSigma()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale temp file survived Put: %v", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("fresh temp file removed: %v", err)
+	}
+	if _, ok := c.Get(key); !ok {
+		t.Error("entry missing after Put")
 	}
 }
 

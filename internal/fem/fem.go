@@ -22,7 +22,6 @@ import (
 	"emvia/internal/par"
 	"emvia/internal/solver"
 	"emvia/internal/telemetry"
-	"emvia/internal/trace"
 )
 
 // Face names one of the six boundary faces of the rectilinear domain.
@@ -145,12 +144,10 @@ func (m *Model) Solve(opt SolveOptions) (*Result, error) {
 	// repeated characterizations pay the goroutine spawn only once.
 	pool := par.Shared(opt.Workers)
 	asm0 := reg.Histogram(telemetry.FEMAssemblySeconds).Start()
-	asmSpan := trace.Default().Span("fem.assemble")
 	asm, err := m.assemble(pool)
 	if err != nil {
 		return nil, err
 	}
-	asmSpan()
 	reg.Histogram(telemetry.FEMAssemblySeconds).ObserveSince(asm0)
 	a, rhs, eq, nEq := asm.a, asm.rhs, asm.eq, asm.nEq
 
@@ -184,12 +181,10 @@ func (m *Model) Solve(opt SolveOptions) (*Result, error) {
 		return nil, fmt.Errorf("fem: unknown preconditioner %q", opt.Precond)
 	}
 
-	cgSpan := trace.Default().Span("fem.cg")
 	x, st, err := solver.CG(a, rhs, solver.Options{Tol: tol, MaxIter: maxIter, M: pre, Pool: pool})
 	if err != nil {
 		return nil, fmt.Errorf("fem: linear solve: %w", err)
 	}
-	cgSpan()
 
 	ndof := 3 * m.Grid.NumNodes()
 	u := make([]float64, ndof)

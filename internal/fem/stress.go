@@ -8,7 +8,6 @@ import (
 	"emvia/internal/mesh"
 	"emvia/internal/par"
 	"emvia/internal/telemetry"
-	"emvia/internal/trace"
 )
 
 // Tensor is a symmetric Cauchy stress tensor in Voigt layout.
@@ -58,7 +57,6 @@ func (r *Result) PrecomputeStress(workers int) {
 	sig := make([]Tensor, ncells)
 	sigOK := make([]bool, ncells)
 	stress0 := telemetry.Default().Histogram(telemetry.FEMStressSeconds).Start()
-	stressSpan := trace.Default().Span("fem.stress")
 	pool := par.Shared(workers)
 	pool.Run(par.Blocks(ncells, cellBlock), func(b int) {
 		lo := b * cellBlock
@@ -73,7 +71,6 @@ func (r *Result) PrecomputeStress(workers int) {
 			sig[cid], sigOK[cid] = r.computeStressAt(i, j, k)
 		}
 	})
-	stressSpan()
 	telemetry.Default().Histogram(telemetry.FEMStressSeconds).ObserveSince(stress0)
 	r.sig, r.sigOK = sig, sigOK
 }

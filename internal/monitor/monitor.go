@@ -203,7 +203,7 @@ func summarize(h telemetry.HistogramSnapshot) *histSummary {
 // nil when no job has touched the serve histograms (non-server CLIs).
 func serveStatus(s *telemetry.Snapshot) *servePayload {
 	out := &servePayload{
-		QueueWaitSeconds: summarize(s.Histograms[telemetry.ServeQueueWaitSeconds]),
+		QueueWaitSeconds: summarize(s.Histograms[telemetry.ServeStageSeconds("queue-wait")]),
 		JobSeconds:       summarize(s.Histograms[telemetry.ServeJobSeconds]),
 	}
 	const prefix = "serve.stage_seconds{stage="

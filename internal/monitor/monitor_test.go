@@ -262,3 +262,18 @@ func TestDebugEndpointsServed(t *testing.T) {
 		t.Fatalf("/status without ring: %v", err)
 	}
 }
+
+// TestServeStatusQueueWaitFromStage: /status's queue_wait_seconds is the
+// queue-wait job stage's histogram, the one timer that records it.
+func TestServeStatusQueueWaitFromStage(t *testing.T) {
+	reg := telemetry.New()
+	reg.Histogram(telemetry.ServeStageSeconds("queue-wait")).Observe(0.25)
+	reg.Histogram(telemetry.ServeStageSeconds("mc")).Observe(1.5)
+	out := serveStatus(reg.Snapshot())
+	if out == nil || out.QueueWaitSeconds == nil || out.QueueWaitSeconds.Count != 1 {
+		t.Fatalf("serve status = %+v, want one queue-wait observation", out)
+	}
+	if out.StageSeconds["queue-wait"] == nil || out.StageSeconds["mc"] == nil {
+		t.Fatalf("stage summaries = %+v", out.StageSeconds)
+	}
+}

@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"emvia/internal/telemetry"
-	"emvia/internal/trace"
 )
 
 // Pool is a fixed-width worker pool. The zero value and nil are both valid
@@ -175,10 +174,6 @@ func (p *Pool) dispatch(nblocks, w int, fn func(int)) {
 		busy = reg.Counter(telemetry.ParBusyNanos)
 		run0 = time.Now()
 	}
-	// Trace span for the parallel dispatch only — the serial path stays
-	// uninstrumented for the same hot-loop reason as telemetry.
-	runSpan := trace.Default().Span("par.run")
-
 	p.nblocks = nblocks
 	p.fn = fn
 	p.next.Store(0)
@@ -199,7 +194,6 @@ func (p *Pool) dispatch(nblocks, w int, fn func(int)) {
 	}
 	p.fn = nil
 
-	runSpan()
 	if reg != nil {
 		reg.Counter(telemetry.ParWallNanos).Add(int64(w) * int64(time.Since(run0)))
 	}

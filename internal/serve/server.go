@@ -460,9 +460,7 @@ func (s *Server) executor() {
 // ring, bounded retry on Transient errors, terminal bookkeeping.
 func (s *Server) runJob(job *Job) {
 	st := job.Status()
-	queueWait := time.Since(st.Created)
-	s.reg.Histogram(telemetry.ServeQueueWaitSeconds).Observe(queueWait.Seconds())
-	job.Timeline.Add("queue-wait", st.Created, queueWait)
+	job.Timeline.Add("queue-wait", st.Created, time.Since(st.Created))
 	s.reg.Gauge(telemetry.ServeJobsActive).Add(1)
 	t0 := s.reg.Histogram(telemetry.ServeJobSeconds).Start()
 	// Ledger last (defers run LIFO): the job is terminal and every stage

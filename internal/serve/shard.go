@@ -120,9 +120,7 @@ func (s *Server) runSharded(ctx context.Context, job *Job, k int) (*runOutput, e
 	}
 
 	endMerge := job.Timeline.Stage("merge")
-	t0 := s.reg.Histogram(telemetry.ServeShardMergeSeconds).Start()
 	out, err := mergePartials(job.Hash, job.Spec, parts)
-	s.reg.Histogram(telemetry.ServeShardMergeSeconds).ObserveSince(t0)
 	endMerge()
 	if err != nil {
 		s.reg.Counter(telemetry.ServeShardMergeErrors).Inc()

@@ -6,7 +6,6 @@ import (
 
 	"emvia/internal/solver"
 	"emvia/internal/sparse"
-	"emvia/internal/trace"
 )
 
 // Circuit is a compiled netlist ready for DC solves — the operation the EM
@@ -414,8 +413,6 @@ func (c *Circuit) ready() error {
 // On failure the assembly is left without a factor.
 func (c *Circuit) ensureFactor() error {
 	a := c.asm
-	done := trace.Default().Span("spice.sparse.factor")
-	defer done()
 	t0 := c.met.factorSeconds.Start()
 	if a.factor == nil {
 		f, err := solver.NewSupernodalCholeskyFromCSR(a.mat)

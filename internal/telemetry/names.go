@@ -92,7 +92,6 @@ const (
 	ServeQueueDepth        = "serve.queue.depth"
 	ServeJobsActive        = "serve.jobs.active"
 	ServeJobSeconds        = "serve.job_seconds"
-	ServeQueueWaitSeconds  = "serve.queue_wait_seconds"
 	ServeLedgerRecords     = "serve.ledger.records"
 	ServeLedgerErrors      = "serve.ledger.errors"
 
@@ -102,8 +101,9 @@ const (
 	// dispatches re-issued after a worker failure or timeout; CacheHits are
 	// shards answered from the content-addressed partial cache without any
 	// run; Errors counts failed dispatch attempts. Served/ServeSeconds
-	// instrument the worker side of POST /v1/shards; MergeSeconds and
-	// MergeErrors instrument the coordinator's partial-manifest merge.
+	// instrument the worker side of POST /v1/shards; MergeErrors counts
+	// failed partial-manifest merges (the merge's duration is the "merge"
+	// job stage, see ServeStageSeconds).
 	ServeShardDispatched   = "serve.shard.dispatched"
 	ServeShardRemoteRuns   = "serve.shard.remote_runs"
 	ServeShardLocalRuns    = "serve.shard.local_runs"
@@ -112,7 +112,6 @@ const (
 	ServeShardErrors       = "serve.shard.errors"
 	ServeShardServed       = "serve.shard.served"
 	ServeShardServeSeconds = "serve.shard.serve_seconds"
-	ServeShardMergeSeconds = "serve.shard.merge_seconds"
 	ServeShardMergeErrors  = "serve.shard.merge_errors"
 
 	// internal/trace — live-ring occupancy, published as gauges at monitor

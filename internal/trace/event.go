@@ -10,8 +10,8 @@ import (
 // EventType enumerates the structured event kinds.
 type EventType uint8
 
-// Event kinds. Cascade events (TrialBegin…TrialEnd) carry simulated time
-// only and are deterministic; Span events carry wall-clock data.
+// Event kinds. Every kind is a cascade event: it carries simulated time
+// only and is deterministic.
 const (
 	EvTrialBegin EventType = iota
 	EvSample
@@ -19,7 +19,6 @@ const (
 	EvRedistribute
 	EvSpec
 	EvTrialEnd
-	EvSpan
 )
 
 // eventTypeNames is the JSON spelling of each kind.
@@ -30,7 +29,6 @@ var eventTypeNames = [...]string{
 	EvRedistribute: "redistribute",
 	EvSpec:         "spec_violation",
 	EvTrialEnd:     "trial_end",
-	EvSpan:         "span",
 }
 
 // String returns the JSON spelling.
@@ -61,24 +59,20 @@ func eventTypeFromString(s string) (EventType, error) {
 //	spec_violation T, N = failures so far
 //	trial_end      V = system TTF (s, +Inf = criterion never fired),
 //	               N = total failures
-//	span           Label = stage name, WallNS = start (ns since tracer
-//	               epoch), DurNS = duration (ns); Trial = -1
 //
 // Run/Seq/Trial identify the Monte-Carlo run (label + per-tracer sequence
-// number) and trial; spans carry neither run nor trial.
+// number) and trial.
 type Event struct {
-	Run    string
-	Seq    int64
-	Trial  int
-	Type   EventType
-	T      float64
-	Comp   int
-	Label  string
-	V      float64
-	V2     float64
-	N      int
-	WallNS int64
-	DurNS  int64
+	Run   string
+	Seq   int64
+	Trial int
+	Type  EventType
+	T     float64
+	Comp  int
+	Label string
+	V     float64
+	V2    float64
+	N     int
 }
 
 // appendJSONFloat renders v, spelling the non-finite values JSON cannot
@@ -104,14 +98,12 @@ func (e Event) MarshalJSON() ([]byte, error) { return e.appendJSON(nil), nil }
 func (e Event) appendJSON(b []byte) []byte {
 	b = append(b, `{"type":`...)
 	b = strconv.AppendQuote(b, e.Type.String())
-	if e.Type != EvSpan {
-		b = append(b, `,"run":`...)
-		b = strconv.AppendQuote(b, e.Run)
-		b = append(b, `,"seq":`...)
-		b = strconv.AppendInt(b, e.Seq, 10)
-		b = append(b, `,"trial":`...)
-		b = strconv.AppendInt(b, int64(e.Trial), 10)
-	}
+	b = append(b, `,"run":`...)
+	b = strconv.AppendQuote(b, e.Run)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendInt(b, e.Seq, 10)
+	b = append(b, `,"trial":`...)
+	b = strconv.AppendInt(b, int64(e.Trial), 10)
 	switch e.Type {
 	case EvTrialBegin:
 		b = append(b, `,"n":`...)
@@ -151,13 +143,6 @@ func (e Event) appendJSON(b []byte) []byte {
 		b = appendJSONFloat(b, e.V)
 		b = append(b, `,"n":`...)
 		b = strconv.AppendInt(b, int64(e.N), 10)
-	case EvSpan:
-		b = append(b, `,"label":`...)
-		b = strconv.AppendQuote(b, e.Label)
-		b = append(b, `,"wall_ns":`...)
-		b = strconv.AppendInt(b, e.WallNS, 10)
-		b = append(b, `,"dur_ns":`...)
-		b = strconv.AppendInt(b, e.DurNS, 10)
 	}
 	return append(b, '}')
 }
@@ -196,18 +181,16 @@ func (f *jsonFloat) UnmarshalJSON(b []byte) error {
 // from the line take their neutral values (Trial/Comp = -1).
 func (e *Event) UnmarshalJSON(b []byte) error {
 	var aux struct {
-		Type   string    `json:"type"`
-		Run    string    `json:"run"`
-		Seq    int64     `json:"seq"`
-		Trial  *int      `json:"trial"`
-		T      jsonFloat `json:"t"`
-		Comp   *int      `json:"comp"`
-		Label  string    `json:"label"`
-		V      jsonFloat `json:"v"`
-		V2     jsonFloat `json:"v2"`
-		N      int       `json:"n"`
-		WallNS int64     `json:"wall_ns"`
-		DurNS  int64     `json:"dur_ns"`
+		Type  string    `json:"type"`
+		Run   string    `json:"run"`
+		Seq   int64     `json:"seq"`
+		Trial *int      `json:"trial"`
+		T     jsonFloat `json:"t"`
+		Comp  *int      `json:"comp"`
+		Label string    `json:"label"`
+		V     jsonFloat `json:"v"`
+		V2    jsonFloat `json:"v2"`
+		N     int       `json:"n"`
 	}
 	if err := json.Unmarshal(b, &aux); err != nil {
 		return err
@@ -217,18 +200,16 @@ func (e *Event) UnmarshalJSON(b []byte) error {
 		return err
 	}
 	*e = Event{
-		Run:    aux.Run,
-		Seq:    aux.Seq,
-		Trial:  -1,
-		Type:   typ,
-		T:      float64(aux.T),
-		Comp:   -1,
-		Label:  aux.Label,
-		V:      float64(aux.V),
-		V2:     float64(aux.V2),
-		N:      aux.N,
-		WallNS: aux.WallNS,
-		DurNS:  aux.DurNS,
+		Run:   aux.Run,
+		Seq:   aux.Seq,
+		Trial: -1,
+		Type:  typ,
+		T:     float64(aux.T),
+		Comp:  -1,
+		Label: aux.Label,
+		V:     float64(aux.V),
+		V2:    float64(aux.V2),
+		N:     aux.N,
 	}
 	if aux.Trial != nil {
 		e.Trial = *aux.Trial

@@ -67,11 +67,10 @@ func (s *JSONLSink) Close() error {
 //     ~315 s on the viewer's timeline. Trials appear as complete ("X")
 //     slices from 0 to the system TTF (finite TTFs only), failures and spec
 //     violations as instant ("i") events.
-//   - Wall-clock stage spans live under pid 1 ("pipeline (wall clock)")
-//     with real microsecond timestamps.
 //
 // Sample and redistribute events are omitted — they are JSONL/emtrace
-// material, not timeline material.
+// material, not timeline material. Like the JSONL stream, the output is a
+// pure function of the cascade events.
 type ChromeSink struct {
 	bw    *bufio.Writer
 	c     io.Closer
@@ -110,9 +109,6 @@ func (s *ChromeSink) WriteEvents(events []Event) error {
 	for _, e := range events {
 		var err error
 		switch e.Type {
-		case EvSpan:
-			err = s.record(`{"name":%s,"ph":"X","pid":1,"tid":0,"ts":%.3f,"dur":%.3f}`,
-				strconv.Quote(e.Label), float64(e.WallNS)/1e3, float64(e.DurNS)/1e3)
 		case EvFail:
 			if err = s.ensureProcess(e); err != nil {
 				break
@@ -163,7 +159,7 @@ func (s *ChromeSink) Close() error {
 		s.first = false
 	}
 	if err == nil {
-		// 1 sim second = 1 trace µs for cascade pids; wall µs for pid 1.
+		// 1 sim second = 1 trace µs.
 		_, err = s.bw.WriteString("\n]," + `"displayTimeUnit":"ms","otherData":{"sim_time_unit":"1us = 1 simulated second"}}` + "\n")
 	}
 	if ferr := s.bw.Flush(); err == nil {

@@ -16,10 +16,10 @@ type StageSpan struct {
 	DurationSeconds float64 `json:"duration_seconds"`
 }
 
-// timelineSpanCap bounds a timeline's retained spans. A job runs a fixed
+// maxTimelineSpans bounds a timeline's retained spans. A job runs a fixed
 // pipeline of under a dozen stages; the cap only guards against a buggy or
 // adversarial caller looping Stage() forever.
-const timelineSpanCap = 1024
+const maxTimelineSpans = 1024
 
 // Timeline accumulates the stage spans of one job. It is safe for concurrent
 // use and nil-safe: every method on a nil *Timeline is a no-op, so
@@ -73,7 +73,7 @@ func (t *Timeline) Add(stage string, start time.Time, d time.Duration) {
 		DurationSeconds: d.Seconds(),
 	}
 	t.mu.Lock()
-	if len(t.spans) < timelineSpanCap {
+	if len(t.spans) < maxTimelineSpans {
 		t.spans = append(t.spans, span)
 	}
 	t.mu.Unlock()

@@ -43,11 +43,11 @@ func TestTimelineNegativeDurationClamped(t *testing.T) {
 
 func TestTimelineSpanCap(t *testing.T) {
 	tl := NewTimeline(time.Time{}, nil)
-	for i := 0; i < timelineSpanCap+10; i++ {
+	for i := 0; i < maxTimelineSpans+10; i++ {
 		tl.Add("s", time.Now(), 0)
 	}
-	if n := len(tl.Spans()); n != timelineSpanCap {
-		t.Fatalf("retained %d spans, want cap %d", n, timelineSpanCap)
+	if n := len(tl.Spans()); n != maxTimelineSpans {
+		t.Fatalf("retained %d spans, want cap %d", n, maxTimelineSpans)
 	}
 }
 

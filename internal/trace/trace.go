@@ -3,7 +3,8 @@
 // low-overhead, deterministic record of every failure cascade the Monte-Carlo
 // engine simulates (trial begin/end, per-component TTF samples, failures with
 // time and component identity, current-redistribution summaries, spec
-// violations) plus wall-clock stage spans from the FEA pipeline.
+// violations). Wall-clock stage timing lives elsewhere: process-wide totals
+// in telemetry histograms, per-job stages in a Timeline.
 //
 // The design constraints mirror telemetry's:
 //
@@ -17,8 +18,8 @@
 //     identity, never wall-clock data, and each trial's events are buffered
 //     in a per-trial slot owned by exactly one worker. The merged stream
 //     (trial order, then within-trial record order) is therefore byte-
-//     identical between mc.Run and mc.RunParallel at any worker count.
-//     Wall-clock data is confined to Span events, a separate stream.
+//     identical between mc.Run and mc.RunParallel at any worker count, and
+//     between two identical runs. The tracer never reads the clock.
 //
 // Events flow to pluggable sinks: JSONL export (cmd/emtrace's input), Chrome
 // trace_event JSON (chrome://tracing, Perfetto) and an in-memory Ring holding
@@ -28,31 +29,25 @@ package trace
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Tracer owns the sinks and the span buffer. A nil *Tracer is valid and
+// Tracer owns the sinks and the live ring. A nil *Tracer is valid and
 // disables every operation. Use New, not the zero value.
 type Tracer struct {
-	epoch   time.Time
 	samples bool
-	spanCap int
 
 	runSeq atomic.Int64
 
-	mu           sync.Mutex // guards sinks, spans, err
-	sinks        []Sink
-	spans        []Event
-	spansDropped atomic.Int64
-	err          error
+	mu    sync.Mutex // guards sink writes and err
+	sinks []Sink
+	err   error
 
 	ring *Ring
 }
 
 // Options configures a Tracer.
 type Options struct {
-	// Sinks receive merged event batches (one batch per completed MC run,
-	// plus the span batch at Close).
+	// Sinks receive merged event batches, one per completed MC run.
 	Sinks []Sink
 	// Ring, when non-nil, receives a per-trial cascade summary the moment
 	// each trial completes (live, before the run's deterministic merge).
@@ -60,21 +55,12 @@ type Options struct {
 	// DisableSamples drops per-component TTF-sample events, the bulkiest
 	// event class (one per component per trial).
 	DisableSamples bool
-	// SpanCap bounds the wall-clock span buffer; further spans are counted
-	// as dropped rather than recorded. Zero selects 16384.
-	SpanCap int
 }
 
 // New returns a tracer writing to the given sinks.
 func New(opt Options) *Tracer {
-	cap := opt.SpanCap
-	if cap <= 0 {
-		cap = 16384
-	}
 	return &Tracer{
-		epoch:   time.Now(),
 		samples: !opt.DisableSamples,
-		spanCap: cap,
 		sinks:   opt.Sinks,
 		ring:    opt.Ring,
 	}
@@ -116,26 +102,12 @@ func (t *Tracer) emit(events []Event) {
 	}
 }
 
-// SpansDropped reports how many spans were discarded after the span buffer
-// filled (see Options.SpanCap).
-func (t *Tracer) SpansDropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.spansDropped.Load()
-}
-
-// Close flushes the span buffer and closes every sink, returning the first
-// error any sink reported. Safe on nil.
+// Close closes every sink, returning the first error any sink reported.
+// Safe on nil.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	spans := t.spans
-	t.spans = nil
-	t.mu.Unlock()
-	t.emit(spans)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, s := range t.sinks {
@@ -144,40 +116,6 @@ func (t *Tracer) Close() error {
 		}
 	}
 	return t.err
-}
-
-// SpanEnd finishes a wall-clock span started by Tracer.Span.
-type SpanEnd func()
-
-// noopSpan is the shared disabled SpanEnd, so the nil path allocates nothing.
-var noopSpan SpanEnd = func() {}
-
-// Span starts a wall-clock stage span (FEA assembly, CG solve, stress
-// recovery, parallel dispatch). The returned SpanEnd records the span; on a
-// nil tracer it is a shared no-op and the clock is never read.
-func (t *Tracer) Span(name string) SpanEnd {
-	if t == nil {
-		return noopSpan
-	}
-	start := time.Now()
-	return func() {
-		dur := time.Since(start)
-		t.mu.Lock()
-		if len(t.spans) >= t.spanCap {
-			t.mu.Unlock()
-			t.spansDropped.Add(1)
-			return
-		}
-		t.spans = append(t.spans, Event{
-			Trial:  -1,
-			Comp:   -1,
-			Type:   EvSpan,
-			Label:  name,
-			WallNS: start.Sub(t.epoch).Nanoseconds(),
-			DurNS:  dur.Nanoseconds(),
-		})
-		t.mu.Unlock()
-	}
 }
 
 // Run buffers the cascade events of one Monte-Carlo run: one append-only
@@ -214,9 +152,10 @@ func (r *Run) Trial(i int) Trial {
 }
 
 // End merges the per-trial buffers in deterministic trial order and flushes
-// the batch to the tracer's sinks. Safe on nil.
+// the batch to the tracer's sinks. A tracer without sinks has nothing to
+// merge: its trials dropped their buffers at Trial.End. Safe on nil.
 func (r *Run) End() {
-	if r == nil {
+	if r == nil || len(r.t.sinks) == 0 {
 		return
 	}
 	total := 0
@@ -296,7 +235,9 @@ func (tr Trial) SpecViolation(t float64, failures int) {
 
 // End records the trial outcome — the system TTF (+Inf when the criterion
 // never fired) and the total component-failure count — and publishes the
-// trial's cascade summary to the tracer's live ring, if any.
+// trial's cascade summary to the tracer's live ring, if any. Under a tracer
+// without sinks the summary is the trial's only output, so its buffer is
+// dropped here rather than held until Run.End.
 func (tr Trial) End(ttf float64, failures int) {
 	if tr.run == nil {
 		return
@@ -304,5 +245,8 @@ func (tr Trial) End(ttf float64, failures int) {
 	tr.record(Event{Type: EvTrialEnd, Comp: -1, V: ttf, N: failures})
 	if ring := tr.run.t.ring; ring != nil {
 		ring.add(summarize(tr.run.name, tr.run.seq, tr.idx, tr.run.trials[tr.idx]))
+	}
+	if len(tr.run.t.sinks) == 0 {
+		tr.run.trials[tr.idx] = nil
 	}
 }

@@ -36,8 +36,6 @@ func (s *memSink) all() []Event {
 
 func TestNilTracerIsNoop(t *testing.T) {
 	var tr *Tracer
-	end := tr.Span("x")
-	end()
 	r := tr.BeginRun("run", 4)
 	if r != nil {
 		t.Fatalf("BeginRun on nil tracer = %v, want nil", r)
@@ -56,7 +54,7 @@ func TestNilTracerIsNoop(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close on nil tracer: %v", err)
 	}
-	if tr.Ring() != nil || tr.SpansDropped() != 0 {
+	if tr.Ring() != nil {
 		t.Fatal("nil tracer leaked state")
 	}
 }
@@ -140,26 +138,6 @@ func TestDisableSamples(t *testing.T) {
 	}
 }
 
-func TestSpanCapDrops(t *testing.T) {
-	sink := &memSink{}
-	tc := New(Options{Sinks: []Sink{sink}, SpanCap: 2})
-	for i := 0; i < 5; i++ {
-		tc.Span("s")()
-	}
-	if got := tc.SpansDropped(); got != 3 {
-		t.Fatalf("SpansDropped = %d, want 3", got)
-	}
-	if err := tc.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if got := len(sink.all()); got != 2 {
-		t.Fatalf("flushed %d spans, want 2", got)
-	}
-	if !sink.closed {
-		t.Fatal("sink not closed")
-	}
-}
-
 func TestEventJSONRoundTrip(t *testing.T) {
 	events := []Event{
 		{Run: "r", Seq: 1, Trial: 0, Type: EvTrialBegin, Comp: -1, N: 9},
@@ -169,7 +147,6 @@ func TestEventJSONRoundTrip(t *testing.T) {
 		{Run: "r", Seq: 1, Trial: 0, Type: EvRedistribute, T: 1.25e8, Comp: 5, V: 1.9, V2: 1.2, N: 8},
 		{Run: "r", Seq: 1, Trial: 0, Type: EvSpec, T: 2e8, Comp: -1, N: 3},
 		{Run: "r", Seq: 1, Trial: 0, Type: EvTrialEnd, Comp: -1, V: math.Inf(1), N: 3},
-		{Trial: -1, Comp: -1, Type: EvSpan, Label: "fem.cg", WallNS: 12345, DurNS: 678},
 	}
 	for _, e := range events {
 		buf, err := json.Marshal(e)
@@ -248,7 +225,6 @@ func TestChromeSinkValidJSON(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewChromeSink(&buf)
 	ev := []Event{
-		{Trial: -1, Comp: -1, Type: EvSpan, Label: "fem.cg", WallNS: 1000, DurNS: 500},
 		{Run: "mc", Seq: 0, Trial: 0, Type: EvFail, T: 1e8, Comp: 2, Label: "T-shaped(0,1)"},
 		{Run: "mc", Seq: 0, Trial: 0, Comp: -1, Type: EvSpec, T: 2e8, N: 2},
 		{Run: "mc", Seq: 0, Trial: 0, Comp: -1, Type: EvTrialEnd, V: 2e8, N: 2},
@@ -267,15 +243,15 @@ func TestChromeSinkValidJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("chrome output is not valid JSON: %v\n%s", err, buf.String())
 	}
-	// span + process_name metadata + fail + spec + cascade = 5.
-	if len(doc.TraceEvents) != 5 {
-		t.Fatalf("got %d trace events, want 5:\n%s", len(doc.TraceEvents), buf.String())
+	// process_name metadata + fail + spec + cascade = 4.
+	if len(doc.TraceEvents) != 4 {
+		t.Fatalf("got %d trace events, want 4:\n%s", len(doc.TraceEvents), buf.String())
 	}
 	var names []string
 	for _, e := range doc.TraceEvents {
 		names = append(names, e["name"].(string))
 	}
-	want := []string{"fem.cg", "process_name", "fail T-shaped(0,1)", "spec violation", "cascade"}
+	want := []string{"process_name", "fail T-shaped(0,1)", "spec violation", "cascade"}
 	for i, n := range names {
 		if n != want[i] {
 			t.Fatalf("event %d name %q, want %q", i, n, want[i])
@@ -339,6 +315,53 @@ func TestRingSummaries(t *testing.T) {
 	}
 	if nilRing.Snapshot() != nil {
 		t.Fatal("nil ring Snapshot non-nil")
+	}
+}
+
+// TestRingOnlyTracerDropsBuffers: a tracer whose only output is the ring
+// feeds it the same summaries as one that also exports JSONL, and keeps no
+// trial events once each trial has ended.
+func TestRingOnlyTracerDropsBuffers(t *testing.T) {
+	record := func(tc *Tracer) *Run {
+		run := tc.BeginRun("r", 3)
+		for i := 0; i < 3; i++ {
+			tr := run.Trial(i)
+			tr.Begin(4)
+			tr.Sample(i, 5)
+			tr.Fail(float64(10*(i+1)), i, "c")
+			tr.Redistribute(float64(10*(i+1)), 1.5+float64(i), 1, 1.1, 3)
+			tr.SpecViolation(float64(20*(i+1)), 1)
+			tr.End(float64(20*(i+1)), 1)
+		}
+		run.End()
+		return run
+	}
+	var buf bytes.Buffer
+	exported := NewRing(8)
+	tc := New(Options{Sinks: []Sink{NewJSONLSink(&buf)}, Ring: exported})
+	record(tc)
+	if err := tc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 3*6 {
+		t.Fatalf("JSONL sink got %d lines, want %d", n, 3*6)
+	}
+
+	ringOnly := NewRing(8)
+	run := record(New(Options{Ring: ringOnly}))
+	for i, tb := range run.trials {
+		if tb != nil {
+			t.Fatalf("ring-only run retained %d events of trial %d after End", len(tb), i)
+		}
+	}
+	got, want := ringOnly.Snapshot(), exported.Snapshot()
+	if len(got) != 3 || len(got) != len(want) {
+		t.Fatalf("ring sizes: ring-only %d, exported %d, want 3", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("summary %d: ring-only %+v, exported %+v", i, got[i], want[i])
+		}
 	}
 }
 

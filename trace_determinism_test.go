@@ -4,8 +4,8 @@
 // simulated time and component identity, workers write into per-trial
 // buffer slots, and the merge walks trials in index order — so any
 // wall-clock or scheduling leak into the event stream fails this test
-// loudly. Span events are the trace's separate wall-clock stream and are
-// compared apart from it.
+// loudly. The trace carries no wall-clock data at all, so whole files are
+// compared.
 package emvia_test
 
 import (
@@ -23,15 +23,14 @@ import (
 	"emvia/internal/viaarray"
 )
 
-// captureTraceJSONL installs a fresh tracer around fn and returns the JSONL
-// lines it emitted, split into the deterministic cascade stream and the
-// wall-clock span lines (`"type":"span"`), whose timing fields differ run to
-// run by design. The default tracer is always uninstalled before return so
-// a failing fn cannot leak tracing into other tests.
-func captureTraceJSONL(t *testing.T, fn func() error) (cascade, spans []byte) {
+// captureTraces installs a fresh tracer with a JSONL and a Chrome sink
+// around fn and returns both files. The default tracer is always
+// uninstalled before return so a failing fn cannot leak tracing into other
+// tests.
+func captureTraces(t *testing.T, fn func() error) (jsonl, chrome []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	tr := trace.New(trace.Options{Sinks: []trace.Sink{trace.NewJSONLSink(&buf)}})
+	var jbuf, cbuf bytes.Buffer
+	tr := trace.New(trace.Options{Sinks: []trace.Sink{trace.NewJSONLSink(&jbuf), trace.NewChromeSink(&cbuf)}})
 	trace.SetDefault(tr)
 	defer trace.SetDefault(nil)
 	err := fn()
@@ -42,14 +41,14 @@ func captureTraceJSONL(t *testing.T, fn func() error) (cascade, spans []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range bytes.SplitAfter(buf.Bytes(), []byte("\n")) {
-		if bytes.Contains(line, []byte(`"type":"span"`)) {
-			spans = append(spans, line...)
-		} else {
-			cascade = append(cascade, line...)
-		}
-	}
-	return cascade, spans
+	return jbuf.Bytes(), cbuf.Bytes()
+}
+
+// captureTraceJSONL returns the JSONL trace fn emits.
+func captureTraceJSONL(t *testing.T, fn func() error) []byte {
+	t.Helper()
+	jsonl, _ := captureTraces(t, fn)
+	return jsonl
 }
 
 // TestTraceDeterminismViaArrayMC asserts the merged event stream of
@@ -59,7 +58,7 @@ func TestTraceDeterminismViaArrayMC(t *testing.T) {
 	cfg := ablationConfig(4, 16)
 	opt := mc.Options{Trials: 40, Seed: 42, RunToCompletion: true}
 
-	ref, _ := captureTraceJSONL(t, func() error {
+	ref := captureTraceJSONL(t, func() error {
 		sys, err := viaarray.New(cfg)
 		if err != nil {
 			return err
@@ -77,7 +76,7 @@ func TestTraceDeterminismViaArrayMC(t *testing.T) {
 	for _, w := range mcWorkerCounts {
 		popt := opt
 		popt.Workers = w
-		got, _ := captureTraceJSONL(t, func() error {
+		got := captureTraceJSONL(t, func() error {
 			_, err := mc.RunParallel(func() (mc.System, error) { return viaarray.New(cfg) }, popt)
 			return err
 		})
@@ -89,17 +88,14 @@ func TestTraceDeterminismViaArrayMC(t *testing.T) {
 }
 
 // TestTraceDeterminismGridMC is the same matrix over the power-grid system,
-// whose trials trigger failure cascades and spec-violation events. Each run
-// builds, tunes and factors its own grid, so it must also emit
-// spice.sparse.factor spans — proof the wall-clock stream was captured and
-// set aside rather than absent.
+// whose trials trigger failure cascades and spec-violation events.
 func TestTraceDeterminismGridMC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid Monte Carlo is slow under -short")
 	}
 	opt := mc.Options{Trials: 12, Seed: 7}
 
-	ref, refSpans := captureTraceJSONL(t, func() error {
+	ref := captureTraceJSONL(t, func() error {
 		sys, err := pdn.NewSystem(traceGridConfig(t))
 		if err != nil {
 			return err
@@ -110,25 +106,57 @@ func TestTraceDeterminismGridMC(t *testing.T) {
 	if !bytes.Contains(ref, []byte(`"spec_violation"`)) {
 		t.Fatalf("grid trace has no spec_violation events:\n%.400s", ref)
 	}
-	factorSpan := []byte(`"label":"spice.sparse.factor"`)
-	if !bytes.Contains(refSpans, factorSpan) {
-		t.Fatalf("serial grid run emitted no spice.sparse.factor spans:\n%.400s", refSpans)
-	}
 
 	for _, w := range mcWorkerCounts {
 		popt := opt
 		popt.Workers = w
-		got, spans := captureTraceJSONL(t, func() error {
+		got := captureTraceJSONL(t, func() error {
 			cfg := traceGridConfig(t)
 			_, err := mc.RunParallel(func() (mc.System, error) { return pdn.NewSystem(cfg) }, popt)
 			return err
 		})
-		if !bytes.Contains(spans, factorSpan) {
-			t.Fatalf("Workers=%d: grid run emitted no spice.sparse.factor spans", w)
-		}
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("Workers=%d: grid trace differs from serial run (%d vs %d bytes)\nfirst divergence: %s",
 				w, len(got), len(ref), firstDivergence(got, ref))
+		}
+	}
+}
+
+// TestTraceRepeatable runs the same serial grid and via-array Monte Carlo
+// twice each: both runs must write byte-identical JSONL and Chrome files.
+// Neither export may carry anything that differs run to run.
+func TestTraceRepeatable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid Monte Carlo is slow under -short")
+	}
+	cases := []struct {
+		name   string
+		system func() (mc.System, error)
+		opt    mc.Options
+	}{
+		{"grid", func() (mc.System, error) { return pdn.NewSystem(traceGridConfig(t)) }, mc.Options{Trials: 12, Seed: 7}},
+		{"via-array", func() (mc.System, error) { return viaarray.New(ablationConfig(4, 16)) },
+			mc.Options{Trials: 40, Seed: 42, RunToCompletion: true}},
+	}
+	for _, tc := range cases {
+		run := func() error {
+			sys, err := tc.system()
+			if err != nil {
+				return err
+			}
+			_, err = mc.Run(sys, tc.opt)
+			return err
+		}
+		jsonl1, chrome1 := captureTraces(t, run)
+		jsonl2, chrome2 := captureTraces(t, run)
+		if !bytes.Contains(chrome1, []byte(`"name":"cascade"`)) {
+			t.Fatalf("%s: Chrome trace has no cascade slices:\n%.400s", tc.name, chrome1)
+		}
+		if !bytes.Equal(jsonl1, jsonl2) {
+			t.Fatalf("%s: JSONL differs between identical runs\nfirst divergence: %s", tc.name, firstDivergence(jsonl2, jsonl1))
+		}
+		if !bytes.Equal(chrome1, chrome2) {
+			t.Fatalf("%s: Chrome trace differs between identical runs\nfirst divergence: %s", tc.name, firstDivergence(chrome2, chrome1))
 		}
 	}
 }
