@@ -34,7 +34,8 @@ lint:
 # (see scripts/bench_snapshot.sh and BENCH_1.json / BENCH_2.json). The large
 # GridSolve tiers (nx100/nx200, a cold pristine solve of ~0.1 s and ~0.6 s
 # per op) only run via bench-snapshot, which measures them at a reduced
-# -benchtime.
+# -benchtime. BenchmarkFEASolve (a full-mesh 4×4 cold FEA, ~0.2 s per op)
+# runs at 10x; BenchmarkIC0 times the IC(0) factor and sweeps on their own.
 bench:
 	$(GO) test -run '^$$' \
 	    -bench 'BenchmarkFig10GridCDF|BenchmarkTable2GridTTF|BenchmarkSparseCholeskyFactorSupernodal|BenchmarkFig1StressProfile|BenchmarkFig6Patterns|BenchmarkFig7ArraySize|BenchmarkFEAWorkers|BenchmarkStressCacheWarm' \
@@ -42,6 +43,8 @@ bench:
 	$(GO) test -run '^$$' \
 	    -bench 'BenchmarkGridSolve/^nx(10|20|40|64)$$' \
 	    -benchmem -benchtime=100x -count=1 .
+	$(GO) test -run '^$$' -bench 'BenchmarkFEASolve' -benchmem -benchtime=10x -count=1 .
+	$(GO) test -run '^$$' -bench 'BenchmarkIC0' -benchmem -benchtime=100x -count=1 ./internal/solver
 
 bench-snapshot:
 	sh scripts/bench_snapshot.sh BENCH_snapshot.json

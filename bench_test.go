@@ -163,6 +163,23 @@ func BenchmarkFEAWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkFEASolve times the cold FEA solve of the array-char benchmark
+// workload: one full-mesh 4×4 StressFor per op on a fresh analyzer with no
+// stress cache, so every op assembles, factors IC(0), runs CG and recovers
+// stress for one pattern.
+func BenchmarkFEASolve(b *testing.B) {
+	for _, pat := range cudd.Patterns() {
+		b.Run(pat.String(), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				a := core.NewAnalyzer()
+				if _, err := a.StressFor(pat, a.Base.LayerPair, 4, a.Base.WireWidth); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkStressCacheWarm measures StressFor against a warm persistent
 // cache: every iteration uses a fresh analyzer (empty in-memory map), so the
 // per-via stress matrix comes entirely from disk and no FEA runs.

@@ -2,6 +2,7 @@ package fem
 
 import (
 	"fmt"
+	"math"
 
 	"emvia/internal/mat"
 	"emvia/internal/par"
@@ -90,8 +91,8 @@ func (m *Model) assemble(pool *par.Pool) (*assembly, error) {
 			eq[d] = -1
 		}
 	}
-	if nEq == 0 {
-		return nil, fmt.Errorf("fem: no free degrees of freedom (empty or fully constrained model)")
+	if err := checkEquations(nEq); err != nil {
+		return nil, err
 	}
 
 	nx, ny, nz := g.CellDims()
@@ -197,7 +198,7 @@ func (m *Model) assemble(pool *par.Pool) (*assembly, error) {
 		}
 	}
 	nnz := ptr[nEq]
-	cols := make([]int, nnz)
+	cols := make([]int32, nnz)
 	vals := make([]float64, nnz)
 	rhs := make([]float64, nEq)
 
@@ -246,7 +247,7 @@ func (m *Model) assemble(pool *par.Pool) (*assembly, error) {
 				mn := (dk*nny+dj)*nnx + di + n
 				for cc := 0; cc < 3; cc++ {
 					if col := eq[3*mn+cc]; col >= 0 {
-						rowCols[pos] = col
+						rowCols[pos] = int32(col)
 						pos++
 					}
 				}
@@ -288,7 +289,7 @@ func (m *Model) assemble(pool *par.Pool) (*assembly, error) {
 								if col < 0 {
 									continue
 								}
-								for rowCols[pos] < col {
+								for int(rowCols[pos]) < col {
 									pos++
 								}
 								for c := 0; c < 3; c++ {
@@ -316,6 +317,18 @@ func (m *Model) assemble(pool *par.Pool) (*assembly, error) {
 		eq:  eq,
 		nEq: nEq,
 	}, nil
+}
+
+// checkEquations rejects a free-DOF count the stiffness matrix cannot hold:
+// none at all, or more than its int32 column indices can address.
+func checkEquations(nEq int) error {
+	if nEq == 0 {
+		return fmt.Errorf("fem: no free degrees of freedom (empty or fully constrained model)")
+	}
+	if nEq > math.MaxInt32 {
+		return fmt.Errorf("fem: %d free degrees of freedom (nEq) exceed the int32 index range of the stiffness matrix (max %d)", nEq, math.MaxInt32)
+	}
+	return nil
 }
 
 // couplingMask returns the 27-bit neighbor-offset mask of node (i,j,k): bit

@@ -21,6 +21,7 @@ import (
 	"emvia/internal/mesh"
 	"emvia/internal/par"
 	"emvia/internal/solver"
+	"emvia/internal/sparse"
 	"emvia/internal/telemetry"
 )
 
@@ -195,6 +196,16 @@ func (m *Model) Solve(opt SolveOptions) (*Result, error) {
 	}
 	reg.Histogram(telemetry.FEMSolveSeconds).ObserveSince(solve0)
 	return &Result{U: u, Stats: st, model: m, workers: opt.Workers}, nil
+}
+
+// Assemble returns the free-DOF stiffness matrix and thermal-load vector
+// that Solve hands to CG, assembled on workers workers (0 = GOMAXPROCS).
+func (m *Model) Assemble(workers int) (*sparse.CSR, []float64, error) {
+	asm, err := m.assemble(par.Shared(workers))
+	if err != nil {
+		return nil, nil, err
+	}
+	return asm.a, asm.rhs, nil
 }
 
 // activeNodes marks nodes adjacent to at least one non-None cell.

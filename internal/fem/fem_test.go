@@ -3,6 +3,8 @@ package fem
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -359,5 +361,27 @@ func TestStressInvariantUnderUniformScaling(t *testing.T) {
 	s1, s2 := stress(1), stress(7.3)
 	if math.Abs(s1-s2)/s1 > 1e-9 {
 		t.Errorf("stress not scale-invariant: %g vs %g", s1, s2)
+	}
+}
+
+// TestCheckEquations checks the guard assembly runs on the free-DOF count
+// before allocating the stiffness matrix: zero equations and more than the
+// int32 column indices can address are errors naming the count.
+func TestCheckEquations(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("an equation count beyond int32 needs a 64-bit int")
+	}
+	big := math.MaxInt32
+	big++
+	if err := checkEquations(big); err == nil || !strings.Contains(err.Error(), strconv.Itoa(big)) || !strings.Contains(err.Error(), "nEq") {
+		t.Errorf("checkEquations(%d) = %v, want an error naming nEq and the count", big, err)
+	}
+	if err := checkEquations(0); err == nil {
+		t.Error("checkEquations(0) accepted a model with no free DOFs")
+	}
+	for _, n := range []int{1, math.MaxInt32} {
+		if err := checkEquations(n); err != nil {
+			t.Errorf("checkEquations(%d) = %v", n, err)
+		}
 	}
 }

@@ -42,8 +42,8 @@ func AMDOrder(a *sparse.CSR) []int {
 		cols, _ := a.Row(i)
 		lst := make([]int32, 0, len(cols))
 		for _, c := range cols {
-			if c != i {
-				lst = append(lst, int32(c))
+			if int(c) != i {
+				lst = append(lst, c)
 			}
 		}
 		adj[i] = lst

@@ -57,7 +57,7 @@ func withEdgeDelta(a *sparse.CSR, i, j int, dg float64) *sparse.CSR {
 	for r := 0; r < n; r++ {
 		cols, vals := a.Row(r)
 		for k, c := range cols {
-			tr.Add(r, c, vals[k])
+			tr.Add(r, int(c), vals[k])
 		}
 	}
 	tr.Add(i, i, dg)

@@ -63,8 +63,8 @@ func NewDenseCholeskyFromCSR(a *sparse.CSR) (*DenseCholesky, error) {
 	for i := 0; i < n; i++ {
 		cols, vals := a.Row(i)
 		for k, col := range cols {
-			if col <= i {
-				l[i*n+col] = vals[k]
+			if int(col) <= i {
+				l[i*n+int(col)] = vals[k]
 			}
 		}
 	}

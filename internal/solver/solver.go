@@ -48,14 +48,15 @@ type Jacobi struct {
 	invDiag []float64
 }
 
-// NewJacobi builds a Jacobi preconditioner from the diagonal of A. Zero or
-// negative diagonal entries are rejected, since the target systems are SPD.
+// NewJacobi builds a Jacobi preconditioner from the diagonal of A. A
+// diagonal entry that is not finite and positive is rejected, since the
+// target systems are SPD.
 func NewJacobi(a *sparse.CSR) (*Jacobi, error) {
 	d := a.Diagonal()
 	inv := make([]float64, len(d))
 	for i, v := range d {
-		if v <= 0 {
-			return nil, fmt.Errorf("%w: diagonal entry %d is %g", ErrNotSPD, i, v)
+		if !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("%w: diagonal entry of row %d is %g", ErrNotSPD, i, v)
 		}
 		inv[i] = 1 / v
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -206,12 +207,19 @@ func TestICOExactOnTridiagonal(t *testing.T) {
 	}
 }
 
+// TestJacobiRejectsNonpositiveDiagonal checks that every diagonal entry that
+// is not finite and positive is rejected with ErrNotSPD naming its row. An
+// absent entry reads as zero; NaN and +Inf used to slip past a v <= 0 test
+// and poison or zero the preconditioner.
 func TestJacobiRejectsNonpositiveDiagonal(t *testing.T) {
-	tr := sparse.NewTriplet(2, 2, 0)
-	tr.Add(0, 0, 1)
-	// (1,1) diagonal missing → zero.
-	if _, err := NewJacobi(tr.ToCSR()); !errors.Is(err, ErrNotSPD) {
-		t.Errorf("err = %v, want ErrNotSPD", err)
+	for _, v := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		tr := sparse.NewTriplet(2, 2, 0)
+		tr.Add(0, 0, 1)
+		tr.Add(1, 1, v)
+		_, err := NewJacobi(tr.ToCSR())
+		if !errors.Is(err, ErrNotSPD) || !strings.Contains(err.Error(), "row 1") {
+			t.Errorf("diagonal %g: err = %v, want ErrNotSPD naming row 1", v, err)
+		}
 	}
 }
 

@@ -20,13 +20,13 @@ func blockDiag(a, b *sparse.CSR) *sparse.CSR {
 	for i := 0; i < na; i++ {
 		cols, vals := a.Row(i)
 		for t, c := range cols {
-			tr.Add(i, c, vals[t])
+			tr.Add(i, int(c), vals[t])
 		}
 	}
 	for i := 0; i < nb; i++ {
 		cols, vals := b.Row(i)
 		for t, c := range cols {
-			tr.Add(na+i, na+c, vals[t])
+			tr.Add(na+i, na+int(c), vals[t])
 		}
 	}
 	return tr.ToCSR()
@@ -224,10 +224,10 @@ func withDiagonal(a *sparse.CSR, diag map[int]float64) *sparse.CSR {
 		cols, vals := a.Row(i)
 		for t, c := range cols {
 			v := vals[t]
-			if d, ok := diag[i]; ok && c == i {
+			if d, ok := diag[i]; ok && int(c) == i {
 				v = d
 			}
-			tr.Add(i, c, v)
+			tr.Add(i, int(c), v)
 		}
 	}
 	return tr.ToCSR()

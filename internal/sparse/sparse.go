@@ -6,34 +6,46 @@
 // summing triplet assembly, matrix–vector products, transpose, diagonal
 // extraction and row scaling. Matrices are real and row-major; the symmetric
 // positive-definite systems produced by FEM stiffness assembly and power-grid
-// nodal analysis store both triangles explicitly.
+// nodal analysis store both triangles explicitly. Column indices are stored
+// as int32, which halves the index traffic of the memory-bound row products,
+// so every dimension must fit in an int32.
 package sparse
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
+
+// checkDims panics when a dimension is negative or beyond the int32 range of
+// the stored indices.
+func checkDims(r, c int) {
+	if r < 0 || c < 0 {
+		panic(fmt.Sprintf("sparse: negative dimensions %d×%d", r, c))
+	}
+	if r > math.MaxInt32 || c > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: dimensions %d×%d exceed the int32 index range (max %d)", r, c, math.MaxInt32))
+	}
+}
 
 // Triplet accumulates matrix entries in coordinate (COO) form. Duplicate
 // entries at the same (row, col) are summed when converting to CSR, which is
 // exactly the semantics of finite-element and nodal-analysis "stamping".
 type Triplet struct {
 	nrows, ncols int
-	rows, cols   []int
+	rows, cols   []int32
 	vals         []float64
 }
 
 // NewTriplet returns an empty r×c triplet accumulator with capacity for nnz
 // entries (nnz may be 0 if unknown).
 func NewTriplet(r, c, nnz int) *Triplet {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("sparse: negative dimensions %d×%d", r, c))
-	}
+	checkDims(r, c)
 	return &Triplet{
 		nrows: r,
 		ncols: c,
-		rows:  make([]int, 0, nnz),
-		cols:  make([]int, 0, nnz),
+		rows:  make([]int32, 0, nnz),
+		cols:  make([]int32, 0, nnz),
 		vals:  make([]float64, 0, nnz),
 	}
 }
@@ -53,14 +65,15 @@ func (t *Triplet) Add(i, j int, v float64) {
 	if v == 0 {
 		return
 	}
-	t.rows = append(t.rows, i)
-	t.cols = append(t.cols, j)
+	t.rows = append(t.rows, int32(i))
+	t.cols = append(t.cols, int32(j))
 	t.vals = append(t.vals, v)
 }
 
 // ToCSR compresses the triplets into CSR form, summing duplicates. The
 // triplet accumulator remains valid and may keep accumulating afterwards.
 func (t *Triplet) ToCSR() *CSR {
+	checkDims(t.nrows, t.ncols)
 	// Count entries per row, then bucket-sort into row order.
 	counts := make([]int, t.nrows+1)
 	for _, r := range t.rows {
@@ -71,7 +84,7 @@ func (t *Triplet) ToCSR() *CSR {
 	}
 	ptr := make([]int, t.nrows+1)
 	copy(ptr, counts)
-	cols := make([]int, len(t.vals))
+	cols := make([]int32, len(t.vals))
 	vals := make([]float64, len(t.vals))
 	next := make([]int, t.nrows)
 	for i := range next {
@@ -115,7 +128,7 @@ func (t *Triplet) ToCSR() *CSR {
 // analysis, tens for FEM), where insertion sort beats the generic sort and —
 // unlike sort.Sort with an interface receiver — allocates nothing, which
 // matters because ToCSR runs once per matrix row.
-func sortRow(cols []int, vals []float64) {
+func sortRow(cols []int32, vals []float64) {
 	for i := 1; i < len(cols); i++ {
 		c, v := cols[i], vals[i]
 		j := i - 1
@@ -134,7 +147,7 @@ func sortRow(cols []int, vals []float64) {
 type CSR struct {
 	nrows, ncols int
 	ptr          []int
-	cols         []int
+	cols         []int32
 	vals         []float64
 }
 
@@ -142,7 +155,8 @@ type CSR struct {
 // used without copying; callers must not mutate them afterwards. It validates
 // structural invariants and panics on malformed input, since raw construction
 // is only used by trusted in-package code paths and tests.
-func NewCSR(r, c int, ptr, cols []int, vals []float64) *CSR {
+func NewCSR(r, c int, ptr []int, cols []int32, vals []float64) *CSR {
+	checkDims(r, c)
 	if len(ptr) != r+1 || ptr[0] != 0 || ptr[r] != len(cols) || len(cols) != len(vals) {
 		panic("sparse: inconsistent CSR components")
 	}
@@ -151,7 +165,7 @@ func NewCSR(r, c int, ptr, cols []int, vals []float64) *CSR {
 			panic("sparse: non-monotone row pointer")
 		}
 		for k := ptr[i]; k < ptr[i+1]; k++ {
-			if cols[k] < 0 || cols[k] >= c {
+			if cols[k] < 0 || int(cols[k]) >= c {
 				panic("sparse: column index out of range")
 			}
 			if k > ptr[i] && cols[k] <= cols[k-1] {
@@ -170,7 +184,7 @@ func (m *CSR) NNZ() int { return len(m.vals) }
 
 // Row returns views of the column indices and values of row i. The returned
 // slices alias internal storage and must not be mutated structurally.
-func (m *CSR) Row(i int) (cols []int, vals []float64) {
+func (m *CSR) Row(i int) (cols []int32, vals []float64) {
 	return m.cols[m.ptr[i]:m.ptr[i+1]], m.vals[m.ptr[i]:m.ptr[i+1]]
 }
 
@@ -179,9 +193,7 @@ func (m *CSR) At(i, j int) float64 {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		panic(fmt.Sprintf("sparse: index (%d,%d) out of range %d×%d", i, j, m.nrows, m.ncols))
 	}
-	lo, hi := m.ptr[i], m.ptr[i+1]
-	k := lo + sort.SearchInts(m.cols[lo:hi], j)
-	if k < hi && m.cols[k] == j {
+	if k := m.slot(i, j); k >= 0 {
 		return m.vals[k]
 	}
 	return 0
@@ -196,10 +208,15 @@ func (m *CSR) SlotIndex(i, j int) int {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		panic(fmt.Sprintf("sparse: index (%d,%d) out of range %d×%d", i, j, m.nrows, m.ncols))
 	}
+	return m.slot(i, j)
+}
+
+// slot returns the storage slot of entry (i, j), or -1 when it is not
+// stored. j must be in range, so it fits the int32 column indices.
+func (m *CSR) slot(i, j int) int {
 	lo, hi := m.ptr[i], m.ptr[i+1]
-	k := lo + sort.SearchInts(m.cols[lo:hi], j)
-	if k < hi && m.cols[k] == j {
-		return k
+	if k, ok := slices.BinarySearch(m.cols[lo:hi], int32(j)); ok {
+		return lo + k
 	}
 	return -1
 }
@@ -229,16 +246,21 @@ func (m *CSR) MulVecTo(y, x []float64) {
 // rowDot accumulates one CSR row against x with two interleaved partial sums
 // (breaking the serial dependency chain) combined as even+odd at the end.
 // Every row-product in the package funnels through it, so MulVecTo and the
-// partitioned MulVecRange produce bit-identical results.
+// partitioned MulVecRange produce bit-identical results. The row is resliced
+// once, so the loop reads two local slices rather than reloading the
+// matrix's fields for every entry.
 func (m *CSR) rowDot(x []float64, lo, hi int) float64 {
+	cols := m.cols[lo:hi]
+	vals := m.vals[lo:hi]
+	vals = vals[:len(cols)]
 	s0, s1 := 0.0, 0.0
-	k := lo
-	for ; k+1 < hi; k += 2 {
-		s0 += m.vals[k] * x[m.cols[k]]
-		s1 += m.vals[k+1] * x[m.cols[k+1]]
+	k := 0
+	for ; k+1 < len(cols); k += 2 {
+		s0 += vals[k] * x[cols[k]]
+		s1 += vals[k+1] * x[cols[k+1]]
 	}
-	if k < hi {
-		s0 += m.vals[k] * x[m.cols[k]]
+	if k < len(cols) {
+		s0 += vals[k] * x[cols[k]]
 	}
 	return s0 + s1
 }
@@ -266,7 +288,7 @@ func (m *CSR) Diagonal() []float64 {
 	d := make([]float64, n)
 	for i := 0; i < n; i++ {
 		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
-			if m.cols[k] == i {
+			if int(m.cols[k]) == i {
 				d[i] = m.vals[k]
 				break
 			}
@@ -284,7 +306,7 @@ func (m *CSR) Transpose() *CSR {
 	for i := 0; i < m.ncols; i++ {
 		ptr[i+1] += ptr[i]
 	}
-	cols := make([]int, len(m.vals))
+	cols := make([]int32, len(m.vals))
 	vals := make([]float64, len(m.vals))
 	next := make([]int, m.ncols)
 	copy(next, ptr[:m.ncols])
@@ -292,7 +314,7 @@ func (m *CSR) Transpose() *CSR {
 		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
 			c := m.cols[k]
 			p := next[c]
-			cols[p] = i
+			cols[p] = int32(i)
 			vals[p] = m.vals[k]
 			next[c]++
 		}
@@ -339,37 +361,9 @@ func (m *CSR) Scale(s float64) {
 func (m *CSR) Clone() *CSR {
 	ptr := make([]int, len(m.ptr))
 	copy(ptr, m.ptr)
-	cols := make([]int, len(m.cols))
+	cols := make([]int32, len(m.cols))
 	copy(cols, m.cols)
 	vals := make([]float64, len(m.vals))
 	copy(vals, m.vals)
-	return &CSR{nrows: m.nrows, ncols: m.ncols, ptr: ptr, cols: cols, vals: vals}
-}
-
-// LowerTriangle returns the lower triangle (including the diagonal) of the
-// matrix as a new CSR, used by the incomplete-Cholesky preconditioner.
-func (m *CSR) LowerTriangle() *CSR {
-	ptr := make([]int, m.nrows+1)
-	nnz := 0
-	for i := 0; i < m.nrows; i++ {
-		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
-			if m.cols[k] <= i {
-				nnz++
-			}
-		}
-		ptr[i+1] = nnz
-	}
-	cols := make([]int, nnz)
-	vals := make([]float64, nnz)
-	w := 0
-	for i := 0; i < m.nrows; i++ {
-		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
-			if m.cols[k] <= i {
-				cols[w] = m.cols[k]
-				vals[w] = m.vals[k]
-				w++
-			}
-		}
-	}
 	return &CSR{nrows: m.nrows, ncols: m.ncols, ptr: ptr, cols: cols, vals: vals}
 }

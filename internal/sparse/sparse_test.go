@@ -3,6 +3,8 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -204,27 +206,6 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestLowerTriangle(t *testing.T) {
-	tr := NewTriplet(3, 3, 0)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			tr.Add(i, j, float64(10*i+j+1))
-		}
-	}
-	low := tr.ToCSR().LowerTriangle()
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if j <= i {
-				want = float64(10*i + j + 1)
-			}
-			if got := low.At(i, j); got != want {
-				t.Errorf("LowerTriangle At(%d,%d) = %g, want %g", i, j, got, want)
-			}
-		}
-	}
-}
-
 func TestScaleAndClone(t *testing.T) {
 	tr := NewTriplet(2, 2, 0)
 	tr.Add(0, 0, 1)
@@ -248,4 +229,32 @@ func TestMulVecToDimensionPanics(t *testing.T) {
 		}
 	}()
 	m.MulVecTo(make([]float64, 2), make([]float64, 2))
+}
+
+// TestInt32DimensionGuard checks that NewTriplet, NewCSR and ToCSR refuse a
+// dimension beyond the int32 column-index range before allocating anything
+// of that size; the largest int32 dimension is accepted.
+func TestInt32DimensionGuard(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("dimensions beyond int32 need a 64-bit int")
+	}
+	big := math.MaxInt32
+	big++
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if msg, _ := r.(string); !strings.Contains(msg, "int32") {
+				t.Errorf("%s: recovered %v, want a panic naming the int32 range", name, r)
+			}
+		}()
+		f()
+	}
+	mustPanic("NewTriplet rows", func() { NewTriplet(big, 1, 0) })
+	mustPanic("NewTriplet cols", func() { NewTriplet(1, big, 0) })
+	mustPanic("NewCSR", func() { NewCSR(1, big, []int{0, 0}, nil, nil) })
+	mustPanic("ToCSR", func() { (&Triplet{nrows: big, ncols: 1}).ToCSR() })
+	if tr := NewTriplet(1, math.MaxInt32, 0); tr.ncols != math.MaxInt32 {
+		t.Errorf("NewTriplet(1, MaxInt32) has %d columns", tr.ncols)
+	}
 }

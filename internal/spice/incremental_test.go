@@ -544,7 +544,7 @@ func TestFactorizationFailureSurfaces(t *testing.T) {
 	for i := 0; i < n; i++ {
 		cols, vals := good.Row(i)
 		for k, j := range cols {
-			tr.Add(i, j, vals[k])
+			tr.Add(i, int(j), vals[k])
 		}
 	}
 	tr.Add(5, 5, -100)

@@ -9,6 +9,8 @@ const (
 	CGSolves        = "solver.cg.solves"
 	CGIterations    = "solver.cg.iterations"
 	CGItersPerSolve = "solver.cg.iterations_per_solve"
+	// See PrecondFallbacks for the labeled series of preconditioner
+	// fallbacks.
 
 	// internal/solver — dense Cholesky (the via-array networks).
 	DenseFactorizations = "solver.dense.factorizations"
@@ -137,6 +139,14 @@ const (
 // emvia_serve_stage_seconds family.
 func ServeStageSeconds(stage string) string {
 	return "serve.stage_seconds{stage=" + stage + "}"
+}
+
+// PrecondFallbacks names the counter of automatic preconditioner choices
+// that fell back from IC(0), by the preconditioner used instead: "jacobi"
+// (the IC(0) factorization broke down) or "identity" (Jacobi was rejected
+// too).
+func PrecondFallbacks(to string) string {
+	return "solver.precond_fallbacks{to=" + to + "}"
 }
 
 // CascadeFallbacks names the counter of cascade rebases — a trial that
