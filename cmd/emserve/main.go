@@ -69,8 +69,6 @@ func run() error {
 	queueCap := flag.Int("queue", 8, "admission queue capacity (further submissions get 429)")
 	jobWorkers := flag.Int("job-workers", 1, "Monte-Carlo worker budget per job (wall-clock only; results are worker-count invariant)")
 	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "default per-job execution deadline (specs may set a shorter timeout_seconds)")
-	maxAttempts := flag.Int("max-attempts", 3, "execution attempts per job for transient failures")
-	retryBackoff := flag.Duration("retry-backoff", 50*time.Millisecond, "delay before the first retry, doubling per attempt")
 	resultDir := flag.String("resultdir", "", "persist result manifests here (content-addressed; empty = memory only)")
 	ledgerPath := flag.String("ledger", "", "append one JSONL record per terminal job here (empty = <resultdir>/ledger.jsonl when -resultdir is set; \"-\" disables)")
 	ringSize := flag.Int("ring", 1024, "trace ring capacity (live progress and SSE window)")
@@ -99,8 +97,6 @@ func run() error {
 		QueueCap:       *queueCap,
 		JobWorkers:     *jobWorkers,
 		DefaultTimeout: *jobTimeout,
-		MaxAttempts:    *maxAttempts,
-		RetryBackoff:   *retryBackoff,
 		ResultDir:      *resultDir,
 		LedgerPath:     *ledgerPath,
 		Shards:         *shards,

@@ -17,7 +17,6 @@ import (
 	"sort"
 
 	"emvia/internal/cudd"
-	"emvia/internal/fem"
 )
 
 // Key identifies a characterized via-array family up to wire width.
@@ -174,15 +173,13 @@ type BuildSpec struct {
 	// temperatures, resolution); Pattern/LayerPair/ArrayN/WireWidth fields
 	// are overwritten per run.
 	Base cudd.Params
-	// Solve tunes the FEA solves.
-	Solve fem.SolveOptions
 	// Progress, when non-nil, is called before each FEA run.
 	Progress func(k Key, width float64)
-	// Characterize, when non-nil, replaces cudd.Characterize as the stress
-	// producer for each run. Callers use it to route solves through a
-	// persistent cache; it must return the per-via peak σ_T matrix that
-	// cudd.Characterize would produce for the same params.
-	Characterize func(p cudd.Params, opt fem.SolveOptions) ([][]float64, error)
+	// Characterize produces each run's per-via peak σ_T matrix, the
+	// PeakSigmaT of cudd.Characterize for the same params. It is required:
+	// the caller picks the FEA solve options and may route solves through a
+	// persistent cache.
+	Characterize func(p cudd.Params) ([][]float64, error)
 }
 
 // Build runs the full FEA campaign of the spec and returns the populated
@@ -193,15 +190,8 @@ func Build(spec BuildSpec) (*Table, error) {
 	if len(spec.LayerPairs) == 0 || len(spec.Patterns) == 0 || len(spec.ArrayNs) == 0 || len(spec.WireWidths) == 0 {
 		return nil, fmt.Errorf("chartable: empty build spec axis")
 	}
-	characterize := spec.Characterize
-	if characterize == nil {
-		characterize = func(p cudd.Params, opt fem.SolveOptions) ([][]float64, error) {
-			res, err := cudd.Characterize(p, opt)
-			if err != nil {
-				return nil, err
-			}
-			return res.PeakSigmaT, nil
-		}
+	if spec.Characterize == nil {
+		return nil, fmt.Errorf("chartable: build spec has no Characterize")
 	}
 	t := New()
 	for _, lp := range spec.LayerPairs {
@@ -217,7 +207,7 @@ func Build(spec BuildSpec) (*Table, error) {
 					p.Pattern = pat
 					p.ArrayN = n
 					p.WireWidth = w
-					sigma, err := characterize(p, spec.Solve)
+					sigma, err := spec.Characterize(p)
 					if err != nil {
 						return nil, fmt.Errorf("chartable: characterizing %v at width %g: %w", k, w, err)
 					}

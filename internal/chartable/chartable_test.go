@@ -187,6 +187,15 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// feaSigma characterizes p by a default FEA solve, with no cache.
+func feaSigma(p cudd.Params) ([][]float64, error) {
+	res, err := cudd.Characterize(p, fem.SolveOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return res.PeakSigmaT, nil
+}
+
 func TestBuildRunsFEACampaign(t *testing.T) {
 	base := cudd.DefaultParams()
 	base.Margin = 1.0 * phys.Micron
@@ -195,12 +204,13 @@ func TestBuildRunsFEACampaign(t *testing.T) {
 	base.StepZBulk = 1.0 * phys.Micron
 	var calls int
 	tab, err := Build(BuildSpec{
-		LayerPairs: []cudd.LayerPair{{Lower: cudd.Intermediate, Upper: cudd.Intermediate}},
-		Patterns:   []cudd.Pattern{cudd.Plus, cudd.TShape},
-		ArrayNs:    []int{2},
-		WireWidths: []float64{2e-6, 2.5e-6},
-		Base:       base,
-		Progress:   func(Key, float64) { calls++ },
+		LayerPairs:   []cudd.LayerPair{{Lower: cudd.Intermediate, Upper: cudd.Intermediate}},
+		Patterns:     []cudd.Pattern{cudd.Plus, cudd.TShape},
+		ArrayNs:      []int{2},
+		WireWidths:   []float64{2e-6, 2.5e-6},
+		Base:         base,
+		Progress:     func(Key, float64) { calls++ },
+		Characterize: feaSigma,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +245,17 @@ func TestBuildRunsFEACampaign(t *testing.T) {
 }
 
 func TestBuildEmptySpec(t *testing.T) {
-	if _, err := Build(BuildSpec{}); err == nil {
+	if _, err := Build(BuildSpec{Characterize: feaSigma}); err == nil {
 		t.Error("accepted empty spec")
+	}
+	if _, err := Build(BuildSpec{
+		LayerPairs: []cudd.LayerPair{{Lower: cudd.Intermediate, Upper: cudd.Intermediate}},
+		Patterns:   []cudd.Pattern{cudd.Plus},
+		ArrayNs:    []int{2},
+		WireWidths: []float64{2e-6},
+		Base:       cudd.DefaultParams(),
+	}); err == nil {
+		t.Error("accepted a spec without Characterize")
 	}
 }
 
@@ -251,11 +270,12 @@ func TestInterpolationAccuracyVsExactFEA(t *testing.T) {
 	base.StepZBulk = 1.0 * phys.Micron
 	lp := cudd.LayerPair{Lower: cudd.Intermediate, Upper: cudd.Intermediate}
 	tab, err := Build(BuildSpec{
-		LayerPairs: []cudd.LayerPair{lp},
-		Patterns:   []cudd.Pattern{cudd.Plus},
-		ArrayNs:    []int{2},
-		WireWidths: []float64{2e-6, 3e-6},
-		Base:       base,
+		LayerPairs:   []cudd.LayerPair{lp},
+		Patterns:     []cudd.Pattern{cudd.Plus},
+		ArrayNs:      []int{2},
+		WireWidths:   []float64{2e-6, 3e-6},
+		Base:         base,
+		Characterize: feaSigma,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -207,16 +207,13 @@ func (a *Analyzer) characterizeSigma(p cudd.Params) ([][]float64, error) {
 // every solve through the persistent stress cache when one is enabled.
 func (a *Analyzer) BuildStressTable(arrayNs []int, widths []float64, progress func(chartable.Key, float64)) (*chartable.Table, error) {
 	return chartable.Build(chartable.BuildSpec{
-		LayerPairs: cudd.LayerPairs(),
-		Patterns:   cudd.Patterns(),
-		ArrayNs:    arrayNs,
-		WireWidths: widths,
-		Base:       a.Base,
-		Solve:      a.FEA,
-		Progress:   progress,
-		Characterize: func(p cudd.Params, _ fem.SolveOptions) ([][]float64, error) {
-			return a.characterizeSigma(p)
-		},
+		LayerPairs:   cudd.LayerPairs(),
+		Patterns:     cudd.Patterns(),
+		ArrayNs:      arrayNs,
+		WireWidths:   widths,
+		Base:         a.Base,
+		Progress:     progress,
+		Characterize: a.characterizeSigma,
 	})
 }
 

@@ -97,9 +97,6 @@ func (m *Model) SetFaceBC(f Face, bc BC) {
 	m.faceBC[f] = bc
 }
 
-// FaceBC returns the boundary condition of a face.
-func (m *Model) FaceBC(f Face) BC { return m.faceBC[f] }
-
 // SolveOptions tunes the linear solve.
 type SolveOptions struct {
 	// Tol is the relative residual tolerance (default 1e-8; stresses are

@@ -58,9 +58,7 @@ type System interface {
 }
 
 // TrialPreparer is optionally implemented by Systems that can precompute
-// state shared by a group of upcoming trials — e.g. batching the linear
-// solves that seed each trial's first failure into one multi-RHS sweep.
-// The engine calls PrepareTrials with the seeds of the next trialGroup
+// state shared by a group of upcoming trials. The engine calls PrepareTrials with the seeds of the next trialGroup
 // consecutive trials right before running them (in order, on the same
 // system instance), so an implementation may key its precomputation to the
 // seeds and serve it back during BeginTrial/Fail. Preparation must not

@@ -1,7 +1,6 @@
 package pdn
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -131,9 +130,9 @@ const responseBudget = 12
 // responseCache holds the pristine responses A₀⁻¹u of opened via arrays,
 // one cache per master system, shared by its clones. An entry is published
 // once and never changes, so readers load it lock-free; only publishing takes
-// the lock. Every path that solves for a response — a batched prefill or a
-// single miss — produces the same bits, so which worker published an entry
-// never shows in a result.
+// the lock. Every worker solves a missed response with the same kernel and
+// gets the same bits, so which worker published an entry never shows in a
+// result.
 type responseCache struct {
 	entries []atomic.Pointer[[]float64]
 	mu      sync.Mutex
@@ -154,13 +153,6 @@ func (c *responseCache) get(k int) []float64 {
 		return *p
 	}
 	return nil
-}
-
-// free returns how many more entries the budget admits.
-func (c *responseCache) free() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.room
 }
 
 // publish offers z as array k's response. It returns z with taken set when
@@ -222,8 +214,8 @@ func (c *cascade) solution() []float64 {
 // cascadeMetrics holds the cascade's telemetry handles, fetched once per
 // master and shared by its clones; all nil when telemetry is disabled.
 type cascadeMetrics struct {
-	steps, hits, prefills, misses *telemetry.Counter
-	rankRebases, pivotRebases     *telemetry.Counter
+	steps, hits, misses       *telemetry.Counter
+	rankRebases, pivotRebases *telemetry.Counter
 }
 
 func newCascadeMetrics() cascadeMetrics {
@@ -231,8 +223,7 @@ func newCascadeMetrics() cascadeMetrics {
 	return cascadeMetrics{
 		steps:        r.Counter(telemetry.CascadeSteps),
 		hits:         r.Counter(telemetry.CascadeResponseHits),
-		prefills:     r.Counter(telemetry.CascadeResponseFills("prefill")),
-		misses:       r.Counter(telemetry.CascadeResponseFills("miss")),
+		misses:       r.Counter(telemetry.CascadeResponseMisses),
 		rankRebases:  r.Counter(telemetry.CascadeFallbacks(rebaseRank)),
 		pivotRebases: r.Counter(telemetry.CascadeFallbacks(rebasePivot)),
 	}
@@ -398,7 +389,7 @@ func (s *GridSystem) response(k int) ([]float64, error) {
 	if z == nil {
 		z = make([]float64, len(s.y0))
 	}
-	if err := s.solveResponses(base, z, []int{k}); err != nil {
+	if err := s.solveResponse(base, z, k); err != nil {
 		return nil, err
 	}
 	s.met.misses.Inc()
@@ -419,49 +410,25 @@ func (s *GridSystem) response(k int) ([]float64, error) {
 	return entry, nil
 }
 
-// fillResponses solves the responses of arrays ks in one batched sweep and
-// publishes them, as many as the cache budget admits.
-func (s *GridSystem) fillResponses(ks []int) error {
-	m := min(len(ks), s.cache.free())
-	if m == 0 {
-		return nil
+// solveResponse solves A·z = u_k into z against base — the shared pristine
+// circuit or a rebase — reading base's factor with this instance's scratch.
+func (s *GridSystem) solveResponse(base *spice.Circuit, z []float64, k int) error {
+	if s.rhs == nil {
+		s.rhs = make([]float64, len(s.y0))
 	}
-	n := len(s.y0)
-	slab := make([]float64, m*n)
-	if err := s.solveResponses(s.circuit, slab, ks[:m]); err != nil {
-		return fmt.Errorf("pdn: preparing trial group: %w", err)
+	t := s.terms[k]
+	if t.fa >= 0 {
+		s.rhs[t.fa] = 1
 	}
-	s.met.prefills.Add(int64(m))
-	for i, k := range ks[:m] {
-		s.cache.publish(k, slab[i*n:(i+1)*n:(i+1)*n])
+	if t.fb >= 0 {
+		s.rhs[t.fb] = -1
 	}
-	return nil
-}
-
-// solveResponses solves A·z = u_k against base — the shared pristine circuit
-// or a rebase — for each array of ks into the stacked vectors of dst,
-// reading base's factor with this instance's scratch.
-func (s *GridSystem) solveResponses(base *spice.Circuit, dst []float64, ks []int) error {
-	n := len(s.y0)
-	s.rhs = slices.Grow(s.rhs[:0], len(ks)*n)[:len(ks)*n]
-	for i, k := range ks {
-		t := s.terms[k]
-		if t.fa >= 0 {
-			s.rhs[i*n+t.fa] = 1
-		}
-		if t.fb >= 0 {
-			s.rhs[i*n+t.fb] = -1
-		}
+	err := base.SolveFree(&s.ws, z, s.rhs)
+	if t.fa >= 0 {
+		s.rhs[t.fa] = 0
 	}
-	err := base.SolveFreeBatch(&s.ws, dst, s.rhs, len(ks))
-	for i, k := range ks {
-		t := s.terms[k]
-		if t.fa >= 0 {
-			s.rhs[i*n+t.fa] = 0
-		}
-		if t.fb >= 0 {
-			s.rhs[i*n+t.fb] = 0
-		}
+	if t.fb >= 0 {
+		s.rhs[t.fb] = 0
 	}
 	return err
 }

@@ -55,7 +55,7 @@ func BenchmarkCascadeCrossover(b *testing.B) {
 			b.Fatal(err)
 		}
 		t2 := time.Now()
-		if err := s.solveResponses(s.casc.rb, z, []int{len(g.Vias) / 3}); err != nil {
+		if err := s.solveResponse(s.casc.rb, z, len(g.Vias)/3); err != nil {
 			b.Fatal(err)
 		}
 		step += t1.Sub(t0)

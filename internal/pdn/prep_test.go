@@ -287,7 +287,7 @@ func TestPreparedTrialsMatchLegacy(t *testing.T) {
 }
 
 // TestPreparedTrialsEngage checks that the cascade serves at least 95 % of
-// failures and that PrepareTrials prefills the response cache — guarding
+// failures and that its steps read the shared response cache — guarding
 // against the fast path silently degrading to the factor path.
 func TestPreparedTrialsEngage(t *testing.T) {
 	reg := withRegistry(t)
@@ -310,22 +310,16 @@ func TestPreparedTrialsEngage(t *testing.T) {
 	if fails == 0 || float64(steps) < 0.95*float64(fails) {
 		t.Errorf("cascade served %d of %d failures, want ≥ 95 %%", steps, fails)
 	}
-	if n := reg.Counter(telemetry.CascadeResponseFills("prefill")).Value(); n == 0 {
-		t.Error("PrepareTrials prefilled no response")
-	}
 	if n := reg.Counter(telemetry.CascadeResponseHits).Value(); n == 0 {
 		t.Error("no cascade step read the response cache")
 	}
 
-	// Weakest-link runs prepare nothing: the trial ends at the first
-	// failure, before any re-solve.
+	// Weakest-link trials end at the first failure, before any re-solve,
+	// so they need no responses.
 	cfg.Criterion = WeakestLink
 	cfg.IRDropFrac = 0
 	wl, err := NewSystem(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wl.PrepareTrials([]int64{101, 202, 303, 404}); err != nil {
 		t.Fatal(err)
 	}
 	if wl.cache != nil {
@@ -333,8 +327,8 @@ func TestPreparedTrialsEngage(t *testing.T) {
 	}
 }
 
-// TestPreparedParallelMatchesSerial pins worker invariance of the batched
-// path end to end on a real grid system.
+// TestPreparedParallelMatchesSerial pins worker invariance of the cascade
+// and its shared response cache end to end on a real grid system.
 func TestPreparedParallelMatchesSerial(t *testing.T) {
 	g := mustGrid(t, smallSpec(), 0.05)
 	ref := refCurrentOf(t, g)
@@ -573,7 +567,6 @@ func TestCascadeMetricsExposed(t *testing.T) {
 	for _, series := range []string{
 		"emvia_pdn_cascade_steps_total ",
 		"emvia_pdn_cascade_response_hits_total ",
-		`emvia_pdn_cascade_response_fills_total{path="prefill"} `,
 		`emvia_pdn_cascade_response_fills_total{path="miss"} `,
 		`emvia_pdn_cascade_fallbacks_total{reason="rank"} `,
 		`emvia_pdn_cascade_fallbacks_total{reason="pivot"} `,

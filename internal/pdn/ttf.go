@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"emvia/internal/cudd"
 	"emvia/internal/mc"
@@ -126,7 +125,7 @@ func (c TTFConfig) Validate() error {
 // Every per-trial pass — reset, sampling, current update — walks one
 // ascending candidate list: every array, or the steady screen's mortal
 // subset once SetCandidates installs a mask. sampleTTFs owns a trial's
-// sampling stream, which BeginTrial draws and PrepareTrials replays.
+// sampling stream, which BeginTrial draws.
 type GridSystem struct {
 	cfg TTFConfig
 
@@ -345,12 +344,12 @@ func (s *GridSystem) sampleTTF(k int, src *rand.Rand) float64 {
 }
 
 // sampleTTFs draws a trial's candidate TTFs from the trial generator rng
-// into dst (entries outside the candidates are left alone). Unmasked, the
+// into baseTTF (entries outside the candidates are left alone). Unmasked, the
 // arrays draw from rng in index order. Masked, exactly one base draw is taken
 // from rng whatever the mask, and each candidate samples from its own
 // substream seeded by (base, k), so the sampled TTF of an array depends only
 // on (trial, array) — which is what makes screened runs mask-monotone.
-func (s *GridSystem) sampleTTFs(rng *rand.Rand, dst []float64) {
+func (s *GridSystem) sampleTTFs(rng *rand.Rand) {
 	src := rng
 	var base int64
 	if s.masked {
@@ -363,7 +362,7 @@ func (s *GridSystem) sampleTTFs(rng *rand.Rand, dst []float64) {
 		if s.masked {
 			src.Seed(subSeed(base, k))
 		}
-		dst[k] = s.sampleTTF(k, src)
+		s.baseTTF[k] = s.sampleTTF(k, src)
 	}
 }
 
@@ -380,44 +379,18 @@ func (s *GridSystem) BeginTrial(rng *rand.Rand) error {
 		s.alive[k] = true
 		s.iNow[k] = s.i0[k]
 	}
-	s.sampleTTFs(rng, s.baseTTF)
+	s.sampleTTFs(rng)
 	return nil
 }
 
-// PrepareTrials implements mc.TrialPreparer: ahead of a trial group it
-// replays each trial's TTF sampling (sampleTTFs) from its seed, predicts
-// the trial's first failure — the strict argmin of sampled TTF over
-// candidates carrying current, exactly the engine's first scheduling
-// decision — and solves the pristine responses of the group's uncached
-// predictions into the shared cache in one batched multi-RHS sweep. A wrong prediction costs only a
-// cache miss at the first failure. Weakest-link trials never re-solve, so
-// there is nothing to prepare.
-func (s *GridSystem) PrepareTrials(seeds []int64) error {
-	if s.cfg.Criterion == WeakestLink {
-		return nil
-	}
-	var ks []int
-	ttf := make([]float64, s.NumComponents())
-	rng := rand.New(rand.NewSource(0))
-	for _, seed := range seeds {
-		rng.Seed(seed)
-		s.sampleTTFs(rng, ttf)
-		minTTF := math.Inf(1)
-		k := -1
-		for _, i := range s.candidates {
-			if s.i0[i] > 0 && ttf[i] < minTTF {
-				minTTF = ttf[i]
-				k = i
-			}
-		}
-		if k >= 0 && !math.IsInf(minTTF, 1) && !s.terms[k].pinned() && s.cache.get(k) == nil {
-			ks = append(ks, k)
-		}
-	}
-	slices.Sort(ks)
-	ks = slices.Compact(ks)
-	return s.fillResponses(ks)
-}
+// PrepareTrials implements mc.TrialPreparer and does nothing. A trial
+// solves each response it misses when it needs it and publishes it to the
+// shared cache, so later trials read it. A prefill of each trial group's
+// predicted first failures used to run here: on the ir-cascade benchmark it
+// was no faster than solving on demand and held more memory. The method
+// stays because the benchmark harness times it and requires the engine to
+// call it.
+func (s *GridSystem) PrepareTrials(seeds []int64) error { return nil }
 
 // BaseTTF returns array k's sampled TTF.
 func (s *GridSystem) BaseTTF(k int) float64 { return s.baseTTF[k] }

@@ -125,8 +125,7 @@ func (j *Job) Status() Status {
 	}
 }
 
-// noteShards records the job's shard count (once per execution attempt; a
-// retried attempt re-records the same partition).
+// noteShards records the job's shard count.
 func (j *Job) noteShards(n int) {
 	j.mu.Lock()
 	j.shards = n
@@ -165,7 +164,7 @@ func (j *Job) Manifest() []byte {
 // Done exposes the terminal-transition channel.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// setRunning marks the start of an execution attempt.
+// setRunning marks the start of the job's execution.
 func (j *Job) setRunning() {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -29,14 +29,17 @@ type LedgerRecord struct {
 	// Dedup reports how a duplicate submission was answered
 	// ("result-cache"); empty for an executed job. In-flight attaches never
 	// produce a record — they have no job of their own.
-	Dedup       string `json:"dedup,omitempty"`
-	Attempts    int    `json:"attempts"`
-	Retries     int    `json:"retries"`
-	TrialsDone  int64  `json:"trials_done"`
-	TrialsTotal int64  `json:"trials_total"`
+	Dedup string `json:"dedup,omitempty"`
+	// Attempts is 1 for an executed job and 0 for a deduplicated one.
+	// Retries is always 0: a job runs once. Both stay in the record so the
+	// ledger format does not change.
+	Attempts    int   `json:"attempts"`
+	Retries     int   `json:"retries"`
+	TrialsDone  int64 `json:"trials_done"`
+	TrialsTotal int64 `json:"trials_total"`
 	// QueueWaitSeconds and WallSeconds are admission-to-start and
 	// admission-to-terminal wall clock. StageSeconds sums each recorded
-	// timeline stage (a retried job accumulates multiple spans per stage).
+	// timeline stage.
 	QueueWaitSeconds float64            `json:"queue_wait_seconds"`
 	WallSeconds      float64            `json:"wall_seconds"`
 	StageSeconds     map[string]float64 `json:"stage_seconds,omitempty"`

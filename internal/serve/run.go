@@ -16,20 +16,6 @@ import (
 	"emvia/internal/viaarray"
 )
 
-// Transient marks an error as retryable: the executor re-attempts the job
-// with backoff instead of failing it. Engine errors are deterministic (the
-// same spec fails the same way), so the default runner never returns one;
-// the classification exists for runners with genuinely transient failure
-// modes — remote solver backends, cache filesystems — and for the retry
-// tests.
-type Transient struct{ Err error }
-
-// Error implements error.
-func (t *Transient) Error() string { return "transient: " + t.Err.Error() }
-
-// Unwrap exposes the cause.
-func (t *Transient) Unwrap() error { return t.Err }
-
 // buildGrid realizes the spec's grid source: a synthetic generate+calibrate
 // or an inline-deck parse. Both paths are deterministic functions of the
 // spec.

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -347,57 +346,43 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
-// TestRetryTransient: Transient-wrapped failures are retried with backoff
-// up to the attempt bound; the job then completes and the attempt count
-// and retry counter agree.
-func TestRetryTransient(t *testing.T) {
-	calls := 0
+// TestPersistErrorCountedOnce: a manifest that cannot be written to the
+// result directory still completes the job from memory. The error is
+// counted as a persist error, never as a failed job. The result directory
+// sits under a regular file, so creating it fails even for root.
+func TestPersistErrorCountedOnce(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	runner := func(ctx context.Context, spec *JobSpec, opts RunOptions) (*runOutput, error) {
-		calls++
-		if calls <= 2 {
-			return nil, &Transient{Err: errors.New("flaky backend")}
-		}
 		return &runOutput{materialHash: "test"}, nil
 	}
-	_, ts := newTestServer(t, Config{Runner: runner, MaxAttempts: 3, RetryBackoff: time.Millisecond})
-
-	code, sub, _ := submit(t, ts, tinySpec)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: code %d", code)
-	}
-	st := waitTerminal(t, ts, sub.ID)
-	if st.State != StateDone {
-		t.Fatalf("state %q (error %q), want done", st.State, st.Error)
-	}
-	if st.Attempts != 3 {
-		t.Errorf("attempts %d, want 3", st.Attempts)
-	}
-	if got := counter(telemetry.ServeRetries); got != 2 {
-		t.Errorf("retries %d, want 2", got)
-	}
-	if got := counter(telemetry.ServeSolves); got != 3 {
-		t.Errorf("solves %d, want 3 (one per attempt)", got)
-	}
-}
-
-// TestRetryExhaustion: a persistently Transient job fails after the
-// attempt bound instead of retrying forever.
-func TestRetryExhaustion(t *testing.T) {
-	runner := func(ctx context.Context, spec *JobSpec, opts RunOptions) (*runOutput, error) {
-		return nil, &Transient{Err: errors.New("still flaky")}
-	}
-	_, ts := newTestServer(t, Config{Runner: runner, MaxAttempts: 2, RetryBackoff: time.Millisecond})
+	s, ts := newTestServer(t, Config{Runner: runner, ResultDir: filepath.Join(file, "results"), LedgerPath: "-"})
 
 	_, sub, _ := submit(t, ts, tinySpec)
 	st := waitTerminal(t, ts, sub.ID)
-	if st.State != StateFailed {
-		t.Fatalf("state %q, want failed", st.State)
+	if st.State != StateDone || st.Attempts != 1 {
+		t.Fatalf("state %q after %d attempts (error %q), want done after 1", st.State, st.Attempts, st.Error)
 	}
-	if st.Attempts != 2 {
-		t.Errorf("attempts %d, want 2", st.Attempts)
+	if rcode, _ := getResult(t, ts, sub.ID); rcode != http.StatusOK {
+		t.Errorf("result code %d, want 200", rcode)
 	}
-	if rcode, _ := getResult(t, ts, sub.ID); rcode != http.StatusInternalServerError {
-		t.Errorf("result code %d, want 500", rcode)
+	// The counters move after the terminal transition; draining waits for
+	// the executor to finish the job's bookkeeping.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int64{
+		telemetry.ServeCompleted:     1,
+		telemetry.ServeFailed:        0,
+		telemetry.ServePersistErrors: 1,
+	} {
+		if got := counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
 

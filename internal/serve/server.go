@@ -55,12 +55,6 @@ type Config struct {
 	// DefaultTimeout bounds jobs that do not carry their own
 	// timeout_seconds. 0 selects 5 minutes.
 	DefaultTimeout time.Duration
-	// MaxAttempts bounds execution attempts per job; only errors wrapped
-	// in Transient are retried. 0 selects 3.
-	MaxAttempts int
-	// RetryBackoff is the delay before the first retry, doubling per
-	// attempt. 0 selects 50ms.
-	RetryBackoff time.Duration
 	// ResultDir, when set, persists result manifests as
 	// <dir>/<contenthash>.json so dedup survives restarts.
 	ResultDir string
@@ -134,12 +128,6 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 5 * time.Minute
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 50 * time.Millisecond
 	}
 	if cfg.ShardSlots <= 0 {
 		cfg.ShardSlots = 2
@@ -457,7 +445,9 @@ func (s *Server) executor() {
 }
 
 // runJob executes one job: deadline context, live progress from the trace
-// ring, bounded retry on Transient errors, terminal bookkeeping.
+// ring, terminal bookkeeping. A failed job is not retried: the engine is a
+// deterministic function of the spec, so it would fail the same way again.
+// Shards retry in their own dispatcher (Config.ShardAttempts).
 func (s *Server) runJob(job *Job) {
 	st := job.Status()
 	job.Timeline.Add("queue-wait", st.Created, time.Since(st.Created))
@@ -478,34 +468,16 @@ func (s *Server) runJob(job *Job) {
 	go s.trackProgress(job, ringStart, progressDone)
 	defer close(progressDone)
 
-	var out *runOutput
-	var err error
-	for attempt := 1; ; attempt++ {
-		job.setRunning()
-		s.reg.Counter(telemetry.ServeSolves).Inc()
-		out, err = s.execute(ctx, job)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			job.setProgress(s.ring.Total() - ringStart)
-			job.finish(StateDeadline, nil, err.Error())
-			s.reg.Counter(telemetry.ServeDeadlineExceeded).Inc()
-			return
-		}
-		var tr *Transient
-		if errors.As(err, &tr) && attempt < s.cfg.MaxAttempts {
-			s.reg.Counter(telemetry.ServeRetries).Inc()
-			backoff := s.cfg.RetryBackoff << (attempt - 1)
-			select {
-			case <-time.After(backoff):
-				continue
-			case <-ctx.Done():
-				job.finish(StateDeadline, nil, ctx.Err().Error())
-				s.reg.Counter(telemetry.ServeDeadlineExceeded).Inc()
-				return
-			}
-		}
+	job.setRunning()
+	s.reg.Counter(telemetry.ServeSolves).Inc()
+	out, err := s.execute(ctx, job)
+	if errors.Is(err, context.DeadlineExceeded) {
+		job.setProgress(s.ring.Total() - ringStart)
+		job.finish(StateDeadline, nil, err.Error())
+		s.reg.Counter(telemetry.ServeDeadlineExceeded).Inc()
+		return
+	}
+	if err != nil {
 		job.finish(StateFailed, nil, err.Error())
 		s.reg.Counter(telemetry.ServeFailed).Inc()
 		return
@@ -519,7 +491,7 @@ func (s *Server) runJob(job *Job) {
 			if serr := s.store.saveResult(job.Hash, buf); serr != nil {
 				// Persisting is best-effort: the job still completes from
 				// memory, only cross-restart dedup is lost.
-				s.reg.Counter(telemetry.ServeFailed).Inc()
+				s.reg.Counter(telemetry.ServePersistErrors).Inc()
 			}
 			endManifest()
 			job.finish(StateDone, buf, "")
@@ -575,9 +547,6 @@ func (s *Server) ledgerAppend(job *Job, dedup string) {
 		Attempts:    st.Attempts,
 		TrialsDone:  st.TrialsDone,
 		TrialsTotal: st.TrialsTotal,
-	}
-	if st.Attempts > 1 {
-		rec.Retries = st.Attempts - 1
 	}
 	rec.Shards = st.Shards
 	rec.ShardsReissued = st.ShardReissues

@@ -92,7 +92,7 @@ type shardRequest struct {
 // workers are configured, to a local executor pool. The final attempt of
 // every shard runs locally, so a job only fails when the engine itself
 // fails. Completed partials are content-addressed in the coordinator's
-// cache, making re-issues and retried jobs idempotent.
+// cache, making re-issues idempotent.
 func (s *Server) runSharded(ctx context.Context, job *Job, k int) (*runOutput, error) {
 	ranges := shardRanges(job.Spec.Trials, k)
 	job.noteShards(len(ranges))

@@ -1,8 +1,8 @@
 // Package serve turns the EM analysis engines into queryable infrastructure:
 // an HTTP/JSON job API (submit a SPICE deck or synthetic-grid spec plus
 // engine options, poll status, stream progress, fetch the result) in front
-// of a bounded job queue with per-job worker budgets, deadlines, bounded
-// retry and graceful drain.
+// of a bounded job queue with per-job worker budgets, deadlines and
+// graceful drain.
 //
 // Completed results are content-addressed the way internal/core's stress
 // cache is: sha256 over the canonicalized job spec (defaults applied), the

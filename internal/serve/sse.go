@@ -73,7 +73,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 	label := job.TraceLabel()
 	// seen dedups ring entries across polls by (seq, trial): the ring is
-	// shared across runs, and a retried job runs under a fresh seq.
+	// shared across runs, each under its own seq.
 	seen := make(map[[2]int64]bool)
 	emitTrials := func() bool {
 		for _, ts := range s.ring.Snapshot() {

@@ -57,7 +57,8 @@ func laplacian1D(n int) *sparse.CSR {
 }
 
 func residual(a *sparse.CSR, x, b []float64) float64 {
-	r := a.MulVec(x)
+	r := make([]float64, len(b))
+	a.MulVecTo(r, x)
 	num, den := 0.0, 0.0
 	for i := range b {
 		d := b[i] - r[i]

@@ -395,9 +395,6 @@ func (c *SupernodalCholesky) NNZ() int { return c.nnzL }
 // not modify it.
 func (c *SupernodalCholesky) Perm() []int { return c.perm }
 
-// Supernodes returns the number of supernodes of the partition.
-func (c *SupernodalCholesky) Supernodes() int { return c.nsup }
-
 // prepCols computes the columns of supernode s up to (not including) the
 // dense diagonal-block factorization: zero, scatter A, apply the static
 // update list.
@@ -573,10 +570,9 @@ func (c *SupernodalCholesky) RefactorFromCSR(a *sparse.CSR) error {
 }
 
 // Workspace is the scratch of a caller's triangular solves, grown on demand
-// and reused across calls. A factor keeps one for SolveInto; SolveWith
-// takes the caller's, which leaves the factor
-// strictly read-only, so goroutines that each own a Workspace may solve
-// against one factor concurrently.
+// and reused across calls. A factor keeps one for SolveInto; SolveWith takes
+// the caller's, which leaves the factor strictly read-only, so goroutines
+// that each own a Workspace may solve against one factor concurrently.
 type Workspace struct{ z []float64 }
 
 // grow returns the first m scratch entries, reallocating when short.
@@ -587,41 +583,23 @@ func (w *Workspace) grow(m int) []float64 {
 	return w.z[:m]
 }
 
-// SolveInto overwrites x with A⁻¹·b without allocating. Both slices must
-// have the system dimension; they may alias.
+// SolveInto overwrites x with A⁻¹·b without allocating, using the
+// factor's own workspace. Both slices must have the system dimension; they
+// may alias.
 func (c *SupernodalCholesky) SolveInto(x, b []float64) error {
-	if len(b) != c.n || len(x) != c.n {
-		return fmt.Errorf("solver: SolveInto lengths %d/%d do not match dimension %d", len(x), len(b), c.n)
-	}
-	return c.SolveWith(&c.ws, x, b, 1)
+	return c.SolveWith(&c.ws, x, b)
 }
 
-// SolveWith solves nrhs systems into x using the caller's workspace: b and x
-// hold nrhs stacked vectors (vector k occupies [k·n, (k+1)·n)), solved one
-// after another by the single-vector kernel. It reads the factor and writes
-// only x and ws, so concurrent calls with distinct workspaces are safe.
-//
-// There is no row-major batched kernel: one beats the loop only on dense
-// right-hand sides. The failure cascade, the only batched caller, solves
-// two-entry resistor vectors, whose zero columns the single-vector forward
-// sweep skips; on the nx64 power-grid factor (8 023 unknowns) the loop was
-// faster than a variable-width batched pass at every width from 1 to 16
-// (2-CPU Intel Xeon, medians of 8 interleaved runs: 0.54 against 2.02 ms
-// for one vector, 4.61 against 5.84 for eight, 9.68 against 11.24 for
-// sixteen).
-func (c *SupernodalCholesky) SolveWith(ws *Workspace, x, b []float64, nrhs int) error {
-	if nrhs <= 0 {
-		return fmt.Errorf("solver: SolveWith nrhs %d", nrhs)
-	}
-	n := c.n
-	if len(b) != n*nrhs || len(x) != n*nrhs {
-		return fmt.Errorf("solver: SolveWith lengths %d/%d, want %d", len(x), len(b), n*nrhs)
+// SolveWith overwrites x with A⁻¹·b using the caller's workspace. Both
+// slices must have the system dimension; they may alias. It reads the factor
+// and writes only x and ws, so concurrent calls with distinct workspaces are
+// safe.
+func (c *SupernodalCholesky) SolveWith(ws *Workspace, x, b []float64) error {
+	if len(b) != c.n || len(x) != c.n {
+		return fmt.Errorf("solver: solve lengths %d/%d do not match dimension %d", len(x), len(b), c.n)
 	}
 	record(telemetry.SparseSolves)
-	z := ws.grow(n)
-	for v := 0; v < nrhs; v++ {
-		c.solveVec(z, x[v*n:(v+1)*n], b[v*n:(v+1)*n])
-	}
+	c.solveVec(ws.grow(c.n), x, b)
 	return nil
 }
 

@@ -95,10 +95,9 @@ func TestSupernodalMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSupernodalBatchSolveBitIdentical pins the batch-solve contract: a
-// SolveWith of nrhs stacked vectors with the caller's scratch must reproduce
-// looped SolveInto calls bit for bit, not just to rounding, at every width
-// from 1 to 17.
+// TestSupernodalBatchSolveBitIdentical pins the shared-factor solve
+// contract: SolveWith with the caller's scratch must reproduce SolveInto,
+// which uses the factor's own, bit for bit, not just to rounding.
 func TestSupernodalBatchSolveBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := gridLaplacian(40, 41)
@@ -108,25 +107,22 @@ func TestSupernodalBatchSolveBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ws Workspace
-	for nrhs := 1; nrhs <= 17; nrhs++ {
-		b := make([]float64, n*nrhs)
+	with, into := make([]float64, n), make([]float64, n)
+	for trial := 0; trial < 4; trial++ {
+		b := make([]float64, n)
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		with := make([]float64, n*nrhs)
-		if err := sup.SolveWith(&ws, with, b, nrhs); err != nil {
+		if err := sup.SolveWith(&ws, with, b); err != nil {
 			t.Fatal(err)
 		}
-		loop := make([]float64, n)
-		for v := 0; v < nrhs; v++ {
-			if err := sup.SolveInto(loop, b[v*n:(v+1)*n]); err != nil {
-				t.Fatal(err)
-			}
-			for i := range loop {
-				if math.Float64bits(with[v*n+i]) != math.Float64bits(loop[i]) {
-					t.Fatalf("nrhs %d: batched and looped solve differ at rhs %d entry %d: %x vs %x",
-						nrhs, v, i, math.Float64bits(with[v*n+i]), math.Float64bits(loop[i]))
-				}
+		if err := sup.SolveInto(into, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range into {
+			if math.Float64bits(with[i]) != math.Float64bits(into[i]) {
+				t.Fatalf("trial %d: SolveWith and SolveInto differ at entry %d: %x vs %x",
+					trial, i, math.Float64bits(with[i]), math.Float64bits(into[i]))
 			}
 		}
 	}
@@ -295,7 +291,7 @@ func TestSupernodalSetCloneRestore(t *testing.T) {
 }
 
 // TestSupernodalZeroAllocHotPath pins the allocation-free contract of the
-// refactor/solve/batch cycle.
+// refactor/solve cycle, on the factor's workspace and on a caller's.
 func TestSupernodalZeroAllocHotPath(t *testing.T) {
 	a := gridLaplacian(20, 20)
 	n, _ := a.Dims()
@@ -303,24 +299,23 @@ func TestSupernodalZeroAllocHotPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const nrhs = 4
-	b := make([]float64, n*nrhs)
+	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1
 	}
-	x := make([]float64, n*nrhs)
+	x := make([]float64, n)
 	var ws Workspace
-	if err := c.SolveWith(&ws, x, b, nrhs); err != nil { // sizes ws once
+	if err := c.SolveWith(&ws, x, b); err != nil { // sizes ws once
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		if err := c.RefactorFromCSR(a); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SolveInto(x[:n], b[:n]); err != nil {
+		if err := c.SolveInto(x, b); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.SolveWith(&ws, x, b, nrhs); err != nil {
+		if err := c.SolveWith(&ws, x, b); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -456,14 +451,14 @@ func TestSparseCholeskyZeroAlloc(t *testing.T) {
 	}
 	x := make([]float64, n)
 	var ws Workspace
-	if err := cl.SolveWith(&ws, x, b, 1); err != nil { // sizes ws once
+	if err := cl.SolveWith(&ws, x, b); err != nil { // sizes ws once
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		if err := cl.RefactorFromCSR(a); err != nil {
 			t.Fatal(err)
 		}
-		if err := cl.SolveWith(&ws, x, b, 1); err != nil {
+		if err := cl.SolveWith(&ws, x, b); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {

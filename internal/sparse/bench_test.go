@@ -48,12 +48,3 @@ func BenchmarkTripletToCSR(b *testing.B) {
 		grid5pt(60)
 	}
 }
-
-func BenchmarkTranspose(b *testing.B) {
-	m := grid5pt(80)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Transpose()
-	}
-}

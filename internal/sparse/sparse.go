@@ -3,8 +3,8 @@
 //
 // Go has no mature sparse linear-algebra ecosystem, so this package
 // implements the small set of operations the repository needs: duplicate-
-// summing triplet assembly, matrix–vector products, transpose, diagonal
-// extraction and row scaling. Matrices are real and row-major; the symmetric
+// summing triplet assembly, matrix–vector products, slot lookup and diagonal
+// extraction. Matrices are real and row-major; the symmetric
 // positive-definite systems produced by FEM stiffness assembly and power-grid
 // nodal analysis store both triangles explicitly. Column indices are stored
 // as int32, which halves the index traffic of the memory-bound row products,
@@ -188,17 +188,6 @@ func (m *CSR) Row(i int) (cols []int32, vals []float64) {
 	return m.cols[m.ptr[i]:m.ptr[i+1]], m.vals[m.ptr[i]:m.ptr[i+1]]
 }
 
-// At returns the entry at (i, j), zero if not stored.
-func (m *CSR) At(i, j int) float64 {
-	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
-		panic(fmt.Sprintf("sparse: index (%d,%d) out of range %d×%d", i, j, m.nrows, m.ncols))
-	}
-	if k := m.slot(i, j); k >= 0 {
-		return m.vals[k]
-	}
-	return 0
-}
-
 // SlotIndex returns the storage slot of entry (i, j), or -1 when the entry is
 // not part of the sparsity pattern. Slots are stable for the lifetime of the
 // matrix and shared by every matrix of the same pattern, so a symbolic
@@ -208,12 +197,6 @@ func (m *CSR) SlotIndex(i, j int) int {
 	if i < 0 || i >= m.nrows || j < 0 || j >= m.ncols {
 		panic(fmt.Sprintf("sparse: index (%d,%d) out of range %d×%d", i, j, m.nrows, m.ncols))
 	}
-	return m.slot(i, j)
-}
-
-// slot returns the storage slot of entry (i, j), or -1 when it is not
-// stored. j must be in range, so it fits the int32 column indices.
-func (m *CSR) slot(i, j int) int {
 	lo, hi := m.ptr[i], m.ptr[i+1]
 	if k, ok := slices.BinarySearch(m.cols[lo:hi], int32(j)); ok {
 		return lo + k
@@ -223,13 +206,6 @@ func (m *CSR) slot(i, j int) int {
 
 // ValueAt returns the value stored in slot (from SlotIndex).
 func (m *CSR) ValueAt(slot int) float64 { return m.vals[slot] }
-
-// MulVec computes y = A·x into a fresh slice.
-func (m *CSR) MulVec(x []float64) []float64 {
-	y := make([]float64, m.nrows)
-	m.MulVecTo(y, x)
-	return y
-}
 
 // MulVecTo computes y = A·x, overwriting y. len(x) must equal the column
 // count and len(y) the row count.
@@ -295,75 +271,4 @@ func (m *CSR) Diagonal() []float64 {
 		}
 	}
 	return d
-}
-
-// Transpose returns Aᵀ as a new CSR matrix.
-func (m *CSR) Transpose() *CSR {
-	ptr := make([]int, m.ncols+1)
-	for _, c := range m.cols {
-		ptr[c+1]++
-	}
-	for i := 0; i < m.ncols; i++ {
-		ptr[i+1] += ptr[i]
-	}
-	cols := make([]int32, len(m.vals))
-	vals := make([]float64, len(m.vals))
-	next := make([]int, m.ncols)
-	copy(next, ptr[:m.ncols])
-	for i := 0; i < m.nrows; i++ {
-		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
-			c := m.cols[k]
-			p := next[c]
-			cols[p] = int32(i)
-			vals[p] = m.vals[k]
-			next[c]++
-		}
-	}
-	return &CSR{nrows: m.ncols, ncols: m.nrows, ptr: ptr, cols: cols, vals: vals}
-}
-
-// IsSymmetric reports whether the matrix equals its transpose to within tol
-// in absolute value, entry by entry. Intended for test assertions on
-// stiffness and conductance matrices.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	if m.nrows != m.ncols {
-		return false
-	}
-	t := m.Transpose()
-	if len(t.vals) != len(m.vals) {
-		return false
-	}
-	for i := 0; i < m.nrows; i++ {
-		if m.ptr[i] != t.ptr[i] {
-			return false
-		}
-		for k := m.ptr[i]; k < m.ptr[i+1]; k++ {
-			if m.cols[k] != t.cols[k] {
-				return false
-			}
-			d := m.vals[k] - t.vals[k]
-			if d < -tol || d > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Scale multiplies every stored entry by s in place.
-func (m *CSR) Scale(s float64) {
-	for i := range m.vals {
-		m.vals[i] *= s
-	}
-}
-
-// Clone returns a deep copy of the matrix.
-func (m *CSR) Clone() *CSR {
-	ptr := make([]int, len(m.ptr))
-	copy(ptr, m.ptr)
-	cols := make([]int32, len(m.cols))
-	copy(cols, m.cols)
-	vals := make([]float64, len(m.vals))
-	copy(vals, m.vals)
-	return &CSR{nrows: m.nrows, ncols: m.ncols, ptr: ptr, cols: cols, vals: vals}
 }

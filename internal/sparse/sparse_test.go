@@ -6,8 +6,15 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"testing/quick"
 )
+
+// at returns entry (i, j) of m, zero when it is not stored.
+func at(m *CSR, i, j int) float64 {
+	if s := m.SlotIndex(i, j); s >= 0 {
+		return m.ValueAt(s)
+	}
+	return 0
+}
 
 func TestTripletToCSRBasic(t *testing.T) {
 	tr := NewTriplet(3, 3, 0)
@@ -23,7 +30,7 @@ func TestTripletToCSRBasic(t *testing.T) {
 	want := [][]float64{{1, 0, 4}, {0, 2, 0}, {5, 0, 3}}
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
-			if got := m.At(i, j); got != want[i][j] {
+			if got := at(m, i, j); got != want[i][j] {
 				t.Errorf("At(%d,%d) = %g, want %g", i, j, got, want[i][j])
 			}
 		}
@@ -40,10 +47,10 @@ func TestTripletDuplicatesSum(t *testing.T) {
 		tr.Add(1, 1, -0.25)
 	}
 	m := tr.ToCSR()
-	if got := m.At(0, 1); math.Abs(got-5) > 1e-12 {
+	if got := at(m, 0, 1); math.Abs(got-5) > 1e-12 {
 		t.Errorf("summed duplicate At(0,1) = %g, want 5", got)
 	}
-	if got := m.At(1, 1); math.Abs(got+2.5) > 1e-12 {
+	if got := at(m, 1, 1); math.Abs(got+2.5) > 1e-12 {
 		t.Errorf("summed duplicate At(1,1) = %g, want -2.5", got)
 	}
 	if m.NNZ() != 2 {
@@ -73,10 +80,11 @@ func TestEmptyMatrix(t *testing.T) {
 	tr := NewTriplet(4, 3, 0)
 	m := tr.ToCSR()
 	x := []float64{1, 2, 3}
-	y := m.MulVec(x)
+	y := []float64{1, 1, 1, 1}
+	m.MulVecTo(y, x)
 	for i, v := range y {
 		if v != 0 {
-			t.Errorf("empty matrix MulVec[%d] = %g, want 0", i, v)
+			t.Errorf("empty matrix MulVecTo[%d] = %g, want 0", i, v)
 		}
 	}
 	if m.NNZ() != 0 {
@@ -105,7 +113,7 @@ func TestCSRMatchesDenseRandom(t *testing.T) {
 		m := tr.ToCSR()
 		for i := 0; i < r; i++ {
 			for j := 0; j < c; j++ {
-				if got, want := m.At(i, j), dense[i*c+j]; math.Abs(got-want) > 1e-9 {
+				if got, want := at(m, i, j), dense[i*c+j]; math.Abs(got-want) > 1e-9 {
 					t.Fatalf("trial %d: At(%d,%d) = %g, want %g", trial, i, j, got, want)
 				}
 			}
@@ -123,57 +131,17 @@ func TestMulVecMatchesDense(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		y := m.MulVec(x)
+		y := make([]float64, r)
+		m.MulVecTo(y, x)
 		for i := 0; i < r; i++ {
 			want := 0.0
 			for j := 0; j < c; j++ {
 				want += dense[i*c+j] * x[j]
 			}
 			if math.Abs(y[i]-want) > 1e-9 {
-				t.Fatalf("trial %d: MulVec[%d] = %g, want %g", trial, i, y[i], want)
+				t.Fatalf("trial %d: MulVecTo[%d] = %g, want %g", trial, i, y[i], want)
 			}
 		}
-	}
-}
-
-func TestTransposeProperty(t *testing.T) {
-	// Property: (Aᵀ)ᵀ = A and yᵀ(Ax) = (Aᵀy)ᵀx for random matrices.
-	rng := rand.New(rand.NewSource(3))
-	f := func(seed int64) bool {
-		lr := rand.New(rand.NewSource(seed))
-		r, c := 1+lr.Intn(10), 1+lr.Intn(10)
-		tr, _ := randomTriplet(lr, r, c, lr.Intn(40))
-		m := tr.ToCSR()
-		tt := m.Transpose().Transpose()
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				if math.Abs(m.At(i, j)-tt.At(i, j)) > 1e-12 {
-					return false
-				}
-			}
-		}
-		x := make([]float64, c)
-		y := make([]float64, r)
-		for i := range x {
-			x[i] = lr.NormFloat64()
-		}
-		for i := range y {
-			y[i] = lr.NormFloat64()
-		}
-		ax := m.MulVec(x)
-		aty := m.Transpose().MulVec(y)
-		lhs, rhs := 0.0, 0.0
-		for i := range y {
-			lhs += y[i] * ax[i]
-		}
-		for j := range x {
-			rhs += aty[j] * x[j]
-		}
-		return math.Abs(lhs-rhs) <= 1e-8*(1+math.Abs(lhs))
-	}
-	cfg := &quick.Config{MaxCount: 60, Rand: rng}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -189,35 +157,6 @@ func TestDiagonal(t *testing.T) {
 		if d[i] != want[i] {
 			t.Errorf("Diagonal[%d] = %g, want %g", i, d[i], want[i])
 		}
-	}
-}
-
-func TestIsSymmetric(t *testing.T) {
-	tr := NewTriplet(3, 3, 0)
-	tr.Add(0, 1, 2)
-	tr.Add(1, 0, 2)
-	tr.Add(2, 2, 1)
-	if !tr.ToCSR().IsSymmetric(0) {
-		t.Error("symmetric matrix reported asymmetric")
-	}
-	tr.Add(0, 2, 1)
-	if tr.ToCSR().IsSymmetric(1e-12) {
-		t.Error("asymmetric matrix reported symmetric")
-	}
-}
-
-func TestScaleAndClone(t *testing.T) {
-	tr := NewTriplet(2, 2, 0)
-	tr.Add(0, 0, 1)
-	tr.Add(1, 1, 2)
-	m := tr.ToCSR()
-	cl := m.Clone()
-	m.Scale(3)
-	if m.At(1, 1) != 6 {
-		t.Errorf("Scale: At(1,1) = %g, want 6", m.At(1, 1))
-	}
-	if cl.At(1, 1) != 2 {
-		t.Errorf("Clone mutated by Scale: At(1,1) = %g, want 2", cl.At(1, 1))
 	}
 }
 

@@ -147,12 +147,6 @@ func (c *Circuit) NumNodes() int { return len(c.names) }
 // NumResistors returns the resistor count (compile order = netlist order).
 func (c *Circuit) NumResistors() int { return len(c.res) }
 
-// NodeIndex returns the index of a named node.
-func (c *Circuit) NodeIndex(name string) (int, bool) {
-	i, ok := c.index[name]
-	return i, ok
-}
-
 // NodeName returns the name of node i.
 func (c *Circuit) NodeName(i int) string { return c.names[i] }
 
@@ -386,7 +380,7 @@ func (c *Circuit) SolveDCInto(dst *OP) error {
 		return fmt.Errorf("spice: DC solve: %w", err)
 	}
 	a := c.asm
-	if err := a.factor.SolveWith(&a.ws, a.x, a.rhs, 1); err != nil {
+	if err := a.factor.SolveWith(&a.ws, a.x, a.rhs); err != nil {
 		return fmt.Errorf("spice: DC solve: %w", err)
 	}
 	c.met.solves.Inc()
@@ -472,21 +466,19 @@ func (c *Circuit) ResistorNodes(i int) (a, b int) {
 	return r.a, r.b
 }
 
-// SolveFreeBatch solves the compiled free-node system for nrhs stacked
-// right-hand sides (vector v occupies b[v·n:(v+1)·n], likewise x) against the
-// factor, bit-identical to nrhs separate solves, with the caller's solve
-// scratch ws. It builds the factor on first use like SolveDCInto would; once
-// built it only reads the circuit, so goroutines that each own a workspace
-// may solve against one solved circuit concurrently — how Monte-Carlo
-// workers share one pristine grid.
-func (c *Circuit) SolveFreeBatch(ws *solver.Workspace, x, b []float64, nrhs int) error {
+// SolveFree solves the compiled free-node system A·x = b against the factor
+// with the caller's solve scratch ws. It builds the factor on first use like
+// SolveDCInto would; once built it only reads the circuit, so goroutines that
+// each own a workspace may solve against one solved circuit concurrently —
+// how Monte-Carlo workers share one pristine grid.
+func (c *Circuit) SolveFree(ws *solver.Workspace, x, b []float64) error {
 	if c.nFree == 0 {
 		return nil
 	}
 	if err := c.ready(); err != nil {
-		return fmt.Errorf("spice: SolveFreeBatch: %w", err)
+		return fmt.Errorf("spice: SolveFree: %w", err)
 	}
-	return c.asm.factor.SolveWith(ws, x, b, nrhs)
+	return c.asm.factor.SolveWith(ws, x, b)
 }
 
 // FactorNNZ returns the entry count of the cached factor's L, 0 before the

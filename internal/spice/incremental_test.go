@@ -523,7 +523,7 @@ func TestSolveDCIncrementalAllocs(t *testing.T) {
 }
 
 // TestFactorizationFailureSurfaces gives a circuit a matrix that does not
-// factor and checks the failure reaches the caller: SolveDC, SolveFreeBatch
+// factor and checks the failure reaches the caller: SolveDC, SolveFree
 // and Open all return an error wrapping solver.ErrNotSPD, and once the
 // matrix is repaired the next solve retries and recovers.
 func TestFactorizationFailureSurfaces(t *testing.T) {
@@ -552,8 +552,8 @@ func TestFactorizationFailureSurfaces(t *testing.T) {
 	if _, err := c.SolveDC(); !errors.Is(err, solver.ErrNotSPD) {
 		t.Fatalf("SolveDC of an indefinite matrix returned %v, want ErrNotSPD", err)
 	}
-	if err := c.SolveFreeBatch(new(solver.Workspace), make([]float64, n), make([]float64, n), 1); !errors.Is(err, solver.ErrNotSPD) {
-		t.Fatalf("SolveFreeBatch of an indefinite matrix returned %v, want ErrNotSPD", err)
+	if err := c.SolveFree(new(solver.Workspace), make([]float64, n), make([]float64, n)); !errors.Is(err, solver.ErrNotSPD) {
+		t.Fatalf("SolveFree of an indefinite matrix returned %v, want ErrNotSPD", err)
 	}
 	if _, err := c.Open([]int{4}); !errors.Is(err, solver.ErrNotSPD) {
 		t.Fatalf("Open of an unfactorable circuit returned %v, want ErrNotSPD", err)

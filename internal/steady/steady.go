@@ -233,10 +233,6 @@ func Screen(g *Graph, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// NodeStress returns node i's steady-state tension plus an extra residual
-// (e.g. a via's thermomechanical pre-stress), 0 for nodes outside any tree.
-func (r *Report) NodeStress(i int) float64 { return r.Stress[i] }
-
 // Mortal reports whether a component anchored at node i with pre-stress
 // sigmaT can ever nucleate: σ_ss(i) + σ_T ≥ σ_crit.
 func (r *Report) Mortal(i int, sigmaT float64) bool {

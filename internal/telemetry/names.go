@@ -49,10 +49,12 @@ const (
 	// internal/pdn — the low-rank failure cascade of IR-drop trials.
 	// CascadeSteps counts failures served by a capacitance-matrix update
 	// against the shared pristine factor; CascadeResponseHits counts the
-	// pristine responses A₀⁻¹u those steps read from the shared cache. See
-	// CascadeFallbacks and CascadeResponseFills for the labeled series.
-	CascadeSteps        = "pdn.cascade.steps"
-	CascadeResponseHits = "pdn.cascade.response_hits"
+	// pristine responses A₀⁻¹u those steps read from the shared cache, and
+	// CascadeResponseMisses those a step solved itself. See CascadeFallbacks
+	// for the labeled series.
+	CascadeSteps          = "pdn.cascade.steps"
+	CascadeResponseHits   = "pdn.cascade.response_hits"
+	CascadeResponseMisses = "pdn.cascade.response_fills{path=miss}"
 
 	// internal/pdn + internal/steady — the steady-state screening engine.
 	SteadyScreens       = "steady.screens"
@@ -80,7 +82,8 @@ const (
 	// executions, so submitted - dedup hits = solves + failures.
 	// QueueDepth and JobsActive are gauges (+1 on enqueue/admit, -1 on
 	// dequeue/terminal); LedgerRecords/LedgerErrors count run-ledger
-	// appends.
+	// appends; PersistErrors counts completed jobs whose manifest could not
+	// be written to the result directory.
 	ServeSubmitted         = "serve.jobs.submitted"
 	ServeDedupCacheHits    = "serve.jobs.dedup_cache_hits"
 	ServeDedupInflightHits = "serve.jobs.dedup_inflight_hits"
@@ -89,13 +92,13 @@ const (
 	ServeCompleted         = "serve.jobs.completed"
 	ServeFailed            = "serve.jobs.failed"
 	ServeDeadlineExceeded  = "serve.jobs.deadline_exceeded"
-	ServeRetries           = "serve.jobs.retries"
 	ServeSolves            = "serve.solves"
 	ServeQueueDepth        = "serve.queue.depth"
 	ServeJobsActive        = "serve.jobs.active"
 	ServeJobSeconds        = "serve.job_seconds"
 	ServeLedgerRecords     = "serve.ledger.records"
 	ServeLedgerErrors      = "serve.ledger.errors"
+	ServePersistErrors     = "serve.results.persist_errors"
 
 	// internal/serve — distributed trial sharding. Dispatched counts every
 	// shard dispatch attempt (first try and re-issues); RemoteRuns/LocalRuns
@@ -155,13 +158,6 @@ func PrecondFallbacks(to string) string {
 // its cap) or "pivot" (an opening left a terminal hanging on the gmin leak).
 func CascadeFallbacks(reason string) string {
 	return "pdn.cascade.fallbacks{reason=" + reason + "}"
-}
-
-// CascadeResponseFills names the counter of pristine responses solved for,
-// by path: "prefill" (PrepareTrials' batched first-failure predictions) or
-// "miss" (a cascade step's own solve).
-func CascadeResponseFills(path string) string {
-	return "pdn.cascade.response_fills{path=" + path + "}"
 }
 
 // Derived-metric names (computed at snapshot time, never stored).
