@@ -10,14 +10,15 @@ test:
 
 # check is the CI gate: static analysis plus the race detector over every
 # package with parallel execution — the Monte-Carlo loops sharing solver
-# state, the via-array Monte Carlo's per-worker systems and the parallel FEA
-# pipeline (pool, assembly, CG kernels, caches) — and over the root
-# determinism tests, whose serial mc.Run reference runs through the same
-# trial dispatcher as the parallel runs it is compared with.
+# state, the via-array Monte Carlo's per-worker systems, the parallel FEA
+# pipeline (pool, assembly, CG kernels, caches) and the atomic file writer
+# the caches share — and over the root determinism tests, whose serial
+# mc.Run reference runs through the same trial dispatcher as the parallel
+# runs it is compared with.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/mc ./internal/pdn ./internal/par ./internal/fem \
-	    ./internal/solver ./internal/sparse ./internal/core ./internal/spice \
+	    ./internal/solver ./internal/sparse ./internal/core ./internal/atomicfile ./internal/spice \
 	    ./internal/telemetry ./internal/trace ./internal/monitor ./internal/cliobs \
 	    ./internal/steady ./internal/serve ./internal/viaarray
 	$(GO) test -race -run 'TestDeterminismMatrix|TestTraceDeterminism' .

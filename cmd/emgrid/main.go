@@ -32,7 +32,6 @@ import (
 	"emvia/internal/phys"
 	"emvia/internal/profiling"
 	"emvia/internal/spice"
-	"emvia/internal/trace"
 	"emvia/internal/viaarray"
 )
 
@@ -414,7 +413,7 @@ func cmdAnalyze(args []string, engineFlag string) error {
 		if err != nil {
 			return err
 		}
-		recordScreen(screen)
+		cliobs.RecordScreen(screen.Info())
 		if err := writeScreenJSON(*screenOut, g, screen); err != nil {
 			return err
 		}
@@ -458,7 +457,7 @@ func cmdAnalyze(args []string, engineFlag string) error {
 	fmt.Printf("grid: %d via arrays; via config %dx%d; array criterion %v; system criterion %v\n",
 		len(g.Vias), analysis.ArrayN, analysis.ArrayN, ac, sc)
 	if rep.Screen != nil {
-		recordScreen(rep.Screen)
+		cliobs.RecordScreen(rep.Screen.Info())
 		if err := writeScreenJSON(*screenOut, g, rep.Screen); err != nil {
 			return err
 		}
@@ -472,18 +471,6 @@ func cmdAnalyze(args []string, engineFlag string) error {
 		fmt.Printf("  (%d of %d trials never reached the criterion)\n", inf, len(rep.MC.TTF))
 	}
 	return nil
-}
-
-// recordScreen mirrors a grid screen into the run-provenance manifest.
-func recordScreen(s *pdn.GridScreen) {
-	cliobs.RecordScreen(trace.ScreenInfo{
-		Vias:           s.Vias,
-		MortalVias:     s.MortalVias,
-		Segments:       s.Segments,
-		MortalSegments: s.MortalSegments,
-		SigmaCritViaPa: s.SigmaCritVia,
-		SigmaTViaPa:    s.SigmaTVia,
-	})
 }
 
 // printScreen reports an -engine=steady classification: the headline counts

@@ -54,7 +54,6 @@ import (
 
 	"emvia/internal/monitor"
 	"emvia/internal/serve"
-	"emvia/internal/trace"
 )
 
 func main() {
@@ -71,7 +70,6 @@ func run() error {
 	jobTimeout := flag.Duration("job-timeout", 5*time.Minute, "default per-job execution deadline (specs may set a shorter timeout_seconds)")
 	resultDir := flag.String("resultdir", "", "persist result manifests here (content-addressed; empty = memory only)")
 	ledgerPath := flag.String("ledger", "", "append one JSONL record per terminal job here (empty = <resultdir>/ledger.jsonl when -resultdir is set; \"-\" disables)")
-	ringSize := flag.Int("ring", 1024, "trace ring capacity (live progress and SSE window)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "bound on graceful drain at shutdown")
 	shards := flag.Int("shards", 0, "split each Monte-Carlo job into this many trial-range shards (0/1 = no sharding); merged manifests are byte-identical to single-process runs")
 	workers := flag.String("workers", "", "comma-separated worker emserve addresses (host:port or URLs) to dispatch shards to; empty with -shards > 1 runs shards in a local executor pool")
@@ -80,11 +78,6 @@ func run() error {
 	shardAttempts := flag.Int("shard-attempts", 3, "dispatch attempts per shard including the final always-local run")
 	advertise := flag.String("advertise", "", "this coordinator's externally reachable base URL; workers replicate partial manifests through it (empty = no cache replication)")
 	flag.Parse()
-
-	// Install the trace ring before NewServer so the server adopts it; the
-	// same ring feeds job progress, SSE streams and the monitor /status.
-	ring := trace.NewRing(*ringSize)
-	trace.SetDefault(trace.New(trace.Options{Ring: ring, DisableSamples: true}))
 
 	var shardWorkers []string
 	for _, w := range strings.Split(*workers, ",") {
@@ -109,6 +102,8 @@ func run() error {
 
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", srv.Handler())
+	// The server's trace ring (trace.LiveRingSize trials) feeds job
+	// progress, SSE streams and the monitor /status alike.
 	monitor.Register(mux, monitor.Options{Ring: srv.Ring()})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -66,7 +66,7 @@ func ledgerReport(w io.Writer, recs []serve.LedgerRecord, skipped, top int) {
 			shardedJobs++
 			totalShards += r.Shards
 			reissued += r.ShardsReissued
-			mergeTotal += r.MergeSeconds
+			mergeTotal += r.StageSeconds["merge"]
 		}
 		outcomes[r.Outcome]++
 		if r.Dedup != "" {
@@ -77,7 +77,7 @@ func ledgerReport(w io.Writer, recs []serve.LedgerRecord, skipped, top int) {
 		// Dedup'd jobs never queued or ran; keep their zero wait/wall out of
 		// the execution-latency percentiles.
 		if r.Dedup == "" {
-			queueWaits = append(queueWaits, r.QueueWaitSeconds)
+			queueWaits = append(queueWaits, r.StageSeconds["queue-wait"])
 			walls = append(walls, r.WallSeconds)
 		}
 		for stage, sec := range r.StageSeconds {

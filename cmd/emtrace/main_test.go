@@ -143,9 +143,23 @@ func TestRunExitCodes(t *testing.T) {
 	}
 }
 
+// schema1Line is a job record as a schema-1 ledger wrote it: attempts,
+// retries and queue_wait_seconds beside stage_seconds, which carries the
+// same queue-wait span.
+const schema1Line = `{"schema":1,"time":"2026-08-08T10:00:07Z","id":"job-4","content_hash":"ccc","engine":"mc","outcome":"done","attempts":1,"retries":0,"trials_done":32,"trials_total":32,"queue_wait_seconds":0.03,"wall_seconds":0.9,"stage_seconds":{"mc":0.8,"queue-wait":0.03}}`
+
+// job4 is schema1Line's record as the current ledger writes it.
+var job4 = serve.LedgerRecord{
+	Schema: serve.LedgerSchemaVersion, Time: "2026-08-08T10:00:07Z",
+	ID: "job-4", ContentHash: "ccc", Engine: "mc", Outcome: "done",
+	TrialsDone: 32, TrialsTotal: 32, WallSeconds: 0.9,
+	StageSeconds: map[string]float64{"mc": 0.8, "queue-wait": 0.03},
+}
+
 // syntheticLedger writes a small ledger through the real serve.Ledger so the
-// subcommand test exercises the exact JSONL shape emserve produces.
-func syntheticLedger(t *testing.T) string {
+// subcommand test exercises the exact JSONL shape emserve produces. The
+// fourth record is last: schema1Line when schema1 is set, else job4.
+func syntheticLedger(t *testing.T, schema1 bool) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ledger.jsonl")
 	l := serve.NewLedger(path)
@@ -153,17 +167,15 @@ func syntheticLedger(t *testing.T) string {
 		{
 			Schema: serve.LedgerSchemaVersion, Time: "2026-08-08T10:00:00Z",
 			ID: "job-1", ContentHash: "aaa", Engine: "mc", Outcome: "done",
-			Attempts: 1, TrialsDone: 64, TrialsTotal: 64,
-			QueueWaitSeconds: 0.01, WallSeconds: 1.5,
-			Shards: 4, ShardsReissued: 1, MergeSeconds: 0.02,
-			StageSeconds: map[string]float64{"mc": 1.2, "factorize": 0.2, "manifest": 0.05, "merge": 0.02},
+			TrialsDone: 64, TrialsTotal: 64, WallSeconds: 1.5,
+			Shards: 4, ShardsReissued: 1,
+			StageSeconds: map[string]float64{"queue-wait": 0.01, "mc": 1.2, "factorize": 0.2, "manifest": 0.05, "merge": 0.02},
 		},
 		{
 			Schema: serve.LedgerSchemaVersion, Time: "2026-08-08T10:00:05Z",
 			ID: "job-2", ContentHash: "bbb", Engine: "mc", Outcome: "failed",
-			Error: "boom", Attempts: 2, Retries: 1,
-			QueueWaitSeconds: 0.02, WallSeconds: 0.4,
-			StageSeconds: map[string]float64{"resolve": 0.1},
+			Error: "boom", WallSeconds: 0.4,
+			StageSeconds: map[string]float64{"queue-wait": 0.02, "resolve": 0.1},
 		},
 		{
 			Schema: serve.LedgerSchemaVersion, Time: "2026-08-08T10:00:06Z",
@@ -171,33 +183,60 @@ func syntheticLedger(t *testing.T) string {
 			Dedup: "result-cache", TrialsDone: 64, TrialsTotal: 64,
 		},
 	}
+	if !schema1 {
+		recs = append(recs, job4)
+	}
 	for i := range recs {
 		if err := l.Append(&recs[i]); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
+	if schema1 {
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(schema1Line + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+	}
 	return path
+}
+
+// ledgerOutput runs `emtrace ledger` over path and returns the report.
+func ledgerOutput(t *testing.T, path string) string {
+	t.Helper()
+	var stdout, stderr strings.Builder
+	if got := run([]string{"ledger", path}, &stdout, &stderr); got != 0 {
+		t.Fatalf("exit = %d, stderr: %s", got, stderr.String())
+	}
+	return stdout.String()
+}
+
+// reportRow returns the report line whose first field is name.
+func reportRow(report, name string) string {
+	for _, line := range strings.Split(report, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == name {
+			return line
+		}
+	}
+	return ""
 }
 
 // TestLedgerSubcommand runs `emtrace ledger` over a synthetic ledger and
 // checks the report covers outcomes, dedup rate, throughput, latency
 // percentiles and the stage breakdown.
 func TestLedgerSubcommand(t *testing.T) {
-	path := syntheticLedger(t)
-	var stdout, stderr strings.Builder
-	if got := run([]string{"ledger", path}, &stdout, &stderr); got != 0 {
-		t.Fatalf("exit = %d, stderr: %s", got, stderr.String())
-	}
-	out := stdout.String()
+	out := ledgerOutput(t, syntheticLedger(t, false))
 	for _, want := range []string{
-		"run ledger: 3 records",
-		"done=2",
+		"run ledger: 4 records",
+		"done=3",
 		"failed=1",
-		"dedup rate: 1/3",
-		"trials: 128/128 completed",
+		"dedup rate: 1/4",
+		"trials: 160/160 completed",
 		"sharding: 1 jobs sharded, 4 shards/job, 1 reissued, merge 0.02s total",
-		"throughput: 3 jobs",
-		"queue-wait",
+		"throughput: 4 jobs",
 		"wall-clock",
 		"stage breakdown",
 		"mc",
@@ -207,12 +246,29 @@ func TestLedgerSubcommand(t *testing.T) {
 			t.Errorf("ledger report missing %q in:\n%s", want, out)
 		}
 	}
+	// Queue waits come from stage_seconds: 0.01, 0.02 and 0.03 s.
+	if row := reportRow(out, "queue-wait"); !strings.HasSuffix(row, "0.03s") {
+		t.Errorf("queue-wait row %q, want a max of 0.03s", row)
+	}
+}
+
+// TestLedgerSubcommandSchema1: a schema-1 record renders the same report as
+// its schema-2 form — its queue-wait span is read from stage_seconds.
+func TestLedgerSubcommandSchema1(t *testing.T) {
+	want := ledgerOutput(t, syntheticLedger(t, false))
+	got := ledgerOutput(t, syntheticLedger(t, true))
+	if reportRow(got, "queue-wait") != reportRow(want, "queue-wait") {
+		t.Errorf("schema-1 queue-wait row %q, schema 2 renders %q", reportRow(got, "queue-wait"), reportRow(want, "queue-wait"))
+	}
+	if got != want {
+		t.Errorf("schema-1 report differs:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 // TestLedgerSubcommandCorruptLine: a torn trailing line is reported as
 // skipped, and the intact records still render.
 func TestLedgerSubcommandCorruptLine(t *testing.T) {
-	path := syntheticLedger(t)
+	path := syntheticLedger(t, false)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ type Config struct {
 	// TraceNoSamples drops per-component TTF-sample events from the trace.
 	TraceNoSamples bool
 	// HTTPAddr serves /status, /debug/vars and /debug/pprof when non-empty;
-	// the tracer then keeps a live ring of the last monitorRingSize trials.
+	// the tracer then keeps a live ring of the last trace.LiveRingSize trials.
 	HTTPAddr string
 	// Engine selects the analysis engine (mc|steady|both); Setup validates
 	// it and records the resolved value in the run manifest. Commands
@@ -59,9 +59,6 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 // active is the manifest of the current run, readable by RecordFlags until
 // the finish function runs.
 var active atomic.Pointer[trace.Manifest]
-
-// monitorRingSize is the last-N-trials window served by /status.
-const monitorRingSize = 256
 
 // Setup wires everything the config asks for and returns a finish function
 // to run before process exit: it writes the telemetry reports, flushes and
@@ -172,7 +169,7 @@ func startTracer(c Config, m *trace.Manifest) (*trace.Tracer, error) {
 	}
 	var ring *trace.Ring
 	if c.HTTPAddr != "" {
-		ring = trace.NewRing(monitorRingSize)
+		ring = trace.NewRing(trace.LiveRingSize)
 	}
 	if sinks == nil && ring == nil {
 		return nil, nil
@@ -275,10 +272,8 @@ func RecordArtifact(path string) {
 // manifest, so every artifact of a -engine=steady/both run carries the
 // classification the results were pruned against. No-op when no run is
 // active.
-func RecordScreen(info trace.ScreenInfo) {
-	m := active.Load()
-	if m == nil {
-		return
+func RecordScreen(info *trace.ScreenInfo) {
+	if m := active.Load(); m != nil {
+		m.Screen = info
 	}
-	m.Screen = &info
 }

@@ -10,10 +10,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
-	"time"
 
+	"emvia/internal/atomicfile"
 	"emvia/internal/cudd"
 	"emvia/internal/fem"
 	"emvia/internal/mat"
@@ -32,11 +31,11 @@ import (
 // matrix as float64 bits, row-major. It round-trips every finite value bit
 // for bit.
 //
-// Writes go through a temp file in the cache directory followed by an atomic
-// rename, so concurrent writers (or a crash mid-write) can never leave a
-// partially written entry: readers see either the old file, the new file or
-// no file. Unreadable, truncated or version-mismatched entries are treated
-// as misses and rewritten after recompute.
+// Writes go through atomicfile (a temp file in the cache directory, then an
+// atomic rename), so concurrent writers (or a crash mid-write) can never
+// leave a partially written entry: readers see either the old file, the new
+// file or no file. Unreadable, truncated or version-mismatched entries are
+// treated as misses and rewritten after recompute.
 type StressCache struct {
 	dir string
 }
@@ -223,16 +222,14 @@ func (c *StressCache) get(key string) ([][]float64, cacheOutcome) {
 }
 
 // staleTempAge is how old a key's temp file must be before Put takes it for
-// the leftover of a writer killed between CreateTemp and Rename. A live
-// writer holds its temp file for the length of one write.
-const staleTempAge = time.Hour
+// the leftover of a writer killed mid-write (atomicfile's rule).
+const staleTempAge = atomicfile.StaleTempAge
 
-// Put stores sigma under key via write-to-temp + atomic rename, creating the
-// cache directory on first use (deferred out of OpenStressCache so opening a
+// Put stores sigma under key through atomicfile.Write, creating the cache
+// directory on first use (deferred out of OpenStressCache so opening a
 // cache stays read-only). An empty, non-square or non-finite matrix is an
 // error and writes nothing: Get would count such an entry corrupt forever.
-// After a successful rename Put removes the key's temp files older than
-// staleTempAge.
+// The write also removes the key's temp files older than staleTempAge.
 func (c *StressCache) Put(key string, sigma [][]float64) error {
 	n := len(sigma)
 	if n == 0 {
@@ -254,47 +251,10 @@ func (c *StressCache) Put(key string, sigma [][]float64) error {
 			buf = appendF64(buf, v)
 		}
 	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return fmt.Errorf("core: stress cache dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(c.dir, ".tmp-"+key+"-*")
-	if err != nil {
+	if err := atomicfile.Write(c.dir, key+".bin", ".tmp-"+key+"-", buf); err != nil {
 		return fmt.Errorf("core: stress cache write: %w", err)
 	}
-	_, werr := tmp.Write(buf)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("core: stress cache write: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), c.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: stress cache rename: %w", err)
-	}
-	c.removeStaleTemps(key)
 	return nil
-}
-
-// removeStaleTemps deletes key's temp files older than staleTempAge. It is
-// best-effort: an entry is already in place, so a failure here costs only
-// disk space.
-func (c *StressCache) removeStaleTemps(key string) {
-	ents, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	prefix := ".tmp-" + key + "-"
-	for _, de := range ents {
-		if !strings.HasPrefix(de.Name(), prefix) {
-			continue
-		}
-		if fi, err := de.Info(); err == nil && time.Since(fi.ModTime()) > staleTempAge {
-			os.Remove(filepath.Join(c.dir, de.Name()))
-		}
-	}
 }
 
 // decodeStressEntry accepts exactly the bytes Put writes for key: the magic,

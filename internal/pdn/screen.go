@@ -8,6 +8,7 @@ import (
 	"emvia/internal/spice"
 	"emvia/internal/steady"
 	"emvia/internal/telemetry"
+	"emvia/internal/trace"
 )
 
 // ScreenConfig tunes the grid-level steady-state EM screen (arXiv
@@ -84,6 +85,22 @@ func (s *GridScreen) MortalViaFraction() float64 {
 		return 0
 	}
 	return float64(s.MortalVias) / float64(s.Vias)
+}
+
+// Info digests the screen into the summary that result and run-provenance
+// manifests carry (nil for a nil screen).
+func (s *GridScreen) Info() *trace.ScreenInfo {
+	if s == nil {
+		return nil
+	}
+	return &trace.ScreenInfo{
+		Vias:           s.Vias,
+		MortalVias:     s.MortalVias,
+		Segments:       s.Segments,
+		MortalSegments: s.MortalSegments,
+		SigmaCritViaPa: s.SigmaCritVia,
+		SigmaTViaPa:    s.SigmaTVia,
+	}
 }
 
 // screenGraph builds the steady-state wire graph of a compiled grid: every

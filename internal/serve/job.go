@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
+	"emvia/internal/atomicfile"
 	"emvia/internal/trace"
 )
 
@@ -51,7 +53,6 @@ type Job struct {
 	mu          sync.Mutex
 	state       State
 	err         string
-	attempts    int
 	trialsDone  int64
 	trialsTotal int64
 	created     time.Time
@@ -95,7 +96,6 @@ type Status struct {
 	Hash          string
 	State         State
 	Err           string
-	Attempts      int
 	TrialsDone    int64
 	TrialsTotal   int64
 	Shards        int
@@ -114,7 +114,6 @@ func (j *Job) Status() Status {
 		Hash:          j.Hash,
 		State:         j.state,
 		Err:           j.err,
-		Attempts:      j.attempts,
 		TrialsDone:    j.trialsDone,
 		TrialsTotal:   j.trialsTotal,
 		Shards:        j.shards,
@@ -169,7 +168,6 @@ func (j *Job) setRunning() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateRunning
-	j.attempts++
 	if j.started.IsZero() {
 		j.started = time.Now()
 	}
@@ -214,14 +212,15 @@ func (j *Job) completeFromCache(manifest []byte) {
 }
 
 // store holds every job plus the two dedup indexes: the in-flight
-// singleflight map (hash → live job) and the content-addressed result
-// cache (hash → manifest bytes), optionally persisted to a directory.
+// singleflight map (hash → live job) and the content-addressed file cache
+// of result manifests (<hash>.json) and partial manifests
+// (<hash>.part-<start>+<count>.json), kept in memory and, when dir is set,
+// on disk.
 type store struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	inflight map[string]*Job   // queued/running job per hash
-	results  map[string][]byte // completed manifests per hash
-	partials map[string][]byte // encoded partial manifests per partialKey
+	files    map[string][]byte // result and partial manifests per file name
 	nextID   int
 	dir      string // "" = memory only
 }
@@ -230,40 +229,39 @@ func newStore(dir string) *store {
 	return &store{
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
-		results:  make(map[string][]byte),
-		partials: make(map[string][]byte),
+		files:    make(map[string][]byte),
 		dir:      dir,
 	}
 }
 
-// resultPath is the on-disk address of a manifest.
-func (st *store) resultPath(hash string) string {
-	return filepath.Join(st.dir, hash+".json")
+// resultName is the file name of a result manifest.
+func resultName(hash string) string { return hash + ".json" }
+
+// partialName is the file name of a partial manifest: the spec hash plus
+// the trial range it covers.
+func partialName(hash string, r trialRange) string {
+	return fmt.Sprintf("%s.part-%d+%d.json", hash, r.start, r.count)
 }
 
-// lookupResult consults the in-memory result cache, falling back to the
+// get returns the bytes stored under name: memory first, then the
 // persistent directory (so identical queries stay one solve across server
-// restarts). Unreadable, corrupt and stale files — another schema version,
-// or a manifest answering a different hash — are treated as misses,
+// restarts). A file that is unreadable or that valid rejects — corrupt,
+// another schema version, an answer to a different question — is a miss,
 // mirroring the stress cache's corruption-is-a-miss policy; the recomputed
-// result then overwrites them.
-func (st *store) lookupResult(hash string) ([]byte, bool) {
+// answer then overwrites it.
+func (st *store) get(name string, valid func([]byte) bool) ([]byte, bool) {
 	st.mu.Lock()
-	if buf, ok := st.results[hash]; ok {
-		st.mu.Unlock()
-		return buf, true
-	}
-	dir := st.dir
+	buf, ok := st.files[name]
 	st.mu.Unlock()
-	if dir == "" {
-		return nil, false
+	if ok || st.dir == "" {
+		return buf, ok
 	}
-	buf, err := os.ReadFile(st.resultPath(hash))
-	if err != nil || !currentManifest(buf, hash) {
+	buf, err := os.ReadFile(filepath.Join(st.dir, name))
+	if err != nil || !valid(buf) {
 		return nil, false
 	}
 	st.mu.Lock()
-	st.results[hash] = buf
+	st.files[name] = buf
 	st.mu.Unlock()
 	return buf, true
 }
@@ -278,101 +276,21 @@ func currentManifest(buf []byte, hash string) bool {
 	return json.Unmarshal(buf, &m) == nil && m.SchemaVersion == manifestSchemaVersion && m.ContentHash == hash
 }
 
-// saveResult records a completed manifest in memory and, when configured,
-// on disk (atomic write-then-rename, so a torn write can never be read
-// back as a result).
-func (st *store) saveResult(hash string, manifest []byte) error {
+// put records buf under name in memory and, when configured, on disk
+// through atomicfile.Write, so a torn write can never be read back and a
+// killed writer's temp files go with the name's next put.
+func (st *store) put(name string, buf []byte) error {
 	st.mu.Lock()
-	st.results[hash] = manifest
-	dir := st.dir
+	st.files[name] = buf
 	st.mu.Unlock()
-	if dir == "" {
+	if st.dir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serve: result dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, "."+hash+".tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: result temp: %w", err)
-	}
-	if _, err := tmp.Write(manifest); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: writing result: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: closing result: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), st.resultPath(hash)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: publishing result: %w", err)
-	}
-	return nil
-}
-
-// partialPathFor is the on-disk address of a partial manifest: the spec
-// hash plus the trial range it covers.
-func (st *store) partialPathFor(hash string, start, count int) string {
-	return filepath.Join(st.dir, fmt.Sprintf("%s.part-%d+%d.json", hash, start, count))
-}
-
-// lookupPartial consults the content-addressed partial cache — memory
-// first, then the persistent directory. Corrupt or unreadable files are
-// misses.
-func (st *store) lookupPartial(hash string, start, count int) ([]byte, bool) {
-	key := partialKey(hash, start, count)
-	st.mu.Lock()
-	if buf, ok := st.partials[key]; ok {
-		st.mu.Unlock()
-		return buf, true
-	}
-	dir := st.dir
-	st.mu.Unlock()
-	if dir == "" {
-		return nil, false
-	}
-	buf, err := os.ReadFile(st.partialPathFor(hash, start, count))
-	if err != nil || len(buf) == 0 {
-		return nil, false
-	}
-	st.mu.Lock()
-	st.partials[key] = buf
-	st.mu.Unlock()
-	return buf, true
-}
-
-// savePartial records an encoded partial manifest in memory and, when
-// configured, on disk (atomic write-then-rename like saveResult).
-func (st *store) savePartial(hash string, start, count int, buf []byte) error {
-	key := partialKey(hash, start, count)
-	st.mu.Lock()
-	st.partials[key] = buf
-	dir := st.dir
-	st.mu.Unlock()
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serve: partial dir: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, "."+hash+".part.tmp*")
-	if err != nil {
-		return fmt.Errorf("serve: partial temp: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: writing partial: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: closing partial: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), st.partialPathFor(hash, start, count)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("serve: publishing partial: %w", err)
+	// <hash>.json writes through .<hash>.tmp*, the temp name of every earlier
+	// version too, so the sweep also removes their leftovers.
+	tmpPrefix := "." + strings.TrimSuffix(name, ".json") + ".tmp"
+	if err := atomicfile.Write(st.dir, name, tmpPrefix, buf); err != nil {
+		return fmt.Errorf("serve: storing %s: %w", name, err)
 	}
 	return nil
 }
@@ -399,8 +317,8 @@ func (st *store) remove(id string) {
 	delete(st.jobs, id)
 }
 
-// get returns a job by ID.
-func (st *store) get(id string) (*Job, bool) {
+// job returns a job by ID.
+func (st *store) job(id string) (*Job, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	j, ok := st.jobs[id]

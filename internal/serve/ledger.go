@@ -9,8 +9,10 @@ import (
 )
 
 // LedgerSchemaVersion stamps every ledger record so future readers can
-// evolve the format without guessing.
-const LedgerSchemaVersion = 1
+// evolve the format without guessing. Version 2 dropped attempts and
+// retries (a job runs once) and queue_wait_seconds and merge_seconds, which
+// repeated stage_seconds' "queue-wait" and "merge".
+const LedgerSchemaVersion = 2
 
 // LedgerRecord is one line of the run ledger: the terminal disposition of
 // one job. Records are observational only — nothing reads them back into
@@ -29,28 +31,20 @@ type LedgerRecord struct {
 	// Dedup reports how a duplicate submission was answered
 	// ("result-cache"); empty for an executed job. In-flight attaches never
 	// produce a record — they have no job of their own.
-	Dedup string `json:"dedup,omitempty"`
-	// Attempts is 1 for an executed job and 0 for a deduplicated one.
-	// Retries is always 0: a job runs once. Both stay in the record so the
-	// ledger format does not change.
-	Attempts    int   `json:"attempts"`
-	Retries     int   `json:"retries"`
-	TrialsDone  int64 `json:"trials_done"`
-	TrialsTotal int64 `json:"trials_total"`
-	// QueueWaitSeconds and WallSeconds are admission-to-start and
-	// admission-to-terminal wall clock. StageSeconds sums each recorded
-	// timeline stage.
-	QueueWaitSeconds float64            `json:"queue_wait_seconds"`
-	WallSeconds      float64            `json:"wall_seconds"`
-	StageSeconds     map[string]float64 `json:"stage_seconds,omitempty"`
-	// Shards, ShardsReissued and MergeSeconds describe sharded dispatch:
-	// how many trial-range shards the job split into, how many dispatches
-	// were re-issued after worker failures or timeouts, and the wall time
-	// of the partial-manifest merge. All zero (and omitted) for unsharded
-	// jobs.
-	Shards         int     `json:"shards,omitempty"`
-	ShardsReissued int     `json:"shards_reissued,omitempty"`
-	MergeSeconds   float64 `json:"merge_seconds,omitempty"`
+	Dedup       string `json:"dedup,omitempty"`
+	TrialsDone  int64  `json:"trials_done"`
+	TrialsTotal int64  `json:"trials_total"`
+	// WallSeconds is the admission-to-terminal wall clock. StageSeconds
+	// sums each recorded timeline stage: "queue-wait" is admission to
+	// start, "merge" the partial-manifest merge of a sharded job.
+	WallSeconds  float64            `json:"wall_seconds"`
+	StageSeconds map[string]float64 `json:"stage_seconds,omitempty"`
+	// Shards and ShardsReissued describe sharded dispatch: how many
+	// trial-range shards the job split into and how many dispatches were
+	// re-issued after worker failures or timeouts. Both zero (and omitted)
+	// for unsharded jobs.
+	Shards         int `json:"shards,omitempty"`
+	ShardsReissued int `json:"shards_reissued,omitempty"`
 }
 
 // Ledger appends job records to a JSONL file. A nil *Ledger is a valid

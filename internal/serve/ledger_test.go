@@ -10,7 +10,7 @@ func TestLedgerAppendAndRead(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sub", "ledger.jsonl")
 	l := NewLedger(path)
 	for i, outcome := range []string{"done", "failed"} {
-		if err := l.Append(&LedgerRecord{Schema: LedgerSchemaVersion, ID: "j", Outcome: outcome, Attempts: i + 1}); err != nil {
+		if err := l.Append(&LedgerRecord{Schema: LedgerSchemaVersion, ID: "j", Outcome: outcome}); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}

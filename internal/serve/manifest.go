@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"emvia/internal/mc"
-	"emvia/internal/pdn"
 	"emvia/internal/phys"
 	"emvia/internal/stat"
 	"emvia/internal/trace"
@@ -67,22 +66,6 @@ func jsonNumber(v float64) any {
 		return "NaN"
 	}
 	return v
-}
-
-// screenInfo digests a grid screen into the manifest form shared with the
-// run-provenance manifests.
-func screenInfo(s *pdn.GridScreen) *trace.ScreenInfo {
-	if s == nil {
-		return nil
-	}
-	return &trace.ScreenInfo{
-		Vias:           s.Vias,
-		MortalVias:     s.MortalVias,
-		Segments:       s.Segments,
-		MortalSegments: s.MortalSegments,
-		SigmaCritViaPa: s.SigmaCritVia,
-		SigmaTViaPa:    s.SigmaTVia,
-	}
 }
 
 // buildManifest assembles the canonical manifest of one run output.

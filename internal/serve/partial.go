@@ -48,11 +48,6 @@ type PartialManifest struct {
 	Screen *trace.ScreenInfo `json:"screen,omitempty"`
 }
 
-// partialKey is the content address of a partial: spec hash + trial range.
-func partialKey(hash string, start, count int) string {
-	return fmt.Sprintf("%s:%d+%d", hash, start, count)
-}
-
 // buildPartial assembles the canonical partial manifest of one shard run.
 func buildPartial(hash string, spec *JobSpec, start int, out *runOutput) *PartialManifest {
 	p := &PartialManifest{
@@ -118,7 +113,29 @@ func ttfValue(v any) (float64, error) {
 	return 0, fmt.Errorf("serve: invalid ttf_seconds entry %v (%T)", v, v)
 }
 
+// readPartial decodes one partial manifest and checks it answers hash over
+// exactly the trial range r (see checkPartial; resolved may be nil). Every
+// partial that reaches this process — a worker's response, a cache entry, a
+// coordinator's cache answer, a worker's push — passes through it.
+func readPartial(rd io.Reader, hash string, r trialRange, resolved *JobSpec) (*PartialManifest, error) {
+	p, err := DecodePartialManifest(rd)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkPartial(p, hash, resolved); err != nil {
+		return nil, err
+	}
+	if p.TrialStart != r.start || p.TrialCount != r.count {
+		return nil, fmt.Errorf("serve: partial manifest covers [%d,%d), want [%d,%d)",
+			p.TrialStart, p.TrialStart+p.TrialCount, r.start, r.start+r.count)
+	}
+	return p, nil
+}
+
 // checkPartial validates one partial against the job it claims to answer.
+// A nil resolved spec (a push into the partial cache, which knows only the
+// address) skips the engine and trial-count checks; the merge re-validates
+// every partial against its job before any is trusted.
 func checkPartial(p *PartialManifest, hash string, resolved *JobSpec) error {
 	switch {
 	case p == nil:
@@ -129,17 +146,19 @@ func checkPartial(p *PartialManifest, hash string, resolved *JobSpec) error {
 		return fmt.Errorf("serve: partial manifest answers spec %.12s, want %.12s", p.ContentHash, hash)
 	case p.MaterialHash == "":
 		return fmt.Errorf("serve: partial manifest carries no material hash")
-	case p.Engine != resolved.Engine:
-		return fmt.Errorf("serve: partial manifest ran engine %q, job wants %q", p.Engine, resolved.Engine)
 	case p.TrialStart < 0:
 		return fmt.Errorf("serve: partial manifest trial_start %d is negative", p.TrialStart)
 	case p.TrialCount < 1:
 		return fmt.Errorf("serve: partial manifest trial_count %d (want ≥ 1)", p.TrialCount)
+	case len(p.TTFSeconds) != p.TrialCount:
+		return fmt.Errorf("serve: partial manifest has %d ttf entries for %d trials", len(p.TTFSeconds), p.TrialCount)
+	case resolved == nil:
+		return nil
+	case p.Engine != resolved.Engine:
+		return fmt.Errorf("serve: partial manifest ran engine %q, job wants %q", p.Engine, resolved.Engine)
 	case p.TrialStart+p.TrialCount > resolved.Trials:
 		return fmt.Errorf("serve: partial manifest range [%d,%d) exceeds the job's %d trials",
 			p.TrialStart, p.TrialStart+p.TrialCount, resolved.Trials)
-	case len(p.TTFSeconds) != p.TrialCount:
-		return fmt.Errorf("serve: partial manifest has %d ttf entries for %d trials", len(p.TTFSeconds), p.TrialCount)
 	}
 	return nil
 }

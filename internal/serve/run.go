@@ -131,5 +131,5 @@ func runSpec(ctx context.Context, spec *JobSpec, ro RunOptions) (*runOutput, err
 	if err != nil {
 		return nil, err
 	}
-	return &runOutput{materialHash: core.MaterialHash(), mcResult: res, screen: screenInfo(screen)}, nil
+	return &runOutput{materialHash: core.MaterialHash(), mcResult: res, screen: screen.Info()}, nil
 }

@@ -137,8 +137,8 @@ func TestSubmitPollResult(t *testing.T) {
 	if st.TrialsDone != 6 || st.TrialsTotal != 6 {
 		t.Errorf("progress %d/%d, want 6/6", st.TrialsDone, st.TrialsTotal)
 	}
-	if st.Attempts != 1 {
-		t.Errorf("attempts %d, want 1", st.Attempts)
+	if st.StartedAt == "" {
+		t.Error("started_at empty for an executed job")
 	}
 
 	rcode, body := getResult(t, ts, sub.ID)
@@ -362,8 +362,8 @@ func TestPersistErrorCountedOnce(t *testing.T) {
 
 	_, sub, _ := submit(t, ts, tinySpec)
 	st := waitTerminal(t, ts, sub.ID)
-	if st.State != StateDone || st.Attempts != 1 {
-		t.Fatalf("state %q after %d attempts (error %q), want done after 1", st.State, st.Attempts, st.Error)
+	if st.State != StateDone {
+		t.Fatalf("state %q (error %q), want done", st.State, st.Error)
 	}
 	if rcode, _ := getResult(t, ts, sub.ID); rcode != http.StatusOK {
 		t.Errorf("result code %d, want 200", rcode)
@@ -604,8 +604,8 @@ func TestLedgerReplaysJobSet(t *testing.T) {
 	}
 	for _, id := range []string{j1.ID, j2.ID} {
 		r := byID[id]
-		if r.TrialsDone != 6 || r.TrialsTotal != 6 || r.Attempts != 1 || r.Retries != 0 {
-			t.Errorf("executed record %+v: want 6/6 trials, 1 attempt", r)
+		if r.Schema != LedgerSchemaVersion || r.TrialsDone != 6 || r.TrialsTotal != 6 {
+			t.Errorf("executed record %+v: want schema %d, 6/6 trials", r, LedgerSchemaVersion)
 		}
 		for _, stage := range []string{"admit", "queue-wait", "mc", "manifest"} {
 			if _, ok := r.StageSeconds[stage]; !ok {
@@ -847,5 +847,127 @@ func TestResultCacheStaleFileIsMiss(t *testing.T) {
 				t.Errorf("result file not rewritten with the fresh manifest (err %v)", err)
 			}
 		})
+	}
+}
+
+// specHash is the content hash of a spec body.
+func specHash(t *testing.T, body string) string {
+	t.Helper()
+	spec, err := DecodeJobSpec(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, err := spec.ContentHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hash
+}
+
+// TestStoreRemovesStaleTemps: a temp file a killed server left in the
+// result directory more than an hour ago is removed by the next write of
+// its name — a result or a partial — while a fresh one, which may belong to
+// a live writer, stays.
+func TestStoreRemovesStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	hash := specHash(t, shardSpec)
+	stale := []string{"." + hash + ".tmp123", "." + hash + ".part-0+4.tmp456"}
+	fresh := "." + hash + ".tmp789"
+	old := time.Now().Add(-time.Hour - time.Minute)
+	for _, name := range append(stale, fresh) {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte("torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if name != fresh {
+			if err := os.Chtimes(p, old, old); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	_, ts := newTestServer(t, Config{ResultDir: dir, Shards: 3, LedgerPath: "-"})
+	_, sub, _ := submit(t, ts, shardSpec)
+	if st := waitTerminal(t, ts, sub.ID); st.State != StateDone {
+		t.Fatalf("state %q (error %q)", st.State, st.Error)
+	}
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("stale temp file %s survived the write of its name: %v", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, fresh)); err != nil {
+		t.Errorf("fresh temp file removed: %v", err)
+	}
+	for _, name := range []string{hash + ".json", hash + ".part-0+4.json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("%s not written: %v", name, err)
+		}
+	}
+}
+
+// TestEarlierResultDirHits: testdata/resultdir holds files the store wrote
+// when results and partials had separate caches (commit 9e3428e): tinySpec's
+// result manifest and shardSpec's three partial manifests. A server over a
+// copy of it answers tinySpec from the result cache, serves the partials
+// byte for byte, and merges shardSpec from them without running a shard.
+func TestEarlierResultDirHits(t *testing.T) {
+	dir := t.TempDir()
+	files, err := filepath.Glob(filepath.Join("testdata", "resultdir", "*.json"))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("fixture files %v (err %v), want 4", files, err)
+	}
+	for _, f := range files {
+		buf, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := referenceManifest(t, shardSpec)
+	_, ts := newTestServer(t, Config{ResultDir: dir, Shards: 3, LedgerPath: "-"})
+
+	code, sub, _ := submit(t, ts, tinySpec)
+	if code != http.StatusOK || sub.Dedup != "result-cache" {
+		t.Fatalf("tinySpec submit: code %d resp %+v, want 200 result-cache", code, sub)
+	}
+	stored, err := os.ReadFile(filepath.Join(dir, sub.Hash+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got := getResult(t, ts, sub.ID); !bytes.Equal(got, stored) {
+		t.Errorf("result-cache answer differs from the stored manifest")
+	}
+
+	hash := specHash(t, shardSpec)
+	for _, rng := range []string{"0/4", "4/4", "8/4"} {
+		resp, err := http.Get(ts.URL + "/v1/partials/" + hash + "/" + rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		stored, err := os.ReadFile(filepath.Join(dir, hash+".part-"+strings.Replace(rng, "/", "+", 1)+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, stored) {
+			t.Errorf("partial %s: code %d, body differs from the stored file: %v", rng, resp.StatusCode, !bytes.Equal(got, stored))
+		}
+	}
+
+	_, sub, _ = submit(t, ts, shardSpec)
+	if st := waitTerminal(t, ts, sub.ID); st.State != StateDone {
+		t.Fatalf("shardSpec: state %q (error %q)", st.State, st.Error)
+	}
+	if _, got := getResult(t, ts, sub.ID); !bytes.Equal(got, want) {
+		t.Errorf("manifest merged from stored partials differs from the single-process run")
+	}
+	if n := counter(telemetry.ServeShardCacheHits); n != 3 {
+		t.Errorf("shard cache hits %d, want 3", n)
+	}
+	if n := counter(telemetry.ServeShardLocalRuns); n != 0 {
+		t.Errorf("local shard runs %d, want 0", n)
 	}
 }

@@ -162,7 +162,7 @@ func NewServer(cfg Config) *Server {
 	if t := trace.Default(); t != nil && t.Ring() != nil {
 		s.ring = t.Ring()
 	} else {
-		s.ring = trace.NewRing(1024)
+		s.ring = trace.NewRing(trace.LiveRingSize)
 		trace.SetDefault(trace.New(trace.Options{Ring: s.ring, DisableSamples: true}))
 	}
 	s.mux = http.NewServeMux()
@@ -266,7 +266,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Dedup layer 1: the content-addressed result cache. The job completes
 	// instantly from the stored manifest — zero engine work.
-	if manifest, ok := s.store.lookupResult(hash); ok {
+	if manifest, ok := s.store.get(resultName(hash), func(b []byte) bool { return currentManifest(b, hash) }); ok {
 		tl := s.newTimeline(admitStart)
 		tl.Add("admit", admitStart, time.Since(admitStart))
 		job := s.store.create(hash, resolved, timeout, tl)
@@ -361,7 +361,6 @@ type statusResponse struct {
 	Hash        string `json:"content_hash"`
 	State       State  `json:"state"`
 	Error       string `json:"error,omitempty"`
-	Attempts    int    `json:"attempts"`
 	TrialsDone  int64  `json:"trials_done"`
 	TrialsTotal int64  `json:"trials_total"`
 	CreatedAt   string `json:"created_at,omitempty"`
@@ -375,7 +374,6 @@ func statusJSON(st Status) statusResponse {
 		Hash:        st.Hash,
 		State:       st.State,
 		Error:       st.Err,
-		Attempts:    st.Attempts,
 		TrialsDone:  st.TrialsDone,
 		TrialsTotal: st.TrialsTotal,
 	}
@@ -392,7 +390,7 @@ func statusJSON(st Status) statusResponse {
 }
 
 func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	job, ok := s.store.get(r.PathValue("id"))
+	job, ok := s.store.job(r.PathValue("id"))
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "serve: unknown job id")
 		return nil, false
@@ -488,7 +486,7 @@ func (s *Server) runJob(job *Job) {
 	if err == nil {
 		var buf []byte
 		if buf, err = manifest.Encode(); err == nil {
-			if serr := s.store.saveResult(job.Hash, buf); serr != nil {
+			if serr := s.store.put(resultName(job.Hash), buf); serr != nil {
 				// Persisting is best-effort: the job still completes from
 				// memory, only cross-restart dedup is lost.
 				s.reg.Counter(telemetry.ServePersistErrors).Inc()
@@ -536,20 +534,19 @@ func (s *Server) ledgerAppend(job *Job, dedup string) {
 	}
 	st := job.Status()
 	rec := &LedgerRecord{
-		Schema:      LedgerSchemaVersion,
-		Time:        st.Finished.UTC().Format(time.RFC3339Nano),
-		ID:          st.ID,
-		ContentHash: st.Hash,
-		Engine:      job.Spec.Engine,
-		Outcome:     string(st.State),
-		Error:       st.Err,
-		Dedup:       dedup,
-		Attempts:    st.Attempts,
-		TrialsDone:  st.TrialsDone,
-		TrialsTotal: st.TrialsTotal,
+		Schema:         LedgerSchemaVersion,
+		Time:           st.Finished.UTC().Format(time.RFC3339Nano),
+		ID:             st.ID,
+		ContentHash:    st.Hash,
+		Engine:         job.Spec.Engine,
+		Outcome:        string(st.State),
+		Error:          st.Err,
+		Dedup:          dedup,
+		TrialsDone:     st.TrialsDone,
+		TrialsTotal:    st.TrialsTotal,
+		Shards:         st.Shards,
+		ShardsReissued: st.ShardReissues,
 	}
-	rec.Shards = st.Shards
-	rec.ShardsReissued = st.ShardReissues
 	if !st.Finished.IsZero() {
 		rec.WallSeconds = st.Finished.Sub(st.Created).Seconds()
 	}
@@ -557,12 +554,6 @@ func (s *Server) ledgerAppend(job *Job, dedup string) {
 		rec.StageSeconds = make(map[string]float64, len(spans))
 		for _, sp := range spans {
 			rec.StageSeconds[sp.Stage] += sp.DurationSeconds
-			switch sp.Stage {
-			case "queue-wait":
-				rec.QueueWaitSeconds += sp.DurationSeconds
-			case "merge":
-				rec.MergeSeconds += sp.DurationSeconds
-			}
 		}
 	}
 	if err := s.ledger.Append(rec); err != nil {

@@ -228,16 +228,9 @@ func (s *Server) dispatchShard(ctx context.Context, worker string, job *Job, r t
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("serve: worker %s: status %d: %s", worker, resp.StatusCode, strings.TrimSpace(string(snippet)))
 	}
-	p, err := DecodePartialManifest(resp.Body)
+	p, err := readPartial(resp.Body, job.Hash, r, job.Spec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: worker %s: %w", worker, err)
-	}
-	if err := checkPartial(p, job.Hash, job.Spec); err != nil {
-		return nil, fmt.Errorf("serve: worker %s: %w", worker, err)
-	}
-	if p.TrialStart != r.start || p.TrialCount != r.count {
-		return nil, fmt.Errorf("serve: worker %s answered range [%d,%d), want [%d,%d)",
-			worker, p.TrialStart, p.TrialStart+p.TrialCount, r.start, r.start+r.count)
 	}
 	return p, nil
 }
@@ -251,19 +244,25 @@ func workerURL(w string) string {
 	return strings.TrimRight(w, "/")
 }
 
+// lookupPartial returns the stored bytes of hash's partial over r. A file
+// read from disk must be a partial of that address; anything else is a miss.
+func (s *Server) lookupPartial(hash string, r trialRange) ([]byte, bool) {
+	return s.store.get(partialName(hash, r), func(b []byte) bool {
+		_, err := readPartial(bytes.NewReader(b), hash, r, nil)
+		return err == nil
+	})
+}
+
 // cachedPartial consults the content-addressed partial cache; a corrupt or
 // mismatching entry is a miss (never an error), mirroring the result
 // cache's corruption policy.
 func (s *Server) cachedPartial(hash string, resolved *JobSpec, r trialRange) *PartialManifest {
-	buf, ok := s.store.lookupPartial(hash, r.start, r.count)
+	buf, ok := s.lookupPartial(hash, r)
 	if !ok {
 		return nil
 	}
-	p, err := DecodePartialManifest(bytes.NewReader(buf))
-	if err != nil || checkPartial(p, hash, resolved) != nil {
-		return nil
-	}
-	if p.TrialStart != r.start || p.TrialCount != r.count {
+	p, err := readPartial(bytes.NewReader(buf), hash, r, resolved)
+	if err != nil {
 		return nil
 	}
 	return p
@@ -276,7 +275,7 @@ func (s *Server) storePartial(hash string, r trialRange, p *PartialManifest) {
 	if err != nil {
 		return
 	}
-	s.store.savePartial(hash, r.start, r.count, buf) //nolint:errcheck // best-effort cache population
+	s.store.put(partialName(hash, r), buf) //nolint:errcheck // best-effort cache population
 }
 
 // handleShard is POST /v1/shards — the worker side of shard dispatch. It
@@ -405,8 +404,8 @@ func (s *Server) coordinatorPartial(ctx context.Context, cacheURL, hash string, 
 	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	p, err := DecodePartialManifest(resp.Body)
-	if err != nil || checkPartial(p, hash, resolved) != nil || p.TrialStart != r.start || p.TrialCount != r.count {
+	p, err := readPartial(resp.Body, hash, r, resolved)
+	if err != nil {
 		return nil
 	}
 	s.reg.Counter(telemetry.ServeShardCacheHits).Inc()
@@ -450,7 +449,7 @@ func (s *Server) handlePartialGet(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, "serve: malformed partial address")
 		return
 	}
-	buf, found := s.store.lookupPartial(hash, rng.start, rng.count)
+	buf, found := s.lookupPartial(hash, rng)
 	if !found {
 		s.writeError(w, http.StatusNotFound, "serve: no cached partial for this range")
 		return
@@ -462,25 +461,18 @@ func (s *Server) handlePartialGet(w http.ResponseWriter, r *http.Request) {
 
 // handlePartialPut is PUT /v1/partials/{hash}/{start}/{count}: workers
 // populate the coordinator's cache here. The body must be a valid partial
-// manifest whose identity fields match its address — internal consistency
-// is all that can be verified without the resolved spec, and the merge
-// re-validates everything against the job before any partial is trusted.
+// manifest of its address — all that can be verified without the resolved
+// spec; the merge re-validates everything against the job before any
+// partial is trusted.
 func (s *Server) handlePartialPut(w http.ResponseWriter, r *http.Request) {
 	hash, rng, ok := partialPath(r)
 	if !ok {
 		s.writeError(w, http.StatusBadRequest, "serve: malformed partial address")
 		return
 	}
-	body := http.MaxBytesReader(w, r.Body, MaxPartialBytes)
-	p, err := DecodePartialManifest(body)
+	p, err := readPartial(http.MaxBytesReader(w, r.Body, MaxPartialBytes), hash, rng, nil)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if p.SchemaVersion != PartialManifestSchemaVersion || p.ContentHash != hash ||
-		p.TrialStart != rng.start || p.TrialCount != rng.count ||
-		p.TrialCount < 1 || len(p.TTFSeconds) != p.TrialCount || p.MaterialHash == "" {
-		s.writeError(w, http.StatusBadRequest, "serve: partial manifest does not match its address")
 		return
 	}
 	s.storePartial(hash, rng, p)

@@ -195,7 +195,7 @@ func TestShardWorkerStragglerReassignment(t *testing.T) {
 	if n := counter(telemetry.ServeShardReissues); n < 1 {
 		t.Errorf("shard reissues %d, want ≥ 1", n)
 	}
-	job, ok := f.coord.store.get(sub.ID)
+	job, ok := f.coord.store.job(sub.ID)
 	if !ok {
 		t.Fatal("job vanished from the store")
 	}

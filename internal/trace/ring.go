@@ -63,6 +63,10 @@ type Ring struct {
 	total   int64
 }
 
+// LiveRingSize is the trial window of the live rings emserve and the CLI
+// monitors keep: job progress, SSE cascade streams and /status read it.
+const LiveRingSize = 1024
+
 // NewRing returns a ring keeping the last n trials (n < 1 selects 64).
 func NewRing(n int) *Ring {
 	if n < 1 {

@@ -107,6 +107,7 @@ if [ ! -s "$LEDGER" ]; then
     echo "serve_smoke: run ledger missing or empty at $LEDGER" >&2
     exit 1
 fi
+grep -q '"schema":2' "$LEDGER"
 grep -q '"outcome":"done"' "$LEDGER"
 go build -o "$OUT/emtrace" ./cmd/emtrace
 "$OUT/emtrace" ledger "$LEDGER" >"$OUT/ledger-report.txt"

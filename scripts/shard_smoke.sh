@@ -111,15 +111,16 @@ kill -TERM "$w1_PID" && wait "$w1_PID"
 kill -TERM "$w2_PID" && wait "$w2_PID"
 trap - EXIT
 
-# The coordinator's ledger must carry the shard columns, and emtrace must
-# render the sharding summary from them.
+# The coordinator's ledger must be schema 2 and carry the shard columns and
+# the merge stage, and emtrace must render the sharding summary from them.
 LEDGER="$OUT/results/ledger.jsonl"
 if [ ! -s "$LEDGER" ]; then
     echo "shard_smoke: coordinator ledger missing or empty at $LEDGER" >&2
     exit 1
 fi
+grep -q '"schema":2' "$LEDGER"
 grep -q '"shards":4' "$LEDGER"
-grep -q '"merge_seconds":' "$LEDGER"
+grep -q '"stage_seconds":{[^}]*"merge":' "$LEDGER"
 go build -o "$OUT/emtrace" ./cmd/emtrace
 "$OUT/emtrace" ledger "$LEDGER" >"$OUT/ledger-report.txt"
 grep -q 'sharding: 1 jobs sharded, 4 shards/job' "$OUT/ledger-report.txt"
