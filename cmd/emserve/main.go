@@ -19,21 +19,23 @@
 //	                            job deadline, with partial progress in
 //	                            the status endpoint)
 //	POST /v1/shards             execute one trial-range shard of a job
-//	                            (fleet-internal: coordinators dispatch here)
-//	GET/PUT /v1/partials/...    the content-addressed partial-manifest cache
+//	                            (fleet-internal: coordinators dispatch here
+//	                            and store the partial it answers with)
 //	/status, /metrics,          the monitor endpoints (JSON status and
 //	/debug/vars, /debug/pprof   Prometheus exposition), on the same listener
 //
 // With -shards K > 1 each Monte-Carlo job's trial range is split into K
 // contiguous shards, dispatched to the -workers fleet (or a local executor
 // pool when none are configured) and merged into a result manifest that is
-// byte-identical to the single-process run:
+// byte-identical to the single-process run. A shard reaches the coordinator
+// only as its dispatch response; a failed or timed-out dispatch is re-issued
+// to the next worker, and the third attempt runs on the coordinator itself.
+// Each process runs at most two inbound shards at once.
 //
 //	emserve -addr :8416 &                         # worker 1
 //	emserve -addr :8417 &                         # worker 2
 //	emserve -addr :8415 -shards 4 \
-//	        -workers localhost:8416,localhost:8417 \
-//	        -advertise http://localhost:8415      # coordinator
+//	        -workers localhost:8416,localhost:8417 # coordinator
 //
 // SIGINT/SIGTERM drains gracefully: new submissions are rejected with 503
 // while admitted jobs run to completion (bounded by -drain-timeout).
@@ -73,10 +75,7 @@ func run() error {
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "bound on graceful drain at shutdown")
 	shards := flag.Int("shards", 0, "split each Monte-Carlo job into this many trial-range shards (0/1 = no sharding); merged manifests are byte-identical to single-process runs")
 	workers := flag.String("workers", "", "comma-separated worker emserve addresses (host:port or URLs) to dispatch shards to; empty with -shards > 1 runs shards in a local executor pool")
-	shardSlots := flag.Int("shard-slots", 2, "concurrently executing inbound shard requests (the worker side of dispatch)")
 	shardTimeout := flag.Duration("shard-timeout", 60*time.Second, "per-attempt bound on one remote shard dispatch; expiry re-issues the shard to the next worker")
-	shardAttempts := flag.Int("shard-attempts", 3, "dispatch attempts per shard including the final always-local run")
-	advertise := flag.String("advertise", "", "this coordinator's externally reachable base URL; workers replicate partial manifests through it (empty = no cache replication)")
 	flag.Parse()
 
 	var shardWorkers []string
@@ -94,10 +93,7 @@ func run() error {
 		LedgerPath:     *ledgerPath,
 		Shards:         *shards,
 		ShardWorkers:   shardWorkers,
-		ShardSlots:     *shardSlots,
 		ShardTimeout:   *shardTimeout,
-		ShardAttempts:  *shardAttempts,
-		AdvertiseURL:   *advertise,
 	})
 
 	mux := http.NewServeMux()

@@ -130,38 +130,56 @@ func main() {
 		return tightest / 1e6, s.MortalVias, nil
 	}
 
-	if engine == mc.EngineSteady {
-		steadySweep(mkAnalyzer, screenEval, *arrayN, *delta, fatal)
-		if err := prof.Stop(); err != nil {
-			fatal("emsweep: %v\n", err)
-		}
-		if err := finishObs(); err != nil {
-			fatal("emsweep: %v\n", err)
-		}
-		return
-	}
-
+	// value is one perturbed evaluation: the tightest steady margin under
+	// -engine=steady, otherwise the Monte-Carlo median, plus the mortal via
+	// count under -engine=both. swing is the tornado's sort key.
+	var value func(a *core.Analyzer) (float64, int, error)
+	var swing func(lo, hi float64) float64
 	aBase := mkAnalyzer()
-	baseMed, baseWorst, err := eval(aBase)
-	if err != nil {
-		fatal("emsweep: baseline: %v\n", err)
-	}
-	fmt.Printf("baseline %dx%d Plus array (R=inf): median %.2f y, worst-case %.2f y\n",
-		*arrayN, *arrayN, baseMed, baseWorst)
-	if engine == mc.EngineBoth {
-		margin, mortal, err := screenEval(aBase)
+	if engine == mc.EngineSteady {
+		baseMargin, baseMortal, err := screenEval(aBase)
 		if err != nil {
 			fatal("emsweep: baseline screen: %v\n", err)
 		}
-		fmt.Printf("baseline steady screen: %d/%d vias mortal, tightest margin %.1f MPa\n",
-			mortal, *arrayN**arrayN, margin)
+		fmt.Printf("baseline %dx%d Plus array steady screen: %d/%d vias mortal, tightest margin %.1f MPa\n",
+			*arrayN, *arrayN, baseMortal, *arrayN**arrayN, baseMargin)
+		value = screenEval
+		swing = func(lo, hi float64) float64 { return math.Abs(hi - lo) }
+	} else {
+		baseMed, baseWorst, err := eval(aBase)
+		if err != nil {
+			fatal("emsweep: baseline: %v\n", err)
+		}
+		fmt.Printf("baseline %dx%d Plus array (R=inf): median %.2f y, worst-case %.2f y\n",
+			*arrayN, *arrayN, baseMed, baseWorst)
+		if engine == mc.EngineBoth {
+			margin, mortal, err := screenEval(aBase)
+			if err != nil {
+				fatal("emsweep: baseline screen: %v\n", err)
+			}
+			fmt.Printf("baseline steady screen: %d/%d vias mortal, tightest margin %.1f MPa\n",
+				mortal, *arrayN**arrayN, margin)
+		}
+		value = func(a *core.Analyzer) (float64, int, error) {
+			m, _, err := eval(a)
+			if err != nil || engine != mc.EngineBoth {
+				return m, 0, err
+			}
+			// The FEA cache of a is warm after eval, so the screen costs
+			// one linear solve.
+			_, mortal, err := screenEval(a)
+			if err != nil {
+				return 0, 0, fmt.Errorf("screen: %w", err)
+			}
+			return m, mortal, nil
+		}
+		swing = func(lo, hi float64) float64 { return 100 * math.Abs(hi-lo) / baseMed }
 	}
 	fmt.Println()
 
 	type row struct {
 		name               string
-		lowMed, hiMed      float64
-		swingMedianPct     float64
+		lo, hi, swing      float64
 		loMortal, hiMortal int
 	}
 	// Knobs are independent — every evaluation builds its own analyzer — so
@@ -170,7 +188,7 @@ func main() {
 	// identical to a serial sweep.
 	ks := knobs()
 	type knobResult struct {
-		med    [2]float64
+		val    [2]float64
 		mortal [2]int
 		skip   string
 	}
@@ -190,22 +208,12 @@ func main() {
 			for s, f := range []float64{1 - *delta, 1 + *delta} {
 				a := mkAnalyzer()
 				k.apply(a, f)
-				m, _, err := eval(a)
+				v, mortal, err := value(a)
 				if err != nil {
 					results[i].skip = fmt.Sprintf("emsweep: %s ×%.2f: %v (skipped)", k.name, f, err)
 					return
 				}
-				results[i].med[s] = m
-				if engine == mc.EngineBoth {
-					// The FEA cache of a is warm after eval, so the
-					// screen costs one linear solve.
-					_, mortal, err := screenEval(a)
-					if err != nil {
-						results[i].skip = fmt.Sprintf("emsweep: %s ×%.2f screen: %v (skipped)", k.name, f, err)
-						return
-					}
-					results[i].mortal[s] = mortal
-				}
+				results[i].val[s], results[i].mortal[s] = v, mortal
 			}
 		}(i, k)
 	}
@@ -218,77 +226,41 @@ func main() {
 			continue
 		}
 		rows = append(rows, row{
-			name:           k.name,
-			lowMed:         r.med[0],
-			hiMed:          r.med[1],
-			swingMedianPct: 100 * math.Abs(r.med[1]-r.med[0]) / baseMed,
-			loMortal:       r.mortal[0],
-			hiMortal:       r.mortal[1],
+			name:     k.name,
+			lo:       r.val[0],
+			hi:       r.val[1],
+			swing:    swing(r.val[0], r.val[1]),
+			loMortal: r.mortal[0],
+			hiMortal: r.mortal[1],
 		})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].swingMedianPct > rows[j].swingMedianPct })
+	sort.Slice(rows, func(i, j int) bool { return rows[i].swing > rows[j].swing })
 
-	if engine == mc.EngineBoth {
-		fmt.Printf("%-26s %12s %12s %10s %13s\n", "parameter (±"+fmt.Sprintf("%.0f%%", *delta*100)+")", "-delta (y)", "+delta (y)", "swing", "mortal vias")
+	param := fmt.Sprintf("parameter (±%.0f%%)", *delta*100)
+	switch engine {
+	case mc.EngineSteady:
+		fmt.Printf("%-26s %14s %14s %12s\n", param, "-delta (MPa)", "+delta (MPa)", "swing (MPa)")
 		for _, r := range rows {
-			fmt.Printf("%-26s %12.2f %12.2f %9.1f%% %8d→%-4d\n", r.name, r.lowMed, r.hiMed, r.swingMedianPct, r.loMortal, r.hiMortal)
+			fmt.Printf("%-26s %14.1f %14.1f %12.1f\n", r.name, r.lo, r.hi, r.swing)
 		}
-	} else {
-		fmt.Printf("%-26s %12s %12s %10s\n", "parameter (±"+fmt.Sprintf("%.0f%%", *delta*100)+")", "-delta (y)", "+delta (y)", "swing")
+		fmt.Println("\nswing = |margin(+delta) − margin(−delta)| of the tightest steady-state via stress margin")
+	case mc.EngineBoth:
+		fmt.Printf("%-26s %12s %12s %10s %13s\n", param, "-delta (y)", "+delta (y)", "swing", "mortal vias")
 		for _, r := range rows {
-			fmt.Printf("%-26s %12.2f %12.2f %9.1f%%\n", r.name, r.lowMed, r.hiMed, r.swingMedianPct)
+			fmt.Printf("%-26s %12.2f %12.2f %9.1f%% %8d→%-4d\n", r.name, r.lo, r.hi, r.swing, r.loMortal, r.hiMortal)
 		}
+		fmt.Println("\nswing = |median(+delta) − median(−delta)| / baseline median")
+	default:
+		fmt.Printf("%-26s %12s %12s %10s\n", param, "-delta (y)", "+delta (y)", "swing")
+		for _, r := range rows {
+			fmt.Printf("%-26s %12.2f %12.2f %9.1f%%\n", r.name, r.lo, r.hi, r.swing)
+		}
+		fmt.Println("\nswing = |median(+delta) − median(−delta)| / baseline median")
 	}
-	fmt.Println("\nswing = |median(+delta) − median(−delta)| / baseline median")
 	if err := prof.Stop(); err != nil {
 		fatal("emsweep: %v\n", err)
 	}
 	if err := finishObs(); err != nil {
 		fatal("emsweep: %v\n", err)
 	}
-}
-
-// steadySweep is the -engine=steady tornado: each knob's effect on the
-// tightest steady-state via stress margin of the array. No Monte Carlo runs
-// at all — every evaluation is one FEA pre-stress solve plus one linear
-// network solve, so the whole sweep is seconds, not minutes.
-func steadySweep(mkAnalyzer func() *core.Analyzer, screenEval func(*core.Analyzer) (float64, int, error), arrayN int, delta float64, fatal func(string, ...any)) {
-	baseMargin, baseMortal, err := screenEval(mkAnalyzer())
-	if err != nil {
-		fatal("emsweep: baseline screen: %v\n", err)
-	}
-	fmt.Printf("baseline %dx%d Plus array steady screen: %d/%d vias mortal, tightest margin %.1f MPa\n\n",
-		arrayN, arrayN, baseMortal, arrayN*arrayN, baseMargin)
-	type row struct {
-		name   string
-		lo, hi float64
-		swing  float64
-	}
-	var rows []row
-	for _, k := range knobs() {
-		var m [2]float64
-		skipped := false
-		for s, f := range []float64{1 - delta, 1 + delta} {
-			a := mkAnalyzer()
-			k.apply(a, f)
-			mm, _, err := screenEval(a)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "emsweep: %s ×%.2f: %v (skipped)\n", k.name, f, err)
-				skipped = true
-				break
-			}
-			m[s] = mm
-		}
-		if skipped {
-			continue
-		}
-		rows = append(rows, row{k.name, m[0], m[1], math.Abs(m[1] - m[0])})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].swing > rows[j].swing })
-	fmt.Printf("%-26s %14s %14s %12s\n",
-		fmt.Sprintf("parameter (±%.0f%%)", delta*100), "-delta (MPa)", "+delta (MPa)", "swing (MPa)")
-	for _, r := range rows {
-		fmt.Printf("%-26s %14.1f %14.1f %12.1f\n", r.name, r.lo, r.hi, r.swing)
-	}
-	fmt.Println("\nswing = |margin(+delta) − margin(−delta)| of the tightest steady-state via stress margin")
 }

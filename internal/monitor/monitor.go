@@ -51,10 +51,10 @@ type Server struct {
 	timeout time.Duration
 }
 
-// Register mounts the monitor endpoints (/status, /debug/vars, /debug/pprof)
-// on an existing mux, so a host server — emserve's job API — can serve them
-// alongside its own routes on one listener. It enables telemetry and status
-// collection as a side effect, exactly like Start.
+// Register mounts the monitor endpoints (/status, /metrics, /debug/vars,
+// /debug/pprof) on an existing mux, so a host server — emserve's job API —
+// can serve them alongside its own routes on one listener. It enables
+// telemetry and status collection as a side effect, exactly like Start.
 func Register(mux *http.ServeMux, opt Options) {
 	reg := telemetry.Enable()
 	reg.EnableStatus()

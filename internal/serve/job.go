@@ -211,18 +211,28 @@ func (j *Job) completeFromCache(manifest []byte) {
 	j.finish(StateDone, manifest, "")
 }
 
-// store holds every job plus the two dedup indexes: the in-flight
-// singleflight map (hash → live job) and the content-addressed file cache
-// of result manifests (<hash>.json) and partial manifests
-// (<hash>.part-<start>+<count>.json), kept in memory and, when dir is set,
-// on disk.
+// maxTerminalJobs bounds the finished jobs the store keeps addressable by
+// ID. Clients fetch a result right after submitting, and the manifest itself
+// stays in the content-addressed cache, so an evicted ID costs nothing but
+// a 404.
+const maxTerminalJobs = 1024
+
+// store holds every live job and the most recent maxTerminalJobs finished
+// ones, plus the two dedup indexes: the in-flight singleflight map (hash →
+// live job) and the content-addressed file cache of result manifests
+// (<hash>.json) and partial manifests (<hash>.part-<start>+<count>.json),
+// kept in memory and, when dir is set, on disk.
 type store struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	inflight map[string]*Job   // queued/running job per hash
 	files    map[string][]byte // result and partial manifests per file name
-	nextID   int
-	dir      string // "" = memory only
+	// retired rings the IDs of terminal jobs in the order they finished;
+	// once full, retiredNext is the oldest, evicted by the next retire.
+	retired     []string
+	retiredNext int
+	nextID      int
+	dir         string // "" = memory only
 }
 
 func newStore(dir string) *store {
@@ -315,6 +325,21 @@ func (st *store) remove(id string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	delete(st.jobs, id)
+}
+
+// retire records that a job reached its terminal state, evicting the
+// oldest terminal job once maxTerminalJobs are kept. Only terminal jobs are
+// retired, so a queued or running job is never evicted.
+func (st *store) retire(job *Job) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.retired) < maxTerminalJobs {
+		st.retired = append(st.retired, job.ID)
+		return
+	}
+	delete(st.jobs, st.retired[st.retiredNext])
+	st.retired[st.retiredNext] = job.ID
+	st.retiredNext = (st.retiredNext + 1) % maxTerminalJobs
 }
 
 // job returns a job by ID.

@@ -113,10 +113,10 @@ func ttfValue(v any) (float64, error) {
 	return 0, fmt.Errorf("serve: invalid ttf_seconds entry %v (%T)", v, v)
 }
 
-// readPartial decodes one partial manifest and checks it answers hash over
-// exactly the trial range r (see checkPartial; resolved may be nil). Every
-// partial that reaches this process — a worker's response, a cache entry, a
-// coordinator's cache answer, a worker's push — passes through it.
+// readPartial decodes one partial manifest and checks it answers the
+// resolved job hash over exactly the trial range r (see checkPartial).
+// Every partial that reaches this process — a worker's response or a cache
+// entry — passes through it.
 func readPartial(rd io.Reader, hash string, r trialRange, resolved *JobSpec) (*PartialManifest, error) {
 	p, err := DecodePartialManifest(rd)
 	if err != nil {
@@ -133,9 +133,6 @@ func readPartial(rd io.Reader, hash string, r trialRange, resolved *JobSpec) (*P
 }
 
 // checkPartial validates one partial against the job it claims to answer.
-// A nil resolved spec (a push into the partial cache, which knows only the
-// address) skips the engine and trial-count checks; the merge re-validates
-// every partial against its job before any is trusted.
 func checkPartial(p *PartialManifest, hash string, resolved *JobSpec) error {
 	switch {
 	case p == nil:
@@ -152,8 +149,6 @@ func checkPartial(p *PartialManifest, hash string, resolved *JobSpec) error {
 		return fmt.Errorf("serve: partial manifest trial_count %d (want ≥ 1)", p.TrialCount)
 	case len(p.TTFSeconds) != p.TrialCount:
 		return fmt.Errorf("serve: partial manifest has %d ttf entries for %d trials", len(p.TTFSeconds), p.TrialCount)
-	case resolved == nil:
-		return nil
 	case p.Engine != resolved.Engine:
 		return fmt.Errorf("serve: partial manifest ran engine %q, job wants %q", p.Engine, resolved.Engine)
 	case p.TrialStart+p.TrialCount > resolved.Trials:

@@ -476,6 +476,50 @@ func TestUnknownJob(t *testing.T) {
 	}
 }
 
+// TestTerminalJobsBounded: every submission creates a job, a result-cache
+// hit included, yet the store keeps at most maxTerminalJobs finished ones.
+// The oldest terminal job goes first and answers 404 like an unknown ID;
+// a running job is never evicted, and the newest result stays fetchable.
+func TestTerminalJobsBounded(t *testing.T) {
+	release := make(chan struct{})
+	blocked := strings.Replace(tinySpec, `"seed":7`, `"seed":8`, 1)
+	s, ts := newTestServer(t, Config{Runner: func(ctx context.Context, spec *JobSpec, opts RunOptions) (*runOutput, error) {
+		if spec.Seed == 8 {
+			<-release
+		}
+		return runSpec(ctx, spec, opts)
+	}})
+	defer close(release)
+
+	_, first, _ := submit(t, ts, tinySpec)
+	waitTerminal(t, ts, first.ID)
+	_, running, _ := submit(t, ts, blocked)
+	var last submitResponse
+	for i := 0; i < maxTerminalJobs+50; i++ {
+		code, sub, _ := submit(t, ts, tinySpec)
+		if code != http.StatusOK || sub.Dedup != "result-cache" {
+			t.Fatalf("submit %d: code %d resp %+v, want 200 result-cache", i, code, sub)
+		}
+		last = sub
+	}
+
+	s.store.mu.Lock()
+	n := len(s.store.jobs)
+	s.store.mu.Unlock()
+	if n > maxTerminalJobs+1 {
+		t.Errorf("store keeps %d jobs, want at most %d terminal plus 1 running", n, maxTerminalJobs)
+	}
+	if st := getStatus(t, ts, running.ID); st.State.Terminal() {
+		t.Errorf("blocked job is %q, want queued or running", st.State)
+	}
+	if code, _ := getResult(t, ts, first.ID); code != http.StatusNotFound {
+		t.Errorf("oldest terminal job: code %d, want 404", code)
+	}
+	if code, body := getResult(t, ts, last.ID); code != http.StatusOK || len(body) == 0 {
+		t.Errorf("newest job result: code %d", code)
+	}
+}
+
 // getTimeline fetches and decodes /timeline.
 func getTimeline(t *testing.T, ts *httptest.Server, id string) timelineResponse {
 	t.Helper()
@@ -908,8 +952,8 @@ func TestStoreRemovesStaleTemps(t *testing.T) {
 // TestEarlierResultDirHits: testdata/resultdir holds files the store wrote
 // when results and partials had separate caches (commit 9e3428e): tinySpec's
 // result manifest and shardSpec's three partial manifests. A server over a
-// copy of it answers tinySpec from the result cache, serves the partials
-// byte for byte, and merges shardSpec from them without running a shard.
+// copy of it answers tinySpec from the result cache and merges shardSpec
+// from the stored partials without running a shard.
 func TestEarlierResultDirHits(t *testing.T) {
 	dir := t.TempDir()
 	files, err := filepath.Glob(filepath.Join("testdata", "resultdir", "*.json"))
@@ -938,23 +982,6 @@ func TestEarlierResultDirHits(t *testing.T) {
 	}
 	if _, got := getResult(t, ts, sub.ID); !bytes.Equal(got, stored) {
 		t.Errorf("result-cache answer differs from the stored manifest")
-	}
-
-	hash := specHash(t, shardSpec)
-	for _, rng := range []string{"0/4", "4/4", "8/4"} {
-		resp, err := http.Get(ts.URL + "/v1/partials/" + hash + "/" + rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		stored, err := os.ReadFile(filepath.Join(dir, hash+".part-"+strings.Replace(rng, "/", "+", 1)+".json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, stored) {
-			t.Errorf("partial %s: code %d, body differs from the stored file: %v", rng, resp.StatusCode, !bytes.Equal(got, stored))
-		}
 	}
 
 	_, sub, _ = submit(t, ts, shardSpec)

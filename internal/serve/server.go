@@ -71,22 +71,10 @@ type Config struct {
 	// URLs) serving POST /v1/shards. Empty with Shards > 1 self-dispatches
 	// to a local executor pool of Shards concurrent shard runs.
 	ShardWorkers []string
-	// ShardSlots bounds concurrently executing /v1/shards requests on this
-	// process (the worker side of dispatch). 0 selects 2.
-	ShardSlots int
 	// ShardTimeout bounds one remote shard dispatch attempt; on expiry the
 	// shard is re-issued to the next worker (the straggler path). 0 selects
 	// 60s.
 	ShardTimeout time.Duration
-	// ShardAttempts bounds dispatch attempts per shard including the final
-	// always-local one, so attempts-1 workers are tried before the
-	// coordinator runs the shard itself. 0 selects 3.
-	ShardAttempts int
-	// AdvertiseURL is this coordinator's externally reachable base URL.
-	// When set it rides along on every shard dispatch so workers consult
-	// and populate the coordinator's partial cache over HTTP — the fleet's
-	// shared dedup domain. Empty disables worker-side cache replication.
-	AdvertiseURL string
 	// Runner overrides the engine execution path (tests only).
 	Runner Runner
 }
@@ -104,8 +92,8 @@ type Server struct {
 	runner Runner
 	ledger *Ledger
 	// shardSlots bounds concurrently served /v1/shards executions;
-	// shardClient carries every fleet-internal HTTP call (dispatch and
-	// partial-cache replication), per-request deadlines via context.
+	// shardClient carries every shard dispatch, per-request deadlines via
+	// context.
 	shardSlots  chan struct{}
 	shardClient *http.Client
 
@@ -129,14 +117,8 @@ func NewServer(cfg Config) *Server {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 5 * time.Minute
 	}
-	if cfg.ShardSlots <= 0 {
-		cfg.ShardSlots = 2
-	}
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = 60 * time.Second
-	}
-	if cfg.ShardAttempts <= 0 {
-		cfg.ShardAttempts = 3
 	}
 	s := &Server{
 		cfg:         cfg,
@@ -145,7 +127,7 @@ func NewServer(cfg Config) *Server {
 		reg:         telemetry.Enable(),
 		runner:      cfg.Runner,
 		drained:     make(chan struct{}),
-		shardSlots:  make(chan struct{}, cfg.ShardSlots),
+		shardSlots:  make(chan struct{}, workerShardSlots),
 		shardClient: &http.Client{},
 	}
 	if s.runner == nil {
@@ -172,8 +154,6 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/timeline", s.handleTimeline)
 	s.mux.HandleFunc("POST /v1/shards", s.handleShard)
-	s.mux.HandleFunc("GET /v1/partials/{hash}/{start}/{count}", s.handlePartialGet)
-	s.mux.HandleFunc("PUT /v1/partials/{hash}/{start}/{count}", s.handlePartialPut)
 	go s.executor()
 	return s
 }
@@ -271,6 +251,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		tl.Add("admit", admitStart, time.Since(admitStart))
 		job := s.store.create(hash, resolved, timeout, tl)
 		job.completeFromCache(manifest)
+		s.store.retire(job)
 		s.reg.Counter(telemetry.ServeDedupCacheHits).Inc()
 		s.ledgerAppend(job, "result-cache")
 		s.writeJSON(w, http.StatusOK, submitResponse{ID: job.ID, Hash: hash, State: StateDone, Dedup: "result-cache"})
@@ -445,7 +426,7 @@ func (s *Server) executor() {
 // runJob executes one job: deadline context, live progress from the trace
 // ring, terminal bookkeeping. A failed job is not retried: the engine is a
 // deterministic function of the spec, so it would fail the same way again.
-// Shards retry in their own dispatcher (Config.ShardAttempts).
+// Shards retry in their own dispatcher (shardAttempts).
 func (s *Server) runJob(job *Job) {
 	st := job.Status()
 	job.Timeline.Add("queue-wait", st.Created, time.Since(st.Created))
@@ -456,6 +437,7 @@ func (s *Server) runJob(job *Job) {
 	defer s.ledgerAppend(job, "")
 	defer s.reg.Gauge(telemetry.ServeJobsActive).Add(-1)
 	defer s.reg.Histogram(telemetry.ServeJobSeconds).ObserveSince(t0)
+	defer s.store.retire(job)
 	defer s.store.releaseInflight(job)
 
 	ctx, cancel := context.WithTimeout(trace.WithTimeline(context.Background(), job.Timeline), job.Timeout)

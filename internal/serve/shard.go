@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"emvia/internal/mc"
 	"emvia/internal/telemetry"
@@ -73,16 +71,14 @@ func (s *Server) execute(ctx context.Context, job *Job) (*runOutput, error) {
 // resolved spec. ContentHash is the coordinator's address for the resolved
 // spec — the worker recomputes it and refuses on mismatch, which catches
 // schema or material-constant skew across the fleet before it can corrupt
-// a merge. CacheURL, when set, is the coordinator's base URL; the worker
-// consults and populates the coordinator's partial cache through it, so
-// the whole fleet shares one dedup domain.
+// a merge. The partial comes back in the response; the coordinator stores
+// it, so no other path carries partials between processes.
 type shardRequest struct {
 	SchemaVersion int      `json:"schema_version"`
 	ContentHash   string   `json:"content_hash"`
 	Spec          *JobSpec `json:"spec"`
 	TrialStart    int      `json:"trial_start"`
 	TrialCount    int      `json:"trial_count"`
-	CacheURL      string   `json:"cache_url,omitempty"`
 }
 
 // runSharded executes one job as K contiguous trial-range shards and merges
@@ -129,8 +125,18 @@ func (s *Server) runSharded(ctx context.Context, job *Job, k int) (*runOutput, e
 	return out, nil
 }
 
+const (
+	// shardAttempts bounds dispatch attempts per shard including the final
+	// always-local one, so shardAttempts-1 workers are tried before the
+	// coordinator runs the shard itself.
+	shardAttempts = 3
+	// workerShardSlots bounds concurrently executing /v1/shards requests on
+	// one process (the worker side of dispatch).
+	workerShardSlots = 2
+)
+
 // runShard produces the partial manifest of one shard: coordinator cache
-// first, then up to ShardAttempts-1 remote dispatches (each bounded by
+// first, then up to shardAttempts-1 remote dispatches (each bounded by
 // ShardTimeout and re-issued to the next worker on failure — the straggler
 // path), then a local run as the final attempt.
 func (s *Server) runShard(ctx context.Context, job *Job, idx int, r trialRange) (*PartialManifest, error) {
@@ -140,9 +146,8 @@ func (s *Server) runShard(ctx context.Context, job *Job, idx int, r trialRange) 
 		return p, nil
 	}
 	workers := s.cfg.ShardWorkers
-	attempts := s.cfg.ShardAttempts
 	var lastErr error
-	for attempt := 0; attempt < attempts-1 && len(workers) > 0; attempt++ {
+	for attempt := 0; attempt < shardAttempts-1 && len(workers) > 0; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -206,7 +211,6 @@ func (s *Server) dispatchShard(ctx context.Context, worker string, job *Job, r t
 		Spec:          job.Spec,
 		TrialStart:    r.start,
 		TrialCount:    r.count,
-		CacheURL:      s.cfg.AdvertiseURL,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: encoding shard request: %w", err)
@@ -244,25 +248,20 @@ func workerURL(w string) string {
 	return strings.TrimRight(w, "/")
 }
 
-// lookupPartial returns the stored bytes of hash's partial over r. A file
-// read from disk must be a partial of that address; anything else is a miss.
-func (s *Server) lookupPartial(hash string, r trialRange) ([]byte, bool) {
-	return s.store.get(partialName(hash, r), func(b []byte) bool {
-		_, err := readPartial(bytes.NewReader(b), hash, r, nil)
-		return err == nil
-	})
-}
-
-// cachedPartial consults the content-addressed partial cache; a corrupt or
-// mismatching entry is a miss (never an error), mirroring the result
+// cachedPartial consults the content-addressed partial cache. A stored
+// partial is decoded once and checked against the resolved spec; a corrupt
+// or mismatching entry is a miss (never an error), mirroring the result
 // cache's corruption policy.
 func (s *Server) cachedPartial(hash string, resolved *JobSpec, r trialRange) *PartialManifest {
-	buf, ok := s.lookupPartial(hash, r)
-	if !ok {
-		return nil
+	var p *PartialManifest
+	valid := func(b []byte) bool {
+		var err error
+		p, err = readPartial(bytes.NewReader(b), hash, r, resolved)
+		return err == nil
 	}
-	p, err := readPartial(bytes.NewReader(buf), hash, r, resolved)
-	if err != nil {
+	// get runs valid on a disk read only; a memory hit is decoded here.
+	buf, ok := s.store.get(partialName(hash, r), valid)
+	if !ok || (p == nil && !valid(buf)) {
 		return nil
 	}
 	return p
@@ -280,9 +279,9 @@ func (s *Server) storePartial(hash string, r trialRange, p *PartialManifest) {
 
 // handleShard is POST /v1/shards — the worker side of shard dispatch. It
 // validates the sub-job, refuses on content-hash disagreement (fleet skew),
-// answers from the local or coordinator partial cache when possible, and
-// otherwise executes the trial range under a concurrency bound and returns
-// the canonical partial manifest.
+// answers from its own partial cache when possible, and otherwise executes
+// the trial range under a concurrency bound (workerShardSlots) and returns the
+// canonical partial manifest.
 func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, MaxSpecBytes)
 	dec := json.NewDecoder(body)
@@ -332,11 +331,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		s.writePartial(w, p)
 		return
 	}
-	if p := s.coordinatorPartial(r.Context(), req.CacheURL, hash, resolved, rng); p != nil {
-		s.storePartial(hash, rng, p)
-		s.writePartial(w, p)
-		return
-	}
 
 	// Bound concurrent shard executions; the coordinator's shard-wait span
 	// absorbs the queueing and its straggler re-issue path covers a worker
@@ -367,7 +361,6 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	p := buildPartial(hash, resolved, rng.start, out)
 	s.storePartial(hash, rng, p)
-	s.pushPartial(req.CacheURL, hash, rng, p)
 	s.writePartial(w, p)
 }
 
@@ -381,111 +374,4 @@ func (s *Server) writePartial(w http.ResponseWriter, p *PartialManifest) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(buf) //nolint:errcheck // client gone = nothing to do
-}
-
-// coordinatorPartial consults the coordinator's partial cache over HTTP
-// (GET /v1/partials/...). Any failure — network, decode, validation — is a
-// miss; cache replication is an optimization, never a dependency.
-func (s *Server) coordinatorPartial(ctx context.Context, cacheURL, hash string, resolved *JobSpec, r trialRange) *PartialManifest {
-	if cacheURL == "" {
-		return nil
-	}
-	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, partialURL(cacheURL, hash, r), nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := s.shardClient.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	p, err := readPartial(resp.Body, hash, r, resolved)
-	if err != nil {
-		return nil
-	}
-	s.reg.Counter(telemetry.ServeShardCacheHits).Inc()
-	return p
-}
-
-// pushPartial replicates a freshly computed partial into the coordinator's
-// cache (PUT /v1/partials/...), best-effort.
-func (s *Server) pushPartial(cacheURL, hash string, r trialRange, p *PartialManifest) {
-	if cacheURL == "" {
-		return
-	}
-	buf, err := p.Encode()
-	if err != nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, partialURL(cacheURL, hash, r), bytes.NewReader(buf))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.shardClient.Do(req)
-	if err != nil {
-		return
-	}
-	resp.Body.Close()
-}
-
-// partialURL is the cache address of one partial on a base URL.
-func partialURL(base, hash string, r trialRange) string {
-	return fmt.Sprintf("%s/v1/partials/%s/%d/%d", workerURL(base), hash, r.start, r.count)
-}
-
-// handlePartialGet is GET /v1/partials/{hash}/{start}/{count}: the fleet's
-// shared partial-cache read path.
-func (s *Server) handlePartialGet(w http.ResponseWriter, r *http.Request) {
-	hash, rng, ok := partialPath(r)
-	if !ok {
-		s.writeError(w, http.StatusBadRequest, "serve: malformed partial address")
-		return
-	}
-	buf, found := s.lookupPartial(hash, rng)
-	if !found {
-		s.writeError(w, http.StatusNotFound, "serve: no cached partial for this range")
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(buf) //nolint:errcheck
-}
-
-// handlePartialPut is PUT /v1/partials/{hash}/{start}/{count}: workers
-// populate the coordinator's cache here. The body must be a valid partial
-// manifest of its address — all that can be verified without the resolved
-// spec; the merge re-validates everything against the job before any
-// partial is trusted.
-func (s *Server) handlePartialPut(w http.ResponseWriter, r *http.Request) {
-	hash, rng, ok := partialPath(r)
-	if !ok {
-		s.writeError(w, http.StatusBadRequest, "serve: malformed partial address")
-		return
-	}
-	p, err := readPartial(http.MaxBytesReader(w, r.Body, MaxPartialBytes), hash, rng, nil)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.storePartial(hash, rng, p)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// partialPath parses the {hash}/{start}/{count} path values.
-func partialPath(r *http.Request) (string, trialRange, bool) {
-	hash := r.PathValue("hash")
-	start, err1 := strconv.Atoi(r.PathValue("start"))
-	count, err2 := strconv.Atoi(r.PathValue("count"))
-	if hash == "" || err1 != nil || err2 != nil || start < 0 || count < 1 {
-		return "", trialRange{}, false
-	}
-	return hash, trialRange{start: start, count: count}, true
 }

@@ -50,7 +50,7 @@ func newFleet(t *testing.T, nWorkers int, cfg Config) *fleet {
 		})
 	}
 	for i := 0; i < nWorkers; i++ {
-		w := NewServer(Config{ShardSlots: 2})
+		w := NewServer(Config{})
 		wts := httptest.NewServer(w.Handler())
 		drain(w, wts)
 		f.workers = append(f.workers, wts)
@@ -174,10 +174,9 @@ func TestShardWorkerStragglerReassignment(t *testing.T) {
 	defer hang.Close()
 	defer close(stop)
 	f := newFleet(t, 1, Config{
-		Shards:        2,
-		ShardWorkers:  []string{hang.URL}, // newFleet appends the live worker after the decoy
-		ShardTimeout:  200 * time.Millisecond,
-		ShardAttempts: 3,
+		Shards:       2,
+		ShardWorkers: []string{hang.URL}, // newFleet appends the live worker after the decoy
+		ShardTimeout: 200 * time.Millisecond,
 	})
 	want := referenceManifest(t, shardSpec)
 	code, sub, _ := submit(t, f.coordTS, shardSpec)
@@ -211,9 +210,8 @@ func TestShardAllWorkersDownLocalFallback(t *testing.T) {
 	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	dead.Close() // connection refused from here on
 	f := newFleet(t, 0, Config{
-		Shards:        2,
-		ShardWorkers:  []string{dead.URL},
-		ShardAttempts: 2,
+		Shards:       2,
+		ShardWorkers: []string{dead.URL},
 	})
 	want := referenceManifest(t, shardSpec)
 	got := f.run(t, f.coordTS, shardSpec)
@@ -246,69 +244,6 @@ func postShard(t *testing.T, ts *httptest.Server, req shardRequest) (int, []byte
 		t.Fatalf("reading shard response: %v", err)
 	}
 	return resp.StatusCode, out
-}
-
-// TestShardCacheReplication: a worker handed the coordinator's URL pushes
-// its partial into the coordinator's cache, and a second worker asked the
-// same question answers from that cache without executing anything.
-func TestShardCacheReplication(t *testing.T) {
-	f := newFleet(t, 2, Config{})
-	spec, err := DecodeJobSpec(strings.NewReader(shardSpec))
-	if err != nil {
-		t.Fatalf("decoding spec: %v", err)
-	}
-	resolved := spec.Resolved()
-	hash, err := spec.ContentHash()
-	if err != nil {
-		t.Fatalf("hashing spec: %v", err)
-	}
-	req := shardRequest{
-		SchemaVersion: SpecSchemaVersion,
-		ContentHash:   hash,
-		Spec:          resolved,
-		TrialStart:    0,
-		TrialCount:    5,
-		CacheURL:      f.coordTS.URL,
-	}
-
-	code, first := postShard(t, f.workers[0], req)
-	if code != http.StatusOK {
-		t.Fatalf("worker 0 shard: code %d, body %s", code, first)
-	}
-	if n := counter(telemetry.ServeShardServed); n != 1 {
-		t.Fatalf("shards executed after first dispatch: %d, want 1", n)
-	}
-
-	// The worker pushed the partial to the coordinator before responding.
-	addr := f.coordTS.URL + "/v1/partials/" + hash + "/0/5"
-	resp, err := http.Get(addr)
-	if err != nil {
-		t.Fatalf("GET coordinator partial: %v", err)
-	}
-	replicated, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("coordinator partial cache: code %d", resp.StatusCode)
-	}
-	if !bytes.Equal(replicated, first) {
-		t.Errorf("replicated partial differs from the worker's response")
-	}
-
-	// A different worker, same question: answered from the coordinator's
-	// cache — no second execution.
-	code, second := postShard(t, f.workers[1], req)
-	if code != http.StatusOK {
-		t.Fatalf("worker 1 shard: code %d, body %s", code, second)
-	}
-	if !bytes.Equal(first, second) {
-		t.Errorf("second worker's partial differs from the first's")
-	}
-	if n := counter(telemetry.ServeShardServed); n != 1 {
-		t.Errorf("shards executed after cached dispatch: %d, want still 1", n)
-	}
-	if n := counter(telemetry.ServeShardCacheHits); n < 1 {
-		t.Errorf("shard cache hits %d, want ≥ 1", n)
-	}
 }
 
 // TestShardContentHashSkew: a worker that disagrees with the coordinator

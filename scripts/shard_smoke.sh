@@ -5,8 +5,9 @@
 # a coordinator (all on ephemeral ports), runs one job single-process on a
 # worker and the same job sharded 4 ways across both workers through the
 # coordinator, and asserts the two result manifests are byte-identical —
-# the bit-identity contract of the partial-manifest merge. Also checks the
-# coordinator's ledger records the shard columns and that `emtrace ledger`
+# the bit-identity contract of the partial-manifest merge. Also checks that
+# the coordinator stored exactly the four partials its dispatches returned,
+# that its ledger records the shard columns and that `emtrace ledger`
 # renders the sharding summary, then SIGTERM-drains all three processes
 # (each must exit 0 on its own — the graceful-drain contract).
 #
@@ -94,6 +95,15 @@ grep -q '"percentiles_years"' "$OUT/manifest-sharded.json"
 curl -sS "http://$coord_ADDR/metrics" >"$OUT/metrics.prom"
 grep -q '^emvia_serve_shard_dispatched_total 4$' "$OUT/metrics.prom"
 grep -q '^emvia_serve_shard_remote_runs_total 4$' "$OUT/metrics.prom"
+
+# Partials reach the coordinator only as dispatch responses: its result dir
+# holds exactly the four partials it stored from them.
+NPART=$(find "$OUT/results" -name '*.part-*.json' | wc -l | tr -d ' ')
+if [ "$NPART" != 4 ]; then
+    echo "shard_smoke: coordinator stored $NPART partials, want 4" >&2
+    ls "$OUT/results" >&2
+    exit 1
+fi
 
 # The shard timeline stages must be present on the coordinator's job.
 curl -sS "http://$coord_ADDR/v1/jobs/$JOB_ID/timeline" >"$OUT/timeline.json"
