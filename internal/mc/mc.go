@@ -433,8 +433,9 @@ func (d *dispatch) work(newSys func() (System, error)) {
 	}
 	// One generator and one scratch buffer set serve every trial the worker
 	// runs: reseeding with the per-trial seed reproduces exactly the stream
-	// a fresh generator would, so the loop stops allocating.
-	rng := rand.New(rand.NewSource(trialSeed(opt.Seed, 0)))
+	// a fresh generator would, so the loop stops allocating. The source
+	// defers math/rand's seeding to a trial's second draw (trialSource).
+	rng := rand.New(newTrialSource())
 	var scratch trialScratch
 	met := newRunMetrics()
 	labeler, _ := sys.(ComponentLabeler)
@@ -526,11 +527,19 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 	now := 0.0
 	systemTTF = math.Inf(1)
 	systemFailed := false
+	// A traced Fail's Redistribute event summarizes the survivors' rates
+	// after it. The next argmin scan reads exactly those rates, so it
+	// summarizes them on the way; only a SpecViolation, which must follow
+	// the Redistribute, scans for it explicitly. A trial whose loop runs
+	// out has failed every candidate, and no survivor means no event.
+	pending := false
+	traced := tt.Enabled()
 
 	for remaining := len(idxs); remaining > 0; remaining-- {
 		// Find the component with the least remaining life.
 		minDt := math.Inf(1)
 		minIdx := -1
+		var sum rateSummary
 		for _, i := range idxs {
 			if !alive[i] {
 				continue
@@ -540,6 +549,9 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 				return 0, nil, nil, fmt.Errorf("component %d: invalid aging rate %g", i, rate)
 			}
 			rates[i] = rate
+			if traced {
+				sum.add(i, rate)
+			}
 			left := base[i] - damage[i]
 			if left < 0 {
 				left = 0
@@ -555,6 +567,10 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 				minDt = dt
 				minIdx = i
 			}
+		}
+		if pending {
+			sum.emit(tt, now)
+			pending = false
 		}
 		if minIdx < 0 || math.IsInf(minDt, 1) {
 			// No candidate can ever fail; the system survives forever.
@@ -578,31 +594,13 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 		met.failSeconds.ObserveSince(fail0)
 		events = append(events, now)
 		comps = append(comps, minIdx)
-		if tt.Enabled() {
+		if traced {
 			label := ""
 			if lab != nil {
 				label = lab.ComponentLabel(minIdx)
 			}
 			tt.Fail(now, minIdx, label)
-			// Summarize the redistribution the Fail call just performed:
-			// max/mean aging rate over the survivors. This O(n) scan runs
-			// only when tracing is on.
-			maxRate, sum := 0.0, 0.0
-			maxComp, survivors := -1, 0
-			for _, i := range idxs {
-				if !alive[i] {
-					continue
-				}
-				r := sys.AgingRate(i)
-				survivors++
-				sum += r
-				if r > maxRate {
-					maxRate, maxComp = r, i
-				}
-			}
-			if survivors > 0 {
-				tt.Redistribute(now, maxRate, maxComp, sum/float64(survivors), survivors)
-			}
+			pending = true
 		}
 
 		if !systemFailed {
@@ -613,6 +611,10 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 			if failed {
 				systemFailed = true
 				systemTTF = now
+				if pending {
+					summarize(sys, idxs, alive).emit(tt, now)
+					pending = false
+				}
 				tt.SpecViolation(now, len(events))
 				if !toCompletion {
 					break
@@ -625,4 +627,45 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 	met.trialSeconds.ObserveSince(trial0)
 	tt.End(systemTTF, len(events))
 	return systemTTF, events, comps, nil
+}
+
+// rateSummary accumulates the survivors' aging rates for a trace
+// Redistribute event: their count, sum and largest rate with its first
+// component (none while every rate is 0).
+type rateSummary struct {
+	max, sum  float64
+	argmax, n int
+}
+
+func (r *rateSummary) add(i int, rate float64) {
+	r.n++
+	r.sum += rate
+	if rate > r.max {
+		r.max, r.argmax = rate, i
+	}
+}
+
+// emit records the summary as the Redistribute event at time now; a
+// redistribution that leaves no survivors records none.
+func (r rateSummary) emit(tt trace.Trial, now float64) {
+	if r.n == 0 {
+		return
+	}
+	comp := r.argmax
+	if r.max == 0 {
+		comp = -1
+	}
+	tt.Redistribute(now, r.max, comp, r.sum/float64(r.n), r.n)
+}
+
+// summarize scans the survivors' present aging rates, for a Redistribute
+// event that cannot wait for the next argmin scan.
+func summarize(sys System, idxs []int, alive []bool) rateSummary {
+	var r rateSummary
+	for _, i := range idxs {
+		if alive[i] {
+			r.add(i, sys.AgingRate(i))
+		}
+	}
+	return r
 }

@@ -10,6 +10,7 @@ import (
 	"emvia/internal/mc"
 	"emvia/internal/solver"
 	"emvia/internal/spice"
+	"emvia/internal/stat"
 	"emvia/internal/trace"
 	"emvia/internal/viaarray"
 )
@@ -138,6 +139,11 @@ type GridSystem struct {
 	padMin  float64    // least pad voltage (+Inf without pads)
 	terms   []viaTerms // per-array edit vector (IR-drop only)
 	cache   *responseCache
+	// dist and scale are each array's sampling table, read by sampleTTF:
+	// its model's lognormal and the model's (I_ref/I₀)² at the pristine
+	// current (+Inf for an array carrying none).
+	dist  []stat.LogNormal
+	scale []float64
 	// rankCap is the update rank at which a trial rebases (cascadeRankCap);
 	// tests lower it to force rebases.
 	rankCap int
@@ -201,9 +207,17 @@ func NewSystemCtx(ctx context.Context, cfg TTFConfig) (*GridSystem, error) {
 // cascade's shared state.
 func newSystem(cfg TTFConfig, circuit *spice.Circuit, op *spice.OP) (*GridSystem, error) {
 	s := &GridSystem{cfg: cfg, circuit: circuit, op0: op, met: newCascadeMetrics(), padMin: math.Inf(1)}
-	s.i0 = make([]float64, len(cfg.Grid.Vias))
+	nv := len(cfg.Grid.Vias)
+	s.i0 = make([]float64, nv)
+	s.dist = make([]stat.LogNormal, nv)
+	s.scale = make([]float64, nv)
 	for k, v := range cfg.Grid.Vias {
 		s.i0[k] = math.Abs(op.ResistorCurrent(v.ResistorIndex))
+		model := cfg.Models[v.Pattern]
+		if cfg.PerViaModels != nil {
+			model = cfg.PerViaModels[k]
+		}
+		s.dist[k], s.scale[k] = model.Dist, model.Scale(s.i0[k])
 	}
 	for i := 0; i < circuit.NumNodes(); i++ {
 		if v := op.VoltageAt(i); circuit.IsPad(i) && v < s.padMin {
@@ -243,6 +257,8 @@ func (s *GridSystem) Clone() *GridSystem {
 		circuit:    s.circuit,
 		op0:        s.op0,
 		i0:         s.i0,
+		dist:       s.dist,
+		scale:      s.scale,
 		y0:         s.y0,
 		padMin:     s.padMin,
 		terms:      s.terms,
@@ -328,15 +344,14 @@ func (s *GridSystem) initTrialState() {
 	copy(s.iNow, s.i0)
 }
 
-// sampleTTF draws array k's TTF at its nominal current from src.
+// sampleTTF draws array k's TTF at its nominal current from src: the
+// model's lognormal times its scale, then the local derating. An array
+// carrying no current takes no draw.
 func (s *GridSystem) sampleTTF(k int, src *rand.Rand) float64 {
-	var model viaarray.TTFModel
-	if s.cfg.PerViaModels != nil {
-		model = s.cfg.PerViaModels[k]
-	} else {
-		model = s.cfg.Models[s.cfg.Grid.Vias[k].Pattern]
+	if math.IsInf(s.scale[k], 1) {
+		return math.Inf(1)
 	}
-	ttf := model.Sample(src, s.i0[k])
+	ttf := s.dist[k].Sample(src) * s.scale[k]
 	if s.cfg.TTFScale != nil {
 		ttf *= s.cfg.TTFScale[k]
 	}

@@ -212,27 +212,46 @@ func (j *Job) completeFromCache(manifest []byte) {
 }
 
 // maxTerminalJobs bounds the finished jobs the store keeps addressable by
-// ID. Clients fetch a result right after submitting, and the manifest itself
-// stays in the content-addressed cache, so an evicted ID costs nothing but
-// a 404.
+// ID, and the manifests it keeps in memory. Clients fetch a result right
+// after submitting, and the manifest itself stays in the content-addressed
+// cache, so an evicted ID costs nothing but a 404. An evicted manifest is
+// read back from the result directory, or without one recomputed to the
+// same bytes.
 const maxTerminalJobs = 1024
 
 // store holds every live job and the most recent maxTerminalJobs finished
 // ones, plus the two dedup indexes: the in-flight singleflight map (hash →
 // live job) and the content-addressed file cache of result manifests
-// (<hash>.json) and partial manifests (<hash>.part-<start>+<count>.json),
-// kept in memory and, when dir is set, on disk.
+// (<hash>.json) and partial manifests (<hash>.part-<start>+<count>.json).
+// The file cache keeps the last maxTerminalJobs names in memory and, when
+// dir is set, every name on disk, where an evicted name is read back from.
 type store struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	inflight map[string]*Job   // queued/running job per hash
 	files    map[string][]byte // result and partial manifests per file name
-	// retired rings the IDs of terminal jobs in the order they finished;
-	// once full, retiredNext is the oldest, evicted by the next retire.
-	retired     []string
-	retiredNext int
-	nextID      int
-	dir         string // "" = memory only
+	retired  ring              // terminal job IDs in the order they finished
+	stored   ring              // names in files in the order they were stored
+	nextID   int
+	dir      string // "" = memory only
+}
+
+// ring holds the last maxTerminalJobs keys pushed, in order.
+type ring struct {
+	keys []string
+	next int // once full, the oldest key, which the next push evicts
+}
+
+// push appends key, returning the key it evicts once the ring is full.
+func (r *ring) push(key string) (evicted string, ok bool) {
+	if len(r.keys) < maxTerminalJobs {
+		r.keys = append(r.keys, key)
+		return "", false
+	}
+	evicted = r.keys[r.next]
+	r.keys[r.next] = key
+	r.next = (r.next + 1) % maxTerminalJobs
+	return evicted, true
 }
 
 func newStore(dir string) *store {
@@ -271,9 +290,21 @@ func (st *store) get(name string, valid func([]byte) bool) ([]byte, bool) {
 		return nil, false
 	}
 	st.mu.Lock()
-	st.files[name] = buf
+	st.keep(name, buf)
 	st.mu.Unlock()
 	return buf, true
+}
+
+// keep records buf under name in memory, evicting the name stored longest
+// ago once maxTerminalJobs are kept; a name still kept is overwritten in
+// place. The caller holds st.mu.
+func (st *store) keep(name string, buf []byte) {
+	if _, ok := st.files[name]; !ok {
+		if old, ok := st.stored.push(name); ok {
+			delete(st.files, old)
+		}
+	}
+	st.files[name] = buf
 }
 
 // currentManifest reports whether buf decodes as a result manifest of the
@@ -291,7 +322,7 @@ func currentManifest(buf []byte, hash string) bool {
 // killed writer's temp files go with the name's next put.
 func (st *store) put(name string, buf []byte) error {
 	st.mu.Lock()
-	st.files[name] = buf
+	st.keep(name, buf)
 	st.mu.Unlock()
 	if st.dir == "" {
 		return nil
@@ -333,13 +364,9 @@ func (st *store) remove(id string) {
 func (st *store) retire(job *Job) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(st.retired) < maxTerminalJobs {
-		st.retired = append(st.retired, job.ID)
-		return
+	if old, ok := st.retired.push(job.ID); ok {
+		delete(st.jobs, old)
 	}
-	delete(st.jobs, st.retired[st.retiredNext])
-	st.retired[st.retiredNext] = job.ID
-	st.retiredNext = (st.retiredNext + 1) % maxTerminalJobs
 }
 
 // job returns a job by ID.

@@ -520,6 +520,50 @@ func TestTerminalJobsBounded(t *testing.T) {
 	}
 }
 
+// TestStoredFilesBounded: the store keeps at most maxTerminalJobs manifests
+// in memory, evicting the name stored longest ago. An evicted result is read
+// back from the result directory when there is one, and is otherwise
+// recomputed to the same bytes.
+func TestStoredFilesBounded(t *testing.T) {
+	for _, withDir := range []bool{false, true} {
+		cfg := Config{}
+		if withDir {
+			cfg.ResultDir = t.TempDir()
+		}
+		s, ts := newTestServer(t, cfg)
+		_, first, _ := submit(t, ts, tinySpec)
+		if st := waitTerminal(t, ts, first.ID); st.State != StateDone {
+			t.Fatalf("dir=%v: state %q error %q", withDir, st.State, st.Error)
+		}
+		_, want := getResult(t, ts, first.ID)
+		for i := 0; i < maxTerminalJobs; i++ {
+			if err := s.store.put(fmt.Sprintf("filler-%d.json", i), []byte("{}")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.store.mu.Lock()
+		n := len(s.store.files)
+		_, kept := s.store.files[resultName(first.Hash)]
+		s.store.mu.Unlock()
+		if n != maxTerminalJobs || kept {
+			t.Fatalf("dir=%v: store keeps %d manifests (first result kept: %v), want %d without it", withDir, n, kept, maxTerminalJobs)
+		}
+
+		code, again, _ := submit(t, ts, tinySpec)
+		wantDedup, wantCode := "", http.StatusAccepted
+		if withDir {
+			wantDedup, wantCode = "result-cache", http.StatusOK
+		}
+		if code != wantCode || again.Dedup != wantDedup {
+			t.Fatalf("dir=%v: resubmit code %d dedup %q, want %d %q", withDir, code, again.Dedup, wantCode, wantDedup)
+		}
+		waitTerminal(t, ts, again.ID)
+		if _, got := getResult(t, ts, again.ID); !bytes.Equal(got, want) {
+			t.Errorf("dir=%v: evicted result came back as different bytes", withDir)
+		}
+	}
+}
+
 // getTimeline fetches and decodes /timeline.
 func getTimeline(t *testing.T, ts *httptest.Server, id string) timelineResponse {
 	t.Helper()

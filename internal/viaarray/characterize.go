@@ -3,7 +3,6 @@ package viaarray
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"emvia/internal/mc"
 	"emvia/internal/stat"
@@ -33,15 +32,6 @@ func (m TTFModel) Scale(current float64) float64 {
 	}
 	r := m.RefCurrent / current
 	return r * r
-}
-
-// Sample draws an array TTF (seconds) at the given total current.
-func (m TTFModel) Sample(rng *rand.Rand, current float64) float64 {
-	s := m.Scale(current)
-	if math.IsInf(s, 1) {
-		return math.Inf(1)
-	}
-	return m.Dist.Sample(rng) * s
 }
 
 // CharResult is a via-array reliability characterization.
