@@ -106,7 +106,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: emgrid <gen|irdrop|characterize|analyze> [flags]
+	fmt.Fprintln(os.Stderr, `usage: emgrid <gen|irdrop|characterize|charmodels|analyze|xsection|hotspots|optimize> [flags]
   gen           generate and tune a synthetic power-grid SPICE deck
   irdrop        solve a deck and report the IR-drop profile
   characterize  run the FEA stress characterization campaign to JSON
@@ -124,7 +124,7 @@ Global flags (before the subcommand):
   -trace FILE        JSONL failure-cascade trace ("-" = stdout); see emtrace
   -trace-chrome FILE Chrome trace_event JSON (chrome://tracing, Perfetto)
   -trace-nosamples   omit per-component TTF sample events from traces
-  -http ADDR         live monitor: /status, /metrics, /debug/vars, /debug/pprof
+  -http ADDR         live monitor: /status, /metrics, /debug/pprof
   -engine ENG        analysis engine for analyze: mc (full Monte Carlo),
                      steady (linear-time screen only), both (screened MC)
 Every trace/metrics artifact gets a <file>.manifest.json provenance record.

@@ -3,14 +3,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"emvia/internal/core"
 	"emvia/internal/mc"
 	"emvia/internal/pdn"
+	"emvia/internal/viaarray"
 )
 
 // captureStdout runs fn with os.Stdout redirected to a file and returns what
@@ -70,17 +73,7 @@ func TestGenIRDropSteadyAnalyze(t *testing.T) {
 		t.Fatalf("decoding -screenout: %v", err)
 	}
 
-	f, err := os.Open(deck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	spec := pdn.PG1Spec()
-	spec.Vdd = 1.8
-	g, err := pdn.LoadDeck(f, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := loadDeck(t, deck)
 	a, err := core.NewCLIAnalyzer(true, "")
 	if err != nil {
 		t.Fatal(err)
@@ -103,4 +96,96 @@ func TestGenIRDropSteadyAnalyze(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d via arrays mortal", got.MortalVias, got.Vias)
+}
+
+// loadDeck reads a deck as the subcommands do at their default -vdd.
+func loadDeck(t *testing.T, deck string) *pdn.Grid {
+	t.Helper()
+	f, err := os.Open(deck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	spec := pdn.PG1Spec()
+	spec.Vdd = 1.8
+	g, err := pdn.LoadDeck(f, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestCharModelsAnalyzeHotspots drives charmodels → analyze -models →
+// hotspots -models on an 8×8 deck: the percentiles analyze prints are
+// core.AnalyzeGridWithModels's on the loaded model set, and hotspots lists
+// at most -top arrays, none failing first in more trials than ran.
+func TestCharModelsAnalyzeHotspots(t *testing.T) {
+	dir := t.TempDir()
+	deck := filepath.Join(dir, "vg.sp")
+	models := filepath.Join(dir, "models.json")
+	const trials = 50
+	if err := cmdGen([]string{"-name", "VG", "-nx", "8", "-ny", "8", "-padperiod", "3", "-ir", "0.05", "-out", deck}); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	if err := cmdCharModels([]string{"-fast", "-array", "2", "-trials", strconv.Itoa(trials), "-out", models}); err != nil {
+		t.Fatalf("charmodels: %v", err)
+	}
+	out := captureStdout(t, func() error {
+		return cmdAnalyze([]string{"-deck", deck, "-models", models, "-fast", "-trials", strconv.Itoa(trials)}, "mc")
+	})
+
+	mf, err := os.Open(models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := viaarray.LoadModelSet(mf)
+	mf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.ArrayN != 2 {
+		t.Fatalf("model set is for %dx%d arrays, want 2x2", set.ArrayN, set.ArrayN)
+	}
+	a, err := core.NewCLIAnalyzer(true, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := a.AnalyzeGridWithModels(core.GridAnalysis{
+		Grid:            loadDeck(t, deck),
+		ArrayN:          set.ArrayN,
+		ArrayCriterion:  core.ArrayOpenCircuit(),
+		SystemCriterion: pdn.IRDrop,
+		IRDropFrac:      0.10,
+		CharTrials:      trials,
+		GridTrials:      trials,
+		Seed:            2017,
+		Engine:          mc.EngineMC,
+	}, set.Models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []float64{0.003, 0.25, 0.5, 0.75, 0.997} {
+		want := fmt.Sprintf("  %6.3g%%ile TTF: %7.2f years\n", p*100, rep.PercentileYears(p))
+		if !strings.Contains(out, want) {
+			t.Errorf("analyze output lacks %q:\n%s", want, out)
+		}
+	}
+
+	hot := captureStdout(t, func() error {
+		return cmdHotspots([]string{"-deck", deck, "-models", models, "-top", "3", "-trials", strconv.Itoa(trials)})
+	})
+	rows := strings.Split(strings.TrimSpace(hot), "\n")[1:] // after the header
+	if len(rows) == 0 || len(rows) > 3 {
+		t.Fatalf("hotspots -top 3 printed %d rows:\n%s", len(rows), hot)
+	}
+	for _, row := range rows {
+		f := strings.Fields(row)
+		first, err := strconv.Atoi(f[len(f)-2])
+		if err != nil {
+			t.Fatalf("hotspots row %q: %v", row, err)
+		}
+		if first < 0 || first > trials {
+			t.Errorf("hotspots row %q: %d first failures in %d trials", row, first, trials)
+		}
+	}
 }

@@ -21,8 +21,9 @@
 //	POST /v1/shards             execute one trial-range shard of a job
 //	                            (fleet-internal: coordinators dispatch here
 //	                            and store the partial it answers with)
-//	/status, /metrics,          the monitor endpoints (JSON status and
-//	/debug/vars, /debug/pprof   Prometheus exposition), on the same listener
+//	/status, /metrics,          the monitor endpoints (JSON status,
+//	/debug/pprof                Prometheus exposition, profiles), on the
+//	                            same listener
 //
 // With -shards K > 1 each Monte-Carlo job's trial range is split into K
 // contiguous shards, dispatched to the -workers fleet (or a local executor

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -19,11 +20,12 @@ const StaleTempAge = time.Hour
 
 // Write stores buf as dir/name, creating dir on first use. The bytes go to
 // a temp file dir/<tmpPrefix><random>, which is closed and renamed onto
-// name; on any error the temp file is removed. After the rename Write
-// removes the temp files named tmpPrefix* that are older than StaleTempAge,
-// so each name's leftovers go with its next write. That sweep is
-// best-effort: the file is already in place, so a failure costs only disk
-// space.
+// name; on any error the temp file is removed. tmpPrefix starts with a dot,
+// so temp files are hidden and told apart from entries. After the rename
+// Write removes the temp files named tmpPrefix* that were older than
+// StaleTempAge when the process first wrote into dir, so each name's
+// leftovers go with its next write. That sweep is best-effort: the file is
+// already in place, so a failure costs only disk space.
 func Write(dir, name, tmpPrefix string, buf []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -47,19 +49,51 @@ func Write(dir, name, tmpPrefix string, buf []byte) error {
 	return nil
 }
 
-// removeStaleTemps deletes dir's files named tmpPrefix* older than
-// StaleTempAge.
+// staleTemps remembers, per directory, the stale temp files not yet
+// removed. Only a killed writer leaves one behind, so each directory is
+// listed once per process, at its first Write, and a write into a
+// directory of n files costs O(1) instead of O(n) afterwards.
+var staleTemps = struct {
+	sync.Mutex
+	dirs map[string][]string // directory → names of stale temp files
+}{dirs: make(map[string][]string)}
+
+// removeStaleTemps deletes the remembered stale temp files of dir named
+// tmpPrefix*, listing dir first if no Write of this process has.
 func removeStaleTemps(dir, tmpPrefix string) {
+	dir = filepath.Clean(dir)
+	staleTemps.Lock()
+	defer staleTemps.Unlock()
+	names, listed := staleTemps.dirs[dir]
+	if !listed {
+		names = listStaleTemps(dir)
+	}
+	kept := names[:0]
+	for _, name := range names {
+		if strings.HasPrefix(name, tmpPrefix) {
+			os.Remove(filepath.Join(dir, name))
+		} else {
+			kept = append(kept, name)
+		}
+	}
+	staleTemps.dirs[dir] = kept
+}
+
+// listStaleTemps returns the names of dir's files that look like temp files
+// (a leading dot) and are older than StaleTempAge.
+func listStaleTemps(dir string) []string {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return
+		return nil
 	}
+	var names []string
 	for _, de := range ents {
-		if !strings.HasPrefix(de.Name(), tmpPrefix) {
+		if !strings.HasPrefix(de.Name(), ".") {
 			continue
 		}
 		if fi, err := de.Info(); err == nil && time.Since(fi.ModTime()) > StaleTempAge {
-			os.Remove(filepath.Join(dir, de.Name()))
+			names = append(names, de.Name())
 		}
 	}
+	return names
 }

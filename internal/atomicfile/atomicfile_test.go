@@ -2,6 +2,7 @@ package atomicfile
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -73,5 +74,24 @@ func TestWriteFailureLeavesNoTemp(t *testing.T) {
 	}
 	if m, _ := filepath.Glob(filepath.Join(dir, ".a.tmp-*")); len(m) != 0 {
 		t.Errorf("temp files left after a failed write: %v", m)
+	}
+}
+
+// BenchmarkWrite times one Write into a directory that already holds 10 000
+// entries, the size of a long-lived result directory.
+func BenchmarkWrite(b *testing.B) {
+	dir := b.TempDir()
+	for i := 0; i < 10000; i++ {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%05d.json", i)), nil, 0o644); err != nil {
+			b.Fatal(err)
+		}
+	}
+	buf := bytes.Repeat([]byte("x"), 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Write(dir, "a.json", ".a.tmp", buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

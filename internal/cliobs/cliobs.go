@@ -35,7 +35,7 @@ type Config struct {
 	TraceChrome string
 	// TraceNoSamples drops per-component TTF-sample events from the trace.
 	TraceNoSamples bool
-	// HTTPAddr serves /status, /metrics, /debug/vars and /debug/pprof when
+	// HTTPAddr serves /status, /metrics and /debug/pprof when
 	// non-empty; the tracer then keeps a live ring of the last
 	// trace.LiveRingSize trials.
 	HTTPAddr string
@@ -53,7 +53,7 @@ func (c *Config) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Trace, "trace", "", "write a JSONL failure-cascade trace to `file` (\"-\" = stdout)")
 	fs.StringVar(&c.TraceChrome, "trace-chrome", "", "write a Chrome trace_event JSON trace to `file` (chrome://tracing, Perfetto)")
 	fs.BoolVar(&c.TraceNoSamples, "trace-nosamples", false, "omit per-component TTF sample events from the trace")
-	fs.StringVar(&c.HTTPAddr, "http", "", "serve the live monitor (/status, /metrics, /debug/vars, /debug/pprof) on `addr`")
+	fs.StringVar(&c.HTTPAddr, "http", "", "serve the live monitor (/status, /metrics, /debug/pprof) on `addr`")
 	fs.StringVar(&c.Engine, "engine", "mc", "analysis engine: mc (full Monte Carlo), steady (linear-time steady-state screen only), or both (the screen prunes the Monte Carlo to the mortal subset)")
 }
 

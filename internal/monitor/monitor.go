@@ -5,25 +5,23 @@
 //	             completed cascade's summary (from the trace ring), and
 //	             serve-layer latency percentiles when a job server runs
 //	/metrics     Prometheus text exposition of the telemetry registry
-//	/debug/vars  expvar, including the "emvia" telemetry snapshot
-//	/debug/pprof net/http/pprof profiles
+//	/debug/pprof net/http/pprof profiles (heap?debug=1 prints
+//	             runtime.MemStats)
 //
 // The monitor is read-only: it observes the telemetry registry and the trace
 // ring, and never feeds anything back into the computation, so enabling it
 // cannot perturb paper metrics. Starting a monitor force-enables telemetry
-// (with status collection) so /status and /debug/vars have data to serve.
+// (with status collection) so /status and /metrics have data to serve.
 package monitor
 
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"time"
 
 	"emvia/internal/telemetry"
@@ -51,16 +49,15 @@ type Server struct {
 	timeout time.Duration
 }
 
-// Register mounts the monitor endpoints (/status, /metrics, /debug/vars,
-// /debug/pprof) on an existing mux, so a host server — emserve's job API —
-// can serve them alongside its own routes on one listener. It enables
+// Register mounts the monitor endpoints (/status, /metrics, /debug/pprof)
+// on an existing mux, so a host server — emserve's job API — can serve
+// them alongside its own routes on one listener. It enables
 // telemetry and status collection as a side effect, exactly like Start.
 func Register(mux *http.ServeMux, opt Options) {
 	reg := telemetry.Enable()
 	reg.EnableStatus()
 	mux.HandleFunc("/status", statusHandler(opt.Ring))
 	mux.HandleFunc("/metrics", metricsHandler(opt.Ring))
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -199,19 +196,15 @@ func summarize(h telemetry.HistogramSnapshot) *histSummary {
 	}
 }
 
-// serveStatus builds the /status serve section from the registry snapshot,
-// nil when no job has touched the serve histograms (non-server CLIs).
-func serveStatus(s *telemetry.Snapshot) *servePayload {
+// serveStatus builds the /status serve section from the registry's serve
+// histograms, nil when no job has touched them (non-server CLIs).
+func serveStatus(reg *telemetry.Registry) *servePayload {
+	stages := reg.HistogramFamily(telemetry.ServeStageFamily)
 	out := &servePayload{
-		QueueWaitSeconds: summarize(s.Histograms[telemetry.ServeStageSeconds("queue-wait")]),
-		JobSeconds:       summarize(s.Histograms[telemetry.ServeJobSeconds]),
+		QueueWaitSeconds: summarize(stages["queue-wait"]),
+		JobSeconds:       summarize(reg.HistogramFamily(telemetry.ServeJobSeconds)[""]),
 	}
-	const prefix = "serve.stage_seconds{stage="
-	for name, h := range s.Histograms {
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, "}") {
-			continue
-		}
-		stage := name[len(prefix) : len(name)-1]
+	for stage, h := range stages {
 		if sum := summarize(h); sum != nil {
 			if out.StageSeconds == nil {
 				out.StageSeconds = make(map[string]*histSummary)
@@ -260,7 +253,7 @@ func writeStatus(w http.ResponseWriter, ring *trace.Ring) {
 			p.Progress.ETASeconds = jsonNumber(st.ETA.Seconds())
 		}
 	}
-	p.Serve = serveStatus(telemetry.Default().Snapshot())
+	p.Serve = serveStatus(telemetry.Default())
 	p.TrialsCompleted = ring.Total()
 	if last, ok := ring.Last(); ok {
 		c := &cascadePayload{

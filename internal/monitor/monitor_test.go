@@ -247,15 +247,19 @@ func TestDebugEndpointsServed(t *testing.T) {
 	defer srv.Close()
 	base := "http://" + srv.Addr()
 
-	var vars map[string]json.RawMessage
-	if err := json.Unmarshal(get(t, base+"/debug/vars"), &vars); err != nil {
-		t.Fatalf("/debug/vars not JSON: %v", err)
-	}
-	if _, ok := vars["emvia"]; !ok {
-		t.Fatal("/debug/vars missing the emvia telemetry snapshot")
-	}
 	if body := get(t, base+"/debug/pprof/"); len(body) == 0 {
 		t.Fatal("/debug/pprof/ empty")
+	}
+	if body := get(t, base+"/debug/pprof/heap?debug=1"); !strings.Contains(string(body), "# runtime.MemStats") {
+		t.Fatal("/debug/pprof/heap?debug=1 prints no runtime.MemStats")
+	}
+	resp, err := http.Get(base + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/debug/vars: %s, want 404 (the snapshot is served at /metrics)", resp.Status)
 	}
 	// No ring attached: /status must still answer.
 	if err := json.Unmarshal(get(t, base+"/status"), &struct{}{}); err != nil {
@@ -269,7 +273,7 @@ func TestServeStatusQueueWaitFromStage(t *testing.T) {
 	reg := telemetry.New()
 	reg.Histogram(telemetry.ServeStageSeconds("queue-wait")).Observe(0.25)
 	reg.Histogram(telemetry.ServeStageSeconds("mc")).Observe(1.5)
-	out := serveStatus(reg.Snapshot())
+	out := serveStatus(reg)
 	if out == nil || out.QueueWaitSeconds == nil || out.QueueWaitSeconds.Count != 1 {
 		t.Fatalf("serve status = %+v, want one queue-wait observation", out)
 	}

@@ -12,35 +12,24 @@ import (
 )
 
 // ScreenConfig tunes the grid-level steady-state EM screen (arXiv
-// 2112.13451 applied to the mesh): which critical-stress quantile bounds
-// mortality and what thermomechanical pre-stress the via barriers carry.
+// 2112.13451 applied to the mesh).
 type ScreenConfig struct {
 	// EM supplies the Korhonen constants; the zero value selects
 	// emdist.Default().
 	EM emdist.Params
-	// CritQuantile is the quantile of the lognormal critical-stress
-	// distribution used as the nucleation threshold. Screening against a
-	// low quantile is what makes the classification conservative: a
-	// component is only called immortal when even a weak flaw could not
-	// nucleate at its steady-state stress cap. 0 selects 1e-3.
-	CritQuantile float64
-	// SigmaTVia is the thermomechanical pre-stress at the via barriers, Pa
-	// (the FEA characterization's scale); 0 selects the calibration value.
-	SigmaTVia float64
-	// SigmaCritWire is the wire-tree mortality threshold, Pa; 0 selects
-	// the same critical-stress quantile (wires carry no via pre-stress).
-	SigmaCritWire float64
 }
+
+// screenCritQuantile is the quantile of the lognormal critical-stress
+// distribution that both vias and wires are screened against. A low
+// quantile makes the classification conservative: a component is only
+// called immortal when even a weak flaw could not nucleate at its
+// steady-state stress cap. Only the via barriers add a thermomechanical
+// pre-stress, emdist.CalibrationSigmaT (the FEA characterization's scale).
+const screenCritQuantile = 1e-3
 
 func (sc ScreenConfig) withDefaults() ScreenConfig {
 	if sc.EM.Omega == 0 {
 		sc.EM = emdist.Default()
-	}
-	if sc.CritQuantile == 0 {
-		sc.CritQuantile = 1e-3
-	}
-	if sc.SigmaTVia == 0 {
-		sc.SigmaTVia = emdist.CalibrationSigmaT
 	}
 	return sc
 }
@@ -160,15 +149,11 @@ func screenGrid(g *Grid, circuit *spice.Circuit, op *spice.OP, sc ScreenConfig) 
 	if err != nil {
 		return nil, fmt.Errorf("pdn: critical-stress distribution: %w", err)
 	}
-	sigmaCrit := dist.Quantile(sc.CritQuantile)
+	sigmaCrit := dist.Quantile(screenCritQuantile)
 	if !(sigmaCrit > 0) {
-		return nil, fmt.Errorf("pdn: critical-stress quantile %g resolves to %g", sc.CritQuantile, sigmaCrit)
+		return nil, fmt.Errorf("pdn: critical-stress quantile %g resolves to %g", screenCritQuantile, sigmaCrit)
 	}
-	wireCrit := sc.SigmaCritWire
-	if wireCrit == 0 {
-		wireCrit = sigmaCrit
-	}
-	rep, err := steady.Screen(sg, steady.Config{EM: sc.EM, SigmaCrit: wireCrit})
+	rep, err := steady.Screen(sg, steady.Config{EM: sc.EM, SigmaCrit: sigmaCrit})
 	if err != nil {
 		return nil, err
 	}
@@ -181,8 +166,8 @@ func screenGrid(g *Grid, circuit *spice.Circuit, op *spice.OP, sc ScreenConfig) 
 		Segments:       len(sg.Branches),
 		MortalSegments: rep.MortalBranches,
 		SigmaCritVia:   sigmaCrit,
-		SigmaCritWire:  wireCrit,
-		SigmaTVia:      sc.SigmaTVia,
+		SigmaCritWire:  sigmaCrit,
+		SigmaTVia:      emdist.CalibrationSigmaT,
 	}
 	for k, v := range g.Vias {
 		a, b := circuit.ResistorNodes(v.ResistorIndex)
@@ -204,7 +189,7 @@ func screenGrid(g *Grid, circuit *spice.Circuit, op *spice.OP, sc ScreenConfig) 
 		if cond > 0 {
 			dev += rep.Chi * (current / cond) / 2
 		}
-		stress := sc.SigmaTVia + dev
+		stress := emdist.CalibrationSigmaT + dev
 		out.ViaStress[k] = stress
 		out.ViaMargin[k] = sigmaCrit - stress
 		// A zero-current array never ages in the TTF model (its sampled

@@ -3,7 +3,8 @@ package telemetry
 // Metric names. Centralizing them here keeps the instrumented packages, the
 // derived-metric computation in Snapshot and the documentation (DESIGN.md §8)
 // in agreement. Naming scheme: <package>.<subsystem>.<metric>; histogram
-// names carry their unit as the final path element.
+// names carry their unit as the final path element. Every name must follow
+// the grammar parseName checks when its metric is created.
 const (
 	// internal/solver — conjugate gradients.
 	CGSolves        = "solver.cg.solves"
@@ -138,11 +139,15 @@ const (
 // executor stage ("queue-wait", "resolve", "compile", "factorize", "screen",
 // "mc", "manifest", …). The label suffix follows the registry's metric-label
 // convention — `base{key=value}` — which the Prometheus exposition writer
-// renders as a proper label pair, so every stage is one series of a single
+// renders as a label pair, so every stage is one series of the single
 // emvia_serve_stage_seconds family.
 func ServeStageSeconds(stage string) string {
-	return "serve.stage_seconds{stage=" + stage + "}"
+	return ServeStageFamily + "{stage=" + stage + "}"
 }
+
+// ServeStageFamily is the base of the ServeStageSeconds histograms, the
+// family /status reads per stage through Registry.HistogramFamily.
+const ServeStageFamily = "serve.stage_seconds"
 
 // PrecondFallbacks names the counter of automatic preconditioner choices
 // that fell back from IC(0), by the preconditioner used instead: "jacobi"

@@ -1,252 +1,102 @@
 package telemetry
 
 import (
-	"bufio"
+	"bytes"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Prometheus text exposition (format version 0.0.4) of a registry.
 //
-// Metric names in the registry use the internal dotted scheme, optionally
-// carrying a label suffix (`base{key=value,key2=value2}`, see
-// ServeStageSeconds). The writer maps them onto the Prometheus data model:
+// Each family renders under its exposition name: "emvia_" (one namespace
+// per process) plus its base with dots as underscores. The name grammar
+// (parseName) makes every name, label key and label value valid as it
+// stands, and no two families expose a colliding series:
 //
-//   - dots and other invalid characters become underscores, and every
-//     metric is prefixed "emvia_" (one namespace per process);
 //   - counters gain the conventional "_total" suffix;
 //   - the 96 power-of-two histogram buckets render as cumulative
 //     `_bucket{le="..."}` series plus `_sum` and `_count`;
-//   - label values are escaped per the exposition grammar (backslash,
-//     double quote, newline);
 //   - non-finite values (a NaN gauge, a +Inf histogram sum) are clamped to
 //     0 — the text format technically admits them, but downstream PromQL
 //     turns them into poison, so the writer never leaks them.
-//
-// Name collisions after sanitization (two registry keys mapping onto one
-// series, or a gauge shadowing a histogram's _count) keep the first family
-// in kind order counter → gauge → histogram and drop the rest, so the
-// output is always a valid exposition. Real metric names never collide;
-// the rule exists so arbitrary (fuzzed) names cannot produce invalid text.
-
-// promSeries is one output sample line: a family member with resolved
-// labels and a pre-formatted value.
-type promSeries struct {
-	labels string // rendered {...} block, "" when unlabeled
-	value  string
-}
-
-// promFamily is one `# TYPE` group.
-type promFamily struct {
-	name string // sanitized full family name (without _total/_bucket suffixes)
-	kind string // "counter" | "gauge" | "histogram"
-	// series are the family's plain samples (counter/gauge); histograms
-	// render from hist instead.
-	series []promSeries
-	hists  []promHist
-}
-
-type promHist struct {
-	labels string // rendered label block without braces, "" when unlabeled
-	h      *Histogram
-}
-
-// hasSeries reports whether a plain sample with this label block already
-// exists (distinct registry keys can sanitize onto one series; duplicates
-// would be an invalid exposition, so the first wins).
-func (f *promFamily) hasSeries(block string) bool {
-	for _, s := range f.series {
-		if s.labels == block {
-			return true
-		}
-	}
-	return false
-}
-
-// hasHist is hasSeries for histogram members.
-func (f *promFamily) hasHist(list string) bool {
-	for _, ph := range f.hists {
-		if ph.labels == list {
-			return true
-		}
-	}
-	return false
-}
 
 // WritePrometheus renders the registry's counters, gauges and histograms in
 // Prometheus text exposition format. A nil registry writes nothing. The
-// output is deterministic: families sort by name, series by label block.
+// output is deterministic: families sort by exposition name, members by
+// label value.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	byName := make(map[string]*promFamily)
-	var order []string
-	family := func(name, kind string) *promFamily {
-		f, ok := byName[name]
-		if !ok {
-			f = &promFamily{name: name, kind: kind}
-			byName[name] = f
-			order = append(order, name)
-		}
-		return f
+	var buf bytes.Buffer
+	r.mu.Lock()
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
 	}
-	// Collisions resolve in kind order: counters claim their names first,
-	// then gauges, then histograms (which also reserve their _bucket, _sum
-	// and _count member names).
-	taken := make(map[string]bool)
-	reserve := func(names ...string) bool {
-		for _, n := range names {
-			if taken[n] {
-				return false
+	slices.SortFunc(fams, func(a, b *family) int { return strings.Compare(a.name, b.name) })
+	for _, f := range fams {
+		buf.WriteString("# TYPE " + f.name + " " + string(f.kind) + "\n")
+		for _, m := range f.members {
+			labels := ""
+			if f.key != "" {
+				labels = f.key + `="` + m.value + `"`
+			}
+			switch v := m.metric.(type) {
+			case *Counter:
+				promWriteSample(&buf, f.name, labels, strconv.FormatInt(v.Value(), 10))
+			case *Gauge:
+				promWriteSample(&buf, f.name, labels, promValue(v.Value()))
+			case *Histogram:
+				promWriteHist(&buf, f.name, labels, v)
 			}
 		}
-		for _, n := range names {
-			taken[n] = true
-		}
-		return true
 	}
+	r.mu.Unlock()
+	_, err := w.Write(buf.Bytes())
+	return err
+}
 
-	for _, k := range sortedMapKeys(&r.counters) {
-		base, labels := promParseName(k)
-		name := base + "_total"
-		if f, ok := byName[name]; !ok || f.kind != "counter" {
-			if !reserve(name) {
-				continue
-			}
-		}
-		v, _ := r.counters.Load(k)
-		f := family(name, "counter")
-		if block := promLabelBlock(labels); !f.hasSeries(block) {
-			f.series = append(f.series, promSeries{labels: block, value: strconv.FormatInt(v.(*Counter).Value(), 10)})
-		}
+// promWriteSample writes one sample line; labels is the label list without
+// braces, "" when unlabeled.
+func promWriteSample(buf *bytes.Buffer, name, labels, value string) {
+	buf.WriteString(name)
+	if labels != "" {
+		buf.WriteString("{" + labels + "}")
 	}
-	for _, k := range sortedMapKeys(&r.gauges) {
-		base, labels := promParseName(k)
-		if f, ok := byName[base]; !ok || f.kind != "gauge" {
-			if !reserve(base) {
-				continue
-			}
-		}
-		v, _ := r.gauges.Load(k)
-		f := family(base, "gauge")
-		if block := promLabelBlock(labels); !f.hasSeries(block) {
-			f.series = append(f.series, promSeries{labels: block, value: promValue(v.(*Gauge).Value())})
-		}
-	}
-	for _, k := range sortedMapKeys(&r.hists) {
-		base, labels := promParseName(k)
-		if f, ok := byName[base]; !ok || f.kind != "histogram" {
-			if !reserve(base, base+"_bucket", base+"_sum", base+"_count") {
-				continue
-			}
-		}
-		// "le" is the reserved bucket label; a user label of that name
-		// would duplicate it inside one sample.
-		for i, l := range labels {
-			if l.key == "le" {
-				labels[i].key = "le_"
-			}
-		}
-		v, _ := r.hists.Load(k)
-		f := family(base, "histogram")
-		if list := promLabelList(labels); !f.hasHist(list) {
-			f.hists = append(f.hists, promHist{labels: list, h: v.(*Histogram)})
-		}
-	}
-
-	bw := bufio.NewWriter(w)
-	sort.Strings(order)
-	for _, name := range order {
-		f := byName[name]
-		bw.WriteString("# TYPE ")
-		bw.WriteString(f.name)
-		bw.WriteByte(' ')
-		bw.WriteString(f.kind)
-		bw.WriteByte('\n')
-		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })
-		for _, s := range f.series {
-			bw.WriteString(f.name)
-			bw.WriteString(s.labels)
-			bw.WriteByte(' ')
-			bw.WriteString(s.value)
-			bw.WriteByte('\n')
-		}
-		sort.Slice(f.hists, func(i, j int) bool { return f.hists[i].labels < f.hists[j].labels })
-		for _, ph := range f.hists {
-			promWriteHist(bw, f.name, ph)
-		}
-	}
-	return bw.Flush()
+	buf.WriteString(" " + value + "\n")
 }
 
 // promWriteHist renders one histogram member: cumulative buckets at the
 // power-of-two upper bounds (only non-empty buckets are emitted — the
 // cumulative counts stay exact at every emitted bound), the mandatory
 // le="+Inf" bucket, then _sum and _count.
-func promWriteHist(bw *bufio.Writer, name string, ph promHist) {
-	var counts [histBuckets]int64
-	var total int64
-	for b := range counts {
-		counts[b] = ph.h.bucketLoad(b)
-		total += counts[b]
-	}
-	bucketLabels := func(le string) string {
-		if ph.labels == "" {
-			return `{le="` + le + `"}`
-		}
-		return "{" + ph.labels + `,le="` + le + `"}`
+func promWriteHist(buf *bytes.Buffer, name, labels string, h *Histogram) {
+	le := `le="`
+	if labels != "" {
+		le = labels + `,le="`
 	}
 	var cum int64
 	for b := 0; b < histBuckets-1; b++ {
-		if counts[b] == 0 {
-			continue
+		if n := h.buckets[b].Load(); n != 0 {
+			cum += n
+			promWriteSample(buf, name+"_bucket", le+strconv.FormatFloat(math.Ldexp(1, b-histOffset), 'g', -1, 64)+`"`, strconv.FormatInt(cum, 10))
 		}
-		cum += counts[b]
-		bw.WriteString(name)
-		bw.WriteString("_bucket")
-		bw.WriteString(bucketLabels(strconv.FormatFloat(math.Ldexp(1, b-histOffset), 'g', -1, 64)))
-		bw.WriteByte(' ')
-		bw.WriteString(strconv.FormatInt(cum, 10))
-		bw.WriteByte('\n')
 	}
 	// The top bucket is the clamp bucket (observations above the range), so
 	// its upper bound is +Inf regardless of occupancy.
-	bw.WriteString(name)
-	bw.WriteString("_bucket")
-	bw.WriteString(bucketLabels("+Inf"))
-	bw.WriteByte(' ')
-	bw.WriteString(strconv.FormatInt(total, 10))
-	bw.WriteByte('\n')
-
+	total := cum + h.buckets[histBuckets-1].Load()
+	promWriteSample(buf, name+"_bucket", le+`+Inf"`, strconv.FormatInt(total, 10))
 	sum := 0.0
 	if total > 0 {
-		sum = math.Float64frombits(ph.h.sumBits.Load())
+		sum = math.Float64frombits(h.sumBits.Load())
 	}
-	labels := ""
-	if ph.labels != "" {
-		labels = "{" + ph.labels + "}"
-	}
-	bw.WriteString(name)
-	bw.WriteString("_sum")
-	bw.WriteString(labels)
-	bw.WriteByte(' ')
-	bw.WriteString(promValue(sum))
-	bw.WriteByte('\n')
-	bw.WriteString(name)
-	bw.WriteString("_count")
-	bw.WriteString(labels)
-	bw.WriteByte(' ')
-	bw.WriteString(strconv.FormatInt(total, 10))
-	bw.WriteByte('\n')
+	promWriteSample(buf, name+"_sum", labels, promValue(sum))
+	promWriteSample(buf, name+"_count", labels, strconv.FormatInt(total, 10))
 }
-
-// bucketLoad exposes one raw bucket count to the exposition writer.
-func (h *Histogram) bucketLoad(b int) int64 { return h.buckets[b].Load() }
 
 // promValue formats a sample value, clamping non-finite floats to 0.
 func promValue(v float64) string {
@@ -254,144 +104,4 @@ func promValue(v float64) string {
 		return "0"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-type promLabel struct{ key, value string }
-
-// promParseName splits a registry key into its sanitized base name and
-// label pairs. Keys without a parseable `{k=v,...}` suffix sanitize whole —
-// braces become underscores — so any string yields a valid metric name.
-func promParseName(raw string) (string, []promLabel) {
-	open := strings.IndexByte(raw, '{')
-	if open > 0 && strings.HasSuffix(raw, "}") {
-		inner := raw[open+1 : len(raw)-1]
-		parts := strings.Split(inner, ",")
-		labels := make([]promLabel, 0, len(parts))
-		ok := true
-		for _, p := range parts {
-			eq := strings.IndexByte(p, '=')
-			if eq <= 0 {
-				ok = false
-				break
-			}
-			labels = append(labels, promLabel{key: promSanitizeLabelKey(p[:eq]), value: p[eq+1:]})
-		}
-		if ok {
-			// Duplicate keys (after sanitization) would be invalid inside
-			// one sample; last one wins, order then re-sorts by key.
-			seen := make(map[string]string, len(labels))
-			for _, l := range labels {
-				seen[l.key] = l.value
-			}
-			labels = labels[:0]
-			for _, k := range sortedKeys(seen) {
-				labels = append(labels, promLabel{key: k, value: seen[k]})
-			}
-			return "emvia_" + promSanitizeName(raw[:open]), labels
-		}
-	}
-	return "emvia_" + promSanitizeName(raw), nil
-}
-
-// promLabelList renders label pairs as `k1="v1",k2="v2"` (no braces).
-func promLabelList(labels []promLabel) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var sb strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(l.key)
-		sb.WriteString(`="`)
-		sb.WriteString(promEscapeLabelValue(l.value))
-		sb.WriteByte('"')
-	}
-	return sb.String()
-}
-
-// promLabelBlock renders label pairs as a braced block, "" when empty.
-func promLabelBlock(labels []promLabel) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	return "{" + promLabelList(labels) + "}"
-}
-
-// promSanitizeName maps any string onto the metric-name grammar
-// [a-zA-Z_:][a-zA-Z0-9_:]*.
-func promSanitizeName(s string) string {
-	if s == "" {
-		return "_"
-	}
-	var sb strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_', c == ':':
-			sb.WriteByte(c)
-		case c >= '0' && c <= '9' && i > 0:
-			sb.WriteByte(c)
-		default:
-			sb.WriteByte('_')
-		}
-	}
-	return sb.String()
-}
-
-// promSanitizeLabelKey maps any string onto the label-name grammar
-// [a-zA-Z_][a-zA-Z0-9_]* (no colons, no leading digit, never empty or
-// reserved-prefixed).
-func promSanitizeLabelKey(s string) string {
-	if s == "" {
-		return "_"
-	}
-	var sb strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-			sb.WriteByte(c)
-		case c >= '0' && c <= '9' && i > 0:
-			sb.WriteByte(c)
-		default:
-			sb.WriteByte('_')
-		}
-	}
-	out := sb.String()
-	if strings.HasPrefix(out, "__") {
-		// "__" label names are reserved for Prometheus internals.
-		out = "x" + out
-	}
-	return out
-}
-
-// promEscapeLabelValue escapes a label value per the exposition grammar.
-func promEscapeLabelValue(s string) string {
-	var sb strings.Builder
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\\':
-			sb.WriteString(`\\`)
-		case '"':
-			sb.WriteString(`\"`)
-		case '\n':
-			sb.WriteString(`\n`)
-		default:
-			sb.WriteByte(c)
-		}
-	}
-	return sb.String()
-}
-
-// sortedMapKeys snapshots and sorts a sync.Map's string keys.
-func sortedMapKeys(m *sync.Map) []string {
-	var keys []string
-	m.Range(func(k, _ any) bool {
-		keys = append(keys, k.(string))
-		return true
-	})
-	sort.Strings(keys)
-	return keys
 }

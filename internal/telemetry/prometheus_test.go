@@ -187,28 +187,105 @@ func TestWritePrometheusCumulativeBuckets(t *testing.T) {
 	}
 }
 
-func TestWritePrometheusLabelEscaping(t *testing.T) {
-	r := New()
-	r.Counter(`evil{stage=a"b\c` + "\n" + `d}`).Inc()
-	out := expose(t, r)
-	validateExposition(t, out)
-	want := `emvia_evil_total{stage="a\"b\\c\nd"} 1`
-	if !strings.Contains(string(out), want+"\n") {
-		t.Errorf("escaped label missing: want %q in:\n%s", want, out)
+// TestRegisterRejectsBadNames: creating a metric whose name breaks the
+// grammar, or whose base another kind or label key already holds, panics
+// with the metric's name; the registry stays usable after the panic.
+func TestRegisterRejectsBadNames(t *testing.T) {
+	malformed := []string{
+		"", "Upper", "9digit", "_lead", ".lead", "has space", "dash-ed", "uni\u00e9",
+		"x_total", "x.total", "h.sum", "h_count", "h.bucket",
+		"a{", "a{k=v", "a{}", "a{k}", "a{k=}", "a{=v}", "{k=v}",
+		"a{le=v}", "a{__name__=v}", "a{Key=v}", "a{k1=v}", "a{k=V}", "a{k=v w}",
+		`a{k="v"}`, "a{k=v\n}", "a{k=v,j=w}", "a{k=v}{j=w}", "a{k=v}x", "a{k={v}}",
+	}
+	for _, name := range malformed {
+		if _, _, _, err := parseName(name); err == nil {
+			t.Errorf("parseName(%q) accepted a malformed name", name)
+		}
+		for _, k := range []kind{counterKind, gaugeKind, histogramKind} {
+			expectPanic(t, name, func() { registerAs(New(), name, k) })
+		}
+	}
+	// Each pair: the first registers, the second collides with it.
+	collisions := []struct {
+		first  string
+		k1     kind
+		second string
+		k2     kind
+	}{
+		{"x", counterKind, "x", gaugeKind},
+		{"x", gaugeKind, "x", histogramKind},
+		{"x", histogramKind, "x{k=v}", counterKind},
+		{"a.b", counterKind, "a_b", counterKind},
+		{"a.b{k=v}", histogramKind, "a_b{k=w}", histogramKind},
+		{"s{stage=a}", histogramKind, "s{phase=b}", histogramKind},
+		{"s{stage=a}", histogramKind, "s", histogramKind},
+		{"s", gaugeKind, "s{stage=a}", gaugeKind},
+		{ServeStageSeconds("mc"), histogramKind, ServeStageSeconds("mc"), gaugeKind},
+	}
+	for _, c := range collisions {
+		r := New()
+		registerAs(r, c.first, c.k1)
+		expectPanic(t, c.second, func() { registerAs(r, c.second, c.k2) })
+		if registerAs(r, c.first, c.k1) == nil {
+			t.Errorf("%q lost after the collision of %q", c.first, c.second)
+		}
+		validateExposition(t, expose(t, r))
 	}
 }
 
-func TestWritePrometheusCollisions(t *testing.T) {
+// registerAs creates (or fetches) name as a metric of kind k.
+func registerAs(r *Registry, name string, k kind) any {
+	switch k {
+	case counterKind:
+		return r.Counter(name)
+	case gaugeKind:
+		return r.Gauge(name)
+	}
+	return r.Histogram(name)
+}
+
+// expectPanic runs fn and fails unless it panics with a message naming the
+// metric name.
+func expectPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, strconv.Quote(name)) {
+			t.Errorf("registering %q: panic %q does not name the metric", name, msg)
+		}
+	}()
+	fn()
+}
+
+// TestWritePrometheusLabeledFamilies: the members of one labeled family
+// render under one TYPE line, sorted by label value, with the label key the
+// name carries; histogram buckets put le after it.
+func TestWritePrometheusLabeledFamilies(t *testing.T) {
 	r := New()
-	// Counter claims emvia_x_total; a gauge literally named x_total must
-	// not duplicate it. A gauge named h_count must not shadow histogram
-	// h's _count member (gauges reserve before histograms).
-	r.Counter("x").Inc()
-	r.Gauge("x_total").Set(9)
-	r.Gauge("h_count").Set(9)
-	r.Histogram("h").Observe(1)
+	r.Counter(CascadeFallbacks("rank")).Add(2)
+	r.Counter(CascadeFallbacks("pivot")).Inc()
+	r.Histogram(ServeStageSeconds("mc")).Observe(1)
+	r.Histogram(ServeStageSeconds("factorize")).Observe(3)
 	out := expose(t, r)
 	validateExposition(t, out)
+	want := `# TYPE emvia_pdn_cascade_fallbacks_total counter
+emvia_pdn_cascade_fallbacks_total{reason="pivot"} 1
+emvia_pdn_cascade_fallbacks_total{reason="rank"} 2
+# TYPE emvia_serve_stage_seconds histogram
+emvia_serve_stage_seconds_bucket{stage="factorize",le="4"} 1
+emvia_serve_stage_seconds_bucket{stage="factorize",le="+Inf"} 1
+emvia_serve_stage_seconds_sum{stage="factorize"} 3
+emvia_serve_stage_seconds_count{stage="factorize"} 1
+emvia_serve_stage_seconds_bucket{stage="mc",le="2"} 1
+emvia_serve_stage_seconds_bucket{stage="mc",le="+Inf"} 1
+emvia_serve_stage_seconds_sum{stage="mc"} 1
+emvia_serve_stage_seconds_count{stage="mc"} 1
+`
+	if string(out) != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", out, want)
+	}
 }
 
 func TestWritePrometheusNilRegistry(t *testing.T) {
@@ -219,34 +296,58 @@ func TestWritePrometheusNilRegistry(t *testing.T) {
 	}
 }
 
-// FuzzWritePrometheus throws arbitrary metric names, label fragments and
-// values (including NaN/±Inf bit patterns) at the writer and asserts the
-// output always parses as a valid exposition with finite values — the
-// satellite contract: label escaping, NaN/Inf and empty histograms never
-// panic or emit invalid lines.
+// FuzzWritePrometheus registers two fuzzed names as fuzzed kinds with a
+// fuzzed value (NaN/±Inf bit patterns included). A name parseName accepts
+// registers unless its base collides with the first name's family; a name
+// it rejects panics. Whatever registered must render a valid exposition
+// with finite values.
 func FuzzWritePrometheus(f *testing.F) {
-	f.Add("serve.jobs.submitted", "stage", "mc", 1.5)
-	f.Add("", "", "", math.NaN())
-	f.Add("9starts.with.digit", "le", "+Inf", math.Inf(1))
-	f.Add("a{b=c,d=e}", "__name__", "x\"y\\z\nw", -0.0)
-	f.Add("weird{unterminated", "k=v", "}", 1e308)
-	f.Add("dots.and-dashes.and spaces", "ключ", "значение", math.Inf(-1))
-	f.Fuzz(func(t *testing.T, name, lkey, lval string, v float64) {
+	f.Add("serve.jobs.submitted", "serve.stage_seconds{stage=mc}", uint8(0x24), 1.5)
+	f.Add("", "x", uint8(0), math.NaN())
+	f.Add("9starts.with.digit", "a{le=inf}", uint8(1), math.Inf(1))
+	f.Add("a{b=c,d=e}", "a{b=c}", uint8(2), -0.0)
+	f.Add("weird{unterminated", "x_total", uint8(4), 1e308)
+	f.Add("a.b{k=v}", "a_b{k=v}", uint8(0x14), math.Inf(-1))
+	f.Add("h", "h{k=v}", uint8(0x22), 2.0)
+	f.Fuzz(func(t *testing.T, a, b string, kinds uint8, v float64) {
 		r := New()
-		r.Counter(name).Add(3)
-		r.Counter(name + "{" + lkey + "=" + lval + "}").Inc()
-		r.Gauge(name).Set(v)
-		r.Gauge("g{" + lkey + "=" + lval + "," + lkey + "=other}").Set(v)
-		h := r.Histogram(name + "{" + lkey + "=" + lval + "}")
-		h.Observe(v)
-		h.Observe(-v)
-		r.Histogram("empty{" + lkey + "=" + lval + "}")
-		var buf bytes.Buffer
-		if err := r.WritePrometheus(&buf); err != nil {
-			t.Fatalf("WritePrometheus: %v", err)
+		var first struct {
+			id, base, key string
+			k             kind
+			ok            bool
 		}
-		validateExposition(t, buf.Bytes())
+		for i, name := range []string{a, b} {
+			k := []kind{counterKind, gaugeKind, histogramKind}[int(kinds>>(4*i)&0xf)%3]
+			base, key, _, err := parseName(name)
+			id := strings.ReplaceAll(base, ".", "_")
+			collides := i == 1 && err == nil && first.ok && id == first.id &&
+				(base != first.base || k != first.k || key != first.key)
+			panicked := recordAs(r, name, k, v)
+			if panicked != (err != nil || collides) {
+				t.Fatalf("registering %q as a %s: panicked %v, parse error %v, collides %v", name, k, panicked, err, collides)
+			}
+			if i == 0 {
+				first.id, first.base, first.key, first.k, first.ok = id, base, key, k, err == nil
+			}
+		}
+		validateExposition(t, expose(t, r))
 	})
+}
+
+// recordAs registers name as a metric of kind k, records v into it and
+// reports whether registration panicked.
+func recordAs(r *Registry, name string, k kind, v float64) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	switch m := registerAs(r, name, k).(type) {
+	case *Counter:
+		m.Add(3)
+	case *Gauge:
+		m.Set(v)
+	case *Histogram:
+		m.Observe(v)
+		m.Observe(-v)
+	}
+	return false
 }
 
 func TestPromValue(t *testing.T) {

@@ -28,16 +28,15 @@ func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return s
 	}
-	r.counters.Range(func(k, v any) bool {
-		s.Counters[k.(string)] = v.(*Counter).Value()
-		return true
-	})
-	r.gauges.Range(func(k, v any) bool {
-		s.Gauges[k.(string)] = v.(*Gauge).Value()
-		return true
-	})
-	r.hists.Range(func(k, v any) bool {
-		s.Histograms[k.(string)] = v.(*Histogram).Snapshot()
+	r.metrics.Range(func(k, v any) bool {
+		switch m := v.(type) {
+		case *Counter:
+			s.Counters[k.(string)] = m.Value()
+		case *Gauge:
+			s.Gauges[k.(string)] = m.Value()
+		case *Histogram:
+			s.Histograms[k.(string)] = m.Snapshot()
+		}
 		return true
 	})
 	s.derive()

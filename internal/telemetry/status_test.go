@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"expvar"
 	"math"
 	"strings"
 	"testing"
@@ -85,26 +84,6 @@ func TestZeroIntervalProgressDefaults(t *testing.T) {
 	r.ProgressTick("mc", 1000, 1000)
 	if got := strings.Count(buf.String(), "\n"); got != 1 {
 		t.Fatalf("want exactly the final line, got %d:\n%s", got, buf.String())
-	}
-}
-
-func TestDisabledExpvarStaysNull(t *testing.T) {
-	old := Default()
-	defer SetDefault(old)
-
-	Enable() // publishes the expvar hook (idempotent)
-	SetDefault(nil)
-	v := expvar.Get("emvia")
-	if v == nil {
-		t.Fatal("expvar \"emvia\" not published")
-	}
-	if got := v.String(); got != "null" {
-		t.Fatalf("disabled expvar = %s, want null", got)
-	}
-	r := Enable()
-	r.Counter(MCTrials).Inc()
-	if got := v.String(); !strings.Contains(got, MCTrials) {
-		t.Fatalf("enabled expvar missing %q: %s", MCTrials, got)
 	}
 }
 

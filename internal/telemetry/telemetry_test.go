@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"strings"
 	"sync"
@@ -192,5 +193,44 @@ func TestProgressRateLimitAndFinalTick(t *testing.T) {
 	r.ProgressTick("mc", 50, 50)
 	if buf.String() != out {
 		t.Fatalf("detached sink still wrote")
+	}
+}
+
+// TestConcurrentRegistration: goroutines creating the same labeled names
+// while others scrape get one metric per name, and every count lands.
+func TestConcurrentRegistration(t *testing.T) {
+	r := New()
+	stages := []string{"admit", "queue-wait", "mc", "merge"}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				r.Histogram(ServeStageSeconds(stages[i%len(stages)])).Observe(1)
+				r.Counter(CascadeFallbacks(stages[i%len(stages)])).Inc()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				r.WritePrometheus(io.Discard)
+				r.Snapshot()
+				r.HistogramFamily(ServeStageFamily)
+			}
+		}()
+	}
+	wg.Wait()
+	fam := r.HistogramFamily(ServeStageFamily)
+	if len(fam) != len(stages) {
+		t.Fatalf("stage family has %d members, want %d", len(fam), len(stages))
+	}
+	for _, stage := range stages {
+		if n := fam[stage].Count; n != 200 {
+			t.Errorf("stage %s: %d observations, want 200", stage, n)
+		}
+		if n := r.Counter(CascadeFallbacks(stage)).Value(); n != 200 {
+			t.Errorf("fallbacks %s = %d, want 200", stage, n)
+		}
 	}
 }
