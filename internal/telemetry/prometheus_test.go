@@ -188,16 +188,39 @@ func TestWritePrometheusCumulativeBuckets(t *testing.T) {
 }
 
 // TestRegisterRejectsBadNames: creating a metric whose name breaks the
-// grammar, or whose base another kind or label key already holds, panics
-// with the metric's name; the registry stays usable after the panic.
+// grammar panics with the metric's name under every kind.
 func TestRegisterRejectsBadNames(t *testing.T) {
-	malformed := []string{
+	rejectAll(t, []string{
 		"", "Upper", "9digit", "_lead", ".lead", "has space", "dash-ed", "uni\u00e9",
 		"x_total", "x.total", "h.sum", "h_count", "h.bucket",
 		"a{", "a{k=v", "a{}", "a{k}", "a{k=}", "a{=v}", "{k=v}",
-		"a{le=v}", "a{__name__=v}", "a{Key=v}", "a{k1=v}", "a{k=V}", "a{k=v w}",
-		`a{k="v"}`, "a{k=v\n}", "a{k=v,j=w}", "a{k=v}{j=w}", "a{k=v}x", "a{k={v}}",
+		"a{le=v}", "a{__name__=v}", "a{Key=v}", "a{k1=v}", "a{k=V}",
+		"a{k=v,j=w}", "a{k=v}{j=w}", "a{k=v}x", "a{k={v}}",
+	})
+}
+
+// TestWritePrometheusLabelEscaping: a label value that the exposition would
+// have to escape (quote, backslash, newline, space) is rejected at
+// registration with the metric's name, so the writer never escapes; the
+// registry still renders a valid exposition afterwards.
+func TestWritePrometheusLabelEscaping(t *testing.T) {
+	rejectAll(t, []string{
+		`evil{stage=a"b\c` + "\n" + `d}`,
+		`a{k="v"}`, `a{k=v\w}`, "a{k=v\n}", "a{k=v w}",
+	})
+	r := New()
+	r.Counter("evil{stage=a-b_c.d}").Inc()
+	out := expose(t, r)
+	validateExposition(t, out)
+	if want := `emvia_evil_total{stage="a-b_c.d"} 1`; !strings.Contains(string(out), want+"\n") {
+		t.Errorf("label missing: want %q in:\n%s", want, out)
 	}
+}
+
+// rejectAll checks that parseName rejects each name and that registering it
+// as any kind panics with the name.
+func rejectAll(t *testing.T, malformed []string) {
+	t.Helper()
 	for _, name := range malformed {
 		if _, _, _, err := parseName(name); err == nil {
 			t.Errorf("parseName(%q) accepted a malformed name", name)
@@ -206,6 +229,13 @@ func TestRegisterRejectsBadNames(t *testing.T) {
 			expectPanic(t, name, func() { registerAs(New(), name, k) })
 		}
 	}
+}
+
+// TestWritePrometheusCollisions: a name whose base another dotted spelling,
+// kind or label key already holds panics at registration with its name; the
+// first metric survives and the exposition stays valid. Names that would
+// shadow another family's _total or _count series never register.
+func TestWritePrometheusCollisions(t *testing.T) {
 	// Each pair: the first registers, the second collides with it.
 	collisions := []struct {
 		first  string
@@ -231,6 +261,21 @@ func TestRegisterRejectsBadNames(t *testing.T) {
 			t.Errorf("%q lost after the collision of %q", c.first, c.second)
 		}
 		validateExposition(t, expose(t, r))
+	}
+
+	// Counter x owns emvia_x_total and histogram h owns emvia_h_count:
+	// gauges literally named x_total and h_count are refused.
+	r := New()
+	r.Counter("x").Inc()
+	expectPanic(t, "x_total", func() { r.Gauge("x_total").Set(9) })
+	expectPanic(t, "h_count", func() { r.Gauge("h_count").Set(9) })
+	r.Histogram("h").Observe(1)
+	out := expose(t, r)
+	validateExposition(t, out)
+	for _, want := range []string{"emvia_x_total 1", "emvia_h_count 1"} {
+		if !strings.Contains(string(out), want+"\n") {
+			t.Errorf("exposition missing %q in:\n%s", want, out)
+		}
 	}
 }
 
