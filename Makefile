@@ -14,14 +14,15 @@ test:
 # pipeline (pool, assembly, CG kernels, caches) and the atomic file writer
 # the caches share — and over the root determinism tests, whose serial
 # mc.Run reference runs through the same trial dispatcher as the parallel
-# runs it is compared with.
+# runs it is compared with, and the live-ring test, whose two workers
+# publish trial summaries into one ring.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/mc ./internal/pdn ./internal/par ./internal/fem \
 	    ./internal/solver ./internal/sparse ./internal/core ./internal/atomicfile ./internal/spice \
 	    ./internal/telemetry ./internal/trace ./internal/monitor ./internal/cliobs \
 	    ./internal/steady ./internal/serve ./internal/viaarray
-	$(GO) test -race -run 'TestDeterminismMatrix|TestTraceDeterminism' .
+	$(GO) test -race -run 'TestDeterminismMatrix|TestTraceDeterminism|TestLiveRingDigest' .
 
 # lint checks gofmt and runs staticcheck if it is on PATH (CI installs a
 # pinned version; locally it is optional) on top of go vet.

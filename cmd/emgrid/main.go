@@ -68,25 +68,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "emgrid: %v\n", err)
 		os.Exit(1)
 	}
-	switch args[0] {
-	case "gen":
-		err = cmdGen(args[1:])
-	case "irdrop":
-		err = cmdIRDrop(args[1:])
-	case "characterize":
-		err = cmdCharacterize(args[1:])
-	case "charmodels":
-		err = cmdCharModels(args[1:])
-	case "analyze":
-		err = cmdAnalyze(args[1:], obs.Engine)
-	case "xsection":
-		err = cmdXSection(args[1:])
-	case "hotspots":
-		err = cmdHotspots(args[1:])
-	case "optimize":
-		err = cmdOptimize(args[1:])
-	case "help":
+	switch name := args[0]; {
+	case name == "help":
 		usage()
+	case name == "analyze" || subcommands[name] != nil:
+		err = runSubcommand(name, args[1:], obs.Engine)
 	default:
 		prof.Stop()
 		fmt.Fprintf(os.Stderr, "emgrid: unknown subcommand %q\n", args[0])
@@ -103,6 +89,31 @@ func main() {
 		fmt.Fprintf(os.Stderr, "emgrid: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// subcommands holds every subcommand but analyze, the only one with an
+// engine choice.
+var subcommands = map[string]func([]string) error{
+	"gen":          cmdGen,
+	"irdrop":       cmdIRDrop,
+	"characterize": cmdCharacterize,
+	"charmodels":   cmdCharModels,
+	"xsection":     cmdXSection,
+	"hotspots":     cmdHotspots,
+	"optimize":     cmdOptimize,
+}
+
+// runSubcommand runs subcommand name with its arguments under the global
+// -engine value, which only analyze reads: any other subcommand refuses an
+// engine other than mc rather than silently ignore it.
+func runSubcommand(name string, args []string, engineFlag string) error {
+	if name == "analyze" {
+		return cmdAnalyze(args, engineFlag)
+	}
+	if engine, err := mc.ParseEngine(engineFlag); err != nil || engine != mc.EngineMC {
+		return fmt.Errorf("%s: -engine %q applies to analyze only", name, engineFlag)
+	}
+	return subcommands[name](args)
 }
 
 func usage() {

@@ -189,3 +189,19 @@ func TestCharModelsAnalyzeHotspots(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineOnlyForAnalyze: every subcommand but analyze refuses a global
+// -engine other than mc, naming itself, before it does any work.
+func TestEngineOnlyForAnalyze(t *testing.T) {
+	for name := range subcommands {
+		for _, engine := range []string{mc.EngineSteady, mc.EngineBoth} {
+			err := runSubcommand(name, nil, engine)
+			if err == nil || !strings.HasPrefix(err.Error(), name+": -engine") {
+				t.Errorf("%s under -engine %s: err %v, want a refusal naming %s", name, engine, err, name)
+			}
+		}
+	}
+	if len(subcommands) != 7 {
+		t.Errorf("%d subcommands besides analyze, want 7", len(subcommands))
+	}
+}

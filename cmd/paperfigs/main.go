@@ -61,7 +61,7 @@ func main() {
 		os.Exit(1)
 	}
 	if opt.engine == mc.EngineSteady {
-		fmt.Fprintln(os.Stderr, "paperfigs: -engine=steady produces no TTF distributions, so the paper's figures cannot be generated from it; use -engine=mc or -engine=both here, or `emgrid analyze -engine=steady` for the standalone classification")
+		fmt.Fprintln(os.Stderr, "paperfigs: -engine=steady produces no TTF distributions, so the paper's figures cannot be generated from it; use -engine=mc or -engine=both here, or `emgrid -engine=steady analyze` for the standalone classification")
 		os.Exit(2)
 	}
 

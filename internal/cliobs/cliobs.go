@@ -250,11 +250,6 @@ func RecordFlags(fs *flag.FlagSet) {
 	if v, err := strconv.ParseInt(m.Config["seed"], 10, 64); err == nil {
 		m.Seed = v
 	}
-	if v := m.Config["engine"]; v != "" {
-		if engine, err := mc.ParseEngine(v); err == nil {
-			m.Engine = engine
-		}
-	}
 }
 
 // RecordArtifact registers a result file produced after Setup (e.g. the

@@ -224,8 +224,9 @@ func (o Options) traceLabel() string {
 
 // ComponentLabeler is optionally implemented by Systems that can name their
 // components for trace output (e.g. "Plus-shaped(3,4)" for a via, or a grid
-// array's position). Labels appear in trace fail events; they never feed
-// back into the simulation.
+// array's position). Labels appear in trace fail events, asked for only
+// where the tracer keeps them (trace.Labeler); they never feed back into the
+// simulation.
 type ComponentLabeler interface {
 	// ComponentLabel returns a human-readable identity for component i.
 	ComponentLabel(i int) string
@@ -463,7 +464,7 @@ func (d *dispatch) work(newSys func() (System, error)) {
 				return
 			}
 			rng.Seed(trialSeed(opt.Seed, opt.FirstTrial+t))
-			ttf, events, comps, err := runTrial(sys, rng, opt.RunToCompletion, idxs, &scratch, &met, d.run.Trial(t), labeler)
+			ttf, events, comps, err := runTrial(sys, rng, opt.RunToCompletion, idxs, &scratch, &met, d.run.Trial(t).Labeled(labeler))
 			if err != nil {
 				d.fail(fmt.Errorf("mc: trial %d: %w", t, err))
 				return
@@ -504,9 +505,10 @@ func (s *trialScratch) reserve(n int) {
 // candidate index list idxs: only listed components are sampled, scanned
 // and failed, which is what turns a mortal-subset mask into wall-clock
 // savings on large systems, and an unmasked run lists every component. tt is
-// the trial's trace recorder (the zero value when tracing is off) and lab
-// the optional component namer; both are strictly observational.
-func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch *trialScratch, met *runMetrics, tt trace.Trial, lab ComponentLabeler) (systemTTF float64, events []float64, comps []int, err error) {
+// the trial's trace recorder (the zero value when tracing is off), strictly
+// observational; it names failed components through the system's
+// ComponentLabeler when it keeps their labels.
+func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch *trialScratch, met *runMetrics, tt trace.Trial) (systemTTF float64, events []float64, comps []int, err error) {
 	trial0 := met.trialSeconds.Start()
 	if err := sys.BeginTrial(rng); err != nil {
 		return 0, nil, nil, fmt.Errorf("BeginTrial: %w", err)
@@ -595,11 +597,7 @@ func runTrial(sys System, rng *rand.Rand, toCompletion bool, idxs []int, scratch
 		events = append(events, now)
 		comps = append(comps, minIdx)
 		if traced {
-			label := ""
-			if lab != nil {
-				label = lab.ComponentLabel(minIdx)
-			}
-			tt.Fail(now, minIdx, label)
+			tt.Fail(now, minIdx, "")
 			pending = true
 		}
 

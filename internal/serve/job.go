@@ -53,8 +53,10 @@ type Job struct {
 	mu          sync.Mutex
 	state       State
 	err         string
-	trialsDone  int64
+	trialsDone  int64 // frozen at finish; a running job reads progress()
 	trialsTotal int64
+	ring        *trace.Ring // the trace ring the running job's trials tick
+	ringStart   int64       // the ring's total when the job started
 	created     time.Time
 	started     time.Time
 	finished    time.Time
@@ -114,7 +116,7 @@ func (j *Job) Status() Status {
 		Hash:          j.Hash,
 		State:         j.state,
 		Err:           j.err,
-		TrialsDone:    j.trialsDone,
+		TrialsDone:    j.progress(),
 		TrialsTotal:   j.trialsTotal,
 		Shards:        j.shards,
 		ShardReissues: j.shardReissues,
@@ -146,11 +148,20 @@ func (j *Job) addShardTrials(n int64) {
 	j.mu.Unlock()
 }
 
-// shardTrialsDone reads the shard-completed trial counter.
-func (j *Job) shardTrialsDone() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.shardTrials
+// progress returns the trials done: frozen once the job is terminal, else
+// for a running job the larger of the ring delta since it started and the
+// shard-completed count, clamped to the total. Remote shards complete trials
+// off this process's ring, and a local shard's trials tick both, so the two
+// are never summed. The caller holds j.mu.
+func (j *Job) progress() int64 {
+	if j.state != StateRunning {
+		return j.trialsDone
+	}
+	done := max(j.ring.Total()-j.ringStart, j.shardTrials, 0)
+	if j.trialsTotal > 0 {
+		done = min(done, j.trialsTotal)
+	}
+	return done
 }
 
 // Manifest returns the canonical result bytes, nil unless StateDone.
@@ -163,27 +174,16 @@ func (j *Job) Manifest() []byte {
 // Done exposes the terminal-transition channel.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// setRunning marks the start of the job's execution.
-func (j *Job) setRunning() {
+// setRunning marks the start of the job's execution, whose trials tick
+// ring.
+func (j *Job) setRunning(ring *trace.Ring) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = StateRunning
+	j.ring, j.ringStart = ring, ring.Total()
 	if j.started.IsZero() {
 		j.started = time.Now()
 	}
-}
-
-// setProgress updates the live trial counter (clamped to the total).
-func (j *Job) setProgress(done int64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if done < 0 {
-		done = 0
-	}
-	if j.trialsTotal > 0 && done > j.trialsTotal {
-		done = j.trialsTotal
-	}
-	j.trialsDone = done
 }
 
 // finish performs the terminal transition exactly once.
@@ -191,13 +191,14 @@ func (j *Job) finish(state State, manifest []byte, errMsg string) {
 	j.mu.Lock()
 	already := j.state.Terminal()
 	if !already {
+		j.trialsDone = j.progress()
+		if state == StateDone && j.trialsTotal > 0 {
+			j.trialsDone = j.trialsTotal
+		}
 		j.state = state
 		j.manifest = manifest
 		j.err = errMsg
 		j.finished = time.Now()
-		if state == StateDone && j.trialsTotal > 0 {
-			j.trialsDone = j.trialsTotal
-		}
 	}
 	j.mu.Unlock()
 	if !already {

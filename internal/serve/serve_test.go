@@ -306,6 +306,54 @@ func TestQueueFull(t *testing.T) {
 	close(release)
 }
 
+// TestProgressWhileRunning: a running job's trials_done is the count of
+// trials its run has completed through the tracer at the moment the status
+// is read, and the total once the job is done.
+func TestProgressWhileRunning(t *testing.T) {
+	const k = 4
+	reached := make(chan struct{})
+	release := make(chan struct{})
+	runner := func(ctx context.Context, spec *JobSpec, opts RunOptions) (*runOutput, error) {
+		run := trace.Default().BeginRun(opts.Label, spec.Trials)
+		for i := 0; i < k; i++ {
+			tr := run.Trial(i)
+			tr.Begin(1)
+			tr.End(float64(i+1)*1e7, 1)
+		}
+		close(reached)
+		select {
+		case <-release:
+			run.End()
+			return &runOutput{materialHash: "test"}, nil
+		case <-ctx.Done():
+			return nil, fmt.Errorf("stub: %w", ctx.Err())
+		}
+	}
+	_, ts := newTestServer(t, Config{Runner: runner})
+	// Runs before the server drains, so a failed check cannot hang the run.
+	t.Cleanup(func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	})
+
+	code, sub, _ := submit(t, ts, tinySpec)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code %d", code)
+	}
+	<-reached
+	st := getStatus(t, ts, sub.ID)
+	if st.State != StateRunning || st.TrialsDone != k || st.TrialsTotal != 6 {
+		t.Fatalf("while running: state %q, progress %d/%d, want running %d/6", st.State, st.TrialsDone, st.TrialsTotal, k)
+	}
+	close(release)
+	if st := waitTerminal(t, ts, sub.ID); st.State != StateDone || st.TrialsDone != 6 {
+		t.Fatalf("after release: state %q (error %q), progress %d/%d, want done 6/6", st.State, st.Error, st.TrialsDone, st.TrialsTotal)
+	}
+}
+
 // TestJobDeadline: a job that exceeds its own deadline lands in
 // deadline_exceeded, its result endpoint answers 504, and the status
 // endpoint reports the partial trial progress observed before the cut.

@@ -423,8 +423,8 @@ func (s *Server) executor() {
 	}
 }
 
-// runJob executes one job: deadline context, live progress from the trace
-// ring, terminal bookkeeping. A failed job is not retried: the engine is a
+// runJob executes one job: deadline context, the trace ring position its
+// progress is read against, terminal bookkeeping. A failed job is not retried: the engine is a
 // deterministic function of the spec, so it would fail the same way again.
 // Shards retry in their own dispatcher (shardAttempts).
 func (s *Server) runJob(job *Job) {
@@ -443,16 +443,10 @@ func (s *Server) runJob(job *Job) {
 	ctx, cancel := context.WithTimeout(trace.WithTimeline(context.Background(), job.Timeline), job.Timeout)
 	defer cancel()
 
-	ringStart := s.ring.Total()
-	progressDone := make(chan struct{})
-	go s.trackProgress(job, ringStart, progressDone)
-	defer close(progressDone)
-
-	job.setRunning()
+	job.setRunning(s.ring)
 	s.reg.Counter(telemetry.ServeSolves).Inc()
 	out, err := s.execute(ctx, job)
 	if errors.Is(err, context.DeadlineExceeded) {
-		job.setProgress(s.ring.Total() - ringStart)
 		job.finish(StateDeadline, nil, err.Error())
 		s.reg.Counter(telemetry.ServeDeadlineExceeded).Inc()
 		return
@@ -543,26 +537,4 @@ func (s *Server) ledgerAppend(job *Job, dedup string) {
 		return
 	}
 	s.reg.Counter(telemetry.ServeLedgerRecords).Inc()
-}
-
-// trackProgress mirrors the trace ring's trial counter into the job while
-// it runs. Progress is the ring delta since the job started — exact under
-// the sequential executor.
-func (s *Server) trackProgress(job *Job, ringStart int64, done <-chan struct{}) {
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-done:
-			return
-		case <-tick.C:
-			// Remote shards complete trials off this process's ring; take
-			// whichever counter has seen more (never both — max, not sum).
-			p := s.ring.Total() - ringStart
-			if sp := job.shardTrialsDone(); sp > p {
-				p = sp
-			}
-			job.setProgress(p)
-		}
-	}
 }

@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"math"
-	"sync"
-)
+import "sync"
 
 // TrialSummary is the compact cascade digest the live ring stores for each
 // completed trial. Times are simulated seconds; TTF and SpecTime are +Inf /
@@ -25,31 +22,6 @@ type TrialSummary struct {
 	SpecTime float64
 	// MaxRate is the largest post-redistribution aging rate observed.
 	MaxRate float64
-}
-
-// summarize digests one trial's event buffer.
-func summarize(run string, seq int64, trial int, events []Event) TrialSummary {
-	s := TrialSummary{Run: run, Seq: seq, Trial: trial, TTF: math.Inf(1), FirstComp: -1, SpecTime: -1, MaxRate: 1}
-	for _, e := range events {
-		switch e.Type {
-		case EvFail:
-			if s.FirstComp < 0 {
-				s.FirstComp = e.Comp
-				s.FirstLabel = e.Label
-				s.FirstTime = e.T
-			}
-		case EvRedistribute:
-			if e.V > s.MaxRate {
-				s.MaxRate = e.V
-			}
-		case EvSpec:
-			s.SpecTime = e.T
-		case EvTrialEnd:
-			s.TTF = e.V
-			s.Failures = e.N
-		}
-	}
-	return s
 }
 
 // Ring holds the summaries of the last N completed trials, fed live (in

@@ -15,18 +15,23 @@
 //   - Strictly observational: no traced value feeds back into a computation,
 //     so paper metrics are bit-identical with tracing on or off.
 //   - Deterministic: cascade events carry only simulated time and component
-//     identity, never wall-clock data, and each trial's events are buffered
-//     in a per-trial slot owned by exactly one worker. The merged stream
-//     (trial order, then within-trial record order) is therefore byte-
-//     identical between mc.Run and mc.RunParallel at any worker count, and
-//     between two identical runs. The tracer never reads the clock.
+//     identity, never wall-clock data, and each trial records into a
+//     per-trial slot owned by exactly one worker. The merged stream (trial
+//     order, then within-trial record order) is therefore byte-identical
+//     between mc.Run and mc.RunParallel at any worker count, and between two
+//     identical runs. The tracer never reads the clock.
+//   - One pass: each event updates its trial's ring summary as it is
+//     recorded, and only a tracer with sinks buffers the events themselves,
+//     so a ring-only tracer (emserve's) records a trial without allocating.
 //
-// Events flow to pluggable sinks: JSONL export (cmd/emtrace's input), Chrome
-// trace_event JSON (chrome://tracing, Perfetto) and an in-memory Ring holding
-// the last N trials for the live HTTP monitor's /status endpoint.
+// Events flow to pluggable sinks: JSONL export (cmd/emtrace's input) and
+// Chrome trace_event JSON (chrome://tracing, Perfetto). An in-memory Ring
+// holds the summaries of the last N trials for the live HTTP monitor's
+// /status endpoint and emserve's job progress and event streams.
 package trace
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -118,14 +123,18 @@ func (t *Tracer) Close() error {
 	return t.err
 }
 
-// Run buffers the cascade events of one Monte-Carlo run: one append-only
-// slot per trial, each owned by exactly one worker goroutine, merged in
-// trial order at End. A nil *Run is a valid no-op.
+// Run records the cascade events of one Monte-Carlo run: one slot per
+// trial, each owned by exactly one worker goroutine. With a ring, a slot
+// holds the trial's summary, built as its events are recorded; with sinks,
+// it also buffers the trial's events, merged in trial order at End. A nil
+// *Run is a valid no-op.
 type Run struct {
 	t      *Tracer
 	name   string
 	seq    int64
-	trials [][]Event
+	trials int
+	sums   []TrialSummary // per-trial ring digests; nil without a ring
+	events [][]Event      // per-trial event buffers; nil without sinks
 }
 
 // BeginRun opens a per-run recorder named name with the given trial count.
@@ -134,39 +143,50 @@ func (t *Tracer) BeginRun(name string, trials int) *Run {
 	if t == nil || trials <= 0 {
 		return nil
 	}
-	return &Run{
-		t:      t,
-		name:   name,
-		seq:    t.runSeq.Add(1) - 1,
-		trials: make([][]Event, trials),
+	r := &Run{t: t, name: name, seq: t.runSeq.Add(1) - 1, trials: trials}
+	if t.ring != nil {
+		r.sums = make([]TrialSummary, trials)
+		for i := range r.sums {
+			r.sums[i] = TrialSummary{Run: name, Seq: r.seq, Trial: i, TTF: math.Inf(1), FirstComp: -1, SpecTime: -1, MaxRate: 1}
+		}
 	}
+	if len(t.sinks) > 0 {
+		r.events = make([][]Event, trials)
+	}
+	return r
 }
 
 // Trial returns the recorder for trial i. The zero Trial (from a nil run or
 // an out-of-range index) is a valid no-op.
 func (r *Run) Trial(i int) Trial {
-	if r == nil || i < 0 || i >= len(r.trials) {
+	if r == nil || i < 0 || i >= r.trials {
 		return Trial{}
 	}
 	return Trial{run: r, idx: i}
 }
 
 // End merges the per-trial buffers in deterministic trial order and flushes
-// the batch to the tracer's sinks. A tracer without sinks has nothing to
-// merge: its trials dropped their buffers at Trial.End. Safe on nil.
+// the batch to the tracer's sinks. A tracer without sinks buffered nothing.
+// Safe on nil.
 func (r *Run) End() {
-	if r == nil || len(r.t.sinks) == 0 {
+	if r == nil || r.events == nil {
 		return
 	}
 	total := 0
-	for _, tb := range r.trials {
+	for _, tb := range r.events {
 		total += len(tb)
 	}
 	merged := make([]Event, 0, total)
-	for _, tb := range r.trials {
+	for _, tb := range r.events {
 		merged = append(merged, tb...)
 	}
 	r.t.emit(merged)
+}
+
+// Labeler names components for fail events, e.g. "Plus-shaped(3,4)" for a
+// grid's via array (mc.ComponentLabeler has the same method).
+type Labeler interface {
+	ComponentLabel(i int) string
 }
 
 // Trial records the cascade events of one trial. The zero value is a valid
@@ -175,16 +195,45 @@ func (r *Run) End() {
 type Trial struct {
 	run *Run
 	idx int
+	lab Labeler
 }
 
 // Enabled reports whether this recorder actually records.
 func (tr Trial) Enabled() bool { return tr.run != nil }
 
+// Labeled returns the recorder naming unlabeled failed components through
+// lab, which is asked only when a sink will write the label or the ring's
+// first-failure fields are still empty.
+func (tr Trial) Labeled(lab Labeler) Trial {
+	tr.lab = lab
+	return tr
+}
+
+// record digests e into the trial's ring summary and, under sinks, appends
+// it to the trial's buffer.
 func (tr Trial) record(e Event) {
-	e.Run = tr.run.name
-	e.Seq = tr.run.seq
-	e.Trial = tr.idx
-	tr.run.trials[tr.idx] = append(tr.run.trials[tr.idx], e)
+	r := tr.run
+	if r.sums != nil {
+		s := &r.sums[tr.idx]
+		switch e.Type {
+		case EvFail:
+			if s.FirstComp < 0 {
+				s.FirstComp, s.FirstLabel, s.FirstTime = e.Comp, e.Label, e.T
+			}
+		case EvRedistribute:
+			if e.V > s.MaxRate {
+				s.MaxRate = e.V
+			}
+		case EvSpec:
+			s.SpecTime = e.T
+		case EvTrialEnd:
+			s.TTF, s.Failures = e.V, e.N
+		}
+	}
+	if r.events != nil {
+		e.Run, e.Seq, e.Trial = r.name, r.seq, tr.idx
+		r.events[tr.idx] = append(r.events[tr.idx], e)
+	}
 }
 
 // Begin records the trial start with its component count.
@@ -195,20 +244,25 @@ func (tr Trial) Begin(components int) {
 	tr.record(Event{Type: EvTrialBegin, Comp: -1, N: components})
 }
 
-// Sample records component comp's freshly sampled base TTF (seconds).
+// Sample records component comp's freshly sampled base TTF (seconds). Only
+// sinks see samples; the ring summary ignores them.
 func (tr Trial) Sample(comp int, ttf float64) {
-	if tr.run == nil || !tr.run.t.samples {
+	if tr.run == nil || tr.run.events == nil || !tr.run.t.samples {
 		return
 	}
 	tr.record(Event{Type: EvSample, Comp: comp, V: ttf})
 }
 
 // Fail records the failure of component comp at simulated time t (seconds).
-// label is the component's human identity (e.g. "Plus-shaped(3,4)"); empty
-// when the system provides none.
+// label is the component's human identity (e.g. "Plus-shaped(3,4)"); when
+// empty, the recorder's Labeler, if any, names comp where the label is kept.
 func (tr Trial) Fail(t float64, comp int, label string) {
-	if tr.run == nil {
+	r := tr.run
+	if r == nil {
 		return
+	}
+	if label == "" && tr.lab != nil && (r.events != nil || (r.sums != nil && r.sums[tr.idx].FirstComp < 0)) {
+		label = tr.lab.ComponentLabel(comp)
 	}
 	tr.record(Event{Type: EvFail, T: t, Comp: comp, Label: label})
 }
@@ -235,18 +289,13 @@ func (tr Trial) SpecViolation(t float64, failures int) {
 
 // End records the trial outcome — the system TTF (+Inf when the criterion
 // never fired) and the total component-failure count — and publishes the
-// trial's cascade summary to the tracer's live ring, if any. Under a tracer
-// without sinks the summary is the trial's only output, so its buffer is
-// dropped here rather than held until Run.End.
+// trial's cascade summary to the tracer's live ring, if any.
 func (tr Trial) End(ttf float64, failures int) {
 	if tr.run == nil {
 		return
 	}
 	tr.record(Event{Type: EvTrialEnd, Comp: -1, V: ttf, N: failures})
-	if ring := tr.run.t.ring; ring != nil {
-		ring.add(summarize(tr.run.name, tr.run.seq, tr.idx, tr.run.trials[tr.idx]))
-	}
-	if len(tr.run.t.sinks) == 0 {
-		tr.run.trials[tr.idx] = nil
+	if tr.run.sums != nil {
+		tr.run.t.ring.add(tr.run.sums[tr.idx])
 	}
 }

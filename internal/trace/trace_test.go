@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -318,41 +319,53 @@ func TestRingSummaries(t *testing.T) {
 	}
 }
 
-// TestRingOnlyTracerDropsBuffers: a tracer whose only output is the ring
-// feeds it the same summaries as one that also exports JSONL, and keeps no
-// trial events once each trial has ended.
-func TestRingOnlyTracerDropsBuffers(t *testing.T) {
-	record := func(tc *Tracer) *Run {
+// labelCalls names component i "c<i>" and counts the calls.
+type labelCalls struct{ n int }
+
+func (l *labelCalls) ComponentLabel(i int) string {
+	l.n++
+	return "c" + strconv.Itoa(i)
+}
+
+// TestRingOnlyTracerSummaries: a tracer whose only output is the ring
+// feeds it the same summaries as one that also exports JSONL, asks the
+// labeler only for each trial's first failure, and records a trial without
+// allocating.
+func TestRingOnlyTracerSummaries(t *testing.T) {
+	record := func(tc *Tracer, lab Labeler) {
 		run := tc.BeginRun("r", 3)
 		for i := 0; i < 3; i++ {
-			tr := run.Trial(i)
+			tr := run.Trial(i).Labeled(lab)
 			tr.Begin(4)
 			tr.Sample(i, 5)
-			tr.Fail(float64(10*(i+1)), i, "c")
+			tr.Fail(float64(10*(i+1)), i, "")
 			tr.Redistribute(float64(10*(i+1)), 1.5+float64(i), 1, 1.1, 3)
-			tr.SpecViolation(float64(20*(i+1)), 1)
-			tr.End(float64(20*(i+1)), 1)
+			tr.Fail(float64(15*(i+1)), 3, "")
+			tr.SpecViolation(float64(20*(i+1)), 2)
+			tr.End(float64(20*(i+1)), 2)
 		}
 		run.End()
-		return run
 	}
 	var buf bytes.Buffer
 	exported := NewRing(8)
 	tc := New(Options{Sinks: []Sink{NewJSONLSink(&buf)}, Ring: exported})
-	record(tc)
+	exportLabels := &labelCalls{}
+	record(tc, exportLabels)
 	if err := tc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 3*6 {
-		t.Fatalf("JSONL sink got %d lines, want %d", n, 3*6)
+	if n := bytes.Count(buf.Bytes(), []byte("\n")); n != 3*7 {
+		t.Fatalf("JSONL sink got %d lines, want %d", n, 3*7)
+	}
+	if exportLabels.n != 6 || !bytes.Contains(buf.Bytes(), []byte(`"label":"c3"`)) {
+		t.Fatalf("exporting tracer asked %d labels, want 6 (one per fail event)", exportLabels.n)
 	}
 
 	ringOnly := NewRing(8)
-	run := record(New(Options{Ring: ringOnly}))
-	for i, tb := range run.trials {
-		if tb != nil {
-			t.Fatalf("ring-only run retained %d events of trial %d after End", len(tb), i)
-		}
+	ringLabels := &labelCalls{}
+	record(New(Options{Ring: ringOnly}), ringLabels)
+	if ringLabels.n != 3 {
+		t.Fatalf("ring-only tracer asked %d labels, want 3 (one per trial's first failure)", ringLabels.n)
 	}
 	got, want := ringOnly.Snapshot(), exported.Snapshot()
 	if len(got) != 3 || len(got) != len(want) {
@@ -362,6 +375,26 @@ func TestRingOnlyTracerDropsBuffers(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("summary %d: ring-only %+v, exported %+v", i, got[i], want[i])
 		}
+	}
+	if got[1].FirstLabel != "c1" || got[1].FirstComp != 1 || got[1].MaxRate != 2.5 || got[1].Failures != 2 {
+		t.Fatalf("summary 1 = %+v", got[1])
+	}
+
+	const runs = 100
+	run := New(Options{Ring: NewRing(8)}).BeginRun("r", runs+1)
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		tr := run.Trial(i)
+		i++
+		tr.Begin(4)
+		tr.Sample(0, 5)
+		tr.Fail(10, 0, "c0")
+		tr.Redistribute(10, 1.5, 1, 1.1, 3)
+		tr.SpecViolation(20, 1)
+		tr.End(20, 1)
+	})
+	if allocs != 0 {
+		t.Fatalf("ring-only trial allocated %v times, want 0", allocs)
 	}
 }
 

@@ -10,7 +10,12 @@ package emvia_test
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
 	"math"
+	"os"
+	"sort"
 	"strconv"
 	"testing"
 
@@ -118,6 +123,168 @@ func TestTraceDeterminismGridMC(t *testing.T) {
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("Workers=%d: grid trace differs from serial run (%d vs %d bytes)\nfirst divergence: %s",
 				w, len(got), len(ref), firstDivergence(got, ref))
+		}
+	}
+}
+
+// updateRing rewrites testdata/live_ring.json from the current engine:
+//
+//	go test -run TestLiveRingDigest -update-ring .
+var updateRing = flag.Bool("update-ring", false, "rewrite testdata/live_ring.json with freshly computed ring digests")
+
+// ringEntry is the golden form of one trace.TrialSummary. Floats are
+// spelled by strconv ('g', -1), so +Inf survives JSON.
+type ringEntry struct {
+	Run        string `json:"run"`
+	Seq        int64  `json:"seq"`
+	Trial      int    `json:"trial"`
+	Failures   int    `json:"failures"`
+	TTF        string `json:"ttf"`
+	FirstComp  int    `json:"first_comp"`
+	FirstLabel string `json:"first_label,omitempty"`
+	FirstTime  string `json:"first_time"`
+	SpecTime   string `json:"spec_time"`
+	MaxRate    string `json:"max_rate"`
+}
+
+func ringEntryOf(s trace.TrialSummary) ringEntry {
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	return ringEntry{
+		Run: s.Run, Seq: s.Seq, Trial: s.Trial, Failures: s.Failures, TTF: f(s.TTF),
+		FirstComp: s.FirstComp, FirstLabel: s.FirstLabel, FirstTime: f(s.FirstTime),
+		SpecTime: f(s.SpecTime), MaxRate: f(s.MaxRate),
+	}
+}
+
+// sameRingEntry compares two entries: identity and counts exactly, times
+// and rates to 1e-9 relative (the goldens' tolerance, which absorbs libm
+// differences between architectures).
+func sameRingEntry(a, b ringEntry) bool {
+	near := func(x, y string) bool {
+		u, err1 := strconv.ParseFloat(x, 64)
+		v, err2 := strconv.ParseFloat(y, 64)
+		return err1 == nil && err2 == nil && (u == v || math.Abs(u-v) <= 1e-9*math.Max(math.Abs(u), math.Abs(v)))
+	}
+	return a.Run == b.Run && a.Seq == b.Seq && a.Trial == b.Trial && a.Failures == b.Failures &&
+		a.FirstComp == b.FirstComp && a.FirstLabel == b.FirstLabel &&
+		near(a.TTF, b.TTF) && near(a.FirstTime, b.FirstTime) && near(a.SpecTime, b.SpecTime) && near(a.MaxRate, b.MaxRate)
+}
+
+// TestLiveRingDigest pins the live ring at the engine level: an IR-drop
+// grid Monte Carlo and a screened weakest-link one (engine both), each at 1
+// and 2 workers, under a ring-only tracer (emserve's: no sinks, no samples)
+// and under one that also exports JSONL. Sorted by (seq, trial), the ring
+// holds one summary per trial, the same under both tracers and at every
+// worker count, and equal to testdata/live_ring.json. Two workers publish
+// into one ring, so the race detector runs this test too.
+func TestLiveRingDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid Monte Carlo is slow under -short")
+	}
+	wl := func(t *testing.T) pdn.TTFConfig {
+		cfg := traceGridConfig(t)
+		cfg.Criterion = pdn.WeakestLink
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  func(*testing.T) pdn.TTFConfig
+		opt  mc.Options
+	}{
+		{"ir", traceGridConfig, mc.Options{Trials: 12, Seed: 7}},
+		{"wl-screened", wl, mc.Options{Trials: 40, Seed: 3, Engine: mc.EngineBoth}},
+	}
+	tracers := []struct {
+		name string
+		opt  func(ring *trace.Ring) trace.Options
+	}{
+		{"ring-only", func(ring *trace.Ring) trace.Options {
+			return trace.Options{Ring: ring, DisableSamples: true}
+		}},
+		{"jsonl+ring", func(ring *trace.Ring) trace.Options {
+			return trace.Options{Ring: ring, Sinks: []trace.Sink{trace.NewJSONLSink(&bytes.Buffer{})}}
+		}},
+	}
+	got := map[string][]ringEntry{}
+	for _, tc := range cases {
+		for _, w := range []int{1, 2} {
+			for _, tk := range tracers {
+				ring := trace.NewRing(trace.LiveRingSize)
+				tr := trace.New(tk.opt(ring))
+				trace.SetDefault(tr)
+				opt := tc.opt
+				opt.Workers = w
+				_, _, err := pdn.Analyze(context.Background(), tc.cfg(t), pdn.ScreenConfig{}, opt)
+				trace.SetDefault(nil)
+				if cerr := tr.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					t.Fatalf("%s workers=%d %s: %v", tc.name, w, tk.name, err)
+				}
+				snap := ring.Snapshot()
+				if len(snap) < opt.Trials || ring.Total() != int64(len(snap)) {
+					t.Fatalf("%s workers=%d %s: ring holds %d of %d summaries for %d trials", tc.name, w, tk.name, len(snap), ring.Total(), opt.Trials)
+				}
+				sort.Slice(snap, func(i, j int) bool {
+					if snap[i].Seq != snap[j].Seq {
+						return snap[i].Seq < snap[j].Seq
+					}
+					return snap[i].Trial < snap[j].Trial
+				})
+				entries := make([]ringEntry, len(snap))
+				for i, s := range snap {
+					entries[i] = ringEntryOf(s)
+				}
+				ref, ok := got[tc.name]
+				if !ok {
+					got[tc.name] = entries
+					continue
+				}
+				// Within one host the ring must match the first run bit for bit.
+				if len(entries) != len(ref) {
+					t.Fatalf("%s workers=%d %s: %d summaries, want %d", tc.name, w, tk.name, len(entries), len(ref))
+				}
+				for i := range entries {
+					if entries[i] != ref[i] {
+						t.Fatalf("%s workers=%d %s: summary %d = %+v, want %+v", tc.name, w, tk.name, i, entries[i], ref[i])
+					}
+				}
+			}
+		}
+	}
+
+	const golden = "testdata/live_ring.json"
+	if *updateRing {
+		buf, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, append(buf, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	buf, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("reading %s (regenerate with -update-ring): %v", golden, err)
+	}
+	var want map[string][]ringEntry
+	if err := json.Unmarshal(buf, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		g, w := got[tc.name], want[tc.name]
+		if len(g) != len(w) {
+			t.Fatalf("%s: %d summaries, golden has %d", tc.name, len(g), len(w))
+		}
+		for i := range g {
+			if !sameRingEntry(g[i], w[i]) {
+				t.Fatalf("%s: summary %d = %+v, golden %+v", tc.name, i, g[i], w[i])
+			}
 		}
 	}
 }
