@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -58,48 +59,50 @@ func knobs() []knob {
 }
 
 func main() {
-	delta := flag.Float64("delta", 0.10, "relative perturbation per knob")
-	trials := flag.Int("trials", 400, "Monte-Carlo trials per evaluation")
-	arrayN := flag.Int("array", 4, "via-array configuration n (n×n)")
-	fast := flag.Bool("fast", false, "coarse FEA meshes")
-	seed := flag.Int64("seed", 2017, "random seed")
-	stressCache := flag.String("stresscache", "", `persistent stress cache: a directory, or "auto" for the default location (EMVIA_STRESS_CACHE or the user cache dir)`)
-	conc := flag.Int("conc", 0, "knobs evaluated concurrently (0 = GOMAXPROCS)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "emsweep: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args, runs the sweep and writes its report to stdout.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("emsweep", flag.ExitOnError)
+	delta := fs.Float64("delta", 0.10, "relative perturbation per knob")
+	trials := fs.Int("trials", 400, "Monte-Carlo trials per evaluation")
+	arrayN := fs.Int("array", 4, "via-array configuration n (n×n)")
+	fast := fs.Bool("fast", false, "coarse FEA meshes")
+	seed := fs.Int64("seed", 2017, "random seed")
+	stressCache := fs.String("stresscache", "", `persistent stress cache: a directory, or "auto" for the default location (EMVIA_STRESS_CACHE or the user cache dir)`)
+	conc := fs.Int("conc", 0, "knobs evaluated concurrently (0 = GOMAXPROCS)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	var obs cliobs.Config
-	obs.RegisterFlags(flag.CommandLine)
-	flag.Parse()
+	obs.RegisterFlags(fs)
+	fs.Parse(args) // ExitOnError: -h exits 0 and a bad flag exits 2
 
 	prof, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "emsweep: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	finishObs, err := cliobs.Setup(obs, "emsweep", flag.CommandLine)
+	finishObs, err := cliobs.Setup(obs, "emsweep", fs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "emsweep: %v\n", err)
-		os.Exit(1)
-	}
-	// os.Exit skips deferred calls, so error paths below stop the profiles
-	// explicitly through fatal.
-	fatal := func(format string, a ...any) {
 		prof.Stop()
-		fmt.Fprintf(os.Stderr, format, a...)
-		os.Exit(1)
+		return err
 	}
+	defer func() {
+		if perr := prof.Stop(); err == nil {
+			err = perr
+		}
+		if ferr := finishObs(); err == nil {
+			err = ferr
+		}
+	}()
 	engine, err := mc.ParseEngine(obs.Engine) // Setup already validated it
 	if err != nil {
-		fatal("emsweep: %v\n", err)
+		return err
 	}
 
-	mkAnalyzer := func() *core.Analyzer {
-		a, err := core.NewCLIAnalyzer(*fast, *stressCache)
-		if err != nil {
-			fatal("emsweep: %v\n", err)
-		}
-		return a
-	}
 	eval := func(a *core.Analyzer) (median, worst float64, err error) {
 		c, err := a.CharacterizeViaArray(cudd.Plus, *arrayN, a.Base.WireWidth, 1e10,
 			core.ArrayOpenCircuit(), *trials, *seed)
@@ -135,29 +138,32 @@ func main() {
 	// count under -engine=both. swing is the tornado's sort key.
 	var value func(a *core.Analyzer) (float64, int, error)
 	var swing func(lo, hi float64) float64
-	aBase := mkAnalyzer()
+	aBase, err := core.NewCLIAnalyzer(*fast, *stressCache)
+	if err != nil {
+		return err
+	}
 	if engine == mc.EngineSteady {
 		baseMargin, baseMortal, err := screenEval(aBase)
 		if err != nil {
-			fatal("emsweep: baseline screen: %v\n", err)
+			return fmt.Errorf("baseline screen: %w", err)
 		}
-		fmt.Printf("baseline %dx%d Plus array steady screen: %d/%d vias mortal, tightest margin %.1f MPa\n",
+		fmt.Fprintf(stdout, "baseline %dx%d Plus array steady screen: %d/%d vias mortal, tightest margin %.1f MPa\n",
 			*arrayN, *arrayN, baseMortal, *arrayN**arrayN, baseMargin)
 		value = screenEval
 		swing = func(lo, hi float64) float64 { return math.Abs(hi - lo) }
 	} else {
 		baseMed, baseWorst, err := eval(aBase)
 		if err != nil {
-			fatal("emsweep: baseline: %v\n", err)
+			return fmt.Errorf("baseline: %w", err)
 		}
-		fmt.Printf("baseline %dx%d Plus array (R=inf): median %.2f y, worst-case %.2f y\n",
+		fmt.Fprintf(stdout, "baseline %dx%d Plus array (R=inf): median %.2f y, worst-case %.2f y\n",
 			*arrayN, *arrayN, baseMed, baseWorst)
 		if engine == mc.EngineBoth {
 			margin, mortal, err := screenEval(aBase)
 			if err != nil {
-				fatal("emsweep: baseline screen: %v\n", err)
+				return fmt.Errorf("baseline screen: %w", err)
 			}
-			fmt.Printf("baseline steady screen: %d/%d vias mortal, tightest margin %.1f MPa\n",
+			fmt.Fprintf(stdout, "baseline steady screen: %d/%d vias mortal, tightest margin %.1f MPa\n",
 				mortal, *arrayN**arrayN, margin)
 		}
 		value = func(a *core.Analyzer) (float64, int, error) {
@@ -175,7 +181,7 @@ func main() {
 		}
 		swing = func(lo, hi float64) float64 { return 100 * math.Abs(hi-lo) / baseMed }
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 
 	type row struct {
 		name               string
@@ -191,6 +197,7 @@ func main() {
 		val    [2]float64
 		mortal [2]int
 		skip   string
+		err    error
 	}
 	results := make([]knobResult, len(ks))
 	nconc := *conc
@@ -206,7 +213,11 @@ func main() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			for s, f := range []float64{1 - *delta, 1 + *delta} {
-				a := mkAnalyzer()
+				a, err := core.NewCLIAnalyzer(*fast, *stressCache)
+				if err != nil {
+					results[i].err = err
+					return
+				}
 				k.apply(a, f)
 				v, mortal, err := value(a)
 				if err != nil {
@@ -221,6 +232,9 @@ func main() {
 	var rows []row
 	for i, k := range ks {
 		r := results[i]
+		if r.err != nil {
+			return r.err
+		}
 		if r.skip != "" {
 			fmt.Fprintln(os.Stderr, r.skip)
 			continue
@@ -239,28 +253,23 @@ func main() {
 	param := fmt.Sprintf("parameter (±%.0f%%)", *delta*100)
 	switch engine {
 	case mc.EngineSteady:
-		fmt.Printf("%-26s %14s %14s %12s\n", param, "-delta (MPa)", "+delta (MPa)", "swing (MPa)")
+		fmt.Fprintf(stdout, "%-26s %14s %14s %12s\n", param, "-delta (MPa)", "+delta (MPa)", "swing (MPa)")
 		for _, r := range rows {
-			fmt.Printf("%-26s %14.1f %14.1f %12.1f\n", r.name, r.lo, r.hi, r.swing)
+			fmt.Fprintf(stdout, "%-26s %14.1f %14.1f %12.1f\n", r.name, r.lo, r.hi, r.swing)
 		}
-		fmt.Println("\nswing = |margin(+delta) − margin(−delta)| of the tightest steady-state via stress margin")
+		fmt.Fprintln(stdout, "\nswing = |margin(+delta) − margin(−delta)| of the tightest steady-state via stress margin")
 	case mc.EngineBoth:
-		fmt.Printf("%-26s %12s %12s %10s %13s\n", param, "-delta (y)", "+delta (y)", "swing", "mortal vias")
+		fmt.Fprintf(stdout, "%-26s %12s %12s %10s %13s\n", param, "-delta (y)", "+delta (y)", "swing", "mortal vias")
 		for _, r := range rows {
-			fmt.Printf("%-26s %12.2f %12.2f %9.1f%% %8d→%-4d\n", r.name, r.lo, r.hi, r.swing, r.loMortal, r.hiMortal)
+			fmt.Fprintf(stdout, "%-26s %12.2f %12.2f %9.1f%% %8d→%-4d\n", r.name, r.lo, r.hi, r.swing, r.loMortal, r.hiMortal)
 		}
-		fmt.Println("\nswing = |median(+delta) − median(−delta)| / baseline median")
+		fmt.Fprintln(stdout, "\nswing = |median(+delta) − median(−delta)| / baseline median")
 	default:
-		fmt.Printf("%-26s %12s %12s %10s\n", param, "-delta (y)", "+delta (y)", "swing")
+		fmt.Fprintf(stdout, "%-26s %12s %12s %10s\n", param, "-delta (y)", "+delta (y)", "swing")
 		for _, r := range rows {
-			fmt.Printf("%-26s %12.2f %12.2f %9.1f%%\n", r.name, r.lo, r.hi, r.swing)
+			fmt.Fprintf(stdout, "%-26s %12.2f %12.2f %9.1f%%\n", r.name, r.lo, r.hi, r.swing)
 		}
-		fmt.Println("\nswing = |median(+delta) − median(−delta)| / baseline median")
+		fmt.Fprintln(stdout, "\nswing = |median(+delta) − median(−delta)| / baseline median")
 	}
-	if err := prof.Stop(); err != nil {
-		fatal("emsweep: %v\n", err)
-	}
-	if err := finishObs(); err != nil {
-		fatal("emsweep: %v\n", err)
-	}
+	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"emvia/internal/mc"
 	"emvia/internal/pdn"
 	"emvia/internal/phys"
+	"emvia/internal/stat"
 	"emvia/internal/thermal"
 )
 
@@ -71,30 +72,27 @@ func figS2(a *core.Analyzer, opt options) error {
 	return nil
 }
 
-// figS3 prints the Blech wire-immortality screen that backs the paper's
-// assumption of via-array-dominated failure.
+// figS3 prints the steady-state wire screen (arXiv 2112.13451) that backs
+// the paper's assumption of via-array-dominated failure: each mesh segment
+// is classified by the steady stress of the whole wire tree it belongs to,
+// not by its own j·L product, which does not bound the stress in a mesh.
 func figS3(a *core.Analyzer, opt options) error {
-	fmt.Println("S3: Blech wire-immortality screen (sigma_crit = sigma_C median - Plus sigma_T)")
-	sc, err := a.EM.SigmaCDist()
-	if err != nil {
-		return err
-	}
-	sigma, err := a.StressFor(cudd.Plus, a.Base.LayerPair, 4, a.Base.WireWidth)
-	if err != nil {
-		return err
-	}
-	crit := sc.Median() - sigma[0][0]
-	for _, mk := range []func() pdn.GridSpec{pdn.PG1Spec, pdn.PG2Spec, pdn.PG5Spec} {
+	for i, mk := range []func() pdn.GridSpec{pdn.PG1Spec, pdn.PG2Spec, pdn.PG5Spec} {
 		g, err := buildGrid(mk(), opt.fast)
 		if err != nil {
 			return err
 		}
-		rep, err := g.WireBlechScreen(a.EM, crit)
+		_, s, err := pdn.Analyze(context.Background(), pdn.TTFConfig{Grid: g},
+			pdn.ScreenConfig{EM: a.EM}, mc.Options{Engine: mc.EngineSteady})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-5s %5d segments, %4d mortal (%.1f%% immortal), worst jL/threshold = %.2f\n",
-			g.Spec.Name, rep.Segments, rep.Mortal, 100*rep.ImmortalFraction(), rep.WorstJL/rep.Threshold)
+		if i == 0 {
+			fmt.Printf("S3: steady-state wire screen, tree-level (sigma_crit = 1e-3 quantile of sigma_C = %.0f MPa, no wire pre-stress)\n",
+				s.SigmaCritWire/phys.MPa)
+		}
+		fmt.Printf("%-5s %5d segments, %4d mortal (%.1f%% immortal), peak steady tension %.0f MPa\n",
+			g.Spec.Name, s.Segments, s.MortalSegments, 100*(1-float64(s.MortalSegments)/float64(s.Segments)), s.Wire.MaxStress/phys.MPa)
 	}
 	return nil
 }
@@ -124,12 +122,21 @@ func figS4(a *core.Analyzer, opt options) error {
 	fmt.Printf("uniform 105C:  median %6.2f y, worst-case %6.2f y\n", uniform.MedianYears(), uniform.WorstCaseYears())
 	fmt.Printf("thermal-aware: median %6.2f y, worst-case %6.2f y (die mean %.1f C, max %.1f C)\n",
 		rep.Grid.MedianYears(), rep.Grid.WorstCaseYears(), rep.Map.MeanTemp(), rep.Map.MaxTemp())
-	lo, hi, err := rep.Grid.PercentileCIYears(0.003, 0.95, opt.seed)
+	lo, hi, err := rep.Grid.PercentileCIYears(0.003, 0.95)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("thermal-aware worst-case 95%% CI: [%.2f, %.2f] years\n", lo, hi)
+	fmt.Printf("thermal-aware worst-case 95%% CI (order statistics): [%s, %s] years\n", ciBound(lo), ciBound(hi))
 	return nil
+}
+
+// ciBound prints one end of an order-statistic interval, or why the trial
+// count cannot give it.
+func ciBound(b stat.Bound) string {
+	if b.Missing() {
+		return fmt.Sprintf("too few trials (needs %d)", b.Need)
+	}
+	return fmt.Sprintf("%.2f", b.Value)
 }
 
 // figS5 demonstrates the via-spacing design rule (the paper's future work):

@@ -18,8 +18,8 @@
 //     sequential via failures with current crowding and redistribution.
 //   - internal/spice + internal/pdn: SPICE-dialect power-grid decks
 //     (IBM-benchmark style), nodal analysis, synthetic benchmark
-//     generation (single- and multi-layer), Blech wire screening,
-//     criticality reports, and the grid-level TTF Monte Carlo.
+//     generation, the steady-state EM screen, criticality reports, and
+//     the grid-level TTF Monte Carlo.
 //   - internal/korhonen: the 1-D stress-evolution PDE behind equation (1).
 //   - internal/baseline: Black's equation and j_max screening — the
 //     traditional methodology the paper improves on.
@@ -27,6 +27,6 @@
 //     TTF derating.
 //   - internal/core: the end-to-end pipeline.
 //
-// Start with examples/quickstart, or run cmd/paperfigs to regenerate every
-// figure and table of the paper.
+// Start with ExampleAnalyzer_CharacterizeViaArray in internal/core, or run
+// cmd/paperfigs to regenerate every figure and table of the paper.
 package emvia

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
 	"emvia/internal/chartable"
@@ -267,17 +266,12 @@ type ViaArrayCharacterization struct {
 
 // CharacterizeViaArray runs the step-1 Monte Carlo for one pattern at the
 // paper's reference conditions (current density j over the array area),
-// using the analyzer's base layer pair.
+// using the analyzer's base layer pair. Results are memoized per analyzer:
+// like the FEA cache, this assumes the technology parameters (Base, EM,
+// FEA) are fixed once characterization starts. Callers must treat the
+// returned characterization as read-only.
 func (a *Analyzer) CharacterizeViaArray(pattern cudd.Pattern, arrayN int, width, j float64, crit ArrayCriterion, trials int, seed int64) (*ViaArrayCharacterization, error) {
-	return a.CharacterizeViaArrayPair(pattern, a.Base.LayerPair, arrayN, width, j, crit, trials, seed)
-}
-
-// CharacterizeViaArrayPair is CharacterizeViaArray for an explicit metal
-// layer pair (multi-layer grids characterize all three pair classes).
-// Results are memoized per analyzer: like the FEA cache, this assumes the
-// technology parameters (Base, EM, FEA) are fixed once characterization
-// starts. Callers must treat the returned characterization as read-only.
-func (a *Analyzer) CharacterizeViaArrayPair(pattern cudd.Pattern, pair cudd.LayerPair, arrayN int, width, j float64, crit ArrayCriterion, trials int, seed int64) (*ViaArrayCharacterization, error) {
+	pair := a.Base.LayerPair
 	ck := charKey{pattern, pair, arrayN, width, j, a.PackageStress, crit, trials, seed}
 	a.charMu.Lock()
 	cached, ok := a.charCache[ck]
@@ -298,7 +292,6 @@ func (a *Analyzer) CharacterizeViaArrayPair(pattern cudd.Pattern, pair cudd.Laye
 	}
 	p := a.Base
 	p.Pattern = pattern
-	p.LayerPair = pair
 	p.ArrayN = arrayN
 	p.WireWidth = width
 	cfg, err := viaarray.FromStructure(p, sigma, a.EM, j, crit.failK(arrayN), 0)
@@ -393,17 +386,20 @@ func (r *GridReport) PercentileYears(p float64) float64 {
 	return phys.SecondsToYears(r.TTF.Percentile(p))
 }
 
-// PercentileCIYears returns a bootstrap confidence interval (years) for a
-// TTF percentile — the honest error bar on tail metrics like the paper's
-// 0.3-percentile worst case, which rests on very few order statistics at
-// N_trials = 500.
-func (r *GridReport) PercentileCIYears(p, conf float64, seed int64) (lo, hi float64, err error) {
-	rng := rand.New(rand.NewSource(seed))
-	lo, hi, err = stat.BootstrapPercentileCI(r.TTF.Values(), p, conf, 400, rng)
-	if err != nil {
-		return 0, 0, err
+// PercentileCIYears returns the distribution-free order-statistic
+// confidence interval (years) for a TTF percentile (stat.ECDF.PercentileCI)
+// — the honest error bar on tail metrics like the paper's 0.3-percentile
+// worst case, which rests on very few order statistics at N_trials = 500.
+// An end the trial count is too small to give comes back Missing.
+func (r *GridReport) PercentileCIYears(p, conf float64) (lo, hi stat.Bound, err error) {
+	lo, hi, err = r.TTF.PercentileCI(p, conf)
+	if !lo.Missing() {
+		lo.Value = phys.SecondsToYears(lo.Value)
 	}
-	return phys.SecondsToYears(lo), phys.SecondsToYears(hi), nil
+	if !hi.Missing() {
+		hi.Value = phys.SecondsToYears(hi.Value)
+	}
+	return lo, hi, err
 }
 
 // validate rejects an analysis the grid level cannot run, before any

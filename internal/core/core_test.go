@@ -355,47 +355,6 @@ func TestAnalyzeGridThermal(t *testing.T) {
 	}
 }
 
-func TestAnalyzeMultiLayerGrid(t *testing.T) {
-	a := fastAnalyzer()
-	spec := pdn.MultiLayerSpec{
-		Name: "ML", Layers: 3, NX: 6, NY: 6,
-		Pitch: 100e-6, WireWidth: 2e-6, WireThickness: 0.45e-6,
-		RhoCu: 2.75e-8, Vdd: 1.8, PadPeriod: 3, TotalLoad: 0.1,
-		ViaArrayR: 0.05, Seed: 4,
-	}
-	ml, err := pdn.GenerateMultiLayer(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ml.Grid.Tune(0.065, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := a.AnalyzeMultiLayerGrid(MultiLayerAnalysis{
-		Grid:            ml,
-		ArrayN:          2,
-		ArrayCriterion:  ArrayOpenCircuit(),
-		SystemCriterion: pdn.IRDrop,
-		IRDropFrac:      0.10,
-		CharTrials:      100,
-		GridTrials:      40,
-		Seed:            41,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	med := rep.MedianYears()
-	t.Logf("multi-layer grid median TTF %.2f years", med)
-	if med < 0.2 || med > 100 {
-		t.Errorf("median %g years implausible", med)
-	}
-	if rep.WorstCaseYears() > med {
-		t.Error("percentiles inverted")
-	}
-	if _, err := a.AnalyzeMultiLayerGrid(MultiLayerAnalysis{}); err == nil {
-		t.Error("accepted nil grid")
-	}
-}
-
 func TestPercentileCIYears(t *testing.T) {
 	a := fastAnalyzer()
 	spec := pdn.PG1Spec()
@@ -416,16 +375,28 @@ func TestPercentileCIYears(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi, err := rep.PercentileCIYears(0.003, 0.95, 1)
+	// 120 trials give the 0.3-percentile an upper bound but no lower bound.
+	lo, hi, err := rep.PercentileCIYears(0.003, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	point := rep.WorstCaseYears()
-	if !(lo <= point && point <= hi) {
-		t.Errorf("CI [%g, %g] excludes point estimate %g", lo, hi, point)
+	if !lo.Missing() || lo.Need != 1228 {
+		t.Errorf("lower bound %+v, want missing until 1228 trials", lo)
 	}
-	if hi <= lo {
-		t.Errorf("degenerate CI [%g, %g]", lo, hi)
+	point := rep.WorstCaseYears()
+	if hi.Missing() || !(point <= hi.Value) {
+		t.Errorf("upper bound %+v below point estimate %g", hi, point)
+	}
+	if want := phys.SecondsToYears(rep.TTF.Values()[hi.K-1]); hi.Value != want {
+		t.Errorf("upper bound %g years, want X_(%d) = %g", hi.Value, hi.K, want)
+	}
+	// The median has both bounds, on either side of the point estimate.
+	lo, hi, err = rep.PercentileCIYears(0.5, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if med := rep.MedianYears(); lo.Missing() || hi.Missing() || !(lo.Value <= med && med <= hi.Value) {
+		t.Errorf("median CI [%+v, %+v] excludes point estimate %g", lo, hi, med)
 	}
 }
 

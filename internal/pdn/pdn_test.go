@@ -503,41 +503,6 @@ func TestNominalIRDropFracRejectsBrokenNetlist(t *testing.T) {
 
 func randNew(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func TestWireBlechScreen(t *testing.T) {
-	g := mustGrid(t, smallSpec(), 0)
-	if err := g.Tune(0.065, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	em := emdistDefault()
-	rep, err := g.WireBlechScreen(em, 115e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSegs := len(g.Netlist.Resistors) - len(g.Vias)
-	if rep.Segments != wantSegs {
-		t.Errorf("segments = %d, want %d", rep.Segments, wantSegs)
-	}
-	if rep.WorstJL <= 0 || rep.Threshold <= 0 {
-		t.Errorf("degenerate report: %+v", rep)
-	}
-	if f := rep.ImmortalFraction(); f < 0 || f > 1 {
-		t.Errorf("immortal fraction = %g", f)
-	}
-	t.Logf("Blech screen: %d/%d mortal segments, worst jL %.3g of threshold %.3g",
-		rep.Mortal, rep.Segments, rep.WorstJL, rep.Threshold)
-	// A vanishing critical stress makes every loaded segment mortal.
-	strict, err := g.WireBlechScreen(em, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strict.Mortal == 0 {
-		t.Error("near-zero critical stress flagged nothing")
-	}
-	if _, err := g.WireBlechScreen(em, 0); err == nil {
-		t.Error("accepted zero critical stress")
-	}
-}
-
 func emdistDefault() emdist.Params { return emdist.Default() }
 
 func TestPowerMapAttribution(t *testing.T) {
@@ -627,89 +592,6 @@ func TestTTFScaleDeratesGrid(t *testing.T) {
 	}
 }
 
-func TestGenerateMultiLayerStructure(t *testing.T) {
-	spec := MultiLayerSpec{
-		Name: "ML", Layers: 4, NX: 6, NY: 6,
-		Pitch: 100e-6, WireWidth: 2e-6, WireThickness: 0.45e-6,
-		RhoCu: 2.75e-8, Vdd: 1.8, PadPeriod: 3, TotalLoad: 0.1,
-		ViaArrayR: 0.05, Seed: 2,
-	}
-	ml, err := GenerateMultiLayer(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Via arrays: (Layers−1) × NX×NY.
-	wantVias := 3 * 36
-	if len(ml.Vias) != wantVias || len(ml.Grid.Vias) != wantVias {
-		t.Fatalf("vias = %d/%d, want %d", len(ml.Vias), len(ml.Grid.Vias), wantVias)
-	}
-	// Layer pairs: two intermediate–intermediate pairs + one
-	// intermediate–top pair (layers 3→4).
-	counts := ml.PairCounts()
-	ii := cudd.LayerPair{Lower: cudd.Intermediate, Upper: cudd.Intermediate}
-	it := cudd.LayerPair{Lower: cudd.Intermediate, Upper: cudd.Top}
-	if counts[ii] != 2*36 || counts[it] != 36 {
-		t.Errorf("pair counts = %v", counts)
-	}
-	// The grid solves and tunes like a single-pair grid.
-	if err := ml.Grid.Tune(0.065, 0.01); err != nil {
-		t.Fatalf("Tune: %v", err)
-	}
-	imax, ir, err := ml.Grid.MaxViaCurrent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(imax-0.01)/0.01 > 0.05 || math.Abs(ir-0.065)/0.065 > 0.05 {
-		t.Errorf("tuned imax=%g ir=%g", imax, ir)
-	}
-	// Validation.
-	bad := spec
-	bad.Layers = 1
-	if _, err := GenerateMultiLayer(bad); err == nil {
-		t.Error("accepted single layer")
-	}
-	bad = spec
-	bad.PadPeriod = 100
-	if _, err := GenerateMultiLayer(bad); err == nil {
-		t.Error("accepted padless grid")
-	}
-}
-
-func TestPerViaModelsOverride(t *testing.T) {
-	g := mustGrid(t, smallSpec(), 0.05)
-	ref := refCurrentOf(t, g)
-	base := testModels(ref)
-	perVia := make([]viaarray.TTFModel, len(g.Vias))
-	for i, v := range g.Vias {
-		perVia[i] = base[v.Pattern]
-	}
-	cfgMap := TTFConfig{Grid: g, Models: base, Criterion: IRDrop, IRDropFrac: 0.10}
-	cfgVia := TTFConfig{Grid: g, PerViaModels: perVia, Criterion: IRDrop, IRDropFrac: 0.10}
-	r1, err := analyzeMC(cfgMap, 30, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := analyzeMC(cfgVia, 30, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.TTF {
-		if r1.TTF[i] != r2.TTF[i] {
-			t.Fatalf("trial %d differs: %g vs %g", i, r1.TTF[i], r2.TTF[i])
-		}
-	}
-	// Validation of the override.
-	bad := cfgVia
-	bad.PerViaModels = perVia[:3]
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted wrong-length PerViaModels")
-	}
-	bad.PerViaModels = make([]viaarray.TTFModel, len(g.Vias))
-	if err := bad.Validate(); err == nil {
-		t.Error("accepted zero-current models")
-	}
-}
-
 func TestCriticalityReport(t *testing.T) {
 	g := mustGrid(t, smallSpec(), 0.05)
 	ref := refCurrentOf(t, g)
@@ -796,44 +678,6 @@ func TestGoldenDeckLoadsAndSolves(t *testing.T) {
 	counts := g.PatternCounts()
 	if counts[cudd.LShape] != 4 || counts[cudd.TShape] != 24 || counts[cudd.Plus] != 36 {
 		t.Errorf("golden deck pattern census = %v", counts)
-	}
-}
-
-func TestMultiLayerThermalProfile(t *testing.T) {
-	spec := MultiLayerSpec{
-		Name: "MLT", Layers: 3, NX: 6, NY: 6,
-		Pitch: 100e-6, WireWidth: 2e-6, WireThickness: 0.45e-6,
-		RhoCu: 2.75e-8, Vdd: 1.8, PadPeriod: 3, TotalLoad: 0.1,
-		ViaArrayR: 0.05, Seed: 6,
-	}
-	ml, err := GenerateMultiLayer(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ml.Grid.Tune(0.065, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	tm, temps, err := ml.Grid.ThermalProfile(thermal.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(temps) != len(ml.Grid.Vias) {
-		t.Fatalf("temps = %d, want %d", len(temps), len(ml.Grid.Vias))
-	}
-	if tm.MaxTemp() < 90 {
-		t.Errorf("max temp %g below ambient", tm.MaxTemp())
-	}
-	// Stacked arrays at the same (x,y) share the lattice temperature.
-	byXY := map[[2]int]float64{}
-	for k, v := range ml.Grid.Vias {
-		key := [2]int{v.IX, v.IY}
-		if prev, ok := byXY[key]; ok {
-			if prev != temps[k] {
-				t.Fatalf("stacked arrays at %v see different temps: %g vs %g", key, prev, temps[k])
-			}
-		} else {
-			byXY[key] = temps[k]
-		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -270,8 +271,8 @@ func TestGridCacheConcurrentUse(t *testing.T) {
 }
 
 // TestGridMapsMatchFreshCompile checks the grid's read-only analyses that
-// take the shared pristine solve — the power map, the wire Blech screen and
-// the IR-drop SVG — on a grid whose circuit Tune has re-derived: each must
+// take the shared pristine solve — the power map, the steady screen and the
+// IR-drop SVG — on a grid whose circuit Tune has re-derived: each must
 // give exactly what a grid compiling a copy of the same netlist afresh
 // gives.
 func TestGridMapsMatchFreshCompile(t *testing.T) {
@@ -299,16 +300,16 @@ func TestGridMapsMatchFreshCompile(t *testing.T) {
 			t.Fatalf("power map cell %d: %v, fresh compile %v", i, pg[i], pf[i])
 		}
 	}
-	bg, err := g.WireBlechScreen(emdistDefault(), 1e8)
+	sg0, err := screenSteady(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bf, err := fresh.WireBlechScreen(emdistDefault(), 1e8)
+	sf0, err := screenSteady(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *bg != *bf {
-		t.Fatalf("Blech screen %+v, fresh compile %+v", *bg, *bf)
+	if err := sameScreen(sg0, sf0); err != nil {
+		t.Fatalf("steady screen vs a fresh compile's: %v", err)
 	}
 	var sg, sf bytes.Buffer
 	if err := g.WriteIRDropSVG(&sg, 320); err != nil {
@@ -320,4 +321,37 @@ func TestGridMapsMatchFreshCompile(t *testing.T) {
 	if !bytes.Equal(sg.Bytes(), sf.Bytes()) {
 		t.Fatal("IR-drop SVG differs from a fresh compile's")
 	}
+}
+
+// sameScreen compares two steady screens bit for bit: every per-node and
+// per-branch wire stress, every via array's stress and margin, and every
+// classification.
+func sameScreen(a, b *GridScreen) error {
+	floats := []struct {
+		name string
+		x, y []float64
+	}{
+		{"wire node stress", a.Wire.Stress, b.Wire.Stress},
+		{"wire branch stress", a.Wire.BranchStress, b.Wire.BranchStress},
+		{"via stress", a.ViaStress, b.ViaStress},
+		{"via margin", a.ViaMargin, b.ViaMargin},
+	}
+	for _, f := range floats {
+		if len(f.x) != len(f.y) {
+			return fmt.Errorf("%s: %d entries, want %d", f.name, len(f.x), len(f.y))
+		}
+		for i := range f.x {
+			if math.Float64bits(f.x[i]) != math.Float64bits(f.y[i]) {
+				return fmt.Errorf("%s %d: %v, want %v", f.name, i, f.x[i], f.y[i])
+			}
+		}
+	}
+	if !reflect.DeepEqual(a.Wire.BranchMortal, b.Wire.BranchMortal) || !reflect.DeepEqual(a.ViaMortal, b.ViaMortal) {
+		return fmt.Errorf("mortal classification differs")
+	}
+	if a.MortalSegments != b.MortalSegments || a.Segments != b.Segments || a.MortalVias != b.MortalVias || a.Vias != b.Vias {
+		return fmt.Errorf("counts %d/%d segments, %d/%d vias; want %d/%d, %d/%d",
+			a.MortalSegments, a.Segments, a.MortalVias, a.Vias, b.MortalSegments, b.Segments, b.MortalVias, b.Vias)
+	}
+	return nil
 }

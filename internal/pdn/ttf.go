@@ -68,10 +68,6 @@ type TTFConfig struct {
 	// order): the hook for local-temperature derating (Arrhenius + stress
 	// relaxation) computed by the thermal analysis. Nil means uniform 1.
 	TTFScale []float64
-	// PerViaModels optionally overrides Models with one TTF model per via
-	// array (g.Vias order) — the hook for multi-layer grids where each
-	// array's model depends on its layer pair as well as its pattern.
-	PerViaModels []viaarray.TTFModel
 }
 
 // Validate checks the configuration against the grid.
@@ -79,20 +75,9 @@ func (c TTFConfig) Validate() error {
 	if c.Grid == nil {
 		return fmt.Errorf("pdn: TTFConfig needs a grid")
 	}
-	if c.PerViaModels != nil {
-		if len(c.PerViaModels) != len(c.Grid.Vias) {
-			return fmt.Errorf("pdn: PerViaModels has %d entries, want %d", len(c.PerViaModels), len(c.Grid.Vias))
-		}
-		for k, m := range c.PerViaModels {
-			if m.RefCurrent <= 0 {
-				return fmt.Errorf("pdn: PerViaModels[%d] has non-positive reference current", k)
-			}
-		}
-	} else {
-		for pat := range c.Grid.PatternCounts() {
-			if _, ok := c.Models[pat]; !ok {
-				return fmt.Errorf("pdn: no TTF model for %v via arrays", pat)
-			}
+	for pat := range c.Grid.PatternCounts() {
+		if _, ok := c.Models[pat]; !ok {
+			return fmt.Errorf("pdn: no TTF model for %v via arrays", pat)
 		}
 	}
 	if c.Criterion == IRDrop && (c.IRDropFrac <= 0 || c.IRDropFrac >= 1) {
@@ -214,9 +199,6 @@ func newSystem(cfg TTFConfig, circuit *spice.Circuit, op *spice.OP) (*GridSystem
 	for k, v := range cfg.Grid.Vias {
 		s.i0[k] = math.Abs(op.ResistorCurrent(v.ResistorIndex))
 		model := cfg.Models[v.Pattern]
-		if cfg.PerViaModels != nil {
-			model = cfg.PerViaModels[k]
-		}
 		s.dist[k], s.scale[k] = model.Dist, model.Scale(s.i0[k])
 	}
 	for i := 0; i < circuit.NumNodes(); i++ {

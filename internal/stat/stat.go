@@ -218,40 +218,67 @@ func (e *ECDF) KSDistance(cdf func(float64) float64) float64 {
 	return d
 }
 
-// BootstrapPercentileCI estimates a confidence interval for the p-quantile
-// of the distribution behind the samples by nonparametric bootstrap:
-// resamples the data B times with replacement and takes the (1−conf)/2 and
-// (1+conf)/2 quantiles of the resampled percentile estimates. With the
-// paper's N_trials = 500, the 0.3-percentile "worst-case TTF" rests on the
-// 1–2 smallest order statistics, so its CI is the honest way to report it.
-func BootstrapPercentileCI(samples []float64, p, conf float64, b int, rng *rand.Rand) (lo, hi float64, err error) {
-	if len(samples) < 2 {
-		return 0, 0, fmt.Errorf("stat: bootstrap needs ≥ 2 samples, got %d", len(samples))
+// Bound is one end of an order-statistic confidence interval for a
+// quantile: the K-th smallest sample, or, when no order statistic of the
+// sample reaches the confidence level on this side, K = 0 and Need, the
+// smallest sample size that would.
+type Bound struct {
+	// K is the 1-based rank of the order statistic giving the bound; 0
+	// marks a bound the sample is too small to give.
+	K int
+	// Value is the K-th smallest sample (0 when the bound is missing).
+	Value float64
+	// Need is the smallest sample size that gives a missing bound.
+	Need int
+}
+
+// Missing reports that the sample is too small to give this bound.
+func (b Bound) Missing() bool { return b.K == 0 }
+
+// PercentileCI returns the distribution-free confidence interval
+// [X_(r), X_(s)] for the p-quantile, p ∈ (0, 1), of the continuous
+// distribution behind the samples. The number of samples below the true
+// quantile is Binomial(N, p), so each end holds with probability at least
+// (1+conf)/2 whatever the distribution, and the interval covers the
+// quantile with probability at least conf. It draws no random numbers.
+//
+// A tail quantile of a small sample has no bound on the side of the nearer
+// extreme: at N = 500 and p = 0.003 the 97.5 % upper bound is X_(5), but
+// even X_(1) stays below the quantile only with probability 0.78, so the
+// lower bound is Missing with Need = 1228.
+func (e *ECDF) PercentileCI(p, conf float64) (lo, hi Bound, err error) {
+	if !(p > 0 && p < 1 && conf > 0 && conf < 1) {
+		return lo, hi, fmt.Errorf("stat: percentile interval needs p and conf in (0,1), got p=%g conf=%g", p, conf)
 	}
-	if p < 0 || p > 1 || conf <= 0 || conf >= 1 {
-		return 0, 0, fmt.Errorf("stat: bootstrap p=%g conf=%g out of range", p, conf)
-	}
-	if b < 10 {
-		b = 200
-	}
-	ests := make([]float64, b)
-	resample := make([]float64, len(samples))
-	for k := 0; k < b; k++ {
-		for i := range resample {
-			resample[i] = samples[rng.Intn(len(samples))]
-		}
-		e, err := NewECDF(resample)
-		if err != nil {
-			return 0, 0, err
-		}
-		ests[k] = e.Percentile(p)
-	}
-	e, err := NewECDF(ests)
-	if err != nil {
-		return 0, 0, err
-	}
+	n := len(e.sorted)
 	alpha := (1 - conf) / 2
-	return e.Percentile(alpha), e.Percentile(1 - alpha), nil
+	// X_(k+1) ≤ q exactly when more than k samples fall below q, and
+	// X_(k+1) ≥ q when at most k do; cdf is P(at most k below q).
+	lpmf := float64(n) * math.Log1p(-p)
+	logOdds := math.Log(p) - math.Log1p(-p)
+	cdf := 0.0
+	for k := 0; k < n; k++ {
+		cdf += math.Exp(lpmf)
+		if cdf <= alpha {
+			lo.K = k + 1
+		}
+		if cdf >= 1-alpha {
+			hi.K = k + 1
+			break
+		}
+		lpmf += math.Log(float64(n-k)/float64(k+1)) + logOdds
+	}
+	if lo.K == 0 {
+		lo.Need = int(math.Ceil(math.Log(alpha) / math.Log1p(-p)))
+	} else {
+		lo.Value = e.sorted[lo.K-1]
+	}
+	if hi.K == 0 {
+		hi.Need = int(math.Ceil(math.Log(alpha) / math.Log(p)))
+	} else {
+		hi.Value = e.sorted[hi.K-1]
+	}
+	return lo, hi, nil
 }
 
 // Mean returns the sample mean.

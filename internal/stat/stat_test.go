@@ -274,49 +274,117 @@ func TestErfcInvEdges(t *testing.T) {
 	}
 }
 
-func TestBootstrapPercentileCI(t *testing.T) {
+func TestPercentileCI(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	ln := LogNormal{Mu: 0, Sigma: 0.3}
 	samples := make([]float64, 500)
 	for i := range samples {
 		samples[i] = ln.Sample(rng)
 	}
-	lo, hi, err := BootstrapPercentileCI(samples, 0.5, 0.95, 400, rng)
+	e, err := NewECDF(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi, err := e.PercentileCI(0.5, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
 	truth := ln.Median()
-	if !(lo < truth && truth < hi) {
-		t.Errorf("95%% CI [%g, %g] misses true median %g", lo, hi, truth)
+	if lo.Missing() || hi.Missing() || !(lo.Value < truth && truth < hi.Value) {
+		t.Errorf("95%% CI [%+v, %+v] misses true median %g", lo, hi, truth)
 	}
-	if hi <= lo {
-		t.Errorf("degenerate CI [%g, %g]", lo, hi)
+	// The ranks from exact integer binomial sums: P(B ≤ 227) ≤ 0.025 <
+	// P(B ≤ 228) and P(B ≤ 271) < 0.975 ≤ P(B ≤ 272) for B ~ Binomial(500, ½).
+	if lo.K != 228 || hi.K != 273 {
+		t.Errorf("median interval ranks [%d, %d], want [228, 273]", lo.K, hi.K)
 	}
-	// The tail percentile CI must be wider (relative) than the median CI.
-	loT, hiT, err := BootstrapPercentileCI(samples, 0.003, 0.95, 400, rng)
+	// The worst-case percentile of the paper's 500 trials: the 97.5 %
+	// upper bound is the fifth-smallest sample, and no order statistic
+	// gives the lower bound until N = 1228.
+	loT, hiT, err := e.PercentileCI(0.003, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	relTail := (hiT - loT) / loT
-	relMed := (hi - lo) / lo
-	if relTail <= relMed {
-		t.Errorf("tail CI (%.3f rel) not wider than median CI (%.3f rel)", relTail, relMed)
+	if !loT.Missing() || loT.Need != 1228 {
+		t.Errorf("lower bound = %+v, want missing with Need 1228", loT)
+	}
+	if hiT.K != 5 || hiT.Value != e.Values()[4] {
+		t.Errorf("upper bound = %+v, want X_(5) = %g", hiT, e.Values()[4])
+	}
+	if _, _, err := e.PercentileCI(0, 0.95); err == nil {
+		t.Error("accepted p = 0")
+	}
+	if _, _, err := e.PercentileCI(0.5, 1.5); err == nil {
+		t.Error("accepted conf > 1")
+	}
+	// Upper bounds of a high quantile go missing the same way.
+	one, _ := NewECDF([]float64{1})
+	if _, hi, _ := one.PercentileCI(0.99, 0.95); !hi.Missing() || hi.Need != 368 {
+		t.Errorf("one-sample upper bound of the 0.99 quantile = %+v, want missing with Need 368", hi)
 	}
 }
 
-func TestBootstrapValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, _, err := BootstrapPercentileCI([]float64{1}, 0.5, 0.95, 100, rng); err == nil {
-		t.Error("accepted one sample")
-	}
-	if _, _, err := BootstrapPercentileCI([]float64{1, 2}, -0.1, 0.95, 100, rng); err == nil {
-		t.Error("accepted negative percentile")
-	}
-	if _, _, err := BootstrapPercentileCI([]float64{1, 2}, 0.5, 1.5, 100, rng); err == nil {
-		t.Error("accepted conf > 1")
-	}
-	// Tiny b is bumped to a sane default rather than failing.
-	if _, _, err := BootstrapPercentileCI([]float64{1, 2, 3}, 0.5, 0.9, 1, rng); err != nil {
-		t.Errorf("small b: %v", err)
+// TestPercentileCICoverage draws repeated lognormal samples (σ = 0.5) and
+// counts how often the interval holds the true 0.3-percentile. The
+// order-statistic interval's coverage is exactly P(r ≤ count < s) for the
+// Binomial(N, p) count of samples below the quantile, at least the nominal
+// level, so the observed rate must land within binomial error of it. At
+// N = 500 only the upper bound exists, so the nominal level is one-sided.
+func TestPercentileCICoverage(t *testing.T) {
+	const (
+		p     = 0.003
+		conf  = 0.95
+		reps  = 2000
+		sigma = 0.5
+	)
+	ln := LogNormal{Mu: 0, Sigma: sigma}
+	q := ln.Quantile(p)
+	for _, tc := range []struct {
+		n       int
+		seed    int64
+		nominal float64
+	}{
+		{500, 1, 1 - (1-conf)/2},
+		{2000, 2, conf},
+	} {
+		rng := rand.New(rand.NewSource(tc.seed))
+		samples := make([]float64, tc.n)
+		covered := 0
+		var lo, hi Bound
+		for r := 0; r < reps; r++ {
+			for i := range samples {
+				samples[i] = ln.Sample(rng)
+			}
+			e, err := NewECDF(samples)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lo, hi, err = e.PercentileCI(p, conf); err != nil {
+				t.Fatal(err)
+			}
+			if (lo.Missing() || lo.Value <= q) && !hi.Missing() && q <= hi.Value {
+				covered++
+			}
+		}
+		if lo.Missing() != (tc.n < 1228) || hi.Missing() {
+			t.Fatalf("N=%d: bounds %+v, %+v", tc.n, lo, hi)
+		}
+		// Exact coverage: P(lo.K ≤ count ≤ hi.K−1), count ~ Binomial(n, p).
+		exact := 0.0
+		lc, _ := math.Lgamma(float64(tc.n + 1))
+		for k := lo.K; k < hi.K; k++ {
+			lk, _ := math.Lgamma(float64(k + 1))
+			lnk, _ := math.Lgamma(float64(tc.n - k + 1))
+			exact += math.Exp(lc - lk - lnk + float64(k)*math.Log(p) + float64(tc.n-k)*math.Log1p(-p))
+		}
+		if exact < tc.nominal {
+			t.Errorf("N=%d: exact coverage %.4f below nominal %.3f", tc.n, exact, tc.nominal)
+		}
+		got := float64(covered) / reps
+		se := math.Sqrt(exact * (1 - exact) / reps)
+		if math.Abs(got-exact) > 4*se || got < tc.nominal-3*se {
+			t.Errorf("N=%d: coverage %.4f, exact %.4f (nominal %.3f, se %.4f)", tc.n, got, exact, tc.nominal, se)
+		}
+		t.Logf("N=%d: interval [X_(%d), X_(%d)] covered %.4f (exact %.4f, nominal %.3f)", tc.n, lo.K, hi.K, got, exact, tc.nominal)
 	}
 }
