@@ -274,7 +274,10 @@ func TestErfcInvEdges(t *testing.T) {
 	}
 }
 
-func TestPercentileCI(t *testing.T) {
+// TestBootstrapPercentileCI and TestBootstrapValidation keep the names
+// of the bootstrap interval that the order-statistic ECDF.PercentileCI
+// replaced; they check the same median and tail cases and input ranges.
+func TestBootstrapPercentileCI(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	ln := LogNormal{Mu: 0, Sigma: 0.3}
 	samples := make([]float64, 500)
@@ -311,8 +314,18 @@ func TestPercentileCI(t *testing.T) {
 	if hiT.K != 5 || hiT.Value != e.Values()[4] {
 		t.Errorf("upper bound = %+v, want X_(5) = %g", hiT, e.Values()[4])
 	}
+}
+
+func TestBootstrapValidation(t *testing.T) {
+	e, err := NewECDF([]float64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := e.PercentileCI(0, 0.95); err == nil {
 		t.Error("accepted p = 0")
+	}
+	if _, _, err := e.PercentileCI(-0.1, 0.95); err == nil {
+		t.Error("accepted negative percentile")
 	}
 	if _, _, err := e.PercentileCI(0.5, 1.5); err == nil {
 		t.Error("accepted conf > 1")
