@@ -15,7 +15,9 @@ test:
 # the caches share — and over the root determinism tests, whose serial
 # mc.Run reference runs through the same trial dispatcher as the parallel
 # runs it is compared with, and the live-ring test, whose two workers
-# publish trial summaries into one ring.
+# publish trial summaries into one ring. emsweep's small sweep runs its
+# knob goroutines over one shared analyzer memo; its -conc 1 vs 2
+# comparison (about two minutes under the race detector) stays out.
 check:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/mc ./internal/pdn ./internal/par ./internal/fem \
@@ -23,6 +25,7 @@ check:
 	    ./internal/telemetry ./internal/trace ./internal/monitor ./internal/cliobs \
 	    ./internal/steady ./internal/serve ./internal/viaarray
 	$(GO) test -race -run 'TestDeterminismMatrix|TestTraceDeterminism|TestLiveRingDigest' .
+	$(GO) test -race -run 'TestSweepSharesStressMemo' ./cmd/emsweep
 
 # lint checks gofmt and runs staticcheck if it is on PATH (CI installs a
 # pinned version; locally it is optional) on top of go vet.

@@ -181,7 +181,7 @@ func BenchmarkFEASolve(b *testing.B) {
 }
 
 // BenchmarkStressCacheWarm measures StressFor against a warm persistent
-// cache: every iteration uses a fresh analyzer (empty in-memory map), so the
+// cache: every iteration uses a fresh analyzer (empty memo), so the
 // per-via stress matrix comes entirely from disk and no FEA runs.
 func BenchmarkStressCacheWarm(b *testing.B) {
 	dir := b.TempDir()

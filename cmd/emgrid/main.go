@@ -443,6 +443,7 @@ func cmdAnalyze(args []string, engineFlag string) error {
 		Engine:          engine,
 	}
 	var rep *core.GridReport
+	crit := ac.String()
 	if *models != "" {
 		mf, err := os.Open(*models)
 		if err != nil {
@@ -453,7 +454,9 @@ func cmdAnalyze(args []string, engineFlag string) error {
 		if err != nil {
 			return err
 		}
+		// The set was fitted for its own criterion; -arraycrit does not apply.
 		analysis.ArrayN = set.ArrayN
+		crit = fmt.Sprintf("n_F=%d of %d vias (model set)", set.FailK, set.ArrayN*set.ArrayN)
 		rep, err = a.AnalyzeGridWithModels(analysis, set.Models)
 		if err != nil {
 			return err
@@ -465,8 +468,8 @@ func cmdAnalyze(args []string, engineFlag string) error {
 			return err
 		}
 	}
-	fmt.Printf("grid: %d via arrays; via config %dx%d; array criterion %v; system criterion %v\n",
-		len(g.Vias), analysis.ArrayN, analysis.ArrayN, ac, sc)
+	fmt.Printf("grid: %d via arrays; via config %dx%d; array criterion %s; system criterion %v\n",
+		len(g.Vias), analysis.ArrayN, analysis.ArrayN, crit, sc)
 	if rep.Screen != nil {
 		cliobs.RecordScreen(rep.Screen.Info())
 		if err := writeScreenJSON(*screenOut, g, rep.Screen); err != nil {

@@ -117,7 +117,8 @@ func loadDeck(t *testing.T, deck string) *pdn.Grid {
 
 // TestCharModelsAnalyzeHotspots drives charmodels → analyze -models →
 // hotspots -models on an 8×8 deck: the percentiles analyze prints are
-// core.AnalyzeGridWithModels's on the loaded model set, and hotspots lists
+// core.AnalyzeGridWithModels's on the loaded model set, the array criterion
+// it prints is the set's FailK whatever -arraycrit says, and hotspots lists
 // at most -top arrays, none failing first in more trials than ran.
 func TestCharModelsAnalyzeHotspots(t *testing.T) {
 	dir := t.TempDir()
@@ -130,8 +131,10 @@ func TestCharModelsAnalyzeHotspots(t *testing.T) {
 	if err := cmdCharModels([]string{"-fast", "-array", "2", "-trials", strconv.Itoa(trials), "-out", models}); err != nil {
 		t.Fatalf("charmodels: %v", err)
 	}
+	// -arraycrit names a criterion the set was not fitted for: analyze must
+	// report the set's own n_F (R=inf on 2x2: all 4 vias).
 	out := captureStdout(t, func() error {
-		return cmdAnalyze([]string{"-deck", deck, "-models", models, "-fast", "-trials", strconv.Itoa(trials)}, "mc")
+		return cmdAnalyze([]string{"-deck", deck, "-models", models, "-arraycrit", "wl", "-fast", "-trials", strconv.Itoa(trials)}, "mc")
 	})
 
 	mf, err := os.Open(models)
@@ -145,6 +148,9 @@ func TestCharModelsAnalyzeHotspots(t *testing.T) {
 	}
 	if set.ArrayN != 2 {
 		t.Fatalf("model set is for %dx%d arrays, want 2x2", set.ArrayN, set.ArrayN)
+	}
+	if want := fmt.Sprintf("array criterion n_F=%d of 4 vias (model set);", set.FailK); set.FailK != 4 || !strings.Contains(out, want) {
+		t.Errorf("model set FailK %d; analyze output lacks %q:\n%s", set.FailK, want, out)
 	}
 	a, err := core.NewCLIAnalyzer(true, "")
 	if err != nil {

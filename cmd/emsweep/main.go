@@ -43,7 +43,11 @@ func knobs() []knob {
 		{"bulk modulus B", func(a *core.Analyzer, f float64) { a.EM.Bulk *= f }},
 		{"diffusivity D0", func(a *core.Analyzer, f float64) { a.EM.D0 *= f }},
 		{"Deff spread sigma", func(a *core.Analyzer, f float64) { a.EM.DeffLogSigma *= f }},
-		{"operating T (C)", func(a *core.Analyzer, f float64) { a.EM.TempC *= f }},
+		{"operating T (C)", func(a *core.Analyzer, f float64) {
+			// Temperature acts through diffusivity and through ΔT, hence σ_T.
+			a.EM.TempC *= f
+			a.Base.OperatingT *= f
+		}},
 		{"stress-free T (C)", func(a *core.Analyzer, f float64) {
 			a.Base.AnnealT *= f // changes ΔT and hence every σ_T
 		}},
@@ -171,7 +175,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			if err != nil || engine != mc.EngineBoth {
 				return m, 0, err
 			}
-			// The FEA cache of a is warm after eval, so the screen costs
+			// The stress of a is memoized after eval, so the screen costs
 			// one linear solve.
 			_, mortal, err := screenEval(a)
 			if err != nil {
@@ -188,16 +192,17 @@ func run(args []string, stdout io.Writer) (err error) {
 		lo, hi, swing      float64
 		loMortal, hiMortal int
 	}
-	// Knobs are independent — every evaluation builds its own analyzer — so
-	// they run concurrently under a worker cap. Results and skip diagnostics
-	// are collected per index and emitted in knob order, keeping the output
-	// identical to a serial sweep.
+	// Knobs are independent — every evaluation runs on its own copy of the
+	// baseline analyzer, sharing its memo, so a knob that leaves the
+	// structure alone reuses the baseline stress — and they run concurrently
+	// under a worker cap. Results and skip diagnostics are collected per
+	// index and emitted in knob order, keeping the output identical to a
+	// serial sweep.
 	ks := knobs()
 	type knobResult struct {
 		val    [2]float64
 		mortal [2]int
 		skip   string
-		err    error
 	}
 	results := make([]knobResult, len(ks))
 	nconc := *conc
@@ -213,13 +218,9 @@ func run(args []string, stdout io.Writer) (err error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			for s, f := range []float64{1 - *delta, 1 + *delta} {
-				a, err := core.NewCLIAnalyzer(*fast, *stressCache)
-				if err != nil {
-					results[i].err = err
-					return
-				}
-				k.apply(a, f)
-				v, mortal, err := value(a)
+				a := *aBase
+				k.apply(&a, f)
+				v, mortal, err := value(&a)
 				if err != nil {
 					results[i].skip = fmt.Sprintf("emsweep: %s ×%.2f: %v (skipped)", k.name, f, err)
 					return
@@ -232,9 +233,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	var rows []row
 	for i, k := range ks {
 		r := results[i]
-		if r.err != nil {
-			return r.err
-		}
 		if r.skip != "" {
 			fmt.Fprintln(os.Stderr, r.skip)
 			continue

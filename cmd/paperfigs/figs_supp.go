@@ -144,14 +144,16 @@ func ciBound(b stat.Bound) string {
 func figS5(a *core.Analyzer, _ options) error {
 	fmt.Println("S5: minimum via-spacing rule (paper future work), Plus 4x4")
 	for _, sp := range []float64{0, 0.3 * phys.Micron} {
-		p := a.Base
-		p.ArrayN = 4
-		p.Pattern = cudd.Plus
-		p.ViaSpacing = sp
-		res, err := cudd.Characterize(p, a.FEA)
+		b := *a
+		b.Base.ViaSpacing = sp
+		sigma, err := b.StressFor(cudd.Plus, b.Base.LayerPair, 4, b.Base.WireWidth)
 		if err != nil {
 			return err
 		}
+		res := cudd.Result{PeakSigmaT: sigma}
+		p := b.Base
+		p.ArrayN = 4
+		p.Pattern = cudd.Plus
 		v, err := p.Validate()
 		if err != nil {
 			return err

@@ -15,7 +15,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -32,7 +34,9 @@ import (
 	"emvia/internal/viaarray"
 )
 
-// Analyzer bundles the technology parameters of an analysis flow.
+// Analyzer bundles the technology parameters of an analysis flow. Its
+// fields may change between calls; a copy (b := *a) with changed fields
+// shares the original's memo.
 type Analyzer struct {
 	// Base is the Cu DD structure template (geometry, temperatures,
 	// mesh resolution); Pattern/ArrayN/WireWidth are overridden per query.
@@ -47,49 +51,70 @@ type Analyzer struct {
 	// it depends on die position, not interconnect geometry.
 	PackageStress float64
 	// Disk, when non-nil, persists FEA characterizations across processes
-	// underneath the in-memory cache (see StressCache and
+	// underneath the in-memory memo (see StressCache and
 	// EnableStressCache). Like PackageStress, it stores the geometry-only
 	// stress. Disk writes are best-effort: a failed write never fails the
 	// analysis.
 	Disk *StressCache
 
-	mu    sync.Mutex
-	cache map[stressKey][][]float64
-
-	// charCache memoizes whole via-array characterizations the same way the
-	// FEA cache memoizes stress solves: for a fixed seed the step-1 Monte
-	// Carlo is a pure function of its inputs, and grid experiments routinely
-	// re-request the same pattern/criterion/trials combination.
-	charMu    sync.Mutex
-	charCache map[charKey]*ViaArrayCharacterization
+	// memo holds the stress solves and via-array characterizations of this
+	// analyzer and of every copy of it, each keyed by every input that
+	// shapes it. A copy with a changed field therefore reuses what still
+	// applies and never reads what does not. nil (an Analyzer not made by
+	// NewAnalyzer) memoizes nothing.
+	memo *memo
 }
 
-type stressKey struct {
-	pattern cudd.Pattern
-	pair    cudd.LayerPair
-	n       int
-	width   float64
+// memo is the in-memory tier of the Analyzer's FEA stress solves and
+// via-array characterizations, shared by every copy of the analyzer that
+// made it. An entry is keyed by the bytes of every input that shapes it: a
+// stress solve by appendStructure's layout (what StressCache.Key hashes,
+// less the material table, which a process never changes), a
+// characterization by that layout followed by its own inputs. A byte key
+// hashes as one block, where a struct of floats would hash field by field.
+// Concurrent misses on one key both compute; they store the same result.
+type memo struct {
+	mu      sync.Mutex
+	entries map[string]any
 }
 
-type charKey struct {
-	pattern cudd.Pattern
-	pair    cudd.LayerPair
-	n       int
-	width   float64
-	j       float64
-	pkg     float64 // PackageStress feeds the sampled σ_T, so it keys too
-	crit    ArrayCriterion
-	trials  int
-	seed    int64
+// memoized returns m's entry for key k, or computes, stores and returns it,
+// counting the lookup under the hit or miss telemetry name. A nil m
+// computes every time; an error is never stored.
+func memoized[T any](m *memo, k []byte, hit, miss string, compute func() (T, error)) (T, error) {
+	var v any
+	ok := false
+	if m != nil {
+		m.mu.Lock()
+		v, ok = m.entries[string(k)]
+		m.mu.Unlock()
+	}
+	if r := telemetry.Default(); r != nil {
+		if ok {
+			r.Counter(hit).Inc()
+		} else {
+			r.Counter(miss).Inc()
+		}
+	}
+	if ok {
+		return v.(T), nil
+	}
+	out, err := compute()
+	if err == nil && m != nil {
+		m.mu.Lock()
+		m.entries[string(k)] = out
+		m.mu.Unlock()
+	}
+	return out, err
 }
 
 // NewAnalyzer returns an analyzer with the paper's nominal technology:
 // 32 nm-class Cu DD geometry, 105 °C operation, calibrated EM constants.
 func NewAnalyzer() *Analyzer {
 	return &Analyzer{
-		Base:  cudd.DefaultParams(),
-		EM:    emdist.Default(),
-		cache: make(map[stressKey][][]float64),
+		Base: cudd.DefaultParams(),
+		EM:   emdist.Default(),
+		memo: &memo{entries: make(map[string]any)},
 	}
 }
 
@@ -122,40 +147,28 @@ func NewCLIAnalyzer(fast bool, stressCache string) (*Analyzer, error) {
 // StressFor returns the per-via peak thermomechanical stress matrix for a
 // via-array family, running (and memoizing) the FEA characterization. The
 // analyzer's PackageStress is added on top of the layout-dependent FEA
-// result (the cache stores the geometry-only part, so PackageStress may be
-// changed between calls without refactoring).
+// result (the memo stores the geometry-only part, so PackageStress may be
+// changed between calls without refactoring). The memo keys on the whole
+// structure and the solver settings, so Base and FEA may change too.
 func (a *Analyzer) StressFor(pattern cudd.Pattern, pair cudd.LayerPair, arrayN int, width float64) ([][]float64, error) {
-	key := stressKey{pattern, pair, arrayN, width}
-	a.mu.Lock()
-	if a.cache == nil {
-		a.cache = make(map[stressKey][][]float64)
-	}
-	s, ok := a.cache[key]
-	a.mu.Unlock()
-	if r := telemetry.Default(); r != nil {
-		if ok {
-			r.Counter(telemetry.StressMemHits).Inc()
-		} else {
-			r.Counter(telemetry.StressMemMisses).Inc()
-		}
-	}
-	if !ok {
-		p := a.Base
-		p.Pattern = pattern
-		p.LayerPair = pair
-		p.ArrayN = arrayN
-		p.WireWidth = width
-		var err error
-		s, err = a.characterizeSigma(p)
-		if err != nil {
-			return nil, err
-		}
-		a.mu.Lock()
-		a.cache[key] = s
-		a.mu.Unlock()
-	}
-	if a.PackageStress == 0 {
-		return s, nil
+	return a.stressFor(a.params(pattern, pair, arrayN, width))
+}
+
+// params returns Base with the per-query fields overridden: the structure
+// one stress solve or characterization belongs to.
+func (a *Analyzer) params(pattern cudd.Pattern, pair cudd.LayerPair, n int, width float64) cudd.Params {
+	p := a.Base
+	p.Pattern, p.LayerPair, p.ArrayN, p.WireWidth = pattern, pair, n, width
+	return p
+}
+
+// stressFor is StressFor on fully overridden params.
+func (a *Analyzer) stressFor(p cudd.Params) ([][]float64, error) {
+	var buf [512]byte
+	s, err := memoized(a.memo, appendStructure(buf[:0], &p, a.FEA), telemetry.StressMemHits, telemetry.StressMemMisses,
+		func() ([][]float64, error) { return a.characterizeSigma(p) })
+	if err != nil || a.PackageStress == 0 {
+		return s, err
 	}
 	out := make([][]float64, len(s))
 	for i, row := range s {
@@ -266,51 +279,38 @@ type ViaArrayCharacterization struct {
 
 // CharacterizeViaArray runs the step-1 Monte Carlo for one pattern at the
 // paper's reference conditions (current density j over the array area),
-// using the analyzer's base layer pair. Results are memoized per analyzer:
-// like the FEA cache, this assumes the technology parameters (Base, EM,
-// FEA) are fixed once characterization starts. Callers must treat the
-// returned characterization as read-only.
+// using the analyzer's base layer pair. Results are memoized under every
+// input they depend on, so changing Base, EM, FEA or PackageStress between
+// calls is safe. Callers must treat the returned characterization as
+// read-only.
 func (a *Analyzer) CharacterizeViaArray(pattern cudd.Pattern, arrayN int, width, j float64, crit ArrayCriterion, trials int, seed int64) (*ViaArrayCharacterization, error) {
-	pair := a.Base.LayerPair
-	ck := charKey{pattern, pair, arrayN, width, j, a.PackageStress, crit, trials, seed}
-	a.charMu.Lock()
-	cached, ok := a.charCache[ck]
-	a.charMu.Unlock()
-	if r := telemetry.Default(); r != nil {
-		if ok {
-			r.Counter(telemetry.CharHits).Inc()
-		} else {
-			r.Counter(telemetry.CharMisses).Inc()
+	p := a.params(pattern, a.Base.LayerPair, arrayN, width)
+	var buf [1024]byte
+	k := bytes.NewBuffer(appendStructure(buf[:0], &p, a.FEA))
+	if err := binary.Write(k, binary.LittleEndian, struct {
+		em           emdist.Params
+		pkg, j       float64
+		crit         ArrayCriterion
+		trials, seed int64
+	}{a.EM, a.PackageStress, j, crit, int64(trials), seed}); err != nil {
+		return nil, err
+	}
+	return memoized(a.memo, k.Bytes(), telemetry.CharHits, telemetry.CharMisses, func() (*ViaArrayCharacterization, error) {
+		sigma, err := a.stressFor(p)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if ok {
-		return cached, nil
-	}
-	sigma, err := a.StressFor(pattern, pair, arrayN, width)
-	if err != nil {
-		return nil, err
-	}
-	p := a.Base
-	p.Pattern = pattern
-	p.ArrayN = arrayN
-	p.WireWidth = width
-	cfg, err := viaarray.FromStructure(p, sigma, a.EM, j, crit.failK(arrayN), 0)
-	if err != nil {
-		return nil, err
-	}
-	res, err := viaarray.CharacterizeNamed(cfg, trials, seed,
-		fmt.Sprintf("array:%s:%dx%d", pattern, arrayN, arrayN))
-	if err != nil {
-		return nil, err
-	}
-	out := &ViaArrayCharacterization{Pattern: pattern, Result: res, Model: res.Model}
-	a.charMu.Lock()
-	if a.charCache == nil {
-		a.charCache = make(map[charKey]*ViaArrayCharacterization)
-	}
-	a.charCache[ck] = out
-	a.charMu.Unlock()
-	return out, nil
+		cfg, err := viaarray.FromStructure(p, sigma, a.EM, j, crit.failK(arrayN), 0)
+		if err != nil {
+			return nil, err
+		}
+		res, err := viaarray.CharacterizeNamed(cfg, trials, seed,
+			fmt.Sprintf("array:%s:%dx%d", pattern, arrayN, arrayN))
+		if err != nil {
+			return nil, err
+		}
+		return &ViaArrayCharacterization{Pattern: pattern, Result: res, Model: res.Model}, nil
+	})
 }
 
 // ViaArrayModels characterizes all three intersection patterns and returns
@@ -478,14 +478,11 @@ func (a *Analyzer) AnalyzeGridWithModels(g GridAnalysis, models map[cudd.Pattern
 // steady-state screen — no Monte Carlo, just the immortal/mortal
 // classification with per-via stress margins.
 func (a *Analyzer) ArraySteadyScreen(pattern cudd.Pattern, arrayN int, width, j float64) (*viaarray.ArrayScreen, error) {
-	sigma, err := a.StressFor(pattern, a.Base.LayerPair, arrayN, width)
+	p := a.params(pattern, a.Base.LayerPair, arrayN, width)
+	sigma, err := a.stressFor(p)
 	if err != nil {
 		return nil, err
 	}
-	p := a.Base
-	p.Pattern = pattern
-	p.ArrayN = arrayN
-	p.WireWidth = width
 	cfg, err := viaarray.FromStructure(p, sigma, a.EM, j, 1, 0)
 	if err != nil {
 		return nil, err

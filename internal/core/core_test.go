@@ -229,7 +229,7 @@ func TestAnalyzeGridRejectsSteadyEngine(t *testing.T) {
 			}
 		}
 	}
-	if n := len(a.cache); n != 0 {
+	if n := len(a.memo.entries); n != 0 {
 		t.Errorf("rejected analyses ran %d FEA characterizations", n)
 	}
 }

@@ -68,24 +68,17 @@ func (a *Analyzer) OptimizeArray(spec OptimizeArraySpec) (choices []ArrayChoice,
 		spec.Trials = 500
 	}
 
-	base := a.Base
-	base.WireWidth = spec.WireWidth
-	base.ViaSpacing = spec.ViaSpacing
+	sub := *a
+	sub.Base.WireWidth = spec.WireWidth
+	sub.Base.ViaSpacing = spec.ViaSpacing
 
 	best = -1
 	for i, n := range spec.Candidates {
-		p := base
-		p.Pattern = spec.Pattern
-		p.ArrayN = n
-		v, verr := p.Validate()
+		v, verr := sub.params(spec.Pattern, sub.Base.LayerPair, n, spec.WireWidth).Validate()
 		if verr != nil {
 			choices = append(choices, ArrayChoice{ArrayN: n, Reason: verr.Error()})
 			continue
 		}
-		// A fresh in-memory map, whose keys omit the spacing rule, keeps
-		// spaced results apart from the default-geometry entries. The disk
-		// cache is shared: its key covers ViaSpacing and WireWidth.
-		sub := &Analyzer{Base: base, EM: a.EM, FEA: a.FEA, PackageStress: a.PackageStress, Disk: a.Disk}
 		c, cerr := sub.CharacterizeViaArray(spec.Pattern, n, spec.WireWidth, spec.J, spec.Criterion, spec.Trials, spec.Seed+int64(i))
 		if cerr != nil {
 			return nil, -1, fmt.Errorf("core: optimizing n=%d: %w", n, cerr)

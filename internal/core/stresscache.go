@@ -20,7 +20,7 @@ import (
 )
 
 // StressCache is the persistent on-disk layer under the Analyzer's in-memory
-// stress map: one binary file per FEA characterization, addressed by a
+// memo: one binary file per FEA characterization, addressed by a
 // content hash of everything the result depends on — the full structure
 // parameters (geometry, temperatures, mesh steps), the material table and
 // the solver settings that affect the converged solution. Repeated CLI
@@ -93,9 +93,7 @@ func appendF64(b []byte, v float64) []byte {
 }
 
 // appendParams lays out every cudd.Params field in declaration order. The
-// layout is fixed-width, so no separators are needed for injectivity (the
-// one variable-length key component, the preconditioner name, is
-// length-prefixed by the caller).
+// layout is fixed-width, so no separators are needed for injectivity.
 func appendParams(b []byte, p *cudd.Params) []byte {
 	b = appendU64(b, uint64(p.Pattern))
 	b = appendU64(b, uint64(p.LayerPair.Lower))
@@ -122,13 +120,13 @@ func appendParams(b []byte, p *cudd.Params) []byte {
 	return b
 }
 
-// Key derives the content-addressed cache key for one characterization: a
-// SHA-256 over a fixed binary payload covering the schema version, every
-// structure parameter, the solver settings that change the converged result
-// (worker count deliberately excluded — parallel kernels are bit-identical)
-// and the material table. The payload fits a stack buffer, so deriving a key
-// costs a single allocation (the hex string).
-func (c *StressCache) Key(p cudd.Params, opt fem.SolveOptions) string {
+// appendStructure lays out everything a stress result depends on but the
+// material table: a schema tag and version, every structure parameter, and
+// the solver settings that change the converged result, defaults
+// normalized (worker count deliberately excluded — parallel kernels are
+// bit-identical). The layout is injective: every field is fixed-width but
+// the preconditioner name, which is length-prefixed.
+func appendStructure(b []byte, p *cudd.Params, opt fem.SolveOptions) []byte {
 	tol := opt.Tol
 	if tol == 0 {
 		tol = 1e-8 // fem.Solve's default
@@ -137,14 +135,22 @@ func (c *StressCache) Key(p cudd.Params, opt fem.SolveOptions) string {
 	if precond == "" {
 		precond = "auto"
 	}
-	var arr [512]byte
-	b := append(arr[:0], "emvia-stress"...)
+	b = append(b, "emvia-stress"...)
 	b = appendU64(b, stressCacheVersion)
-	b = appendParams(b, &p)
+	b = appendParams(b, p)
 	b = appendF64(b, tol)
 	b = appendU64(b, uint64(opt.MaxIter))
 	b = appendU64(b, uint64(len(precond)))
-	b = append(b, precond...)
+	return append(b, precond...)
+}
+
+// Key derives the content-addressed cache key for one characterization: a
+// SHA-256 over appendStructure's layout followed by the material table. The
+// payload fits a stack buffer, so deriving a key costs a single allocation
+// (the hex string).
+func (c *StressCache) Key(p cudd.Params, opt fem.SolveOptions) string {
+	var arr [512]byte
+	b := appendStructure(arr[:0], &p, opt)
 	// The material table is a map; scanning the full (one-byte) ID space in
 	// order makes the encoding deterministic without sorting allocations.
 	for id := 0; id < 256; id++ {
