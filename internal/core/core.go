@@ -285,8 +285,7 @@ type ViaArrayCharacterization struct {
 // read-only.
 func (a *Analyzer) CharacterizeViaArray(pattern cudd.Pattern, arrayN int, width, j float64, crit ArrayCriterion, trials int, seed int64) (*ViaArrayCharacterization, error) {
 	p := a.params(pattern, a.Base.LayerPair, arrayN, width)
-	var buf [1024]byte
-	k := bytes.NewBuffer(appendStructure(buf[:0], &p, a.FEA))
+	k := bytes.NewBuffer(appendStructure(nil, &p, a.FEA))
 	if err := binary.Write(k, binary.LittleEndian, struct {
 		em           emdist.Params
 		pkg, j       float64
