@@ -369,7 +369,7 @@ func BenchmarkAblationCrowding(b *testing.B) {
 			cfg.Feed = mode.feed
 			var med float64
 			for i := 0; i < b.N; i++ {
-				res, err := viaarray.Characterize(cfg, 200, 8)
+				res, err := viaarray.Characterize(cfg, 200, 8, "")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -396,7 +396,7 @@ func BenchmarkAblationLumpedStress(b *testing.B) {
 			}
 			var med float64
 			for i := 0; i < b.N; i++ {
-				res, err := viaarray.Characterize(cfg, 200, 9)
+				res, err := viaarray.Characterize(cfg, 200, 9, "")
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -419,7 +419,7 @@ func BenchmarkAblationAging(b *testing.B) {
 			cfg.DisableAging = mode.disable
 			var med float64
 			for i := 0; i < b.N; i++ {
-				res, err := viaarray.Characterize(cfg, 200, 10)
+				res, err := viaarray.Characterize(cfg, 200, 10, "")
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -19,11 +19,11 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"emvia/internal/chartable"
 	"emvia/internal/cliobs"
 	"emvia/internal/core"
 	"emvia/internal/cudd"
@@ -302,13 +302,52 @@ func cmdCharacterize(args []string) error {
 	if err != nil {
 		return fmt.Errorf("characterize: %w", err)
 	}
-	table, err := a.BuildStressTable(ns, ws, func(k chartable.Key, w float64) {
-		fmt.Fprintf(os.Stderr, "FEA %v at width %.2g um\n", k, w/phys.Micron)
-	})
-	if err != nil {
-		return err
+	slices.Sort(ns)
+	slices.Sort(ws)
+	ns, ws = slices.Compact(ns), slices.Compact(ws)
+	// Pattern and layer pair never decide whether an array fits its wire,
+	// so checking each (n, width) once catches every bad structure before
+	// the first solve.
+	for _, n := range ns {
+		for _, w := range ws {
+			p := a.Base
+			p.ArrayN, p.WireWidth = n, w
+			if _, err := p.Validate(); err != nil {
+				return fmt.Errorf("characterize: %d×%d array at width %.2g µm: %w", n, n, w/phys.Micron, err)
+			}
+		}
 	}
-	return writeOutput(*out, table.Save)
+	// The loop order is the table's sort order: LayerPairs and Patterns
+	// are listed ascending, ns and ws were sorted above.
+	type entry struct {
+		LowerClass int         `json:"lower_class"`
+		UpperClass int         `json:"upper_class"`
+		Pattern    int         `json:"pattern"`
+		ArrayN     int         `json:"array_n"`
+		WireWidth  float64     `json:"wire_width_m"`
+		Sigma      [][]float64 `json:"sigma_pa"`
+	}
+	var table []entry
+	for _, lp := range cudd.LayerPairs() {
+		for _, pat := range cudd.Patterns() {
+			for _, n := range ns {
+				for _, w := range ws {
+					name := fmt.Sprintf("%v/%v/%d×%d", lp, pat, n, n)
+					fmt.Fprintf(os.Stderr, "FEA %s at width %.2g um\n", name, w/phys.Micron)
+					sigma, err := a.StressFor(pat, lp, n, w)
+					if err != nil {
+						return fmt.Errorf("characterize: %s at width %.2g µm: %w", name, w/phys.Micron, err)
+					}
+					table = append(table, entry{int(lp.Lower), int(lp.Upper), int(pat), n, w, sigma})
+				}
+			}
+		}
+	}
+	return writeOutput(*out, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", " ")
+		return enc.Encode(table)
+	})
 }
 
 // parseArrayCriterion maps the CLI spelling to a criterion.
@@ -353,19 +392,8 @@ func cmdCharModels(args []string) error {
 	if err != nil {
 		return err
 	}
-	set := viaarray.ModelSet{
-		ArrayN: *arrayN,
-		FailK:  viaarray.FailKForResistanceFactor(*arrayN, resistanceFactorOf(ac)),
-		Models: models,
-	}
+	set := viaarray.ModelSet{ArrayN: *arrayN, FailK: ac.FailK(*arrayN), Models: models}
 	return writeOutput(*out, set.Save)
-}
-
-func resistanceFactorOf(c core.ArrayCriterion) float64 {
-	if c.WeakestLink {
-		return 1 // FailKForResistanceFactor(n, 1) = 1: first via
-	}
-	return c.ResistanceFactor
 }
 
 func cmdAnalyze(args []string, engineFlag string) error {

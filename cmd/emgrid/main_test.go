@@ -2,10 +2,12 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"emvia/internal/core"
 	"emvia/internal/mc"
 	"emvia/internal/pdn"
+	"emvia/internal/telemetry"
 	"emvia/internal/viaarray"
 )
 
@@ -192,6 +195,113 @@ func TestCharModelsAnalyzeHotspots(t *testing.T) {
 		}
 		if first < 0 || first > trials {
 			t.Errorf("hotspots row %q: %d first failures in %d trials", row, first, trials)
+		}
+	}
+}
+
+// withRegistry runs fn under a fresh default telemetry registry and returns
+// the registry.
+func withRegistry(t *testing.T, fn func()) *telemetry.Registry {
+	t.Helper()
+	reg := telemetry.New()
+	telemetry.SetDefault(reg)
+	defer telemetry.SetDefault(nil)
+	fn()
+	return reg
+}
+
+// TestCharacterizeCampaign: a duplicated axis solves each of the 9
+// structures (3 layer pairs × 3 patterns) once and writes the table of the
+// deduplicated axes; a second run over the warm stress cache reads all 9
+// from disk and solves none.
+func TestCharacterizeCampaign(t *testing.T) {
+	args := []string{"-fast", "-arrays", "1,1", "-widths", "2u,2u", "-stresscache", t.TempDir()}
+	var out string
+	reg := withRegistry(t, func() {
+		out = captureStdout(t, func() error { return cmdCharacterize(args) })
+	})
+	var entries []json.RawMessage
+	if err := json.Unmarshal([]byte(out), &entries); err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 9 {
+		t.Errorf("%d table entries, want 9", len(entries))
+	}
+	if n := reg.Counter(telemetry.FEMSolves).Value(); n != 9 {
+		t.Errorf("fem.solves = %d, want 9", n)
+	}
+	// The digest of the table "-arrays 1 -widths 2u" wrote before the
+	// campaign ran through the analyzer; FMA fusion on other architectures
+	// may move the last bits of the stresses.
+	const want = "49353d68446b1da31052daf316383e6b4a32c3f28372f46604117d31e2c58937"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); runtime.GOARCH == "amd64" && got != want {
+		t.Errorf("table sha256 %s, want %s", got, want)
+	}
+
+	var warm string
+	reg = withRegistry(t, func() {
+		warm = captureStdout(t, func() error { return cmdCharacterize(args) })
+	})
+	if warm != out {
+		t.Error("warm-cache table differs from the cold one")
+	}
+	if hits, solves := reg.Counter(telemetry.StressDiskHits).Value(), reg.Counter(telemetry.FEMSolves).Value(); hits != 9 || solves != 0 {
+		t.Errorf("warm run: %d disk hits and %d FEA solves, want 9 and 0", hits, solves)
+	}
+}
+
+// TestCharacterizeValidatesBeforeFEA: an array too wide for one of the
+// wire widths fails the campaign before its first solve, naming the array
+// and the width.
+func TestCharacterizeValidatesBeforeFEA(t *testing.T) {
+	var err error
+	reg := withRegistry(t, func() {
+		err = cmdCharacterize([]string{"-fast", "-arrays", "1,4", "-widths", "2u,0.9u"})
+	})
+	if err == nil || !strings.Contains(err.Error(), "1×1") || !strings.Contains(err.Error(), "0.9") {
+		t.Errorf("err %v, want one naming the 1×1 array at width 0.9 µm", err)
+	}
+	if n := reg.Counter(telemetry.FEMSolves).Value(); n != 0 {
+		t.Errorf("fem.solves = %d before the error, want 0", n)
+	}
+}
+
+// TestCharModelsFailK: each -arraycrit spelling resolves to its n_F on a 4×4
+// array, and the written set carries that n_F in its header and in every
+// model.
+func TestCharModelsFailK(t *testing.T) {
+	cache := t.TempDir()
+	for _, c := range []struct {
+		crit string
+		want int
+	}{{"wl", 1}, {"2x", 8}, {"rinf", 16}} {
+		ac, err := parseArrayCriterion(c.crit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ac.FailK(4); got != c.want {
+			t.Errorf("%s: FailK(4) = %d, want %d", c.crit, got, c.want)
+		}
+		path := filepath.Join(t.TempDir(), "models.json")
+		if err := cmdCharModels([]string{"-fast", "-array", "4", "-arraycrit", c.crit, "-trials", "30", "-stresscache", cache, "-out", path}); err != nil {
+			t.Fatalf("%s: %v", c.crit, err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, err := viaarray.LoadModelSet(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.FailK != c.want {
+			t.Errorf("%s: set fail_k %d, want %d", c.crit, set.FailK, c.want)
+		}
+		for pat, m := range set.Models {
+			if m.FailK != set.FailK {
+				t.Errorf("%s: %v model fail_k %d, set fail_k %d", c.crit, pat, m.FailK, set.FailK)
+			}
 		}
 	}
 }

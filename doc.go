@@ -10,8 +10,9 @@
 //     analysis of Cu dual-damascene structures (the ABAQUS substitute),
 //     on a home-grown sparse CSR / preconditioned-CG stack
 //     (internal/sparse, internal/solver).
-//   - internal/cudd + internal/chartable: via-array structure builder and
-//     the per-technology thermomechanical-stress characterization table.
+//   - internal/cudd: via-array structure builder and the per-via
+//     thermomechanical-stress (σ_T) extraction; internal/core memoizes and
+//     persists each solve.
 //   - internal/emdist: the Korhonen void-nucleation TTF model, lognormal
 //     critical stress, and calibration.
 //   - internal/viaarray + internal/mc: Algorithm-1 Monte Carlo of

@@ -2,7 +2,7 @@
 // methodology of the DAC'17 paper into one pipeline.
 //
 //	FEA stress precharacterization (cudd + fem)     — paper §3
-//	    ↓ per-via σ_T                                (chartable)
+//	    ↓ per-via σ_T                                (memo + StressCache)
 //	via-array reliability Monte Carlo (viaarray+mc) — paper §4, Alg. 1 step 1
 //	    ↓ lognormal TTF models per pattern
 //	power-grid reliability Monte Carlo (pdn+mc)     — paper §5, Alg. 1 step 2
@@ -22,7 +22,6 @@ import (
 	"math"
 	"sync"
 
-	"emvia/internal/chartable"
 	"emvia/internal/cudd"
 	"emvia/internal/emdist"
 	"emvia/internal/fem"
@@ -162,11 +161,31 @@ func (a *Analyzer) params(pattern cudd.Pattern, pair cudd.LayerPair, n int, widt
 	return p
 }
 
-// stressFor is StressFor on fully overridden params.
+// stressFor is StressFor on fully overridden params. A geometry-only stress
+// matrix comes from the memo, else from the persistent cache, else from a
+// new FEA solve, which is stored in both.
 func (a *Analyzer) stressFor(p cudd.Params) ([][]float64, error) {
 	var buf [512]byte
 	s, err := memoized(a.memo, appendStructure(buf[:0], &p, a.FEA), telemetry.StressMemHits, telemetry.StressMemMisses,
-		func() ([][]float64, error) { return a.characterizeSigma(p) })
+		func() ([][]float64, error) {
+			var diskKey string
+			if a.Disk != nil {
+				diskKey = a.Disk.Key(p, a.FEA)
+				if sigma, ok := a.Disk.Get(diskKey); ok {
+					return sigma, nil
+				}
+			}
+			res, err := cudd.Characterize(p, a.FEA)
+			if err != nil {
+				return nil, err
+			}
+			if a.Disk != nil {
+				// Best-effort: an unwritable cache directory must not fail
+				// the analysis, only forfeit reuse.
+				_ = a.Disk.Put(diskKey, res.PeakSigmaT)
+			}
+			return res.PeakSigmaT, nil
+		})
 	if err != nil || a.PackageStress == 0 {
 		return s, err
 	}
@@ -190,43 +209,6 @@ func (a *Analyzer) EnableStressCache(dir string) error {
 	}
 	a.Disk = c
 	return nil
-}
-
-// characterizeSigma produces the geometry-only per-via stress matrix for
-// fully overridden params, consulting the persistent cache when enabled.
-func (a *Analyzer) characterizeSigma(p cudd.Params) ([][]float64, error) {
-	var diskKey string
-	if a.Disk != nil {
-		diskKey = a.Disk.Key(p, a.FEA)
-		if s, ok := a.Disk.Get(diskKey); ok {
-			return s, nil
-		}
-	}
-	res, err := cudd.Characterize(p, a.FEA)
-	if err != nil {
-		return nil, err
-	}
-	if a.Disk != nil {
-		// Best-effort: an unwritable cache directory must not fail the
-		// analysis, only forfeit reuse.
-		_ = a.Disk.Put(diskKey, res.PeakSigmaT)
-	}
-	return res.PeakSigmaT, nil
-}
-
-// BuildStressTable runs the full §3.2 characterization campaign
-// (9 × patterns × widths × configurations) into a persistent table, routing
-// every solve through the persistent stress cache when one is enabled.
-func (a *Analyzer) BuildStressTable(arrayNs []int, widths []float64, progress func(chartable.Key, float64)) (*chartable.Table, error) {
-	return chartable.Build(chartable.BuildSpec{
-		LayerPairs:   cudd.LayerPairs(),
-		Patterns:     cudd.Patterns(),
-		ArrayNs:      arrayNs,
-		WireWidths:   widths,
-		Base:         a.Base,
-		Progress:     progress,
-		Characterize: a.characterizeSigma,
-	})
 }
 
 // ArrayCriterion expresses the via-array failure criterion of §4.
@@ -262,8 +244,9 @@ func (c ArrayCriterion) String() string {
 	}
 }
 
-// failK resolves the criterion to a via count for an n×n array.
-func (c ArrayCriterion) failK(n int) int {
+// FailK resolves the criterion to the via count n_F that fails an n×n
+// array.
+func (c ArrayCriterion) FailK(n int) int {
 	if c.WeakestLink {
 		return 1
 	}
@@ -299,11 +282,11 @@ func (a *Analyzer) CharacterizeViaArray(pattern cudd.Pattern, arrayN int, width,
 		if err != nil {
 			return nil, err
 		}
-		cfg, err := viaarray.FromStructure(p, sigma, a.EM, j, crit.failK(arrayN), 0)
+		cfg, err := viaarray.FromStructure(p, sigma, a.EM, j, crit.FailK(arrayN), 0)
 		if err != nil {
 			return nil, err
 		}
-		res, err := viaarray.CharacterizeNamed(cfg, trials, seed,
+		res, err := viaarray.Characterize(cfg, trials, seed,
 			fmt.Sprintf("array:%s:%dx%d", pattern, arrayN, arrayN))
 		if err != nil {
 			return nil, err

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"emvia/internal/chartable"
 	"emvia/internal/cudd"
 	"emvia/internal/pdn"
 	"emvia/internal/phys"
@@ -27,17 +26,17 @@ func fastAnalyzer() *Analyzer {
 }
 
 func TestArrayCriterionMapping(t *testing.T) {
-	if got := ArrayWeakestLink().failK(4); got != 1 {
-		t.Errorf("weakest-link failK = %d", got)
+	if got := ArrayWeakestLink().FailK(4); got != 1 {
+		t.Errorf("weakest-link FailK = %d", got)
 	}
-	if got := ArrayOpenCircuit().failK(4); got != 16 {
-		t.Errorf("open-circuit failK = %d", got)
+	if got := ArrayOpenCircuit().FailK(4); got != 16 {
+		t.Errorf("open-circuit FailK = %d", got)
 	}
-	if got := ArrayResistance2x().failK(4); got != 8 {
-		t.Errorf("R=2x failK = %d", got)
+	if got := ArrayResistance2x().FailK(4); got != 8 {
+		t.Errorf("R=2x FailK = %d", got)
 	}
-	if got := ArrayResistance2x().failK(8); got != 32 {
-		t.Errorf("R=2x failK(8) = %d", got)
+	if got := ArrayResistance2x().FailK(8); got != 32 {
+		t.Errorf("R=2x FailK(8) = %d", got)
 	}
 	if s := ArrayWeakestLink().String(); s != "Weakest-link" {
 		t.Errorf("String = %q", s)
@@ -231,22 +230,6 @@ func TestAnalyzeGridRejectsSteadyEngine(t *testing.T) {
 	}
 	if n := len(a.memo.entries); n != 0 {
 		t.Errorf("rejected analyses ran %d FEA characterizations", n)
-	}
-}
-
-func TestBuildStressTableSmall(t *testing.T) {
-	a := fastAnalyzer()
-	count := 0
-	tab, err := a.BuildStressTable([]int{1}, []float64{2 * phys.Micron}, func(k chartable.Key, w float64) { count++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 9 {
-		t.Errorf("progress calls = %d, want 9", count)
-	}
-	// 3 layer pairs × 3 patterns × 1 config × 1 width = 9 entries.
-	if tab.Len() != 9 {
-		t.Errorf("table Len = %d, want 9", tab.Len())
 	}
 }
 

@@ -116,13 +116,3 @@ func (r *Result) MinPeak() float64 {
 	}
 	return best
 }
-
-// PeakFlat returns the per-via peaks flattened row-major, the layout the
-// via-array reliability model consumes.
-func (r *Result) PeakFlat() []float64 {
-	out := make([]float64, 0, len(r.PeakSigmaT)*len(r.PeakSigmaT))
-	for _, row := range r.PeakSigmaT {
-		out = append(out, row...)
-	}
-	return out
-}

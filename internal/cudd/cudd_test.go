@@ -193,9 +193,6 @@ func TestCharacterizeTensileAndPlausible(t *testing.T) {
 	if res.MaxPeak() < res.MinPeak() {
 		t.Error("MaxPeak < MinPeak")
 	}
-	if got := res.PeakFlat(); len(got) != 4 {
-		t.Errorf("PeakFlat length = %d", len(got))
-	}
 }
 
 func TestCharacterizePatternOrdering(t *testing.T) {

@@ -49,14 +49,9 @@ type CharResult struct {
 
 // Characterize runs the Algorithm-1 Monte Carlo for the array and fits the
 // lognormal TTF model. Trials follow the paper's N_trials (500 unless the
-// caller needs tighter tails).
-func Characterize(cfg Config, trials int, seed int64) (*CharResult, error) {
-	return CharacterizeNamed(cfg, trials, seed, "")
-}
-
-// CharacterizeNamed is Characterize with an explicit trace run label (e.g.
-// "array:Plus-shaped:3x3"); empty falls back to "viaarray".
-func CharacterizeNamed(cfg Config, trials int, seed int64, traceLabel string) (*CharResult, error) {
+// caller needs tighter tails). traceLabel names the run in structured traces
+// (e.g. "array:Plus-shaped:3x3"); empty falls back to "viaarray".
+func Characterize(cfg Config, trials int, seed int64, traceLabel string) (*CharResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,22 +91,4 @@ func CharacterizeNamed(cfg Config, trials int, seed int64, traceLabel string) (*
 // n_F (the k-th via failure times), reusing the run-to-completion events.
 func (c *CharResult) CriterionSamples(nF int) []float64 {
 	return c.MC.KthFailureTimes(nF)
-}
-
-// CriterionModel fits a TTFModel for an alternative criterion n_F from the
-// same Monte-Carlo run.
-func (c *CharResult) CriterionModel(nF int) (TTFModel, error) {
-	samples := c.CriterionSamples(nF)
-	if len(samples) < 2 {
-		return TTFModel{}, fmt.Errorf("viaarray: criterion n_F=%d has %d samples", nF, len(samples))
-	}
-	fit, err := stat.FitLogNormal(samples)
-	if err != nil {
-		return TTFModel{}, err
-	}
-	return TTFModel{
-		Dist:       fit,
-		RefCurrent: c.Config.CurrentDensity * c.Config.ViaArea,
-		FailK:      nF,
-	}, nil
 }

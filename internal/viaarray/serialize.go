@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"emvia/internal/cudd"
 	"emvia/internal/stat"
@@ -76,7 +77,9 @@ func (m ModelSet) Save(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// LoadModelSet reads a model set previously written by Save.
+// LoadModelSet reads a model set previously written by Save. It rejects a
+// pattern id other than Plus, T and L and a pattern listed twice, as well as
+// any set Validate rejects.
 func LoadModelSet(r io.Reader) (ModelSet, error) {
 	var in jsonModelSet
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -88,7 +91,14 @@ func LoadModelSet(r io.Reader) (ModelSet, error) {
 		Models: make(map[cudd.Pattern]TTFModel, len(in.Models)),
 	}
 	for _, jm := range in.Models {
-		m.Models[cudd.Pattern(jm.Pattern)] = TTFModel{
+		pat := cudd.Pattern(jm.Pattern)
+		if !slices.Contains(cudd.Patterns(), pat) {
+			return ModelSet{}, fmt.Errorf("viaarray: model set lists unknown pattern %d", jm.Pattern)
+		}
+		if _, dup := m.Models[pat]; dup {
+			return ModelSet{}, fmt.Errorf("viaarray: model set lists the %v pattern twice", pat)
+		}
+		m.Models[pat] = TTFModel{
 			Dist:       stat.LogNormal{Mu: jm.Mu, Sigma: jm.Sigma},
 			RefCurrent: jm.RefCurrent,
 			FailK:      jm.FailK,

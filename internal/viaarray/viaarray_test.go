@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -251,7 +252,7 @@ func TestAllFailedResistanceInfinite(t *testing.T) {
 
 func TestCharacterizeProducesLogNormalFit(t *testing.T) {
 	cfg := testConfig(2, 4)
-	res, err := Characterize(cfg, 200, 11)
+	res, err := Characterize(cfg, 200, 11, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestCriterionMonotone(t *testing.T) {
 	// The k-th failure time grows with k: median TTF under n_F=1 <
 	// n_F=half < n_F=all.
 	cfg := testConfig(2, 4)
-	res, err := Characterize(cfg, 300, 13)
+	res, err := Characterize(cfg, 300, 13, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,22 +293,19 @@ func TestCriterionMonotone(t *testing.T) {
 	if !(m1 < m2 && m2 < m4) {
 		t.Errorf("criterion medians not increasing: %g, %g, %g", m1, m2, m4)
 	}
-	// CriterionModel works and scales with current.
-	model, err := res.CriterionModel(2)
-	if err != nil {
-		t.Fatal(err)
+	// An alternative criterion's samples fit a lognormal, and a model
+	// re-targets with 1/I².
+	if _, err := stat.FitLogNormal(res.CriterionSamples(2)); err != nil {
+		t.Errorf("n_F=2 fit: %v", err)
 	}
-	if model.FailK != 2 {
-		t.Errorf("model FailK = %d", model.FailK)
-	}
-	if s := model.Scale(model.RefCurrent / 2); math.Abs(s-4) > 1e-12 {
+	if s := res.Model.Scale(res.Model.RefCurrent / 2); math.Abs(s-4) > 1e-12 {
 		t.Errorf("half current scale = %g, want 4", s)
 	}
-	if !math.IsInf(model.Scale(0), 1) {
+	if !math.IsInf(res.Model.Scale(0), 1) {
 		t.Error("zero current scale not +Inf")
 	}
-	if _, err := res.CriterionModel(99); err == nil {
-		t.Error("accepted impossible criterion")
+	if got := res.CriterionSamples(99); len(got) != 0 {
+		t.Errorf("impossible criterion n_F=99 has %d samples", len(got))
 	}
 }
 
@@ -355,7 +353,7 @@ func TestRedundancyOrdering(t *testing.T) {
 	for _, n := range []int{1, 4, 8} {
 		cfg := testConfig(n, n*n)
 		cfg.SigmaT = sigma[n]
-		res, err := Characterize(cfg, 300, 17)
+		res, err := Characterize(cfg, 300, 17, "")
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -383,7 +381,7 @@ func TestRelaxedCriterionExtendsTTF(t *testing.T) {
 	// (all 16 vias) gives a longer TTF than R=2× (8 vias).
 	cfg := testConfig(4, 16)
 	cfg.SigmaT = gradedSigma(4, 250e6, 222e6)
-	res, err := Characterize(cfg, 300, 23)
+	res, err := Characterize(cfg, 300, 23, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,6 +505,80 @@ func TestModelSetValidate(t *testing.T) {
 	if _, err := LoadModelSet(bytes.NewBufferString(`{"array_n":2,"fail_k":99}`)); err == nil {
 		t.Error("loaded out-of-range criterion")
 	}
+}
+
+// TestLoadModelSetRejectsMalformedPatterns: a pattern id other than
+// Plus/T/L, or a pattern listed twice, fails the load and names the pattern
+// instead of loading an extra model or replacing the first entry.
+func TestLoadModelSetRejectsMalformedPatterns(t *testing.T) {
+	const (
+		plus  = `{"pattern":0,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":16}`
+		tee   = `{"pattern":1,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":16}`
+		ell   = `{"pattern":2,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":16}`
+		seven = `{"pattern":7,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":16}`
+		plus5 = `{"pattern":0,"mu_ln_seconds":5,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":16}`
+	)
+	set := func(models ...string) string {
+		return `{"array_n":4,"fail_k":16,"models":[` + strings.Join(models, ",") + `]}`
+	}
+	if _, err := LoadModelSet(strings.NewReader(set(plus, tee, ell))); err != nil {
+		t.Fatalf("well-formed set: %v", err)
+	}
+	for _, c := range []struct {
+		name, json, want string
+	}{
+		{"unknown id", set(plus, tee, ell, seven), "pattern 7"},
+		{"repeated Plus", set(plus, tee, ell, plus5), "Plus-shaped"},
+	} {
+		m, err := LoadModelSet(strings.NewReader(c.json))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: loaded %d models, err %v; want an error naming %q", c.name, len(m.Models), err, c.want)
+		}
+	}
+}
+
+// FuzzLoadModelSet drives arbitrary bytes through the model-set decoder
+// that analyze -models and hotspots read. The invariants: no panic, and
+// every set it accepts passes Validate and survives Save and a second load
+// with the same bits in every field.
+func FuzzLoadModelSet(f *testing.F) {
+	f.Add([]byte(`{"array_n":2,"fail_k":4,"models":[` +
+		`{"pattern":0,"mu_ln_seconds":19.5,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":4},` +
+		`{"pattern":1,"mu_ln_seconds":20,"sigma_ln":0.3,"ref_current_a":0.01,"fail_k":4},` +
+		`{"pattern":2,"mu_ln_seconds":21,"sigma_ln":-0,"ref_current_a":1e-300,"fail_k":4}]}`))
+	f.Add([]byte(`{"array_n":1,"fail_k":1,"models":[{"pattern":7},{"pattern":0},{"pattern":0}]}`))
+	f.Add([]byte(`{"array_n":2,"fail_k":99}`))
+	f.Add([]byte(`{"array_n":1e999}`))
+	f.Add([]byte(`junk`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		set, err := LoadModelSet(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := set.Validate(); err != nil {
+			t.Fatalf("loaded set fails Validate: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := set.Save(&buf); err != nil {
+			t.Fatalf("loaded set fails Save: %v", err)
+		}
+		back, err := LoadModelSet(&buf)
+		if err != nil {
+			t.Fatalf("saved set fails to load: %v\n%s", err, buf.Bytes())
+		}
+		if back.ArrayN != set.ArrayN || back.FailK != set.FailK || len(back.Models) != len(set.Models) {
+			t.Fatalf("header changed: %+v vs %+v", back, set)
+		}
+		for pat, a := range set.Models {
+			b := back.Models[pat]
+			if math.Float64bits(a.Dist.Mu) != math.Float64bits(b.Dist.Mu) ||
+				math.Float64bits(a.Dist.Sigma) != math.Float64bits(b.Dist.Sigma) ||
+				math.Float64bits(a.RefCurrent) != math.Float64bits(b.RefCurrent) ||
+				a.FailK != b.FailK {
+				t.Fatalf("%v model changed: %+v vs %+v", pat, a, b)
+			}
+		}
+	})
 }
 
 // TestNetworkProperties: current conservation and linearity hold for random
