@@ -36,10 +36,12 @@ lint:
 	else echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; fi
 
 # bench runs the paper-figure benchmarks with the fixed snapshot protocol
-# (see scripts/bench_snapshot.sh and BENCH_1.json / BENCH_2.json). The large
-# GridSolve tiers (nx100/nx200, a cold pristine solve of ~0.1 s and ~0.6 s
-# per op) only run via bench-snapshot, which measures them at a reduced
-# -benchtime. BenchmarkFEASolve (a full-mesh 4×4 cold FEA, ~0.2 s per op)
+# (see scripts/bench_snapshot.sh and BENCH_1.json / BENCH_2.json). After its
+# first op a GridSolve tier reuses the grid pattern's ordering and symbolic
+# analysis from the solver's symbolic memo, so it measures the warm pristine
+# solve; BenchmarkSupernodalColdFactor in internal/solver times the cold
+# path. The large GridSolve tiers (nx100/nx200) only run via bench-snapshot,
+# which measures them at a reduced -benchtime. BenchmarkFEASolve (a full-mesh 4×4 cold FEA, ~0.2 s per op)
 # runs at 10x; BenchmarkIC0 times the IC(0) factor and sweeps on their own.
 bench:
 	$(GO) test -run '^$$' \

@@ -430,12 +430,15 @@ func BenchmarkAblationAging(b *testing.B) {
 	}
 }
 
-// BenchmarkGridSolve measures the cold pristine solve a grid job pays before
-// its Monte Carlo, across grid sizes: CalibrateLoad (compile, AMD order,
-// symbolic analysis, numeric factor and solve) and then MaxViaCurrent (the
-// busiest array, which restamps the rescaled loads and solves again). Each
-// iteration generates a fresh PG1 grid outside the timer, as a job does from
-// its spec, since a grid caches its solved circuit.
+// BenchmarkGridSolve measures the pristine solve a grid job pays before its
+// Monte Carlo, across grid sizes: CalibrateLoad (compile, numeric factor and
+// solve) and then MaxViaCurrent (the busiest array, which restamps the
+// rescaled loads and solves again). Each iteration generates a fresh PG1 grid
+// outside the timer, as a job does from its spec, since a grid caches its
+// solved circuit. Only the first op of a tier pays AMD ordering and symbolic
+// analysis; the later ones take them from the solver's symbolic memo, as
+// every later job on the same grid does, so ns/op is the warm path.
+// internal/solver's BenchmarkSupernodalColdFactor times the cold one.
 func BenchmarkGridSolve(b *testing.B) {
 	// Every size runs the AMD-ordered supernodal solver; nx200 (80k
 	// unknowns) is slow, so bench_snapshot.sh runs it at a reduced
@@ -499,8 +502,8 @@ func benchLaplacian(nx int) *sparse.CSR {
 
 // BenchmarkSparseCholeskyFactorSupernodal measures the power-grid solver on
 // a 64×64 mesh Laplacian (4096 unknowns, the nx40 power-grid scale): the
-// numeric refactorization, a clone plus refactor (the private numeric copy a
-// failure-cascade rebase factors), and 16 single-vector triangular solves.
+// numeric refactorization, a clone plus refactor (a private numeric copy on
+// shared symbolic structure), and 16 single-vector triangular solves.
 func BenchmarkSparseCholeskyFactorSupernodal(b *testing.B) {
 	a := benchLaplacian(64)
 	n, _ := a.Dims()

@@ -39,9 +39,9 @@ import (
 //
 // A step whose rank has reached the cap, or whose pivot says the opening
 // leaves a node hanging on the gmin leak, is not taken. The trial rebases
-// instead: it refactors a private numeric copy of the shared factor with
-// every array it has failed so far open, solves that system, and restarts
-// the cascade at rank 0 on it. The shared circuit and factor are never
+// instead: it factors a private copy of the grid with every array it has
+// failed so far open, on the shared factor's ordering and symbolic structure,
+// solves that system, and restarts the cascade at rank 0 on it. The shared circuit and factor are never
 // written.
 
 // viaTerms is the edit vector of one via array over the free nodes.
@@ -251,8 +251,9 @@ func (s *GridSystem) open(k int) ([]float64, error) {
 
 // rebase restarts the running trial's cascade at rank 0 on a private base:
 // the grid with every array the trial has failed so far open. The shared
-// circuit's Open stamps those values through compile's code and refactors a
-// private numeric copy of the shared factor on its symbolic structure. The
+// circuit's Open stamps those values through compile's code and factors them
+// on the shared factor's ordering and symbolic structure, which the solver's
+// symbolic memo holds for their common pattern. The
 // base's solution, solved through the instance's scratch operating point, is
 // the trial's new state; later openings update it with responses solved
 // against the base and kept trial-local, since the shared cache holds

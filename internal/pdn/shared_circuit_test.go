@@ -2,6 +2,7 @@ package pdn
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -354,4 +355,62 @@ func sameScreen(a, b *GridScreen) error {
 			a.MortalSegments, a.Segments, a.MortalVias, a.Vias, b.MortalSegments, b.Segments, b.MortalVias, b.Vias)
 	}
 	return nil
+}
+
+// TestShardGridBuildsConcurrent runs the three shards of one sharded
+// IR-drop job at once, each generating, calibrating and factoring its own
+// grid from the job's spec as an in-process shard does, and requires every
+// shard's trials to match the same shard run alone afterwards. All the
+// shards' circuits, and the private copies the cascade rebases on, share one
+// sparsity pattern, so the concurrent builds meet in the solver's symbolic
+// memo.
+func TestShardGridBuildsConcurrent(t *testing.T) {
+	spec := smallSpec()
+	spec.NX, spec.NY = 13, 13
+	const trials, shards = 24, 3
+	runShard := func(s int) (*mc.Result, error) {
+		g, err := Generate(spec)
+		if err != nil {
+			return nil, err
+		}
+		if err := g.CalibrateLoad(0.05); err != nil {
+			return nil, err
+		}
+		busiest, _, err := g.MaxViaCurrent()
+		if err != nil {
+			return nil, err
+		}
+		cfg := TTFConfig{Grid: g, Models: testModels(busiest), Criterion: IRDrop, IRDropFrac: 0.10}
+		opt := mc.Options{Trials: trials / shards, FirstTrial: s * trials / shards, Seed: 17, Workers: 1, RunToCompletion: true}
+		res, _, err := Analyze(context.Background(), cfg, ScreenConfig{}, opt)
+		return res, err
+	}
+	concurrent := make([]*mc.Result, shards)
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			concurrent[s], errs[s] = runShard(s)
+		}(s)
+	}
+	wg.Wait()
+	for s := 0; s < shards; s++ {
+		if errs[s] != nil {
+			t.Fatalf("shard %d: %v", s, errs[s])
+		}
+		serial, err := runShard(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(concurrent[s].EventComps, serial.EventComps) {
+			t.Fatalf("shard %d: concurrent failure sequences differ from the serial run", s)
+		}
+		for i, want := range serial.TTF {
+			if got := concurrent[s].TTF[i]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("shard %d trial %d: concurrent TTF %v, serial %v", s, i, got, want)
+			}
+		}
+	}
 }

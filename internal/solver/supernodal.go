@@ -28,6 +28,25 @@ import (
 // source columns ascending, rows ascending — so the factor of a matrix is a
 // pure function of its values and ordering.
 type SupernodalCholesky struct {
+	snSymbolic // shared read-only by every factor of the pattern
+
+	// Panel values: the panel of supernode s is px[pptr[s] : pptr[s]+w·lr].
+	px []float64
+
+	// Refactor scratch: relmap maps a permuted row id to its row position in
+	// the panel of the supernode being factored (entries of other rows are
+	// stale and never read); ybuf accumulates one update column.
+	relmap []int32
+	ybuf   []float64
+
+	ws Workspace // solve scratch of SolveInto
+}
+
+// snSymbolic is the part of a supernodal factor that the sparsity pattern and
+// the ordering fix: the supernode partition, the panel layouts, the A-value
+// scatter and the static update lists. It is never written after symbolic
+// returns, so factors, their clones and the symbolic memo share one copy.
+type snSymbolic struct {
 	n    int
 	perm []int
 
@@ -43,8 +62,8 @@ type SupernodalCholesky struct {
 	snRows []int32
 	snRptr []int
 
-	// Panel values: the panel of supernode s is px[pptr[s] : pptr[s]+w·lr].
-	px   []float64
+	// Panel offsets: the panel of supernode s starts at pptr[s] and holds
+	// w·lr values.
 	pptr []int
 
 	// A-value scatter, grouped by target column (permuted): for t in
@@ -62,14 +81,6 @@ type SupernodalCholesky struct {
 	updRS  []int32
 	updNC  []int32
 
-	// Refactor scratch: relmap maps a permuted row id to its row position in
-	// the panel of the supernode being factored (entries of other rows are
-	// stale and never read); ybuf accumulates one update column.
-	relmap []int32
-	ybuf   []float64
-
-	ws Workspace // solve scratch of SolveInto
-
 	nnzL  int // true entry count of L (dead panel corners excluded)
 	maxLr int
 }
@@ -84,14 +95,16 @@ const snMaxWidth = 32
 const snAmalgSlack = 24
 
 // NewSupernodalCholeskyFromCSR orders a with AMDOrder, runs the symbolic
-// analysis and factors the matrix. It returns ErrNotSPD when a pivot is
-// non-positive.
+// analysis and factors the matrix. The ordering and symbolic analysis come
+// from the process-wide symbolic memo, so each distinct sparsity pattern is
+// ordered and analysed once per process; the numeric factorization runs on
+// every call. It returns ErrNotSPD when a pivot is non-positive.
 func NewSupernodalCholeskyFromCSR(a *sparse.CSR) (*SupernodalCholesky, error) {
-	return newSupernodalCholeskyOrdered(a, AMDOrder(a))
+	return symbolics.factor(a)
 }
 
 // newSupernodalCholeskyOrdered is NewSupernodalCholeskyFromCSR with a
-// caller-chosen elimination order.
+// caller-chosen elimination order, bypassing the memo.
 func newSupernodalCholeskyOrdered(a *sparse.CSR, perm []int) (*SupernodalCholesky, error) {
 	n, m := a.Dims()
 	if n != m {
@@ -100,7 +113,6 @@ func newSupernodalCholeskyOrdered(a *sparse.CSR, perm []int) (*SupernodalCholesk
 	if len(perm) != n {
 		return nil, fmt.Errorf("solver: permutation length %d, want %d", len(perm), n)
 	}
-	c := &SupernodalCholesky{n: n, perm: append([]int(nil), perm...)}
 	invp := make([]int, n)
 	for i := range invp {
 		invp[i] = -1
@@ -111,7 +123,17 @@ func newSupernodalCholeskyOrdered(a *sparse.CSR, perm []int) (*SupernodalCholesk
 		}
 		invp[p] = k
 	}
-	c.symbolic(a, invp)
+	sym := snSymbolic{n: n, perm: append([]int(nil), perm...)}
+	sym.symbolic(a, invp)
+	return newNumeric(sym, a)
+}
+
+// newNumeric allocates a factor's private numeric state on symbolic structure
+// sym and factors a, whose pattern sym was analysed from.
+func newNumeric(sym snSymbolic, a *sparse.CSR) (*SupernodalCholesky, error) {
+	c := &SupernodalCholesky{snSymbolic: sym, px: make([]float64, sym.pptr[sym.nsup])}
+	c.ws.grow(sym.n)
+	c.initScratch()
 	if err := c.RefactorFromCSR(a); err != nil {
 		return nil, err
 	}
@@ -122,7 +144,7 @@ func newSupernodalCholeskyOrdered(a *sparse.CSR, perm []int) (*SupernodalCholesk
 // structure), partitions columns into supernodes, and precomputes the static
 // structures of the numeric phase: panel layouts, A-scatter targets and
 // update lists. invp is the inverse of c.perm.
-func (c *SupernodalCholesky) symbolic(a *sparse.CSR, invp []int) {
+func (c *snSymbolic) symbolic(a *sparse.CSR, invp []int) {
 	n := c.n
 
 	// Upper triangle of the permuted pattern plus raw A-scatter tuples
@@ -299,7 +321,6 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR, invp []int) {
 		}
 		copy(c.snRows[base+w:c.snRptr[s+1]], rowind[colptr[j1]+1:colptr[j1+1]])
 	}
-	c.px = make([]float64, c.pptr[c.nsup])
 
 	// A-scatter grouped by target column. Row position of permuted row k
 	// within the target panel comes from a binary search of the (ascending)
@@ -373,9 +394,6 @@ func (c *SupernodalCholesky) symbolic(a *sparse.CSR, invp []int) {
 		c.updNC[p] = v - u
 		fillpos[tgt] = p + 1
 	})
-
-	c.ws.grow(n)
-	c.initScratch()
 }
 
 // initScratch allocates the refactor scratch.

@@ -188,6 +188,11 @@ func (m *CSR) Row(i int) (cols []int32, vals []float64) {
 	return m.cols[m.ptr[i]:m.ptr[i+1]], m.vals[m.ptr[i]:m.ptr[i+1]]
 }
 
+// Pattern returns views of the row pointers and column indices, which
+// together are the sparsity pattern. The slices alias internal storage and
+// must not be modified.
+func (m *CSR) Pattern() (ptr []int, cols []int32) { return m.ptr, m.cols }
+
 // SlotIndex returns the storage slot of entry (i, j), or -1 when the entry is
 // not part of the sparsity pattern. Slots are stable for the lifetime of the
 // matrix and shared by every matrix of the same pattern, so a symbolic

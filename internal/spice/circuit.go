@@ -18,8 +18,8 @@ import (
 // solve only builds the system and factor it keeps. A value change makes a
 // new circuit that shares what it can with the old one — WithCurrents
 // restamps only the right-hand side and shares the factor, WithResistances
-// and Open refactor a private numeric copy of the factor on the same
-// symbolic structure.
+// and Open keep the old circuit's sparsity pattern, so their factors reuse
+// its ordering and symbolic structure through the solver's symbolic memo.
 type Circuit struct {
 	names []string
 	index map[string]int
@@ -176,7 +176,8 @@ func (c *Circuit) compile() {
 // cancelled before anything else lands in its slots, so its entries sum to
 // exactly zero and keep their slots. compile, WithResistances and Open all
 // stamp through here, so the circuits derived from one compile share its
-// pattern and can refactor on its symbolic structure.
+// pattern and the solver's symbolic memo hands their factors its ordering
+// and symbolic structure.
 func (c *Circuit) assemble(pattern []cResistor) *assembly {
 	n := c.nFree
 	tr := sparse.NewTriplet(n, n, len(c.res)*4+n)
@@ -269,9 +270,9 @@ func (c *Circuit) WithCurrents(amps []float64) (*Circuit, error) {
 
 // WithResistances returns the circuit with new resistor values (ohms in
 // netlist order). It stamps the new values through compile's code and, once
-// the receiver has a factor, refactors a private numeric copy of it on the
-// same ordering and symbolic structure — bit-identical to a fresh compile of
-// the same values, without repeating its ordering and symbolic analysis.
+// the receiver has a factor, factors them on the receiver's ordering and
+// symbolic structure, which the symbolic memo holds for their common pattern
+// — bit-identical to a fresh compile of the same values.
 func (c *Circuit) WithResistances(ohms []float64) (*Circuit, error) {
 	if len(ohms) != len(c.res) {
 		return nil, fmt.Errorf("spice: %d resistances for %d resistors", len(ohms), len(c.res))
@@ -291,7 +292,7 @@ func (c *Circuit) WithResistances(ohms []float64) (*Circuit, error) {
 		return &d, nil // nothing to share: the first solve compiles afresh
 	}
 	d.asm = d.assemble(d.res)
-	if err := d.factorFrom(c); err != nil {
+	if err := d.ensureFactor(); err != nil {
 		return nil, err
 	}
 	return &d, nil
@@ -299,11 +300,10 @@ func (c *Circuit) WithResistances(ohms []float64) (*Circuit, error) {
 
 // Open returns the circuit with resistors ris (netlist indices) open —
 // removed from the network, as an EM failure removes a via array. The result
-// keeps the receiver's sparsity pattern (see assemble), so it refactors a
-// private numeric copy of the receiver's factor on the same symbolic
-// structure; it keeps the receiver's gmin leak, and an opened resistor
-// carries no current. Open factors the receiver first if it has not been
-// solved.
+// keeps the receiver's sparsity pattern (see assemble), so its factor reuses
+// the receiver's ordering and symbolic structure; it keeps the receiver's
+// gmin leak, and an opened resistor carries no current. Open factors the
+// receiver first if it has not been solved.
 func (c *Circuit) Open(ris []int) (*Circuit, error) {
 	if c.nFree > 0 {
 		if err := c.ready(); err != nil {
@@ -322,21 +322,10 @@ func (c *Circuit) Open(ris []int) (*Circuit, error) {
 		return &d, nil
 	}
 	d.asm = d.assemble(c.res)
-	if err := d.factorFrom(c); err != nil {
+	if err := d.ensureFactor(); err != nil {
 		return nil, err
 	}
 	return &d, nil
-}
-
-// factorFrom builds the factor of c, whose matrix was just stamped from
-// values derived from src: by refactoring a private copy of src's factor
-// when c's pattern is src's, else (src was itself opened where c conducts)
-// by a factorization of its own.
-func (c *Circuit) factorFrom(src *Circuit) error {
-	if c.asm.mat.NNZ() == src.asm.mat.NNZ() {
-		c.asm.factor = src.asm.factor.Clone()
-	}
-	return c.ensureFactor()
 }
 
 // OP is a DC operating point.
@@ -401,23 +390,17 @@ func (c *Circuit) ready() error {
 	return nil
 }
 
-// ensureFactor factors the matrix values: from scratch — AMD-ordering the
-// system and factoring it — or, when the assembly already holds a private
-// factor copy of the same structure, by a numeric refactor.
-// On failure the assembly is left without a factor.
+// ensureFactor factors the matrix values. The ordering and symbolic analysis
+// come from the solver's symbolic memo, so only the first factor of a
+// sparsity pattern in the process pays for them. On failure the assembly is
+// left without a factor.
 func (c *Circuit) ensureFactor() error {
-	a := c.asm
 	t0 := c.met.factorSeconds.Start()
-	if a.factor == nil {
-		f, err := solver.NewSupernodalCholeskyFromCSR(a.mat)
-		if err != nil {
-			return err
-		}
-		a.factor = f
-	} else if err := a.factor.RefactorFromCSR(a.mat); err != nil {
-		a.factor = nil
+	f, err := solver.NewSupernodalCholeskyFromCSR(c.asm.mat)
+	if err != nil {
 		return err
 	}
+	c.asm.factor = f
 	c.met.factorSeconds.ObserveSince(t0)
 	return nil
 }

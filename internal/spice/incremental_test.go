@@ -164,7 +164,7 @@ func crossCheckIncremental(t *testing.T, n int, cold coldSolver) {
 		if err != nil {
 			t.Fatalf("opening %d failures: %v", k, err)
 		}
-		// A factor clone shares the symbolic structure, ordering included.
+		// The symbolic memo hands every factor of the pattern one ordering.
 		if &opened.asm.factor.Perm()[0] != &master.asm.factor.Perm()[0] {
 			t.Fatalf("opening %d failures did not refactor on the master's symbolic structure", k)
 		}
@@ -387,7 +387,7 @@ func TestWithResistancesMatchesRecompile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A factor clone shares the symbolic structure, ordering included.
+		// The symbolic memo hands every factor of the pattern one ordering.
 		if &tuned.asm.factor.Perm()[0] != &c.asm.factor.Perm()[0] {
 			t.Errorf("mesh %d: WithResistances did not refactor on the source's symbolic structure", mesh)
 		}

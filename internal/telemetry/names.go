@@ -26,6 +26,11 @@ const (
 	SparseUpdates        = "solver.sparse.updates"
 	SparseDowndates      = "solver.sparse.downdates"
 	SparseSolves         = "solver.sparse.solves"
+	// Lookups of the symbolic memo under every supernodal factor: a miss
+	// orders and analyses a sparsity pattern, a hit reuses the analysis an
+	// earlier factor of the same pattern made in this process.
+	SparseSymbolicHits   = "solver.sparse.symbolic{memo=hit}"
+	SparseSymbolicMisses = "solver.sparse.symbolic{memo=miss}"
 
 	// internal/spice — compiled circuits. A compiled circuit is read-only,
 	// so nothing resets one and SpiceResets now reads 0; the benchmark

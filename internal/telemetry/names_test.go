@@ -39,6 +39,7 @@ var (
 		ParRuns, ParBlocks, ParBusyNanos, ParWallNanos,
 		PrecondFallbacks("jacobi"), PrecondFallbacks("identity"),
 		CascadeFallbacks("rank"), CascadeFallbacks("pivot"),
+		SparseSymbolicHits, SparseSymbolicMisses,
 	}
 	inTreeGauges = []string{
 		ServeQueueDepth, ServeJobsActive, TraceRingOccupancy, TraceRingCapacity,

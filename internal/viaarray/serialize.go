@@ -77,13 +77,18 @@ func (m ModelSet) Save(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// LoadModelSet reads a model set previously written by Save. It rejects a
-// pattern id other than Plus, T and L and a pattern listed twice, as well as
-// any set Validate rejects.
+// LoadModelSet reads a model set previously written by Save. It rejects
+// anything after the one JSON value, a pattern id other than Plus, T and L, a
+// pattern listed twice and a model whose fail_k differs from the set's, as
+// well as any set Validate rejects.
 func LoadModelSet(r io.Reader) (ModelSet, error) {
 	var in jsonModelSet
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&in); err != nil {
 		return ModelSet{}, fmt.Errorf("viaarray: decoding model set: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return ModelSet{}, fmt.Errorf("viaarray: model set has trailing data after its JSON value")
 	}
 	m := ModelSet{
 		ArrayN: in.ArrayN,
@@ -97,6 +102,9 @@ func LoadModelSet(r io.Reader) (ModelSet, error) {
 		}
 		if _, dup := m.Models[pat]; dup {
 			return ModelSet{}, fmt.Errorf("viaarray: model set lists the %v pattern twice", pat)
+		}
+		if jm.FailK != in.FailK {
+			return ModelSet{}, fmt.Errorf("viaarray: model set's fail_k is %d but its %v model's is %d", in.FailK, pat, jm.FailK)
 		}
 		m.Models[pat] = TTFModel{
 			Dist:       stat.LogNormal{Mu: jm.Mu, Sigma: jm.Sigma},

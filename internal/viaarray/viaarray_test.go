@@ -508,8 +508,11 @@ func TestModelSetValidate(t *testing.T) {
 }
 
 // TestLoadModelSetRejectsMalformedPatterns: a pattern id other than
-// Plus/T/L, or a pattern listed twice, fails the load and names the pattern
-// instead of loading an extra model or replacing the first entry.
+// Plus/T/L, a pattern listed twice, a model fitted at another failure
+// criterion than the set's header, or data after the set fails the load with
+// an error naming the cause, instead of loading an extra model, replacing the
+// first entry, reporting the header's criterion for models fitted at another
+// or ignoring the rest of the file.
 func TestLoadModelSetRejectsMalformedPatterns(t *testing.T) {
 	const (
 		plus  = `{"pattern":0,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":16}`
@@ -517,6 +520,7 @@ func TestLoadModelSetRejectsMalformedPatterns(t *testing.T) {
 		ell   = `{"pattern":2,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":16}`
 		seven = `{"pattern":7,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":16}`
 		plus5 = `{"pattern":0,"mu_ln_seconds":5,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":16}`
+		tee1  = `{"pattern":1,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":1}`
 	)
 	set := func(models ...string) string {
 		return `{"array_n":4,"fail_k":16,"models":[` + strings.Join(models, ",") + `]}`
@@ -529,6 +533,9 @@ func TestLoadModelSetRejectsMalformedPatterns(t *testing.T) {
 	}{
 		{"unknown id", set(plus, tee, ell, seven), "pattern 7"},
 		{"repeated Plus", set(plus, tee, ell, plus5), "Plus-shaped"},
+		{"model fail_k differs", set(plus, tee1, ell), "T-shaped model's is 1"},
+		{"trailing data", set(plus, tee, ell) + ` trailing junk`, "trailing data"},
+		{"second value", set(plus, tee, ell) + set(plus, tee, ell), "trailing data"},
 	} {
 		m, err := LoadModelSet(strings.NewReader(c.json))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -550,6 +557,11 @@ func FuzzLoadModelSet(f *testing.F) {
 	f.Add([]byte(`{"array_n":2,"fail_k":99}`))
 	f.Add([]byte(`{"array_n":1e999}`))
 	f.Add([]byte(`junk`))
+	f.Add([]byte(`{"array_n":4,"fail_k":16,"models":[` +
+		`{"pattern":0,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":1},` +
+		`{"pattern":1,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":1},` +
+		`{"pattern":2,"mu_ln_seconds":19,"sigma_ln":0.2,"ref_current_a":0.01,"fail_k":1}]} trailing junk`))
+	f.Add([]byte(`{"array_n":2,"fail_k":4,"models":[]} {}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		set, err := LoadModelSet(bytes.NewReader(data))
 		if err != nil {
